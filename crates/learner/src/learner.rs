@@ -106,6 +106,14 @@ pub struct LearnerTick {
     pub gated: usize,
     /// Devices newly quarantined this pass (transitions, not population).
     pub quarantined: usize,
+    /// Reports dropped this pass without touching any filter. Empty,
+    /// non-finite or wrong-dimension parameters are dropped before
+    /// admission sees them, so the rest of the batch folds exactly as if
+    /// they were absent. A finite report some particle cannot absorb (its
+    /// distance to a cluster mean overflows) is dropped after admission
+    /// scored it, leaving the filter unchanged; a buffered report that
+    /// fails this way when the filter is born counts here in that pass.
+    pub malformed: usize,
     /// Tasks whose refreshed prior was published this pass, ascending.
     pub refreshed_tasks: Vec<u64>,
 }
@@ -231,10 +239,12 @@ impl CloudLearner {
     /// publishes a refreshed prior for every task that crossed
     /// `refresh_interval` absorbed reports since its last publish.
     ///
+    /// Malformed reports are skipped and counted in
+    /// [`LearnerTick::malformed`]; they never discard the rest of the batch.
+    ///
     /// # Errors
     ///
-    /// Returns an error on malformed reports (dimension drift within a
-    /// task, non-finite parameters) or a degenerate base fit.
+    /// Returns an error on a degenerate base fit or a failed collapse.
     pub fn absorb<S: PriorSink>(
         &mut self,
         reports: Vec<ReportedModel>,
@@ -242,6 +252,10 @@ impl CloudLearner {
     ) -> Result<LearnerTick> {
         let mut tick = LearnerTick::default();
         for r in reports {
+            if !self.well_formed(&r) {
+                tick.malformed += 1;
+                continue;
+            }
             let entry = self.tasks.entry(r.task_id).or_insert_with(|| TaskLearner {
                 pending: Vec::new(),
                 filter: None,
@@ -271,7 +285,12 @@ impl CloudLearner {
                 }
             }
             match &mut entry.filter {
-                Some(f) => f.push(&r.params)?,
+                Some(f) => {
+                    if f.push(&r.params).is_err() {
+                        tick.malformed += 1;
+                        continue;
+                    }
+                }
                 None => {
                     entry.pending.push(r.params);
                     if entry.pending.len() >= self.config.min_reports_for_base.max(2) {
@@ -282,7 +301,9 @@ impl CloudLearner {
                         let mut f = SirDpFilter::new(base, sir)?;
                         let pending = std::mem::take(&mut entry.pending);
                         for x in &pending {
-                            f.push(x)?;
+                            if f.push(x).is_err() {
+                                tick.malformed += 1;
+                            }
                         }
                         // Seed the gate baseline with the base cohort's own
                         // marginals, so the gate is armed the moment the
@@ -312,6 +333,19 @@ impl CloudLearner {
             }
         }
         Ok(tick)
+    }
+
+    /// True when `r` carries finite parameters of its task's dimension: the
+    /// filter's base dimension once it exists, else the buffered reports'
+    /// (the first report of a task sets it).
+    fn well_formed(&self, r: &ReportedModel) -> bool {
+        let expected = self.tasks.get(&r.task_id).and_then(|t| match &t.filter {
+            Some(f) => Some(f.base().dim()),
+            None => t.pending.first().map(Vec::len),
+        });
+        !r.params.is_empty()
+            && expected.is_none_or(|d| r.params.len() == d)
+            && r.params.iter().all(|v| v.is_finite())
     }
 
     /// Publishes the current prior for every task with a live filter,
@@ -402,8 +436,9 @@ impl LearnerDaemon {
             let mut sink = Arc::clone(&state);
             while !stop.load(Ordering::Acquire) {
                 let reports = state.take_reports();
-                // A malformed report must not kill the loop (the filters
-                // for well-formed tasks keep serving), hence the if-let.
+                // A failed pass (a degenerate base fit) must not kill the
+                // loop (the filters for other tasks keep serving), hence
+                // the if-let.
                 if let Ok(tick) = learner.absorb(reports, &mut sink) {
                     state.note_admission_outcomes(tick.gated as u64, tick.quarantined as u64);
                 }

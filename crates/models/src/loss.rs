@@ -6,6 +6,8 @@
 /// `dre-robust` consumes:
 ///
 /// * [`MarginLoss::value`] / [`MarginLoss::derivative`] for gradients;
+/// * [`MarginLoss::eval_both_signs`] — value and derivative at `±m` in one
+///   call, for the dual's label-flip branch;
 /// * [`MarginLoss::margin_lipschitz`] — the Lipschitz constant `L` of the
 ///   loss in its margin. For linear models the loss as a function of the
 ///   *features* is then `L·‖w‖`-Lipschitz, which is what the dual
@@ -16,6 +18,18 @@ pub trait MarginLoss: std::fmt::Debug + Clone + Send + Sync {
 
     /// Derivative `dℓ/dm` (a subderivative at kinks).
     fn derivative(&self, margin: f64) -> f64;
+
+    /// `(ℓ(m), ℓ(−m), ℓ'(m), ℓ'(−m))`: the loss and its derivative at the
+    /// margin and at its label flip. Overrides must return exactly the bits
+    /// of the four separate calls, so callers may use either form.
+    fn eval_both_signs(&self, margin: f64) -> (f64, f64, f64, f64) {
+        (
+            self.value(margin),
+            self.value(-margin),
+            self.derivative(margin),
+            self.derivative(-margin),
+        )
+    }
 
     /// Lipschitz constant of `ℓ` as a function of the margin.
     fn margin_lipschitz(&self) -> f64;
@@ -45,6 +59,29 @@ impl MarginLoss for LogisticLoss {
             -e / (1.0 + e)
         } else {
             -1.0 / (1.0 + margin.exp())
+        }
+    }
+
+    /// All four terms derive from one `e = exp(−|m|)` and one `ln(1 + e)`,
+    /// evaluated exactly as [`value`](MarginLoss::value) and
+    /// [`derivative`](MarginLoss::derivative) evaluate them on each side of
+    /// zero. Zero (either sign) and NaN take the four plain calls.
+    fn eval_both_signs(&self, margin: f64) -> (f64, f64, f64, f64) {
+        if margin > 0.0 {
+            let e = (-margin).exp();
+            let l = e.ln_1p();
+            (l, margin + l, -e / (1.0 + e), -1.0 / (1.0 + e))
+        } else if margin < 0.0 {
+            let e = margin.exp();
+            let l = e.ln_1p();
+            (-margin + l, l, -1.0 / (1.0 + e), -e / (1.0 + e))
+        } else {
+            (
+                self.value(margin),
+                self.value(-margin),
+                self.derivative(margin),
+                self.derivative(-margin),
+            )
         }
     }
 
@@ -190,6 +227,45 @@ mod tests {
     fn fd_derivative<L: MarginLoss>(loss: &L, m: f64) -> f64 {
         let h = 1e-7;
         (loss.value(m + h) - loss.value(m - h)) / (2.0 * h)
+    }
+
+    #[test]
+    fn logistic_fused_terms_bit_equal_the_four_separate_calls() {
+        let mut grid = vec![
+            0.0,
+            -0.0,
+            1e-300,
+            -1e-300,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            5e-324,
+            -5e-324,
+            40.0,
+            -40.0,
+            745.0,
+            -745.0,
+            746.0,
+            -746.0,
+            1e308,
+            -1e308,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        // A log-spaced sweep across both signs, plus values near the
+        // branch points of `exp` and `ln_1p`.
+        for k in -60..=60 {
+            let m = 1.7f64.powi(k);
+            grid.extend([m, -m, m.next_up(), -m.next_up()]);
+        }
+        let l = LogisticLoss;
+        let bits =
+            |t: (f64, f64, f64, f64)| [t.0.to_bits(), t.1.to_bits(), t.2.to_bits(), t.3.to_bits()];
+        for m in grid {
+            let separate = (l.value(m), l.value(-m), l.derivative(m), l.derivative(-m));
+            assert_eq!(bits(l.eval_both_signs(m)), bits(separate), "margin {m:e}");
+        }
+        let (a, b, c, d) = l.eval_both_signs(f64::NAN);
+        assert!(a.is_nan() && b.is_nan() && c.is_nan() && d.is_nan());
     }
 
     #[test]

@@ -118,13 +118,20 @@ impl Lbfgs {
                 p
             };
 
-            let ls = strong_wolfe(obj, &x, &p, fx, gdp, 1e-4, 0.9)
-                .or_else(|| backtracking(obj, &x, &p, fx, gdp, 1.0, 1e-4))
-                .ok_or(OptimError::LineSearchFailed { iteration: iter })?;
-
-            let mut x_new = x.clone();
-            dre_linalg::vector::axpy(ls.step, &p, &mut x_new);
-            let (f_new, g_new) = obj.value_and_gradient(&x_new);
+            // The Wolfe search hands back the accepted point's value and
+            // gradient; only the value-only backtracking fallback needs a
+            // fresh evaluation.
+            let (x_new, f_new, g_new) = match strong_wolfe(obj, &x, &p, fx, gdp, 1e-4, 0.9) {
+                Some(w) => (w.x, w.value, w.gradient),
+                None => {
+                    let ls = backtracking(obj, &x, &p, fx, gdp, 1.0, 1e-4)
+                        .ok_or(OptimError::LineSearchFailed { iteration: iter })?;
+                    let mut x_new = x.clone();
+                    dre_linalg::vector::axpy(ls.step, &p, &mut x_new);
+                    let (f_new, g_new) = obj.value_and_gradient(&x_new);
+                    (x_new, f_new, g_new)
+                }
+            };
             if !f_new.is_finite() || !dre_linalg::vector::all_finite(&g_new) {
                 return Err(OptimError::NonFiniteObjective { iteration: iter });
             }
@@ -301,6 +308,204 @@ mod tests {
             )
             .unwrap();
     }
+
+    /// Wraps an objective and records the bit pattern of every point it is
+    /// evaluated at, through any of the three entry points.
+    struct Counting<O> {
+        inner: O,
+        points: std::sync::Mutex<Vec<Vec<u64>>>,
+    }
+
+    impl<O: Objective> Counting<O> {
+        fn new(inner: O) -> Self {
+            Counting {
+                inner,
+                points: std::sync::Mutex::new(Vec::new()),
+            }
+        }
+
+        fn record(&self, x: &[f64]) {
+            let bits = x.iter().map(|v| v.to_bits()).collect();
+            self.points.lock().unwrap().push(bits);
+        }
+
+        /// `(evaluations, distinct points)`.
+        fn counts(&self) -> (usize, usize) {
+            let points = self.points.lock().unwrap();
+            let distinct: std::collections::BTreeSet<&Vec<u64>> = points.iter().collect();
+            (points.len(), distinct.len())
+        }
+    }
+
+    impl<O: Objective> Objective for Counting<O> {
+        fn dim(&self) -> usize {
+            self.inner.dim()
+        }
+
+        fn value(&self, x: &[f64]) -> f64 {
+            self.record(x);
+            self.inner.value(x)
+        }
+
+        fn gradient(&self, x: &[f64]) -> Vec<f64> {
+            self.record(x);
+            self.inner.gradient(x)
+        }
+
+        fn value_and_gradient(&self, x: &[f64]) -> (f64, Vec<f64>) {
+            self.record(x);
+            self.inner.value_and_gradient(x)
+        }
+    }
+
+    #[test]
+    fn every_distinct_trial_point_is_evaluated_exactly_once() {
+        let rosenbrock = Counting::new(FnObjective::new(2, |x: &[f64]| {
+            let (a, b) = (1.0 - x[0], x[1] - x[0] * x[0]);
+            (
+                a * a + 100.0 * b * b,
+                vec![-2.0 * a - 400.0 * x[0] * b, 200.0 * b],
+            )
+        }));
+        let r = Lbfgs::new(StopCriteria::with_max_iters(300))
+            .minimize(&rosenbrock, &[-1.2, 1.0])
+            .unwrap();
+        let (evals, distinct) = rosenbrock.counts();
+        assert_eq!(evals, distinct, "a trial point was evaluated twice");
+        // At least the start plus one accepted point per iteration.
+        assert!(
+            evals > r.iterations,
+            "{evals} evaluations, {} iterations",
+            r.iterations
+        );
+
+        let a = Matrix::from_rows(&[&[5.0, 1.0, 0.0], &[1.0, 4.0, 0.5], &[0.0, 0.5, 3.0]])
+            .unwrap();
+        let quadratic = Counting::new(QuadraticObjective::new(a, vec![1.0, -2.0, 0.5], 2.0));
+        Lbfgs::new(StopCriteria::default())
+            .minimize(&quadratic, &[10.0, 10.0, 10.0])
+            .unwrap();
+        let (evals, distinct) = quadratic.counts();
+        assert_eq!(evals, distinct, "a trial point was evaluated twice");
+    }
+
+    /// `(x, value, grad_norm, trace)` bit patterns plus iterations and
+    /// convergence, for pinning a report exactly.
+    fn report_bits(r: &OptimReport) -> (Vec<u64>, u64, u64, Vec<u64>, usize, bool) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        (
+            bits(&r.x),
+            r.value.to_bits(),
+            r.grad_norm.to_bits(),
+            bits(&r.trace),
+            r.iterations,
+            r.converged,
+        )
+    }
+
+    #[test]
+    fn quadratic_report_is_bit_identical_to_the_golden() {
+        let a = Matrix::from_rows(&[&[5.0, 1.0, 0.0], &[1.0, 4.0, 0.5], &[0.0, 0.5, 3.0]])
+            .unwrap();
+        let q = QuadraticObjective::new(a, vec![1.0, -2.0, 0.5], 2.0);
+        let r = Lbfgs::new(StopCriteria::default())
+            .minimize(&q, &[10.0, 10.0, 10.0])
+            .unwrap();
+        assert_eq!(report_bits(&r), owned(QUADRATIC_GOLDEN));
+    }
+
+    #[test]
+    fn rosenbrock_report_is_bit_identical_to_the_golden() {
+        let obj = FnObjective::new(2, |x: &[f64]| {
+            let (a, b) = (1.0 - x[0], x[1] - x[0] * x[0]);
+            (
+                a * a + 100.0 * b * b,
+                vec![-2.0 * a - 400.0 * x[0] * b, 200.0 * b],
+            )
+        });
+        let r = Lbfgs::new(StopCriteria::with_max_iters(300))
+            .minimize(&obj, &[-1.2, 1.0])
+            .unwrap();
+        assert_eq!(report_bits(&r), owned(ROSENBROCK_GOLDEN));
+    }
+
+    type Golden = (&'static [u64], u64, u64, &'static [u64], usize, bool);
+
+    fn owned(g: Golden) -> (Vec<u64>, u64, u64, Vec<u64>, usize, bool) {
+        (g.0.to_vec(), g.1, g.2, g.3.to_vec(), g.4, g.5)
+    }
+
+    const QUADRATIC_GOLDEN: Golden = (
+        &[
+            0x3FD4A9E6BEC6C36A,
+            0xBFE3A8C0D9F71373,
+            0x3FD138403D8132F0,
+        ],
+        0x3FF282DEB5619417,
+        0x3E60B9BD51800000,
+        &[
+            0x4087A80000000000,
+            0x405B8C8000000000,
+            0x40114DF86C4935C7,
+            0x3FFB0E3B73B505A8,
+            0x3FF28CEFDCDEF028,
+            0x3FF282F0D81882B2,
+            0x3FF282DEB8DDCB4A,
+            0x3FF282DEB56196E6,
+            0x3FF282DEB5619417,
+        ],
+        8,
+        true,
+    );
+
+    const ROSENBROCK_GOLDEN: Golden = (
+        &[
+            0x3FF00000000179EB,
+            0x3FF000000002EE5A,
+        ],
+        0x3B81CD2E9FC80000,
+        0x3DE70B2C000194D0,
+        &[
+            0x4038333333333332,
+            0x4014678A13FF6669,
+            0x40109D7AB6A67BC4,
+            0x4010780737F3F678,
+            0x400B1E7035284C81,
+            0x400A2E2D53E83C0E,
+            0x4007C8D8D898DBD9,
+            0x400353B010198D76,
+            0x400234D5EEEDFC94,
+            0x3FFCE850CE6AFD68,
+            0x3FFA2A5AFA784C94,
+            0x3FF38B53EEB9FB3E,
+            0x3FF0B99EE4742177,
+            0x3FE80660952F19A7,
+            0x3FE718C9B736CB72,
+            0x3FE4C92D9C1B6641,
+            0x3FDD544851FD65E8,
+            0x3FD570C84F3DA458,
+            0x3FD31859C2DBA637,
+            0x3FCAB83829FF7491,
+            0x3FC12B84EA19005F,
+            0x3FB64E9BA7FBB650,
+            0x3FB19D8F7770E642,
+            0x3FA47629D3CCA218,
+            0x3F9BB476108BAAE6,
+            0x3F87E20C267490CA,
+            0x3F74CE43262BC04B,
+            0x3F5A6A68E326FC35,
+            0x3F4D203F88065F1A,
+            0x3F2E2E779F5CA8A8,
+            0x3F06879A4FA0CD15,
+            0x3EAFD312A13C9B80,
+            0x3E3890125DBB2DA2,
+            0x3D8F3E36AE01052A,
+            0x3C65852FC61995A0,
+            0x3B81CD2E9FC80000,
+        ],
+        35,
+        true,
+    );
 
     #[test]
     fn memory_one_still_converges() {

@@ -51,7 +51,7 @@ pub use adam::Adam;
 pub use error::OptimError;
 pub use gd::{GradientDescent, MomentumKind};
 pub use lbfgs::Lbfgs;
-pub use line_search::{backtracking, strong_wolfe, LineSearchResult};
+pub use line_search::{backtracking, strong_wolfe, LineSearchResult, WolfeStep};
 pub use objective::{numerical_gradient, FnObjective, Objective, QuadraticObjective};
 pub use proximal::{Prox, ProximalGradient};
 pub use report::{OptimReport, StopCriteria};

@@ -69,11 +69,48 @@ pub fn backtracking<O: Objective + ?Sized>(
     None
 }
 
+/// Result of a successful strong-Wolfe search: the accepted step together
+/// with the point it reaches and the objective's value and gradient there.
+///
+/// The search has already evaluated `value_and_gradient` at the accepted
+/// point, so callers take both from here instead of evaluating it again.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WolfeStep {
+    /// Accepted step length `t`.
+    pub step: f64,
+    /// The accepted point `x + t·p`.
+    pub x: Vec<f64>,
+    /// Objective value at `x + t·p`.
+    pub value: f64,
+    /// Objective gradient at `x + t·p`.
+    pub gradient: Vec<f64>,
+}
+
+/// One evaluated trial point of the Wolfe search, with its directional
+/// derivative `∇f(x + t·p)ᵀp`.
+struct Trial {
+    step: WolfeStep,
+    slope: f64,
+}
+
+impl Trial {
+    fn t(&self) -> f64 {
+        self.step.step
+    }
+
+    fn value(&self) -> f64 {
+        self.step.value
+    }
+}
+
 /// Strong Wolfe line search (Nocedal & Wright, Algorithm 3.5/3.6).
 ///
 /// Finds `t` with
 /// `f(x + t·p) ≤ f(x) + c₁·t·gᵀp` (sufficient decrease) and
 /// `|∇f(x + t·p)ᵀp| ≤ c₂·|gᵀp|` (curvature).
+///
+/// Every trial point is evaluated exactly once; the accepted one is
+/// returned with its value and gradient.
 ///
 /// Returns `None` for non-descent directions or when bracketing fails.
 pub fn strong_wolfe<O: Objective + ?Sized>(
@@ -84,89 +121,111 @@ pub fn strong_wolfe<O: Objective + ?Sized>(
     grad_dot_p: f64,
     c1: f64,
     c2: f64,
-) -> Option<LineSearchResult> {
+) -> Option<WolfeStep> {
     debug_assert!(0.0 < c1 && c1 < c2 && c2 < 1.0);
     if grad_dot_p >= 0.0 {
         return None;
     }
-    let phi = |t: f64| -> (f64, f64) {
-        let trial: Vec<f64> = x.iter().zip(p).map(|(&xi, &pi)| xi + t * pi).collect();
-        let (v, g) = obj.value_and_gradient(&trial);
-        (v, dre_linalg::vector::dot(&g, p))
+    let search = Search {
+        obj,
+        x,
+        p,
+        fx,
+        grad_dot_p,
+        c1,
+        c2,
     };
-
-    let mut t_prev = 0.0;
-    let mut f_prev = fx;
+    // The previous trial; `None` stands for `t = 0`, i.e. `x` itself.
+    let mut prev: Option<Trial> = None;
     let mut t = 1.0;
     const T_MAX: f64 = 1e6;
     for i in 0..30 {
-        let (f_t, g_t) = phi(t);
-        if !f_t.is_finite() {
+        let cur = search.trial(t);
+        let f_prev = prev.as_ref().map_or(fx, Trial::value);
+        if !cur.value().is_finite() {
             // Step overshot into a bad region; treat as "too far".
-            return zoom(obj, x, p, fx, grad_dot_p, c1, c2, t_prev, f_prev, t);
+            return search.zoom(prev, t);
         }
-        if f_t > fx + c1 * t * grad_dot_p || (i > 0 && f_t >= f_prev) {
-            return zoom(obj, x, p, fx, grad_dot_p, c1, c2, t_prev, f_prev, t);
+        if cur.value() > fx + c1 * t * grad_dot_p || (i > 0 && cur.value() >= f_prev) {
+            return search.zoom(prev, t);
         }
-        if g_t.abs() <= -c2 * grad_dot_p {
-            return Some(LineSearchResult { step: t, value: f_t });
+        if cur.slope.abs() <= -c2 * grad_dot_p {
+            return Some(cur.step);
         }
-        if g_t >= 0.0 {
-            return zoom(obj, x, p, fx, grad_dot_p, c1, c2, t, f_t, t_prev);
+        if cur.slope >= 0.0 {
+            let t_prev = prev.as_ref().map_or(0.0, Trial::t);
+            return search.zoom(Some(cur), t_prev);
         }
-        t_prev = t;
-        f_prev = f_t;
+        prev = Some(cur);
         t = (2.0 * t).min(T_MAX);
     }
     None
 }
 
-/// The `zoom` phase of the Wolfe search: bisect inside `[lo, hi]`.
-#[allow(clippy::too_many_arguments)]
-fn zoom<O: Objective + ?Sized>(
-    obj: &O,
-    x: &[f64],
-    p: &[f64],
+/// The fixed inputs of one Wolfe search.
+struct Search<'a, O: ?Sized> {
+    obj: &'a O,
+    x: &'a [f64],
+    p: &'a [f64],
     fx: f64,
     grad_dot_p: f64,
     c1: f64,
     c2: f64,
-    mut t_lo: f64,
-    mut f_lo: f64,
-    mut t_hi: f64,
-) -> Option<LineSearchResult> {
-    let phi = |t: f64| -> (f64, f64) {
-        let trial: Vec<f64> = x.iter().zip(p).map(|(&xi, &pi)| xi + t * pi).collect();
-        let (v, g) = obj.value_and_gradient(&trial);
-        (v, dre_linalg::vector::dot(&g, p))
-    };
-    for _ in 0..50 {
-        let t = 0.5 * (t_lo + t_hi);
-        let (f_t, g_t) = phi(t);
-        if !f_t.is_finite() || f_t > fx + c1 * t * grad_dot_p || f_t >= f_lo {
-            t_hi = t;
-        } else {
-            if g_t.abs() <= -c2 * grad_dot_p {
-                return Some(LineSearchResult { step: t, value: f_t });
-            }
-            if g_t * (t_hi - t_lo) >= 0.0 {
-                t_hi = t_lo;
-            }
-            t_lo = t;
-            f_lo = f_t;
-        }
-        if (t_hi - t_lo).abs() < 1e-16 {
-            break;
+}
+
+impl<O: Objective + ?Sized> Search<'_, O> {
+    /// Evaluates the trial point `x + t·p`.
+    fn trial(&self, t: f64) -> Trial {
+        let point: Vec<f64> = self
+            .x
+            .iter()
+            .zip(self.p)
+            .map(|(&xi, &pi)| xi + t * pi)
+            .collect();
+        let (value, gradient) = self.obj.value_and_gradient(&point);
+        let slope = dre_linalg::vector::dot(&gradient, self.p);
+        Trial {
+            step: WolfeStep {
+                step: t,
+                x: point,
+                value,
+                gradient,
+            },
+            slope,
         }
     }
-    // Accept the best sufficient-decrease point found, if any.
-    if t_lo > 0.0 && f_lo <= fx + c1 * t_lo * grad_dot_p {
-        return Some(LineSearchResult {
-            step: t_lo,
-            value: f_lo,
-        });
+
+    /// The `zoom` phase of the Wolfe search: bisect between the `lo` trial
+    /// (`None` for `t = 0`) and `t_hi`.
+    fn zoom(&self, mut lo: Option<Trial>, mut t_hi: f64) -> Option<WolfeStep> {
+        let lo_of = |lo: &Option<Trial>| lo.as_ref().map_or((0.0, self.fx), |q| (q.t(), q.value()));
+        for _ in 0..50 {
+            let (t_lo, f_lo) = lo_of(&lo);
+            let t = 0.5 * (t_lo + t_hi);
+            let cur = self.trial(t);
+            let f_t = cur.value();
+            if !f_t.is_finite() || f_t > self.fx + self.c1 * t * self.grad_dot_p || f_t >= f_lo {
+                t_hi = t;
+            } else {
+                if cur.slope.abs() <= -self.c2 * self.grad_dot_p {
+                    return Some(cur.step);
+                }
+                if cur.slope * (t_hi - t_lo) >= 0.0 {
+                    t_hi = t_lo;
+                }
+                lo = Some(cur);
+            }
+            if (t_hi - lo_of(&lo).0).abs() < 1e-16 {
+                break;
+            }
+        }
+        // Accept the best sufficient-decrease point found, if any.
+        let lo = lo?;
+        if lo.t() > 0.0 && lo.value() <= self.fx + self.c1 * lo.t() * self.grad_dot_p {
+            return Some(lo.step);
+        }
+        None
     }
-    None
 }
 
 #[cfg(test)]
@@ -222,6 +281,10 @@ mod tests {
         let (ft, gt) = obj.value_and_gradient(&xt);
         assert!(ft <= fx + c1 * r.step * gdp + 1e-12);
         assert!((gt[0] * p[0]).abs() <= -c2 * gdp + 1e-12);
+        // The returned point, value and gradient are the accepted point's.
+        assert_eq!(r.x, xt);
+        assert_eq!(r.value, ft);
+        assert_eq!(r.gradient, gt);
     }
 
     #[test]

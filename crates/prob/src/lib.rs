@@ -52,7 +52,7 @@ pub use error::ProbError;
 pub use mvn::MvNormal;
 pub use mvt::MvStudentT;
 pub use niw::{NiwSufficientStats, NormalInverseWishart};
-pub use niw_cache::NiwPosteriorCache;
+pub use niw_cache::{NiwPosteriorCache, StagedInsert};
 pub use univariate::{Bernoulli, Beta, Categorical, CategoricalScratch, Gamma, Normal, StudentT};
 pub use wishart::{InverseWishart, Wishart};
 

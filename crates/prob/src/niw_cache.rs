@@ -192,24 +192,66 @@ impl NiwPosteriorCache {
 
     /// Absorbs one observation with a rank-1 **update** of the cached
     /// factor (`O(d²)`; never needs a refactorization on finite input).
+    /// On error the cache is unchanged.
     ///
     /// # Errors
     ///
-    /// Propagates non-finite input.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `x.len() != self.dim()`, mirroring
-    /// [`NiwSufficientStats::insert`].
+    /// Same as [`stage_insert`](Self::stage_insert).
     pub fn insert(&mut self, x: &[f64]) -> Result<()> {
+        let staged = self.stage_insert(x)?;
+        self.commit_insert(x, staged);
+        Ok(())
+    }
+
+    /// The fallible half of [`insert`](Self::insert): computes the rank-1
+    /// update direction for `x` and checks it, without touching the cache.
+    ///
+    /// A successful stage can be committed with
+    /// [`commit_insert`](Self::commit_insert), which cannot fail. Callers
+    /// that must update several caches all-or-nothing stage every insert
+    /// first and commit only once all stages succeeded.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when `x.len() != self.dim()` or when the update
+    /// direction is not finite (non-finite input, or `x` so far from the
+    /// posterior mean that `x − μₙ` overflows).
+    pub fn stage_insert(&self, x: &[f64]) -> Result<StagedInsert> {
+        let d = self.dim();
+        if x.len() != d {
+            return Err(LinalgError::ShapeMismatch {
+                op: "rank1_update",
+                lhs: (d, d),
+                rhs: (x.len(), 1),
+            }
+            .into());
+        }
         let kappa = self.kappa();
         let coef = kappa / (kappa + 1.0);
         let s = coef.sqrt();
         let w: Vec<f64> = x.iter().zip(&self.mu).map(|(xi, mi)| s * (xi - mi)).collect();
-        self.chol.rank1_update(&w)?;
+        if !dre_linalg::vector::all_finite(&w) {
+            return Err(LinalgError::NonFinite { op: "rank1_update" }.into());
+        }
+        Ok(StagedInsert { w })
+    }
+
+    /// Applies an insert staged by [`stage_insert`](Self::stage_insert) on
+    /// this cache in its current state. Infallible: the rank-1 update of a
+    /// finite direction always succeeds, and the predictive rebuild only
+    /// depends on `κₙ`, `νₙ` and the dimension, all valid by construction.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `x.len() != self.dim()`.
+    pub fn commit_insert(&mut self, x: &[f64], staged: StagedInsert) {
+        self.chol
+            .rank1_update(&staged.w)
+            .expect("staged direction is finite and of matching dimension");
         self.stats.insert(x);
         self.refresh_mean();
         self.rebuild_predictive()
+            .expect("predictive rebuild cannot fail for a valid cache");
     }
 
     /// Removes one previously inserted observation with a rank-1
@@ -310,6 +352,13 @@ impl NiwPosteriorCache {
         )?;
         Ok(())
     }
+}
+
+/// A checked rank-1 insert direction from [`NiwPosteriorCache::stage_insert`],
+/// valid for the cache state it was staged on.
+#[derive(Debug)]
+pub struct StagedInsert {
+    w: Vec<f64>,
 }
 
 /// Predictive `t_{ν−d+1}(μ, Ψ (κ+1)/(κ(ν−d+1)))` from a prefactored `Ψ`.

@@ -165,35 +165,39 @@ impl<'a, L: MarginLoss> WassersteinDualObjective<'a, L> {
     /// ball.
     pub fn exact_robust_risk(&self, model: &LinearModel) -> f64 {
         let n = self.xs.len() as f64;
-        // Per-sample margins and the per-γ dual sums below are the hot path
-        // for large n; both use the deterministic parallel primitives (the
-        // sums with fixed-order chunked reduction).
-        let margins: Vec<f64> =
-            dre_parallel::par_map_indexed(self.xs.len(), |i| model.margin(&self.xs[i], self.ys[i]));
+        // Per-sample losses at the margin and at its label flip, computed
+        // once per call: every golden-section probe below reuses them. Both
+        // the map and the per-γ dual sums use the deterministic parallel
+        // primitives (the sums with fixed-order chunked reduction).
+        let losses: Vec<(f64, f64)> = dre_parallel::par_map_indexed(self.xs.len(), |i| {
+            let (own, flipped, _, _) = self
+                .loss
+                .eval_both_signs(model.margin(&self.xs[i], self.ys[i]));
+            (own, flipped)
+        });
         let gamma_lo = self.loss.margin_lipschitz() * model.weight_norm();
         let eps = self.ball.radius();
         let kappa = self.ball.label_cost();
 
         if kappa.is_infinite() {
             // Flip branch never active: optimum at the constraint floor.
-            let erm =
-                dre_parallel::par_sum_indexed(margins.len(), |i| self.loss.value(margins[i])) / n;
+            let erm = dre_parallel::par_sum_indexed(losses.len(), |i| losses[i].0) / n;
             return gamma_lo * eps + erm;
         }
 
         let g = |gamma: f64| -> f64 {
-            let total = dre_parallel::par_sum_indexed(margins.len(), |i| {
-                let m = margins[i];
-                self.loss.value(m).max(self.loss.value(-m) - gamma * kappa)
+            let total = dre_parallel::par_sum_indexed(losses.len(), |i| {
+                let (own, flipped) = losses[i];
+                own.max(flipped - gamma * kappa)
             });
             gamma * eps + total / n
         };
 
         // Beyond γ_hi every flip branch is inactive and g is affine
         // increasing, so the minimum lies in [γ_lo, γ_hi].
-        let max_gap = margins
+        let max_gap = losses
             .iter()
-            .map(|&m| self.loss.value(-m) - self.loss.value(m))
+            .map(|&(own, flipped)| flipped - own)
             .fold(0.0f64, f64::max);
         let gamma_hi = gamma_lo + (max_gap / kappa).max(0.0) + 1e-9;
 
@@ -283,16 +287,17 @@ impl<L: MarginLoss> Objective for WassersteinDualObjective<'_, L> {
                 let y = self.ys[idx];
                 let (pv, pg) = (&mut acc.0, &mut acc.1);
                 let m = y * (dre_linalg::vector::dot(w, x) + b);
-                let a = self.loss.value(m);
+                // ℓ(±m) and ℓ'(±m) from one fused evaluation.
+                let (a, flipped, d_own, d_flipped) = self.loss.eval_both_signs(m);
                 if kappa.is_infinite() {
                     *pv += a / n;
-                    let coeff = self.loss.derivative(m) * y / n;
+                    let coeff = d_own * y / n;
                     let (gw, gtail) = pg.split_at_mut(d);
                     dre_linalg::vector::axpy(coeff, x, gw);
                     gtail[0] += coeff;
                     return acc;
                 }
-                let c = self.loss.value(-m) - gamma * kappa;
+                let c = flipped - gamma * kappa;
                 // Soft-max over the two branches at temperature τ.
                 let mx = a.max(c);
                 let ea = ((a - mx) / tau).exp();
@@ -303,8 +308,8 @@ impl<L: MarginLoss> Objective for WassersteinDualObjective<'_, L> {
                 let pc = ec / z;
                 *pv += smax / n;
 
-                let da = self.loss.derivative(m) * y;
-                let dc = -self.loss.derivative(-m) * y;
+                let da = d_own * y;
+                let dc = -d_flipped * y;
                 let coeff = (pa * da + pc * dc) / n;
                 {
                     let (gw, gtail) = pg.split_at_mut(d);
