@@ -4,9 +4,7 @@
 //! process prior over model parameters**. This crate implements that prior
 //! end to end:
 //!
-//! * [`StickBreaking`] — the GEM construction `w_k = v_k ∏_{j<k}(1 − v_j)`
-//!   with `v_k ~ Beta(1, α)`, including truncation diagnostics;
-//! * [`Crp`] — the Chinese Restaurant Process view of the same prior, with
+//! * [`Crp`] — the Chinese Restaurant Process view of the prior, with
 //!   the exact expected-table-count formula used by experiment E10;
 //! * [`DpNiwGibbs`] — a collapsed Gibbs sampler (Neal's Algorithm 3) for the
 //!   DP mixture with a [Normal-Inverse-Wishart](dre_prob::NormalInverseWishart)
@@ -39,7 +37,6 @@ mod crp;
 mod error;
 mod gibbs;
 mod mixture;
-mod stick_breaking;
 mod variational;
 
 pub use concentration::ConcentrationPrior;
@@ -47,7 +44,6 @@ pub use crp::Crp;
 pub use error::BayesError;
 pub use gibbs::{expected_covariance, DpNiwGibbs, GibbsCacheStats, GibbsConfig, GibbsResult};
 pub use mixture::{MixtureComponent, MixturePrior, QuadraticSurrogate};
-pub use stick_breaking::StickBreaking;
 pub use variational::{VariationalConfig, VariationalDpGmm, VariationalResult};
 
 /// Convenience result alias for fallible Bayesian operations.

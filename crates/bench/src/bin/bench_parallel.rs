@@ -8,6 +8,11 @@
 //! kernel). The process exits nonzero when any kernel exceeds its
 //! tolerance, so CI can run it as a correctness smoke test.
 //!
+//! Every kernel is one row of [`KERNELS`]: a function that runs it at a
+//! [`Size`] and returns its measured fields, plus its tolerance and perf
+//! [`Gate`]. `main` walks the table once and owns the printed line, the
+//! JSON row, the tolerance check and the gates.
+//!
 //! Flags:
 //!
 //! * `--smoke` — shrink every problem size so the run completes in seconds
@@ -19,6 +24,7 @@
 //! against the predictive-cached one — both wins are algorithmic and
 //! visible without threads.
 
+use std::net::SocketAddr;
 use std::time::Instant;
 
 use dre_bayes::{DpNiwGibbs, GibbsConfig, MixturePrior, VariationalConfig, VariationalDpGmm};
@@ -31,15 +37,252 @@ use dre_edgesim::{
 };
 use dre_learner::{AdmissionConfig, AdmissionState, SirConfig, SirDpFilter};
 use dre_linalg::{Cholesky, Matrix};
-use dre_serve::{
-    PriorClient, PriorServer, RetryPolicy, ServeConfig, ShardPlaneConfig, ShardedPriorPlane,
-    TcpConnector,
-};
 use dre_models::{LinearModel, LogisticLoss};
 use dre_optim::Objective as _;
 use dre_prob::{seeded_rng, MvNormal, NormalInverseWishart};
 use dre_robust::{WassersteinBall, WassersteinDualObjective};
+use dre_serve::{
+    PriorClient, PriorServer, RetryPolicy, ServeConfig, ServerHandle, ShardPlaneConfig,
+    ShardedPriorPlane, TcpConnector,
+};
 use rand::Rng;
+
+/// Problem scale: `--smoke` shrinks every kernel so CI finishes in seconds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Size {
+    Smoke,
+    Full,
+}
+
+impl Size {
+    fn pick<T>(self, smoke: T, full: T) -> T {
+        match self {
+            Size::Smoke => smoke,
+            Size::Full => full,
+        }
+    }
+}
+
+/// A perf gate on one numeric field of a kernel's row. Gates apply only to
+/// full runs on hosts with at least 4 hardware threads: a smaller host can
+/// only timeshare the workers, so its rows are stamped `"degraded": true`
+/// instead.
+#[derive(Debug, Clone, Copy)]
+enum Gate {
+    /// The tolerance check alone.
+    None,
+    /// The named field must reach the bound.
+    AtLeast(&'static str, f64),
+    /// The named field must stay under the bound.
+    Below(&'static str, f64),
+}
+
+/// One row of the kernel table.
+struct Kernel {
+    run: fn(Size) -> Row,
+    /// Largest acceptable `max_abs_diff` (NaN always fails).
+    tolerance: f64,
+    /// Whether this kernel's headline number is a thread-scaling claim.
+    /// Outside `--smoke`, running any such kernel with a single worker
+    /// thread fails the run: a `"threads": 1` report would record
+    /// meaningless ~1× speedups as if they were measurements.
+    expects_parallelism: bool,
+    gate: Gate,
+}
+
+const THREADS: bool = true;
+const ALGO: bool = false;
+
+const fn kernel(run: fn(Size) -> Row, tolerance: f64, threads: bool, gate: Gate) -> Kernel {
+    Kernel {
+        run,
+        tolerance,
+        expects_parallelism: threads,
+        gate,
+    }
+}
+
+/// The benchmarked kernels, in report order. `THREADS` marks the
+/// thread-scaling claims, `ALGO` the single-threaded comparisons.
+#[rustfmt::skip]
+const KERNELS: &[Kernel] = &[
+    kernel(matmul,                           0.0,  THREADS, Gate::None),
+    kernel(gibbs_sweep_scoring,              0.0,  THREADS, Gate::None),
+    kernel(gibbs_sweep_cached,               1e-6, ALGO,    Gate::None),
+    kernel(chol_rank1_update,                1e-8, ALGO,    Gate::None),
+    kernel(em_estep_variational,             0.0,  THREADS, Gate::None),
+    kernel(dual_evaluation,                  0.0,  THREADS, Gate::None),
+    kernel(serve_loopback_rps,               0.0,  THREADS, Gate::None),
+    kernel(serve_loopback_rps_keepalive,     0.0,  ALGO,    Gate::None),
+    kernel(serve_loopback_rps_multicore,     0.0,  THREADS, Gate::AtLeast("speedup", 3.0)),
+    kernel(serve_sharded_rps,                0.0,  THREADS, Gate::AtLeast("speedup", 2.0)),
+    kernel(edge_runtime_degraded_rps,        0.0,  ALGO,    Gate::None),
+    kernel(learner_refresh_reports_per_sec,  1e-6, ALGO,    Gate::None),
+    kernel(report_admission_reports_per_sec, 0.0,  ALGO,    Gate::Below("overhead_fraction", 0.10)),
+    kernel(edgesim_events_per_sec,           0.0,  ALGO,    Gate::AtLeast("events_per_sec", 1e6)),
+];
+
+type Fields = Vec<(&'static str, JsonValue)>;
+
+/// What one kernel run hands back to the table loop.
+struct Row {
+    /// The JSON row name; it carries the problem size (`matmul_768x768`).
+    name: String,
+    /// Output disagreement checked against the kernel's tolerance.
+    diff: f64,
+    /// Timing and provenance fields, in JSON order after `name`; the loop
+    /// appends `max_abs_diff` and `tolerance`.
+    fields: Fields,
+    /// An algorithmic before/after row for `serial_baselines`.
+    baseline: Option<(String, Fields)>,
+}
+
+impl Row {
+    fn new(name: String, diff: f64, fields: Fields) -> Row {
+        Row {
+            name,
+            diff,
+            fields,
+            baseline: None,
+        }
+    }
+
+    /// The standard serial-vs-parallel row.
+    fn serial_vs_parallel(name: String, serial_ms: f64, parallel_ms: f64, diff: f64) -> Row {
+        let fields = vec![
+            ("serial_ms", serial_ms.into()),
+            ("parallel_ms", parallel_ms.into()),
+            ("speedup", (serial_ms / parallel_ms).into()),
+        ];
+        Row::new(name, diff, fields)
+    }
+
+    /// The numeric field `key`, or NaN.
+    fn number(&self, key: &str) -> f64 {
+        match self.fields.iter().find(|(k, _)| *k == key) {
+            Some((_, JsonValue::Number(v))) => *v,
+            _ => f64::NAN,
+        }
+    }
+}
+
+/// Prints `name: key value, …` and returns the row as a JSON object.
+fn report_line(name: &str, fields: Fields) -> JsonValue {
+    let shown: Vec<String> = fields
+        .iter()
+        .map(|(k, v)| match v {
+            JsonValue::Number(x) if k.ends_with("diff") || *k == "tolerance" => {
+                format!("{k} {x:e}")
+            }
+            JsonValue::Number(x) if x.fract() == 0.0 => format!("{k} {x}"),
+            JsonValue::Number(x) => format!("{k} {x:.3}"),
+            JsonValue::Bool(b) => format!("{k} {b}"),
+            other => format!("{k} {other:?}"),
+        })
+        .collect();
+    println!("{name}: {}", shown.join(", "));
+    JsonValue::object([("name", JsonValue::from(name))].into_iter().chain(fields))
+}
+
+fn main() {
+    let size = if std::env::args().any(|a| a == "--smoke") {
+        Size::Smoke
+    } else {
+        Size::Full
+    };
+    let threads = dre_parallel::max_threads();
+    if threads <= 1 {
+        eprintln!(
+            "warning: only 1 worker thread available; serial-vs-parallel speedups \
+             will hover around 1x on this host (the seed-vs-tuned and \
+             recompute-vs-cached rows measure algorithmic wins and remain valid)"
+        );
+    }
+    let gated = size == Size::Full && !degraded_host();
+    let mut rows = Vec::new();
+    let mut baselines = Vec::new();
+    let mut violations = 0usize;
+    let mut one_thread_offenders = Vec::new();
+    for kernel in KERNELS {
+        let row = (kernel.run)(size);
+        let (name, diff, tolerance) = (row.name.clone(), row.diff, kernel.tolerance);
+        // NaN must fail the gate too, so test "not within tolerance".
+        if diff.is_nan() || diff > tolerance {
+            eprintln!("FAIL {name}: max_abs_diff {diff:e} exceeds tolerance {tolerance:e}");
+            violations += 1;
+        }
+        let miss = match kernel.gate {
+            Gate::AtLeast(key, min) if gated && row.number(key) < min => Some((key, "below", min)),
+            Gate::Below(key, max) if gated && row.number(key) >= max => {
+                Some((key, "not below", max))
+            }
+            _ => None,
+        };
+        if let Some((key, side, bound)) = miss {
+            let (value, hw) = (row.number(key), hw_threads());
+            eprintln!(
+                "FAIL {name}: {key} {value:.3} is {side} the {bound} gate on a {hw}-core host"
+            );
+            violations += 1;
+        }
+        if kernel.expects_parallelism && threads <= 1 {
+            one_thread_offenders.push(name.clone());
+        }
+        let mut fields = row.fields;
+        fields.extend([
+            ("max_abs_diff", diff.into()),
+            ("tolerance", tolerance.into()),
+        ]);
+        rows.push(report_line(&name, fields));
+        if let Some((name, fields)) = row.baseline {
+            baselines.push(report_line(&name, fields));
+        }
+    }
+
+    if size == Size::Smoke {
+        println!("smoke mode: skipping BENCH_parallel.json rewrite");
+    } else {
+        // Written even when a gate fails, so misleading provenance is at
+        // least visible.
+        let report = JsonValue::object([
+            (
+                "generated_by",
+                JsonValue::from("cargo run --release -p dre-bench --bin bench_parallel"),
+            ),
+            ("threads", JsonValue::from(threads)),
+            ("hw_threads", JsonValue::from(hw_threads())),
+            (
+                "parallel_feature",
+                JsonValue::from(cfg!(feature = "parallel")),
+            ),
+            ("kernels", JsonValue::array(rows)),
+            ("serial_baselines", JsonValue::array(baselines)),
+        ]);
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_parallel.json");
+        std::fs::write(path, report.pretty()).expect("write BENCH_parallel.json");
+        println!("wrote {path}");
+
+        // Provenance gate: a full run that timed thread-scaling kernels on
+        // one worker thread must not pass quietly — its recorded speedups
+        // would be ~1x noise dressed up as measurements.
+        if !one_thread_offenders.is_empty() {
+            eprintln!(
+                "FAIL: parallelism-expecting kernel(s) ran with a single worker thread: {}",
+                one_thread_offenders.join(", ")
+            );
+            eprintln!(
+                "  re-run on a multi-core host (or set DRE_NUM_THREADS > 1) so the \
+                 recorded speedups and the \"threads\" provenance mean something"
+            );
+            violations += 1;
+        }
+    }
+
+    if violations > 0 {
+        eprintln!("{violations} kernel(s) out of tolerance");
+        std::process::exit(1);
+    }
+}
 
 /// Best-of-`reps` wall time in milliseconds, plus the last result.
 fn time_best<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
@@ -54,6 +297,13 @@ fn time_best<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
     (best, out.expect("reps >= 1"))
 }
 
+/// [`time_best`] in the default (parallel) mode, then forced serial.
+fn time_both_modes<R>(reps: usize, f: impl Fn() -> R) -> ((f64, R), (f64, R)) {
+    let parallel = time_best(reps, &f);
+    let serial = time_best(reps, || dre_parallel::with_serial(&f));
+    (parallel, serial)
+}
+
 fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
     a.iter()
         .zip(b)
@@ -61,9 +311,54 @@ fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
         .fold(0.0, f64::max)
 }
 
+/// `count` units over `ms` milliseconds, as a per-second rate.
+fn per_sec(count: usize, ms: f64) -> JsonValue {
+    (count as f64 / (ms / 1e3)).into()
+}
+
+/// Positions where `a` and `b` differ.
+fn mismatches<T: PartialEq>(a: &[T], b: &[T]) -> usize {
+    a.iter().zip(b).filter(|(x, y)| x != y).count()
+}
+
+/// Hardware threads the host can truly run at once.
+fn hw_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
+/// A host that cannot truly run 4 workers at once timeshares them; its
+/// scaling numbers are scheduling noise, so they are stamped rather than
+/// gated.
+fn degraded_host() -> bool {
+    hw_threads() < 4
+}
+
+/// The provenance fields of a scaling row: what the host could truly run.
+fn host_fields() -> [(&'static str, JsonValue); 2] {
+    [
+        ("hw_threads", hw_threads().into()),
+        ("degraded", degraded_host().into()),
+    ]
+}
+
 fn random_matrix(rng: &mut rand::rngs::StdRng, rows: usize, cols: usize) -> Matrix {
     let data: Vec<f64> = (0..rows * cols).map(|_| rng.gen_range(-1.0..1.0)).collect();
     Matrix::from_vec(rows, cols, data).expect("shape matches data")
+}
+
+/// `m` points around three well-separated centers in `d` dimensions.
+fn clustered_params(m: usize, d: usize, seed: u64) -> Vec<Vec<f64>> {
+    let mut rng = seeded_rng(seed);
+    let centers = [
+        MvNormal::isotropic(vec![4.0; d], 0.05).expect("valid"),
+        MvNormal::isotropic(vec![-4.0; d], 0.05).expect("valid"),
+        MvNormal::isotropic(vec![0.0; d], 0.05).expect("valid"),
+    ];
+    (0..m)
+        .map(|i| centers[i % centers.len()].sample(&mut rng))
+        .collect()
 }
 
 /// The seed's streaming-axpy matmul (zero-skip, no tiling, no transpose) —
@@ -84,203 +379,122 @@ fn seed_matmul(a: &Matrix, b: &Matrix) -> Matrix {
     Matrix::from_vec(a.rows(), b.cols(), out).expect("shape matches data")
 }
 
-/// One benchmarked kernel: the JSON report row plus the tolerance check CI
-/// enforces.
-struct KernelReport {
-    json: JsonValue,
-    name: String,
-    diff: f64,
-    tolerance: f64,
-    /// Whether this kernel's headline number is a thread-scaling claim.
-    /// Outside `--smoke`, running any such kernel with a single worker
-    /// thread fails the run: a `"threads": 1` report would record
-    /// meaningless ~1× speedups as if they were measurements.
-    expects_parallelism: bool,
-}
-
-fn kernel_entry(name: &str, serial_ms: f64, parallel_ms: f64, diff: f64, tol: f64) -> KernelReport {
-    KernelReport {
-        json: JsonValue::object([
-            ("name", JsonValue::from(name)),
-            ("serial_ms", JsonValue::from(serial_ms)),
-            ("parallel_ms", JsonValue::from(parallel_ms)),
-            ("speedup", JsonValue::from(serial_ms / parallel_ms)),
-            ("max_abs_diff", JsonValue::from(diff)),
-            ("tolerance", JsonValue::from(tol)),
-        ]),
-        name: name.to_string(),
-        diff,
-        tolerance: tol,
-        expects_parallelism: true,
-    }
-}
-
-fn clustered_params(m: usize, d: usize, seed: u64) -> Vec<Vec<f64>> {
-    let mut rng = seeded_rng(seed);
-    let centers = [
-        MvNormal::isotropic(vec![4.0; d], 0.05).expect("valid"),
-        MvNormal::isotropic(vec![-4.0; d], 0.05).expect("valid"),
-        MvNormal::isotropic(vec![0.0; d], 0.05).expect("valid"),
-    ];
-    (0..m)
-        .map(|i| centers[i % centers.len()].sample(&mut rng))
-        .collect()
-}
-
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    if dre_parallel::max_threads() <= 1 {
-        eprintln!(
-            "warning: only 1 worker thread available; serial-vs-parallel speedups \
-             will hover around 1x on this host (the seed-vs-tuned and \
-             recompute-vs-cached rows measure algorithmic wins and remain valid)"
-        );
-    }
-    let mut kernels: Vec<KernelReport> = Vec::new();
-
-    // -- matmul (tiled kernel, row-parallel) --------------------------------
-    let n = if smoke { 96 } else { 768 };
+/// Tiled matmul, row-parallel vs serial, plus the seed kernel as the
+/// single-threaded algorithmic baseline.
+fn matmul(size: Size) -> Row {
+    let n = size.pick(96, 768);
     let mut rng = seeded_rng(11);
     let a = random_matrix(&mut rng, n, n);
     let b = random_matrix(&mut rng, n, n);
-    let (par_ms, par_out) = time_best(5, || a.matmul(&b).expect("dims agree"));
-    let (ser_ms, ser_out) = time_best(5, || {
-        dre_parallel::with_serial(|| a.matmul(&b).expect("dims agree"))
-    });
+    let ((par_ms, par_out), (ser_ms, ser_out)) =
+        time_both_modes(5, || a.matmul(&b).expect("dims agree"));
     let diff = max_abs_diff(par_out.as_slice(), ser_out.as_slice());
-    kernels.push(kernel_entry(&format!("matmul_{n}x{n}"), ser_ms, par_ms, diff, 0.0));
-    println!("matmul_{n}x{n}: serial {ser_ms:.2} ms, parallel {par_ms:.2} ms, diff {diff:e}");
-
     let (seed_ms, seed_out) = time_best(5, || seed_matmul(&a, &b));
-    let baseline = JsonValue::object([
-        (
-            "name",
-            JsonValue::from(format!("matmul_{n}x{n}_seed_kernel_vs_blocked").as_str()),
-        ),
-        ("baseline_ms", JsonValue::from(seed_ms)),
-        ("tuned_ms", JsonValue::from(ser_ms)),
-        ("speedup", JsonValue::from(seed_ms / ser_ms)),
-        (
-            "max_abs_diff",
-            JsonValue::from(max_abs_diff(seed_out.as_slice(), ser_out.as_slice())),
-        ),
-    ]);
-    println!("  seed kernel {seed_ms:.2} ms -> blocked {ser_ms:.2} ms ({:.2}x)", seed_ms / ser_ms);
+    let seed_diff = max_abs_diff(seed_out.as_slice(), ser_out.as_slice());
+    let mut row = Row::serial_vs_parallel(format!("matmul_{n}x{n}"), ser_ms, par_ms, diff);
+    row.baseline = Some((
+        format!("matmul_{n}x{n}_seed_kernel_vs_blocked"),
+        vec![
+            ("baseline_ms", seed_ms.into()),
+            ("tuned_ms", ser_ms.into()),
+            ("speedup", (seed_ms / ser_ms).into()),
+            ("max_abs_diff", seed_diff.into()),
+        ],
+    ));
+    row
+}
 
-    // -- Gibbs sweep scoring (serial vs parallel, cached path) ---------------
-    let d = 6;
-    let m = if smoke { 30 } else { 120 };
-    let sweeps = if smoke { 2 } else { 5 };
-    let params = clustered_params(m, d, 5);
-    let cached_cfg = GibbsConfig {
+/// The Gibbs kernels' input: clustered 6-D parameters and the cached
+/// sampler's configuration.
+fn gibbs_problem(size: Size) -> (Vec<Vec<f64>>, GibbsConfig) {
+    let params = clustered_params(size.pick(30, 120), 6, 5);
+    let config = GibbsConfig {
         alpha: 1.0,
         burn_in: 0,
-        sweeps,
+        sweeps: size.pick(2, 5),
         alpha_prior: None,
         exact_recompute: false,
     };
-    let base = NormalInverseWishart::vague(d).expect("valid");
-    let gibbs = DpNiwGibbs::new(base.clone(), cached_cfg).expect("valid config");
-    let (par_ms, par_fit) = time_best(3, || {
-        gibbs.fit(&params, &mut seeded_rng(9)).expect("fit succeeds")
-    });
-    let (ser_ms, ser_fit) = time_best(3, || {
-        dre_parallel::with_serial(|| gibbs.fit(&params, &mut seeded_rng(9)).expect("fit succeeds"))
+    (params, config)
+}
+
+fn gibbs_sampler(config: GibbsConfig) -> DpNiwGibbs {
+    let base = NormalInverseWishart::vague(6).expect("valid");
+    DpNiwGibbs::new(base, config).expect("valid config")
+}
+
+/// Gibbs sweep scoring on the cached path, serial vs parallel.
+fn gibbs_sweep_scoring(size: Size) -> Row {
+    let (params, config) = gibbs_problem(size);
+    let gibbs = gibbs_sampler(config);
+    let ((par_ms, par_fit), (ser_ms, ser_fit)) = time_both_modes(3, || {
+        gibbs
+            .fit(&params, &mut seeded_rng(9))
+            .expect("fit succeeds")
     });
     // The sampler consumes the identical RNG stream either way, so the
     // assignments must agree exactly; the joint trace doubles as an fp check.
-    let mismatches = par_fit
-        .assignments
-        .iter()
-        .zip(&ser_fit.assignments)
-        .filter(|(x, y)| x != y)
-        .count() as f64;
-    let diff = mismatches.max(max_abs_diff(&par_fit.log_joint_trace, &ser_fit.log_joint_trace));
-    kernels.push(kernel_entry(
-        &format!("gibbs_sweep_scoring_m{m}"),
-        ser_ms,
-        par_ms,
-        diff,
-        0.0,
+    let diff = (mismatches(&par_fit.assignments, &ser_fit.assignments) as f64).max(max_abs_diff(
+        &par_fit.log_joint_trace,
+        &ser_fit.log_joint_trace,
     ));
-    println!("gibbs_sweep_scoring_m{m}: serial {ser_ms:.2} ms, parallel {par_ms:.2} ms, diff {diff:e}");
+    let name = format!("gibbs_sweep_scoring_m{}", params.len());
+    Row::serial_vs_parallel(name, ser_ms, par_ms, diff)
+}
 
-    // -- Gibbs sweep: cached vs exact recompute (both forced serial) --------
-    // The tentpole kernel: identical sampler, identical seed, scoring served
-    // from per-cluster predictive caches vs refactorized from scratch at
-    // every evaluation. Same RNG stream, so assignments and the cluster and
-    // alpha traces must match exactly; the log-joint trace agrees to the
-    // cache's documented tolerance.
-    let exact = DpNiwGibbs::new(
-        base,
-        GibbsConfig {
-            exact_recompute: true,
-            ..cached_cfg
-        },
-    )
-    .expect("valid config");
-    let (cached_ms, cached_fit) = time_best(3, || {
-        dre_parallel::with_serial(|| gibbs.fit(&params, &mut seeded_rng(9)).expect("fit succeeds"))
+/// Gibbs sweep, cached vs exact recompute (both forced serial).
+///
+/// Identical sampler, identical seed, scoring served from per-cluster
+/// predictive caches vs refactorized from scratch at every evaluation.
+/// Same RNG stream, so assignments and the cluster and alpha traces must
+/// match exactly; the log-joint trace agrees to the cache's documented
+/// tolerance.
+fn gibbs_sweep_cached(size: Size) -> Row {
+    let (params, config) = gibbs_problem(size);
+    let cached = gibbs_sampler(config);
+    let exact = gibbs_sampler(GibbsConfig {
+        exact_recompute: true,
+        ..config
     });
-    let (exact_ms, exact_fit) = time_best(3, || {
-        dre_parallel::with_serial(|| exact.fit(&params, &mut seeded_rng(9)).expect("fit succeeds"))
-    });
-    let structural_mismatches = cached_fit
-        .assignments
-        .iter()
-        .zip(&exact_fit.assignments)
-        .filter(|(x, y)| x != y)
-        .count()
-        + cached_fit
-            .cluster_trace
-            .iter()
-            .zip(&exact_fit.cluster_trace)
-            .filter(|(x, y)| x != y)
-            .count()
-        + cached_fit
-            .alpha_trace
-            .iter()
-            .zip(&exact_fit.alpha_trace)
-            .filter(|(x, y)| x != y)
-            .count();
-    let trace_diff = max_abs_diff(&cached_fit.log_joint_trace, &exact_fit.log_joint_trace);
-    let diff = (structural_mismatches as f64).max(trace_diff);
-    let hit_rate = cached_fit.cache_stats.hit_rate();
-    let name = format!("gibbs_sweep_cached_m{m}");
-    kernels.push(KernelReport {
-        json: JsonValue::object([
-            ("name", JsonValue::from(name.as_str())),
-            ("recompute_ms", JsonValue::from(exact_ms)),
-            ("cached_ms", JsonValue::from(cached_ms)),
-            ("speedup", JsonValue::from(exact_ms / cached_ms)),
-            ("max_abs_diff", JsonValue::from(diff)),
-            ("tolerance", JsonValue::from(1e-6)),
-            ("cache_hit_rate", JsonValue::from(hit_rate)),
-        ]),
-        name: name.clone(),
+    let fit_serial = |gibbs: &DpNiwGibbs| {
+        dre_parallel::with_serial(|| {
+            gibbs
+                .fit(&params, &mut seeded_rng(9))
+                .expect("fit succeeds")
+        })
+    };
+    let (cached_ms, cached_fit) = time_best(3, || fit_serial(&cached));
+    let (exact_ms, exact_fit) = time_best(3, || fit_serial(&exact));
+    let structural = mismatches(&cached_fit.assignments, &exact_fit.assignments)
+        + mismatches(&cached_fit.cluster_trace, &exact_fit.cluster_trace)
+        + mismatches(&cached_fit.alpha_trace, &exact_fit.alpha_trace);
+    let diff = (structural as f64).max(max_abs_diff(
+        &cached_fit.log_joint_trace,
+        &exact_fit.log_joint_trace,
+    ));
+    let fields = vec![
+        ("recompute_ms", exact_ms.into()),
+        ("cached_ms", cached_ms.into()),
+        ("speedup", (exact_ms / cached_ms).into()),
+        ("cache_hit_rate", cached_fit.cache_stats.hit_rate().into()),
+    ];
+    Row::new(
+        format!("gibbs_sweep_cached_m{}", params.len()),
         diff,
-        tolerance: 1e-6,
-        expects_parallelism: false,
-    });
-    println!(
-        "{name}: recompute {exact_ms:.2} ms, cached {cached_ms:.2} ms \
-         ({:.2}x, hit rate {hit_rate:.4}), diff {diff:e}",
-        exact_ms / cached_ms
-    );
+        fields,
+    )
+}
 
-    // -- Cholesky rank-1 update vs refactorization --------------------------
-    // Applies a chain of rank-1 updates to a d×d factor two ways: O(d²)
-    // in-place updates against a from-scratch O(d³) refactorization of the
-    // accumulated matrix at every step.
-    let d = if smoke { 16 } else { 64 };
+/// A chain of rank-1 updates to a d×d Cholesky factor two ways: O(d²)
+/// in-place updates against a from-scratch O(d³) refactorization of the
+/// accumulated matrix at every step.
+fn chol_rank1_update(size: Size) -> Row {
+    let d = size.pick(16, 64);
     let updates = 32;
     let mut rng = seeded_rng(17);
     let g = random_matrix(&mut rng, d, d);
-    let spd = {
-        let mut m = g.matmul(&g.transpose()).expect("square");
-        m.add_diag(d as f64);
-        m
-    };
+    let mut spd = g.matmul(&g.transpose()).expect("square");
+    spd.add_diag(d as f64);
     let vs: Vec<Vec<f64>> = (0..updates)
         .map(|_| (0..d).map(|_| rng.gen_range(-1.0..1.0)).collect())
         .collect();
@@ -309,63 +523,37 @@ fn main() {
         rank1_chol.reconstruct().as_slice(),
         refac_chol.reconstruct().as_slice(),
     );
-    let name = format!("chol_rank1_update_d{d}");
-    kernels.push(KernelReport {
-        json: JsonValue::object([
-            ("name", JsonValue::from(name.as_str())),
-            ("refactorize_ms", JsonValue::from(refac_ms)),
-            ("rank1_ms", JsonValue::from(rank1_ms)),
-            ("speedup", JsonValue::from(refac_ms / rank1_ms)),
-            ("max_abs_diff", JsonValue::from(diff)),
-            ("tolerance", JsonValue::from(1e-8)),
-        ]),
-        name: name.clone(),
-        diff,
-        tolerance: 1e-8,
-        expects_parallelism: false,
-    });
-    println!(
-        "{name}: refactorize {refac_ms:.2} ms, rank-1 {rank1_ms:.2} ms ({:.2}x), diff {diff:e}",
-        refac_ms / rank1_ms
-    );
-
-    // -- Variational EM E-step ----------------------------------------------
-    let em_n = if smoke { 80 } else { 400 };
-    let mut rng = seeded_rng(5);
-    let centers = [
-        MvNormal::isotropic(vec![4.0; 6], 0.05).expect("valid"),
-        MvNormal::isotropic(vec![-4.0; 6], 0.05).expect("valid"),
-        MvNormal::isotropic(vec![0.0; 6], 0.05).expect("valid"),
+    let fields = vec![
+        ("refactorize_ms", refac_ms.into()),
+        ("rank1_ms", rank1_ms.into()),
+        ("speedup", (refac_ms / rank1_ms).into()),
     ];
-    let many: Vec<Vec<f64>> = (0..em_n)
-        .map(|i| centers[i % centers.len()].sample(&mut rng))
-        .collect();
+    Row::new(format!("chol_rank1_update_d{d}"), diff, fields)
+}
+
+/// Variational EM fit (E-step bound), serial vs parallel.
+fn em_estep_variational(size: Size) -> Row {
+    let n = size.pick(80, 400);
+    let data = clustered_params(n, 6, 5);
     let vb = VariationalDpGmm::new(VariationalConfig {
         alpha: 1.0,
         truncation: 15,
-        max_iters: if smoke { 5 } else { 30 },
+        max_iters: size.pick(5, 30),
         ..VariationalConfig::default()
     })
     .expect("valid config");
-    let (par_ms, par_vb) = time_best(3, || {
-        vb.fit(&many, &mut seeded_rng(9)).expect("fit succeeds")
-    });
-    let (ser_ms, ser_vb) = time_best(3, || {
-        dre_parallel::with_serial(|| vb.fit(&many, &mut seeded_rng(9)).expect("fit succeeds"))
+    let ((par_ms, par_vb), (ser_ms, ser_vb)) = time_both_modes(3, || {
+        vb.fit(&data, &mut seeded_rng(9)).expect("fit succeeds")
     });
     let diff = max_abs_diff(&par_vb.objective_trace, &ser_vb.objective_trace)
         .max(max_abs_diff(&par_vb.weights, &ser_vb.weights));
-    kernels.push(kernel_entry(
-        &format!("em_estep_variational_n{em_n}"),
-        ser_ms,
-        par_ms,
-        diff,
-        0.0,
-    ));
-    println!("em_estep_variational_n{em_n}: serial {ser_ms:.2} ms, parallel {par_ms:.2} ms, diff {diff:e}");
+    Row::serial_vs_parallel(format!("em_estep_variational_n{n}"), ser_ms, par_ms, diff)
+}
 
-    // -- Wasserstein dual evaluation ----------------------------------------
-    let (n, d) = (if smoke { 500 } else { 10_000 }, 20);
+/// Wasserstein dual value, gradient and exact robust risk, serial vs
+/// parallel.
+fn dual_evaluation(size: Size) -> Row {
+    let (n, d) = (size.pick(500, 10_000), 20);
     let mut rng = seeded_rng(7);
     let gen = MvNormal::isotropic(vec![0.0; d], 1.0).expect("valid");
     let xs = gen.sample_n(&mut rng, n);
@@ -377,34 +565,20 @@ fn main() {
     let obj = WassersteinDualObjective::new(&xs, &ys, LogisticLoss, ball).expect("valid dataset");
     let packed: Vec<f64> = (0..d + 2).map(|i| 0.1 * i as f64).collect();
     let model = LinearModel::from_packed(&packed[..d + 1]);
-    let (par_ms, (pv, pg, pr)) = time_best(5, || {
+    let ((par_ms, (pv, pg, pr)), (ser_ms, (sv, sg, sr))) = time_both_modes(5, || {
         let (v, g) = obj.value_and_gradient(&packed);
         (v, g, obj.exact_robust_risk(&model))
-    });
-    let (ser_ms, (sv, sg, sr)) = time_best(5, || {
-        dre_parallel::with_serial(|| {
-            let (v, g) = obj.value_and_gradient(&packed);
-            (v, g, obj.exact_robust_risk(&model))
-        })
     });
     let diff = (pv - sv)
         .abs()
         .max(max_abs_diff(&pg, &sg))
         .max((pr - sr).abs());
-    kernels.push(kernel_entry(
-        &format!("dual_evaluation_n{n}_d20"),
-        ser_ms,
-        par_ms,
-        diff,
-        0.0,
-    ));
-    println!("dual_evaluation_n{n}_d20: serial {ser_ms:.2} ms, parallel {par_ms:.2} ms, diff {diff:e}");
+    Row::serial_vs_parallel(format!("dual_evaluation_n{n}_d20"), ser_ms, par_ms, diff)
+}
 
-    // -- serve loopback throughput ------------------------------------------
-    // A real TCP prior server on loopback; requests/sec fetching a fitted
-    // prior with 1 client thread vs a small fleet. The diff counts payloads
-    // that arrived byte-different from the registered one — the frame CRC
-    // makes that impossible, so the tolerance is zero.
+/// The fitted prior every serving kernel registers as task 1, and its
+/// transfer payload.
+fn serve_prior() -> (MixturePrior, Vec<u8>) {
     let pdim = 21; // packed parameters of a 20-feature model
     let prior = MixturePrior::new(
         (0..4)
@@ -416,114 +590,51 @@ fn main() {
             .collect(),
     )
     .expect("valid prior");
-    let client_threads = dre_parallel::max_threads().clamp(2, 8);
-    let mut server = PriorServer::bind(
-        "127.0.0.1:0",
-        ServeConfig {
-            workers: client_threads,
-            ..ServeConfig::default()
-        },
-    )
-    .expect("bind loopback");
-    server.register_prior(1, &prior);
-    let addr = server.addr();
-    let expected = std::sync::Arc::new(dro_edge::transfer::serialize_prior(&prior));
-    let total_requests = if smoke { 64 } else { 512 };
-    let run_fleet = |threads: usize| -> usize {
-        let per = total_requests / threads;
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let expected = std::sync::Arc::clone(&expected);
-                std::thread::spawn(move || {
-                    let mut client =
-                        PriorClient::new(TcpConnector::new(addr), RetryPolicy::default());
-                    let mut corrupted = 0usize;
-                    for _ in 0..per {
-                        let payload =
-                            client.fetch_prior_payload(1).expect("loopback fetch");
-                        if payload.as_slice() != expected.as_slice() {
-                            corrupted += 1;
-                        }
-                    }
-                    corrupted
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("client thread"))
-            .sum()
-    };
-    let (one_ms, bad_one) = time_best(3, || run_fleet(1));
-    let (fleet_ms, bad_fleet) = time_best(3, || run_fleet(client_threads));
-    server.shutdown();
-    let diff = (bad_one + bad_fleet) as f64;
-    let rps_one = total_requests as f64 / (one_ms / 1e3);
-    let rps_fleet = total_requests as f64 / (fleet_ms / 1e3);
-    let name = format!("serve_loopback_rps_c{client_threads}");
-    kernels.push(KernelReport {
-        json: JsonValue::object([
-            ("name", JsonValue::from(name.as_str())),
-            ("one_client_ms", JsonValue::from(one_ms)),
-            ("fleet_ms", JsonValue::from(fleet_ms)),
-            ("speedup", JsonValue::from(one_ms / fleet_ms)),
-            ("requests", JsonValue::from(total_requests)),
-            ("rps_one_client", JsonValue::from(rps_one)),
-            ("rps_fleet", JsonValue::from(rps_fleet)),
-            ("max_abs_diff", JsonValue::from(diff)),
-            ("tolerance", JsonValue::from(0.0)),
-        ]),
-        name: name.clone(),
-        diff,
-        tolerance: 0.0,
-        expects_parallelism: true,
-    });
-    println!(
-        "{name}: 1 client {one_ms:.2} ms ({rps_one:.0} req/s), {client_threads} clients \
-         {fleet_ms:.2} ms ({rps_fleet:.0} req/s), corrupted payloads {diff}"
-    );
+    let payload = dro_edge::transfer::serialize_prior(&prior);
+    (prior, payload)
+}
 
-    // -- keep-alive serving hot path ----------------------------------------
-    // Same fleet concurrency, two client modes against one server: a fresh
-    // TCP connect per request (the serve_loopback_rps baseline behaviour)
-    // vs one live stream per client with reusable scratch buffers. The
-    // server answers every prior hit from its pre-encoded frame cache in
-    // both modes, so the speedup isolates connection amortization. The
-    // diff counts (a) payloads that arrived byte-different from the
-    // registered one, (b) prior responses NOT served from the cache, and
-    // (c) any byte mismatch between the cached frame and a fresh
-    // `frame::encode` — the hot path must be fast *and* honest, so the
-    // tolerance is zero.
-    let mut server = PriorServer::bind(
+/// A loopback server with `workers` event-loop workers serving `prior` as
+/// task 1. Dropping the handle shuts it down.
+fn serve(workers: usize, prior: &MixturePrior) -> ServerHandle {
+    let server = PriorServer::bind(
         "127.0.0.1:0",
         ServeConfig {
-            workers: client_threads,
+            workers,
             ..ServeConfig::default()
         },
     )
     .expect("bind loopback");
-    server.register_prior(1, &prior);
-    let addr = server.addr();
-    let run_mode = |keep_alive: bool| -> usize {
-        let per = total_requests / client_threads;
-        let handles: Vec<_> = (0..client_threads)
+    server.register_prior(1, prior);
+    server
+}
+
+/// `clients` threads fetch task 1 from `addr`, `requests` fetches in
+/// total; returns how many payloads arrived byte-different from `expected`.
+fn fetch_fleet(
+    addr: SocketAddr,
+    clients: usize,
+    requests: usize,
+    keep_alive: bool,
+    expected: &[u8],
+) -> usize {
+    let per = requests / clients;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..clients)
             .map(|_| {
-                let expected = std::sync::Arc::clone(&expected);
-                std::thread::spawn(move || {
+                s.spawn(move || {
                     let mut client =
                         PriorClient::new(TcpConnector::new(addr), RetryPolicy::default())
                             .keep_alive(keep_alive);
-                    let mut corrupted = 0usize;
                     let mut payload = Vec::new();
-                    for _ in 0..per {
-                        client
-                            .fetch_prior_payload_into(1, &mut payload)
-                            .expect("loopback fetch");
-                        if payload.as_slice() != expected.as_slice() {
-                            corrupted += 1;
-                        }
-                    }
-                    corrupted
+                    (0..per)
+                        .filter(|_| {
+                            client
+                                .fetch_prior_payload_into(1, &mut payload)
+                                .expect("loopback fetch");
+                            payload != expected
+                        })
+                        .count()
                 })
             })
             .collect();
@@ -531,211 +642,145 @@ fn main() {
             .into_iter()
             .map(|h| h.join().expect("client thread"))
             .sum()
-    };
-    let (fresh_ms, bad_fresh) = time_best(3, || run_mode(false));
-    let (keepalive_ms, bad_keepalive) = time_best(3, || run_mode(true));
-    let server_metrics = server.metrics();
-    let uncached = server_metrics
-        .responses_ok
-        .saturating_sub(server_metrics.prior_cache_hits) as usize;
-    let cached_frame = server
-        .state()
-        .prior_entry(1)
-        .expect("registered prior is cached")
-        .frame;
-    let fresh_encode = dre_serve::frame::encode(&dre_serve::frame::Message::PriorResponse {
-        payload: (*expected).clone(),
-    });
-    let frame_mismatch = usize::from(cached_frame[..] != fresh_encode[..]);
-    server.shutdown();
-    let diff = (bad_fresh + bad_keepalive + uncached + frame_mismatch) as f64;
-    let rps_fresh = total_requests as f64 / (fresh_ms / 1e3);
-    let rps_keepalive = total_requests as f64 / (keepalive_ms / 1e3);
-    let name = "serve_loopback_rps_keepalive".to_string();
-    kernels.push(KernelReport {
-        json: JsonValue::object([
-            ("name", JsonValue::from(name.as_str())),
-            ("fresh_ms", JsonValue::from(fresh_ms)),
-            ("keepalive_ms", JsonValue::from(keepalive_ms)),
-            ("speedup", JsonValue::from(fresh_ms / keepalive_ms)),
-            ("requests", JsonValue::from(total_requests)),
-            ("clients", JsonValue::from(client_threads)),
-            // Single-core numbers are self-describing: this is the host's
-            // thread count, not the fleet size.
-            ("threads", JsonValue::from(dre_parallel::max_threads())),
-            ("rps_fresh", JsonValue::from(rps_fresh)),
-            ("rps_keepalive", JsonValue::from(rps_keepalive)),
-            ("max_abs_diff", JsonValue::from(diff)),
-            ("tolerance", JsonValue::from(0.0)),
-        ]),
-        name: name.clone(),
-        diff,
-        tolerance: 0.0,
-        expects_parallelism: false,
-    });
-    println!(
-        "{name}: fresh-connect {fresh_ms:.2} ms ({rps_fresh:.0} req/s), keep-alive \
-         {keepalive_ms:.2} ms ({rps_keepalive:.0} req/s), speedup {:.2}x, \
-         uncached {uncached}, frame mismatches {frame_mismatch}",
-        fresh_ms / keepalive_ms
-    );
+    })
+}
 
-    // -- per-core server runtime --------------------------------------------
-    // The same keep-alive client fleet against two servers: one event-loop
-    // worker (the PR 5 single-path behaviour, where every stream funnels
-    // through one core) vs the per-core polled runtime with one worker per
-    // core — plus a fresh-connect-per-request run against the per-core
-    // server as the unamortized baseline. The headline `speedup` is
-    // aggregate per-core req/s over the single-worker req/s. The diff
-    // counts (a) payloads that arrived byte-different from the registered
-    // one on either server, (b) prior responses NOT served from the
-    // pre-encoded cache, and (c) any byte mismatch between each server's
-    // cached frame and a fresh `frame::encode` — zero tolerance: scaling
-    // must not cost a single corrupted or uncached byte. On hosts with
-    // ≥ 4 cores the full (non-smoke) run additionally gates on ≥ 3×;
-    // hosts below that can only timeshare the workers, so their rows are
-    // stamped `"degraded": true` and exempted from the gate.
-    let hw_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mc_workers = dre_parallel::max_threads().clamp(4, 8);
-    let mc_clients = mc_workers * 2;
-    let mc_requests = if smoke { 128 } else { 4096 };
-    let run_against =
-        |addr: std::net::SocketAddr, keep_alive: bool, requests: usize| -> usize {
-            let per = requests / mc_clients;
-            let handles: Vec<_> = (0..mc_clients)
-                .map(|_| {
-                    let expected = std::sync::Arc::clone(&expected);
-                    std::thread::spawn(move || {
-                        let mut client =
-                            PriorClient::new(TcpConnector::new(addr), RetryPolicy::default())
-                                .keep_alive(keep_alive);
-                        let mut corrupted = 0usize;
-                        let mut payload = Vec::new();
-                        for _ in 0..per {
-                            client
-                                .fetch_prior_payload_into(1, &mut payload)
-                                .expect("loopback fetch");
-                            if payload.as_slice() != expected.as_slice() {
-                                corrupted += 1;
-                            }
-                        }
-                        corrupted
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("client thread"))
-                .sum()
-        };
-    let fresh_encode = dre_serve::frame::encode(&dre_serve::frame::Message::PriorResponse {
-        payload: (*expected).clone(),
+/// Prior responses `server` did not answer from its pre-encoded frame
+/// cache, plus one if that cached frame differs from a fresh encode.
+fn cache_faults(server: &ServerHandle, expected: &[u8]) -> usize {
+    let m = server.metrics();
+    let fresh = dre_serve::frame::encode(&dre_serve::frame::Message::PriorResponse {
+        payload: expected.to_vec(),
     });
-    let mut mc_bad = 0usize;
-    let mut audit_server = |server: &dre_serve::ServerHandle| {
-        let m = server.metrics();
-        mc_bad += m.responses_ok.saturating_sub(m.prior_cache_hits) as usize;
-        let cached = server.state().prior_entry(1).expect("prior cached").frame;
-        mc_bad += usize::from(cached[..] != fresh_encode[..]);
+    let cached = server.state().prior_entry(1).expect("prior cached").frame;
+    m.responses_ok.saturating_sub(m.prior_cache_hits) as usize
+        + usize::from(cached[..] != fresh[..])
+}
+
+/// A real TCP prior server on loopback: requests/sec fetching a fitted
+/// prior with 1 client thread vs a small fleet, a fresh connection per
+/// request. The diff counts payloads that arrived byte-different from the
+/// registered one — the frame CRC makes that impossible, so the tolerance
+/// is zero.
+fn serve_loopback_rps(size: Size) -> Row {
+    let (prior, expected) = serve_prior();
+    let clients = dre_parallel::max_threads().clamp(2, 8);
+    let server = serve(clients, &prior);
+    let requests = size.pick(64, 512);
+    let fleet = |clients| fetch_fleet(server.addr(), clients, requests, false, &expected);
+    let (one_ms, bad_one) = time_best(3, || fleet(1));
+    let (fleet_ms, bad_fleet) = time_best(3, || fleet(clients));
+    let fields = vec![
+        ("one_client_ms", one_ms.into()),
+        ("fleet_ms", fleet_ms.into()),
+        ("speedup", (one_ms / fleet_ms).into()),
+        ("requests", requests.into()),
+        ("rps_one_client", per_sec(requests, one_ms)),
+        ("rps_fleet", per_sec(requests, fleet_ms)),
+    ];
+    let diff = (bad_one + bad_fleet) as f64;
+    Row::new(format!("serve_loopback_rps_c{clients}"), diff, fields)
+}
+
+/// Same fleet concurrency, two client modes against one server: a fresh
+/// TCP connect per request vs one live stream per client with reusable
+/// scratch buffers. The server answers every prior hit from its
+/// pre-encoded frame cache in both modes, so the speedup isolates
+/// connection amortization. The diff counts corrupted payloads, prior
+/// responses not served from the cache, and a cached frame that differs
+/// from a fresh `frame::encode` — the hot path must be fast *and* honest,
+/// so the tolerance is zero.
+fn serve_loopback_rps_keepalive(size: Size) -> Row {
+    let (prior, expected) = serve_prior();
+    let clients = dre_parallel::max_threads().clamp(2, 8);
+    let server = serve(clients, &prior);
+    let requests = size.pick(64, 512);
+    let fleet = |keep_alive| fetch_fleet(server.addr(), clients, requests, keep_alive, &expected);
+    let (fresh_ms, bad_fresh) = time_best(3, || fleet(false));
+    let (keepalive_ms, bad_keepalive) = time_best(3, || fleet(true));
+    let fields = vec![
+        ("fresh_ms", fresh_ms.into()),
+        ("keepalive_ms", keepalive_ms.into()),
+        ("speedup", (fresh_ms / keepalive_ms).into()),
+        ("requests", requests.into()),
+        ("clients", clients.into()),
+        // Single-core numbers are self-describing: this is the host's
+        // thread count, not the fleet size.
+        ("threads", dre_parallel::max_threads().into()),
+        ("rps_fresh", per_sec(requests, fresh_ms)),
+        ("rps_keepalive", per_sec(requests, keepalive_ms)),
+    ];
+    let diff = (bad_fresh + bad_keepalive + cache_faults(&server, &expected)) as f64;
+    Row::new("serve_loopback_rps_keepalive".to_string(), diff, fields)
+}
+
+/// The same keep-alive client fleet against two servers: one event-loop
+/// worker, where every stream funnels through one core, vs the per-core
+/// polled runtime with one worker per core — plus a
+/// fresh-connect-per-request run against the per-core server as the
+/// unamortized baseline. The headline `speedup` is aggregate per-core
+/// req/s over the single-worker req/s, gated at ≥ 3×. The diff counts
+/// corrupted payloads, uncached responses and cached-frame mismatches on
+/// either server — zero tolerance: scaling must not cost a single
+/// corrupted or uncached byte.
+fn serve_loopback_rps_multicore(size: Size) -> Row {
+    let (prior, expected) = serve_prior();
+    let workers = dre_parallel::max_threads().clamp(4, 8);
+    let clients = workers * 2;
+    let requests = size.pick(128, 4096);
+    let fleet = |server: &ServerHandle, keep_alive| {
+        fetch_fleet(server.addr(), clients, requests, keep_alive, &expected)
     };
 
-    let mut single = PriorServer::bind(
-        "127.0.0.1:0",
-        ServeConfig {
-            workers: 1,
-            ..ServeConfig::default()
-        },
+    let single = serve(1, &prior);
+    let (single_ms, bad_single) = time_best(3, || fleet(&single, true));
+    let mut bad = bad_single + cache_faults(&single, &expected);
+    drop(single);
+
+    let percore = serve(workers, &prior);
+    let (fresh_ms, bad_fresh) = time_best(3, || fleet(&percore, false));
+    let (percore_ms, bad_percore) = time_best(3, || fleet(&percore, true));
+    bad += bad_fresh + bad_percore + cache_faults(&percore, &expected);
+
+    let mut fields = vec![
+        ("fresh_ms", fresh_ms.into()),
+        ("single_worker_ms", single_ms.into()),
+        ("percore_ms", percore_ms.into()),
+        ("speedup", (single_ms / percore_ms).into()),
+        ("requests", requests.into()),
+        ("clients", clients.into()),
+        // Provenance: `threads` is the server worker threads the per-core
+        // run actually spawned; `hw_threads` is what the host could truly
+        // run at once. A report with hw_threads < threads is timesharing,
+        // not scaling.
+        ("threads", workers.into()),
+    ];
+    fields.extend(host_fields());
+    fields.extend([
+        ("rps_fresh", per_sec(requests, fresh_ms)),
+        ("rps_single_worker", per_sec(requests, single_ms)),
+        ("rps_percore", per_sec(requests, percore_ms)),
+    ]);
+    Row::new(
+        "serve_loopback_rps_multicore".to_string(),
+        bad as f64,
+        fields,
     )
-    .expect("bind loopback");
-    single.register_prior(1, &prior);
-    let (single_ms, bad_single) = time_best(3, || run_against(single.addr(), true, mc_requests));
-    audit_server(&single);
-    single.shutdown();
+}
 
-    let mut percore = PriorServer::bind(
-        "127.0.0.1:0",
-        ServeConfig {
-            workers: mc_workers,
-            ..ServeConfig::default()
-        },
-    )
-    .expect("bind loopback");
-    percore.register_prior(1, &prior);
-    let (mc_fresh_ms, bad_mc_fresh) =
-        time_best(3, || run_against(percore.addr(), false, mc_requests));
-    let (percore_ms, bad_percore) = time_best(3, || run_against(percore.addr(), true, mc_requests));
-    audit_server(&percore);
-    percore.shutdown();
-
-    mc_bad += bad_single + bad_mc_fresh + bad_percore;
-    let diff = mc_bad as f64;
-    let rps_single = mc_requests as f64 / (single_ms / 1e3);
-    let rps_mc_fresh = mc_requests as f64 / (mc_fresh_ms / 1e3);
-    let rps_percore = mc_requests as f64 / (percore_ms / 1e3);
-    let mc_speedup = single_ms / percore_ms;
-    // A host that cannot truly run 4 workers at once timeshares them; its
-    // speedup is scheduling noise, so the row is stamped rather than gated.
-    let degraded_host = hw_threads < 4;
-    let name = "serve_loopback_rps_multicore".to_string();
-    kernels.push(KernelReport {
-        json: JsonValue::object([
-            ("name", JsonValue::from(name.as_str())),
-            ("fresh_ms", JsonValue::from(mc_fresh_ms)),
-            ("single_worker_ms", JsonValue::from(single_ms)),
-            ("percore_ms", JsonValue::from(percore_ms)),
-            ("speedup", JsonValue::from(mc_speedup)),
-            ("requests", JsonValue::from(mc_requests)),
-            ("clients", JsonValue::from(mc_clients)),
-            // Provenance: `threads` is the server worker threads the
-            // per-core run actually spawned; `hw_threads` is what the
-            // host could truly run at once. A report with hw_threads <
-            // threads is timesharing, not scaling.
-            ("threads", JsonValue::from(mc_workers)),
-            ("hw_threads", JsonValue::from(hw_threads)),
-            ("degraded", JsonValue::from(degraded_host)),
-            ("rps_fresh", JsonValue::from(rps_mc_fresh)),
-            ("rps_single_worker", JsonValue::from(rps_single)),
-            ("rps_percore", JsonValue::from(rps_percore)),
-            ("max_abs_diff", JsonValue::from(diff)),
-            ("tolerance", JsonValue::from(0.0)),
-        ]),
-        name: name.clone(),
-        diff,
-        tolerance: 0.0,
-        expects_parallelism: true,
-    });
-    println!(
-        "{name}: fresh {mc_fresh_ms:.2} ms ({rps_mc_fresh:.0} req/s), 1-worker keep-alive \
-         {single_ms:.2} ms ({rps_single:.0} req/s), {mc_workers}-worker keep-alive \
-         {percore_ms:.2} ms ({rps_percore:.0} req/s), speedup {mc_speedup:.2}x, \
-         corrupted/uncached/mismatched {mc_bad}"
-    );
-    let mut perf_gate_failures = 0usize;
-    if !smoke && !degraded_host && mc_speedup < 3.0 {
-        eprintln!(
-            "FAIL {name}: per-core speedup {mc_speedup:.2}x is below the 3x gate \
-             on a {hw_threads}-core host"
-        );
-        perf_gate_failures += 1;
-    }
-
-    // -- sharded prior plane throughput -------------------------------------
-    // The ROADMAP scale-out claim, measured end to end: the same routed
-    // keep-alive client fleet fetching per-task priors from a 1-shard
-    // plane vs a 4-shard plane. Each shard runs ONE event-loop worker, so
-    // any aggregate win comes from sharding itself, not from giving the
-    // bigger plane more threads per server. Every client routes through a
-    // `ShardDirectory`-backed `ShardConnector`; steady-state routing must
-    // be clean, so the diff counts (a) payloads that arrived
-    // byte-different from the registered one, (b) client retries, and
-    // (c) server-side misroutes summed across every shard — zero
-    // tolerance. On hosts with ≥ 4 cores the full (non-smoke) run gates
-    // on ≥ 2× aggregate req/s; degraded rows are stamped and exempted.
-    let shard_tasks: Vec<u64> = (1..=8).collect();
-    let shard_clients = shard_tasks.len();
-    let shard_requests = if smoke { 128 } else { 4096 };
+/// The scale-out claim, measured end to end: the same routed keep-alive
+/// client fleet fetching per-task priors from a 1-shard plane vs a 4-shard
+/// plane. Each shard runs ONE event-loop worker, so any aggregate win
+/// comes from sharding itself, not from giving the bigger plane more
+/// threads per server. Every client routes through a `ShardDirectory`;
+/// steady-state routing must be clean, so the diff counts corrupted
+/// payloads, client retries, and server-side misroutes summed across every
+/// shard — zero tolerance. Gated at ≥ 2× aggregate req/s.
+fn serve_sharded_rps(size: Size) -> Row {
+    let (_, expected) = serve_prior();
+    let tasks: Vec<u64> = (1..=8).collect();
+    let requests = size.pick(128, 4096);
+    let per = requests / tasks.len();
     let run_plane = |shards: usize| -> (f64, usize) {
         let mut plane = ShardedPriorPlane::bind(ShardPlaneConfig {
             shards,
@@ -747,37 +792,34 @@ fn main() {
             ..ShardPlaneConfig::default()
         })
         .expect("bind sharded plane");
-        for &task in &shard_tasks {
-            plane.register_payload(task, (*expected).clone());
+        for &task in &tasks {
+            plane.register_payload(task, expected.clone());
         }
         let directory = plane.directory();
-        let per = shard_requests / shard_clients;
-        let (ms, bad) = time_best(3, || {
-            let handles: Vec<_> = shard_tasks
-                .iter()
-                .map(|&task| {
-                    let expected = std::sync::Arc::clone(&expected);
-                    let directory = std::sync::Arc::clone(&directory);
-                    std::thread::spawn(move || {
-                        let mut client = directory.client_for(task, RetryPolicy::default());
-                        let mut faults = 0usize;
-                        let mut payload = Vec::new();
-                        for _ in 0..per {
-                            client
-                                .fetch_prior_payload_into(task, &mut payload)
-                                .expect("routed fetch");
-                            if payload.as_slice() != expected.as_slice() {
-                                faults += 1;
-                            }
-                        }
-                        faults + client.metrics().retries as usize
-                    })
+        let fetch_all = |task: u64| {
+            let mut client = directory.client_for(task, RetryPolicy::default());
+            let mut payload = Vec::new();
+            let corrupted = (0..per)
+                .filter(|_| {
+                    client
+                        .fetch_prior_payload_into(task, &mut payload)
+                        .expect("routed fetch");
+                    payload != expected
                 })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("client thread"))
-                .sum::<usize>()
+                .count();
+            corrupted + client.metrics().retries as usize
+        };
+        let (ms, bad) = time_best(3, || {
+            std::thread::scope(|s| {
+                let handles: Vec<_> = tasks
+                    .iter()
+                    .map(|&task| s.spawn(move || fetch_all(task)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("client thread"))
+                    .sum::<usize>()
+            })
         });
         let misroutes: u64 = (0..shards)
             .map(|i| plane.shard_metrics(i).map_or(0, |m| m.misroutes))
@@ -785,153 +827,124 @@ fn main() {
         plane.shutdown();
         (ms, bad + misroutes as usize)
     };
-    let (one_shard_ms, bad_one_shard) = run_plane(1);
-    let (four_shard_ms, bad_four_shard) = run_plane(4);
-    let diff = (bad_one_shard + bad_four_shard) as f64;
-    let rps_one_shard = shard_requests as f64 / (one_shard_ms / 1e3);
-    let rps_four_shards = shard_requests as f64 / (four_shard_ms / 1e3);
-    let sharded_speedup = one_shard_ms / four_shard_ms;
-    let name = "serve_sharded_rps".to_string();
-    kernels.push(KernelReport {
-        json: JsonValue::object([
-            ("name", JsonValue::from(name.as_str())),
-            ("one_shard_ms", JsonValue::from(one_shard_ms)),
-            ("four_shard_ms", JsonValue::from(four_shard_ms)),
-            ("speedup", JsonValue::from(sharded_speedup)),
-            ("requests", JsonValue::from(shard_requests)),
-            ("clients", JsonValue::from(shard_clients)),
-            ("shards", JsonValue::from(4usize)),
-            ("workers_per_shard", JsonValue::from(1usize)),
-            // Provenance: aggregate scaling needs the shards to truly run
-            // in parallel, so record what the host could actually do.
-            ("threads", JsonValue::from(dre_parallel::max_threads())),
-            ("hw_threads", JsonValue::from(hw_threads)),
-            ("degraded", JsonValue::from(degraded_host)),
-            ("rps_one_shard", JsonValue::from(rps_one_shard)),
-            ("rps_four_shards", JsonValue::from(rps_four_shards)),
-            ("max_abs_diff", JsonValue::from(diff)),
-            ("tolerance", JsonValue::from(0.0)),
-        ]),
-        name: name.clone(),
-        diff,
-        tolerance: 0.0,
-        expects_parallelism: true,
-    });
-    println!(
-        "{name}: 1 shard {one_shard_ms:.2} ms ({rps_one_shard:.0} req/s), 4 shards \
-         {four_shard_ms:.2} ms ({rps_four_shards:.0} req/s), speedup {sharded_speedup:.2}x, \
-         corrupted/retried/misrouted {diff}"
-    );
-    if !smoke && !degraded_host && sharded_speedup < 2.0 {
-        eprintln!(
-            "FAIL {name}: 4-shard aggregate speedup {sharded_speedup:.2}x is below the \
-             2x gate on a {hw_threads}-core host"
-        );
-        perf_gate_failures += 1;
-    }
+    let (one_ms, bad_one) = run_plane(1);
+    let (four_ms, bad_four) = run_plane(4);
+    let mut fields = vec![
+        ("one_shard_ms", one_ms.into()),
+        ("four_shard_ms", four_ms.into()),
+        ("speedup", (one_ms / four_ms).into()),
+        ("requests", requests.into()),
+        ("clients", tasks.len().into()),
+        ("shards", 4usize.into()),
+        ("workers_per_shard", 1usize.into()),
+        // Provenance: aggregate scaling needs the shards to truly run in
+        // parallel, so record what the host could actually do.
+        ("threads", dre_parallel::max_threads().into()),
+    ];
+    fields.extend(host_fields());
+    fields.extend([
+        ("rps_one_shard", per_sec(requests, one_ms)),
+        ("rps_four_shards", per_sec(requests, four_ms)),
+    ]);
+    let diff = (bad_one + bad_four) as f64;
+    Row::new("serve_sharded_rps".to_string(), diff, fields)
+}
 
-    // -- edge runtime under chaos: fits/sec and the floor invariant ---------
-    // The graceful-degradation runtime (breaker + stale cache + local
-    // fallback) over healthy vs. heavily faulted in-memory links. The diff
-    // counts accuracy readings that fell below that device's own local-only
-    // ERM floor — the degradation ladder guarantees zero, so the tolerance
-    // is zero and CI fails if a degraded fit ever underperforms the
-    // fallback the runtime could have used instead.
-    let fleet_devices = if smoke { 2 } else { 4 };
-    let fleet_rounds = if smoke { 3 } else { 8 };
-    let sc = degraded_scenario(1_300, fleet_devices);
-    let (healthy_ms, healthy_readings) = time_best(2, || {
-        let mut fleet = spawn_degraded_fleet(&sc, 0.0, 1);
-        run_degraded_rounds(&sc, &mut fleet, fleet_rounds)
-    });
-    let (degraded_ms, degraded_readings) = time_best(2, || {
-        let mut fleet = spawn_degraded_fleet(&sc, 0.6, 1);
-        run_degraded_rounds(&sc, &mut fleet, fleet_rounds)
-    });
-    let diff =
-        (readings_below_floor(&healthy_readings) + readings_below_floor(&degraded_readings)) as f64;
-    let fits = (fleet_devices * fleet_rounds) as f64;
-    let rps_healthy = fits / (healthy_ms / 1e3);
-    let rps_degraded = fits / (degraded_ms / 1e3);
-    let name = "edge_runtime_degraded_rps".to_string();
-    kernels.push(KernelReport {
-        json: JsonValue::object([
-            ("name", JsonValue::from(name.as_str())),
-            ("healthy_ms", JsonValue::from(healthy_ms)),
-            ("degraded_ms", JsonValue::from(degraded_ms)),
-            ("fits", JsonValue::from(fits)),
-            ("fits_per_sec_healthy", JsonValue::from(rps_healthy)),
-            ("fits_per_sec_degraded", JsonValue::from(rps_degraded)),
-            ("max_abs_diff", JsonValue::from(diff)),
-            ("tolerance", JsonValue::from(0.0)),
-        ]),
-        name: name.clone(),
-        diff,
-        tolerance: 0.0,
-        expects_parallelism: false,
-    });
-    println!(
-        "{name}: healthy {healthy_ms:.2} ms ({rps_healthy:.0} fits/s), degraded \
-         {degraded_ms:.2} ms ({rps_degraded:.0} fits/s), readings below floor {diff}"
-    );
+/// The graceful-degradation edge runtime (breaker + stale cache + local
+/// fallback) over healthy vs heavily faulted in-memory links. The diff
+/// counts accuracy readings that fell below that device's own local-only
+/// ERM floor — the degradation ladder guarantees zero, so CI fails if a
+/// degraded fit ever underperforms the fallback the runtime could have
+/// used instead.
+fn edge_runtime_degraded_rps(size: Size) -> Row {
+    let devices = size.pick(2, 4);
+    let rounds = size.pick(3, 8);
+    let sc = degraded_scenario(1_300, devices);
+    let run = |fault_rate: f64| {
+        let mut fleet = spawn_degraded_fleet(&sc, fault_rate, 1);
+        run_degraded_rounds(&sc, &mut fleet, rounds)
+    };
+    let (healthy_ms, healthy) = time_best(2, || run(0.0));
+    let (degraded_ms, degraded) = time_best(2, || run(0.6));
+    let fits = devices * rounds;
+    let fields = vec![
+        ("healthy_ms", healthy_ms.into()),
+        ("degraded_ms", degraded_ms.into()),
+        ("fits", fits.into()),
+        ("fits_per_sec_healthy", per_sec(fits, healthy_ms)),
+        ("fits_per_sec_degraded", per_sec(fits, degraded_ms)),
+    ];
+    let diff = (readings_below_floor(&healthy) + readings_below_floor(&degraded)) as f64;
+    Row::new("edge_runtime_degraded_rps".to_string(), diff, fields)
+}
 
-    // -- streaming learner refresh: reports/sec through the SIR filter ------
-    // The closed-loop kernel: push a fleet's pooled `ModelReport` vectors
-    // through the SIR particle filter and collapse the ensemble into a
-    // refreshed DP prior. Particles carry their own seeded RNGs, so the
-    // serial and parallel particle loops must produce bit-identical priors
-    // (every differing f64 counts a whole unit into the diff); the
-    // streamed collapse must also agree with an exact collapsed-Gibbs
-    // refit on the same pooled reports — both paths share the collapse
-    // rule, so a matched partition leaves only fp noise under the 1e-6
-    // gate, and a partition mismatch counts whole units.
-    let d = 6;
-    let m = if smoke { 24 } else { 192 };
-    let sir_reports: Vec<Vec<f64>> = {
+/// The learner kernels' report stream (two tight, alternating 6-D
+/// clusters) and filter setup.
+struct SirProblem {
+    reports: Vec<Vec<f64>>,
+    base: NormalInverseWishart,
+    config: SirConfig,
+}
+
+impl SirProblem {
+    fn new(size: Size) -> Self {
+        let d = 6;
         let mut rng = seeded_rng(21);
         let hi = MvNormal::isotropic(vec![4.0; d], 0.01).expect("valid");
         let lo = MvNormal::isotropic(vec![-4.0; d], 0.01).expect("valid");
-        (0..m)
-            .map(|i| if i % 2 == 0 { hi.sample(&mut rng) } else { lo.sample(&mut rng) })
-            .collect()
-    };
-    let sir_base =
-        NormalInverseWishart::new(vec![0.0; d], 0.05, Matrix::identity(d), d as f64 + 2.0)
-            .expect("valid base");
-    let sir_cfg = SirConfig {
-        num_particles: 32,
-        alpha: 1.0,
-        ess_fraction: 0.5,
-        seed: 17,
-        ..SirConfig::default()
-    };
-    let stream_refresh = || {
-        let mut filter =
-            SirDpFilter::new(sir_base.clone(), sir_cfg.clone()).expect("valid config");
-        for x in &sir_reports {
+        let reports = (0..size.pick(24, 192))
+            .map(|i| {
+                if i % 2 == 0 {
+                    hi.sample(&mut rng)
+                } else {
+                    lo.sample(&mut rng)
+                }
+            })
+            .collect();
+        let base =
+            NormalInverseWishart::new(vec![0.0; d], 0.05, Matrix::identity(d), d as f64 + 2.0)
+                .expect("valid base");
+        let config = SirConfig {
+            num_particles: 32,
+            alpha: 1.0,
+            ess_fraction: 0.5,
+            seed: 17,
+            ..SirConfig::default()
+        };
+        SirProblem {
+            reports,
+            base,
+            config,
+        }
+    }
+
+    fn filter(&self) -> SirDpFilter {
+        SirDpFilter::new(self.base.clone(), self.config.clone()).expect("valid config")
+    }
+
+    /// Streams every report through a fresh filter and collapses it.
+    fn refresh(&self) -> MixturePrior {
+        let mut filter = self.filter();
+        for x in &self.reports {
             filter.push(x).expect("push succeeds");
         }
         filter.to_mixture_prior().expect("collapse succeeds")
-    };
-    let (par_ms, par_prior) = time_best(3, &stream_refresh);
-    let (ser_ms, ser_prior) = time_best(3, || dre_parallel::with_serial(stream_refresh));
-    let flatten = |p: &MixturePrior| -> Vec<f64> {
-        let mut out = Vec::new();
-        for c in p.components() {
-            out.push(c.weight());
-            out.extend_from_slice(c.mean());
-            out.extend_from_slice(c.cov().as_slice());
-        }
-        out
-    };
-    let (ser_flat, par_flat) = (flatten(&ser_prior), flatten(&par_prior));
-    let bit_mismatches = if ser_flat.len() != par_flat.len() {
-        1.0
-    } else {
-        ser_flat.iter().zip(&par_flat).filter(|(a, b)| a != b).count() as f64
-    };
+    }
+}
+
+/// Streaming learner refresh: reports/sec through the SIR particle filter,
+/// collapsed into a refreshed DP prior. 32 particles sit below the
+/// filter's parallel threshold, so the particle loop is serial in every
+/// mode; the threaded path is pinned bitwise by the `sir` module's tests.
+/// The streamed collapse must agree with an exact collapsed-Gibbs refit on
+/// the same pooled reports — both paths share the collapse rule, so a
+/// matched partition leaves only fp noise under the 1e-6 gate, and a
+/// partition mismatch counts whole units.
+fn learner_refresh_reports_per_sec(size: Size) -> Row {
+    let problem = SirProblem::new(size);
+    let (ms, prior) = time_best(3, || dre_parallel::with_serial(|| problem.refresh()));
     let gibbs = DpNiwGibbs::new(
-        sir_base.clone(),
+        problem.base.clone(),
         GibbsConfig {
             alpha: 1.0,
             burn_in: 30,
@@ -941,9 +954,11 @@ fn main() {
         },
     )
     .expect("valid config");
-    let fit = gibbs.fit(&sir_reports, &mut seeded_rng(99)).expect("fit succeeds");
+    let fit = gibbs
+        .fit(&problem.reports, &mut seeded_rng(99))
+        .expect("fit succeeds");
     let refit = gibbs
-        .to_mixture_prior(&sir_reports, &fit.assignments)
+        .to_mixture_prior(&problem.reports, &fit.assignments)
         .expect("collapse succeeds");
     let sorted = |p: &MixturePrior| -> Vec<(f64, Vec<f64>, Matrix)> {
         let mut out: Vec<_> = p
@@ -958,10 +973,10 @@ fn main() {
         });
         out
     };
-    let refit_divergence = if ser_prior.num_components() != refit.num_components() {
-        (ser_prior.num_components() as f64 - refit.num_components() as f64).abs()
+    let divergence = if prior.num_components() != refit.num_components() {
+        (prior.num_components() as f64 - refit.num_components() as f64).abs()
     } else {
-        sorted(&ser_prior)
+        sorted(&prior)
             .iter()
             .zip(&sorted(&refit))
             .map(|((wa, ma, ca), (wb, mb, cb))| {
@@ -972,47 +987,44 @@ fn main() {
             })
             .fold(0.0, f64::max)
     };
-    let diff = bit_mismatches.max(refit_divergence);
-    let rps_serial = m as f64 / (ser_ms / 1e3);
-    let rps_parallel = m as f64 / (par_ms / 1e3);
-    let name = "learner_refresh_reports_per_sec".to_string();
-    kernels.push(KernelReport {
-        json: JsonValue::object([
-            ("name", JsonValue::from(name.as_str())),
-            ("serial_ms", JsonValue::from(ser_ms)),
-            ("parallel_ms", JsonValue::from(par_ms)),
-            ("speedup", JsonValue::from(ser_ms / par_ms)),
-            ("reports", JsonValue::from(m)),
-            ("particles", JsonValue::from(sir_cfg.num_particles)),
-            ("reports_per_sec_serial", JsonValue::from(rps_serial)),
-            ("reports_per_sec_parallel", JsonValue::from(rps_parallel)),
-            ("refit_divergence", JsonValue::from(refit_divergence)),
-            ("max_abs_diff", JsonValue::from(diff)),
-            ("tolerance", JsonValue::from(1e-6)),
-        ]),
-        name: name.clone(),
-        diff,
-        tolerance: 1e-6,
-        expects_parallelism: true,
-    });
-    println!(
-        "{name}: serial {ser_ms:.2} ms ({rps_serial:.0} reports/s), parallel {par_ms:.2} ms \
-         ({rps_parallel:.0} reports/s), bit mismatches {bit_mismatches}, refit divergence \
-         {refit_divergence:e}"
-    );
+    let reports = problem.reports.len();
+    let fields = vec![
+        ("serial_ms", ms.into()),
+        ("reports", reports.into()),
+        ("particles", problem.config.num_particles.into()),
+        ("reports_per_sec_serial", per_sec(reports, ms)),
+        ("refit_divergence", divergence.into()),
+    ];
+    Row::new(
+        "learner_refresh_reports_per_sec".to_string(),
+        divergence,
+        fields,
+    )
+}
 
-    // -- report admission: gate overhead on the same refresh stream ---------
-    // The Byzantine-admission gate rides the refresh drain loop: score each
-    // report with the filter's collapsed predictive marginal, consult the
-    // rolling-quantile gate and the reputation ledger, then push. On this
-    // all-honest stream every report must be admitted, so the gated refresh
-    // collapses to the bit-identical prior (any f64 mismatch or gated
-    // report counts whole units into the diff) — and the wall-clock it
-    // adds over the bare refresh is the price of robustness, gated at
-    // < 10% of `learner_refresh_reports_per_sec`.
-    let gated_refresh = || {
-        let mut filter =
-            SirDpFilter::new(sir_base.clone(), sir_cfg.clone()).expect("valid config");
+/// Every component's weight, mean and covariance, in order.
+fn flatten(prior: &MixturePrior) -> Vec<f64> {
+    let mut out = Vec::new();
+    for c in prior.components() {
+        out.push(c.weight());
+        out.extend_from_slice(c.mean());
+        out.extend_from_slice(c.cov().as_slice());
+    }
+    out
+}
+
+/// The Byzantine-admission gate's overhead on the refresh stream: score
+/// each report with the filter's collapsed predictive marginal, consult
+/// the rolling-quantile gate and the reputation ledger, then push. On this
+/// all-honest stream every report must be admitted, so the gated refresh
+/// collapses to the bit-identical prior (any f64 mismatch or gated report
+/// counts whole units into the diff) — and the wall-clock it adds over the
+/// bare refresh is the price of robustness, gated below 10%.
+fn report_admission_reports_per_sec(size: Size) -> Row {
+    let problem = SirProblem::new(size);
+    let (refresh_ms, bare) = time_best(3, || problem.refresh());
+    let (adm_ms, (admitted, gated)) = time_best(3, || {
+        let mut filter = problem.filter();
         // A wide margin keeps the two alternating honest clusters inside
         // the gate even while the rolling window is still short.
         let mut adm = AdmissionState::new(AdmissionConfig {
@@ -1020,8 +1032,8 @@ fn main() {
             ..AdmissionConfig::default()
         })
         .expect("valid admission config");
-        let mut gated = 0u64;
-        for (i, x) in sir_reports.iter().enumerate() {
+        let mut gated = 0usize;
+        for (i, x) in problem.reports.iter().enumerate() {
             let score = filter.score_report(x).expect("score succeeds");
             if adm.admit(9, i as u64 % 16, Some(score)).admitted() {
                 filter.push(x).expect("push succeeds");
@@ -1030,188 +1042,68 @@ fn main() {
             }
         }
         (filter.to_mixture_prior().expect("collapse succeeds"), gated)
-    };
-    let (adm_ms, (adm_prior, gated)) = time_best(3, &gated_refresh);
-    let adm_flat = flatten(&adm_prior);
-    let adm_mismatches = if adm_flat.len() != par_flat.len() {
-        1.0
-    } else {
-        adm_flat.iter().zip(&par_flat).filter(|(a, b)| a != b).count() as f64
-    };
-    let overhead = adm_ms / par_ms - 1.0;
-    let diff = adm_mismatches + gated as f64;
-    let rps_admitted = m as f64 / (adm_ms / 1e3);
-    let name = "report_admission_reports_per_sec".to_string();
-    kernels.push(KernelReport {
-        json: JsonValue::object([
-            ("name", JsonValue::from(name.as_str())),
-            ("refresh_ms", JsonValue::from(par_ms)),
-            ("admitted_ms", JsonValue::from(adm_ms)),
-            ("overhead_fraction", JsonValue::from(overhead)),
-            ("reports", JsonValue::from(m)),
-            ("reports_gated", JsonValue::from(gated as f64)),
-            ("reports_per_sec", JsonValue::from(rps_admitted)),
-            ("max_abs_diff", JsonValue::from(diff)),
-            ("tolerance", JsonValue::from(0.0)),
-        ]),
-        name: name.clone(),
-        diff,
-        tolerance: 0.0,
-        expects_parallelism: false,
     });
-    println!(
-        "{name}: bare refresh {par_ms:.2} ms, gated refresh {adm_ms:.2} ms \
-         ({rps_admitted:.0} reports/s, overhead {:.1}%), gated {gated}, prior \
-         mismatches {adm_mismatches}",
-        overhead * 100.0
-    );
-    if !smoke && !degraded_host && overhead >= 0.10 {
-        eprintln!(
-            "FAIL {name}: admission overhead {:.1}% is above the 10% gate",
-            overhead * 100.0
-        );
-        perf_gate_failures += 1;
-    }
+    let (bare, admitted) = (flatten(&bare), flatten(&admitted));
+    let prior_mismatches = if bare.len() != admitted.len() {
+        1
+    } else {
+        mismatches(&bare, &admitted)
+    };
+    let reports = problem.reports.len();
+    let fields = vec![
+        ("refresh_ms", refresh_ms.into()),
+        ("admitted_ms", adm_ms.into()),
+        ("overhead_fraction", (adm_ms / refresh_ms - 1.0).into()),
+        ("reports", reports.into()),
+        ("reports_gated", gated.into()),
+        ("reports_per_sec", per_sec(reports, adm_ms)),
+    ];
+    let diff = (prior_mismatches + gated) as f64;
+    Row::new("report_admission_reports_per_sec".to_string(), diff, fields)
+}
 
-    // -- event executor throughput: events/sec at fleet scale ---------------
-    // The flat-state simulator core pushing a full prior-transfer fleet
-    // through the one-big-switch fabric: every request, transport ack,
-    // payload segment, and EM completion is one heap-ordered event. The
-    // scenario is the same clean-completion shape the release scale gate
-    // (`tests/scale.rs`) uses — port queues sized to absorb the incast,
-    // RTO parked above the drain time — so the measured rate is pure
-    // executor throughput, not timer churn. Determinism doubles as the
-    // correctness check: a rerun must reproduce the whole report (every
-    // per-device f64 included) bit-for-bit, and any mismatch, drop, or
-    // retransmission counts a whole unit into the diff. Full runs on
-    // non-degraded hosts gate at ≥ 1M events/sec.
-    let sim_devices: usize = if smoke { 5_000 } else { 100_000 };
-    let sim_fleet = {
-        let topo = Topology::one_big_switch(Link::new_ms(1.0, 1e12)).with_switch(SwitchConfig {
-            queue_capacity: 2 * sim_devices as u32 + 16,
-            rto: SimDuration::from_secs_f64(3600.0),
-            ..SwitchConfig::default()
+/// The flat-state simulator core pushing a full prior-transfer fleet
+/// through the one-big-switch fabric: every request, transport ack,
+/// payload segment, and EM completion is one heap-ordered event. The
+/// scenario is the same clean-completion shape the release scale gate
+/// (`tests/scale.rs`) uses — port queues sized to absorb the incast, RTO
+/// parked above the drain time — so the measured rate is pure executor
+/// throughput, not timer churn. Determinism doubles as the correctness
+/// check: a rerun must reproduce the whole report (every per-device f64
+/// included) bit-for-bit, and any mismatch, drop, or retransmission counts
+/// a whole unit into the diff. Gated at ≥ 1M events/sec.
+fn edgesim_events_per_sec(size: Size) -> Row {
+    let devices: usize = size.pick(5_000, 100_000);
+    let topo = Topology::one_big_switch(Link::new_ms(1.0, 1e12)).with_switch(SwitchConfig {
+        queue_capacity: 2 * devices as u32 + 16,
+        rto: SimDuration::from_secs_f64(3600.0),
+        ..SwitchConfig::default()
+    });
+    let mut fleet = Scenario::new(ComputeModel::default()).with_topology(topo);
+    for _ in 0..devices {
+        fleet.add_device(DeviceSpec {
+            link: Link::new_ms(5.0, 1e6),
+            strategy: Strategy::PriorTransfer {
+                samples: 100,
+                dim: 8,
+                iterations: 50,
+                em_rounds: 4,
+                prior_components: 2,
+            },
         });
-        let mut sc = Scenario::new(ComputeModel::default()).with_topology(topo);
-        for _ in 0..sim_devices {
-            sc.add_device(DeviceSpec {
-                link: Link::new_ms(5.0, 1e6),
-                strategy: Strategy::PriorTransfer {
-                    samples: 100,
-                    dim: 8,
-                    iterations: 50,
-                    em_rounds: 4,
-                    prior_components: 2,
-                },
-            });
-        }
-        sc
-    };
-    let (sim_ms, sim_report) = time_best(3, || sim_fleet.run());
-    let sim_rerun = sim_fleet.run();
-    let diff = f64::from(sim_rerun != sim_report)
-        + f64::from(sim_report.messages_dropped != 0)
-        + f64::from(sim_report.bytes_retransmitted != 0);
-    let events_per_sec = sim_report.events_executed as f64 / (sim_ms / 1e3);
-    let name = "edgesim_events_per_sec".to_string();
-    kernels.push(KernelReport {
-        json: JsonValue::object([
-            ("name", JsonValue::from(name.as_str())),
-            ("run_ms", JsonValue::from(sim_ms)),
-            ("devices", JsonValue::from(sim_devices)),
-            (
-                "events_executed",
-                JsonValue::from(sim_report.events_executed as usize),
-            ),
-            ("events_per_sec", JsonValue::from(events_per_sec)),
-            ("hw_threads", JsonValue::from(hw_threads)),
-            ("degraded", JsonValue::from(degraded_host)),
-            ("max_abs_diff", JsonValue::from(diff)),
-            ("tolerance", JsonValue::from(0.0)),
-        ]),
-        name: name.clone(),
-        diff,
-        tolerance: 0.0,
-        expects_parallelism: false,
-    });
-    println!(
-        "{name}: {sim_devices} devices, {} events in {sim_ms:.2} ms \
-         ({events_per_sec:.0} events/sec), rerun/drop/retx faults {diff}",
-        sim_report.events_executed
-    );
-    if !smoke && !degraded_host && events_per_sec < 1e6 {
-        eprintln!(
-            "FAIL {name}: {events_per_sec:.0} events/sec is below the 1M events/sec \
-             gate on a {hw_threads}-core host"
-        );
-        perf_gate_failures += 1;
     }
-
-    // -- tolerance gate + report --------------------------------------------
-    let mut violations = perf_gate_failures;
-    for k in &kernels {
-        // NaN must fail the gate too, so test "not within tolerance".
-        if k.diff.is_nan() || k.diff > k.tolerance {
-            eprintln!(
-                "FAIL {}: max_abs_diff {:e} exceeds tolerance {:e}",
-                k.name, k.diff, k.tolerance
-            );
-            violations += 1;
-        }
-    }
-    // Provenance gate: a full run that timed thread-scaling kernels on one
-    // worker thread must not pass quietly — its recorded speedups would be
-    // ~1x noise dressed up as measurements. (The JSON is still written
-    // below so the misleading provenance is at least visible.)
-    let one_thread_offenders: Vec<String> = if dre_parallel::max_threads() <= 1 {
-        kernels
-            .iter()
-            .filter(|k| k.expects_parallelism)
-            .map(|k| k.name.clone())
-            .collect()
-    } else {
-        Vec::new()
-    };
-
-    if smoke {
-        println!("smoke mode: skipping BENCH_parallel.json rewrite");
-    } else {
-        let report = JsonValue::object([
-            (
-                "generated_by",
-                JsonValue::from("cargo run --release -p dre-bench --bin bench_parallel"),
-            ),
-            ("threads", JsonValue::from(dre_parallel::max_threads())),
-            ("hw_threads", JsonValue::from(hw_threads)),
-            (
-                "parallel_feature",
-                JsonValue::from(cfg!(feature = "parallel")),
-            ),
-            (
-                "kernels",
-                JsonValue::array(kernels.into_iter().map(|k| k.json).collect::<Vec<_>>()),
-            ),
-            ("serial_baselines", JsonValue::array([baseline])),
-        ]);
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_parallel.json");
-        std::fs::write(path, report.pretty()).expect("write BENCH_parallel.json");
-        println!("wrote {path}");
-    }
-
-    if !smoke && !one_thread_offenders.is_empty() {
-        eprintln!(
-            "FAIL: parallelism-expecting kernel(s) ran with a single worker thread: {}",
-            one_thread_offenders.join(", ")
-        );
-        eprintln!(
-            "  re-run on a multi-core host (or set DRE_NUM_THREADS > 1) so the \
-             recorded speedups and the \"threads\" provenance mean something"
-        );
-        violations += 1;
-    }
-
-    if violations > 0 {
-        eprintln!("{violations} kernel(s) out of tolerance");
-        std::process::exit(1);
-    }
+    let (ms, report) = time_best(3, || fleet.run());
+    let rerun = fleet.run();
+    let diff = f64::from(rerun != report)
+        + f64::from(report.messages_dropped != 0)
+        + f64::from(report.bytes_retransmitted != 0);
+    let events = report.events_executed as usize;
+    let mut fields = vec![
+        ("run_ms", ms.into()),
+        ("devices", devices.into()),
+        ("events_executed", events.into()),
+        ("events_per_sec", per_sec(events, ms)),
+    ];
+    fields.extend(host_fields());
+    Row::new("edgesim_events_per_sec".to_string(), diff, fields)
 }

@@ -6,7 +6,7 @@
 //! axes the algorithm targets — few local samples, distribution shift at
 //! test time, and heterogeneity across tasks — with known ground truth.
 //!
-//! * [`Dataset`] — features + `±1` labels with split/shuffle/standardize
+//! * [`Dataset`] — features + `±1` labels with split/shuffle
 //!   helpers;
 //! * [`TaskFamily`] — the clustered-task generator matching the paper's DP
 //!   modelling assumption: every device's true parameter `θ*` is drawn from
@@ -37,12 +37,10 @@ mod dataset;
 pub mod digits;
 mod error;
 pub mod shift;
-mod standardize;
 mod tasks;
 
 pub use dataset::Dataset;
 pub use error::DataError;
-pub use standardize::Standardizer;
 pub use tasks::{TaskFamily, TaskFamilyConfig, TrueTask};
 
 /// Convenience result alias for fallible data operations.

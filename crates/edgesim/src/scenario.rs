@@ -249,8 +249,9 @@ pub struct SimReport {
     pub messages_dropped: u64,
     /// Frames the fabric carried across a port without dropping them.
     /// Every frame offered to a port is either forwarded or counted in
-    /// [`messages_dropped`], so `dropped / (dropped + forwarded)` is the
-    /// fabric's exact drop rate. Always 0 without a [`Topology`].
+    /// [`messages_dropped`](Self::messages_dropped), so
+    /// `dropped / (dropped + forwarded)` is the fabric's exact drop rate.
+    /// Always 0 without a [`Topology`].
     pub frames_forwarded: u64,
     /// Bytes the go-back-N transport sent more than once. Always 0
     /// without a [`Topology`].

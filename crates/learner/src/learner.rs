@@ -107,7 +107,8 @@ pub struct LearnerTick {
     /// Devices newly quarantined this pass (transitions, not population).
     pub quarantined: usize,
     /// Reports dropped this pass without touching any filter. Empty,
-    /// non-finite or wrong-dimension parameters are dropped before
+    /// wrong-dimension, non-finite or out-of-scale parameters (a component
+    /// beyond [`CloudLearner::max_report_magnitude`]) are dropped before
     /// admission sees them, so the rest of the batch folds exactly as if
     /// they were absent. A finite report some particle cannot absorb (its
     /// distance to a cluster mean overflows) is dropped after admission
@@ -335,17 +336,38 @@ impl CloudLearner {
         Ok(tick)
     }
 
-    /// True when `r` carries finite parameters of its task's dimension: the
-    /// filter's base dimension once it exists, else the buffered reports'
-    /// (the first report of a task sets it).
+    /// Largest component magnitude `B` a report of dimension `d` may carry:
+    /// `B = √(f64::MAX / (d · 2⁶⁶))`, about `1.1e144` at `d = 2`.
+    ///
+    /// Below `B` no accepted stream can overflow a task's filter. With
+    /// every accepted `|xᵢ| ≤ B`, the data-scaled base fitted from accepted
+    /// reports has `|μ₀ᵢ| ≤ B`, `κ₀ < 1` and `Ψ₀ = σ²I` with
+    /// `10⁻³ ≤ σ² ≤ 4B²`. A cluster of `n` reports then has
+    /// `|Σxxᵀ|, |n·x̄x̄ᵀ| ≤ nB²`, so its scatter and posterior scale
+    /// `Ψₙ = Ψ₀ + S + κ₀n/(κ₀ + n)·(x̄ − μ₀)(x̄ − μ₀)ᵀ` have entries below
+    /// `(2n + 9)B²`, and a Cholesky inner product of `d` such terms stays
+    /// below `d(2n + 9)B²`. Scoring a report against the cluster forms a
+    /// Mahalanobis distance of at most `‖x − μₙ‖² / λ_min ≤ 4dB² · (n + 3)
+    /// · 10³`, since `Ψₙ ⪰ 10⁻³I` and the predictive scale divides by
+    /// `νₙ − d + 1 = n + 3`. For `n < 2⁵³` (past which a count is no longer
+    /// exact in `f64`) both bounds are below `d · 2⁶⁶ · B² = f64::MAX`.
+    pub fn max_report_magnitude(d: usize) -> f64 {
+        (f64::MAX / (d.max(1) as f64 * 2f64.powi(66))).sqrt()
+    }
+
+    /// True when `r` carries parameters of its task's dimension (the
+    /// filter's base dimension once it exists, else the buffered reports';
+    /// the first report of a task sets it) that are finite and within
+    /// [`CloudLearner::max_report_magnitude`].
     fn well_formed(&self, r: &ReportedModel) -> bool {
         let expected = self.tasks.get(&r.task_id).and_then(|t| match &t.filter {
             Some(f) => Some(f.base().dim()),
             None => t.pending.first().map(Vec::len),
         });
+        let bound = Self::max_report_magnitude(r.params.len());
         !r.params.is_empty()
             && expected.is_none_or(|d| r.params.len() == d)
-            && r.params.iter().all(|v| v.is_finite())
+            && r.params.iter().all(|v| v.abs() <= bound)
     }
 
     /// Publishes the current prior for every task with a live filter,

@@ -8,6 +8,11 @@
 //!    fail the whole `absorb`, losing every other report in the batch. It is
 //!    now skipped and counted, and the rest of the batch folds exactly as if
 //!    it were absent.
+//! 3. One finite report near `√f64::MAX` (`−2e154`) used to be absorbed and
+//!    overflow its cluster's `Σxxᵀ`, so every later collapse of the task
+//!    failed and the next publishing `absorb` lost its batch. Reports beyond
+//!    `CloudLearner::max_report_magnitude` are now skipped like malformed
+//!    ones.
 
 use std::sync::Arc;
 
@@ -98,7 +103,7 @@ fn overflowing_report_then_force_refresh_does_not_panic() {
     let tick = learner
         .absorb(vec![report(7, vec![-1.7e308, 0.0])], &mut sink)
         .unwrap();
-    assert_eq!((tick.absorbed, tick.malformed), (1, 0));
+    assert_eq!((tick.absorbed, tick.malformed), (0, 1), "out of scale");
     let tick = learner
         .absorb(vec![report(8, vec![1.7e308, 0.0])], &mut sink)
         .unwrap();
@@ -107,9 +112,10 @@ fn overflowing_report_then_force_refresh_does_not_panic() {
         (0, 1),
         "skipped, not fatal"
     );
-    assert_eq!(learner.filter_observations(TASK), 7);
-    // Used to panic indexing an emptied particle list.
-    let _ = learner.force_refresh(&mut sink);
+    assert_eq!(learner.filter_observations(TASK), 6);
+    // Used to panic indexing an emptied particle list, then to fail on the
+    // overflowed cluster.
+    learner.force_refresh(&mut sink).unwrap();
 }
 
 /// Absorbs `batch` in one pass, flushes, and returns the tick plus the
@@ -151,6 +157,46 @@ fn non_finite_report_mid_batch_is_skipped_and_the_rest_folds_bit_identically() {
         assert_eq!(tick.gated, clean_tick.gated);
         assert_eq!(prior, clean_prior, "the good reports must fold as if alone");
     }
+}
+
+#[test]
+fn huge_finite_report_mid_batch_is_skipped_and_the_prior_is_unchanged() {
+    let good: Vec<ReportedModel> = honest(12, 9)
+        .into_iter()
+        .enumerate()
+        .map(|(i, x)| report(i as u64 + 1, x))
+        .collect();
+    let mut poisoned = good.clone();
+    poisoned.insert(7, report(100, vec![-2e154, 0.0]));
+    for admission in [None, Some(AdmissionConfig::default())] {
+        let (clean_tick, clean_prior) = absorb_and_publish(admission.clone(), good.clone());
+        let (tick, prior) = absorb_and_publish(admission, poisoned.clone());
+        assert_eq!((tick.absorbed, tick.malformed), (12, 1));
+        assert_eq!(tick.gated, clean_tick.gated);
+        assert_eq!(prior, clean_prior, "the good reports must fold as if alone");
+    }
+}
+
+#[test]
+fn reports_at_the_scale_bound_still_collapse() {
+    let b = CloudLearner::max_report_magnitude(2);
+    assert!(b > 1e100 && b < 2e154);
+    let extremes: Vec<ReportedModel> = (0..24)
+        .map(|i| {
+            let s = if i % 3 == 0 { -b } else { b };
+            report(i + 1, vec![s, -s])
+        })
+        .collect();
+    let (tick, prior) = absorb_and_publish(None, extremes);
+    assert_eq!((tick.absorbed, tick.malformed), (24, 0));
+    assert!(!prior.is_empty());
+    let mut sink = Arc::new(ServerState::new());
+    let mut learner = CloudLearner::new(LearnerConfig::default());
+    let beyond = b.next_up();
+    let tick = learner
+        .absorb(vec![report(1, vec![beyond, 0.0])], &mut sink)
+        .unwrap();
+    assert_eq!((tick.absorbed, tick.malformed), (0, 1));
 }
 
 #[test]

@@ -4,8 +4,8 @@
 //! rest of the workspace builds on: a row-major dense [`Matrix`], slice-based
 //! vector kernels in [`vector`], and the factorizations needed by the
 //! probabilistic layers — [`Cholesky`] (with jitter for near-singular
-//! covariances), [`Lu`] with partial pivoting, Householder [`Qr`], and a
-//! Jacobi symmetric eigendecomposition ([`SymEigen`]) used for
+//! covariances), [`Lu`] with partial pivoting, and a Jacobi symmetric
+//! eigendecomposition ([`SymEigen`]) used for
 //! positive-semidefinite projection.
 //!
 //! Everything operates on `f64`. Matrices are small-to-medium (model
@@ -40,7 +40,6 @@ mod eigen;
 mod error;
 mod lu;
 mod matrix;
-mod qr;
 pub mod vector;
 
 pub use cholesky::Cholesky;
@@ -48,7 +47,6 @@ pub use eigen::SymEigen;
 pub use error::LinalgError;
 pub use lu::Lu;
 pub use matrix::Matrix;
-pub use qr::Qr;
 
 /// Convenience result alias for fallible linear-algebra operations.
 pub type Result<T> = std::result::Result<T, LinalgError>;

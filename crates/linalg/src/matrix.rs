@@ -244,7 +244,7 @@ impl Matrix {
     ///
     /// Large products run a row-blocked streaming-axpy kernel over
     /// contiguous row chunks in parallel: within each chunk, blocks of
-    /// [`MATMUL_I_BLOCK`] output rows share one streaming pass over the RHS,
+    /// `MATMUL_I_BLOCK` output rows share one streaming pass over the RHS,
     /// so each RHS row is loaded from memory once per block instead of once
     /// per output row. Every output row still accumulates in ascending-`k`
     /// order with the same zero-skip as the historical kernel, so the result
@@ -353,11 +353,11 @@ impl Matrix {
 
     /// Transposed matrix–vector product `selfᵀ * x`.
     ///
-    /// Rows are folded into per-chunk axpy partials ([`MATVEC_T_CHUNK`]
+    /// Rows are folded into per-chunk axpy partials (`MATVEC_T_CHUNK`
     /// rows each) combined in chunk order. The chunk size is independent of
     /// the thread count, so the summation tree — and therefore the result —
     /// is identical serial or parallel; matrices of at most
-    /// [`MATVEC_T_CHUNK`] rows reduce in a single chunk, reproducing the
+    /// `MATVEC_T_CHUNK` rows reduce in a single chunk, reproducing the
     /// historical serial result exactly.
     ///
     /// # Errors

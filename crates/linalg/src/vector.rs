@@ -53,12 +53,6 @@ pub fn norm2(x: &[f64]) -> f64 {
     dot(x, x).sqrt()
 }
 
-/// ℓ1 norm `‖x‖₁`.
-#[inline]
-pub fn norm1(x: &[f64]) -> f64 {
-    x.iter().map(|v| v.abs()).sum()
-}
-
 /// ℓ∞ norm `‖x‖∞` (0 for an empty slice).
 #[inline]
 pub fn norm_inf(x: &[f64]) -> f64 {
@@ -215,7 +209,6 @@ mod tests {
         let x = [3.0, 4.0];
         assert_eq!(dot(&x, &x), 25.0);
         assert_eq!(norm2(&x), 5.0);
-        assert_eq!(norm1(&x), 7.0);
         assert_eq!(norm_inf(&x), 4.0);
         assert_eq!(norm_inf(&[]), 0.0);
     }

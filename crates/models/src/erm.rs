@@ -137,7 +137,7 @@ impl<L: MarginLoss> Objective for ErmObjective<'_, L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{HingeLoss, LinearModel, LogisticLoss, SmoothedHingeLoss};
+    use crate::{LinearModel, LogisticLoss, SquaredLoss};
     use dre_optim::{numerical_gradient, Lbfgs, StopCriteria};
 
     fn toy() -> (Vec<Vec<f64>>, Vec<f64>) {
@@ -175,9 +175,9 @@ mod tests {
             let num = numerical_gradient(&log, &packed, 1e-6);
             assert!(dre_linalg::vector::max_abs_diff(&num, &log.gradient(&packed)) < 1e-6);
 
-            let sh = ErmObjective::new(&xs, &ys, SmoothedHingeLoss::default(), 0.0).unwrap();
-            let num = numerical_gradient(&sh, &packed, 1e-6);
-            assert!(dre_linalg::vector::max_abs_diff(&num, &sh.gradient(&packed)) < 1e-5);
+            let sq = ErmObjective::new(&xs, &ys, SquaredLoss, 0.0).unwrap();
+            let num = numerical_gradient(&sq, &packed, 1e-6);
+            assert!(dre_linalg::vector::max_abs_diff(&num, &sq.gradient(&packed)) < 1e-5);
         }
     }
 
@@ -210,7 +210,7 @@ mod tests {
     #[test]
     fn empirical_risk_excludes_regularizer() {
         let (xs, ys) = toy();
-        let obj = ErmObjective::new(&xs, &ys, HingeLoss, 10.0).unwrap();
+        let obj = ErmObjective::new(&xs, &ys, LogisticLoss, 10.0).unwrap();
         let packed = [1.0, 0.0, 0.0];
         assert!((obj.value(&packed) - obj.empirical_risk(&packed) - 5.0).abs() < 1e-12);
     }

@@ -3,9 +3,9 @@
 //! The paper's edge learner is a (regularized / robustified) linear
 //! classifier; this crate provides its deterministic pieces:
 //!
-//! * [`MarginLoss`] implementations — [`LogisticLoss`], [`HingeLoss`],
-//!   [`SmoothedHingeLoss`], [`SquaredLoss`] — each with value, derivative
-//!   and the Lipschitz data needed by the Wasserstein-DRO duality;
+//! * [`MarginLoss`] implementations — [`LogisticLoss`] and [`SquaredLoss`]
+//!   — each with value, derivative and the Lipschitz data needed by the
+//!   Wasserstein-DRO duality;
 //! * [`LinearModel`] — weights + bias with decision values, labels and
 //!   probabilities;
 //! * [`ErmObjective`] — the ℓ2-regularized empirical-risk objective
@@ -46,7 +46,7 @@ mod softmax;
 pub use erm::ErmObjective;
 pub use error::ModelError;
 pub use linear::LinearModel;
-pub use loss::{HingeLoss, LogisticLoss, MarginLoss, SmoothedHingeLoss, SquaredLoss};
+pub use loss::{LogisticLoss, MarginLoss, SquaredLoss};
 pub use softmax::{SoftmaxModel, SoftmaxObjective};
 
 /// Convenience result alias for fallible model operations.

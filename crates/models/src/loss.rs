@@ -94,103 +94,6 @@ impl MarginLoss for LogisticLoss {
     }
 }
 
-/// Hinge loss `ℓ(m) = max(0, 1 − m)`.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct HingeLoss;
-
-impl MarginLoss for HingeLoss {
-    fn value(&self, margin: f64) -> f64 {
-        (1.0 - margin).max(0.0)
-    }
-
-    fn derivative(&self, margin: f64) -> f64 {
-        if margin < 1.0 {
-            -1.0
-        } else {
-            0.0
-        }
-    }
-
-    fn margin_lipschitz(&self) -> f64 {
-        1.0
-    }
-
-    fn name(&self) -> &'static str {
-        "hinge"
-    }
-}
-
-/// Quadratically smoothed hinge (Huberized hinge) with smoothing width `γ`:
-///
-/// ```text
-/// ℓ(m) = 0                     if m ≥ 1
-///      = (1 − m)²/(2γ)         if 1 − γ < m < 1
-///      = 1 − m − γ/2           if m ≤ 1 − γ
-/// ```
-///
-/// Differentiable everywhere, so L-BFGS applies; converges to the hinge as
-/// `γ → 0`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SmoothedHingeLoss {
-    gamma: f64,
-}
-
-impl SmoothedHingeLoss {
-    /// Creates a smoothed hinge with width `γ > 0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `γ` is positive and finite.
-    pub fn new(gamma: f64) -> Self {
-        assert!(
-            gamma > 0.0 && gamma.is_finite(),
-            "smoothing width must be positive, got {gamma}"
-        );
-        SmoothedHingeLoss { gamma }
-    }
-
-    /// Smoothing width `γ`.
-    pub fn gamma(&self) -> f64 {
-        self.gamma
-    }
-}
-
-impl Default for SmoothedHingeLoss {
-    fn default() -> Self {
-        SmoothedHingeLoss::new(0.1)
-    }
-}
-
-impl MarginLoss for SmoothedHingeLoss {
-    fn value(&self, margin: f64) -> f64 {
-        if margin >= 1.0 {
-            0.0
-        } else if margin > 1.0 - self.gamma {
-            (1.0 - margin) * (1.0 - margin) / (2.0 * self.gamma)
-        } else {
-            1.0 - margin - self.gamma / 2.0
-        }
-    }
-
-    fn derivative(&self, margin: f64) -> f64 {
-        if margin >= 1.0 {
-            0.0
-        } else if margin > 1.0 - self.gamma {
-            -(1.0 - margin) / self.gamma
-        } else {
-            -1.0
-        }
-    }
-
-    fn margin_lipschitz(&self) -> f64 {
-        1.0
-    }
-
-    fn name(&self) -> &'static str {
-        "smoothed_hinge"
-    }
-}
-
 /// Squared loss on the margin `ℓ(m) = (1 − m)²/2` (least-squares
 /// classification).
 ///
@@ -282,39 +185,6 @@ mod tests {
     }
 
     #[test]
-    fn hinge_known_values() {
-        let l = HingeLoss;
-        assert_eq!(l.value(2.0), 0.0);
-        assert_eq!(l.value(0.0), 1.0);
-        assert_eq!(l.value(-1.0), 2.0);
-        assert_eq!(l.derivative(0.5), -1.0);
-        assert_eq!(l.derivative(1.5), 0.0);
-        assert_eq!(l.name(), "hinge");
-    }
-
-    #[test]
-    fn smoothed_hinge_pieces_join_continuously() {
-        let l = SmoothedHingeLoss::new(0.2);
-        assert_eq!(l.gamma(), 0.2);
-        // Value and derivative continuity at the joints m = 1 and m = 1−γ.
-        for joint in [1.0, 0.8] {
-            let eps = 1e-9;
-            assert!((l.value(joint - eps) - l.value(joint + eps)).abs() < 1e-7);
-            assert!((l.derivative(joint - eps) - l.derivative(joint + eps)).abs() < 1e-6);
-        }
-        // Approaches the hinge for small γ.
-        let tight = SmoothedHingeLoss::new(1e-6);
-        assert!((tight.value(0.0) - HingeLoss.value(0.0)).abs() < 1e-5);
-        assert_eq!(l.name(), "smoothed_hinge");
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn smoothed_hinge_rejects_zero_width() {
-        SmoothedHingeLoss::new(0.0);
-    }
-
-    #[test]
     fn squared_loss_values() {
         let l = SquaredLoss;
         assert_eq!(l.value(1.0), 0.0);
@@ -329,11 +199,6 @@ mod tests {
         fn prop_derivatives_match_finite_differences(m in -5.0..5.0f64) {
             prop_assert!((fd_derivative(&LogisticLoss, m) - LogisticLoss.derivative(m)).abs() < 1e-5);
             prop_assert!((fd_derivative(&SquaredLoss, m) - SquaredLoss.derivative(m)).abs() < 1e-5);
-            let sh = SmoothedHingeLoss::new(0.3);
-            // Skip the joints where the derivative jumps in FD.
-            if (m - 1.0).abs() > 1e-3 && (m - 0.7).abs() > 1e-3 {
-                prop_assert!((fd_derivative(&sh, m) - sh.derivative(m)).abs() < 1e-5);
-            }
         }
 
         #[test]
@@ -343,22 +208,15 @@ mod tests {
             let mid = t * m1 + (1.0 - t) * m2;
             let check = |v_mid: f64, v1: f64, v2: f64| v_mid <= t * v1 + (1.0 - t) * v2 + 1e-9;
             prop_assert!(check(LogisticLoss.value(mid), LogisticLoss.value(m1), LogisticLoss.value(m2)));
-            prop_assert!(check(HingeLoss.value(mid), HingeLoss.value(m1), HingeLoss.value(m2)));
-            let sh = SmoothedHingeLoss::default();
-            prop_assert!(check(sh.value(mid), sh.value(m1), sh.value(m2)));
+            prop_assert!(check(SquaredLoss.value(mid), SquaredLoss.value(m1), SquaredLoss.value(m2)));
             prop_assert!(LogisticLoss.value(m1) >= 0.0);
-            prop_assert!(HingeLoss.value(m1) >= 0.0);
-            prop_assert!(sh.value(m1) >= 0.0);
+            prop_assert!(SquaredLoss.value(m1) >= 0.0);
         }
 
         #[test]
         fn prop_lipschitz_bound_holds(m1 in -5.0..5.0f64, m2 in -5.0..5.0f64) {
-            for val_lip in [
-                ((LogisticLoss.value(m1) - LogisticLoss.value(m2)).abs(), LogisticLoss.margin_lipschitz()),
-                ((HingeLoss.value(m1) - HingeLoss.value(m2)).abs(), HingeLoss.margin_lipschitz()),
-            ] {
-                prop_assert!(val_lip.0 <= val_lip.1 * (m1 - m2).abs() + 1e-12);
-            }
+            let gap = (LogisticLoss.value(m1) - LogisticLoss.value(m2)).abs();
+            prop_assert!(gap <= LogisticLoss.margin_lipschitz() * (m1 - m2).abs() + 1e-12);
         }
     }
 }

@@ -1,26 +1,14 @@
-//! Gradient descent with backtracking and optional momentum.
+//! Gradient descent with Armijo backtracking.
 
 use crate::line_search::backtracking;
 use crate::{Objective, OptimError, OptimReport, Result, StopCriteria};
 
-/// Momentum variants for [`GradientDescent`].
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum MomentumKind {
-    /// Plain steepest descent with Armijo backtracking (monotone).
-    #[default]
-    None,
-    /// Heavy-ball momentum with the given coefficient `β ∈ [0, 1)`.
-    HeavyBall(f64),
-    /// Nesterov accelerated gradient with the given coefficient `β ∈ [0, 1)`.
-    Nesterov(f64),
-}
-
 /// First-order descent solver.
 ///
-/// With [`MomentumKind::None`] every step passes an Armijo backtracking
-/// line search, so the objective trace is monotone — the property the
-/// paper's M-step inherits. The momentum variants use a fixed step size and
-/// trade monotonicity for speed on ill-conditioned problems.
+/// Every step passes an Armijo backtracking line search, so the objective
+/// trace is monotone — the property the paper's M-step inherits. It is the
+/// reference the [`Lbfgs`](crate::Lbfgs) tests check their minimizers
+/// against.
 ///
 /// # Example
 ///
@@ -36,47 +24,12 @@ pub enum MomentumKind {
 #[derive(Debug, Clone)]
 pub struct GradientDescent {
     stop: StopCriteria,
-    momentum: MomentumKind,
-    step_size: f64,
 }
 
 impl GradientDescent {
-    /// Creates a plain (monotone, line-searched) gradient-descent solver.
+    /// Creates a monotone, line-searched gradient-descent solver.
     pub fn new(stop: StopCriteria) -> Self {
-        GradientDescent {
-            stop,
-            momentum: MomentumKind::None,
-            step_size: 1.0,
-        }
-    }
-
-    /// Selects a momentum variant with a fixed step size.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OptimError::InvalidParameter`] when `step_size ≤ 0` or a
-    /// momentum coefficient is outside `[0, 1)`.
-    pub fn with_momentum(mut self, momentum: MomentumKind, step_size: f64) -> Result<Self> {
-        if !(step_size > 0.0 && step_size.is_finite()) {
-            return Err(OptimError::InvalidParameter {
-                param: "step_size",
-                value: step_size,
-            });
-        }
-        match momentum {
-            MomentumKind::HeavyBall(b) | MomentumKind::Nesterov(b) => {
-                if !(0.0..1.0).contains(&b) {
-                    return Err(OptimError::InvalidParameter {
-                        param: "momentum",
-                        value: b,
-                    });
-                }
-            }
-            MomentumKind::None => {}
-        }
-        self.momentum = momentum;
-        self.step_size = step_size;
-        Ok(self)
+        GradientDescent { stop }
     }
 
     /// Minimizes `obj` from `x0`.
@@ -86,8 +39,7 @@ impl GradientDescent {
     /// * [`OptimError::DimensionMismatch`] when `x0.len() != obj.dim()`.
     /// * [`OptimError::NonFiniteObjective`] when the objective or gradient
     ///   degenerates.
-    /// * [`OptimError::LineSearchFailed`] when no descent step exists
-    ///   (momentum-free variant only).
+    /// * [`OptimError::LineSearchFailed`] when no descent step exists.
     pub fn minimize<O: Objective + ?Sized>(&self, obj: &O, x0: &[f64]) -> Result<OptimReport> {
         if x0.len() != obj.dim() {
             return Err(OptimError::DimensionMismatch {
@@ -101,7 +53,6 @@ impl GradientDescent {
             return Err(OptimError::NonFiniteObjective { iteration: 0 });
         }
         let mut trace = vec![fx];
-        let mut velocity = vec![0.0; x.len()];
         let mut converged = false;
         let mut iterations = 0;
 
@@ -113,61 +64,18 @@ impl GradientDescent {
                 iterations = iter;
                 break;
             }
-            match self.momentum {
-                MomentumKind::None => {
-                    let p: Vec<f64> = g.iter().map(|v| -v).collect();
-                    let gdp = -dre_linalg::vector::dot(&g, &g);
-                    let ls = backtracking(obj, &x, &p, fx, gdp, self.step_size, 1e-4)
-                        .ok_or(OptimError::LineSearchFailed { iteration: iter })?;
-                    dre_linalg::vector::axpy(ls.step, &p, &mut x);
-                    let prev = fx;
-                    fx = ls.value;
-                    g = obj.gradient(&x);
-                    trace.push(fx);
-                    if (prev - fx).abs() <= self.stop.f_tol {
-                        converged = true;
-                        break;
-                    }
-                }
-                MomentumKind::HeavyBall(beta) => {
-                    for ((v, &gi), xi) in velocity.iter_mut().zip(&g).zip(x.iter_mut()) {
-                        *v = beta * *v - self.step_size * gi;
-                        *xi += *v;
-                    }
-                    let prev = fx;
-                    (fx, g) = obj.value_and_gradient(&x);
-                    trace.push(fx);
-                    if !fx.is_finite() {
-                        return Err(OptimError::NonFiniteObjective { iteration: iter });
-                    }
-                    if (prev - fx).abs() <= self.stop.f_tol {
-                        converged = true;
-                        break;
-                    }
-                }
-                MomentumKind::Nesterov(beta) => {
-                    // Look-ahead gradient at x + β·v.
-                    let lookahead: Vec<f64> = x
-                        .iter()
-                        .zip(&velocity)
-                        .map(|(&xi, &vi)| xi + beta * vi)
-                        .collect();
-                    let gl = obj.gradient(&lookahead);
-                    for ((v, &gi), xi) in velocity.iter_mut().zip(&gl).zip(x.iter_mut()) {
-                        *v = beta * *v - self.step_size * gi;
-                        *xi += *v;
-                    }
-                    let prev = fx;
-                    (fx, g) = obj.value_and_gradient(&x);
-                    trace.push(fx);
-                    if !fx.is_finite() {
-                        return Err(OptimError::NonFiniteObjective { iteration: iter });
-                    }
-                    if (prev - fx).abs() <= self.stop.f_tol {
-                        converged = true;
-                        break;
-                    }
-                }
+            let p: Vec<f64> = g.iter().map(|v| -v).collect();
+            let gdp = -dre_linalg::vector::dot(&g, &g);
+            let ls = backtracking(obj, &x, &p, fx, gdp, 1.0, 1e-4)
+                .ok_or(OptimError::LineSearchFailed { iteration: iter })?;
+            dre_linalg::vector::axpy(ls.step, &p, &mut x);
+            let prev = fx;
+            fx = ls.value;
+            g = obj.gradient(&x);
+            trace.push(fx);
+            if (prev - fx).abs() <= self.stop.f_tol {
+                converged = true;
+                break;
             }
         }
 
@@ -205,45 +113,6 @@ mod tests {
         assert!(dre_linalg::vector::max_abs_diff(&r.x, &truth) < 1e-5);
         assert!(r.is_monotone(1e-12), "plain GD must be monotone");
         assert!(r.grad_norm <= 1e-4);
-    }
-
-    #[test]
-    fn momentum_variants_also_converge() {
-        let q = quadratic();
-        for m in [MomentumKind::HeavyBall(0.8), MomentumKind::Nesterov(0.8)] {
-            let r = GradientDescent::new(StopCriteria {
-                max_iters: 2000,
-                f_tol: 1e-14,
-                ..Default::default()
-            })
-            .with_momentum(m, 0.1)
-            .unwrap()
-            .minimize(&q, &[10.0, -10.0])
-            .unwrap();
-            let truth = dre_linalg::Cholesky::new(q.a())
-                .unwrap()
-                .solve(q.b())
-                .unwrap();
-            assert!(
-                dre_linalg::vector::max_abs_diff(&r.x, &truth) < 1e-4,
-                "{m:?} failed: {:?}",
-                r.x
-            );
-        }
-    }
-
-    #[test]
-    fn validates_parameters() {
-        let gd = GradientDescent::new(StopCriteria::default());
-        assert!(gd
-            .clone()
-            .with_momentum(MomentumKind::HeavyBall(1.0), 0.1)
-            .is_err());
-        assert!(gd
-            .clone()
-            .with_momentum(MomentumKind::Nesterov(-0.1), 0.1)
-            .is_err());
-        assert!(gd.with_momentum(MomentumKind::None, 0.0).is_err());
     }
 
     #[test]

@@ -1,22 +1,16 @@
 //! Numerical optimization for the `dro-edge` workspace.
 //!
-//! Rust has no mature convex-optimization stack, so the solvers the paper's
-//! M-step (and every baseline) needs are implemented here:
+//! Rust has no mature convex-optimization stack, so the solver the paper's
+//! M-step (and every baseline) needs is implemented here:
 //!
-//! * [`GradientDescent`] — steepest descent with Armijo backtracking,
-//!   optional (Nesterov) momentum;
-//! * [`Adam`] — the adaptive first-order method, used by non-convex
-//!   baselines;
 //! * [`Lbfgs`] — limited-memory BFGS with a strong-Wolfe line search, the
 //!   workhorse for the smooth convex M-step;
-//! * [`ProximalGradient`] — ISTA/FISTA for composite objectives
-//!   `f(x) + g(x)` with a simple proximal operator `g` (ℓ1, ℓ2,
-//!   box/non-negativity, ℓ2-ball projection) — used by the
-//!   Lipschitz-regularized DRO reformulation;
+//! * [`GradientDescent`] — steepest descent with Armijo backtracking, the
+//!   monotone reference the L-BFGS tests compare against;
 //! * the [`Objective`] trait and a [`numerical_gradient`] helper for
 //!   verifying analytic gradients in tests.
 //!
-//! All solvers return an [`OptimReport`] recording the final iterate, the
+//! Both solvers return an [`OptimReport`] recording the final iterate, the
 //! trajectory of objective values and the convergence status.
 //!
 //! # Example
@@ -38,22 +32,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod adam;
 mod error;
 mod gd;
 mod lbfgs;
 mod line_search;
 mod objective;
-mod proximal;
 mod report;
 
-pub use adam::Adam;
 pub use error::OptimError;
-pub use gd::{GradientDescent, MomentumKind};
+pub use gd::GradientDescent;
 pub use lbfgs::Lbfgs;
 pub use line_search::{backtracking, strong_wolfe, LineSearchResult, WolfeStep};
 pub use objective::{numerical_gradient, FnObjective, Objective, QuadraticObjective};
-pub use proximal::{Prox, ProximalGradient};
 pub use report::{OptimReport, StopCriteria};
 
 /// Convenience result alias for fallible optimization runs.

@@ -398,6 +398,17 @@ where
 mod tests {
     use super::*;
 
+    /// Held by every test that enters `with_serial`, so
+    /// `with_serial_restores_mode` never reads the global mode while a
+    /// sibling test is inside its serial scope.
+    static MODE_LOCK: Mutex<()> = Mutex::new(());
+
+    fn mode_lock() -> std::sync::MutexGuard<'static, ()> {
+        MODE_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn map_is_order_preserving() {
         let v = par_map_indexed_min(1000, 1, |i| i * i);
@@ -409,6 +420,7 @@ mod tests {
 
     #[test]
     fn map_matches_serial_exactly() {
+        let _mode = mode_lock();
         let f = |i: usize| ((i as f64) * 0.37).sin() / (1.0 + i as f64);
         let par: Vec<f64> = par_map_indexed_min(10_000, 1, f);
         let ser: Vec<f64> = with_serial(|| par_map_indexed_min(10_000, 1, f));
@@ -417,6 +429,7 @@ mod tests {
 
     #[test]
     fn sum_is_bit_identical_serial_vs_parallel() {
+        let _mode = mode_lock();
         // Terms of wildly different magnitudes make association visible.
         let f = |i: usize| (1.0f64 / (1 + i) as f64) * if i.is_multiple_of(2) { 1e10 } else { 1e-10 };
         let par = par_sum_indexed(100_000, f);
@@ -450,6 +463,7 @@ mod tests {
 
     #[test]
     fn fill_slice_matches_map_and_serial() {
+        let _mode = mode_lock();
         let xs: Vec<f64> = (0..5000).map(|i| i as f64 * 0.11).collect();
         let f = |x: &f64| (x * 0.37).sin() / (1.0 + x);
         let mut buf = vec![0.0f64; xs.len()];
@@ -476,6 +490,7 @@ mod tests {
 
     #[test]
     fn with_serial_restores_mode() {
+        let _mode = mode_lock();
         let before = effective_threads();
         with_serial(|| assert_eq!(effective_threads(), 1));
         assert_eq!(effective_threads(), before);

@@ -112,7 +112,7 @@ pub mod collection {
     use crate::test_runner::TestRng;
     use std::ops::Range;
 
-    /// Length specification for [`vec`]: a fixed `usize` or a half-open
+    /// Length specification for [`vec()`]: a fixed `usize` or a half-open
     /// `Range<usize>`.
     pub trait SizeRange {
         /// Draws a concrete length.
@@ -139,7 +139,7 @@ pub mod collection {
         VecStrategy { element, size }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec()`].
     pub struct VecStrategy<S, Z> {
         element: S,
         size: Z,

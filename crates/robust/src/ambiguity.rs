@@ -64,68 +64,6 @@ impl WassersteinBall {
     }
 }
 
-/// A KL-divergence ball `{Q ≪ P̂ : KL(Q ‖ P̂) ≤ ρ}`.
-///
-/// KL balls only re-weight observed samples (no new support), so they model
-/// sampling noise rather than covariate shift — included as the classical
-/// f-divergence ablation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct KlBall {
-    radius: f64,
-}
-
-impl KlBall {
-    /// Creates a ball of radius `ρ ≥ 0`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RobustError::InvalidParameter`] for a negative or
-    /// non-finite radius.
-    pub fn new(radius: f64) -> Result<Self> {
-        if !(radius >= 0.0 && radius.is_finite()) {
-            return Err(RobustError::InvalidParameter {
-                param: "radius",
-                value: radius,
-            });
-        }
-        Ok(KlBall { radius })
-    }
-
-    /// Radius `ρ`.
-    pub fn radius(&self) -> f64 {
-        self.radius
-    }
-}
-
-/// A χ²-divergence ball `{Q ≪ P̂ : χ²(Q ‖ P̂) ≤ ρ}`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Chi2Ball {
-    radius: f64,
-}
-
-impl Chi2Ball {
-    /// Creates a ball of radius `ρ ≥ 0`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RobustError::InvalidParameter`] for a negative or
-    /// non-finite radius.
-    pub fn new(radius: f64) -> Result<Self> {
-        if !(radius >= 0.0 && radius.is_finite()) {
-            return Err(RobustError::InvalidParameter {
-                param: "radius",
-                value: radius,
-            });
-        }
-        Ok(Chi2Ball { radius })
-    }
-
-    /// Radius `ρ`.
-    pub fn radius(&self) -> f64 {
-        self.radius
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,14 +83,5 @@ mod tests {
         assert!(f.is_features_only());
         // Zero radius is a valid (degenerate) ball.
         assert!(WassersteinBall::new(0.0, 1.0).is_ok());
-    }
-
-    #[test]
-    fn fdiv_validation() {
-        assert!(KlBall::new(-1.0).is_err());
-        assert!(KlBall::new(f64::NAN).is_err());
-        assert_eq!(KlBall::new(0.7).unwrap().radius(), 0.7);
-        assert!(Chi2Ball::new(-1.0).is_err());
-        assert_eq!(Chi2Ball::new(0.7).unwrap().radius(), 0.7);
     }
 }

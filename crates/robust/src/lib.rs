@@ -12,14 +12,8 @@
 //!   for Lipschitz margin losses (Shafieezadeh-Abadeh et al. 2015;
 //!   Mohajerin Esfahani & Kuhn 2018), smoothed for quasi-Newton solvers,
 //!   plus [`WassersteinDualObjective::exact_robust_risk`] for certificates;
-//! * [`LipschitzRegularizedObjective`] — the `κ → ∞` collapse
-//!   `ERM + ε·L·‖w‖₂` (feature perturbations only);
-//! * [`kl_worst_case_risk`] / [`chi2_worst_case_risk`] — f-divergence
-//!   ambiguity sets via their 1-D duals, for ablations;
 //! * [`worst_case`] — adversarial-shift evaluation and robustness
-//!   certificates;
-//! * [`select_epsilon_cv`] — data-driven radius selection by k-fold
-//!   cross-validation with the one-standard-error rule.
+//!   certificates.
 //!
 //! # Example
 //!
@@ -42,16 +36,12 @@
 
 mod ambiguity;
 mod error;
-mod fdiv;
-mod radius;
 mod wasserstein;
 pub mod worst_case;
 
-pub use ambiguity::{Chi2Ball, KlBall, WassersteinBall};
+pub use ambiguity::WassersteinBall;
 pub use error::RobustError;
-pub use fdiv::{chi2_worst_case_risk, kl_worst_case_risk};
-pub use radius::{select_epsilon_cv, RadiusSelection};
-pub use wasserstein::{LipschitzRegularizedObjective, WassersteinDualObjective};
+pub use wasserstein::WassersteinDualObjective;
 
 /// Convenience result alias for fallible robust-optimization operations.
 pub type Result<T> = std::result::Result<T, RobustError>;

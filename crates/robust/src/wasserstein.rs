@@ -335,98 +335,6 @@ impl<L: MarginLoss> Objective for WassersteinDualObjective<'_, L> {
     }
 }
 
-/// The `κ → ∞` (features-only) collapse of the Wasserstein dual:
-///
-/// ```text
-/// min_{w,b}  (1/n) Σᵢ ℓ(yᵢ(wᵀxᵢ + b)) + ε·L·‖w‖₂
-/// ```
-///
-/// — robust training is exactly Lipschitz-norm regularization, over the
-/// packed parameter `[w…, b]`. The norm is smoothed as `√(‖w‖² + δ²)` so
-/// the objective is differentiable at `w = 0`.
-#[derive(Debug)]
-pub struct LipschitzRegularizedObjective<'a, L> {
-    xs: &'a [Vec<f64>],
-    ys: &'a [f64],
-    loss: L,
-    epsilon: f64,
-    delta: f64,
-    d: usize,
-}
-
-impl<'a, L: MarginLoss> LipschitzRegularizedObjective<'a, L> {
-    /// Creates the objective with Wasserstein radius `ε ≥ 0`.
-    ///
-    /// # Errors
-    ///
-    /// Same dataset conditions as [`WassersteinDualObjective::new`], plus
-    /// [`RobustError::InvalidParameter`] for an invalid radius.
-    pub fn new(xs: &'a [Vec<f64>], ys: &'a [f64], loss: L, epsilon: f64) -> Result<Self> {
-        let d = validate(xs, ys)?;
-        if !loss.margin_lipschitz().is_finite() {
-            return Err(RobustError::LossNotLipschitz { loss: loss.name() });
-        }
-        if !(epsilon >= 0.0 && epsilon.is_finite()) {
-            return Err(RobustError::InvalidParameter {
-                param: "epsilon",
-                value: epsilon,
-            });
-        }
-        Ok(LipschitzRegularizedObjective {
-            xs,
-            ys,
-            loss,
-            epsilon,
-            delta: 1e-9,
-            d,
-        })
-    }
-
-    /// The radius `ε`.
-    pub fn epsilon(&self) -> f64 {
-        self.epsilon
-    }
-}
-
-impl<L: MarginLoss> Objective for LipschitzRegularizedObjective<'_, L> {
-    fn dim(&self) -> usize {
-        self.d + 1
-    }
-
-    fn value(&self, packed: &[f64]) -> f64 {
-        self.value_and_gradient(packed).0
-    }
-
-    fn gradient(&self, packed: &[f64]) -> Vec<f64> {
-        self.value_and_gradient(packed).1
-    }
-
-    fn value_and_gradient(&self, packed: &[f64]) -> (f64, Vec<f64>) {
-        let d = self.d;
-        let (w, bs) = packed.split_at(d);
-        let b = bs[0];
-        let n = self.xs.len() as f64;
-        let mut value = 0.0;
-        let mut grad = vec![0.0; packed.len()];
-        for (x, &y) in self.xs.iter().zip(self.ys) {
-            let m = y * (dre_linalg::vector::dot(w, x) + b);
-            value += self.loss.value(m);
-            let coeff = self.loss.derivative(m) * y / n;
-            let (gw, gb) = grad.split_at_mut(d);
-            dre_linalg::vector::axpy(coeff, x, gw);
-            gb[0] += coeff;
-        }
-        value /= n;
-        let l = self.loss.margin_lipschitz();
-        let norm = (dre_linalg::vector::dot(w, w) + self.delta * self.delta).sqrt();
-        value += self.epsilon * l * norm;
-        for i in 0..d {
-            grad[i] += self.epsilon * l * w[i] / norm;
-        }
-        (value, grad)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -570,28 +478,6 @@ mod tests {
             "robust {} vs erm {erm_norm}",
             rob_model.weight_norm()
         );
-    }
-
-    #[test]
-    fn lipschitz_regularized_objective_gradient_and_equivalence() {
-        let (xs, ys) = toy();
-        let eps = 0.25;
-        let obj = LipschitzRegularizedObjective::new(&xs, &ys, LogisticLoss, eps).unwrap();
-        assert_eq!(obj.dim(), 3);
-        assert_eq!(obj.epsilon(), eps);
-        let packed = [0.4, -0.3, 0.1];
-        let num = numerical_gradient(&obj, &packed, 1e-6);
-        assert!(dre_linalg::vector::max_abs_diff(&num, &obj.gradient(&packed)) < 1e-6);
-
-        // Its value equals the exact features-only dual risk.
-        let ball = WassersteinBall::features_only(eps).unwrap();
-        let dual = WassersteinDualObjective::new(&xs, &ys, LogisticLoss, ball).unwrap();
-        let model = LinearModel::from_packed(&packed);
-        assert!((obj.value(&packed) - dual.exact_robust_risk(&model)).abs() < 1e-7);
-
-        // Validation.
-        assert!(LipschitzRegularizedObjective::new(&xs, &ys, LogisticLoss, -1.0).is_err());
-        assert!(LipschitzRegularizedObjective::new(&xs, &ys, SquaredLoss, 0.1).is_err());
     }
 
     #[test]
