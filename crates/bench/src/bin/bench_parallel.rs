@@ -2,7 +2,8 @@
 //! workspace's hot kernels.
 //!
 //! Writes `BENCH_parallel.json` at the repository root: per kernel the two
-//! wall times, the speedup, and an output diff checked against a per-kernel
+//! wall times (each the median and p10/p90 of [`TRIALS`] runs), the speedup
+//! of the medians, and an output diff checked against a per-kernel
 //! tolerance (0 for the execution-layer kernels, which are bit-identical by
 //! construction; the documented cache tolerance for the incremental-Gibbs
 //! kernel). The process exits nonzero when any kernel exceeds its
@@ -63,7 +64,8 @@ impl Size {
     }
 }
 
-/// A perf gate on one numeric field of a kernel's row. Gates apply only to
+/// A perf gate on one numeric field of a kernel's row; every rate and ratio
+/// in a row is computed from median timings. Gates apply only to
 /// full runs on hosts with at least 4 hardware threads: a smaller host can
 /// only timeshare the workers, so its rows are stamped `"degraded": true`
 /// instead.
@@ -89,6 +91,9 @@ struct Kernel {
     expects_parallelism: bool,
     gate: Gate,
 }
+
+/// Timed trials per measured arm; rows record their median and p10/p90.
+const TRIALS: usize = 5;
 
 const THREADS: bool = true;
 const ALGO: bool = false;
@@ -148,11 +153,11 @@ impl Row {
     }
 
     /// The standard serial-vs-parallel row.
-    fn serial_vs_parallel(name: String, serial_ms: f64, parallel_ms: f64, diff: f64) -> Row {
+    fn serial_vs_parallel(name: String, serial_ms: Timing, parallel_ms: Timing, diff: f64) -> Row {
         let fields = vec![
             ("serial_ms", serial_ms.into()),
             ("parallel_ms", parallel_ms.into()),
-            ("speedup", (serial_ms / parallel_ms).into()),
+            ("speedup", (serial_ms.median / parallel_ms.median).into()),
         ];
         Row::new(name, diff, fields)
     }
@@ -177,6 +182,17 @@ fn report_line(name: &str, fields: Fields) -> JsonValue {
             JsonValue::Number(x) if x.fract() == 0.0 => format!("{k} {x}"),
             JsonValue::Number(x) => format!("{k} {x:.3}"),
             JsonValue::Bool(b) => format!("{k} {b}"),
+            // A `Timing`: "median 1.234 p10 1.100 p90 1.500".
+            JsonValue::Object(parts) => {
+                let parts: Vec<String> = parts
+                    .iter()
+                    .map(|(pk, v)| match v {
+                        JsonValue::Number(x) => format!("{pk} {x:.3}"),
+                        other => format!("{pk} {other:?}"),
+                    })
+                    .collect();
+                format!("{k} {}", parts.join(" "))
+            }
             other => format!("{k} {other:?}"),
         })
         .collect();
@@ -284,23 +300,52 @@ fn main() {
     }
 }
 
-/// Best-of-`reps` wall time in milliseconds, plus the last result.
-fn time_best<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let r = f();
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-        out = Some(r);
-    }
-    (best, out.expect("reps >= 1"))
+/// Wall time of repeated trials in milliseconds: the median, which every
+/// derived rate and gate uses, and the p10/p90 spread around it.
+#[derive(Debug, Clone, Copy)]
+struct Timing {
+    median: f64,
+    p10: f64,
+    p90: f64,
 }
 
-/// [`time_best`] in the default (parallel) mode, then forced serial.
-fn time_both_modes<R>(reps: usize, f: impl Fn() -> R) -> ((f64, R), (f64, R)) {
-    let parallel = time_best(reps, &f);
-    let serial = time_best(reps, || dre_parallel::with_serial(&f));
+/// Recorded as `{"median", "p10", "p90"}`.
+impl From<Timing> for JsonValue {
+    fn from(t: Timing) -> JsonValue {
+        JsonValue::object([
+            ("median", t.median.into()),
+            ("p10", t.p10.into()),
+            ("p90", t.p90.into()),
+        ])
+    }
+}
+
+/// Times `trials` runs of `f`, returning their [`Timing`] and the last
+/// result. Quantiles are nearest-rank over the sorted trials, so with
+/// five trials p10/p90 are the fastest and slowest run.
+fn time_trials<R>(trials: usize, mut f: impl FnMut() -> R) -> (Timing, R) {
+    let mut ms = Vec::with_capacity(trials);
+    let mut out = None;
+    for _ in 0..trials {
+        let t0 = Instant::now();
+        let r = f();
+        ms.push(t0.elapsed().as_secs_f64() * 1e3);
+        out = Some(r);
+    }
+    ms.sort_by(f64::total_cmp);
+    let rank = |q: f64| ms[(q * (ms.len() - 1) as f64).round() as usize];
+    let timing = Timing {
+        median: rank(0.5),
+        p10: rank(0.1),
+        p90: rank(0.9),
+    };
+    (timing, out.expect("trials >= 1"))
+}
+
+/// [`time_trials`] in the default (parallel) mode, then forced serial.
+fn time_both_modes<R>(trials: usize, f: impl Fn() -> R) -> ((Timing, R), (Timing, R)) {
+    let parallel = time_trials(trials, &f);
+    let serial = time_trials(trials, || dre_parallel::with_serial(&f));
     (parallel, serial)
 }
 
@@ -387,9 +432,9 @@ fn matmul(size: Size) -> Row {
     let a = random_matrix(&mut rng, n, n);
     let b = random_matrix(&mut rng, n, n);
     let ((par_ms, par_out), (ser_ms, ser_out)) =
-        time_both_modes(5, || a.matmul(&b).expect("dims agree"));
+        time_both_modes(TRIALS, || a.matmul(&b).expect("dims agree"));
     let diff = max_abs_diff(par_out.as_slice(), ser_out.as_slice());
-    let (seed_ms, seed_out) = time_best(5, || seed_matmul(&a, &b));
+    let (seed_ms, seed_out) = time_trials(TRIALS, || seed_matmul(&a, &b));
     let seed_diff = max_abs_diff(seed_out.as_slice(), ser_out.as_slice());
     let mut row = Row::serial_vs_parallel(format!("matmul_{n}x{n}"), ser_ms, par_ms, diff);
     row.baseline = Some((
@@ -397,7 +442,7 @@ fn matmul(size: Size) -> Row {
         vec![
             ("baseline_ms", seed_ms.into()),
             ("tuned_ms", ser_ms.into()),
-            ("speedup", (seed_ms / ser_ms).into()),
+            ("speedup", (seed_ms.median / ser_ms.median).into()),
             ("max_abs_diff", seed_diff.into()),
         ],
     ));
@@ -427,7 +472,7 @@ fn gibbs_sampler(config: GibbsConfig) -> DpNiwGibbs {
 fn gibbs_sweep_scoring(size: Size) -> Row {
     let (params, config) = gibbs_problem(size);
     let gibbs = gibbs_sampler(config);
-    let ((par_ms, par_fit), (ser_ms, ser_fit)) = time_both_modes(3, || {
+    let ((par_ms, par_fit), (ser_ms, ser_fit)) = time_both_modes(TRIALS, || {
         gibbs
             .fit(&params, &mut seeded_rng(9))
             .expect("fit succeeds")
@@ -463,8 +508,8 @@ fn gibbs_sweep_cached(size: Size) -> Row {
                 .expect("fit succeeds")
         })
     };
-    let (cached_ms, cached_fit) = time_best(3, || fit_serial(&cached));
-    let (exact_ms, exact_fit) = time_best(3, || fit_serial(&exact));
+    let (cached_ms, cached_fit) = time_trials(TRIALS, || fit_serial(&cached));
+    let (exact_ms, exact_fit) = time_trials(TRIALS, || fit_serial(&exact));
     let structural = mismatches(&cached_fit.assignments, &exact_fit.assignments)
         + mismatches(&cached_fit.cluster_trace, &exact_fit.cluster_trace)
         + mismatches(&cached_fit.alpha_trace, &exact_fit.alpha_trace);
@@ -475,7 +520,7 @@ fn gibbs_sweep_cached(size: Size) -> Row {
     let fields = vec![
         ("recompute_ms", exact_ms.into()),
         ("cached_ms", cached_ms.into()),
-        ("speedup", (exact_ms / cached_ms).into()),
+        ("speedup", (exact_ms.median / cached_ms.median).into()),
         ("cache_hit_rate", cached_fit.cache_stats.hit_rate().into()),
     ];
     Row::new(
@@ -498,14 +543,14 @@ fn chol_rank1_update(size: Size) -> Row {
     let vs: Vec<Vec<f64>> = (0..updates)
         .map(|_| (0..d).map(|_| rng.gen_range(-1.0..1.0)).collect())
         .collect();
-    let (rank1_ms, rank1_chol) = time_best(5, || {
+    let (rank1_ms, rank1_chol) = time_trials(TRIALS, || {
         let mut chol = Cholesky::new(&spd).expect("spd");
         for v in &vs {
             chol.rank1_update(v).expect("update succeeds");
         }
         chol
     });
-    let (refac_ms, refac_chol) = time_best(5, || {
+    let (refac_ms, refac_chol) = time_trials(TRIALS, || {
         let mut acc = spd.clone();
         let mut chol = Cholesky::new(&acc).expect("spd");
         for v in &vs {
@@ -526,7 +571,7 @@ fn chol_rank1_update(size: Size) -> Row {
     let fields = vec![
         ("refactorize_ms", refac_ms.into()),
         ("rank1_ms", rank1_ms.into()),
-        ("speedup", (refac_ms / rank1_ms).into()),
+        ("speedup", (refac_ms.median / rank1_ms.median).into()),
     ];
     Row::new(format!("chol_rank1_update_d{d}"), diff, fields)
 }
@@ -542,7 +587,7 @@ fn em_estep_variational(size: Size) -> Row {
         ..VariationalConfig::default()
     })
     .expect("valid config");
-    let ((par_ms, par_vb), (ser_ms, ser_vb)) = time_both_modes(3, || {
+    let ((par_ms, par_vb), (ser_ms, ser_vb)) = time_both_modes(TRIALS, || {
         vb.fit(&data, &mut seeded_rng(9)).expect("fit succeeds")
     });
     let diff = max_abs_diff(&par_vb.objective_trace, &ser_vb.objective_trace)
@@ -565,7 +610,7 @@ fn dual_evaluation(size: Size) -> Row {
     let obj = WassersteinDualObjective::new(&xs, &ys, LogisticLoss, ball).expect("valid dataset");
     let packed: Vec<f64> = (0..d + 2).map(|i| 0.1 * i as f64).collect();
     let model = LinearModel::from_packed(&packed[..d + 1]);
-    let ((par_ms, (pv, pg, pr)), (ser_ms, (sv, sg, sr))) = time_both_modes(5, || {
+    let ((par_ms, (pv, pg, pr)), (ser_ms, (sv, sg, sr))) = time_both_modes(TRIALS, || {
         let (v, g) = obj.value_and_gradient(&packed);
         (v, g, obj.exact_robust_risk(&model))
     });
@@ -668,15 +713,15 @@ fn serve_loopback_rps(size: Size) -> Row {
     let server = serve(clients, &prior);
     let requests = size.pick(64, 512);
     let fleet = |clients| fetch_fleet(server.addr(), clients, requests, false, &expected);
-    let (one_ms, bad_one) = time_best(3, || fleet(1));
-    let (fleet_ms, bad_fleet) = time_best(3, || fleet(clients));
+    let (one_ms, bad_one) = time_trials(TRIALS, || fleet(1));
+    let (fleet_ms, bad_fleet) = time_trials(TRIALS, || fleet(clients));
     let fields = vec![
         ("one_client_ms", one_ms.into()),
         ("fleet_ms", fleet_ms.into()),
-        ("speedup", (one_ms / fleet_ms).into()),
+        ("speedup", (one_ms.median / fleet_ms.median).into()),
         ("requests", requests.into()),
-        ("rps_one_client", per_sec(requests, one_ms)),
-        ("rps_fleet", per_sec(requests, fleet_ms)),
+        ("rps_one_client", per_sec(requests, one_ms.median)),
+        ("rps_fleet", per_sec(requests, fleet_ms.median)),
     ];
     let diff = (bad_one + bad_fleet) as f64;
     Row::new(format!("serve_loopback_rps_c{clients}"), diff, fields)
@@ -696,19 +741,19 @@ fn serve_loopback_rps_keepalive(size: Size) -> Row {
     let server = serve(clients, &prior);
     let requests = size.pick(64, 512);
     let fleet = |keep_alive| fetch_fleet(server.addr(), clients, requests, keep_alive, &expected);
-    let (fresh_ms, bad_fresh) = time_best(3, || fleet(false));
-    let (keepalive_ms, bad_keepalive) = time_best(3, || fleet(true));
+    let (fresh_ms, bad_fresh) = time_trials(TRIALS, || fleet(false));
+    let (keepalive_ms, bad_keepalive) = time_trials(TRIALS, || fleet(true));
     let fields = vec![
         ("fresh_ms", fresh_ms.into()),
         ("keepalive_ms", keepalive_ms.into()),
-        ("speedup", (fresh_ms / keepalive_ms).into()),
+        ("speedup", (fresh_ms.median / keepalive_ms.median).into()),
         ("requests", requests.into()),
         ("clients", clients.into()),
         // Single-core numbers are self-describing: this is the host's
         // thread count, not the fleet size.
         ("threads", dre_parallel::max_threads().into()),
-        ("rps_fresh", per_sec(requests, fresh_ms)),
-        ("rps_keepalive", per_sec(requests, keepalive_ms)),
+        ("rps_fresh", per_sec(requests, fresh_ms.median)),
+        ("rps_keepalive", per_sec(requests, keepalive_ms.median)),
     ];
     let diff = (bad_fresh + bad_keepalive + cache_faults(&server, &expected)) as f64;
     Row::new("serve_loopback_rps_keepalive".to_string(), diff, fields)
@@ -733,20 +778,20 @@ fn serve_loopback_rps_multicore(size: Size) -> Row {
     };
 
     let single = serve(1, &prior);
-    let (single_ms, bad_single) = time_best(3, || fleet(&single, true));
+    let (single_ms, bad_single) = time_trials(TRIALS, || fleet(&single, true));
     let mut bad = bad_single + cache_faults(&single, &expected);
     drop(single);
 
     let percore = serve(workers, &prior);
-    let (fresh_ms, bad_fresh) = time_best(3, || fleet(&percore, false));
-    let (percore_ms, bad_percore) = time_best(3, || fleet(&percore, true));
+    let (fresh_ms, bad_fresh) = time_trials(TRIALS, || fleet(&percore, false));
+    let (percore_ms, bad_percore) = time_trials(TRIALS, || fleet(&percore, true));
     bad += bad_fresh + bad_percore + cache_faults(&percore, &expected);
 
     let mut fields = vec![
         ("fresh_ms", fresh_ms.into()),
         ("single_worker_ms", single_ms.into()),
         ("percore_ms", percore_ms.into()),
-        ("speedup", (single_ms / percore_ms).into()),
+        ("speedup", (single_ms.median / percore_ms.median).into()),
         ("requests", requests.into()),
         ("clients", clients.into()),
         // Provenance: `threads` is the server worker threads the per-core
@@ -757,9 +802,9 @@ fn serve_loopback_rps_multicore(size: Size) -> Row {
     ];
     fields.extend(host_fields());
     fields.extend([
-        ("rps_fresh", per_sec(requests, fresh_ms)),
-        ("rps_single_worker", per_sec(requests, single_ms)),
-        ("rps_percore", per_sec(requests, percore_ms)),
+        ("rps_fresh", per_sec(requests, fresh_ms.median)),
+        ("rps_single_worker", per_sec(requests, single_ms.median)),
+        ("rps_percore", per_sec(requests, percore_ms.median)),
     ]);
     Row::new(
         "serve_loopback_rps_multicore".to_string(),
@@ -781,7 +826,7 @@ fn serve_sharded_rps(size: Size) -> Row {
     let tasks: Vec<u64> = (1..=8).collect();
     let requests = size.pick(128, 4096);
     let per = requests / tasks.len();
-    let run_plane = |shards: usize| -> (f64, usize) {
+    let run_plane = |shards: usize| -> (Timing, usize) {
         let mut plane = ShardedPriorPlane::bind(ShardPlaneConfig {
             shards,
             replication: 2.min(shards),
@@ -809,7 +854,7 @@ fn serve_sharded_rps(size: Size) -> Row {
                 .count();
             corrupted + client.metrics().retries as usize
         };
-        let (ms, bad) = time_best(3, || {
+        let (ms, bad) = time_trials(TRIALS, || {
             std::thread::scope(|s| {
                 let handles: Vec<_> = tasks
                     .iter()
@@ -832,7 +877,7 @@ fn serve_sharded_rps(size: Size) -> Row {
     let mut fields = vec![
         ("one_shard_ms", one_ms.into()),
         ("four_shard_ms", four_ms.into()),
-        ("speedup", (one_ms / four_ms).into()),
+        ("speedup", (one_ms.median / four_ms.median).into()),
         ("requests", requests.into()),
         ("clients", tasks.len().into()),
         ("shards", 4usize.into()),
@@ -843,8 +888,8 @@ fn serve_sharded_rps(size: Size) -> Row {
     ];
     fields.extend(host_fields());
     fields.extend([
-        ("rps_one_shard", per_sec(requests, one_ms)),
-        ("rps_four_shards", per_sec(requests, four_ms)),
+        ("rps_one_shard", per_sec(requests, one_ms.median)),
+        ("rps_four_shards", per_sec(requests, four_ms.median)),
     ]);
     let diff = (bad_one + bad_four) as f64;
     Row::new("serve_sharded_rps".to_string(), diff, fields)
@@ -864,15 +909,15 @@ fn edge_runtime_degraded_rps(size: Size) -> Row {
         let mut fleet = spawn_degraded_fleet(&sc, fault_rate, 1);
         run_degraded_rounds(&sc, &mut fleet, rounds)
     };
-    let (healthy_ms, healthy) = time_best(2, || run(0.0));
-    let (degraded_ms, degraded) = time_best(2, || run(0.6));
+    let (healthy_ms, healthy) = time_trials(TRIALS, || run(0.0));
+    let (degraded_ms, degraded) = time_trials(TRIALS, || run(0.6));
     let fits = devices * rounds;
     let fields = vec![
         ("healthy_ms", healthy_ms.into()),
         ("degraded_ms", degraded_ms.into()),
         ("fits", fits.into()),
-        ("fits_per_sec_healthy", per_sec(fits, healthy_ms)),
-        ("fits_per_sec_degraded", per_sec(fits, degraded_ms)),
+        ("fits_per_sec_healthy", per_sec(fits, healthy_ms.median)),
+        ("fits_per_sec_degraded", per_sec(fits, degraded_ms.median)),
     ];
     let diff = (readings_below_floor(&healthy) + readings_below_floor(&degraded)) as f64;
     Row::new("edge_runtime_degraded_rps".to_string(), diff, fields)
@@ -942,7 +987,7 @@ impl SirProblem {
 /// partition mismatch counts whole units.
 fn learner_refresh_reports_per_sec(size: Size) -> Row {
     let problem = SirProblem::new(size);
-    let (ms, prior) = time_best(3, || dre_parallel::with_serial(|| problem.refresh()));
+    let (ms, prior) = time_trials(TRIALS, || dre_parallel::with_serial(|| problem.refresh()));
     let gibbs = DpNiwGibbs::new(
         problem.base.clone(),
         GibbsConfig {
@@ -992,7 +1037,7 @@ fn learner_refresh_reports_per_sec(size: Size) -> Row {
         ("serial_ms", ms.into()),
         ("reports", reports.into()),
         ("particles", problem.config.num_particles.into()),
-        ("reports_per_sec_serial", per_sec(reports, ms)),
+        ("reports_per_sec_serial", per_sec(reports, ms.median)),
         ("refit_divergence", divergence.into()),
     ];
     Row::new(
@@ -1022,8 +1067,8 @@ fn flatten(prior: &MixturePrior) -> Vec<f64> {
 /// bare refresh is the price of robustness, gated below 10%.
 fn report_admission_reports_per_sec(size: Size) -> Row {
     let problem = SirProblem::new(size);
-    let (refresh_ms, bare) = time_best(3, || problem.refresh());
-    let (adm_ms, (admitted, gated)) = time_best(3, || {
+    let (refresh_ms, bare) = time_trials(TRIALS, || problem.refresh());
+    let (adm_ms, (admitted, gated)) = time_trials(TRIALS, || {
         let mut filter = problem.filter();
         // A wide margin keeps the two alternating honest clusters inside
         // the gate even while the rolling window is still short.
@@ -1053,10 +1098,13 @@ fn report_admission_reports_per_sec(size: Size) -> Row {
     let fields = vec![
         ("refresh_ms", refresh_ms.into()),
         ("admitted_ms", adm_ms.into()),
-        ("overhead_fraction", (adm_ms / refresh_ms - 1.0).into()),
+        (
+            "overhead_fraction",
+            (adm_ms.median / refresh_ms.median - 1.0).into(),
+        ),
         ("reports", reports.into()),
         ("reports_gated", gated.into()),
-        ("reports_per_sec", per_sec(reports, adm_ms)),
+        ("reports_per_sec", per_sec(reports, adm_ms.median)),
     ];
     let diff = (prior_mismatches + gated) as f64;
     Row::new("report_admission_reports_per_sec".to_string(), diff, fields)
@@ -1092,7 +1140,7 @@ fn edgesim_events_per_sec(size: Size) -> Row {
             },
         });
     }
-    let (ms, report) = time_best(3, || fleet.run());
+    let (ms, report) = time_trials(TRIALS, || fleet.run());
     let rerun = fleet.run();
     let diff = f64::from(rerun != report)
         + f64::from(report.messages_dropped != 0)
@@ -1102,7 +1150,7 @@ fn edgesim_events_per_sec(size: Size) -> Row {
         ("run_ms", ms.into()),
         ("devices", devices.into()),
         ("events_executed", events.into()),
-        ("events_per_sec", per_sec(events, ms)),
+        ("events_per_sec", per_sec(events, ms.median)),
     ];
     fields.extend(host_fields());
     Row::new("edgesim_events_per_sec".to_string(), diff, fields)

@@ -3,7 +3,7 @@
 use dre_bayes::MixturePrior;
 use dre_data::Dataset;
 use dre_models::{LinearModel, LogisticLoss};
-use dre_optim::{Lbfgs, StopCriteria};
+use dre_optim::{Lbfgs, LbfgsHistory, StopCriteria};
 use dre_robust::{WassersteinBall, WassersteinDualObjective};
 
 use crate::{DroDpObjective, EdgeError, EdgeLearnerConfig, Result};
@@ -50,7 +50,7 @@ impl EdgeFitReport {
 ///    transferred prior;
 /// 2. **M-step** — minimize the convex surrogate
 ///    `smoothed-dual(w, b, s) + (ρ/n)·q_r(w, b)` with L-BFGS, warm-started
-///    at `θ_t`.
+///    at `θ_t` and at the previous round's curvature pairs.
 ///
 /// Because `q_r` majorizes `−log π` tightly at `θ_t`, each round can only
 /// decrease the exact objective (up to the dual smoothing gap).
@@ -92,10 +92,18 @@ impl EdgeLearner {
         let ball = WassersteinBall::new(self.config.epsilon, self.config.kappa)?;
         let dual =
             WassersteinDualObjective::new(data.features(), data.labels(), LogisticLoss, ball)?;
-        let model = LinearModel::from_packed(packed_model);
-        let robust = dual.exact_robust_risk(&model);
-        let n = data.len() as f64;
-        Ok(robust - self.config.rho / n * self.prior.log_pdf(packed_model))
+        Ok(self.objective_with(&dual, data.len(), packed_model))
+    }
+
+    /// [`Self::exact_objective`] over an already-built dual of `n` samples.
+    fn objective_with(
+        &self,
+        dual: &WassersteinDualObjective<'_, LogisticLoss>,
+        n: usize,
+        packed_model: &[f64],
+    ) -> f64 {
+        let robust = dual.exact_robust_risk(&LinearModel::from_packed(packed_model));
+        robust - self.config.rho / n as f64 * self.prior.log_pdf(packed_model)
     }
 
     /// Fits the edge model on the local dataset.
@@ -208,8 +216,15 @@ impl EdgeLearner {
     ) -> Result<(Vec<f64>, Vec<f64>, usize)> {
         let n = data.len() as f64;
         let prior_scale = self.config.rho / n;
+        let solver = Lbfgs::new(StopCriteria {
+            max_iters: self.config.solver_iters,
+            ..StopCriteria::default()
+        });
+        // Successive M-steps differ only in the E-step quadratic, so the
+        // curvature pairs of one round still describe the next one's dual.
+        let mut history = LbfgsHistory::default();
         let mut theta = theta0;
-        let mut trace = vec![self.exact_objective(data, &theta)?];
+        let mut trace = vec![self.objective_with(dual, data.len(), &theta)];
         let mut packed = dual.initial_point(&LinearModel::from_packed(&theta));
         let mut rounds = 0;
 
@@ -220,15 +235,11 @@ impl EdgeLearner {
             let surrogate = self.prior.em_surrogate(&resp)?;
             // M-step: warm-start from the previous packed iterate.
             let objective = DroDpObjective::new(dual, &surrogate, prior_scale);
-            let report = Lbfgs::new(StopCriteria {
-                max_iters: self.config.solver_iters,
-                ..StopCriteria::default()
-            })
-            .minimize(&objective, &packed)?;
+            let report = solver.minimize_warm(&objective, &packed, &mut history)?;
             packed = report.x;
             theta = packed[..packed.len() - 1].to_vec();
 
-            let objective_now = self.exact_objective(data, &theta)?;
+            let objective_now = self.objective_with(dual, data.len(), &theta);
             let improved = trace.last().expect("nonempty") - objective_now;
             trace.push(objective_now);
             if improved.abs() < self.config.em_tol {

@@ -53,7 +53,7 @@ impl Lbfgs {
         Ok(self)
     }
 
-    /// Minimizes `obj` from `x0`.
+    /// Minimizes `obj` from `x0`, starting from an empty curvature history.
     ///
     /// # Errors
     ///
@@ -62,11 +62,46 @@ impl Lbfgs {
     /// * [`OptimError::LineSearchFailed`] when neither the Wolfe search nor
     ///   a backtracking fallback finds a descent step.
     pub fn minimize<O: Objective + ?Sized>(&self, obj: &O, x0: &[f64]) -> Result<OptimReport> {
+        self.minimize_warm(obj, x0, &mut LbfgsHistory::default())
+    }
+
+    /// Minimizes `obj` from `x0`, seeding the inverse-Hessian estimate with
+    /// the curvature pairs in `history` and leaving the run's newest pairs
+    /// there for the next call.
+    ///
+    /// Worth it for a sequence of objectives whose curvature barely moves
+    /// between calls, such as the M-steps of an EM chain whose E-step only
+    /// reweights a quadratic term. With an empty history this is exactly
+    /// [`Lbfgs::minimize`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Lbfgs::minimize`]; additionally
+    /// [`OptimError::DimensionMismatch`] when `history` holds pairs of
+    /// another dimension.
+    pub fn minimize_warm<O: Objective + ?Sized>(
+        &self,
+        obj: &O,
+        x0: &[f64],
+        history: &mut LbfgsHistory,
+    ) -> Result<OptimReport> {
         if x0.len() != obj.dim() {
             return Err(OptimError::DimensionMismatch {
                 expected: obj.dim(),
                 got: x0.len(),
             });
+        }
+        if let Some((s, _, _)) = history.pairs.front() {
+            if s.len() != obj.dim() {
+                return Err(OptimError::DimensionMismatch {
+                    expected: obj.dim(),
+                    got: s.len(),
+                });
+            }
+        }
+        let pairs = &mut history.pairs;
+        while pairs.len() > self.memory {
+            pairs.pop_front();
         }
         let mut x = x0.to_vec();
         let (mut fx, mut g) = obj.value_and_gradient(&x);
@@ -74,8 +109,6 @@ impl Lbfgs {
             return Err(OptimError::NonFiniteObjective { iteration: 0 });
         }
         let mut trace = vec![fx];
-        // (s, y, ρ) curvature pairs, newest at the back.
-        let mut pairs: VecDeque<(Vec<f64>, Vec<f64>, f64)> = VecDeque::new();
         let mut converged = false;
         let mut iterations = 0;
 
@@ -166,6 +199,13 @@ impl Lbfgs {
             trace,
         })
     }
+}
+
+/// The curvature pairs `(s, y, 1/sᵀy)` an L-BFGS run accumulates, newest
+/// at the back; carried between [`Lbfgs::minimize_warm`] calls.
+#[derive(Debug, Clone, Default)]
+pub struct LbfgsHistory {
+    pairs: VecDeque<(Vec<f64>, Vec<f64>, f64)>,
 }
 
 #[cfg(test)]
@@ -427,6 +467,72 @@ mod tests {
             .minimize(&obj, &[-1.2, 1.0])
             .unwrap();
         assert_eq!(report_bits(&r), owned(ROSENBROCK_GOLDEN));
+    }
+
+    #[test]
+    fn warm_start_from_an_empty_history_is_bit_identical_to_the_goldens() {
+        let a = Matrix::from_rows(&[&[5.0, 1.0, 0.0], &[1.0, 4.0, 0.5], &[0.0, 0.5, 3.0]])
+            .unwrap();
+        let q = QuadraticObjective::new(a, vec![1.0, -2.0, 0.5], 2.0);
+        let mut history = LbfgsHistory::default();
+        let r = Lbfgs::new(StopCriteria::default())
+            .minimize_warm(&q, &[10.0, 10.0, 10.0], &mut history)
+            .unwrap();
+        assert_eq!(report_bits(&r), owned(QUADRATIC_GOLDEN));
+
+        let obj = FnObjective::new(2, |x: &[f64]| {
+            let (a, b) = (1.0 - x[0], x[1] - x[0] * x[0]);
+            (
+                a * a + 100.0 * b * b,
+                vec![-2.0 * a - 400.0 * x[0] * b, 200.0 * b],
+            )
+        });
+        let mut history = LbfgsHistory::default();
+        let r = Lbfgs::new(StopCriteria::with_max_iters(300))
+            .minimize_warm(&obj, &[-1.2, 1.0], &mut history)
+            .unwrap();
+        assert_eq!(report_bits(&r), owned(ROSENBROCK_GOLDEN));
+    }
+
+    #[test]
+    fn warm_history_saves_evaluations_on_a_shifted_objective() {
+        // Same ill-conditioned Hessian, new linear term, as between two EM
+        // rounds: the pairs a few iterations of the first solve collect
+        // describe the second one's curvature.
+        let a = Matrix::from_diag(&[1.0, 3.0, 10.0, 30.0, 100.0, 300.0]);
+        let first = QuadraticObjective::new(a.clone(), vec![1.0; 6], 0.0);
+        let second = QuadraticObjective::new(a, vec![-2.0, 0.5, 3.0, -1.0, 2.0, -4.0], 0.0);
+        let mut history = LbfgsHistory::default();
+        let r1 = Lbfgs::new(StopCriteria::with_max_iters(8))
+            .minimize_warm(&first, &[0.0; 6], &mut history)
+            .unwrap();
+
+        let solver = Lbfgs::new(StopCriteria::default());
+        let cold = Counting::new(second.clone());
+        let warm = Counting::new(second);
+        let rc = solver.minimize(&cold, &r1.x).unwrap();
+        let rw = solver.minimize_warm(&warm, &r1.x, &mut history).unwrap();
+        assert!(rc.converged && rw.converged);
+        assert!((rc.value - rw.value).abs() < 1e-9);
+        assert!(
+            warm.counts().0 < cold.counts().0,
+            "warm {:?} vs cold {:?} evaluations",
+            warm.counts(),
+            cold.counts()
+        );
+    }
+
+    #[test]
+    fn warm_history_of_another_dimension_is_rejected() {
+        let solver = Lbfgs::new(StopCriteria::default());
+        let mut history = LbfgsHistory::default();
+        let q2 = QuadraticObjective::new(Matrix::from_diag(&[1.0, 2.0]), vec![1.0, 1.0], 0.0);
+        solver.minimize_warm(&q2, &[3.0, 3.0], &mut history).unwrap();
+        let q3 = QuadraticObjective::new(Matrix::identity(3), vec![1.0; 3], 0.0);
+        assert!(matches!(
+            solver.minimize_warm(&q3, &[0.0; 3], &mut history),
+            Err(OptimError::DimensionMismatch { expected: 3, got: 2 })
+        ));
     }
 
     type Golden = (&'static [u64], u64, u64, &'static [u64], usize, bool);

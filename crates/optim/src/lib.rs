@@ -41,7 +41,7 @@ mod report;
 
 pub use error::OptimError;
 pub use gd::GradientDescent;
-pub use lbfgs::Lbfgs;
+pub use lbfgs::{Lbfgs, LbfgsHistory};
 pub use line_search::{backtracking, strong_wolfe, LineSearchResult, WolfeStep};
 pub use objective::{numerical_gradient, FnObjective, Objective, QuadraticObjective};
 pub use report::{OptimReport, StopCriteria};

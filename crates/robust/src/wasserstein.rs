@@ -41,6 +41,31 @@ fn sigmoid(s: f64) -> f64 {
     }
 }
 
+/// `e^{−x}` is exactly `0.0` in `f64` for every `x > 746`, so past this
+/// branch gap the soft-max equals the larger branch bit for bit.
+const SATURATED_GAP: f64 = 746.0;
+
+/// Temperature-`τ` soft-max of two branches, `τ·ln(e^{a/τ} + e^{c/τ})`,
+/// with the weights `(p_a, p_c)` it puts on each (its partial derivatives).
+///
+/// Evaluated as `max(a, c) + τ·ln_1p(e)` with `e = exp(−|a − c|/τ)`: one
+/// `exp` and one `ln_1p`, and neither once the gap saturates.
+fn soft_max2(a: f64, c: f64, tau: f64) -> (f64, f64, f64) {
+    let gap = (a - c).abs() / tau;
+    let (top, top_weight, low_weight) = if gap > SATURATED_GAP {
+        (a.max(c), 1.0, 0.0)
+    } else {
+        let e = (-gap).exp();
+        let q = 1.0 / (1.0 + e);
+        (a.max(c) + tau * e.ln_1p(), q, e * q)
+    };
+    if c > a {
+        (top, low_weight, top_weight)
+    } else {
+        (top, top_weight, low_weight)
+    }
+}
+
 fn validate(xs: &[Vec<f64>], ys: &[f64]) -> Result<usize> {
     if xs.is_empty() || xs.len() != ys.len() {
         return Err(RobustError::InvalidDataset {
@@ -156,20 +181,26 @@ impl<'a, L: MarginLoss> WassersteinDualObjective<'a, L> {
         l * norm + softplus(s)
     }
 
-    /// The exact (un-smoothed) dual robust risk of a fixed model, computed
-    /// by minimizing the convex 1-D dual over `γ ∈ [L‖w‖, γ_hi]` with
-    /// golden-section search.
+    /// The exact (un-smoothed) dual robust risk of a fixed model: the
+    /// minimum of the convex 1-D dual over `γ ≥ L‖w‖`, in closed form.
     ///
     /// By strong duality this equals `sup_{Q ∈ B_ε(P̂)} E_Q[ℓ(model)]` — a
     /// certificate on out-of-sample loss under any distribution in the
     /// ball.
+    ///
+    /// `g(γ) = γε + (1/n) Σᵢ max(ownᵢ, flipᵢ − γκ)` is piecewise linear
+    /// with slope `ε − (κ/n)·#{i : gapᵢ > γ}`, where
+    /// `gapᵢ = (flipᵢ − ownᵢ)/κ`. The slope first turns non-negative once
+    /// at most `k = ⌊nε/κ⌋` gaps lie above `γ`, i.e. at the `(k+1)`-th
+    /// largest gap, so the constrained minimizer is the larger of that gap
+    /// and `γ_lo = L‖w‖` (or `γ_lo` itself when `k ≥ n`). One selection and
+    /// one sum replace a line search over `γ`.
     pub fn exact_robust_risk(&self, model: &LinearModel) -> f64 {
-        let n = self.xs.len() as f64;
-        // Per-sample losses at the margin and at its label flip, computed
-        // once per call: every golden-section probe below reuses them. Both
-        // the map and the per-γ dual sums use the deterministic parallel
-        // primitives (the sums with fixed-order chunked reduction).
-        let losses: Vec<(f64, f64)> = dre_parallel::par_map_indexed(self.xs.len(), |i| {
+        let n = self.xs.len();
+        // Per-sample losses at the margin and at its label flip, from the
+        // fused loss kernel; the sum below uses the fixed-order chunked
+        // reduction, so the certificate is the same on any thread count.
+        let mut losses: Vec<(f64, f64)> = dre_parallel::par_map_indexed(n, |i| {
             let (own, flipped, _, _) = self
                 .loss
                 .eval_both_signs(model.margin(&self.xs[i], self.ys[i]));
@@ -181,60 +212,27 @@ impl<'a, L: MarginLoss> WassersteinDualObjective<'a, L> {
 
         if kappa.is_infinite() {
             // Flip branch never active: optimum at the constraint floor.
-            let erm = dre_parallel::par_sum_indexed(losses.len(), |i| losses[i].0) / n;
+            let erm = dre_parallel::par_sum_indexed(n, |i| losses[i].0) / n as f64;
             return gamma_lo * eps + erm;
         }
 
-        let g = |gamma: f64| -> f64 {
-            let total = dre_parallel::par_sum_indexed(losses.len(), |i| {
-                let (own, flipped) = losses[i];
-                own.max(flipped - gamma * kappa)
-            });
-            gamma * eps + total / n
-        };
-
-        // Beyond γ_hi every flip branch is inactive and g is affine
-        // increasing, so the minimum lies in [γ_lo, γ_hi].
-        let max_gap = losses
-            .iter()
-            .map(|&(own, flipped)| flipped - own)
-            .fold(0.0f64, f64::max);
-        let gamma_hi = gamma_lo + (max_gap / kappa).max(0.0) + 1e-9;
-
-        golden_section_min(g, gamma_lo, gamma_hi, 1e-10)
-    }
-}
-
-/// Golden-section minimization of a unimodal function on `[lo, hi]`;
-/// returns the minimum *value*.
-fn golden_section_min<F: Fn(f64) -> f64>(f: F, mut lo: f64, mut hi: f64, tol: f64) -> f64 {
-    const INV_PHI: f64 = 0.618_033_988_749_894_8;
-    if hi - lo < tol {
-        return f(0.5 * (lo + hi));
-    }
-    let mut x1 = hi - INV_PHI * (hi - lo);
-    let mut x2 = lo + INV_PHI * (hi - lo);
-    let mut f1 = f(x1);
-    let mut f2 = f(x2);
-    for _ in 0..200 {
-        if hi - lo < tol {
-            break;
-        }
-        if f1 <= f2 {
-            hi = x2;
-            x2 = x1;
-            f2 = f1;
-            x1 = hi - INV_PHI * (hi - lo);
-            f1 = f(x1);
+        let k = (n as f64 * eps / kappa).floor();
+        let gamma = if k >= n as f64 {
+            gamma_lo
         } else {
-            lo = x1;
-            x1 = x2;
-            f1 = f2;
-            x2 = lo + INV_PHI * (hi - lo);
-            f2 = f(x2);
-        }
+            // Reorders `losses` so entry k holds the (k+1)-th largest gap;
+            // the reordering is deterministic, so the sum below is too.
+            let gap = |&(own, flipped): &(f64, f64)| (flipped - own) / kappa;
+            let (_, kth, _) =
+                losses.select_nth_unstable_by(k as usize, |a, b| gap(b).total_cmp(&gap(a)));
+            gap(kth).max(gamma_lo)
+        };
+        let total = dre_parallel::par_sum_indexed(n, |i| {
+            let (own, flipped) = losses[i];
+            own.max(flipped - gamma * kappa)
+        });
+        gamma * eps + total / n as f64
     }
-    f1.min(f2).min(f(lo)).min(f(hi))
 }
 
 impl<L: MarginLoss> Objective for WassersteinDualObjective<'_, L> {
@@ -265,73 +263,62 @@ impl<L: MarginLoss> Objective for WassersteinDualObjective<'_, L> {
             + self.smoothing.delta * self.smoothing.delta)
             .sqrt();
         let gamma = l * norm + softplus(s);
-        // ∂γ/∂w = L·w/norm, ∂γ/∂s = σ(s).
-        let dgamma_ds = sigmoid(s);
+        let gamma_kappa = gamma * kappa;
 
-        let mut value = gamma * eps;
-        let mut grad = vec![0.0; packed.len()];
-        // ε·∂γ contributions.
-        for i in 0..d {
-            grad[i] += eps * l * w[i] / norm;
-        }
-        grad[d + 1] += eps * dgamma_ds;
-
-        // Per-sample dual terms: fixed-size chunks with one (value, grad)
-        // accumulator each, merged in chunk order so the summation tree is
-        // identical whether the chunks run serially or across threads.
+        // Per-sample dual terms: fixed-size chunks, each accumulating
+        // (Σ smaxᵢ, Σ ∂smaxᵢ/∂m · y·[x, 1], Σ p_flipᵢ), merged in chunk
+        // order so the summation tree is identical whether the chunks run
+        // serially or across threads. Slot d + 1 of the gradient stays zero
+        // until the γ chain below fills it.
         let partials = dre_parallel::par_fold_chunks(
             self.xs.len(),
-            || (0.0f64, vec![0.0f64; packed.len()]),
-            |mut acc: (f64, Vec<f64>), idx: usize| {
+            || (0.0f64, vec![0.0f64; packed.len()], 0.0f64),
+            |mut acc: (f64, Vec<f64>, f64), idx: usize| {
                 let x = &self.xs[idx];
                 let y = self.ys[idx];
-                let (pv, pg) = (&mut acc.0, &mut acc.1);
                 let m = y * (dre_linalg::vector::dot(w, x) + b);
                 // ℓ(±m) and ℓ'(±m) from one fused evaluation.
                 let (a, flipped, d_own, d_flipped) = self.loss.eval_both_signs(m);
-                if kappa.is_infinite() {
-                    *pv += a / n;
-                    let coeff = d_own * y / n;
-                    let (gw, gtail) = pg.split_at_mut(d);
-                    dre_linalg::vector::axpy(coeff, x, gw);
-                    gtail[0] += coeff;
-                    return acc;
-                }
-                let c = flipped - gamma * kappa;
-                // Soft-max over the two branches at temperature τ.
-                let mx = a.max(c);
-                let ea = ((a - mx) / tau).exp();
-                let ec = ((c - mx) / tau).exp();
-                let z = ea + ec;
-                let smax = mx + tau * (z).ln();
-                let pa = ea / z;
-                let pc = ec / z;
-                *pv += smax / n;
-
-                let da = d_own * y;
-                let dc = -d_flipped * y;
-                let coeff = (pa * da + pc * dc) / n;
-                {
-                    let (gw, gtail) = pg.split_at_mut(d);
-                    dre_linalg::vector::axpy(coeff, x, gw);
-                    gtail[0] += coeff;
-                }
-                // The flip branch carries −γκ: chain through γ(w, s).
-                let dgamma_coeff = -pc * kappa / n;
-                for i in 0..d {
-                    pg[i] += dgamma_coeff * l * w[i] / norm;
-                }
-                pg[d + 1] += dgamma_coeff * dgamma_ds;
+                let (smax, p_own, p_flip) = if kappa.is_infinite() {
+                    (a, 1.0, 0.0)
+                } else {
+                    soft_max2(a, flipped - gamma_kappa, tau)
+                };
+                acc.0 += smax;
+                acc.2 += p_flip;
+                let coeff = y * (p_own * d_own - p_flip * d_flipped);
+                let (gw, gtail) = acc.1.split_at_mut(d);
+                dre_linalg::vector::axpy(coeff, x, gw);
+                gtail[0] += coeff;
                 acc
             },
         );
-        for (pv, pg) in partials {
-            value += pv;
+        let mut partials = partials.into_iter();
+        let (mut total, mut grad, mut flip_mass) =
+            partials.next().expect("the dataset is nonempty");
+        for (pv, pg, pf) in partials {
+            total += pv;
+            flip_mass += pf;
             for (g, p) in grad.iter_mut().zip(&pg) {
                 *g += p;
             }
         }
-        (value, grad)
+
+        // The flip branch carries −γκ, so γ(w, s) enters with weight
+        // ε − κ·(Σ p_flip)/n; chain it through ∂γ/∂w = L·w/norm and
+        // ∂γ/∂s = σ(s) once per evaluation.
+        let dgamma = if kappa.is_infinite() {
+            eps
+        } else {
+            eps - kappa * flip_mass / n
+        };
+        let chain_w = dgamma * l / norm;
+        for (g, wi) in grad[..d].iter_mut().zip(w) {
+            *g = *g / n + chain_w * wi;
+        }
+        grad[d] /= n;
+        grad[d + 1] = dgamma * sigmoid(s);
+        (gamma * eps + total / n, grad)
     }
 }
 
@@ -340,6 +327,7 @@ mod tests {
     use super::*;
     use dre_models::{ErmObjective, LogisticLoss, SquaredLoss};
     use dre_optim::{numerical_gradient, Lbfgs, StopCriteria};
+    use rand::Rng;
 
     fn toy() -> (Vec<Vec<f64>>, Vec<f64>) {
         (
@@ -353,6 +341,243 @@ mod tests {
             ],
             vec![1.0, 1.0, -1.0, -1.0, 1.0, -1.0],
         )
+    }
+
+    /// The per-sample dual kernel as first written: two `exp` and one `ln`
+    /// per soft-max, the γ chain applied inside every sample's term.
+    fn reference_value_and_gradient<L: MarginLoss>(
+        obj: &WassersteinDualObjective<'_, L>,
+        packed: &[f64],
+    ) -> (f64, Vec<f64>) {
+        let d = obj.d;
+        let (w, rest) = packed.split_at(d);
+        let (b, s) = (rest[0], rest[1]);
+        let n = obj.xs.len() as f64;
+        let eps = obj.ball.radius();
+        let kappa = obj.ball.label_cost();
+        let tau = obj.smoothing.tau;
+        let l = obj.loss.margin_lipschitz();
+        let norm =
+            (dre_linalg::vector::dot(w, w) + obj.smoothing.delta * obj.smoothing.delta).sqrt();
+        let gamma = l * norm + softplus(s);
+        let dgamma_ds = sigmoid(s);
+        let mut value = gamma * eps;
+        let mut grad = vec![0.0; packed.len()];
+        for i in 0..d {
+            grad[i] += eps * l * w[i] / norm;
+        }
+        grad[d + 1] += eps * dgamma_ds;
+        for (x, &y) in obj.xs.iter().zip(obj.ys) {
+            let m = y * (dre_linalg::vector::dot(w, x) + b);
+            let (a, flipped, d_own, d_flipped) = obj.loss.eval_both_signs(m);
+            if kappa.is_infinite() {
+                value += a / n;
+                let coeff = d_own * y / n;
+                dre_linalg::vector::axpy(coeff, x, &mut grad[..d]);
+                grad[d] += coeff;
+                continue;
+            }
+            let c = flipped - gamma * kappa;
+            let mx = a.max(c);
+            let ea = ((a - mx) / tau).exp();
+            let ec = ((c - mx) / tau).exp();
+            let z = ea + ec;
+            value += (mx + tau * z.ln()) / n;
+            let (pa, pc) = (ea / z, ec / z);
+            let coeff = (pa * d_own * y - pc * d_flipped * y) / n;
+            dre_linalg::vector::axpy(coeff, x, &mut grad[..d]);
+            grad[d] += coeff;
+            let dgamma_coeff = -pc * kappa / n;
+            for i in 0..d {
+                grad[i] += dgamma_coeff * l * w[i] / norm;
+            }
+            grad[d + 1] += dgamma_coeff * dgamma_ds;
+        }
+        (value, grad)
+    }
+
+    /// Golden-section minimization of a unimodal function on `[lo, hi]`;
+    /// returns the minimum value. The line search the closed-form
+    /// certificate replaced.
+    fn golden_section_min<F: Fn(f64) -> f64>(f: F, mut lo: f64, mut hi: f64, tol: f64) -> f64 {
+        const INV_PHI: f64 = 0.618_033_988_749_894_8;
+        if hi - lo < tol {
+            return f(0.5 * (lo + hi));
+        }
+        let mut x1 = hi - INV_PHI * (hi - lo);
+        let mut x2 = lo + INV_PHI * (hi - lo);
+        let mut f1 = f(x1);
+        let mut f2 = f(x2);
+        for _ in 0..200 {
+            if hi - lo < tol {
+                break;
+            }
+            if f1 <= f2 {
+                hi = x2;
+                x2 = x1;
+                f2 = f1;
+                x1 = hi - INV_PHI * (hi - lo);
+                f1 = f(x1);
+            } else {
+                lo = x1;
+                x1 = x2;
+                f1 = f2;
+                x2 = lo + INV_PHI * (hi - lo);
+                f2 = f(x2);
+            }
+        }
+        f1.min(f2).min(f(lo)).min(f(hi))
+    }
+
+    /// The certificate as first written: golden-section search of the 1-D
+    /// dual over `[L‖w‖, γ_hi]`.
+    fn reference_exact_robust_risk<L: MarginLoss>(
+        obj: &WassersteinDualObjective<'_, L>,
+        model: &LinearModel,
+    ) -> f64 {
+        let n = obj.xs.len() as f64;
+        let losses: Vec<(f64, f64)> = obj
+            .xs
+            .iter()
+            .zip(obj.ys)
+            .map(|(x, &y)| {
+                let (own, flipped, _, _) = obj.loss.eval_both_signs(model.margin(x, y));
+                (own, flipped)
+            })
+            .collect();
+        let gamma_lo = obj.loss.margin_lipschitz() * model.weight_norm();
+        let (eps, kappa) = (obj.ball.radius(), obj.ball.label_cost());
+        if kappa.is_infinite() {
+            return gamma_lo * eps + losses.iter().map(|l| l.0).sum::<f64>() / n;
+        }
+        let g = |gamma: f64| {
+            gamma * eps
+                + losses
+                    .iter()
+                    .map(|&(own, flipped)| own.max(flipped - gamma * kappa))
+                    .sum::<f64>()
+                    / n
+        };
+        let max_gap = losses
+            .iter()
+            .map(|&(own, flipped)| flipped - own)
+            .fold(0.0f64, f64::max);
+        let gamma_hi = gamma_lo + (max_gap / kappa).max(0.0) + 1e-9;
+        golden_section_min(g, gamma_lo, gamma_hi, 1e-10)
+    }
+
+    /// A random dataset of `n` rows in dimension `d`, with labels ±1.
+    fn random_data(rng: &mut impl rand::Rng, n: usize, d: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
+        let xs = (0..n)
+            .map(|_| (0..d).map(|_| rng.gen_range(-2.0..2.0)).collect())
+            .collect();
+        let ys = (0..n)
+            .map(|_| {
+                if rng.gen_range(0.0..1.0) < 0.5 {
+                    1.0
+                } else {
+                    -1.0
+                }
+            })
+            .collect();
+        (xs, ys)
+    }
+
+    #[test]
+    fn fused_kernel_matches_the_per_sample_reference() {
+        let mut rng = dre_prob::seeded_rng(16);
+        let (mut saturated, mut unsaturated) = (0usize, 0usize);
+        for kappa in [0.25, 1.0, f64::INFINITY] {
+            for tau in [1e-3, 0.05] {
+                for trial in 0..40 {
+                    // Above REDUCE_CHUNK rows half the time, so the chunked
+                    // merge is covered too.
+                    let n = if trial % 2 == 0 { 9 } else { 300 };
+                    let (xs, ys) = random_data(&mut rng, n, 3);
+                    let ball = WassersteinBall::new(rng.gen_range(0.0..0.5), kappa).unwrap();
+                    let obj = WassersteinDualObjective::new(&xs, &ys, LogisticLoss, ball)
+                        .unwrap()
+                        .with_smoothing(Smoothing { tau, delta: 1e-9 });
+                    let scale = [0.1, 1.0, 4.0][trial % 3];
+                    let packed: Vec<f64> =
+                        (0..5).map(|_| scale * rng.gen_range(-1.0..1.0)).collect();
+                    if kappa.is_finite() {
+                        let gamma = obj.unpack(&packed).1;
+                        for (x, &y) in xs.iter().zip(&ys) {
+                            let m = y * (dre_linalg::vector::dot(&packed[..3], x) + packed[3]);
+                            let (a, flipped, _, _) = LogisticLoss.eval_both_signs(m);
+                            if (a - (flipped - gamma * kappa)).abs() / tau > SATURATED_GAP {
+                                saturated += 1;
+                            } else {
+                                unsaturated += 1;
+                            }
+                        }
+                    }
+                    let (v, g) = obj.value_and_gradient(&packed);
+                    let (rv, rg) = reference_value_and_gradient(&obj, &packed);
+                    assert!(
+                        (v - rv).abs() <= 1e-12 * rv.abs(),
+                        "κ={kappa} τ={tau}: value {v} vs reference {rv}"
+                    );
+                    for (gi, ri) in g.iter().zip(&rg) {
+                        assert!(
+                            (gi - ri).abs() <= 1e-10 * ri.abs().max(1.0),
+                            "κ={kappa} τ={tau}: gradient {g:?} vs reference {rg:?}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(
+            saturated > 1000 && unsaturated > 1000,
+            "{saturated} / {unsaturated}"
+        );
+    }
+
+    #[test]
+    fn closed_form_certificate_matches_the_golden_section_search() {
+        let mut rng = dre_prob::seeded_rng(17);
+        let check = |obj: &WassersteinDualObjective<'_, LogisticLoss>, model: &LinearModel| {
+            let closed = obj.exact_robust_risk(model);
+            let searched = reference_exact_robust_risk(obj, model);
+            assert!(
+                closed <= searched + 1e-12,
+                "closed {closed} > searched {searched}"
+            );
+            assert!(
+                (closed - searched).abs() <= 1e-8,
+                "closed {closed} vs {searched}"
+            );
+        };
+        for trial in 0..200 {
+            let n = 1 + trial % 40;
+            let (xs, ys) = random_data(&mut rng, n, 3);
+            let eps = if trial % 7 == 0 {
+                0.0
+            } else {
+                rng.gen_range(0.0..1.0)
+            };
+            let kappa = [0.1, 0.5, 1.0, 3.0, f64::INFINITY][trial % 5];
+            let ball = WassersteinBall::new(eps, kappa).unwrap();
+            let obj = WassersteinDualObjective::new(&xs, &ys, LogisticLoss, ball).unwrap();
+            let scale = [0.05, 1.0, 5.0][trial % 3];
+            let w: Vec<f64> = (0..3).map(|_| scale * rng.gen_range(-1.0..1.0)).collect();
+            check(&obj, &LinearModel::new(w, rng.gen_range(-1.0..1.0)));
+        }
+        // Every gap at or below γ_lo = ‖w‖: for the logistic loss
+        // flip − own is the margin, at most ‖w‖·‖x‖ with no bias, so a
+        // label cost above every ‖x‖ puts the minimizer on the floor.
+        let (xs, ys) = toy();
+        let kappa = 3.0;
+        let ball = WassersteinBall::new(0.3, kappa).unwrap();
+        let obj = WassersteinDualObjective::new(&xs, &ys, LogisticLoss, ball).unwrap();
+        let model = LinearModel::new(vec![1.0, 0.5], 0.0);
+        let gamma_lo = model.weight_norm();
+        assert!(xs.iter().zip(&ys).all(|(x, &y)| {
+            let (own, flipped, _, _) = LogisticLoss.eval_both_signs(model.margin(x, y));
+            (flipped - own) / kappa <= gamma_lo
+        }));
+        check(&obj, &model);
     }
 
     #[test]
