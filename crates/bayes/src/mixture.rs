@@ -110,6 +110,38 @@ impl QuadraticSurrogate {
         g
     }
 
+    /// Surrogate value, with `scale·(Aθ − b)` added into `grad`.
+    ///
+    /// `Aθ` is formed once, a row at a time, and serves both the value and
+    /// the gradient, with no allocation. Bit for bit this is
+    /// [`value`](Self::value) plus `grad += scale·gradient(θ)`:
+    /// `quad_form(θ)` is `dot(θ, Aθ)` over the same row products, summed in
+    /// the same order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `theta.len()` or `grad.len()` differs from the surrogate
+    /// dimension.
+    pub fn value_adding_gradient(&self, theta: &[f64], scale: f64, grad: &mut [f64]) -> f64 {
+        let dim = self.b.len();
+        assert!(
+            theta.len() == dim && grad.len() == dim,
+            "surrogate dimension mismatch"
+        );
+        let q: f64 = theta
+            .iter()
+            .zip(grad.iter_mut())
+            .zip(&self.b)
+            .enumerate()
+            .map(|(i, ((&t, g), &bi))| {
+                let a_theta = dre_linalg::vector::dot(self.a.row(i), theta);
+                *g += scale * (a_theta - bi);
+                t * a_theta
+            })
+            .sum();
+        0.5 * q - dre_linalg::vector::dot(&self.b, theta) + self.c
+    }
+
     /// Unconstrained minimizer `θ* = A⁻¹ b` of the surrogate.
     ///
     /// # Errors

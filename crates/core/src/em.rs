@@ -92,18 +92,20 @@ impl EdgeLearner {
         let ball = WassersteinBall::new(self.config.epsilon, self.config.kappa)?;
         let dual =
             WassersteinDualObjective::new(data.features(), data.labels(), LogisticLoss, ball)?;
-        Ok(self.objective_with(&dual, data.len(), packed_model))
+        Ok(self.objective_with(&dual, data.len(), packed_model).1)
     }
 
-    /// [`Self::exact_objective`] over an already-built dual of `n` samples.
+    /// [`Self::exact_objective`] over an already-built dual of `n` samples,
+    /// as `(exact robust risk, exact objective)`.
     fn objective_with(
         &self,
         dual: &WassersteinDualObjective<'_, LogisticLoss>,
         n: usize,
         packed_model: &[f64],
-    ) -> f64 {
+    ) -> (f64, f64) {
         let robust = dual.exact_robust_risk(&LinearModel::from_packed(packed_model));
-        robust - self.config.rho / n as f64 * self.prior.log_pdf(packed_model)
+        let objective = robust - self.config.rho / n as f64 * self.prior.log_pdf(packed_model);
+        (robust, objective)
     }
 
     /// Fits the edge model on the local dataset.
@@ -181,20 +183,23 @@ impl EdgeLearner {
         };
         // Score every candidate start concurrently (each score is itself a
         // chunked deterministic sum); ties keep the first index, matching
-        // the sequential min_by scan.
-        let scores = dre_parallel::par_map_slice_min(&starts, 2, |theta| empirical_risk(theta));
-        let best = scores
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite scores"))
-            .expect("at least one start")
-            .0;
+        // the sequential min_by scan. A single start needs no scores.
+        let best = if starts.len() == 1 {
+            0
+        } else {
+            let scores = dre_parallel::par_map_slice_min(&starts, 2, |theta| empirical_risk(theta));
+            scores
+                .iter()
+                .enumerate()
+                .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite scores"))
+                .expect("at least one start")
+                .0
+        };
         let best_start = starts.swap_remove(best);
-        let (theta, trace, rounds) =
+        let (theta, trace, rounds, robust_risk) =
             self.run_chain(data, &dual, best_start, self.config.em_rounds)?;
 
         let model = LinearModel::from_packed(&theta);
-        let robust_risk = dual.exact_robust_risk(&model);
         Ok(EdgeFitReport {
             responsibilities: self.prior.responsibilities(&theta),
             model,
@@ -206,14 +211,16 @@ impl EdgeLearner {
 
     /// One EM chain from `theta0`, running at most `max_rounds` rounds:
     /// returns the final model parameters, the exact-objective trace
-    /// (entry 0 is the start) and the executed round count.
+    /// (entry 0 is the start), the executed round count and the exact
+    /// robust risk of the final parameters, which the trace's last entry
+    /// already computed.
     fn run_chain(
         &self,
         data: &Dataset,
         dual: &WassersteinDualObjective<'_, LogisticLoss>,
         theta0: Vec<f64>,
         max_rounds: usize,
-    ) -> Result<(Vec<f64>, Vec<f64>, usize)> {
+    ) -> Result<(Vec<f64>, Vec<f64>, usize, f64)> {
         let n = data.len() as f64;
         let prior_scale = self.config.rho / n;
         let solver = Lbfgs::new(StopCriteria {
@@ -224,7 +231,8 @@ impl EdgeLearner {
         // curvature pairs of one round still describe the next one's dual.
         let mut history = LbfgsHistory::default();
         let mut theta = theta0;
-        let mut trace = vec![self.objective_with(dual, data.len(), &theta)];
+        let (mut robust_risk, start_objective) = self.objective_with(dual, data.len(), &theta);
+        let mut trace = vec![start_objective];
         let mut packed = dual.initial_point(&LinearModel::from_packed(&theta));
         let mut rounds = 0;
 
@@ -239,14 +247,15 @@ impl EdgeLearner {
             packed = report.x;
             theta = packed[..packed.len() - 1].to_vec();
 
-            let objective_now = self.objective_with(dual, data.len(), &theta);
+            let objective_now;
+            (robust_risk, objective_now) = self.objective_with(dual, data.len(), &theta);
             let improved = trace.last().expect("nonempty") - objective_now;
             trace.push(objective_now);
             if improved.abs() < self.config.em_tol {
                 break;
             }
         }
-        Ok((theta, trace, rounds))
+        Ok((theta, trace, rounds, robust_risk))
     }
 }
 

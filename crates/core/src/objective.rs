@@ -68,14 +68,20 @@ impl<L: dre_models::MarginLoss> Objective for DroDpObjective<'_, L> {
     }
 
     fn value_and_gradient(&self, packed: &[f64]) -> (f64, Vec<f64>) {
-        let (dv, mut dg) = self.dual.value_and_gradient(packed);
-        let model_part = &packed[..packed.len() - 1];
-        let qv = self.surrogate.value(model_part);
-        let qg = self.surrogate.gradient(model_part);
-        for (g, q) in dg.iter_mut().zip(&qg) {
-            *g += self.prior_scale * q;
-        }
-        (dv + self.prior_scale * qv, dg)
+        let mut grad = vec![0.0; packed.len()];
+        let value = self.value_and_gradient_into(packed, &mut grad);
+        (value, grad)
+    }
+
+    fn value_and_gradient_into(&self, packed: &[f64], grad: &mut [f64]) -> f64 {
+        let dv = self.dual.value_and_gradient_into(packed, grad);
+        let model = packed.len() - 1;
+        let qv = self.surrogate.value_adding_gradient(
+            &packed[..model],
+            self.prior_scale,
+            &mut grad[..model],
+        );
+        dv + self.prior_scale * qv
     }
 }
 
@@ -116,6 +122,42 @@ mod tests {
         // Gradient check.
         let num = numerical_gradient(&obj, &packed, 1e-6);
         assert!(dre_linalg::vector::max_abs_diff(&num, &obj.gradient(&packed)) < 1e-5);
+    }
+
+    #[test]
+    fn in_place_evaluation_is_bit_identical_to_the_separate_terms() {
+        let (xs, ys, prior) = setup();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        for kappa in [0.25, 1.0, f64::INFINITY] {
+            let ball = WassersteinBall::new(0.15, kappa).unwrap();
+            let dual = WassersteinDualObjective::new(&xs, &ys, LogisticLoss, ball).unwrap();
+            for (anchor, packed) in [
+                ([0.2, -0.1, 0.05], [0.2, -0.1, 0.05, 0.3]),
+                ([-0.9, 1.1, 0.4], [1.7, -0.6, -0.35, -2.0]),
+            ] {
+                let surrogate = prior
+                    .em_surrogate(&prior.responsibilities(&anchor))
+                    .unwrap();
+                let obj = DroDpObjective::new(&dual, &surrogate, 0.37);
+                // The form before `Aθ` was shared: the dual's gradient plus
+                // ρ/n times the surrogate's own value and gradient.
+                let (dv, mut expected) = dual.value_and_gradient(&packed);
+                let theta = &packed[..3];
+                for (g, q) in expected.iter_mut().zip(surrogate.gradient(theta)) {
+                    *g += 0.37 * q;
+                }
+                let expected_value = dv + 0.37 * surrogate.value(theta);
+
+                let (v, g) = obj.value_and_gradient(&packed);
+                let mut into = vec![f64::NAN; 4];
+                let vi = obj.value_and_gradient_into(&packed, &mut into);
+                assert_eq!(
+                    (v.to_bits(), bits(&g)),
+                    (expected_value.to_bits(), bits(&expected))
+                );
+                assert_eq!((vi.to_bits(), bits(&into)), (v.to_bits(), bits(&g)));
+            }
+        }
     }
 
     #[test]

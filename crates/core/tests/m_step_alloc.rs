@@ -1,0 +1,171 @@
+//! Allocation gates for the edge M-step's hot path: evaluating the M-step
+//! objective in place must not touch the allocator, and a warm L-BFGS run
+//! allocates its workspace once per call, however many iterations it takes.
+//!
+//! Allocator calls are counted per thread, so tests running concurrently
+//! in this binary do not see each other's allocations.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use dre_bayes::MixturePrior;
+use dre_linalg::Matrix;
+use dre_models::LogisticLoss;
+use dre_optim::{Lbfgs, LbfgsHistory, Objective, StopCriteria};
+use dre_robust::{WassersteinBall, WassersteinDualObjective};
+use dro_edge::DroDpObjective;
+use rand::Rng;
+
+/// System allocator wrapper that counts this thread's allocation calls.
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    ALLOCATIONS.with(|c| c.set(c.get() + 1));
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Allocator calls this thread makes while running `f`.
+fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (ALLOCATIONS.with(Cell::get) - before, out)
+}
+
+/// A 30-sample, 3-feature local dataset with labels ±1.
+fn data() -> (Vec<Vec<f64>>, Vec<f64>) {
+    let mut rng = dre_prob::seeded_rng(30);
+    let xs: Vec<Vec<f64>> = (0..30)
+        .map(|_| (0..3).map(|_| rng.gen_range(-2.0..2.0)).collect())
+        .collect();
+    let ys = xs
+        .iter()
+        .map(|x: &Vec<f64>| {
+            if x[0] - 0.5 * x[2] + rng.gen_range(-0.5..0.5) > 0.0 {
+                1.0
+            } else {
+                -1.0
+            }
+        })
+        .collect();
+    (xs, ys)
+}
+
+fn prior() -> MixturePrior {
+    MixturePrior::new(vec![
+        (0.6, vec![1.0, 0.0, -0.5, 0.0], Matrix::identity(4)),
+        (
+            0.4,
+            vec![-1.0, 1.0, 0.5, 0.2],
+            Matrix::from_diag(&[0.5, 2.0, 1.0, 1.0]),
+        ),
+    ])
+    .unwrap()
+}
+
+#[test]
+fn in_place_m_step_evaluation_makes_no_allocator_calls() {
+    let (xs, ys) = data();
+    let prior = prior();
+    let surrogate = prior
+        .em_surrogate(&prior.responsibilities(&[0.3, -0.2, 0.1, 0.0]))
+        .unwrap();
+    let mut grad = vec![0.0; 5];
+    for kappa in [0.25, 1.0, f64::INFINITY] {
+        let ball = WassersteinBall::new(0.1, kappa).unwrap();
+        let dual = WassersteinDualObjective::new(&xs, &ys, LogisticLoss, ball).unwrap();
+        let objective = DroDpObjective::new(&dual, &surrogate, 0.5 / 30.0);
+        let points: Vec<[f64; 5]> = (0..20)
+            .map(|i| {
+                let t = i as f64 / 4.0;
+                [t - 2.0, 0.5 * t, -0.3 * t, 0.1, t - 1.0]
+            })
+            .collect();
+        let (calls, _) = allocations(|| {
+            for x in &points {
+                dual.value_and_gradient_into(x, &mut grad);
+                objective.value_and_gradient_into(x, &mut grad);
+            }
+        });
+        assert_eq!(
+            calls, 0,
+            "κ={kappa}: {calls} allocator calls in 40 evaluations"
+        );
+    }
+}
+
+/// Allocator calls of one L-BFGS call warm-started from a full curvature
+/// history: `x` and `g`, the two-loop recursion's `q`, `p` and `α`s, two
+/// Wolfe trial slots of two vectors each, the spare-pair list, the
+/// objective trace, and one curvature pair's two vectors. Every later pair
+/// reuses the vectors of the pair it evicts.
+const WARM_CALL_ALLOCATIONS: u64 = 13;
+
+#[test]
+fn warm_lbfgs_allocations_do_not_depend_on_the_iteration_count() {
+    let (xs, ys) = data();
+    let prior = prior();
+    let surrogate = prior
+        .em_surrogate(&prior.responsibilities(&[0.3, -0.2, 0.1, 0.0]))
+        .unwrap();
+    let ball = WassersteinBall::new(0.1, 0.5).unwrap();
+    let dual = WassersteinDualObjective::new(&xs, &ys, LogisticLoss, ball).unwrap();
+    let objective = DroDpObjective::new(&dual, &surrogate, 0.5 / 30.0);
+    let start = [0.0, 0.0, 0.0, 0.0, 0.5];
+
+    // A short cold run fills the curvature history, as the first M-step of
+    // an EM chain does.
+    let mut warm = LbfgsHistory::default();
+    Lbfgs::new(StopCriteria::with_max_iters(12))
+        .minimize_warm(&objective, &start, &mut warm)
+        .unwrap();
+
+    let mut counts = Vec::new();
+    for max_iters in [4, 40] {
+        let solver = Lbfgs::new(StopCriteria {
+            max_iters,
+            grad_tol: 0.0,
+            f_tol: 0.0,
+        });
+        let mut history = warm.clone();
+        let (calls, report) = allocations(|| {
+            solver
+                .minimize_warm(&objective, &start, &mut history)
+                .unwrap()
+        });
+        counts.push((report.iterations, calls));
+    }
+    // Both runs use every iteration they are given, so the counts compare
+    // 4 iterations with 40.
+    assert_eq!((counts[0].0, counts[1].0), (4, 40), "{counts:?}");
+    assert!(
+        counts[0].1 == counts[1].1 && counts[1].1 <= WARM_CALL_ALLOCATIONS,
+        "(iterations, allocator calls): {counts:?}"
+    );
+}

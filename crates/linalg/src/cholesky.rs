@@ -268,18 +268,29 @@ impl Cholesky {
     /// * [`LinalgError::NonFinite`] when `v` contains NaN/inf (the factor is
     ///   left unchanged).
     pub fn rank1_update(&mut self, v: &[f64]) -> Result<()> {
+        self.rank1_update_in_place(&mut v.to_vec())
+    }
+
+    /// [`Cholesky::rank1_update`] that rotates the caller's direction
+    /// vector in place instead of a copy of it: for callers that own `w`
+    /// and are done with it, such as a staged insert being committed. On
+    /// return `w` holds the rotation's leftovers, not the direction.
+    ///
+    /// # Errors
+    ///
+    /// As [`Cholesky::rank1_update`].
+    pub fn rank1_update_in_place(&mut self, w: &mut [f64]) -> Result<()> {
         let n = self.dim();
-        if v.len() != n {
+        if w.len() != n {
             return Err(LinalgError::ShapeMismatch {
                 op: "rank1_update",
                 lhs: (n, n),
-                rhs: (v.len(), 1),
+                rhs: (w.len(), 1),
             });
         }
-        if !v.iter().all(|x| x.is_finite()) {
+        if !w.iter().all(|x| x.is_finite()) {
             return Err(LinalgError::NonFinite { op: "rank1_update" });
         }
-        let mut w = v.to_vec();
         for k in 0..n {
             let lkk = self.l[(k, k)];
             let r = lkk.hypot(w[k]);
@@ -472,6 +483,17 @@ mod tests {
         assert!((sc.log_det() - (ch.log_det() + 3.0 * 2.5f64.ln())).abs() < 1e-12);
         assert!(ch.scaled(0.0).is_err());
         assert!(ch.scaled(f64::NAN).is_err());
+    }
+
+    #[test]
+    fn in_place_rank1_update_rejects_bad_input_and_leaves_the_factor() {
+        let mut ch = Cholesky::new(&spd3()).unwrap();
+        let before = ch.factor_l().clone();
+        assert!(ch.rank1_update_in_place(&mut [1.0]).is_err());
+        assert!(ch
+            .rank1_update_in_place(&mut [0.0, f64::INFINITY, 0.0])
+            .is_err());
+        assert_eq!(ch.factor_l(), &before);
     }
 
     #[test]

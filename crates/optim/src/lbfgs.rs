@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use crate::line_search::{backtracking, strong_wolfe};
+use crate::line_search::{backtracking_in, strong_wolfe_in, WolfeSlots};
 use crate::{Objective, OptimError, OptimReport, Result, StopCriteria};
 
 /// L-BFGS (Nocedal & Wright, Algorithm 7.4/7.5) with the two-loop recursion
@@ -103,12 +103,26 @@ impl Lbfgs {
         while pairs.len() > self.memory {
             pairs.pop_front();
         }
+        // Every buffer of the run is allocated here, once: the iterate and
+        // its gradient, the two-loop recursion's `q` and `p`, the Wolfe
+        // search's two trial slots, and the curvature pairs' vectors, which
+        // move between the history and `spare` instead of being dropped.
+        let dim = x0.len();
         let mut x = x0.to_vec();
-        let (mut fx, mut g) = obj.value_and_gradient(&x);
+        let mut g = vec![0.0; dim];
+        let mut fx = obj.value_and_gradient_into(&x, &mut g);
         if !fx.is_finite() || !dre_linalg::vector::all_finite(&g) {
             return Err(OptimError::NonFiniteObjective { iteration: 0 });
         }
-        let mut trace = vec![fx];
+        let mut q = vec![0.0; dim];
+        let mut p = vec![0.0; dim];
+        let mut alphas = Vec::with_capacity(self.memory);
+        let mut slots = WolfeSlots::new(dim);
+        // A pair leaves the history only to come back here, and at most one
+        // buffer per iteration is out of both, so `memory + 1` never grows.
+        let mut spare: Vec<(Vec<f64>, Vec<f64>)> = Vec::with_capacity(self.memory + 1);
+        let mut trace = Vec::with_capacity(self.stop.max_iters.min(TRACE_RESERVE) + 1);
+        trace.push(fx);
         let mut converged = false;
         let mut iterations = 0;
 
@@ -121,8 +135,8 @@ impl Lbfgs {
             }
 
             // Two-loop recursion for p = −H·g.
-            let mut q = g.clone();
-            let mut alphas = Vec::with_capacity(pairs.len());
+            q.copy_from_slice(&g);
+            alphas.clear();
             for (s, y, rho) in pairs.iter().rev() {
                 let a = rho * dre_linalg::vector::dot(s, &q);
                 dre_linalg::vector::axpy(-a, y, &mut q);
@@ -138,51 +152,65 @@ impl Lbfgs {
                 let b = rho * dre_linalg::vector::dot(y, &q);
                 dre_linalg::vector::axpy(a - b, s, &mut q);
             }
-            let p: Vec<f64> = q.iter().map(|v| -v).collect();
+            for (pi, qi) in p.iter_mut().zip(&q) {
+                *pi = -qi;
+            }
             let mut gdp = dre_linalg::vector::dot(&g, &p);
             // If curvature information produced a non-descent direction
             // (possible on non-convex or non-smooth objectives), reset to
             // steepest descent.
-            let p = if gdp >= 0.0 {
-                pairs.clear();
+            if gdp >= 0.0 {
+                spare.extend(pairs.drain(..).map(|(s, y, _)| (s, y)));
                 gdp = -dre_linalg::vector::dot(&g, &g);
-                g.iter().map(|v| -v).collect()
-            } else {
-                p
-            };
+                for (pi, gi) in p.iter_mut().zip(&g) {
+                    *pi = -gi;
+                }
+            }
 
-            // The Wolfe search hands back the accepted point's value and
-            // gradient; only the value-only backtracking fallback needs a
-            // fresh evaluation.
-            let (x_new, f_new, g_new) = match strong_wolfe(obj, &x, &p, fx, gdp, 1e-4, 0.9) {
-                Some(w) => (w.x, w.value, w.gradient),
+            // The Wolfe search leaves the accepted point, value and
+            // gradient in one of its slots; only the value-only
+            // backtracking fallback needs a fresh evaluation.
+            let accepted = match strong_wolfe_in(obj, &x, &p, fx, gdp, 1e-4, 0.9, &mut slots) {
+                Some(k) => &mut slots.0[k],
                 None => {
-                    let ls = backtracking(obj, &x, &p, fx, gdp, 1.0, 1e-4)
+                    let [trial, point] = &mut slots.0;
+                    let ls = backtracking_in(obj, &x, &p, fx, gdp, 1.0, 1e-4, &mut trial.x)
                         .ok_or(OptimError::LineSearchFailed { iteration: iter })?;
-                    let mut x_new = x.clone();
-                    dre_linalg::vector::axpy(ls.step, &p, &mut x_new);
-                    let (f_new, g_new) = obj.value_and_gradient(&x_new);
-                    (x_new, f_new, g_new)
+                    point.x.copy_from_slice(&x);
+                    dre_linalg::vector::axpy(ls.step, &p, &mut point.x);
+                    point.value = obj.value_and_gradient_into(&point.x, &mut point.gradient);
+                    point
                 }
             };
-            if !f_new.is_finite() || !dre_linalg::vector::all_finite(&g_new) {
+            let f_new = accepted.value;
+            if !f_new.is_finite() || !dre_linalg::vector::all_finite(&accepted.gradient) {
                 return Err(OptimError::NonFiniteObjective { iteration: iter });
             }
 
-            let s = dre_linalg::vector::sub(&x_new, &x);
-            let y = dre_linalg::vector::sub(&g_new, &g);
+            let (mut s, mut y) = spare
+                .pop()
+                .unwrap_or_else(|| (vec![0.0; dim], vec![0.0; dim]));
+            for (si, (xn, xo)) in s.iter_mut().zip(accepted.x.iter().zip(&x)) {
+                *si = xn - xo;
+            }
+            for (yi, (gn, go)) in y.iter_mut().zip(accepted.gradient.iter().zip(&g)) {
+                *yi = gn - go;
+            }
             let sy = dre_linalg::vector::dot(&s, &y);
             if sy > 1e-12 {
                 if pairs.len() == self.memory {
-                    pairs.pop_front();
+                    let (old_s, old_y, _) = pairs.pop_front().expect("memory ≥ 1");
+                    spare.push((old_s, old_y));
                 }
                 pairs.push_back((s, y, 1.0 / sy));
+            } else {
+                spare.push((s, y));
             }
 
             let prev = fx;
-            x = x_new;
+            std::mem::swap(&mut x, &mut accepted.x);
+            std::mem::swap(&mut g, &mut accepted.gradient);
             fx = f_new;
-            g = g_new;
             trace.push(fx);
             if (prev - fx).abs() <= self.stop.f_tol {
                 converged = true;
@@ -200,6 +228,9 @@ impl Lbfgs {
         })
     }
 }
+
+/// Iterations the objective trace reserves up front; a longer run grows it.
+const TRACE_RESERVE: usize = 1024;
 
 /// The curvature pairs `(s, y, 1/sᵀy)` an L-BFGS run accumulates, newest
 /// at the back; carried between [`Lbfgs::minimize_warm`] calls.

@@ -26,20 +26,35 @@ pub fn backtracking<O: Objective + ?Sized>(
     t0: f64,
     c1: f64,
 ) -> Option<LineSearchResult> {
+    backtracking_in(obj, x, p, fx, grad_dot_p, t0, c1, &mut vec![0.0; x.len()])
+}
+
+/// [`backtracking`] with its trial points formed in the caller's `trial`
+/// buffer (of `x`'s length).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn backtracking_in<O: Objective + ?Sized>(
+    obj: &O,
+    x: &[f64],
+    p: &[f64],
+    fx: f64,
+    grad_dot_p: f64,
+    t0: f64,
+    c1: f64,
+    trial: &mut [f64],
+) -> Option<LineSearchResult> {
     debug_assert!(c1 > 0.0 && c1 < 1.0);
     if grad_dot_p >= 0.0 {
         return None; // not a descent direction
     }
     let mut t = t0;
-    let mut trial = vec![0.0; x.len()];
-    let eval = |trial: &mut [f64], t: f64| {
+    let mut eval = |t: f64| {
         for ((ti, &xi), &pi) in trial.iter_mut().zip(x.iter()).zip(p) {
             *ti = xi + t * pi;
         }
         obj.value(trial)
     };
     for _ in 0..60 {
-        let f_trial = eval(&mut trial, t);
+        let f_trial = eval(t);
         if f_trial.is_finite() && f_trial <= fx + c1 * t * grad_dot_p {
             // Armijo alone can accept a near-"reflection" step (on a
             // quadratic, t ≈ 2/λ satisfies it with an O(c₁) decrease while
@@ -52,7 +67,7 @@ pub fn backtracking<O: Objective + ?Sized>(
             };
             for _ in 0..20 {
                 let half = best.step * 0.5;
-                let f_half = eval(&mut trial, half);
+                let f_half = eval(half);
                 if f_half.is_finite() && f_half < best.value {
                     best = LineSearchResult {
                         step: half,
@@ -72,8 +87,9 @@ pub fn backtracking<O: Objective + ?Sized>(
 /// Result of a successful strong-Wolfe search: the accepted step together
 /// with the point it reaches and the objective's value and gradient there.
 ///
-/// The search has already evaluated `value_and_gradient` at the accepted
-/// point, so callers take both from here instead of evaluating it again.
+/// The search has already evaluated the objective at the accepted point,
+/// so callers take value and gradient from here instead of evaluating it
+/// again.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WolfeStep {
     /// Accepted step length `t`.
@@ -84,23 +100,6 @@ pub struct WolfeStep {
     pub value: f64,
     /// Objective gradient at `x + t·p`.
     pub gradient: Vec<f64>,
-}
-
-/// One evaluated trial point of the Wolfe search, with its directional
-/// derivative `∇f(x + t·p)ᵀp`.
-struct Trial {
-    step: WolfeStep,
-    slope: f64,
-}
-
-impl Trial {
-    fn t(&self) -> f64 {
-        self.step.step
-    }
-
-    fn value(&self) -> f64 {
-        self.step.value
-    }
 }
 
 /// Strong Wolfe line search (Nocedal & Wright, Algorithm 3.5/3.6).
@@ -122,6 +121,65 @@ pub fn strong_wolfe<O: Objective + ?Sized>(
     c1: f64,
     c2: f64,
 ) -> Option<WolfeStep> {
+    let mut slots = WolfeSlots::new(x.len());
+    let k = strong_wolfe_in(obj, x, p, fx, grad_dot_p, c1, c2, &mut slots)?;
+    let accepted = std::mem::take(&mut slots.0[k]);
+    Some(WolfeStep {
+        step: accepted.step,
+        x: accepted.x,
+        value: accepted.value,
+        gradient: accepted.gradient,
+    })
+}
+
+/// One evaluated trial point `x + t·p` of the Wolfe search, with its
+/// directional derivative `∇f(x + t·p)ᵀp`.
+#[derive(Debug, Default)]
+pub(crate) struct Trial {
+    pub(crate) step: f64,
+    pub(crate) x: Vec<f64>,
+    pub(crate) value: f64,
+    pub(crate) gradient: Vec<f64>,
+    slope: f64,
+}
+
+/// The two trial points the Wolfe search holds at once — the bracket's low
+/// end and the point being tried — as buffers that a solver allocates once
+/// and reuses for every search.
+#[derive(Debug)]
+pub(crate) struct WolfeSlots(pub(crate) [Trial; 2]);
+
+impl WolfeSlots {
+    /// Two slots for points of dimension `dim`.
+    pub(crate) fn new(dim: usize) -> Self {
+        let slot = || Trial {
+            x: vec![0.0; dim],
+            gradient: vec![0.0; dim],
+            ..Trial::default()
+        };
+        WolfeSlots([slot(), slot()])
+    }
+}
+
+/// The slot not holding `held` (slot 0 when nothing is held).
+fn other(held: Option<usize>) -> usize {
+    held.map_or(0, |k| 1 - k)
+}
+
+/// The strong-Wolfe search of [`strong_wolfe`], evaluating its trial
+/// points into `slots`; returns the index of the slot holding the
+/// accepted point.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn strong_wolfe_in<O: Objective + ?Sized>(
+    obj: &O,
+    x: &[f64],
+    p: &[f64],
+    fx: f64,
+    grad_dot_p: f64,
+    c1: f64,
+    c2: f64,
+    slots: &mut WolfeSlots,
+) -> Option<usize> {
     debug_assert!(0.0 < c1 && c1 < c2 && c2 < 1.0);
     if grad_dot_p >= 0.0 {
         return None;
@@ -135,28 +193,32 @@ pub fn strong_wolfe<O: Objective + ?Sized>(
         c1,
         c2,
     };
-    // The previous trial; `None` stands for `t = 0`, i.e. `x` itself.
-    let mut prev: Option<Trial> = None;
+    let slots = &mut slots.0;
+    // The slot of the previous trial; `None` stands for `t = 0`, i.e. `x`
+    // itself.
+    let mut prev: Option<usize> = None;
     let mut t = 1.0;
     const T_MAX: f64 = 1e6;
     for i in 0..30 {
-        let cur = search.trial(t);
-        let f_prev = prev.as_ref().map_or(fx, Trial::value);
-        if !cur.value().is_finite() {
+        let c = other(prev);
+        search.trial(t, &mut slots[c]);
+        let cur = &slots[c];
+        let f_prev = prev.map_or(fx, |k| slots[k].value);
+        if !cur.value.is_finite() {
             // Step overshot into a bad region; treat as "too far".
-            return search.zoom(prev, t);
+            return search.zoom(slots, prev, t);
         }
-        if cur.value() > fx + c1 * t * grad_dot_p || (i > 0 && cur.value() >= f_prev) {
-            return search.zoom(prev, t);
+        if cur.value > fx + c1 * t * grad_dot_p || (i > 0 && cur.value >= f_prev) {
+            return search.zoom(slots, prev, t);
         }
         if cur.slope.abs() <= -c2 * grad_dot_p {
-            return Some(cur.step);
+            return Some(c);
         }
         if cur.slope >= 0.0 {
-            let t_prev = prev.as_ref().map_or(0.0, Trial::t);
-            return search.zoom(Some(cur), t_prev);
+            let t_prev = prev.map_or(0.0, |k| slots[k].step);
+            return search.zoom(slots, Some(c), t_prev);
         }
-        prev = Some(cur);
+        prev = Some(c);
         t = (2.0 * t).min(T_MAX);
     }
     None
@@ -174,55 +236,51 @@ struct Search<'a, O: ?Sized> {
 }
 
 impl<O: Objective + ?Sized> Search<'_, O> {
-    /// Evaluates the trial point `x + t·p`.
-    fn trial(&self, t: f64) -> Trial {
-        let point: Vec<f64> = self
-            .x
-            .iter()
-            .zip(self.p)
-            .map(|(&xi, &pi)| xi + t * pi)
-            .collect();
-        let (value, gradient) = self.obj.value_and_gradient(&point);
-        let slope = dre_linalg::vector::dot(&gradient, self.p);
-        Trial {
-            step: WolfeStep {
-                step: t,
-                x: point,
-                value,
-                gradient,
-            },
-            slope,
+    /// Evaluates the trial point `x + t·p` into `slot`.
+    fn trial(&self, t: f64, slot: &mut Trial) {
+        for ((si, &xi), &pi) in slot.x.iter_mut().zip(self.x).zip(self.p) {
+            *si = xi + t * pi;
         }
+        slot.step = t;
+        slot.value = self
+            .obj
+            .value_and_gradient_into(&slot.x, &mut slot.gradient);
+        slot.slope = dre_linalg::vector::dot(&slot.gradient, self.p);
     }
 
-    /// The `zoom` phase of the Wolfe search: bisect between the `lo` trial
+    /// The `zoom` phase of the Wolfe search: bisect between the `lo` slot
     /// (`None` for `t = 0`) and `t_hi`.
-    fn zoom(&self, mut lo: Option<Trial>, mut t_hi: f64) -> Option<WolfeStep> {
-        let lo_of = |lo: &Option<Trial>| lo.as_ref().map_or((0.0, self.fx), |q| (q.t(), q.value()));
+    fn zoom(&self, slots: &mut [Trial; 2], mut lo: Option<usize>, mut t_hi: f64) -> Option<usize> {
+        let lo_of = |slots: &[Trial; 2], lo: Option<usize>| {
+            lo.map_or((0.0, self.fx), |k| (slots[k].step, slots[k].value))
+        };
         for _ in 0..50 {
-            let (t_lo, f_lo) = lo_of(&lo);
+            let (t_lo, f_lo) = lo_of(slots, lo);
             let t = 0.5 * (t_lo + t_hi);
-            let cur = self.trial(t);
-            let f_t = cur.value();
+            let c = other(lo);
+            self.trial(t, &mut slots[c]);
+            let cur = &slots[c];
+            let f_t = cur.value;
             if !f_t.is_finite() || f_t > self.fx + self.c1 * t * self.grad_dot_p || f_t >= f_lo {
                 t_hi = t;
             } else {
                 if cur.slope.abs() <= -self.c2 * self.grad_dot_p {
-                    return Some(cur.step);
+                    return Some(c);
                 }
                 if cur.slope * (t_hi - t_lo) >= 0.0 {
                     t_hi = t_lo;
                 }
-                lo = Some(cur);
+                lo = Some(c);
             }
-            if (t_hi - lo_of(&lo).0).abs() < 1e-16 {
+            if (t_hi - lo_of(slots, lo).0).abs() < 1e-16 {
                 break;
             }
         }
         // Accept the best sufficient-decrease point found, if any.
-        let lo = lo?;
-        if lo.t() > 0.0 && lo.value() <= self.fx + self.c1 * lo.t() * self.grad_dot_p {
-            return Some(lo.step);
+        let k = lo?;
+        let (t_lo, f_lo) = lo_of(slots, lo);
+        if t_lo > 0.0 && f_lo <= self.fx + self.c1 * t_lo * self.grad_dot_p {
+            return Some(k);
         }
         None
     }
@@ -309,5 +367,85 @@ mod tests {
         let p = [1.0];
         let r = strong_wolfe(&obj, &x, &p, fx, g[0], 1e-4, 0.4).unwrap();
         assert!(r.value < fx);
+    }
+
+    /// `(step, x, value, gradient)` as bit patterns.
+    fn step_bits(r: &WolfeStep) -> (u64, Vec<u64>, u64, Vec<u64>) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+        (
+            r.step.to_bits(),
+            bits(&r.x),
+            r.value.to_bits(),
+            bits(&r.gradient),
+        )
+    }
+
+    #[test]
+    fn wolfe_steps_are_bit_identical_to_the_goldens() {
+        // Pinned from the search as it was before it evaluated into
+        // reusable trial slots: a unit step, an overshoot that zooms back
+        // to a quarter, the double well, and Rosenbrock's steepest descent
+        // from (−1.2, 1), which bisects down to 2⁻¹⁰.
+        let obj = parabola();
+        let (fx, g) = obj.value_and_gradient(&[0.0]);
+        let r = strong_wolfe(&obj, &[0.0], &[1.0], fx, g[0], 1e-4, 0.9).unwrap();
+        assert_eq!(
+            step_bits(&r),
+            (
+                0x3FF0000000000000,
+                vec![0x3FF0000000000000],
+                0x3FF0000000000000,
+                vec![0xC000000000000000]
+            )
+        );
+        let r = strong_wolfe(&obj, &[0.0], &[10.0], fx, 10.0 * g[0], 1e-4, 0.9).unwrap();
+        assert_eq!(
+            step_bits(&r),
+            (
+                0x3FD0000000000000,
+                vec![0x4004000000000000],
+                0x3FD0000000000000,
+                vec![0x3FF0000000000000]
+            )
+        );
+
+        let well = FnObjective::new(1, |x: &[f64]| {
+            (
+                x[0].powi(4) - 2.0 * x[0] * x[0],
+                vec![4.0 * x[0].powi(3) - 4.0 * x[0]],
+            )
+        });
+        let (fx, g) = well.value_and_gradient(&[0.5]);
+        let r = strong_wolfe(&well, &[0.5], &[1.0], fx, g[0], 1e-4, 0.4).unwrap();
+        assert_eq!(
+            step_bits(&r),
+            (
+                0x3FE0000000000000,
+                vec![0x3FF0000000000000],
+                0xBFF0000000000000,
+                vec![0]
+            )
+        );
+
+        let rosenbrock = FnObjective::new(2, |x: &[f64]| {
+            let (a, b) = (1.0 - x[0], x[1] - x[0] * x[0]);
+            (
+                a * a + 100.0 * b * b,
+                vec![-2.0 * a - 400.0 * x[0] * b, 200.0 * b],
+            )
+        });
+        let (fx, g) = rosenbrock.value_and_gradient(&[-1.2, 1.0]);
+        let p = [-g[0], -g[1]];
+        let gdp = -(g[0] * g[0] + g[1] * g[1]);
+        let r = strong_wolfe(&rosenbrock, &[-1.2, 1.0], &p, fx, gdp, 1e-4, 0.9).unwrap();
+        assert_eq!(
+            step_bits(&r),
+            (
+                0x3F50000000000000,
+                vec![0xBFEFA99999999999, 0x3FF1600000000000],
+                0x4014678A13FF6669,
+                vec![0x40432B4493CCCCD3, 0x4035624E00000007]
+            )
+        );
     }
 }

@@ -21,6 +21,23 @@ pub trait Objective {
     fn value_and_gradient(&self, x: &[f64]) -> (f64, Vec<f64>) {
         (self.value(x), self.gradient(x))
     }
+
+    /// Value, with the gradient written into `grad` (of length
+    /// [`dim`](Self::dim)) instead of a fresh vector.
+    ///
+    /// The solvers evaluate through this entry point, so an objective on a
+    /// hot path overrides it to run without allocating; an override must
+    /// return exactly the bits of [`value_and_gradient`](Self::value_and_gradient).
+    /// The default delegates to `value_and_gradient` and copies.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `grad.len()` differs from the gradient's length.
+    fn value_and_gradient_into(&self, x: &[f64], grad: &mut [f64]) -> f64 {
+        let (value, g) = self.value_and_gradient(x);
+        grad.copy_from_slice(&g);
+        value
+    }
 }
 
 /// An [`Objective`] defined by a closure returning `(value, gradient)`.
@@ -159,6 +176,33 @@ mod tests {
         assert_eq!(v, 4.0);
         assert_eq!(g, vec![4.0]);
         assert!(format!("{o:?}").contains("dim: 1"));
+    }
+
+    #[test]
+    fn default_in_place_evaluation_matches_the_allocating_form_bit_for_bit() {
+        let a =
+            Matrix::from_rows(&[&[3.0, 1.0, 0.2], &[1.0, 2.0, -0.4], &[0.2, -0.4, 5.0]]).unwrap();
+        let q = QuadraticObjective::new(a, vec![0.5, -1.0, 0.25], 0.7);
+        let rosenbrock = FnObjective::new(2, |x: &[f64]| {
+            let (a, b) = (1.0 - x[0], x[1] - x[0] * x[0]);
+            (
+                a * a + 100.0 * b * b,
+                vec![-2.0 * a - 400.0 * x[0] * b, 200.0 * b],
+            )
+        });
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        for x in [[0.3, -0.7, 1.9], [-1.2, 1.0, 0.0], [1e-3, 4.5, -2.25]] {
+            let (v, g) = q.value_and_gradient(&x);
+            // Poisoned so a skipped slot shows.
+            let mut into = vec![f64::NAN; 3];
+            let vi = q.value_and_gradient_into(&x, &mut into);
+            assert_eq!((vi.to_bits(), bits(&into)), (v.to_bits(), bits(&g)));
+
+            let (v, g) = rosenbrock.value_and_gradient(&x[..2]);
+            let mut into = vec![f64::NAN; 2];
+            let vi = rosenbrock.value_and_gradient_into(&x[..2], &mut into);
+            assert_eq!((vi.to_bits(), bits(&into)), (v.to_bits(), bits(&g)));
+        }
     }
 
     #[test]

@@ -244,9 +244,9 @@ impl NiwPosteriorCache {
     /// # Panics
     ///
     /// Panics when `x.len() != self.dim()`.
-    pub fn commit_insert(&mut self, x: &[f64], staged: StagedInsert) {
+    pub fn commit_insert(&mut self, x: &[f64], mut staged: StagedInsert) {
         self.chol
-            .rank1_update(&staged.w)
+            .rank1_update_in_place(&mut staged.w)
             .expect("staged direction is finite and of matching dimension");
         self.stats.insert(x);
         self.refresh_mean();

@@ -45,15 +45,25 @@ fn sigmoid(s: f64) -> f64 {
 /// branch gap the soft-max equals the larger branch bit for bit.
 const SATURATED_GAP: f64 = 746.0;
 
+/// Past this branch gap `e = e^{−gap} < 2⁻⁵⁴`, so `ln_1p(e) == e` and
+/// `1/(1 + e) == 1.0` in `f64`: `ln(1 + e) = e·(1 − e/2 + …)` sits within a
+/// relative `e/2 < 2⁻⁵⁵` of `e`, below half an ulp, and `1 + e` rounds to
+/// `1` because `e` is below half an ulp of `1` (`2⁻⁵³`).
+const DEEP_GAP: f64 = 37.5;
+
 /// Temperature-`τ` soft-max of two branches, `τ·ln(e^{a/τ} + e^{c/τ})`,
 /// with the weights `(p_a, p_c)` it puts on each (its partial derivatives).
 ///
 /// Evaluated as `max(a, c) + τ·ln_1p(e)` with `e = exp(−|a − c|/τ)`: one
-/// `exp` and one `ln_1p`, and neither once the gap saturates.
+/// `exp` and one `ln_1p`; only the `exp` past [`DEEP_GAP`], and neither
+/// once the gap saturates.
 fn soft_max2(a: f64, c: f64, tau: f64) -> (f64, f64, f64) {
     let gap = (a - c).abs() / tau;
     let (top, top_weight, low_weight) = if gap > SATURATED_GAP {
         (a.max(c), 1.0, 0.0)
+    } else if gap > DEEP_GAP {
+        let e = (-gap).exp();
+        (a.max(c) + tau * e, 1.0, e)
     } else {
         let e = (-gap).exp();
         let q = 1.0 / (1.0 + e);
@@ -109,6 +119,10 @@ fn validate(xs: &[Vec<f64>], ys: &[f64]) -> Result<usize> {
 pub struct WassersteinDualObjective<'a, L> {
     xs: &'a [Vec<f64>],
     ys: &'a [f64],
+    /// The rows `yᵢ·xᵢ`, contiguous, row-major: the kernel's margin is
+    /// `w·(yx) + y·b`, exactly `y·(w·x + b)` because scaling by ±1 commutes
+    /// with rounding.
+    signed_rows: Vec<f64>,
     loss: L,
     ball: WassersteinBall,
     smoothing: Smoothing,
@@ -130,9 +144,15 @@ impl<'a, L: MarginLoss> WassersteinDualObjective<'a, L> {
         if !loss.margin_lipschitz().is_finite() {
             return Err(RobustError::LossNotLipschitz { loss: loss.name() });
         }
+        let signed_rows = xs
+            .iter()
+            .zip(ys)
+            .flat_map(|(x, &y)| x.iter().map(move |&v| y * v))
+            .collect();
         Ok(WassersteinDualObjective {
             xs,
             ys,
+            signed_rows,
             loss,
             ball,
             smoothing: Smoothing::default(),
@@ -249,11 +269,23 @@ impl<L: MarginLoss> Objective for WassersteinDualObjective<'_, L> {
     }
 
     fn value_and_gradient(&self, packed: &[f64]) -> (f64, Vec<f64>) {
+        let mut grad = vec![0.0; packed.len()];
+        let value = self.value_and_gradient_into(packed, &mut grad);
+        (value, grad)
+    }
+
+    fn value_and_gradient_into(&self, packed: &[f64], grad: &mut [f64]) -> f64 {
+        assert_eq!(
+            grad.len(),
+            packed.len(),
+            "gradient buffer matches [w…, b, s]"
+        );
         let d = self.d;
         let (w, rest) = packed.split_at(d);
         let b = rest[0];
         let s = rest[1];
-        let n = self.xs.len() as f64;
+        let n_rows = self.xs.len();
+        let n = n_rows as f64;
         let eps = self.ball.radius();
         let kappa = self.ball.label_cost();
         let tau = self.smoothing.tau;
@@ -265,42 +297,56 @@ impl<L: MarginLoss> Objective for WassersteinDualObjective<'_, L> {
         let gamma = l * norm + softplus(s);
         let gamma_kappa = gamma * kappa;
 
-        // Per-sample dual terms: fixed-size chunks, each accumulating
-        // (Σ smaxᵢ, Σ ∂smaxᵢ/∂m · y·[x, 1], Σ p_flipᵢ), merged in chunk
-        // order so the summation tree is identical whether the chunks run
-        // serially or across threads. Slot d + 1 of the gradient stays zero
-        // until the γ chain below fills it.
-        let partials = dre_parallel::par_fold_chunks(
-            self.xs.len(),
-            || (0.0f64, vec![0.0f64; packed.len()], 0.0f64),
-            |mut acc: (f64, Vec<f64>, f64), idx: usize| {
-                let x = &self.xs[idx];
-                let y = self.ys[idx];
-                let m = y * (dre_linalg::vector::dot(w, x) + b);
-                // ℓ(±m) and ℓ'(±m) from one fused evaluation.
-                let (a, flipped, d_own, d_flipped) = self.loss.eval_both_signs(m);
-                let (smax, p_own, p_flip) = if kappa.is_infinite() {
-                    (a, 1.0, 0.0)
-                } else {
-                    soft_max2(a, flipped - gamma_kappa, tau)
-                };
-                acc.0 += smax;
-                acc.2 += p_flip;
-                let coeff = y * (p_own * d_own - p_flip * d_flipped);
-                let (gw, gtail) = acc.1.split_at_mut(d);
-                dre_linalg::vector::axpy(coeff, x, gw);
-                gtail[0] += coeff;
-                acc
-            },
-        );
-        let mut partials = partials.into_iter();
-        let (mut total, mut grad, mut flip_mass) =
-            partials.next().expect("the dataset is nonempty");
-        for (pv, pg, pf) in partials {
-            total += pv;
-            flip_mass += pf;
-            for (g, p) in grad.iter_mut().zip(&pg) {
-                *g += p;
+        // One sample's dual term, accumulated into (Σ smaxᵢ,
+        // Σ ∂smaxᵢ/∂m · y·[x, 1], Σ p_flipᵢ). Slot d + 1 of the gradient is
+        // left alone until the γ chain below fills it.
+        let sample = |idx: usize, total: &mut f64, grad: &mut [f64], flip_mass: &mut f64| {
+            let yx = &self.signed_rows[idx * d..(idx + 1) * d];
+            let y = self.ys[idx];
+            let m = dre_linalg::vector::dot(w, yx) + y * b;
+            // ℓ(±m) and ℓ'(±m) from one fused evaluation.
+            let (a, flipped, d_own, d_flipped) = self.loss.eval_both_signs(m);
+            let (smax, p_own, p_flip) = if kappa.is_infinite() {
+                (a, 1.0, 0.0)
+            } else {
+                soft_max2(a, flipped - gamma_kappa, tau)
+            };
+            *total += smax;
+            *flip_mass += p_flip;
+            let coeff = p_own * d_own - p_flip * d_flipped;
+            let (gw, gtail) = grad.split_at_mut(d);
+            dre_linalg::vector::axpy(coeff, yx, gw);
+            gtail[0] += y * coeff;
+        };
+
+        // Fixed-size chunks merged in chunk order, so the summation tree is
+        // identical whether the chunks run serially or across threads. One
+        // chunk accumulates straight into `grad`, with no allocation.
+        grad.fill(0.0);
+        let (mut total, mut flip_mass) = (0.0f64, 0.0f64);
+        if n_rows <= dre_parallel::REDUCE_CHUNK {
+            for idx in 0..n_rows {
+                sample(idx, &mut total, grad, &mut flip_mass);
+            }
+        } else {
+            let partials = dre_parallel::par_fold_chunks(
+                n_rows,
+                || (0.0f64, vec![0.0f64; packed.len()], 0.0f64),
+                |mut acc: (f64, Vec<f64>, f64), idx: usize| {
+                    sample(idx, &mut acc.0, &mut acc.1, &mut acc.2);
+                    acc
+                },
+            );
+            let mut partials = partials.into_iter();
+            let (pv, pg, pf) = partials.next().expect("the dataset is nonempty");
+            (total, flip_mass) = (pv, pf);
+            grad.copy_from_slice(&pg);
+            for (pv, pg, pf) in partials {
+                total += pv;
+                flip_mass += pf;
+                for (g, p) in grad.iter_mut().zip(&pg) {
+                    *g += p;
+                }
             }
         }
 
@@ -318,7 +364,7 @@ impl<L: MarginLoss> Objective for WassersteinDualObjective<'_, L> {
         }
         grad[d] /= n;
         grad[d + 1] = dgamma * sigmoid(s);
-        (gamma * eps + total / n, grad)
+        gamma * eps + total / n
     }
 }
 
@@ -394,6 +440,177 @@ mod tests {
             grad[d + 1] += dgamma_coeff * dgamma_ds;
         }
         (value, grad)
+    }
+
+    /// The soft-max as it was before the deep-gap shortcut: `ln_1p` and the
+    /// division at every gap up to saturation.
+    fn full_soft_max2(a: f64, c: f64, tau: f64) -> (f64, f64, f64) {
+        let gap = (a - c).abs() / tau;
+        let (top, top_weight, low_weight) = if gap > SATURATED_GAP {
+            (a.max(c), 1.0, 0.0)
+        } else {
+            let e = (-gap).exp();
+            let q = 1.0 / (1.0 + e);
+            (a.max(c) + tau * e.ln_1p(), q, e * q)
+        };
+        if c > a {
+            (top, low_weight, top_weight)
+        } else {
+            (top, top_weight, low_weight)
+        }
+    }
+
+    /// The fused kernel as it was before signed rows, the deep-gap
+    /// shortcut and in-place evaluation: margins `y·(w·x + b)`, gradient
+    /// terms `(y·coeff)·x`, and one freshly allocated accumulator per
+    /// `par_fold_chunks` chunk at every `n`. The current kernel must match
+    /// it bit for bit.
+    fn previous_value_and_gradient<L: MarginLoss>(
+        obj: &WassersteinDualObjective<'_, L>,
+        packed: &[f64],
+    ) -> (f64, Vec<f64>) {
+        let d = obj.d;
+        let (w, rest) = packed.split_at(d);
+        let (b, s) = (rest[0], rest[1]);
+        let n = obj.xs.len() as f64;
+        let eps = obj.ball.radius();
+        let kappa = obj.ball.label_cost();
+        let tau = obj.smoothing.tau;
+        let l = obj.loss.margin_lipschitz();
+        let norm =
+            (dre_linalg::vector::dot(w, w) + obj.smoothing.delta * obj.smoothing.delta).sqrt();
+        let gamma = l * norm + softplus(s);
+        let gamma_kappa = gamma * kappa;
+        let partials = dre_parallel::par_fold_chunks(
+            obj.xs.len(),
+            || (0.0f64, vec![0.0f64; packed.len()], 0.0f64),
+            |mut acc: (f64, Vec<f64>, f64), idx: usize| {
+                let x = &obj.xs[idx];
+                let y = obj.ys[idx];
+                let m = y * (dre_linalg::vector::dot(w, x) + b);
+                let (a, flipped, d_own, d_flipped) = obj.loss.eval_both_signs(m);
+                let (smax, p_own, p_flip) = if kappa.is_infinite() {
+                    (a, 1.0, 0.0)
+                } else {
+                    full_soft_max2(a, flipped - gamma_kappa, tau)
+                };
+                acc.0 += smax;
+                acc.2 += p_flip;
+                let coeff = y * (p_own * d_own - p_flip * d_flipped);
+                let (gw, gtail) = acc.1.split_at_mut(d);
+                dre_linalg::vector::axpy(coeff, x, gw);
+                gtail[0] += coeff;
+                acc
+            },
+        );
+        let mut partials = partials.into_iter();
+        let (mut total, mut grad, mut flip_mass) = partials.next().expect("nonempty");
+        for (pv, pg, pf) in partials {
+            total += pv;
+            flip_mass += pf;
+            for (g, p) in grad.iter_mut().zip(&pg) {
+                *g += p;
+            }
+        }
+        let dgamma = if kappa.is_infinite() {
+            eps
+        } else {
+            eps - kappa * flip_mass / n
+        };
+        let chain_w = dgamma * l / norm;
+        for (g, wi) in grad[..d].iter_mut().zip(w) {
+            *g = *g / n + chain_w * wi;
+        }
+        grad[d] /= n;
+        grad[d + 1] = dgamma * sigmoid(s);
+        (gamma * eps + total / n, grad)
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn in_place_kernel_is_bit_identical_to_the_allocating_and_previous_kernels() {
+        let mut rng = dre_prob::seeded_rng(18);
+        let mut deep = 0usize;
+        for kappa in [0.25, 1.0, f64::INFINITY] {
+            for tau in [1e-3, 0.05] {
+                // Both sides of REDUCE_CHUNK: one chunk, evaluated with no
+                // allocation, and the chunked merge.
+                for n in [9, 300] {
+                    for trial in 0..12 {
+                        let (xs, ys) = random_data(&mut rng, n, 3);
+                        let ball = WassersteinBall::new(rng.gen_range(0.0..0.5), kappa).unwrap();
+                        let obj = WassersteinDualObjective::new(&xs, &ys, LogisticLoss, ball)
+                            .unwrap()
+                            .with_smoothing(Smoothing { tau, delta: 1e-9 });
+                        let scale = [0.1, 1.0, 4.0][trial % 3];
+                        let packed: Vec<f64> =
+                            (0..5).map(|_| scale * rng.gen_range(-1.0..1.0)).collect();
+                        if kappa.is_finite() {
+                            let gamma = obj.unpack(&packed).1;
+                            deep += xs
+                                .iter()
+                                .zip(&ys)
+                                .filter(|&(x, &y)| {
+                                    let m =
+                                        y * (dre_linalg::vector::dot(&packed[..3], x) + packed[3]);
+                                    let (a, flipped, _, _) = LogisticLoss.eval_both_signs(m);
+                                    let gap = (a - (flipped - gamma * kappa)).abs() / tau;
+                                    gap > DEEP_GAP && gap <= SATURATED_GAP
+                                })
+                                .count();
+                        }
+                        let (v, g) = obj.value_and_gradient(&packed);
+                        // A dirty buffer: every slot must be overwritten.
+                        let mut into = vec![f64::NAN; packed.len()];
+                        let vi = obj.value_and_gradient_into(&packed, &mut into);
+                        let (pv, pg) = previous_value_and_gradient(&obj, &packed);
+                        let case = format!("κ={kappa} τ={tau} n={n} trial {trial}");
+                        assert_eq!(
+                            (vi.to_bits(), bits(&into)),
+                            (v.to_bits(), bits(&g)),
+                            "{case}"
+                        );
+                        assert_eq!((v.to_bits(), bits(&g)), (pv.to_bits(), bits(&pg)), "{case}");
+                    }
+                }
+            }
+        }
+        assert!(deep > 500, "only {deep} samples took the deep-gap branch");
+    }
+
+    #[test]
+    fn deep_gap_soft_max_equals_the_full_formula_across_gaps_30_to_50() {
+        let mut deep = 0usize;
+        for tau in [1e-3, 0.05, 1.0] {
+            for step in 0..=4000 {
+                let wanted = 30.0 + 20.0 * step as f64 / 4000.0;
+                let a = 0.37 + 0.01 * (step % 7) as f64;
+                let c = a - wanted * tau;
+                let gap = (a - c).abs() / tau;
+                if gap > DEEP_GAP {
+                    deep += 1;
+                    // The two f64 facts the shortcut rests on; a libm
+                    // whose ln_1p is not correctly rounded here fails by
+                    // name rather than as a kernel bit mismatch.
+                    let e = (-gap).exp();
+                    assert_eq!(e.ln_1p(), e, "ln_1p(e) == e fails at gap {gap}");
+                    assert_eq!(1.0 / (1.0 + e), 1.0, "1/(1 + e) == 1 fails at gap {gap}");
+                }
+                for (x, z) in [(a, c), (c, a)] {
+                    let (v, p, q) = soft_max2(x, z, tau);
+                    let (fv, fp, fq) = full_soft_max2(x, z, tau);
+                    assert_eq!(
+                        (v.to_bits(), p.to_bits(), q.to_bits()),
+                        (fv.to_bits(), fp.to_bits(), fq.to_bits()),
+                        "τ={tau} gap {gap}"
+                    );
+                }
+            }
+        }
+        assert!(deep > 5000, "{deep} deep-gap points");
     }
 
     /// Golden-section minimization of a unimodal function on `[lo, hi]`;
