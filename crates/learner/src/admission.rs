@@ -36,6 +36,7 @@
 //! on the learner's logical step clock with seeded arithmetic only, so the
 //! same report stream always replays to the bit.
 
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, VecDeque};
 
 use crate::sir::mix_seed;
@@ -194,6 +195,34 @@ impl AdmissionOutcome {
     }
 }
 
+/// One task's rolling window of admitted scores, kept in arrival order to
+/// evict the oldest and sorted to read the gate's quantile without sorting
+/// per report. Equal scores keep arrival order in the sorted copy, so it is
+/// always exactly the stable sort of the arrival order.
+#[derive(Debug, Clone, Default)]
+struct ScoreWindow {
+    arrivals: VecDeque<f64>,
+    sorted: Vec<f64>,
+}
+
+impl ScoreWindow {
+    /// Appends `score`, then evicts the oldest scores beyond `cap`.
+    fn push(&mut self, score: f64, cap: usize) {
+        // After every equal score: they all arrived earlier.
+        let at = self.sorted.partition_point(|v| {
+            v.partial_cmp(&score).expect("scores are finite") != Ordering::Greater
+        });
+        self.sorted.insert(at, score);
+        self.arrivals.push_back(score);
+        while self.arrivals.len() > cap {
+            let oldest = self.arrivals.pop_front().expect("window is over its cap");
+            // The first of its equal scores: none arrived before it.
+            let at = self.sorted.partition_point(|v| *v < oldest);
+            self.sorted.remove(at);
+        }
+    }
+}
+
 /// Deterministic admission controller (see module docs).
 #[derive(Debug, Clone)]
 pub struct AdmissionState {
@@ -202,7 +231,7 @@ pub struct AdmissionState {
     /// output) is ordered and replayable.
     ledger: BTreeMap<u64, DeviceReputation>,
     /// Per-task rolling windows of admitted scores.
-    windows: BTreeMap<u64, VecDeque<f64>>,
+    windows: BTreeMap<u64, ScoreWindow>,
     /// Logical step clock: one tick per scored report, shared across tasks.
     step: u64,
     gated_total: u64,
@@ -265,12 +294,10 @@ impl AdmissionState {
     /// rolling admitted-score window minus the margin, or `None` while the
     /// window is still warming up.
     pub fn gate_threshold(&self, task_id: u64) -> Option<f64> {
-        let window = self.windows.get(&task_id)?;
-        if window.len() < self.config.warmup {
+        let sorted = &self.windows.get(&task_id)?.sorted;
+        if sorted.len() < self.config.warmup {
             return None;
         }
-        let mut sorted: Vec<f64> = window.iter().copied().collect();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("scores are finite"));
         let idx = (self.config.quantile * (sorted.len() - 1) as f64).floor() as usize;
         Some(sorted[idx] - self.config.margin)
     }
@@ -279,11 +306,10 @@ impl AdmissionState {
     /// admission decision — used to arm the gate with the base cohort's
     /// own marginals the moment a task's filter is born.
     pub fn seed_baseline(&mut self, task_id: u64, score: f64) {
-        let window = self.windows.entry(task_id).or_default();
-        window.push_back(score);
-        while window.len() > self.config.window {
-            window.pop_front();
-        }
+        self.windows
+            .entry(task_id)
+            .or_default()
+            .push(score, self.config.window);
     }
 
     /// Decides one report. `score` is the filter's collapsed predictive
@@ -346,11 +372,7 @@ impl AdmissionState {
                 dev.state = ReputationState::Trusted;
             }
             if let Some(s) = score {
-                let window = self.windows.entry(task_id).or_default();
-                window.push_back(s);
-                while window.len() > cfg.window {
-                    window.pop_front();
-                }
+                self.windows.entry(task_id).or_default().push(s, cfg.window);
             }
             AdmissionOutcome::Admitted
         } else {
@@ -393,6 +415,28 @@ pub fn admission_from_env() -> Option<AdmissionConfig> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn score_window_keeps_the_stable_sort_of_its_arrivals(
+            picks in proptest::collection::vec(0usize..6, 1..160),
+            cap in 1usize..70,
+        ) {
+            // Few distinct values, so ties (and the equal-comparing ±0) are
+            // common and eviction must remove exactly the oldest one.
+            let values = [-3.5, -1.0, -0.0, 0.0, 2.0, f64::NEG_INFINITY];
+            let mut window = ScoreWindow::default();
+            for i in picks {
+                window.push(values[i], cap);
+                let mut expected: Vec<f64> = window.arrivals.iter().copied().collect();
+                expected.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&window.sorted), bits(&expected));
+                prop_assert!(window.arrivals.len() <= cap);
+            }
+        }
+    }
 
     fn warmed(config: AdmissionConfig) -> AdmissionState {
         let mut adm = AdmissionState::new(config).unwrap();

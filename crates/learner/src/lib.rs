@@ -29,8 +29,8 @@
 //!   seeded probation re-probes) quarantines repeat offenders. Enabled by
 //!   [`LearnerConfig::admission`] or the `DRE_ADMISSION` env knob
 //!   ([`admission_from_env`]); an admitted report's `push` reuses the
-//!   score's per-particle rows, so gating costs a few percent of the
-//!   ungated refresh.
+//!   score's per-particle rows and marginals, so an admitted report is
+//!   scored once.
 //! * [`LearnerDaemon`] — an optional background thread running the same
 //!   loop on a poll interval.
 //!

@@ -5,7 +5,8 @@
 //! so far. Cluster parameters are **integrated out**: a particle stores only
 //! per-cluster [`NiwPosteriorCache`]s (exact sufficient statistics plus a
 //! rank-1-maintained predictive factor), so absorbing one report costs
-//! `O(K·d²)` per particle — no Gibbs sweeps, no refits.
+//! `O(d²)` per distinct cluster plus `O(K)` per particle — no Gibbs sweeps,
+//! no refits (see [Shared clusters](#shared-clusters)).
 //!
 //! The proposal is the CRP-optimal one: a report joins cluster `k` with
 //! probability `∝ n_k · t_k(x)` (the cached Student-t predictive) or opens a
@@ -25,24 +26,33 @@
 //!
 //! Every particle carries its **own** RNG, seeded by mixing
 //! `(seed, birth-tag, particle index)`; resampling deterministically reseeds
-//! the offspring. The per-report particle loop therefore has no shared
-//! state, runs through the order-preserving [`dre_parallel`] maps, and
-//! produces bit-identical ensembles serial vs. parallel and under any
-//! thread count.
+//! the offspring. Each particle's CRP draw is taken on its own stream in
+//! particle order, and the rejuvenation loop runs through the
+//! order-preserving [`dre_parallel`] maps, so ensembles are bit-identical
+//! serial vs. parallel and under any thread count.
 //!
-//! # Ownership
+//! # Shared clusters
 //!
-//! A report never copies a particle. [`SirDpFilter::push`] first *stages*
-//! every particle's step against the unchanged ensemble — the CRP draw on a
-//! copy of the particle's 32-byte RNG state and a checked rank-1 insert
-//! direction ([`NiwPosteriorCache::stage_insert`]) — and only when every
-//! stage succeeded commits them in place. The commit cannot fail, so a
+//! Particles hold their clusters copy-on-write behind [`Arc`]s. Resampling
+//! copies ancestors, and siblings that share a cluster state usually make
+//! the same CRP pick, so an ensemble of `P` particles with `K` clusters each
+//! holds far fewer than `P·K` distinct clusters. [`SirDpFilter::push`]
+//! therefore scores each distinct cluster once, stages one checked rank-1
+//! insert ([`NiwPosteriorCache::stage_insert`]) per distinct pick, and
+//! commits each staged insert into one new cluster that every particle
+//! which picked it shares. A cluster held by one particle only is committed
+//! in place. Every shared value is the same deterministic function of the
+//! same cluster state and report, so the ensemble is bit-identical to one
+//! where each particle updates its own deep copy.
+//!
+//! Every stage runs before any commit, and the commit cannot fail, so a
 //! report that some particle cannot absorb leaves the ensemble exactly as
-//! it was. Resampling moves each ancestor into its last offspring and
-//! copies it only for the others.
+//! it was.
+
+use std::sync::Arc;
 
 use dre_bayes::{expected_covariance, MixturePrior};
-use dre_parallel::{par_map_indexed_min, par_map_slice_min};
+use dre_parallel::par_map_slice_min;
 use dre_prob::{
     seeded_rng, CategoricalScratch, MvNormal, NiwPosteriorCache, NormalInverseWishart, StagedInsert,
 };
@@ -52,13 +62,15 @@ use rand::Rng;
 use crate::elliptical::elliptical_slice_step;
 use crate::{LearnerError, Result};
 
-/// Particle count below which the per-report loops stay serial. Each
-/// report runs two particle loops (scoring and staging), and each parallel
-/// loop spawns scoped threads. On a 2-vCPU x86-64 host (`d = 5`, about 3
-/// clusters per particle) a particle costs about 1.7 µs per report while the
-/// two spawns cost about 170 µs: two threads ran 5.6× slower than serial at
-/// the default 24 particles, 1.6× at 256, 1.2× at 1024, and first broke
-/// even at 2048. Results are bit-identical either way.
+/// Particle count below which [`SirDpFilter::rejuvenate`]'s per-particle
+/// loop stays serial. It is the only particle loop that can run on threads:
+/// every particle draws on its own RNG stream, so its move cannot be shared
+/// with its siblings. A push scores, stages and commits only the handful of
+/// distinct clusters in the ensemble, far too little work to pay for a
+/// thread spawn, so it always runs serially. 2048 was the break-even of
+/// per-particle push loops on a 2-vCPU x86-64 host; rejuvenation costs more
+/// per particle, and its own break-even has not been measured. Results are
+/// bit-identical either way.
 const SIR_MIN_PAR_PARTICLES: usize = 2048;
 
 /// Configuration for [`SirDpFilter`].
@@ -115,10 +127,11 @@ impl SirConfig {
 }
 
 /// One partition hypothesis: collapsed per-cluster posteriors plus a
-/// log importance weight and a particle-local RNG.
+/// log importance weight and a particle-local RNG. Cloning a particle
+/// shares its clusters (see the module docs).
 #[derive(Debug, Clone)]
 struct Particle {
-    clusters: Vec<NiwPosteriorCache>,
+    clusters: Vec<Arc<NiwPosteriorCache>>,
     log_weight: f64,
     rng: StdRng,
     /// Rejuvenated mean draws, parallel to `clusters` as of the last
@@ -137,24 +150,74 @@ pub(crate) fn mix_seed(seed: u64, tag: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The identity of a shared cluster: the address its [`Arc`] points to.
+fn cluster_key(c: &Arc<NiwPosteriorCache>) -> usize {
+    Arc::as_ptr(c) as usize
+}
+
+/// `exp` that reuses its last result when called again with the same
+/// argument. Resampled siblings sit next to each other with equal weights
+/// and marginals, so most exponentials of an ensemble loop repeat; an equal
+/// argument gives the same bits either way.
+struct RepeatExp {
+    arg: f64,
+    value: f64,
+}
+
+impl RepeatExp {
+    fn new() -> Self {
+        RepeatExp {
+            arg: f64::NAN,
+            value: f64::NAN,
+        }
+    }
+
+    fn exp(&mut self, arg: f64) -> f64 {
+        if arg != self.arg {
+            self.arg = arg;
+            self.value = arg.exp();
+        }
+        self.value
+    }
+}
+
 /// One particle's staged push: its weight increment, its advanced RNG, the
-/// cluster it joins (`== clusters.len()` for a fresh table) and the checked
-/// insert into that cluster.
+/// cluster slot it joins (`== clusters.len()` for a fresh table) and the
+/// index of the distinct staged insert that slot receives.
 struct ParticleStep {
     log_marginal: f64,
     rng: StdRng,
     pick: usize,
-    insert: StagedInsert,
+    target: usize,
 }
 
-/// Per-particle CRP score rows memoized by [`SirDpFilter::score_report`]
+/// One distinct insert target of a push: the picked cluster's key (`None`
+/// for a fresh table), the checked insert into it, staged once for every
+/// particle that picked it, and the new cluster once it is committed.
+struct Target {
+    key: Option<usize>,
+    insert: Option<StagedInsert>,
+    committed: Option<Arc<NiwPosteriorCache>>,
+}
+
+/// One report scored against the ensemble: every particle's CRP score row,
+/// concatenated in particle order (split them with
+/// [`SirDpFilter::score_rows`]), and every particle's Rao-Blackwellized
+/// log-marginal.
+#[derive(Debug, Clone)]
+struct Scores {
+    rows: Vec<f64>,
+    marginals: Vec<f64>,
+}
+
+/// The [`Scores`] of a report memoized by [`SirDpFilter::score_report`]
 /// and consumed by the next [`SirDpFilter::push`] of the same report, so
 /// gating a report does not double the cost of absorbing it. Valid only
 /// while the ensemble is untouched — every mutator drains it on entry.
 #[derive(Debug, Clone)]
 struct ScoreMemo {
     x: Vec<f64>,
-    rows: Vec<Vec<f64>>,
+    scores: Scores,
 }
 
 /// Streaming DP-mixture posterior tracker (see module docs).
@@ -164,10 +227,15 @@ pub struct SirDpFilter {
     config: SirConfig,
     particles: Vec<Particle>,
     /// An empty cache of the base measure, cloned on cluster birth so the
-    /// `O(d³)` prior factorization is paid exactly once per filter.
-    template: NiwPosteriorCache,
+    /// `O(d³)` prior factorization is paid exactly once per filter. The
+    /// filter always holds it, so a fresh table commits into a copy.
+    template: Arc<NiwPosteriorCache>,
     observations: usize,
     resamples: u64,
+    /// `Σ_i exp(log w_i − max_j log w_j)` in particle order, refreshed on
+    /// every weight change: the admission score's normalizer, which would
+    /// otherwise cost one exponential per particle per scored report.
+    weight_total: f64,
     score_memo: Option<ScoreMemo>,
 }
 
@@ -181,7 +249,7 @@ impl SirDpFilter {
     /// base scale matrix.
     pub fn new(base: NormalInverseWishart, config: SirConfig) -> Result<Self> {
         config.validate()?;
-        let template = NiwPosteriorCache::new(&base)?;
+        let template = Arc::new(NiwPosteriorCache::new(&base)?);
         let particles = (0..config.num_particles)
             .map(|i| Particle {
                 clusters: Vec::new(),
@@ -190,15 +258,18 @@ impl SirDpFilter {
                 mean_draws: Vec::new(),
             })
             .collect();
-        Ok(SirDpFilter {
+        let mut filter = SirDpFilter {
             base,
             config,
             particles,
             template,
             observations: 0,
             resamples: 0,
+            weight_total: 0.0,
             score_memo: None,
-        })
+        };
+        filter.weight_total = filter.weight_sums().0;
+        Ok(filter)
     }
 
     /// The base measure the filter was built over.
@@ -224,6 +295,12 @@ impl SirDpFilter {
     /// Effective sample size `(Σw)² / Σw²` of the current ensemble, in
     /// `[1, num_particles]`.
     pub fn ess(&self) -> f64 {
+        let (sum, sum_sq) = self.weight_sums();
+        sum * sum / sum_sq
+    }
+
+    /// `(Σw, Σw²)` over the weights `w_i = exp(log w_i − max_j log w_j)`.
+    fn weight_sums(&self) -> (f64, f64) {
         let max = self
             .particles
             .iter()
@@ -231,12 +308,13 @@ impl SirDpFilter {
             .fold(f64::NEG_INFINITY, f64::max);
         let mut sum = 0.0;
         let mut sum_sq = 0.0;
+        let mut exp = RepeatExp::new();
         for p in &self.particles {
-            let w = (p.log_weight - max).exp();
+            let w = exp.exp(p.log_weight - max);
             sum += w;
             sum_sq += w * w;
         }
-        sum * sum / sum_sq
+        (sum, sum_sq)
     }
 
     /// Collapsed predictive log-marginal `log p(x | reports so far)` of the
@@ -256,8 +334,7 @@ impl SirDpFilter {
     /// the base measure.
     pub fn predictive_log_marginal(&self, x: &[f64]) -> Result<f64> {
         self.validate_report(x)?;
-        let rows = self.particle_score_rows(x);
-        Ok(self.ensemble_log_marginal(&rows))
+        Ok(self.ensemble_log_marginal(&self.score(x).marginals))
     }
 
     /// [`predictive_log_marginal`](Self::predictive_log_marginal), but the
@@ -273,11 +350,11 @@ impl SirDpFilter {
     /// the base measure.
     pub fn score_report(&mut self, x: &[f64]) -> Result<f64> {
         self.validate_report(x)?;
-        let rows = self.particle_score_rows(x);
-        let marginal = self.ensemble_log_marginal(&rows);
+        let scores = self.score(x);
+        let marginal = self.ensemble_log_marginal(&scores.marginals);
         self.score_memo = Some(ScoreMemo {
             x: x.to_vec(),
-            rows,
+            scores,
         });
         Ok(marginal)
     }
@@ -296,21 +373,59 @@ impl SirDpFilter {
         Ok(())
     }
 
-    /// Per-particle CRP score rows for `x`: row `i` holds
+    /// Scores `x` against every particle. Row `i` holds
     /// `log n_k + log t_k(x)` for each of particle `i`'s clusters plus a
-    /// final `log α + log t₀(x)` base-measure entry. This is the shared
-    /// kernel behind both the admission gate's marginal and the push-time
-    /// weight update / assignment proposal.
-    fn particle_score_rows(&self, x: &[f64]) -> Vec<Vec<f64>> {
+    /// final `log α + log t₀(x)` base-measure entry, and marginal `i` is
+    /// that row's Rao-Blackwellized `log p(x | partition)`. This is the
+    /// shared kernel behind both the admission gate's marginal and the
+    /// push-time weight update / assignment proposal.
+    ///
+    /// Each distinct shared cluster is scored once; there are only a handful
+    /// per report, so a linear scan finds the ones already scored. Siblings
+    /// sit next to each other after a resample, so a row equal to the one
+    /// before it reuses that row's marginal.
+    fn score(&self, x: &[f64]) -> Scores {
         // The base-measure entry is the same for every particle.
         let fresh = self.config.alpha.ln() + self.template.predictive_log_pdf(x);
-        par_map_slice_min(&self.particles, SIR_MIN_PAR_PARTICLES, |p| {
-            let mut scores = Vec::with_capacity(p.clusters.len() + 1);
+        let log_n_alpha = (self.observations as f64 + self.config.alpha).ln();
+        let slots: usize = self.particles.iter().map(|p| p.clusters.len() + 1).sum();
+        let mut rows = Vec::with_capacity(slots);
+        let mut marginals = Vec::with_capacity(self.particles.len());
+        let mut scored: Vec<(usize, f64)> = Vec::new();
+        let mut prev_start = 0;
+        for p in &self.particles {
+            let start = rows.len();
             for c in &p.clusters {
-                scores.push((c.len() as f64).ln() + c.predictive_log_pdf(x));
+                let key = cluster_key(c);
+                let score = match scored.iter().find(|(k, _)| *k == key) {
+                    Some(&(_, score)) => score,
+                    None => {
+                        let score = (c.len() as f64).ln() + c.predictive_log_pdf(x);
+                        scored.push((key, score));
+                        score
+                    }
+                };
+                rows.push(score);
             }
-            scores.push(fresh);
-            scores
+            rows.push(fresh);
+            let (done, row) = rows.split_at(start);
+            let marginal = match marginals.last() {
+                Some(&m) if &done[prev_start..] == row => m,
+                _ => Self::row_log_marginal(row, log_n_alpha),
+            };
+            marginals.push(marginal);
+            prev_start = start;
+        }
+        Scores { rows, marginals }
+    }
+
+    /// Splits concatenated score rows into each particle's row.
+    fn score_rows<'a>(&'a self, rows: &'a [f64]) -> impl Iterator<Item = &'a [f64]> + 'a {
+        let mut rest = rows;
+        self.particles.iter().map(move |p| {
+            let (row, tail) = rest.split_at(p.clusters.len() + 1);
+            rest = tail;
+            row
         })
     }
 
@@ -321,25 +436,25 @@ impl SirDpFilter {
     }
 
     /// Importance-weighted logsumexp of the per-particle marginals.
-    fn ensemble_log_marginal(&self, rows: &[Vec<f64>]) -> f64 {
-        let log_n_alpha = (self.observations as f64 + self.config.alpha).ln();
+    fn ensemble_log_marginal(&self, marginals: &[f64]) -> f64 {
         let max_w = self
             .particles
             .iter()
             .map(|p| p.log_weight)
             .fold(f64::NEG_INFINITY, f64::max);
-        let mut num = f64::NEG_INFINITY;
-        let mut den = 0.0;
-        let mut terms = Vec::with_capacity(self.particles.len());
-        for (p, scores) in self.particles.iter().zip(rows) {
-            let log_marginal = Self::row_log_marginal(scores, log_n_alpha);
-            let lw = p.log_weight - max_w;
-            terms.push(lw + log_marginal);
-            den += lw.exp();
-            num = num.max(lw + log_marginal);
+        let terms = || {
+            self.particles
+                .iter()
+                .zip(marginals)
+                .map(move |(p, m)| p.log_weight - max_w + m)
+        };
+        let num = terms().fold(f64::NEG_INFINITY, f64::max);
+        let mut sum = 0.0;
+        let mut exp = RepeatExp::new();
+        for term in terms() {
+            sum += exp.exp(term - num);
         }
-        let log_num = num + terms.iter().map(|t| (t - num).exp()).sum::<f64>().ln();
-        log_num - den.ln()
+        num + sum.ln() - self.weight_total.ln()
     }
 
     /// Absorbs one reported model: every particle proposes an assignment
@@ -347,10 +462,10 @@ impl SirDpFilter {
     /// marginal; the ensemble then resamples if the ESS dropped below the
     /// configured fraction.
     ///
-    /// The step is all-or-nothing: every particle's draw and cluster insert
-    /// is staged against the unchanged ensemble first, and only when all of
-    /// them succeed are they committed in place. On error the ensemble is
-    /// exactly as before the call.
+    /// The step is all-or-nothing: every particle's draw and every distinct
+    /// cluster insert is staged against the unchanged ensemble first, and
+    /// only when all of them succeed are they committed. On error the
+    /// ensemble is exactly as before the call.
     ///
     /// # Errors
     ///
@@ -359,56 +474,84 @@ impl SirDpFilter {
     /// distance to the chosen cluster's mean overflows).
     pub fn push(&mut self, x: &[f64]) -> Result<()> {
         self.validate_report(x)?;
-        // Reuse the rows from an immediately preceding score_report of this
+        // Reuse the scores from an immediately preceding score_report of this
         // exact report (the admission-gate fast path); recompute otherwise.
         // Draining the memo here also guarantees no mutation can ever leave
         // a stale memo behind.
-        let rows = match self.score_memo.take() {
-            Some(m) if m.x == x => m.rows,
-            _ => self.particle_score_rows(x),
+        let scores = match self.score_memo.take() {
+            Some(m) if m.x == x => m.scores,
+            _ => self.score(x),
         };
-        let log_n_alpha = (self.observations as f64 + self.config.alpha).ln();
-        let template = &self.template;
-        let particles = &self.particles;
-        // Stage: a pure per-particle step against the unchanged ensemble.
-        // Each particle owns its RNG, so the loop is embarrassingly
-        // parallel and bit-identical to the serial path.
-        let staged: Vec<Result<ParticleStep>> =
-            par_map_indexed_min(particles.len(), SIR_MIN_PAR_PARTICLES, |i| {
-                let p = &particles[i];
-                let scores = &rows[i];
-                let mut rng = p.rng.clone();
-                let mut scratch = CategoricalScratch::new();
-                let pick = scratch.sample_from_log_weights(scores, &mut rng)?;
-                let insert = p.clusters.get(pick).unwrap_or(template).stage_insert(x)?;
-                Ok(ParticleStep {
-                    // Predictive marginal under the CRP mixture proposal —
-                    // the Rao-Blackwellized weight update, independent of
-                    // the draw.
-                    log_marginal: Self::row_log_marginal(scores, log_n_alpha),
-                    rng,
-                    pick,
-                    insert,
-                })
+        // Stage against the unchanged ensemble: each particle draws its pick
+        // on a copy of its own RNG, in particle order, and the first particle
+        // to pick a cluster stages the insert every later picker reuses. An
+        // error is the one the first failing particle would raise on its own.
+        let mut steps = Vec::with_capacity(self.particles.len());
+        let mut targets: Vec<Target> = Vec::new();
+        let mut scratch = CategoricalScratch::new();
+        let rows = self.score_rows(&scores.rows);
+        for ((p, row), &log_marginal) in self.particles.iter().zip(rows).zip(&scores.marginals) {
+            let mut rng = p.rng.clone();
+            let pick = scratch.sample_from_log_weights(row, &mut rng)?;
+            let cluster = p.clusters.get(pick);
+            let key = cluster.map(cluster_key);
+            let target = match targets.iter().position(|t| t.key == key) {
+                Some(t) => t,
+                None => {
+                    let insert = cluster.map_or(&self.template, |c| c).stage_insert(x)?;
+                    targets.push(Target {
+                        key,
+                        insert: Some(insert),
+                        committed: None,
+                    });
+                    targets.len() - 1
+                }
+            };
+            steps.push(ParticleStep {
+                // Predictive marginal under the CRP mixture proposal — the
+                // Rao-Blackwellized weight update, independent of the draw.
+                log_marginal,
+                rng,
+                pick,
+                target,
             });
-        let staged = staged.into_iter().collect::<Result<Vec<_>>>()?;
-        // Commit: infallible, in place, no particle is copied.
-        for (p, step) in self.particles.iter_mut().zip(staged) {
+        }
+        // Commit: infallible. The first picker of each target commits its
+        // insert — in place when no other particle holds the cluster, into a
+        // copy otherwise — and every later picker shares the result.
+        for (p, step) in self.particles.iter_mut().zip(steps) {
             p.log_weight += step.log_marginal;
             p.rng = step.rng;
             if step.pick == p.clusters.len() {
-                p.clusters.push(self.template.clone());
+                p.clusters.push(Arc::clone(&self.template));
             }
-            p.clusters[step.pick].commit_insert(x, step.insert);
+            let slot = &mut p.clusters[step.pick];
+            let target = &mut targets[step.target];
+            match &target.committed {
+                Some(shared) => *slot = Arc::clone(shared),
+                None => {
+                    let insert = target.insert.take().expect("a target commits once");
+                    Arc::make_mut(slot).commit_insert(x, insert);
+                    target.committed = Some(Arc::clone(slot));
+                }
+            }
         }
         self.observations += 1;
-        // Inclusive comparison so `ess_fraction = 1.0` means "resample every
-        // report" even while all particles still agree (equal weights give
-        // ESS exactly equal to the ensemble size).
-        if self.ess() <= self.config.ess_fraction * self.particles.len() as f64 {
+        self.resample_if_degenerate();
+        Ok(())
+    }
+
+    /// Refreshes the weight total after the weights changed, then resamples
+    /// when the ESS fell to the configured fraction. Inclusive comparison so
+    /// `ess_fraction = 1.0` means "resample every report" even while all
+    /// particles still agree (equal weights give ESS exactly equal to the
+    /// ensemble size).
+    fn resample_if_degenerate(&mut self) {
+        let (sum, sum_sq) = self.weight_sums();
+        self.weight_total = sum;
+        if sum * sum / sum_sq <= self.config.ess_fraction * self.particles.len() as f64 {
             self.resample();
         }
-        Ok(())
     }
 
     /// Seeded systematic resampling: one uniform offset, evenly spaced
@@ -430,36 +573,23 @@ impl SirDpFilter {
         let total: f64 = weights.iter().sum();
         let mut offset_rng = seeded_rng(mix_seed(self.config.seed, self.resamples, u64::MAX));
         let u0: f64 = offset_rng.gen_range(0.0..1.0) / p as f64;
-        let mut ancestors = Vec::with_capacity(p);
+        let mut next = Vec::with_capacity(p);
         let mut cdf = weights[0] / total;
         let mut k = 0usize;
-        for i in 0..p {
-            let u = u0 + i as f64 / p as f64;
+        for slot in 0..p {
+            let u = u0 + slot as f64 / p as f64;
             while u > cdf && k + 1 < p {
                 k += 1;
                 cdf += weights[k] / total;
             }
-            ancestors.push(k);
-        }
-        // The CDF walk makes `ancestors` nondecreasing, so each ancestor's
-        // last offspring takes it by move and only the others copy it.
-        let mut old: Vec<Option<Particle>> = std::mem::take(&mut self.particles)
-            .into_iter()
-            .map(Some)
-            .collect();
-        let mut next = Vec::with_capacity(p);
-        for (slot, &a) in ancestors.iter().enumerate() {
-            let mut child = if ancestors.get(slot + 1) == Some(&a) {
-                old[a].clone()
-            } else {
-                old[a].take()
-            }
-            .expect("an ancestor moves out only at its last offspring");
+            // Cloning shares the ancestor's clusters; no posterior is copied.
+            let mut child = self.particles[k].clone();
             child.log_weight = 0.0;
             child.rng = seeded_rng(mix_seed(self.config.seed, self.resamples, slot as u64));
             next.push(child);
         }
         self.particles = next;
+        self.weight_total = self.weight_sums().0;
         if self.config.rejuvenate {
             self.rejuvenate();
         }
@@ -575,6 +705,7 @@ impl SirDpFilter {
 mod tests {
     use super::*;
     use dre_linalg::Matrix;
+    use proptest::prelude::*;
 
     fn unit_base(d: usize) -> NormalInverseWishart {
         NormalInverseWishart::new(vec![0.0; d], 0.05, Matrix::identity(d), d as f64 + 2.0)
@@ -591,6 +722,231 @@ mod tests {
             out.push(src.sample(&mut rng));
         }
         out
+    }
+
+    /// Reference push that shares nothing, the differential oracle for
+    /// [`SirDpFilter::push`]: every particle scores its own clusters, stages
+    /// its own insert and commits it into a deep copy of its clusters, so no
+    /// particle shares a cluster after the push.
+    fn push_deep_copy(f: &mut SirDpFilter, x: &[f64]) -> Result<()> {
+        f.validate_report(x)?;
+        f.score_memo = None;
+        let fresh = f.config.alpha.ln() + f.template.predictive_log_pdf(x);
+        let log_n_alpha = (f.observations as f64 + f.config.alpha).ln();
+        let mut staged = Vec::with_capacity(f.particles.len());
+        for p in &f.particles {
+            let mut scores: Vec<f64> = p
+                .clusters
+                .iter()
+                .map(|c| (c.len() as f64).ln() + c.predictive_log_pdf(x))
+                .collect();
+            scores.push(fresh);
+            let mut rng = p.rng.clone();
+            let pick = CategoricalScratch::new().sample_from_log_weights(&scores, &mut rng)?;
+            let insert = p
+                .clusters
+                .get(pick)
+                .unwrap_or(&f.template)
+                .stage_insert(x)?;
+            let log_marginal = SirDpFilter::row_log_marginal(&scores, log_n_alpha);
+            staged.push((log_marginal, rng, pick, insert));
+        }
+        for (p, (log_marginal, rng, pick, insert)) in f.particles.iter_mut().zip(staged) {
+            p.log_weight += log_marginal;
+            p.rng = rng;
+            let mut own: Vec<NiwPosteriorCache> =
+                p.clusters.iter().map(|c| (**c).clone()).collect();
+            if pick == own.len() {
+                own.push((*f.template).clone());
+            }
+            own[pick].commit_insert(x, insert);
+            p.clusters = own.into_iter().map(Arc::new).collect();
+        }
+        f.observations += 1;
+        f.resample_if_degenerate();
+        Ok(())
+    }
+
+    /// Reference ensemble marginal: every particle's row and marginal and
+    /// every exponential computed afresh, for
+    /// [`SirDpFilter::predictive_log_marginal`].
+    fn reference_log_marginal(f: &SirDpFilter, x: &[f64]) -> f64 {
+        let fresh = f.config.alpha.ln() + f.template.predictive_log_pdf(x);
+        let log_n_alpha = (f.observations as f64 + f.config.alpha).ln();
+        let max_w = f
+            .particles
+            .iter()
+            .map(|p| p.log_weight)
+            .fold(f64::NEG_INFINITY, f64::max);
+        let mut num = f64::NEG_INFINITY;
+        let mut den = 0.0;
+        let mut terms = Vec::new();
+        for p in &f.particles {
+            let mut scores: Vec<f64> = p
+                .clusters
+                .iter()
+                .map(|c| (c.len() as f64).ln() + c.predictive_log_pdf(x))
+                .collect();
+            scores.push(fresh);
+            let lw = p.log_weight - max_w;
+            let term = lw + SirDpFilter::row_log_marginal(&scores, log_n_alpha);
+            terms.push(term);
+            den += lw.exp();
+            num = num.max(term);
+        }
+        num + terms.iter().map(|t| (t - num).exp()).sum::<f64>().ln() - den.ln()
+    }
+
+    /// Reference ESS with every weight's exponential computed afresh.
+    fn reference_ess(f: &SirDpFilter) -> f64 {
+        let max = f
+            .particles
+            .iter()
+            .map(|p| p.log_weight)
+            .fold(f64::NEG_INFINITY, f64::max);
+        let w: Vec<f64> = f
+            .particles
+            .iter()
+            .map(|p| (p.log_weight - max).exp())
+            .collect();
+        let sum: f64 = w.iter().sum();
+        sum * sum / w.iter().map(|v| v * v).sum::<f64>()
+    }
+
+    /// Everything observable about a filter, as bits: the public
+    /// diagnostics, the collapsed prior, and every particle's weight, next
+    /// RNG draw and cluster states.
+    fn fingerprint(f: &SirDpFilter) -> Vec<u64> {
+        let mut out = vec![
+            f.ess().to_bits(),
+            f.resamples(),
+            f.num_observations() as u64,
+            f.map_num_clusters() as u64,
+        ];
+        for d in f.map_mean_draws() {
+            out.extend(d.iter().map(|v| v.to_bits()));
+        }
+        if let Ok(prior) = f.to_mixture_prior() {
+            let bytes = dro_edge::transfer::serialize_prior(&prior);
+            out.extend(bytes.iter().map(|&b| u64::from(b)));
+        }
+        for p in &f.particles {
+            out.push(p.log_weight.to_bits());
+            out.push(rand::RngCore::next_u64(&mut p.rng.clone()));
+            for c in &p.clusters {
+                out.push(c.len() as u64);
+                out.extend(c.mean().iter().map(|v| v.to_bits()));
+                out.push(c.psi_log_det().to_bits());
+            }
+        }
+        out
+    }
+
+    /// Cluster keys per particle slot.
+    fn cluster_keys(f: &SirDpFilter) -> Vec<Vec<usize>> {
+        f.particles
+            .iter()
+            .map(|p| p.clusters.iter().map(cluster_key).collect())
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn shared_cluster_push_matches_the_deep_copy_reference(
+            seed in 0u64..1_000_000,
+            reports in proptest::collection::vec(
+                (0usize..4, -1.5..1.5f64, -1.5..1.5f64, 0usize..2),
+                4..32,
+            ),
+        ) {
+            // Three clusters plus points halfway between two of them, where
+            // sibling particles split their picks.
+            let centers = [[4.0, 4.0], [-4.0, -4.0], [4.0, -4.0], [0.0, 0.0]];
+            for (ess_fraction, rejuvenate) in [(0.5, false), (0.5, true), (1.0, false), (1.0, true)] {
+                let config = SirConfig {
+                    num_particles: 16,
+                    ess_fraction,
+                    rejuvenate,
+                    rejuvenation_steps: 1,
+                    seed,
+                    ..SirConfig::default()
+                };
+                let mut shared = SirDpFilter::new(unit_base(2), config).unwrap();
+                let mut reference = shared.clone();
+                for &(c, dx, dy, gate) in &reports {
+                    let x = [centers[c][0] + dx, centers[c][1] + dy];
+                    // Half the reports go through the admission-gate path.
+                    if gate == 1 {
+                        let scored = shared.score_report(&x).unwrap();
+                        let expected = reference_log_marginal(&reference, &x);
+                        prop_assert_eq!(scored.to_bits(), expected.to_bits());
+                    }
+                    let a = shared.push(&x);
+                    let b = push_deep_copy(&mut reference, &x);
+                    prop_assert_eq!(a.is_ok(), b.is_ok());
+                    prop_assert_eq!(fingerprint(&shared), fingerprint(&reference));
+                    prop_assert_eq!(shared.ess().to_bits(), reference_ess(&reference).to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn siblings_sharing_a_cluster_stay_isolated_when_their_picks_differ() {
+        let config = SirConfig {
+            ess_fraction: 1.0,
+            ..SirConfig::default()
+        };
+        let mut shared = SirDpFilter::new(unit_base(2), config).unwrap();
+        let mut reference = shared.clone();
+        for x in two_cluster_reports(4, 23) {
+            shared.push(&x).unwrap();
+            push_deep_copy(&mut reference, &x).unwrap();
+        }
+        // Resampling made siblings share clusters. Stop it, so each later
+        // push's commits stay in place where the test can see them.
+        shared.config.ess_fraction = 0.0;
+        reference.config.ess_fraction = 0.0;
+        let mut split = 0;
+        for x in [[0.0, 0.0], [0.3, -0.2], [-0.4, 0.1], [0.1, 0.5]] {
+            let before = cluster_keys(&shared);
+            let lens: Vec<Vec<usize>> = shared
+                .particles
+                .iter()
+                .map(|p| p.clusters.iter().map(|c| c.len()).collect())
+                .collect();
+            shared.push(&x).unwrap();
+            push_deep_copy(&mut reference, &x).unwrap();
+            assert_eq!(fingerprint(&shared), fingerprint(&reference));
+            let after = cluster_keys(&shared);
+            for i in 0..before.len() {
+                for j in (i + 1)..before.len() {
+                    for k in 0..before[i].len().min(before[j].len()) {
+                        if before[i][k] != before[j][k] || after[i][k] == after[j][k] {
+                            continue;
+                        }
+                        // Siblings that shared cluster k and picked
+                        // differently: the one that did not pick it still
+                        // holds the untouched cluster.
+                        split += 1;
+                        let (kept, moved) = if after[i][k] == before[i][k] {
+                            (i, j)
+                        } else {
+                            (j, i)
+                        };
+                        assert_eq!(after[kept][k], before[kept][k]);
+                        assert_eq!(shared.particles[kept].clusters[k].len(), lens[kept][k]);
+                        assert_eq!(
+                            shared.particles[moved].clusters[k].len(),
+                            lens[moved][k] + 1
+                        );
+                    }
+                }
+            }
+        }
+        assert!(split > 0, "no shared cluster was split by differing picks");
     }
 
     #[test]
@@ -644,8 +1000,9 @@ mod tests {
     #[test]
     fn parallel_particle_loops_at_the_threshold_match_serial_bitwise() {
         // Only ensembles of at least SIR_MIN_PAR_PARTICLES take the
-        // threaded path; run one (with forced resampling and rejuvenation,
-        // so every particle loop runs) and compare with the serial path.
+        // threaded rejuvenation path; run one (with forced resampling, so
+        // rejuvenation runs after every report) and compare with the serial
+        // path.
         let config = SirConfig {
             num_particles: SIR_MIN_PAR_PARTICLES,
             ess_fraction: 1.0,

@@ -7,10 +7,12 @@
 //! bytes), its payload is byte-identical to the fresh encode of SOME
 //! published generation — never a splice of two — and the generations a
 //! single keep-alive stream observes are monotone, because a worker's
-//! [`dre_serve::PriorView`] only ever moves forward.
+//! [`dre_serve::PriorView`] only ever moves forward. The writer starts
+//! only once every reader has completed a fetch, so the reads provably
+//! overlap the re-registrations.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -54,11 +56,15 @@ fn concurrent_reregistration_never_tears_a_frame() {
     );
 
     let done = Arc::new(AtomicBool::new(false));
+    // Readers that have completed a fetch; the writer waits for all of
+    // them before it publishes generation 2.
+    let started = Arc::new(AtomicUsize::new(0));
     let addr = handle.addr();
     let readers: Vec<_> = (0..READERS)
         .map(|_| {
             let legal = Arc::clone(&legal);
             let done = Arc::clone(&done);
+            let started = Arc::clone(&started);
             std::thread::spawn(move || {
                 let mut client =
                     PriorClient::new(TcpConnector::new(addr), RetryPolicy::default())
@@ -66,7 +72,7 @@ fn concurrent_reregistration_never_tears_a_frame() {
                 let mut buf = Vec::new();
                 let mut last_generation = 0u64;
                 let mut observed = 0u64;
-                while !done.load(Ordering::SeqCst) {
+                loop {
                     client
                         .fetch_prior_payload_into(TASK, &mut buf)
                         .expect("reads must never fail during re-registration");
@@ -80,6 +86,12 @@ fn concurrent_reregistration_never_tears_a_frame() {
                     );
                     last_generation = generation;
                     observed += 1;
+                    if observed == 1 {
+                        started.fetch_add(1, Ordering::SeqCst);
+                    }
+                    if done.load(Ordering::SeqCst) {
+                        break;
+                    }
                 }
                 // The writer finished before `done` was set, so the next
                 // fetch must observe the final generation.
@@ -90,6 +102,11 @@ fn concurrent_reregistration_never_tears_a_frame() {
         })
         .collect();
 
+    // A reader that panicked before its first fetch finishes early; stop
+    // waiting then, so the join below reports the panic instead of a hang.
+    while started.load(Ordering::SeqCst) < READERS && !readers.iter().any(|r| r.is_finished()) {
+        std::thread::yield_now();
+    }
     for g in 2..=GENERATIONS {
         handle.state().register_payload(TASK, payload_for(g));
     }
