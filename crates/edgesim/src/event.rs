@@ -1,9 +1,6 @@
 //! The simulation event queue: time-ordered, FIFO on ties, over small
 //! `Copy` event records.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
 use crate::SimTime;
 
 /// A scheduled simulation event.
@@ -11,7 +8,7 @@ use crate::SimTime;
 /// Events are small `Copy` records carrying only index-based ids — device
 /// indices, port indices into the switch fabric, and slab-recycled frame /
 /// transfer ids — so the executor's hot loop pushes 16-byte payloads
-/// through the heap with no boxing and no per-event allocation.
+/// through the queue with no boxing and no per-event allocation.
 ///
 /// The first five variants are the direct-delivery (no-topology) model;
 /// the rest exist only when a [`crate::Topology`] is configured.
@@ -110,48 +107,70 @@ pub enum MessageKind {
     ModelReport,
 }
 
-/// Min-heap of `(time, sequence, event)` with FIFO tie-breaking, so
-/// same-timestamp events pop in scheduling order and runs are
-/// deterministic.
+/// The pending-event set: pops the earliest event, FIFO among equal
+/// timestamps, so runs are deterministic.
 ///
-/// The tie-breaking counter is a `u64`: at a billion events per second it
-/// takes five centuries to wrap, so overflow is a programming error — it
-/// is checked with a `debug_assert!` rather than silently wrapping (which
-/// would corrupt FIFO order among equal timestamps).
-#[derive(Debug, Default)]
-pub struct EventQueue {
-    heap: BinaryHeap<Entry>,
-    seq: u64,
-}
-
+/// A monotone radix heap (Ahuja, Mehlhorn, Orlin & Tarjan, 1990) over
+/// integer-µs [`SimTime`]. The executor only ever schedules at or after
+/// the time it last popped (`now + d`, or the cloud's `busy_until ≥ now`),
+/// so popped times never decrease, and an event is filed by the highest
+/// bit in which its time differs from `last`, the last popped time:
+/// bucket `64 − lzcnt(t ⊕ last)`, with bucket 0 holding events at exactly
+/// `last`. Popping takes the head of bucket 0; when it is empty, the
+/// lowest non-empty bucket's tracked minimum becomes `last` and that
+/// bucket's events are refiled into lower buckets. Each event is refiled
+/// at most 64 times over its life, and only when the queue's horizon
+/// moves, so the common case is an O(1) append and an O(1) pop.
+///
+/// The 65 buckets are FIFO lists threaded through one slab of nodes
+/// (`{time, event, next}`, 32 bytes, the size of a binary-heap entry that
+/// carries a `u64` tie-break counter); popped nodes go on a free list.
+/// [`EventQueue::with_capacity`] sizes the slab once, and the steady state
+/// never touches the allocator.
+///
+/// **FIFO on ties, without a sequence counter.** An event's bucket is a
+/// function of its time and `last` alone, and refiling preserves that
+/// (`last` only moves within the refiled bucket's range, which leaves
+/// every higher bucket's events where they belong), so events with equal
+/// times always share a bucket. Every bucket's list is in schedule order:
+/// `schedule` appends at the tail, and a bucket is refiled only when every
+/// lower bucket is empty, walking its list in order into those empty
+/// buckets. Bucket 0 pops from its head, so equal times pop in schedule
+/// order.
 #[derive(Debug)]
-struct Entry {
+pub struct EventQueue {
+    /// Node slab; a node is either in one bucket's list or on the free
+    /// list.
+    nodes: Vec<Node>,
+    /// Head of the free list, or [`NIL`].
+    free: u32,
+    heads: [u32; BUCKETS],
+    tails: [u32; BUCKETS],
+    /// Earliest time in each non-empty bucket.
+    mins: [u64; BUCKETS],
+    /// Bit `b − 1` is set iff bucket `b ≥ 1` is non-empty (bucket 0's
+    /// state is its head).
+    occupied: u64,
+    /// The last popped time (0 before the first pop), in µs.
+    last: u64,
+    len: usize,
+}
+
+const BUCKETS: usize = 65;
+
+/// The null link.
+const NIL: u32 = u32::MAX;
+
+#[derive(Debug, Clone, Copy)]
+struct Node {
     time: SimTime,
-    seq: u64,
     event: Event,
+    next: u32,
 }
 
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-
-impl Eq for Entry {}
-
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse for a min-heap; sequence breaks ties FIFO.
-        other
-            .time
-            .cmp(&self.time)
-            .then(other.seq.cmp(&self.seq))
-    }
-}
-
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+impl Default for EventQueue {
+    fn default() -> Self {
+        EventQueue::with_capacity(0)
     }
 }
 
@@ -163,48 +182,125 @@ impl EventQueue {
 
     /// Creates an empty queue with pre-allocated room for `capacity`
     /// pending events, so the steady-state hot loop never reallocates the
-    /// heap. Benchmarks and large scenarios size this up front.
+    /// node slab. Benchmarks and large scenarios size this up front.
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
-            heap: BinaryHeap::with_capacity(capacity),
-            seq: 0,
+            nodes: Vec::with_capacity(capacity),
+            free: NIL,
+            heads: [NIL; BUCKETS],
+            tails: [NIL; BUCKETS],
+            mins: [0; BUCKETS],
+            occupied: 0,
+            last: 0,
+            len: 0,
         }
     }
 
     /// Reserves room for at least `additional` more pending events.
     pub fn reserve(&mut self, additional: usize) {
-        self.heap.reserve(additional);
+        // Free nodes are reused before the slab grows, so the slab must
+        // hold `len + additional` nodes in all.
+        let needed = (self.len + additional).saturating_sub(self.nodes.len());
+        self.nodes.reserve(needed);
     }
 
     /// Number of pending events the queue can hold without reallocating.
     pub fn capacity(&self) -> usize {
-        self.heap.capacity()
+        self.nodes.capacity()
     }
 
     /// Schedules `event` at `time`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `time` is earlier than the last popped event's time:
+    /// scheduling into the past is a causality bug in the caller.
     pub fn schedule(&mut self, time: SimTime, event: Event) {
-        debug_assert!(
-            self.seq != u64::MAX,
-            "EventQueue tie-breaking counter overflowed: 2^64 events scheduled"
+        let t = time.as_micros();
+        assert!(
+            t >= self.last,
+            "EventQueue: event scheduled at {t} µs, before the last popped time {} µs",
+            self.last
         );
-        let seq = self.seq;
-        self.seq = self.seq.wrapping_add(1);
-        self.heap.push(Entry { time, seq, event });
+        let node = Node { time, event, next: NIL };
+        let id = if self.free != NIL {
+            let id = self.free;
+            self.free = self.nodes[id as usize].next;
+            self.nodes[id as usize] = node;
+            id
+        } else {
+            let id = self.nodes.len();
+            assert!(id < NIL as usize, "EventQueue holds at most 2^32 - 1 events");
+            self.nodes.push(node);
+            id as u32
+        };
+        self.append(self.bucket(t), id, t);
+        self.len += 1;
     }
 
     /// Pops the earliest event (FIFO among equal timestamps).
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        self.heap.pop().map(|e| (e.time, e.event))
+        if self.heads[0] == NIL {
+            if self.occupied == 0 {
+                return None;
+            }
+            self.refile(self.occupied.trailing_zeros() as usize + 1);
+        }
+        let id = self.heads[0];
+        let node = self.nodes[id as usize];
+        self.heads[0] = node.next;
+        self.nodes[id as usize].next = self.free;
+        self.free = id;
+        self.len -= 1;
+        Some((node.time, node.event))
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len == 0
+    }
+
+    /// The bucket an event at `t` belongs in, relative to `last`.
+    fn bucket(&self, t: u64) -> usize {
+        (64 - (t ^ self.last).leading_zeros()) as usize
+    }
+
+    /// Appends node `id` (time `t`) at the tail of bucket `b`.
+    fn append(&mut self, b: usize, id: u32, t: u64) {
+        if self.heads[b] == NIL {
+            self.heads[b] = id;
+            self.mins[b] = t;
+            if b > 0 {
+                self.occupied |= 1 << (b - 1);
+            }
+        } else {
+            self.nodes[self.tails[b] as usize].next = id;
+            self.mins[b] = self.mins[b].min(t);
+        }
+        self.tails[b] = id;
+    }
+
+    /// Advances `last` to bucket `b`'s minimum and refiles its events, in
+    /// list order, into the (empty) lower buckets. Bucket 0 is non-empty
+    /// afterwards.
+    fn refile(&mut self, b: usize) {
+        self.last = self.mins[b];
+        let mut id = self.heads[b];
+        self.heads[b] = NIL;
+        self.occupied &= !(1 << (b - 1));
+        while id != NIL {
+            let node = &mut self.nodes[id as usize];
+            let next = node.next;
+            node.next = NIL;
+            let t = node.time.as_micros();
+            self.append(self.bucket(t), id, t);
+            id = next;
+        }
     }
 }
 
@@ -212,6 +308,59 @@ impl EventQueue {
 mod tests {
     use super::*;
     use crate::SimDuration;
+    use std::cmp::Ordering;
+    use std::collections::BinaryHeap;
+
+    /// The binary-heap queue the radix heap replaced, kept as the
+    /// differential test's oracle: a min-heap of `(time, seq, event)`
+    /// whose `u64` schedule counter breaks ties FIFO.
+    #[derive(Default)]
+    struct ReferenceQueue {
+        heap: BinaryHeap<Entry>,
+        seq: u64,
+    }
+
+    struct Entry {
+        time: SimTime,
+        seq: u64,
+        event: Event,
+    }
+
+    impl PartialEq for Entry {
+        fn eq(&self, other: &Self) -> bool {
+            self.time == other.time && self.seq == other.seq
+        }
+    }
+
+    impl Eq for Entry {}
+
+    impl Ord for Entry {
+        fn cmp(&self, other: &Self) -> Ordering {
+            // Reverse for a min-heap; sequence breaks ties FIFO.
+            other.time.cmp(&self.time).then(other.seq.cmp(&self.seq))
+        }
+    }
+
+    impl PartialOrd for Entry {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl ReferenceQueue {
+        fn schedule(&mut self, time: SimTime, event: Event) {
+            self.heap.push(Entry { time, seq: self.seq, event });
+            self.seq += 1;
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, Event)> {
+            self.heap.pop().map(|e| (e.time, e.event))
+        }
+
+        fn len(&self) -> usize {
+            self.heap.len()
+        }
+    }
 
     fn at(us: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_micros(us)
@@ -304,5 +453,99 @@ mod tests {
                 Ok(())
             })
             .unwrap();
+    }
+
+    /// The delta a differential-test op schedules at, past the last popped
+    /// time: zero (a push at exactly that time), tiny (heavy ties), the
+    /// bucket edges `2^k − 1` and `2^k`, the 500 ms RTO, or anything up to
+    /// `2^40` µs.
+    fn delta(class: u8, k: u32, wide: u64) -> u64 {
+        match class {
+            0 => 0,
+            1 => wide % 4,
+            2 => (1 << k) - 1,
+            3 => 1 << k,
+            4 => 500_000,
+            _ => wide,
+        }
+    }
+
+    #[test]
+    fn radix_heap_matches_the_binary_heap_reference() {
+        // Property: any interleaving of schedules, pops and drains gives
+        // the same `(time, event)` sequence and the same `len()` after
+        // every operation from both queues.
+        use proptest::prelude::*;
+        let mut runner = proptest::test_runner::TestRunner::with_config(
+            proptest::test_runner::ProptestConfig::with_cases(256),
+        );
+        // (op, delta class, bucket-edge exponent, wide delta)
+        let ops = proptest::collection::vec((0u8..16, 0u8..6, 0u32..41, 0u64..(1 << 40)), 1..400);
+        runner
+            .run(&ops, |ops| {
+                let mut q = EventQueue::new();
+                let mut oracle = ReferenceQueue::default();
+                let mut now = 0u64;
+                let mut next_id = 0u32;
+                for (op, class, k, wide) in ops {
+                    match op {
+                        // Schedule.
+                        0..=8 => {
+                            let t = at(now + delta(class, k, wide));
+                            let event = Event::RetxTimer {
+                                transfer: next_id,
+                                gen: k,
+                                epoch: class as u32,
+                            };
+                            next_id += 1;
+                            q.schedule(t, event);
+                            oracle.schedule(t, event);
+                        }
+                        // Pop one.
+                        9..=14 => {
+                            let got = q.pop();
+                            prop_assert_eq!(got, oracle.pop());
+                            if let Some((t, _)) = got {
+                                now = t.as_micros();
+                            }
+                        }
+                        // Drain to empty; later ops refill.
+                        _ => loop {
+                            let got = q.pop();
+                            prop_assert_eq!(got, oracle.pop());
+                            match got {
+                                Some((t, _)) => now = t.as_micros(),
+                                None => break,
+                            }
+                            prop_assert_eq!(q.len(), oracle.len());
+                        },
+                    }
+                    prop_assert_eq!(q.len(), oracle.len());
+                    prop_assert_eq!(q.is_empty(), oracle.len() == 0);
+                }
+                while let Some(got) = q.pop() {
+                    prop_assert_eq!(Some(got), oracle.pop());
+                }
+                prop_assert_eq!(oracle.pop(), None);
+                Ok(())
+            })
+            .unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "event scheduled at 9 µs, before the last popped time 10 µs")]
+    fn scheduling_before_the_last_popped_time_panics() {
+        let mut q = EventQueue::new();
+        q.schedule(at(10), Event::DeviceComputeDone { device: 0 });
+        q.pop();
+        q.schedule(at(9), Event::DeviceComputeDone { device: 1 });
+    }
+
+    #[test]
+    fn a_node_is_as_small_as_a_binary_heap_entry() {
+        // `{time, event, next}` fits in the 32 bytes a `{time, seq, event}`
+        // heap entry took, so pre-sizing keeps the same peak memory.
+        assert_eq!(std::mem::size_of::<Node>(), 32);
+        assert_eq!(std::mem::size_of::<Node>(), std::mem::size_of::<Entry>());
     }
 }

@@ -959,3 +959,227 @@ fn invalid_topology_is_rejected_at_run() {
     sc.add_device(DeviceSpec { link: link(), strategy: prior_strategy() });
     sc.run();
 }
+
+// ----- whole-run goldens -----
+//
+// Each golden is a 64-bit digest of one fleet's full `run_traced` trace
+// plus every field of its `SimReport` (f64s by bit pattern). The digests
+// were computed at the parent commit of the radix-heap queue change, on
+// the binary-heap event queue it replaced, so they pin the schedule the
+// executor had then: a queue
+// change that reorders a single pair of events, even two with the same
+// timestamp, changes a digest. The three fleets cover what the
+// single-device pinned traces cannot: drops, backoff and aborts under
+// fabric contention; application retries across an outage; and all three
+// strategies sharing a FIFO-queued cloud.
+
+/// FNV-1a over little-endian `u64` words: a stable, dependency-free
+/// digest.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn u64(&mut self, x: u64) {
+        for b in x.to_le_bytes() {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+}
+
+fn message_code(kind: MessageKind) -> u64 {
+    match kind {
+        MessageKind::PriorRequest => 0,
+        MessageKind::PriorPayload => 1,
+        MessageKind::RawData => 2,
+        MessageKind::ModelPayload => 3,
+        MessageKind::ModelReport => 4,
+    }
+}
+
+fn trace_code(kind: TraceKind) -> u64 {
+    match kind {
+        TraceKind::ArriveAtCloud(m) => message_code(m),
+        TraceKind::ArriveAtDevice(m) => 8 + message_code(m),
+        TraceKind::DeviceComputeDone => 16,
+        TraceKind::CloudComputeDone => 17,
+        TraceKind::RetryTimer => 18,
+        TraceKind::PortDeparture => 19,
+        TraceKind::PortArrive => 20,
+        TraceKind::Deliver => 21,
+        TraceKind::RetxTimer => 22,
+        TraceKind::TransferStart => 23,
+    }
+}
+
+/// Digest of a whole traced run: every trace record, then every report
+/// field.
+fn run_digest(report: &SimReport, trace: &[TraceEvent]) -> u64 {
+    let mut h = Fnv::new();
+    h.u64(trace.len() as u64);
+    for e in trace {
+        h.u64(e.time_us);
+        h.u64(trace_code(e.kind));
+        h.u64(e.device as u64);
+    }
+    for d in &report.devices {
+        h.u64(d.bytes_sent);
+        h.u64(d.bytes_received);
+        h.u64(d.completion.as_micros());
+        h.u64(d.compute_joules.to_bits());
+        h.u64(d.radio_joules.to_bits());
+        h.u64(match d.mode {
+            FitMode::StalePrior { age } => 3 + age,
+            mode => mode.rung() as u64,
+        });
+        h.u64(d.attempts as u64);
+        h.u64(d.handshakes as u64);
+    }
+    for x in [
+        report.total_bytes,
+        report.makespan.as_micros(),
+        report.cloud_busy.as_micros(),
+        report.dropped_requests,
+        report.model_reports,
+        report.events_executed,
+        report.messages_dropped,
+        report.frames_forwarded,
+        report.bytes_retransmitted,
+    ] {
+        h.u64(x);
+    }
+    h.0
+}
+
+/// Runs `sc` traced, checks the trace agrees with the report and with an
+/// untraced rerun, and returns the run's digest.
+fn golden_digest(sc: &Scenario) -> (SimReport, u64) {
+    let (report, trace) = sc.run_traced();
+    assert_eq!(report.events_executed, trace.len() as u64);
+    assert!(
+        trace.windows(2).all(|w| w[0].time_us <= w[1].time_us),
+        "events must execute in time order"
+    );
+    assert_eq!(sc.run(), report, "untraced runs match traced runs");
+    let digest = run_digest(&report, &trace);
+    (report, digest)
+}
+
+/// ~2k devices behind a lossy fabric with 8-frame port queues, a
+/// backed-off 500 ms RTO and a 3-round abort threshold: drop-tail
+/// overflow, link loss, go-back-N retransmission, exponential backoff and
+/// aborts all fire. One device in five uploads raw data with no
+/// application retry behind it, so an aborted upload or model download
+/// leaves that device incomplete.
+#[test]
+fn whole_run_golden_lossy_fabric_fleet() {
+    let topo = Topology::one_big_switch(Link::new_ms(1.0, 1e7))
+        .with_switch(SwitchConfig {
+            queue_capacity: 8,
+            rto: SimDuration::from_millis_f64(500.0),
+            rto_backoff: true,
+            max_retx: 3,
+            ..SwitchConfig::default()
+        })
+        .with_device_loss(LossModel::Bernoulli { loss: 0.05, seed: 3 })
+        .with_cloud_loss(LossModel::Bernoulli { loss: 0.01, seed: 5 });
+    let mut sc = Scenario::new(ComputeModel::default())
+        .with_topology(topo)
+        .with_retry(RetryModel {
+            timeout: SimDuration::from_millis_f64(2_000.0),
+            max_attempts: 2,
+        });
+    for i in 0..2_000u32 {
+        sc.add_device(DeviceSpec {
+            link: Link::new_ms(2.0 + (i % 17) as f64, 1e6 * (1 + i % 5) as f64),
+            strategy: if i % 5 == 0 {
+                Strategy::CloudRoundTrip { samples: 40 + (i % 7) as usize, dim: 8, iterations: 50 }
+            } else {
+                Strategy::PriorTransfer {
+                    samples: 100,
+                    dim: 8,
+                    iterations: 50,
+                    em_rounds: 4,
+                    prior_components: 1 + (i % 4) as usize,
+                }
+            },
+        });
+    }
+    let (r, digest) = golden_digest(&sc);
+    assert!(r.messages_dropped > 0 && r.bytes_retransmitted > 0);
+    assert!(
+        r.devices.iter().any(|d| d.completion == SimTime::ZERO),
+        "an aborted transfer must leave some upload device incomplete"
+    );
+    assert!(r.devices.iter().any(|d| d.mode == FitMode::LocalOnly && d.attempts == 2));
+    assert_eq!(digest, 0x6d35_2888_15db_ec0a, "lossy fabric fleet digest moved");
+}
+
+/// A legacy fleet of 1.5k devices riding out a 150 ms cloud outage on
+/// doubling 40 ms deadlines over keep-alive connections: some devices
+/// recover on a retry, the slowest exhaust their budget and fall back to
+/// local ERM, and raw-data uploads queue FIFO on the cloud behind them.
+#[test]
+fn whole_run_golden_legacy_retry_outage_fleet() {
+    let mut sc = Scenario::new(ComputeModel {
+        cloud_flops: 1e9,
+        ..ComputeModel::default()
+    })
+    .with_retry(RetryModel {
+        timeout: SimDuration::from_millis_f64(40.0),
+        max_attempts: 3,
+    })
+    .with_outage(SimDuration::from_millis_f64(10.0), SimDuration::from_millis_f64(160.0))
+    .with_client_mode(ClientMode::KeepAlive);
+    for i in 0..1_500u32 {
+        sc.add_device(DeviceSpec {
+            link: Link::new_ms(1.0 + (i % 40) as f64, 5e5 * (1 + i % 3) as f64),
+            strategy: if i % 4 == 0 {
+                Strategy::CloudRoundTrip { samples: 200, dim: 8, iterations: 40 }
+            } else {
+                prior_strategy()
+            },
+        });
+    }
+    let (r, digest) = golden_digest(&sc);
+    assert!(r.dropped_requests > 0);
+    assert!(r.devices.iter().any(|d| d.mode == FitMode::FreshPrior && d.attempts > 1));
+    assert!(r.devices.iter().any(|d| d.mode == FitMode::LocalOnly && d.attempts == 3));
+    assert_eq!(digest, 0x7c9c_6674_b51d_4551, "legacy retry/outage fleet digest moved");
+}
+
+/// All three strategies in one legacy fleet of 900 devices on fresh
+/// per-request connections, with a slow cloud so uploads queue behind
+/// each other and completions are scheduled at `cloud_busy_until`, far
+/// past the current time.
+#[test]
+fn whole_run_golden_mixed_strategy_fleet() {
+    let mut sc = Scenario::new(ComputeModel {
+        cloud_flops: 2e8,
+        ..ComputeModel::default()
+    })
+    .with_client_mode(ClientMode::FreshPerRequest);
+    for i in 0..900u32 {
+        let samples = 50 + (i % 11) as usize * 10;
+        sc.add_device(DeviceSpec {
+            link: Link::new_ms(3.0 + (i % 13) as f64, 2e5 * (1 + i % 4) as f64),
+            strategy: match i % 3 {
+                0 => Strategy::EdgeOnly { samples, dim: 8, iterations: 50 },
+                1 => Strategy::CloudRoundTrip { samples, dim: 8, iterations: 50 },
+                _ => Strategy::PriorTransfer {
+                    samples,
+                    dim: 8,
+                    iterations: 50,
+                    em_rounds: 3,
+                    prior_components: 1 + (i % 3) as usize,
+                },
+            },
+        });
+    }
+    let (r, digest) = golden_digest(&sc);
+    assert!(r.cloud_busy > SimDuration::ZERO);
+    assert!(r.model_reports > 0);
+    assert_eq!(digest, 0x036a_903d_54fb_8c4b, "mixed strategy fleet digest moved");
+}

@@ -3,7 +3,7 @@
 //! touch the allocator.
 //!
 //! The 100k/1M tests are ignored under debug builds (an unoptimized
-//! BinaryHeap is an order of magnitude slower); CI runs them in release
+//! executor is an order of magnitude slower); CI runs them in release
 //! via `cargo test --release -p dre-integration --test scale -- --ignored`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -120,9 +120,10 @@ fn million_devices_run_in_seconds_without_steady_state_allocation() {
         elapsed.as_secs() < 60,
         "a million devices took {elapsed:?}, budget is 60 s"
     );
-    // ~21M events executed; allocation must be O(setup), not O(events).
+    // ~21M events executed; allocation must be O(setup), not O(events)
+    // and not O(buckets): the pre-sized setup makes a few dozen calls.
     assert!(
-        allocs < 10_000,
+        allocs < 100,
         "steady state allocated: {allocs} allocator calls for {} events",
         r.events_executed
     );
