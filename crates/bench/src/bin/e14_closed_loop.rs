@@ -15,221 +15,34 @@
 //! client sees every refreshed generation over a single keep-alive
 //! connection (`conns == 1` throughout).
 
-use std::sync::Arc;
-use std::time::Duration;
-
-use dre_bayes::MixturePrior;
+use dre_bench::closed_loop::{run, scenario, Cohort, ROUNDS};
 use dre_bench::{fmt_f, Table};
-use dre_data::{Dataset, TaskFamily, TaskFamilyConfig};
-use dre_learner::{CloudLearner, LearnerConfig, SirConfig};
-use dre_linalg::Matrix;
-use dre_models::metrics;
-use dre_prob::seeded_rng;
-use dre_serve::{
-    BreakerConfig, EdgeRuntime, EdgeRuntimeConfig, PriorServer, RetryPolicy, ServeConfig,
-    ServerState, TcpConnector,
-};
-use dro_edge::{CloudKnowledge, EdgeLearnerConfig, FitMode};
 
-const TASK_ID: u64 = 9;
 const REPORTERS_PER_ROUND: usize = 5;
-const EVALS: usize = 3;
-const ROUNDS: usize = 5;
 const SCENARIO_SEED: u64 = 7_500;
 const LEARNER_SEED: u64 = 42;
 
-fn family_config() -> TaskFamilyConfig {
-    TaskFamilyConfig {
-        dim: 4,
-        num_clusters: 2,
-        cluster_separation: 4.0,
-        within_cluster_std: 0.2,
-        label_noise: 0.02,
-        steepness: 3.0,
-    }
-}
-
-fn learner_config() -> EdgeLearnerConfig {
-    EdgeLearnerConfig {
-        em_rounds: 3,
-        solver_iters: 40,
-        multi_start: false,
-        ..EdgeLearnerConfig::default()
-    }
-}
-
-fn runtime_config(report_models: bool, device_id: u64) -> EdgeRuntimeConfig {
-    EdgeRuntimeConfig {
-        task_id: TASK_ID,
-        device_id,
-        learner: learner_config(),
-        erm_lambda: 1e-3,
-        breaker: BreakerConfig {
-            failure_threshold: 2,
-            cooldown_steps: 1,
-            cooldown_jitter: 0,
-            seed: 0,
-        },
-        stale_ttl: 2,
-        report_models,
-        keep_alive: true,
-    }
-}
-
-fn fast_policy() -> RetryPolicy {
-    RetryPolicy {
-        max_attempts: 3,
-        base_backoff: Duration::from_millis(1),
-        max_backoff: Duration::from_millis(4),
-        jitter_seed: 13,
-    }
-}
-
-/// One broad zero-centered component over packed `[w…, b]` parameters.
-fn broad_prior(p: usize) -> MixturePrior {
-    MixturePrior::single(vec![0.0; p], Matrix::identity(p).scaled(25.0)).unwrap()
-}
-
-struct DeviceData {
-    train: Dataset,
-    test: Dataset,
-}
-
-/// The fixed scenario: a growing reporter pool (each device reports once,
-/// in its joining round) plus a few-shot eval cohort rejection-sampled so
-/// the reference batch cloud prior beats plain local ERM — the coverage
-/// the closed loop has to recover online. Also returns the batch-prior
-/// ceiling: mean eval accuracy under the full offline `CloudKnowledge`
-/// prior the streaming learner is approximating.
-fn scenario(seed: u64) -> (Vec<DeviceData>, Vec<DeviceData>, usize, f64) {
-    let mut rng = seeded_rng(seed);
-    let family = TaskFamily::generate(&family_config(), &mut rng).unwrap();
-    let cloud = CloudKnowledge::from_family(&family, 24, 300, 1.0, &mut rng).unwrap();
-
-    let mut reporters = Vec::with_capacity(REPORTERS_PER_ROUND * ROUNDS);
-    for _ in 0..REPORTERS_PER_ROUND * ROUNDS {
-        let task = family.sample_task(&mut rng);
-        reporters.push(DeviceData {
-            train: task.generate(30, &mut rng),
-            test: task.generate(100, &mut rng),
-        });
-    }
-
-    let mut evals = Vec::with_capacity(EVALS);
-    let mut ceiling = 0.0;
-    for _ in 0..60 {
-        if evals.len() == EVALS {
-            break;
-        }
-        let task = family.sample_task(&mut rng);
-        let train = task.generate(12, &mut rng);
-        let test = task.generate(300, &mut rng);
-        let erm = dro_edge::baselines::fit_local_erm(&train, 1e-3).unwrap();
-        let erm_acc = metrics::accuracy(&erm, test.features(), test.labels()).unwrap();
-        let fit = dro_edge::EdgeLearner::new(learner_config(), cloud.prior().clone())
-            .unwrap()
-            .fit(&train)
-            .unwrap();
-        let dro_acc = metrics::accuracy(&fit.model, test.features(), test.labels()).unwrap();
-        if dro_acc > erm_acc + 0.01 {
-            ceiling += dro_acc;
-            evals.push(DeviceData { train, test });
-        }
-    }
-    assert_eq!(evals.len(), EVALS, "could not draw a prior-covered eval cohort");
-    (reporters, evals, family_config().dim + 1, ceiling / EVALS as f64)
-}
-
-/// Per-round mean eval accuracy (measured before that round's refresh),
-/// the server generation after each round, and the total reports absorbed.
-fn run_loop(
-    reporters: &[DeviceData],
-    evals: &[DeviceData],
-    param_dim: usize,
-    refresh: bool,
-) -> (Vec<f64>, Vec<u64>, usize) {
-    let mut server = PriorServer::bind(
-        "127.0.0.1:0",
-        ServeConfig {
-            read_timeout: Some(Duration::from_secs(2)),
-            write_timeout: Some(Duration::from_secs(2)),
-            ..ServeConfig::default()
-        },
-    )
-    .unwrap();
-    let addr = server.addr();
-    let state: Arc<ServerState> = Arc::clone(server.state());
-    state.register_prior(TASK_ID, &broad_prior(param_dim));
-
-    let mut eval_rts: Vec<_> = (0..EVALS)
-        .map(|dev| {
-            EdgeRuntime::new(
-                TcpConnector::new(addr),
-                fast_policy(),
-                runtime_config(false, 10_000 + dev as u64),
-            )
-        })
-        .collect();
-
-    let mut learner = CloudLearner::new(LearnerConfig {
-        sir: SirConfig {
-            seed: LEARNER_SEED,
-            ..SirConfig::default()
-        },
-        refresh_interval: usize::MAX,
-        min_reports_for_base: 4,
-        admission: None,
-    });
-    let mut sink = Arc::clone(&state);
-    let mut accs = Vec::with_capacity(ROUNDS);
-    let mut generations = Vec::with_capacity(ROUNDS);
-    let mut absorbed = 0;
-
-    for round in 0..ROUNDS {
-        let mut acc = 0.0;
-        for (dev, rt) in eval_rts.iter_mut().enumerate() {
-            let data = &evals[dev];
-            let fit = rt.fit_step(&data.train).unwrap();
-            assert_eq!(fit.mode, FitMode::FreshPrior, "eval {dev} degraded");
-            acc += metrics::accuracy(&fit.model, data.test.features(), data.test.labels())
-                .unwrap();
-        }
-        accs.push(acc / EVALS as f64);
-
-        let joining = &reporters[round * REPORTERS_PER_ROUND..(round + 1) * REPORTERS_PER_ROUND];
-        for (dev, data) in joining.iter().enumerate() {
-            // Each joining reporter is a fresh device: give it a unique id so
-            // its seq-1 report is not replay-dropped by the server.
-            let device_id = (round * REPORTERS_PER_ROUND + dev) as u64;
-            let mut rt = EdgeRuntime::new(
-                TcpConnector::new(addr),
-                fast_policy(),
-                runtime_config(true, device_id),
-            );
-            let fit = rt.fit_step(&data.train).unwrap();
-            assert_eq!(fit.mode, FitMode::FreshPrior, "reporter {dev} degraded");
-            assert!(fit.reported, "reporter {dev} did not report");
-        }
-        if refresh {
-            let tick = learner.absorb(state.take_reports(), &mut sink).unwrap();
-            absorbed += tick.absorbed;
-            learner.force_refresh(&mut sink).unwrap();
-        }
-        generations.push(state.cache_generation());
-    }
-
-    for (dev, rt) in eval_rts.iter().enumerate() {
-        let m = rt.client().metrics();
-        assert_eq!(m.connections, 1, "eval {dev} reconnected mid-loop");
-    }
-    server.shutdown();
-    (accs, generations, absorbed)
-}
-
 fn main() {
-    let (reporters, evals, param_dim, ceiling) = scenario(SCENARIO_SEED);
-    let (frozen, _, frozen_absorbed) = run_loop(&reporters, &evals, param_dim, false);
-    let (refreshed, generations, absorbed) = run_loop(&reporters, &evals, param_dim, true);
+    let sc = scenario(SCENARIO_SEED, REPORTERS_PER_ROUND * ROUNDS);
+    let cohort = |refresh| Cohort {
+        honest: REPORTERS_PER_ROUND,
+        adversaries: 0,
+        learner_seed: LEARNER_SEED,
+        refresh,
+        admission: None,
+    };
+    let frozen_run = run(&sc, &cohort(false));
+    let refreshed_run = run(&sc, &cohort(true));
+    for outcome in [&frozen_run, &refreshed_run] {
+        for (dev, (connections, _)) in outcome.eval_connections.iter().enumerate() {
+            assert_eq!(*connections, 1, "eval {dev} reconnected mid-loop");
+        }
+    }
+    let frozen = &frozen_run.round_accuracy;
+    let refreshed = &refreshed_run.round_accuracy;
+    // The ceiling the streaming learner approximates: the same eval cohort
+    // under the full offline batch-fitted cloud prior.
+    let ceiling = sc.batch_prior_ceiling();
 
     let mut table = Table::new(
         "E14",
@@ -249,12 +62,10 @@ fn main() {
             fmt_f(frozen[r]),
             fmt_f(refreshed[r]),
             fmt_f(refreshed[r] - frozen[r]),
-            generations[r].to_string(),
+            refreshed_run.generations[r].to_string(),
             (r * REPORTERS_PER_ROUND).to_string(),
         ]);
     }
-    // The ceiling the streaming learner approximates: the same eval cohort
-    // under the full offline batch-fitted cloud prior.
     table.push_row(vec![
         "batch-prior".into(),
         "-".into(),
@@ -265,6 +76,7 @@ fn main() {
     ]);
     table.emit();
 
+    let (absorbed, frozen_absorbed) = (refreshed_run.absorbed, frozen_run.absorbed);
     println!(
         "learner absorbed {absorbed} reports ({frozen_absorbed} when frozen); every eval \
          device held one keep-alive connection across all {ROUNDS} rounds"

@@ -17,267 +17,29 @@
 //! `cargo run -p dre-bench --release --bin e15_poisoned_loop`, mirrored at
 //! `results/e15.json`.
 
-use std::sync::Arc;
-use std::time::Duration;
-
-use dre_bayes::MixturePrior;
+use dre_bench::closed_loop::{loop_admission, run, scenario, Cohort, LoopOutcome, ROUNDS};
 use dre_bench::{fmt_f, Table};
-use dre_data::{Dataset, TaskFamily, TaskFamilyConfig};
-use dre_edgesim::{poisoned_report, AdversaryKind};
-use dre_learner::{AdmissionConfig, CloudLearner, LearnerConfig, SirConfig};
-use dre_linalg::Matrix;
-use dre_models::metrics;
-use dre_prob::seeded_rng;
-use dre_serve::{
-    BreakerConfig, EdgeRuntime, EdgeRuntimeConfig, PriorClient, PriorServer, RetryPolicy,
-    ServeConfig, ServerState, TcpConnector,
-};
-use dro_edge::{EdgeLearnerConfig, FitMode};
+use dre_learner::AdmissionConfig;
 
-const TASK_ID: u64 = 9;
 /// Total reports per round (honest + adversarial), fixed so the swept
 /// adversary counts {0, 1, 3, 5} land exactly on {0, 10, 30, 50}%.
 const REPORTS_PER_ROUND: usize = 10;
 const ADVERSARY_SWEEP: [usize; 4] = [0, 1, 3, 5];
-const EVALS: usize = 3;
-const ROUNDS: usize = 5;
 const SCENARIO_SEED: u64 = 9_000;
 const LEARNER_SEED: u64 = 42;
-/// Worst-case transport budget each adversary applies to its own data.
-const ADVERSARY_BUDGET: f64 = 2.0;
-/// Collusion boost scale; negative so the cohort's single tight cluster is
-/// anti-correlated with the honest decision functions (see the poisoned
-/// closed-loop test for the full rationale).
-const ADVERSARY_SCALE: f64 = -2.0;
 /// Noise band around the clean run used for the rounds-to-clean column.
 const NOISE_BAND: f64 = 0.02;
 
-fn family_config() -> TaskFamilyConfig {
-    TaskFamilyConfig {
-        dim: 4,
-        num_clusters: 2,
-        cluster_separation: 4.0,
-        within_cluster_std: 0.2,
-        label_noise: 0.02,
-        steepness: 3.0,
-    }
-}
-
-fn learner_config() -> EdgeLearnerConfig {
-    EdgeLearnerConfig {
-        em_rounds: 3,
-        solver_iters: 40,
-        multi_start: false,
-        ..EdgeLearnerConfig::default()
-    }
-}
-
-fn runtime_config(report_models: bool, device_id: u64) -> EdgeRuntimeConfig {
-    EdgeRuntimeConfig {
-        task_id: TASK_ID,
-        device_id,
-        learner: learner_config(),
-        erm_lambda: 1e-3,
-        breaker: BreakerConfig {
-            failure_threshold: 2,
-            cooldown_steps: 1,
-            cooldown_jitter: 0,
-            seed: 0,
-        },
-        stale_ttl: 2,
-        report_models,
-        keep_alive: true,
-    }
-}
-
-fn fast_policy() -> RetryPolicy {
-    RetryPolicy {
-        max_attempts: 3,
-        base_backoff: Duration::from_millis(1),
-        max_backoff: Duration::from_millis(4),
-        jitter_seed: 13,
-    }
-}
-
-/// Default gate with warmup matched to `min_reports_for_base` and the
-/// margin the poisoned closed-loop test calibrated between the honest
-/// score spread and the colluders' first-contact marginals.
-fn admission_on() -> AdmissionConfig {
-    AdmissionConfig {
-        warmup: 4,
-        margin: 8.0,
-        ..AdmissionConfig::default()
-    }
-}
-
-/// One broad zero-centered component over packed `[w…, b]` parameters.
-fn broad_prior(p: usize) -> MixturePrior {
-    MixturePrior::single(vec![0.0; p], Matrix::identity(p).scaled(25.0)).unwrap()
-}
-
-struct DeviceData {
-    train: Dataset,
-    test: Dataset,
-}
-
-/// Honest reporter pool (enough for an all-honest round at every sweep
-/// point) plus the few-shot eval cohort, rejection-sampled — like the
-/// poisoned closed-loop test — from tasks where a *learned* cluster prior
-/// genuinely helps the few-shot fit.
-fn scenario(seed: u64) -> (Vec<DeviceData>, Vec<DeviceData>, usize) {
-    let mut rng = seeded_rng(seed);
-    let family = TaskFamily::generate(&family_config(), &mut rng).unwrap();
-    // Reference batch prior, used only to select prior-covered eval tasks.
-    let cloud = dro_edge::CloudKnowledge::from_family(&family, 24, 300, 1.0, &mut rng).unwrap();
-
-    let mut reporters = Vec::with_capacity(REPORTS_PER_ROUND * ROUNDS);
-    for _ in 0..REPORTS_PER_ROUND * ROUNDS {
-        let task = family.sample_task(&mut rng);
-        reporters.push(DeviceData {
-            train: task.generate(30, &mut rng),
-            test: task.generate(100, &mut rng),
-        });
-    }
-
-    let mut evals = Vec::with_capacity(EVALS);
-    for _ in 0..60 {
-        if evals.len() == EVALS {
-            break;
-        }
-        let task = family.sample_task(&mut rng);
-        let train = task.generate(12, &mut rng);
-        let test = task.generate(300, &mut rng);
-        let erm = dro_edge::baselines::fit_local_erm(&train, 1e-3).unwrap();
-        let erm_acc = metrics::accuracy(&erm, test.features(), test.labels()).unwrap();
-        let fit = dro_edge::EdgeLearner::new(learner_config(), cloud.prior().clone())
-            .unwrap()
-            .fit(&train)
-            .unwrap();
-        let dro_acc = metrics::accuracy(&fit.model, test.features(), test.labels()).unwrap();
-        if dro_acc > erm_acc + 0.01 {
-            evals.push(DeviceData { train, test });
-        }
-    }
-    assert_eq!(evals.len(), EVALS, "could not draw a prior-covered eval cohort");
-    (reporters, evals, family_config().dim + 1)
-}
-
-struct Outcome {
-    round_accuracy: Vec<f64>,
-    absorbed: usize,
-    gated: usize,
-    quarantined: usize,
-}
-
-/// One closed-loop run at `adversaries` colluders per round. Eval accuracy
-/// is measured before each round's refresh; honest reporters join as fresh
-/// devices while the adversary cohort keeps persistent identities and
-/// monotone sequence numbers (well-formed traffic — gating is semantic).
-fn run(
-    reporters: &[DeviceData],
-    evals: &[DeviceData],
-    param_dim: usize,
-    adversaries: usize,
-    admission: Option<AdmissionConfig>,
-) -> Outcome {
-    let honest = REPORTS_PER_ROUND - adversaries;
-    let mut server = PriorServer::bind(
-        "127.0.0.1:0",
-        ServeConfig {
-            read_timeout: Some(Duration::from_secs(2)),
-            write_timeout: Some(Duration::from_secs(2)),
-            ..ServeConfig::default()
-        },
-    )
-    .unwrap();
-    let addr = server.addr();
-    let state: Arc<ServerState> = Arc::clone(server.state());
-    state.register_prior(TASK_ID, &broad_prior(param_dim));
-
-    let mut eval_rts: Vec<_> = (0..EVALS)
-        .map(|dev| {
-            EdgeRuntime::new(
-                TcpConnector::new(addr),
-                fast_policy(),
-                runtime_config(false, 10_000 + dev as u64),
-            )
-        })
-        .collect();
-    let mut adversary_clients: Vec<_> = (0..adversaries)
-        .map(|_| PriorClient::new(TcpConnector::new(addr), fast_policy()))
-        .collect();
-
-    let mut learner = CloudLearner::try_new(LearnerConfig {
-        sir: SirConfig {
-            seed: LEARNER_SEED,
-            ..SirConfig::default()
-        },
-        refresh_interval: usize::MAX,
-        min_reports_for_base: 4,
+/// One loop run at `adversaries` colluders per round alongside
+/// `REPORTS_PER_ROUND − adversaries` honest reporters.
+fn cohort(adversaries: usize, admission: Option<AdmissionConfig>) -> Cohort {
+    Cohort {
+        honest: REPORTS_PER_ROUND - adversaries,
+        adversaries,
+        learner_seed: LEARNER_SEED,
+        refresh: true,
         admission,
-    })
-    .unwrap();
-    let mut sink = Arc::clone(&state);
-    let mut out = Outcome {
-        round_accuracy: Vec::with_capacity(ROUNDS),
-        absorbed: 0,
-        gated: 0,
-        quarantined: 0,
-    };
-
-    for round in 0..ROUNDS {
-        let mut acc = 0.0;
-        for (dev, rt) in eval_rts.iter_mut().enumerate() {
-            let data = &evals[dev];
-            let fit = rt.fit_step(&data.train).unwrap();
-            assert_eq!(fit.mode, FitMode::FreshPrior, "eval {dev} degraded");
-            acc += metrics::accuracy(&fit.model, data.test.features(), data.test.labels())
-                .unwrap();
-        }
-        out.round_accuracy.push(acc / EVALS as f64);
-
-        let joining = &reporters[round * honest..(round + 1) * honest];
-        for (k, data) in joining.iter().enumerate() {
-            // Each joining reporter is a fresh device: a unique id keeps
-            // its seq-1 report clear of the server's replay guard.
-            let dev = round * honest + k;
-            let mut rt = EdgeRuntime::new(
-                TcpConnector::new(addr),
-                fast_policy(),
-                runtime_config(true, dev as u64),
-            );
-            let fit = rt.fit_step(&data.train).unwrap();
-            assert_eq!(fit.mode, FitMode::FreshPrior, "reporter {dev} degraded");
-            assert!(fit.reported, "reporter {dev} did not report");
-        }
-        for (k, client) in adversary_clients.iter_mut().enumerate() {
-            // True collusion: the cohort reports one identical model
-            // derived from the same honest-looking dataset every round.
-            let params = poisoned_report(
-                AdversaryKind::ColludingBoost {
-                    budget: ADVERSARY_BUDGET,
-                    scale: ADVERSARY_SCALE,
-                },
-                &reporters[0].train,
-                1e-3,
-            )
-            .unwrap();
-            let accepted = client
-                .report_model(TASK_ID, 50_000 + k as u64, round as u64 + 1, params)
-                .unwrap();
-            assert!(accepted, "well-formed adversary frame refused at the wire");
-        }
-
-        let tick = learner.absorb(state.take_reports(), &mut sink).unwrap();
-        state.note_admission_outcomes(tick.gated as u64, tick.quarantined as u64);
-        out.absorbed += tick.absorbed;
-        out.gated += tick.gated;
-        out.quarantined += tick.quarantined;
-        learner.force_refresh(&mut sink).unwrap();
     }
-
-    server.shutdown();
-    out
 }
 
 fn main() {
@@ -285,11 +47,12 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(SCENARIO_SEED);
-    let (reporters, evals, param_dim) = scenario(seed);
+    // The honest pool covers an all-honest round at every sweep point.
+    let sc = scenario(seed, REPORTS_PER_ROUND * ROUNDS);
 
     // Clean reference: all-honest loop, no gate. Its final accuracy (minus
     // the documented noise band) is the bar for the rounds-to-clean column.
-    let clean = run(&reporters, &evals, param_dim, 0, None);
+    let clean = run(&sc, &cohort(0, None));
     let clean_final = *clean.round_accuracy.last().unwrap();
     let target = clean_final - NOISE_BAND;
 
@@ -310,17 +73,17 @@ fn main() {
 
     for adv in ADVERSARY_SWEEP {
         let honest = REPORTS_PER_ROUND - adv;
-        for (label, admission) in [("on", Some(admission_on())), ("off", None)] {
+        for (label, admission) in [
+            ("on", Some(loop_admission(AdmissionConfig::default()))),
+            ("off", None),
+        ] {
+            let replayed: LoopOutcome;
             let out = if adv == 0 && label == "off" {
                 // Reuse the reference run rather than replaying it.
-                Outcome {
-                    round_accuracy: clean.round_accuracy.clone(),
-                    absorbed: clean.absorbed,
-                    gated: clean.gated,
-                    quarantined: clean.quarantined,
-                }
+                &clean
             } else {
-                run(&reporters, &evals, param_dim, adv, admission)
+                replayed = run(&sc, &cohort(adv, admission));
+                &replayed
             };
 
             // Deterministic accounting: the gate drops exactly the poisoned

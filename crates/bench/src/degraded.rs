@@ -2,38 +2,29 @@
 //! device fleet running the real [`EdgeRuntime`] over seeded faulty
 //! in-memory links.
 //!
-//! Both E13 and the `edge_runtime_degraded_rps` bench kernel build on this
-//! so the experiment table and the CI tolerance gate measure the *same*
+//! E13 and the `edge_runtime_degraded_rps` bench kernel build on this so
+//! the experiment table and the CI tolerance gate measure the *same*
 //! scenario: the table sweeps fault intensity and reports the degradation
 //! ladder, the kernel times it and fails CI if any accuracy reading sinks
-//! below the device's own local-only ERM floor.
+//! below the device's own local-only ERM floor. The chaos suite
+//! (`tests/chaos.rs`) runs its fleets with the same retry policy and fault
+//! mix ([`degraded_policy`], [`degraded_faults`]).
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use dre_data::{Dataset, TaskFamily};
+use dre_data::TaskFamily;
 use dre_models::metrics;
 use dre_serve::{
     BreakerConfig, EdgeRuntime, EdgeRuntimeConfig, FaultConfig, FaultInjector, FaultyConnector,
     InMemoryServer, RetryPolicy, ServerState,
 };
-use dro_edge::{baselines, CloudKnowledge, EdgeLearnerConfig, FitMode};
+use dro_edge::{CloudKnowledge, FitMode};
+
+use crate::{covered_devices, fleet_learner_config, CoveredDevice, FLOOR_ERM_LAMBDA};
 
 /// Task id the degraded-fleet scenario registers its prior under.
 pub const DEGRADED_TASK_ID: u64 = 13;
-/// Ridge strength of the local-only ERM floor baseline.
-pub const DEGRADED_ERM_LAMBDA: f64 = 1e-3;
-
-/// One device's fixed few-shot training set, held-out evaluation set, and
-/// its local-only ERM floor accuracy on that evaluation set.
-pub struct DegradedDevice {
-    /// Few-shot training samples the device fits on every round.
-    pub train: Dataset,
-    /// Held-out evaluation samples.
-    pub test: Dataset,
-    /// Held-out accuracy of `fit_local_erm` on `train` — the floor.
-    pub floor_acc: f64,
-}
 
 /// The fixed scenario every degraded-mode run shares: a fitted cloud prior
 /// registered on an in-memory server plus per-device datasets.
@@ -41,7 +32,7 @@ pub struct DegradedScenario {
     /// Server state holding the registered prior payload.
     pub state: Arc<ServerState>,
     /// The device fleet.
-    pub devices: Vec<DegradedDevice>,
+    pub devices: Vec<CoveredDevice>,
 }
 
 impl DegradedScenario {
@@ -51,20 +42,13 @@ impl DegradedScenario {
     }
 }
 
-/// Deterministically builds a prior-covered fleet of `num_devices`
-/// devices on the workspace-standard task family.
-///
-/// The experiments measure the *runtime's* degradation ladder, so devices
-/// are drawn from tasks the cloud prior actually helps (the paper's
-/// transfer setting): sampled tasks where the prior-guided few-shot fit
-/// does not clearly beat local ERM are rejected — for those, "fresh beats
-/// local" is not a property any runtime could restore.
+/// Deterministically builds a prior-covered fleet (see
+/// [`covered_devices`]) of `num_devices` devices on the workspace-standard
+/// task family.
 ///
 /// # Panics
 ///
-/// Panics if the pipeline fails or a covered fleet cannot be drawn — the
-/// construction is deterministic, so that is a programming error, not a
-/// flake.
+/// Panics if the pipeline fails or a covered fleet cannot be drawn.
 pub fn degraded_scenario(seed: u64, num_devices: usize) -> DegradedScenario {
     let mut rng = dre_prob::seeded_rng(seed);
     let family = TaskFamily::generate(&crate::standard_family_config(), &mut rng)
@@ -76,47 +60,8 @@ pub fn degraded_scenario(seed: u64, num_devices: usize) -> DegradedScenario {
         DEGRADED_TASK_ID,
         dro_edge::transfer::serialize_prior(cloud.prior()),
     );
-
-    let mut devices = Vec::with_capacity(num_devices);
-    for _ in 0..20 * num_devices {
-        if devices.len() == num_devices {
-            break;
-        }
-        let task = family.sample_task(&mut rng);
-        let train = task.generate(12, &mut rng);
-        let test = task.generate(300, &mut rng);
-        let erm = baselines::fit_local_erm(&train, DEGRADED_ERM_LAMBDA).expect("erm fits");
-        let floor_acc = metrics::accuracy(&erm, test.features(), test.labels()).expect("eval");
-        let fit = dro_edge::EdgeLearner::new(degraded_learner_config(), cloud.prior().clone())
-            .expect("valid learner")
-            .fit(&train)
-            .expect("fit succeeds");
-        let dro_acc = metrics::accuracy(&fit.model, test.features(), test.labels()).expect("eval");
-        if dro_acc > floor_acc + 0.01 {
-            devices.push(DegradedDevice {
-                train,
-                test,
-                floor_acc,
-            });
-        }
-    }
-    assert_eq!(
-        devices.len(),
-        num_devices,
-        "could not draw a prior-covered fleet"
-    );
+    let devices = covered_devices(&family, cloud.prior(), num_devices, &mut rng);
     DegradedScenario { state, devices }
-}
-
-/// The few-shot learner the degraded fleet runs (cheap enough to fit every
-/// round on every device).
-pub fn degraded_learner_config() -> EdgeLearnerConfig {
-    EdgeLearnerConfig {
-        em_rounds: 3,
-        solver_iters: 40,
-        multi_start: false,
-        ..EdgeLearnerConfig::default()
-    }
 }
 
 /// Runtime configuration for the degraded fleet: a fast-tripping breaker
@@ -126,8 +71,8 @@ pub fn degraded_runtime_config(device_id: u64) -> EdgeRuntimeConfig {
     EdgeRuntimeConfig {
         task_id: DEGRADED_TASK_ID,
         device_id,
-        learner: degraded_learner_config(),
-        erm_lambda: DEGRADED_ERM_LAMBDA,
+        learner: fleet_learner_config(),
+        erm_lambda: FLOOR_ERM_LAMBDA,
         breaker: BreakerConfig {
             failure_threshold: 2,
             cooldown_steps: 2,

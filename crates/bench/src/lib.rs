@@ -1,10 +1,12 @@
-//! Shared experiment plumbing: standard setups, table rendering and JSON
-//! result output.
+//! Shared experiment plumbing: standard setups, the fleet harnesses, table
+//! rendering and JSON result output.
 //!
-//! Every experiment binary (`e1_…` … `e12_…`) builds on these helpers so
+//! Every experiment binary (`e1_…` … `e16_…`) builds on these helpers so
 //! setups stay comparable across experiments and EXPERIMENTS.md can be
 //! regenerated mechanically. Results are printed as aligned text tables and
-//! mirrored as JSON under `results/`.
+//! mirrored as JSON under `results/`. The fleet harnesses ([`degraded`] and
+//! [`closed_loop`]) are also what the root integration suites run, so an
+//! experiment and the test that pins it execute the same code.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -12,11 +14,14 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
-use dre_data::{TaskFamily, TaskFamilyConfig};
+use dre_bayes::MixturePrior;
+use dre_data::{Dataset, TaskFamily, TaskFamilyConfig};
+use dre_models::metrics;
 use dre_prob::seeded_rng;
-use dro_edge::{CloudKnowledge, EdgeLearnerConfig};
+use dro_edge::{baselines, CloudKnowledge, EdgeLearner, EdgeLearnerConfig};
 use rand::rngs::StdRng;
 
+pub mod closed_loop;
 pub mod degraded;
 pub mod json;
 
@@ -72,6 +77,84 @@ pub fn standard_learner_config() -> EdgeLearnerConfig {
         solver_iters: 200,
         multi_start: true,
     }
+}
+
+/// Ridge strength of the local-only ERM floor every fleet harness measures
+/// against (and of the runtimes' terminal local fallback).
+pub const FLOOR_ERM_LAMBDA: f64 = 1e-3;
+
+/// The few-shot learner every fleet harness runs: three EM rounds of at
+/// most 40 solver iterations from a single start, cheap enough to fit on
+/// every device every round.
+pub fn fleet_learner_config() -> EdgeLearnerConfig {
+    EdgeLearnerConfig {
+        em_rounds: 3,
+        solver_iters: 40,
+        multi_start: false,
+        ..EdgeLearnerConfig::default()
+    }
+}
+
+/// One prior-covered device: a fixed few-shot training set, a held-out
+/// evaluation set, and two reference accuracies on it.
+pub struct CoveredDevice {
+    /// Few-shot training samples (12).
+    pub train: Dataset,
+    /// Held-out evaluation samples (300).
+    pub test: Dataset,
+    /// Held-out accuracy of local ERM on `train`: the floor.
+    pub floor_acc: f64,
+    /// Held-out accuracy of the [`fleet_learner_config`] fit on `train`
+    /// under the reference prior the device was selected with.
+    pub prior_acc: f64,
+}
+
+/// Rejection-samples `count` devices from `family` whose few-shot fit under
+/// `prior` beats local ERM by more than a point.
+///
+/// The fleet harnesses measure the runtime and the learner, so devices are
+/// drawn from tasks the prior actually helps (the paper's transfer
+/// setting): on a task where the prior misleads the few-shot fit, "fresh
+/// beats local" is not a property any runtime could restore. Each candidate
+/// draws its training and evaluation sets from `rng` in that order.
+///
+/// # Panics
+///
+/// Panics if `20 · count` candidates do not yield `count` covered devices.
+/// The draw is deterministic, so that is a programming error, not a flake.
+pub fn covered_devices(
+    family: &TaskFamily,
+    prior: &MixturePrior,
+    count: usize,
+    rng: &mut StdRng,
+) -> Vec<CoveredDevice> {
+    let mut devices = Vec::with_capacity(count);
+    for _ in 0..20 * count {
+        if devices.len() == count {
+            break;
+        }
+        let task = family.sample_task(rng);
+        let train = task.generate(12, rng);
+        let test = task.generate(300, rng);
+        let erm = baselines::fit_local_erm(&train, FLOOR_ERM_LAMBDA).expect("erm fits");
+        let floor_acc = metrics::accuracy(&erm, test.features(), test.labels()).expect("eval");
+        let fit = EdgeLearner::new(fleet_learner_config(), prior.clone())
+            .expect("valid learner")
+            .fit(&train)
+            .expect("fit succeeds");
+        let prior_acc =
+            metrics::accuracy(&fit.model, test.features(), test.labels()).expect("eval");
+        if prior_acc > floor_acc + 0.01 {
+            devices.push(CoveredDevice {
+                train,
+                test,
+                floor_acc,
+                prior_acc,
+            });
+        }
+    }
+    assert_eq!(devices.len(), count, "could not draw a prior-covered fleet");
+    devices
 }
 
 /// An aligned text table with a JSON mirror.

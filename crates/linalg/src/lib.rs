@@ -4,9 +4,8 @@
 //! rest of the workspace builds on: a row-major dense [`Matrix`], slice-based
 //! vector kernels in [`vector`], and the factorizations needed by the
 //! probabilistic layers — [`Cholesky`] (with jitter for near-singular
-//! covariances), [`Lu`] with partial pivoting, and a Jacobi symmetric
-//! eigendecomposition ([`SymEigen`]) used for
-//! positive-semidefinite projection.
+//! covariances) and a Jacobi symmetric eigendecomposition ([`SymEigen`])
+//! used for positive-semidefinite projection.
 //!
 //! Everything operates on `f64`. Matrices are small-to-medium (model
 //! dimension × model dimension), so the implementations favour clarity and
@@ -38,14 +37,12 @@
 mod cholesky;
 mod eigen;
 mod error;
-mod lu;
 mod matrix;
 pub mod vector;
 
 pub use cholesky::Cholesky;
 pub use eigen::SymEigen;
 pub use error::LinalgError;
-pub use lu::Lu;
 pub use matrix::Matrix;
 
 /// Convenience result alias for fallible linear-algebra operations.

@@ -8,8 +8,7 @@
 //!   `erf`, multivariate log-gamma;
 //! * univariate distributions — [`Normal`], [`Gamma`], [`Beta`],
 //!   [`StudentT`], [`Categorical`], [`Bernoulli`];
-//! * multivariate distributions — [`MvNormal`], [`MvStudentT`],
-//!   [`Dirichlet`], [`Wishart`], [`InverseWishart`];
+//! * multivariate distributions — [`MvNormal`], [`MvStudentT`];
 //! * the [`NormalInverseWishart`] conjugate prior with closed-form posterior
 //!   updates, posterior-predictive densities and marginal likelihoods — the
 //!   base measure of the Dirichlet-process mixtures in `dre-bayes`;
@@ -37,7 +36,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod dirichlet;
 mod error;
 mod mvn;
 mod mvt;
@@ -45,16 +43,13 @@ mod niw;
 mod niw_cache;
 pub mod special;
 mod univariate;
-mod wishart;
 
-pub use dirichlet::Dirichlet;
 pub use error::ProbError;
 pub use mvn::MvNormal;
 pub use mvt::MvStudentT;
 pub use niw::{NiwSufficientStats, NormalInverseWishart};
 pub use niw_cache::{NiwPosteriorCache, StagedInsert};
 pub use univariate::{Bernoulli, Beta, Categorical, CategoricalScratch, Gamma, Normal, StudentT};
-pub use wishart::{InverseWishart, Wishart};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

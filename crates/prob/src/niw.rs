@@ -1,11 +1,9 @@
 //! Normal-Inverse-Wishart conjugate prior.
 
-use rand::Rng;
-
 use dre_linalg::{Cholesky, Matrix};
 
 use crate::special::{ln_mv_gamma, LN_PI};
-use crate::{InverseWishart, MvNormal, MvStudentT, ProbError, Result};
+use crate::{MvStudentT, ProbError, Result};
 
 /// Running sufficient statistics `(n, Σx, Σxxᵀ)` of a set of vectors,
 /// supporting O(d²) insertion and removal.
@@ -154,8 +152,7 @@ impl NiwSufficientStats {
 /// * [`NormalInverseWishart::posterior_predictive`] — a multivariate
 ///   Student-t;
 /// * [`NormalInverseWishart::log_marginal_likelihood`] — the collapsed
-///   cluster likelihood driving Gibbs moves;
-/// * [`NormalInverseWishart::sample`] — a draw `(μ, Σ)` from the prior.
+///   cluster likelihood driving Gibbs moves.
 ///
 /// # Example
 ///
@@ -352,25 +349,12 @@ impl NormalInverseWishart {
             - 0.5 * post.nu0 * ldn
             + 0.5 * d * (self.kappa0.ln() - post.kappa0.ln()))
     }
-
-    /// Draws `(μ, Σ)` from the prior: `Σ ~ IW(ν₀, Ψ₀)`, `μ ~ N(μ₀, Σ/λ₀)`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates factorization failures on the sampled covariance.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<(Vec<f64>, Matrix)> {
-        let iw = InverseWishart::new(self.nu0, &self.psi0)?;
-        let sigma = iw.sample(rng);
-        let mean_cov = sigma.scaled(1.0 / self.kappa0);
-        let mu = MvNormal::new(self.mu0.clone(), &mean_cov)?.sample(rng);
-        Ok((mu, sigma))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seeded_rng;
+    use crate::{seeded_rng, MvNormal};
 
     fn stats_from(points: &[Vec<f64>]) -> NiwSufficientStats {
         NiwSufficientStats::from_points(points[0].len(), points.iter().map(|p| p.as_slice()))
@@ -539,17 +523,5 @@ mod tests {
         let mut empty = NiwSufficientStats::new(3);
         empty.merge(&direct);
         assert_eq!(empty, direct);
-    }
-
-    #[test]
-    fn prior_samples_are_valid() {
-        let prior = NormalInverseWishart::vague(2).unwrap();
-        let mut rng = seeded_rng(66);
-        for _ in 0..20 {
-            let (mu, sigma) = prior.sample(&mut rng).unwrap();
-            assert_eq!(mu.len(), 2);
-            assert!(dre_linalg::vector::all_finite(&mu));
-            assert!(Cholesky::new_with_jitter(&sigma, 1e-6).is_ok());
-        }
     }
 }

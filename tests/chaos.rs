@@ -23,7 +23,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use dre_data::{Dataset, TaskFamily, TaskFamilyConfig};
+use dre_bench::degraded::{degraded_faults, degraded_policy};
+use dre_bench::{
+    closed_loop, covered_devices, fleet_learner_config, CoveredDevice, FLOOR_ERM_LAMBDA,
+};
+use dre_data::TaskFamily;
 use dre_models::metrics;
 use dre_prob::seeded_rng;
 use dre_serve::{
@@ -31,28 +35,10 @@ use dre_serve::{
     FaultyConnector, InMemoryServer, PriorServer, RetryPolicy, ServeConfig, ServerState,
     TcpConnector,
 };
-use dro_edge::{baselines, CloudKnowledge, EdgeLearnerConfig, FitMode, ModeShares};
+use dro_edge::{baselines, CloudKnowledge, FitMode, ModeShares};
 
 const TASK_ID: u64 = 3;
 const DEVICES: usize = 4;
-const ERM_LAMBDA: f64 = 1e-3;
-
-fn family_config() -> TaskFamilyConfig {
-    TaskFamilyConfig {
-        dim: 4,
-        num_clusters: 2,
-        cluster_separation: 4.0,
-        within_cluster_std: 0.2,
-        label_noise: 0.02,
-        steepness: 3.0,
-    }
-}
-
-/// One device's fixed few-shot training set and held-out evaluation set.
-struct DeviceData {
-    train: Dataset,
-    test: Dataset,
-}
 
 /// The shared scenario: a fitted cloud prior and per-device datasets,
 /// fixed across every fleet run so accuracy differences come only from
@@ -60,42 +46,20 @@ struct DeviceData {
 struct Scenario {
     state: Arc<ServerState>,
     prior_payload: Vec<u8>,
-    devices: Vec<DeviceData>,
+    devices: Vec<CoveredDevice>,
 }
 
+/// The harness measures the *runtime's* degradation ladder, so the fleet is
+/// drawn from tasks the cloud prior actually covers (see
+/// [`covered_devices`]), on the closed loop's two-cluster family.
 fn scenario() -> Scenario {
     let mut rng = seeded_rng(7_400);
-    let family = TaskFamily::generate(&family_config(), &mut rng).unwrap();
+    let family = TaskFamily::generate(&closed_loop::family_config(), &mut rng).unwrap();
     let cloud = CloudKnowledge::from_family(&family, 24, 300, 1.0, &mut rng).unwrap();
     let prior_payload = dro_edge::transfer::serialize_prior(cloud.prior());
     let state = Arc::new(ServerState::new());
     state.register_payload(TASK_ID, prior_payload.clone());
-
-    // The harness measures the *runtime's* degradation ladder, so the
-    // fleet is drawn from tasks the cloud prior actually covers (the
-    // paper's transfer setting): deterministically reject the occasional
-    // sampled task where the prior misleads the few-shot fit — for those,
-    // "fresh beats local" is not a property any runtime could restore.
-    let mut devices = Vec::with_capacity(DEVICES);
-    for _ in 0..50 {
-        if devices.len() == DEVICES {
-            break;
-        }
-        let task = family.sample_task(&mut rng);
-        let train = task.generate(12, &mut rng);
-        let test = task.generate(300, &mut rng);
-        let erm = baselines::fit_local_erm(&train, ERM_LAMBDA).unwrap();
-        let erm_acc = metrics::accuracy(&erm, test.features(), test.labels()).unwrap();
-        let fit = dro_edge::EdgeLearner::new(learner_config(), cloud.prior().clone())
-            .unwrap()
-            .fit(&train)
-            .unwrap();
-        let dro_acc = metrics::accuracy(&fit.model, test.features(), test.labels()).unwrap();
-        if dro_acc > erm_acc + 0.01 {
-            devices.push(DeviceData { train, test });
-        }
-    }
-    assert_eq!(devices.len(), DEVICES, "could not draw a prior-covered fleet");
+    let devices = covered_devices(&family, cloud.prior(), DEVICES, &mut rng);
     Scenario {
         state,
         prior_payload,
@@ -103,21 +67,12 @@ fn scenario() -> Scenario {
     }
 }
 
-fn learner_config() -> EdgeLearnerConfig {
-    EdgeLearnerConfig {
-        em_rounds: 3,
-        solver_iters: 40,
-        multi_start: false,
-        ..EdgeLearnerConfig::default()
-    }
-}
-
 fn runtime_config(device_id: u64) -> EdgeRuntimeConfig {
     EdgeRuntimeConfig {
         task_id: TASK_ID,
         device_id,
-        learner: learner_config(),
-        erm_lambda: ERM_LAMBDA,
+        learner: fleet_learner_config(),
+        erm_lambda: FLOOR_ERM_LAMBDA,
         breaker: BreakerConfig {
             failure_threshold: 2,
             cooldown_steps: 1,
@@ -127,26 +82,6 @@ fn runtime_config(device_id: u64) -> EdgeRuntimeConfig {
         stale_ttl: 2,
         report_models: true,
         keep_alive: false,
-    }
-}
-
-fn fast_policy() -> RetryPolicy {
-    RetryPolicy {
-        max_attempts: 2,
-        base_backoff: Duration::from_micros(10),
-        max_backoff: Duration::from_micros(100),
-        jitter_seed: 5,
-    }
-}
-
-/// Mixed drop/corrupt/delay faults at overall intensity `rate ∈ [0, 1]`.
-fn faults_at(rate: f64) -> FaultConfig {
-    FaultConfig {
-        drop_prob: rate,
-        corrupt_prob: rate * 0.5,
-        delay_prob: rate * 0.25,
-        delay: Duration::from_micros(50),
-        ..FaultConfig::default()
     }
 }
 
@@ -160,7 +95,7 @@ struct FleetOutcome {
     /// Per-device runtime counters.
     counters: Vec<dre_serve::RuntimeCounters>,
     /// Per-device client-side deterministic transfer counters.
-    client_counters: Vec<[u64; 25]>,
+    client_counters: Vec<Vec<u64>>,
     /// Per-device injected-fault counts.
     fault_counts: Vec<dre_serve::FaultCounts>,
     /// Mean held-out accuracy over devices, per round.
@@ -198,7 +133,11 @@ fn run_fleet(sc: &Scenario, faults: &FaultConfig, seed: u64, rounds: usize) -> F
                 InMemoryServer::with_state(Arc::clone(&sc.state)),
                 FaultInjector::new(seed.wrapping_mul(1_000) + dev as u64, faults.clone()),
             );
-            EdgeRuntime::new(connector, fast_policy(), runtime_config(base + dev as u64))
+            EdgeRuntime::new(
+                connector,
+                degraded_policy(),
+                runtime_config(base + dev as u64),
+            )
         })
         .collect();
 
@@ -223,7 +162,7 @@ fn run_fleet(sc: &Scenario, faults: &FaultConfig, seed: u64, rounds: usize) -> F
         counters: fleet.iter().map(|rt| rt.counters()).collect(),
         client_counters: fleet
             .iter()
-            .map(|rt| rt.client().metrics().deterministic_counters())
+            .map(|rt| rt.client().metrics().deterministic_counters().to_vec())
             .collect(),
         fault_counts: fleet.iter().map(|rt| rt.connector().fault_counts()).collect(),
         round_accuracy,
@@ -234,14 +173,7 @@ fn run_fleet(sc: &Scenario, faults: &FaultConfig, seed: u64, rounds: usize) -> F
 /// `fleet_size` devices — the floor the degradation ladder must never sink
 /// below.
 fn local_only_floor(sc: &Scenario, fleet_size: usize) -> f64 {
-    sc.devices[..fleet_size]
-        .iter()
-        .map(|d| {
-            let erm = baselines::fit_local_erm(&d.train, ERM_LAMBDA).unwrap();
-            metrics::accuracy(&erm, d.test.features(), d.test.labels()).unwrap()
-        })
-        .sum::<f64>()
-        / fleet_size as f64
+    sc.devices[..fleet_size].iter().map(|d| d.floor_acc).sum::<f64>() / fleet_size as f64
 }
 
 #[test]
@@ -251,7 +183,7 @@ fn accuracy_degrades_monotonically_and_never_below_the_local_floor() {
     let rates = [0.0, 0.35, 0.7, 1.0];
     let outcomes: Vec<_> = rates
         .iter()
-        .map(|&rate| run_fleet(&sc, &faults_at(rate), 1, 6))
+        .map(|&rate| run_fleet(&sc, &degraded_faults(rate), 1, 6))
         .collect();
 
     let mean_accs: Vec<f64> = outcomes.iter().map(FleetOutcome::mean_accuracy).collect();
@@ -298,7 +230,7 @@ fn accuracy_degrades_monotonically_and_never_below_the_local_floor() {
     let dead = &outcomes[3];
     assert_eq!(dead.mode_shares().local, dead.mode_shares().total());
     for (dev, packed) in dead.final_models.iter().enumerate() {
-        let erm = baselines::fit_local_erm(&sc.devices[dev].train, ERM_LAMBDA).unwrap();
+        let erm = baselines::fit_local_erm(&sc.devices[dev].train, FLOOR_ERM_LAMBDA).unwrap();
         assert_eq!(packed, &erm.to_packed(), "device {dev} is not at the floor");
     }
     assert!((dead.mean_accuracy() - floor).abs() < 1e-15);
@@ -318,7 +250,7 @@ fn partition_then_heal_recloses_breakers_and_recovers_accuracy_bitwise() {
                 InMemoryServer::with_state(Arc::clone(&sc.state)),
                 FaultInjector::new(9_000 + dev as u64, FaultConfig::default()),
             );
-            EdgeRuntime::new(connector, fast_policy(), runtime_config(dev as u64))
+            EdgeRuntime::new(connector, degraded_policy(), runtime_config(dev as u64))
         })
         .collect();
 
@@ -382,8 +314,8 @@ fn partition_then_heal_recloses_breakers_and_recovers_accuracy_bitwise() {
 fn chaos_fleets_are_bit_identical_across_runs_at_fixed_seeds() {
     let sc = scenario();
     for seed in [11, 29, 47] {
-        let a = run_fleet(&sc, &faults_at(0.45), seed, 5);
-        let b = run_fleet(&sc, &faults_at(0.45), seed, 5);
+        let a = run_fleet(&sc, &degraded_faults(0.45), seed, 5);
+        let b = run_fleet(&sc, &degraded_faults(0.45), seed, 5);
         assert_eq!(a, b, "seed {seed}: chaos run is not deterministic");
         // The schedule actually degraded something at this intensity…
         let shares = a.mode_shares();
@@ -391,7 +323,7 @@ fn chaos_fleets_are_bit_identical_across_runs_at_fixed_seeds() {
         // …while other seeds genuinely differ (the harness is seeded, not
         // constant).
         if seed != 11 {
-            let first = run_fleet(&sc, &faults_at(0.45), 11, 5);
+            let first = run_fleet(&sc, &degraded_faults(0.45), 11, 5);
             assert_ne!(
                 first.fault_counts, a.fault_counts,
                 "different seeds should draw different fault schedules"
@@ -464,9 +396,9 @@ fn sharded_fleet_survives_shard_kill_and_rebalance_bit_identically() {
 
         let traces: Vec<Vec<FitMode>> =
             fleet.iter().map(|rt| rt.mode_trace().to_vec()).collect();
-        let counters: Vec<[u64; 25]> = fleet
+        let counters: Vec<Vec<u64>> = fleet
             .iter()
-            .map(|rt| rt.client().metrics().deterministic_counters())
+            .map(|rt| rt.client().metrics().deterministic_counters().to_vec())
             .collect();
         let retries: u64 = fleet.iter().map(|rt| rt.client().metrics().retries).sum();
         let routing = directory.metrics().snapshot();

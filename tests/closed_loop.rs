@@ -26,407 +26,64 @@
 //!    refreshed payloads, and the fleet keeps improving.
 
 use std::sync::Arc;
-use std::time::Duration;
 
-use dre_data::{Dataset, TaskFamily, TaskFamilyConfig};
-use dre_edgesim::{poisoned_report, AdversaryKind};
-use dre_learner::{admission_from_env, AdmissionConfig, CloudLearner, LearnerConfig, SirConfig};
-use dre_linalg::Matrix;
-use dre_models::metrics;
-use dre_prob::seeded_rng;
-use dre_serve::{
-    BreakerConfig, EdgeRuntime, EdgeRuntimeConfig, PriorClient, PriorServer, RetryPolicy,
-    ServeConfig, ServerState, TcpConnector,
+use dre_bench::closed_loop::{
+    broad_prior, fast_policy, loop_admission, loop_learner, run, runtime_config, scenario,
+    serve_config, Cohort, LoopOutcome, Scenario, EVALS, ROUNDS, TASK_ID,
 };
-use dre_bayes::MixturePrior;
-use dro_edge::{CloudKnowledge, EdgeLearnerConfig, FitMode};
+use dre_learner::{admission_from_env, AdmissionConfig};
+use dre_models::metrics;
+use dre_serve::EdgeRuntime;
+use dro_edge::FitMode;
 
-const TASK_ID: u64 = 9;
 /// Reporters joining the fleet per round; each device reports its fitted
 /// model exactly once, so the learner sees a growing pool of distinct
 /// source models rather than re-counting the same cohort every round.
 const REPORTERS_PER_ROUND: usize = 5;
-const EVALS: usize = 3;
-const ROUNDS: usize = 5;
-
-fn family_config() -> TaskFamilyConfig {
-    TaskFamilyConfig {
-        dim: 4,
-        num_clusters: 2,
-        cluster_separation: 4.0,
-        within_cluster_std: 0.2,
-        label_noise: 0.02,
-        steepness: 3.0,
-    }
-}
-
-fn learner_config() -> EdgeLearnerConfig {
-    EdgeLearnerConfig {
-        em_rounds: 3,
-        solver_iters: 40,
-        multi_start: false,
-        ..EdgeLearnerConfig::default()
-    }
-}
-
-fn runtime_config(report_models: bool, device_id: u64) -> EdgeRuntimeConfig {
-    EdgeRuntimeConfig {
-        task_id: TASK_ID,
-        device_id,
-        learner: learner_config(),
-        erm_lambda: 1e-3,
-        breaker: BreakerConfig {
-            failure_threshold: 2,
-            cooldown_steps: 1,
-            cooldown_jitter: 0,
-            seed: 0,
-        },
-        stale_ttl: 2,
-        report_models,
-        keep_alive: true,
-    }
-}
-
-fn serve_config() -> ServeConfig {
-    ServeConfig {
-        read_timeout: Some(Duration::from_secs(2)),
-        write_timeout: Some(Duration::from_secs(2)),
-        ..ServeConfig::default()
-    }
-}
-
-/// One broad zero-centered component over packed `[w…, b]` parameters —
-/// the uninformative prior the loop starts from.
-fn broad_prior(p: usize) -> MixturePrior {
-    MixturePrior::single(vec![0.0; p], Matrix::identity(p).scaled(25.0)).unwrap()
-}
-
-struct DeviceData {
-    train: Dataset,
-    test: Dataset,
-}
-
-/// The fixed scenario: a task family, a data-rich reporter cohort, and a
-/// few-shot eval cohort drawn (like the chaos harness) from tasks where a
-/// *learned* cluster prior genuinely helps the few-shot fit — the property
-/// the closed loop is supposed to restore online.
-struct Scenario {
-    reporters: Vec<DeviceData>,
-    evals: Vec<DeviceData>,
-    param_dim: usize,
-}
-
-fn scenario(seed: u64) -> Scenario {
-    let mut rng = seeded_rng(seed);
-    let family = TaskFamily::generate(&family_config(), &mut rng).unwrap();
-    // Reference batch prior, used only to select prior-covered eval tasks.
-    let cloud = CloudKnowledge::from_family(&family, 24, 300, 1.0, &mut rng).unwrap();
-
-    let mut reporters = Vec::with_capacity(REPORTERS_PER_ROUND * ROUNDS);
-    for _ in 0..REPORTERS_PER_ROUND * ROUNDS {
-        let task = family.sample_task(&mut rng);
-        reporters.push(DeviceData {
-            train: task.generate(30, &mut rng),
-            test: task.generate(100, &mut rng),
-        });
-    }
-
-    let mut evals = Vec::with_capacity(EVALS);
-    for _ in 0..60 {
-        if evals.len() == EVALS {
-            break;
-        }
-        let task = family.sample_task(&mut rng);
-        let train = task.generate(12, &mut rng);
-        let test = task.generate(300, &mut rng);
-        let erm = dro_edge::baselines::fit_local_erm(&train, 1e-3).unwrap();
-        let erm_acc = metrics::accuracy(&erm, test.features(), test.labels()).unwrap();
-        let fit = dro_edge::EdgeLearner::new(learner_config(), cloud.prior().clone())
-            .unwrap()
-            .fit(&train)
-            .unwrap();
-        let dro_acc = metrics::accuracy(&fit.model, test.features(), test.labels()).unwrap();
-        if dro_acc > erm_acc + 0.01 {
-            evals.push(DeviceData { train, test });
-        }
-    }
-    assert_eq!(evals.len(), EVALS, "could not draw a prior-covered eval cohort");
-    let param_dim = family_config().dim + 1;
-    Scenario {
-        reporters,
-        evals,
-        param_dim,
-    }
-}
-
-fn fast_policy() -> RetryPolicy {
-    RetryPolicy {
-        max_attempts: 3,
-        base_backoff: Duration::from_millis(1),
-        max_backoff: Duration::from_millis(4),
-        jitter_seed: 13,
-    }
-}
-
-fn sir_learner(seed: u64) -> CloudLearner {
-    CloudLearner::new(LearnerConfig {
-        sir: SirConfig {
-            seed,
-            ..SirConfig::default()
-        },
-        // The per-round flush below publishes explicitly; the interval only
-        // has to not fire mid-drain.
-        refresh_interval: usize::MAX,
-        min_reports_for_base: 4,
-        admission: None,
-    })
-}
-
-/// Everything one closed-loop run produces that must be seed-deterministic.
-#[derive(Debug, PartialEq)]
-struct LoopOutcome {
-    /// Mean eval accuracy per round.
-    round_accuracy: Vec<f64>,
-    /// Eval-device final fitted parameters (bit-exact).
-    final_models: Vec<Vec<f64>>,
-    /// Final refreshed prior payload (empty when frozen).
-    final_payload: Vec<u8>,
-    /// Server cache generation after each round.
-    generations: Vec<u64>,
-    /// Per-eval-client `(connections, reused_connections)`.
-    eval_connections: Vec<(u64, u64)>,
-    /// Reports the learner absorbed in total.
-    absorbed: usize,
-}
-
-/// Runs the closed loop over real TCP. Each round: the eval cohort fits
-/// and is measured against the **current** prior, this round\'s newly joined
-/// reporters fit + report, and the learner drains and (when `refresh`)
-/// publishes — so `round_accuracy[0]` is the uninformative-prior baseline
-/// and every later round reflects all reports seen so far.
-fn run_loop(sc: &Scenario, learner_seed: u64, refresh: bool) -> LoopOutcome {
-    let mut server = PriorServer::bind("127.0.0.1:0", serve_config()).unwrap();
-    let addr = server.addr();
-    let state: Arc<ServerState> = Arc::clone(server.state());
-    state.register_prior(TASK_ID, &broad_prior(sc.param_dim));
-
-    let mut eval_rts: Vec<_> = (0..EVALS)
-        .map(|dev| {
-            EdgeRuntime::new(
-                TcpConnector::new(addr),
-                fast_policy(),
-                runtime_config(false, 10_000 + dev as u64),
-            )
-        })
-        .collect();
-
-    let mut learner = sir_learner(learner_seed);
-    let mut sink = Arc::clone(&state);
-    let mut round_accuracy = Vec::with_capacity(ROUNDS);
-    let mut generations = Vec::with_capacity(ROUNDS);
-    let mut final_models = vec![Vec::new(); EVALS];
-    let mut absorbed = 0;
-
-    for round in 0..ROUNDS {
-        let mut acc = 0.0;
-        for (dev, rt) in eval_rts.iter_mut().enumerate() {
-            let data = &sc.evals[dev];
-            let fit = rt.fit_step(&data.train).unwrap();
-            assert_eq!(fit.mode, FitMode::FreshPrior, "eval {dev} degraded");
-            acc += metrics::accuracy(&fit.model, data.test.features(), data.test.labels())
-                .unwrap();
-            final_models[dev] = fit.model.to_packed();
-        }
-        round_accuracy.push(acc / EVALS as f64);
-
-        for dev in round * REPORTERS_PER_ROUND..(round + 1) * REPORTERS_PER_ROUND {
-            let mut rt = EdgeRuntime::new(
-                TcpConnector::new(addr),
-                fast_policy(),
-                runtime_config(true, dev as u64),
-            );
-            let fit = rt.fit_step(&sc.reporters[dev].train).unwrap();
-            assert_eq!(fit.mode, FitMode::FreshPrior, "reporter {dev} degraded");
-            assert!(fit.reported, "reporter {dev} did not report");
-        }
-        if refresh {
-            let tick = learner.absorb(state.take_reports(), &mut sink).unwrap();
-            absorbed += tick.absorbed;
-            learner.force_refresh(&mut sink).unwrap();
-        }
-        generations.push(state.cache_generation());
-    }
-
-    let final_payload = if refresh {
-        state.prior_entry(TASK_ID).unwrap().payload.as_ref().clone()
-    } else {
-        Vec::new()
-    };
-    let eval_connections = eval_rts
-        .iter()
-        .map(|rt| {
-            let m = rt.client().metrics();
-            (m.connections, m.reused_connections)
-        })
-        .collect();
-    server.shutdown();
-    LoopOutcome {
-        round_accuracy,
-        final_models,
-        final_payload,
-        generations,
-        eval_connections,
-        absorbed,
-    }
-}
-
 /// Colluding Byzantine reporters joining the poisoned loop each round:
 /// 3 adversaries alongside the 5 honest reporters is a 37.5% adversarial
 /// fraction, above the 30% bar the robustness claim is made at.
 const ADVERSARIES_PER_ROUND: usize = 3;
-/// Worst-case transport budget each adversary applies to its own data.
-const ADVERSARY_BUDGET: f64 = 2.0;
-/// Collusion boost: the cohort reports one identical scaled model, forming
-/// a single tight cluster for the unguarded filter to absorb. The negative
-/// sign makes the colluding cluster *anti-correlated* with the honest
-/// decision functions: while the colluders outnumber the largest honest
-/// cluster (they do early on, before the honest pool accumulates), every
-/// eval device starts its EM chain at the poison mean (the
-/// heaviest-component start under `multi_start: false`) and is actively
-/// misled rather than just unlucky.
-const ADVERSARY_SCALE: f64 = -2.0;
 /// Documented round-accuracy noise band (same one the clean loop pins).
 const NOISE_BAND: f64 = 0.02;
 
-/// The admission settings the poisoned loop runs when `DRE_ADMISSION` is
-/// on: default gate, with warmup matched to `min_reports_for_base` so the
-/// baseline is armed from the moment the filter is born, and a margin
-/// placed between the honest score spread (observed worst honest report ≈
-/// 6.5 nats below the rolling 10th percentile at both seeds) and the
-/// colluders' first-contact marginals (≈ 13 nats below it).
-fn poisoned_admission(base: AdmissionConfig) -> AdmissionConfig {
-    AdmissionConfig {
-        warmup: 4,
-        margin: 8.0,
-        ..base
-    }
+/// The loop scenario at `seed`: the reporter pool plus a few-shot eval
+/// cohort drawn (like the chaos harness) from tasks where a *learned*
+/// cluster prior genuinely helps the few-shot fit — the property the
+/// closed loop is supposed to restore online.
+fn loop_scenario(seed: u64) -> Scenario {
+    scenario(seed, REPORTERS_PER_ROUND * ROUNDS)
 }
 
-/// Everything one poisoned run produces that must be seed-deterministic.
-#[derive(Debug, PartialEq)]
-struct PoisonedOutcome {
-    round_accuracy: Vec<f64>,
-    absorbed: usize,
-    gated: usize,
-    quarantined: usize,
-    final_payload: Vec<u8>,
-    counters: Vec<u64>,
-}
-
-/// The closed loop with a colluding feature-shift cohort riding along:
-/// every round the honest reporters fit + report as usual, then the
-/// adversary devices (persistent identities, monotone sequence numbers)
-/// report boosted worst-case models derived from the round's honest data.
-fn run_poisoned_loop(
-    sc: &Scenario,
-    learner_seed: u64,
-    admission: Option<AdmissionConfig>,
-) -> PoisonedOutcome {
-    let mut server = PriorServer::bind("127.0.0.1:0", serve_config()).unwrap();
-    let addr = server.addr();
-    let state: Arc<ServerState> = Arc::clone(server.state());
-    state.register_prior(TASK_ID, &broad_prior(sc.param_dim));
-
-    let mut eval_rts: Vec<_> = (0..EVALS)
-        .map(|dev| {
-            EdgeRuntime::new(
-                TcpConnector::new(addr),
-                fast_policy(),
-                runtime_config(false, 10_000 + dev as u64),
-            )
-        })
-        .collect();
-    let mut adversaries: Vec<_> = (0..ADVERSARIES_PER_ROUND)
-        .map(|_| PriorClient::new(TcpConnector::new(addr), fast_policy()))
-        .collect();
-
-    let mut learner = CloudLearner::try_new(LearnerConfig {
-        sir: SirConfig {
-            seed: learner_seed,
-            ..SirConfig::default()
+/// The clean (or, with `refresh` off, frozen) loop.
+fn clean_loop(sc: &Scenario, learner_seed: u64, refresh: bool) -> LoopOutcome {
+    run(
+        sc,
+        &Cohort {
+            honest: REPORTERS_PER_ROUND,
+            adversaries: 0,
+            learner_seed,
+            refresh,
+            admission: None,
         },
-        refresh_interval: usize::MAX,
-        min_reports_for_base: 4,
-        admission,
-    })
-    .unwrap();
-    let mut sink = Arc::clone(&state);
-    let mut round_accuracy = Vec::with_capacity(ROUNDS);
-    let (mut absorbed, mut gated, mut quarantined) = (0, 0, 0);
+    )
+}
 
-    for round in 0..ROUNDS {
-        let mut acc = 0.0;
-        for (dev, rt) in eval_rts.iter_mut().enumerate() {
-            let data = &sc.evals[dev];
-            let fit = rt.fit_step(&data.train).unwrap();
-            assert_eq!(fit.mode, FitMode::FreshPrior, "eval {dev} degraded");
-            acc += metrics::accuracy(&fit.model, data.test.features(), data.test.labels())
-                .unwrap();
-        }
-        round_accuracy.push(acc / EVALS as f64);
-
-        for dev in round * REPORTERS_PER_ROUND..(round + 1) * REPORTERS_PER_ROUND {
-            let mut rt = EdgeRuntime::new(
-                TcpConnector::new(addr),
-                fast_policy(),
-                runtime_config(true, dev as u64),
-            );
-            let fit = rt.fit_step(&sc.reporters[dev].train).unwrap();
-            assert_eq!(fit.mode, FitMode::FreshPrior, "reporter {dev} degraded");
-            assert!(fit.reported, "reporter {dev} did not report");
-        }
-        for (k, client) in adversaries.iter_mut().enumerate() {
-            // True collusion: every adversary derives its poison from the
-            // same fixed (honest-looking) dataset, so the cohort reports
-            // one identical model every round. Fifteen identical reports
-            // form the single heaviest DP cluster — honest reports split
-            // across the family's task clusters — which is exactly the
-            // shape that captures an unguarded heaviest-component start.
-            let train = &sc.reporters[0].train;
-            let params = poisoned_report(
-                AdversaryKind::ColludingBoost {
-                    budget: ADVERSARY_BUDGET,
-                    scale: ADVERSARY_SCALE,
-                },
-                train,
-                1e-3,
-            )
-            .unwrap();
-            let accepted = client
-                .report_model(TASK_ID, 50_000 + k as u64, round as u64 + 1, params)
-                .unwrap();
-            assert!(accepted, "the wire admits well-formed frames; gating is semantic");
-        }
-
-        let tick = learner.absorb(state.take_reports(), &mut sink).unwrap();
-        state.note_admission_outcomes(tick.gated as u64, tick.quarantined as u64);
-        absorbed += tick.absorbed;
-        gated += tick.gated;
-        quarantined += tick.quarantined;
-        learner.force_refresh(&mut sink).unwrap();
-    }
-
-    let final_payload = state.prior_entry(TASK_ID).unwrap().payload.as_ref().clone();
-    let counters = state.metrics().deterministic_counters().to_vec();
-    server.shutdown();
-    PoisonedOutcome {
-        round_accuracy,
-        absorbed,
-        gated,
-        quarantined,
-        final_payload,
-        counters,
-    }
+/// The loop with a colluding feature-shift cohort riding along: every round
+/// the honest reporters fit + report as usual, then the adversary devices
+/// (persistent identities, monotone sequence numbers) report boosted
+/// worst-case models.
+fn poisoned_loop(sc: &Scenario, admission: Option<AdmissionConfig>) -> LoopOutcome {
+    run(
+        sc,
+        &Cohort {
+            honest: REPORTERS_PER_ROUND,
+            adversaries: ADVERSARIES_PER_ROUND,
+            learner_seed: 42,
+            refresh: true,
+            admission,
+        },
+    )
 }
 
 /// The headline robustness claim, swept by CI under `DRE_ADMISSION ∈
@@ -436,17 +93,17 @@ fn run_poisoned_loop(
 /// fleet. Both arms are bit-identical across reruns at two seeds.
 #[test]
 fn poisoned_fleet_is_gated_with_admission_on_and_degrades_with_it_off() {
-    let admission = admission_from_env().map(poisoned_admission);
+    let admission = admission_from_env().map(loop_admission);
     for scenario_seed in [7_500, 9_100] {
-        let sc = scenario(scenario_seed);
-        let clean = run_loop(&sc, 42, true);
+        let sc = loop_scenario(scenario_seed);
+        let clean = clean_loop(&sc, 42, true);
 
         match &admission {
             Some(cfg) => {
-                let on = run_poisoned_loop(&sc, 42, Some(cfg.clone()));
+                let on = poisoned_loop(&sc, Some(cfg.clone()));
                 assert_eq!(
                     on,
-                    run_poisoned_loop(&sc, 42, Some(cfg.clone())),
+                    poisoned_loop(&sc, Some(cfg.clone())),
                     "seed {scenario_seed}: admission-on loop is not deterministic"
                 );
                 // Every adversarial report is refused; every honest report
@@ -480,10 +137,10 @@ fn poisoned_fleet_is_gated_with_admission_on_and_degrades_with_it_off() {
                 }
             }
             None => {
-                let off = run_poisoned_loop(&sc, 42, None);
+                let off = poisoned_loop(&sc, None);
                 assert_eq!(
                     off,
-                    run_poisoned_loop(&sc, 42, None),
+                    poisoned_loop(&sc, None),
                     "seed {scenario_seed}: admission-off loop is not deterministic"
                 );
                 assert_eq!(off.gated, 0);
@@ -531,9 +188,9 @@ fn poisoned_fleet_is_gated_with_admission_on_and_degrades_with_it_off() {
 
 #[test]
 fn refreshed_prior_fleet_learns_while_the_frozen_fleet_stays_flat() {
-    let sc = scenario(7_500);
-    let refreshed = run_loop(&sc, 42, true);
-    let frozen = run_loop(&sc, 42, false);
+    let sc = loop_scenario(7_500);
+    let refreshed = clean_loop(&sc, 42, true);
+    let frozen = clean_loop(&sc, 42, false);
 
     // The learner really consumed the fleet's reports (each reporter
     // device reports exactly once, in its joining round).
@@ -606,15 +263,15 @@ fn refreshed_prior_fleet_learns_while_the_frozen_fleet_stays_flat() {
 #[test]
 fn closed_loop_is_bit_identical_across_reruns_at_fixed_seeds() {
     for scenario_seed in [7_500, 9_100] {
-        let sc = scenario(scenario_seed);
-        let a = run_loop(&sc, 42, true);
-        let b = run_loop(&sc, 42, true);
+        let sc = loop_scenario(scenario_seed);
+        let a = clean_loop(&sc, 42, true);
+        let b = clean_loop(&sc, 42, true);
         assert_eq!(a, b, "seed {scenario_seed}: closed loop is not deterministic");
         assert!(!a.final_payload.is_empty());
         // A different learner seed explores different particle streams but
         // the published prior still reflects the same reports — only the
         // bytes may differ, not the absorb accounting.
-        let c = run_loop(&sc, 43, true);
+        let c = clean_loop(&sc, 43, true);
         assert_eq!(c.absorbed, a.absorbed);
     }
 }
@@ -623,7 +280,7 @@ fn closed_loop_is_bit_identical_across_reruns_at_fixed_seeds() {
 fn sharded_plane_refresh_fans_out_byte_identically() {
     use dre_serve::{ShardConnector, ShardPlaneConfig, ShardedPriorPlane};
 
-    let sc = scenario(7_500);
+    let sc = loop_scenario(7_500);
     // CI sweeps DRE_SERVE_SHARDS ∈ {1, 4} × DRE_SERVE_WORKERS ∈ {1, 4};
     // the replication-2 fan-out needs at least two shards to mean
     // anything, so the plane honours the environment's size with a floor.
@@ -635,7 +292,7 @@ fn sharded_plane_refresh_fans_out_byte_identically() {
         ..ShardPlaneConfig::default()
     })
     .unwrap();
-    plane.register_prior(TASK_ID, &broad_prior(sc.param_dim));
+    plane.register_prior(TASK_ID, &broad_prior());
     let owners = plane.shard_map().owners(TASK_ID);
     assert_eq!(owners.len(), 2, "replication 2 should give two owners");
     let directory = plane.directory();
@@ -650,7 +307,7 @@ fn sharded_plane_refresh_fans_out_byte_identically() {
         })
         .collect();
 
-    let mut learner = sir_learner(42);
+    let mut learner = loop_learner(42, None);
     let mut accs = Vec::with_capacity(ROUNDS);
     for round in 0..ROUNDS {
         let mut acc = 0.0;
@@ -669,7 +326,7 @@ fn sharded_plane_refresh_fans_out_byte_identically() {
                 fast_policy(),
                 runtime_config(true, dev as u64),
             );
-            let fit = rt.fit_step(&sc.reporters[dev].train).unwrap();
+            let fit = rt.fit_step(&sc.reporters[dev]).unwrap();
             assert_eq!(fit.mode, FitMode::FreshPrior, "reporter {dev} degraded");
         }
         learner.step_plane(&mut plane).unwrap();

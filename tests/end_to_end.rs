@@ -1,22 +1,12 @@
 //! End-to-end integration: family → cloud DP fit → edge DRO-EM → metrics,
 //! exercising every crate in one pipeline.
 
-use dre_data::{TaskFamily, TaskFamilyConfig};
+use dre_bench::closed_loop::family_config;
+use dre_data::TaskFamily;
 use dre_models::metrics;
 use dre_prob::seeded_rng;
 use dro_edge::evaluate::{run_methods, Method};
 use dro_edge::{baselines, CloudKnowledge, EdgeLearner, EdgeLearnerConfig, PriorFitMethod};
-
-fn family_config() -> TaskFamilyConfig {
-    TaskFamilyConfig {
-        dim: 4,
-        num_clusters: 2,
-        cluster_separation: 4.0,
-        within_cluster_std: 0.2,
-        label_noise: 0.02,
-        steepness: 3.0,
-    }
-}
 
 #[test]
 fn full_pipeline_beats_local_only_learning_at_small_n() {

@@ -5,13 +5,14 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use dre_bench::fleet_learner_config;
 use dre_data::{TaskFamily, TaskFamilyConfig};
 use dre_prob::seeded_rng;
 use dre_serve::{
     frame, FaultConfig, FaultInjector, FaultyConnector, InMemoryServer, PriorClient, PriorServer,
     RetryPolicy, ServeConfig, ServerState, TcpConnector, TcpTransport,
 };
-use dro_edge::{CloudKnowledge, EdgeLearner, EdgeLearnerConfig};
+use dro_edge::{CloudKnowledge, EdgeLearner};
 
 const TASK_ID: u64 = 1;
 
@@ -28,16 +29,6 @@ fn fitted_cloud() -> (CloudKnowledge, TaskFamily) {
     .unwrap();
     let cloud = CloudKnowledge::from_family(&family, 16, 200, 1.0, &mut rng).unwrap();
     (cloud, family)
-}
-
-/// A fast learner config for test-sized fits.
-fn small_learner_config() -> EdgeLearnerConfig {
-    EdgeLearnerConfig {
-        em_rounds: 3,
-        solver_iters: 40,
-        multi_start: false,
-        ..EdgeLearnerConfig::default()
-    }
 }
 
 #[test]
@@ -69,7 +60,7 @@ fn loopback_fleet_fetches_priors_and_fits_concurrently() {
                 let mut rng = seeded_rng(9_000 + i as u64);
                 let task = family.sample_task(&mut rng);
                 let train = task.generate(25, &mut rng);
-                let fit = EdgeLearner::new(small_learner_config(), fetched)
+                let fit = EdgeLearner::new(fleet_learner_config(), fetched)
                     .unwrap()
                     .fit(&train)
                     .expect("EM fit");
@@ -217,7 +208,7 @@ fn keepalive_stream_survives_server_kill_and_restart_via_retry() {
         policy.clone(),
         dre_serve::EdgeRuntimeConfig {
             task_id: TASK_ID,
-            learner: small_learner_config(),
+            learner: fleet_learner_config(),
             keep_alive: true,
             ..dre_serve::EdgeRuntimeConfig::default()
         },
