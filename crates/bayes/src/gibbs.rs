@@ -446,11 +446,7 @@ impl DpNiwGibbs {
             }
             let post = self.base.posterior(stats)?;
             let cov = expected_covariance(&post)?;
-            components.push((
-                stats.len() as f64 / (n + alpha),
-                post.mu0().to_vec(),
-                cov,
-            ));
+            components.push((stats.len() as f64 / (n + alpha), post.mu0().to_vec(), cov));
         }
         // Fresh-table component from the base measure.
         let base_cov = expected_covariance(&self.base)?;
@@ -527,13 +523,8 @@ mod tests {
     }
 
     fn sampler(alpha: f64) -> DpNiwGibbs {
-        let base = NormalInverseWishart::new(
-            vec![0.0, 0.0],
-            0.05,
-            Matrix::identity(2),
-            5.0,
-        )
-        .unwrap();
+        let base =
+            NormalInverseWishart::new(vec![0.0, 0.0], 0.05, Matrix::identity(2), 5.0).unwrap();
         DpNiwGibbs::new(
             base,
             GibbsConfig {
@@ -573,11 +564,15 @@ mod tests {
         let g = sampler(1.0);
         let mut rng = seeded_rng(5);
         let result = g.fit(&data, &mut rng).unwrap();
-        assert_eq!(result.num_clusters(), 3, "trace: {:?}", result.cluster_trace);
+        assert_eq!(
+            result.num_clusters(),
+            3,
+            "trace: {:?}",
+            result.cluster_trace
+        );
         // Points from the same ground-truth cluster share a label.
         for c in 0..3 {
-            let labels: Vec<usize> =
-                (0..30).map(|i| result.assignments[c * 30 + i]).collect();
+            let labels: Vec<usize> = (0..30).map(|i| result.assignments[c * 30 + i]).collect();
             assert!(labels.iter().all(|&l| l == labels[0]));
         }
     }
@@ -617,13 +612,8 @@ mod tests {
     #[test]
     fn cached_matches_exact_recompute() {
         let data = well_separated_data(15);
-        let base = NormalInverseWishart::new(
-            vec![0.0, 0.0],
-            0.05,
-            Matrix::identity(2),
-            5.0,
-        )
-        .unwrap();
+        let base =
+            NormalInverseWishart::new(vec![0.0, 0.0], 0.05, Matrix::identity(2), 5.0).unwrap();
         let cfg = GibbsConfig {
             alpha: 1.0,
             burn_in: 10,
@@ -700,25 +690,16 @@ mod tests {
     fn to_mixture_prior_validates() {
         let g = sampler(1.0);
         assert!(g.to_mixture_prior(&[], &[]).is_err());
-        assert!(g
-            .to_mixture_prior(&[vec![0.0, 0.0]], &[0, 1])
-            .is_err());
+        assert!(g.to_mixture_prior(&[vec![0.0, 0.0]], &[0, 1]).is_err());
         // Non-contiguous labels (empty cluster 0 referenced as max 1).
-        assert!(g
-            .to_mixture_prior(&[vec![0.0, 0.0]], &[1])
-            .is_err());
+        assert!(g.to_mixture_prior(&[vec![0.0, 0.0]], &[1]).is_err());
     }
 
     #[test]
     fn adaptive_alpha_still_recovers_clusters_and_traces_alpha() {
         let data = well_separated_data(25);
-        let base = NormalInverseWishart::new(
-            vec![0.0, 0.0],
-            0.05,
-            Matrix::identity(2),
-            5.0,
-        )
-        .unwrap();
+        let base =
+            NormalInverseWishart::new(vec![0.0, 0.0], 0.05, Matrix::identity(2), 5.0).unwrap();
         let g = DpNiwGibbs::new(
             base,
             GibbsConfig {

@@ -351,7 +351,9 @@ impl MixturePrior {
                 continue;
             }
             // A += r·P_k ; b += r·P_k μ_k.
-            a = a.add(&comp.precision.scaled(r)).expect("dimension invariant");
+            a = a
+                .add(&comp.precision.scaled(r))
+                .expect("dimension invariant");
             let pm = comp
                 .precision
                 .matvec(comp.mean())
@@ -360,9 +362,7 @@ impl MixturePrior {
             // Constant: r (ln r − ln w_k + ½ ln det(2πΣ_k)) + ½ r μᵀPμ.
             let log_det_sigma = comp.density.cov_cholesky().log_det();
             c += r * (r.ln() - lw + 0.5 * (d as f64 * ln_2pi + log_det_sigma));
-            c += 0.5
-                * r
-                * dre_linalg::vector::dot(&pm, comp.mean());
+            c += 0.5 * r * dre_linalg::vector::dot(&pm, comp.mean());
         }
         a.symmetrize();
         Ok(QuadraticSurrogate { a, b, c })
@@ -422,9 +422,7 @@ mod tests {
             (1.0, vec![0.0, 1.0], Matrix::identity(2)),
         ])
         .is_err());
-        assert!(
-            MixturePrior::new(vec![(1.0, vec![0.0], Matrix::from_diag(&[-1.0]))]).is_err()
-        );
+        assert!(MixturePrior::new(vec![(1.0, vec![0.0], Matrix::from_diag(&[-1.0]))]).is_err());
         let p = two_mode_prior();
         assert_eq!(p.num_components(), 2);
         assert_eq!(p.dim(), 2);
@@ -448,8 +446,7 @@ mod tests {
         let theta = [1.0, -1.0];
         let c0 = MvNormal::new(vec![0.0, 0.0], &Matrix::identity(2)).unwrap();
         let c1 = MvNormal::new(vec![4.0, -4.0], &Matrix::from_diag(&[2.0, 0.5])).unwrap();
-        let manual =
-            (0.3 * c0.log_pdf(&theta).exp() + 0.7 * c1.log_pdf(&theta).exp()).ln();
+        let manual = (0.3 * c0.log_pdf(&theta).exp() + 0.7 * c1.log_pdf(&theta).exp()).ln();
         assert!((p.log_pdf(&theta) - manual).abs() < 1e-12);
     }
 
@@ -568,9 +565,7 @@ mod tests {
             / n as f64;
         // P(x₀ > 2) = 0.3·P(N(0,1) > 2) + 0.7·P(N(4,√2) > 2).
         let expected = 0.3 * (1.0 - dre_prob::special::std_normal_cdf(2.0))
-            + 0.7
-                * (1.0
-                    - dre_prob::special::std_normal_cdf((2.0 - 4.0) / 2.0f64.sqrt()));
+            + 0.7 * (1.0 - dre_prob::special::std_normal_cdf((2.0 - 4.0) / 2.0f64.sqrt()));
         assert!(
             (frac_right - expected).abs() < 0.015,
             "got {frac_right}, expected {expected}"

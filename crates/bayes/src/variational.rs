@@ -88,8 +88,7 @@ impl VariationalResult {
             'outer: for i in 0..means.len() {
                 for j in (i + 1)..means.len() {
                     let avg_cov = covs[i].add(&covs[j]).expect("dims").scaled(0.5);
-                    let Ok(chol) = dre_linalg::Cholesky::new_with_jitter(&avg_cov, 1e-6)
-                    else {
+                    let Ok(chol) = dre_linalg::Cholesky::new_with_jitter(&avg_cov, 1e-6) else {
                         continue;
                     };
                     let diff = dre_linalg::vector::sub(&means[i], &means[j]);
@@ -144,11 +143,7 @@ impl VariationalResult {
         let mut components = Vec::new();
         for (k, &occ) in self.occupancy.iter().enumerate() {
             if occ > min_points {
-                components.push((
-                    self.weights[k],
-                    self.means[k].clone(),
-                    self.covs[k].clone(),
-                ));
+                components.push((self.weights[k], self.means[k].clone(), self.covs[k].clone()));
             }
         }
         if components.is_empty() {
@@ -431,7 +426,10 @@ fn kmeanspp_centers<R: Rng + ?Sized>(data: &[Vec<f64>], k: usize, rng: &mut R) -
         };
         centers.push(data[next].clone());
         for (i, x) in data.iter().enumerate() {
-            d2[i] = d2[i].min(dre_linalg::vector::dist2_sq(x, centers.last().expect("just pushed")));
+            d2[i] = d2[i].min(dre_linalg::vector::dist2_sq(
+                x,
+                centers.last().expect("just pushed"),
+            ));
         }
     }
     centers
@@ -503,9 +501,7 @@ mod tests {
         let v = VariationalDpGmm::new(VariationalConfig::default()).unwrap();
         let mut rng = seeded_rng(0);
         assert!(v.fit(&[], &mut rng).is_err());
-        assert!(v
-            .fit(&[vec![1.0, 2.0], vec![1.0]], &mut rng)
-            .is_err());
+        assert!(v.fit(&[vec![1.0, 2.0], vec![1.0]], &mut rng).is_err());
         assert!(v.fit(&[vec![]], &mut rng).is_err());
     }
 
@@ -533,14 +529,9 @@ mod tests {
         }
         // Merge preserves total weight and occupancy.
         let orig = v.fit(&data, &mut seeded_rng(3)).unwrap();
+        assert!((res.weights.iter().sum::<f64>() - orig.weights.iter().sum::<f64>()).abs() < 1e-9);
         assert!(
-            (res.weights.iter().sum::<f64>() - orig.weights.iter().sum::<f64>()).abs()
-                < 1e-9
-        );
-        assert!(
-            (res.occupancy.iter().sum::<f64>() - orig.occupancy.iter().sum::<f64>())
-                .abs()
-                < 1e-9
+            (res.occupancy.iter().sum::<f64>() - orig.occupancy.iter().sum::<f64>()).abs() < 1e-9
         );
     }
 

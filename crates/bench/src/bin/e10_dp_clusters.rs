@@ -38,8 +38,8 @@ fn main() {
     );
     for m in [6usize, 12, 24, 48, 96] {
         // Train source models once, fit both ways on the same parameters.
-        let cloud_gibbs = CloudKnowledge::from_family(&family, m, 400, 1.0, &mut rng)
-            .expect("gibbs cloud");
+        let cloud_gibbs =
+            CloudKnowledge::from_family(&family, m, 400, 1.0, &mut rng).expect("gibbs cloud");
         let cloud_vb = CloudKnowledge::from_source_models(
             cloud_gibbs.source_models().to_vec(),
             1.0,

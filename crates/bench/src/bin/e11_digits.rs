@@ -14,9 +14,7 @@ use dre_optim::{Lbfgs, Objective, StopCriteria};
 use dre_prob::seeded_rng;
 use dro_edge::evaluate::Aggregate;
 use dro_edge::multiclass::{pooled_prior, MulticlassEdgeLearner};
-use dro_edge::{
-    baselines, CloudKnowledge, EdgeLearner, EdgeLearnerConfig, PriorFitMethod,
-};
+use dro_edge::{baselines, CloudKnowledge, EdgeLearner, EdgeLearnerConfig, PriorFitMethod};
 
 const PAIRS: [(usize, usize); 4] = [(3, 8), (5, 6), (1, 7), (0, 9)];
 
@@ -32,9 +30,7 @@ fn binary_pairs() {
     for _ in 0..4 {
         for &(a, b) in &PAIRS {
             let data = digits::binary_task(a, b, 100, 0.6, &mut rng).expect("task");
-            source_models.push(
-                dro_edge::train_source_model(&data).expect("source training"),
-            );
+            source_models.push(dro_edge::train_source_model(&data).expect("source training"));
         }
     }
     let cloud = CloudKnowledge::from_source_models(
@@ -74,16 +70,13 @@ fn binary_pairs() {
             let train = digits::binary_task(a, b, n_per_class, 0.6, &mut rng).expect("train");
             let test = digits::binary_task(a, b, 100, 0.8, &mut rng).expect("test");
             let erm = baselines::fit_local_erm(&train, 1e-2).expect("erm");
-            erm_agg.push(
-                metrics::accuracy(&erm, test.features(), test.labels()).expect("metric"),
-            );
+            erm_agg.push(metrics::accuracy(&erm, test.features(), test.labels()).expect("metric"));
             let fit = EdgeLearner::new(config, cloud.prior().clone())
                 .expect("config")
                 .fit(&train)
                 .expect("fit");
             dp_agg.push(
-                metrics::accuracy(&fit.model, test.features(), test.labels())
-                    .expect("metric"),
+                metrics::accuracy(&fit.model, test.features(), test.labels()).expect("metric"),
             );
         }
         table.push_row(vec![
@@ -130,8 +123,7 @@ fn multiclass_few_shot() {
         for _ in 0..5 {
             let (xs, ys) =
                 digits::multiclass_task(&classes, per_class, 0.6, &mut rng).expect("train");
-            let (txs, tys) =
-                digits::multiclass_task(&classes, 30, 0.9, &mut rng).expect("test");
+            let (txs, tys) = digits::multiclass_task(&classes, 30, 0.9, &mut rng).expect("test");
 
             let obj = SoftmaxObjective::new(&xs, &ys, 10, 1e-2).expect("objective");
             let erm = Lbfgs::new(StopCriteria::with_max_iters(150))

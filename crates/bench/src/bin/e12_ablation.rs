@@ -32,7 +32,10 @@ fn main() {
 
     // --- (a) start selection ---
     for (name, multi_start) in [("multi-start", true), ("single-start", false)] {
-        let config = EdgeLearnerConfig { multi_start, ..base };
+        let config = EdgeLearnerConfig {
+            multi_start,
+            ..base
+        };
         let mut agg = Aggregate::default();
         for _ in 0..trials {
             let task = family.sample_task(&mut rng);
@@ -43,8 +46,7 @@ fn main() {
                 .fit(&train)
                 .expect("fit");
             agg.push(
-                metrics::accuracy(&fit.model, test.features(), test.labels())
-                    .expect("metric"),
+                metrics::accuracy(&fit.model, test.features(), test.labels()).expect("metric"),
             );
         }
         table.push_row(vec![
@@ -55,7 +57,10 @@ fn main() {
     }
 
     // --- (b) label-flip cost under training label noise ---
-    for (name, kappa) in [("kappa=1 (flips)", 1.0), ("kappa=inf (features)", f64::INFINITY)] {
+    for (name, kappa) in [
+        ("kappa=1 (flips)", 1.0),
+        ("kappa=inf (features)", f64::INFINITY),
+    ] {
         let config = EdgeLearnerConfig { kappa, ..base };
         let mut agg = Aggregate::default();
         for _ in 0..trials {
@@ -68,8 +73,7 @@ fn main() {
                 .fit(&train)
                 .expect("fit");
             agg.push(
-                metrics::accuracy(&fit.model, test.features(), test.labels())
-                    .expect("metric"),
+                metrics::accuracy(&fit.model, test.features(), test.labels()).expect("metric"),
             );
         }
         table.push_row(vec![
@@ -98,8 +102,7 @@ fn main() {
                 .fit(&train)
                 .expect("fit");
             agg.push(
-                metrics::accuracy(&fit.model, test.features(), test.labels())
-                    .expect("metric"),
+                metrics::accuracy(&fit.model, test.features(), test.labels()).expect("metric"),
             );
         }
         table.push_row(vec![
@@ -122,8 +125,7 @@ fn main() {
                 .fit(&train)
                 .expect("fit");
             agg.push(
-                metrics::accuracy(&fit.model, test.features(), test.labels())
-                    .expect("metric"),
+                metrics::accuracy(&fit.model, test.features(), test.labels()).expect("metric"),
             );
         }
         table.push_row(vec![

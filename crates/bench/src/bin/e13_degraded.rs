@@ -47,8 +47,7 @@ fn main() {
         let readings = run_degraded_rounds(&sc, &mut fleet, ROUNDS);
         below_floor_total += readings_below_floor(&readings);
 
-        let mean_acc =
-            readings.iter().map(|r| r.accuracy).sum::<f64>() / readings.len() as f64;
+        let mean_acc = readings.iter().map(|r| r.accuracy).sum::<f64>() / readings.len() as f64;
         let min_margin = readings
             .iter()
             .map(|r| r.accuracy - r.floor_acc)

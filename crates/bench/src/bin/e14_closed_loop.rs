@@ -84,7 +84,10 @@ fn main() {
     assert_eq!(absorbed, REPORTERS_PER_ROUND * ROUNDS);
     assert_eq!(frozen_absorbed, 0);
     for (r, acc) in frozen.iter().enumerate() {
-        assert_eq!(*acc, frozen[0], "frozen round {r} drifted without a prior change");
+        assert_eq!(
+            *acc, frozen[0],
+            "frozen round {r} drifted without a prior change"
+        );
     }
     let (first, last) = (refreshed[0], *refreshed.last().unwrap());
     assert!(

@@ -89,8 +89,16 @@ fn main() {
             // Deterministic accounting: the gate drops exactly the poisoned
             // stream and nothing else; with the gate off everything lands.
             if label == "on" {
-                assert_eq!(out.absorbed, honest * ROUNDS, "adv {adv}: honest report gated");
-                assert_eq!(out.gated, adv * ROUNDS, "adv {adv}: poisoned report admitted");
+                assert_eq!(
+                    out.absorbed,
+                    honest * ROUNDS,
+                    "adv {adv}: honest report gated"
+                );
+                assert_eq!(
+                    out.gated,
+                    adv * ROUNDS,
+                    "adv {adv}: poisoned report admitted"
+                );
             } else {
                 assert_eq!(out.gated, 0);
                 assert_eq!(out.absorbed, REPORTS_PER_ROUND * ROUNDS);

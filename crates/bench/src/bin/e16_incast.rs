@@ -87,7 +87,14 @@ fn main() {
         "E16",
         "re-registration incast: fabric drop rate and completion tail vs. switch queue capacity",
         &[
-            "fleet", "queue", "seed", "drop-%", "retx-KB", "fallbacks", "p50-s", "p99-s",
+            "fleet",
+            "queue",
+            "seed",
+            "drop-%",
+            "retx-KB",
+            "fallbacks",
+            "p50-s",
+            "p99-s",
             "makespan-s",
         ],
     );
@@ -110,8 +117,11 @@ fn main() {
                     .iter()
                     .filter(|d| d.mode == FitMode::LocalOnly)
                     .count();
-                let mut completions: Vec<u64> =
-                    report.devices.iter().map(|d| d.completion.as_micros()).collect();
+                let mut completions: Vec<u64> = report
+                    .devices
+                    .iter()
+                    .map(|d| d.completion.as_micros())
+                    .collect();
                 completions.sort_unstable();
                 table.push_row(vec![
                     fleet.to_string(),

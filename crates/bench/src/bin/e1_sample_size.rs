@@ -5,8 +5,7 @@
 //! data only; as `n` grows all local methods converge toward the oracle.
 
 use dre_bench::{
-    concentration_radius, fmt_acc, standard_cloud, standard_family, standard_learner_config,
-    Table,
+    concentration_radius, fmt_acc, standard_cloud, standard_family, standard_learner_config, Table,
 };
 use dro_edge::evaluate::{run_trials, Method};
 use dro_edge::EdgeLearnerConfig;
@@ -21,7 +20,13 @@ fn main() {
         "E1",
         "test accuracy vs. local sample size (20 trials each)",
         &[
-            "n", "local-erm", "dro-only", "map-only", "cloud-only", "dro+dp", "oracle",
+            "n",
+            "local-erm",
+            "dro-only",
+            "map-only",
+            "cloud-only",
+            "dro+dp",
+            "oracle",
         ],
     );
 
@@ -32,19 +37,12 @@ fn main() {
             epsilon: concentration_radius(0.5, n),
             ..standard_learner_config()
         };
-        let aggs = run_trials(
-            &methods,
-            trials,
-            cloud.prior(),
-            &config,
-            &mut rng,
-            |rng| {
-                let task = family.sample_task(rng);
-                let train = task.generate(n, rng);
-                let test = task.generate(1000, rng);
-                Ok((train, test, task))
-            },
-        )
+        let aggs = run_trials(&methods, trials, cloud.prior(), &config, &mut rng, |rng| {
+            let task = family.sample_task(rng);
+            let train = task.generate(n, rng);
+            let test = task.generate(1000, rng);
+            Ok((train, test, task))
+        })
         .expect("E1 trials failed");
         let mut row = vec![n.to_string()];
         for m in methods {

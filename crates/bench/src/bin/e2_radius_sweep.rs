@@ -43,8 +43,7 @@ fn main() {
                 dre_data::shift::directional_shift(&clean_test, &dir, shift_magnitude)
                     .expect("shift is valid");
 
-            let learner =
-                EdgeLearner::new(config, cloud.prior().clone()).expect("config valid");
+            let learner = EdgeLearner::new(config, cloud.prior().clone()).expect("config valid");
             let fit = learner.fit(&train).expect("fit failed");
             clean_agg.push(
                 metrics::accuracy(&fit.model, clean_test.features(), clean_test.labels())

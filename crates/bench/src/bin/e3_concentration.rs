@@ -30,12 +30,10 @@ fn main() {
             let task = family.sample_task(&mut rng);
             let train = task.generate(n, &mut rng);
             let test = task.generate(800, &mut rng);
-            let learner =
-                EdgeLearner::new(config, cloud.prior().clone()).expect("config valid");
+            let learner = EdgeLearner::new(config, cloud.prior().clone()).expect("config valid");
             let fit = learner.fit(&train).expect("fit failed");
             agg.push(
-                metrics::accuracy(&fit.model, test.features(), test.labels())
-                    .expect("metric"),
+                metrics::accuracy(&fit.model, test.features(), test.labels()).expect("metric"),
             );
         }
         table.push_row(vec![

@@ -29,8 +29,7 @@ fn main() {
     for _ in 0..5 {
         let task = family.sample_task(&mut rng);
         let train = task.generate(25, &mut rng);
-        let learner =
-            EdgeLearner::new(config, cloud.prior().clone()).expect("config valid");
+        let learner = EdgeLearner::new(config, cloud.prior().clone()).expect("config valid");
         let fit = learner.fit(&train).expect("fit failed");
         traces.push(fit.objective_trace);
     }

@@ -29,7 +29,13 @@ fn main() {
         "E5",
         "accuracy per scenario (n = 25, 15 trials)",
         &[
-            "scenario", "local-erm", "dro-only", "map-only", "cloud-only", "dro+dp", "oracle",
+            "scenario",
+            "local-erm",
+            "dro-only",
+            "map-only",
+            "cloud-only",
+            "dro+dp",
+            "oracle",
         ],
     );
 
@@ -62,8 +68,7 @@ fn main() {
                 }
                 "label-noise" => {
                     let train = task.generate(n, &mut rng);
-                    let train =
-                        shift::label_flip_noise(&train, 0.15, &mut rng).expect("noise");
+                    let train = shift::label_flip_noise(&train, 0.15, &mut rng).expect("noise");
                     let test = task.generate(800, &mut rng);
                     (train, test, task.clone())
                 }

@@ -19,7 +19,12 @@ fn main() {
     let trials = 15;
     let n = 30;
     let magnitudes = [0.0, 0.25, 0.5, 1.0, 1.5, 2.0];
-    let methods = [Method::LocalErm, Method::DroOnly, Method::MapOnly, Method::DroDp];
+    let methods = [
+        Method::LocalErm,
+        Method::DroOnly,
+        Method::MapOnly,
+        Method::DroDp,
+    ];
 
     let mut table = Table::new(
         "E6",
@@ -57,8 +62,7 @@ fn main() {
                 (&map, Method::MapOnly),
                 (&drodp, Method::DroDp),
             ] {
-                let acc = metrics::accuracy(model, test.features(), test.labels())
-                    .expect("metric");
+                let acc = metrics::accuracy(model, test.features(), test.labels()).expect("metric");
                 per_magnitude[mi]
                     .iter_mut()
                     .find(|(m, _)| *m == method)

@@ -56,17 +56,12 @@ fn main() {
     }
 
     let t = trials as f64;
-    let (erm_ms, dro_ms, map_ms, drodp_ms) =
-        (erm_ms / t, dro_ms / t, map_ms / t, drodp_ms / t);
+    let (erm_ms, dro_ms, map_ms, drodp_ms) = (erm_ms / t, dro_ms / t, map_ms / t, drodp_ms / t);
     for (name, ms, rounds) in [
         ("local-erm", erm_ms, String::from("-")),
         ("dro-only", dro_ms, String::from("-")),
         ("map-only", map_ms, format!("{}", config.em_rounds)),
-        (
-            "dro+dp",
-            drodp_ms,
-            format!("{:.1}", em_rounds as f64 / t),
-        ),
+        ("dro+dp", drodp_ms, format!("{:.1}", em_rounds as f64 / t)),
     ] {
         table.push_row(vec![
             name.to_string(),

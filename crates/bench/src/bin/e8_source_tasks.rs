@@ -5,9 +5,7 @@
 //! dozens of source tasks (the DP prior sharpens), then saturate; local-only
 //! methods are flat by construction.
 
-use dre_bench::{
-    concentration_radius, fmt_acc, standard_family, standard_learner_config, Table,
-};
+use dre_bench::{concentration_radius, fmt_acc, standard_family, standard_learner_config, Table};
 use dre_models::metrics;
 use dro_edge::evaluate::Aggregate;
 use dro_edge::{baselines, CloudKnowledge, EdgeLearner, EdgeLearnerConfig};
@@ -28,8 +26,7 @@ fn main() {
     );
 
     for m in [2usize, 4, 8, 16, 32, 64, 128] {
-        let cloud =
-            CloudKnowledge::from_family(&family, m, 400, 1.0, &mut rng).expect("cloud");
+        let cloud = CloudKnowledge::from_family(&family, m, 400, 1.0, &mut rng).expect("cloud");
         let mut erm_agg = Aggregate::default();
         let mut drodp_agg = Aggregate::default();
         for _ in 0..trials {
@@ -38,17 +35,14 @@ fn main() {
             let test = task.generate(800, &mut rng);
 
             let erm = baselines::fit_local_erm(&train, 1e-3).expect("erm");
-            erm_agg.push(
-                metrics::accuracy(&erm, test.features(), test.labels()).expect("metric"),
-            );
+            erm_agg.push(metrics::accuracy(&erm, test.features(), test.labels()).expect("metric"));
 
             let fit = EdgeLearner::new(config, cloud.prior().clone())
                 .expect("config")
                 .fit(&train)
                 .expect("fit");
             drodp_agg.push(
-                metrics::accuracy(&fit.model, test.features(), test.labels())
-                    .expect("metric"),
+                metrics::accuracy(&fit.model, test.features(), test.labels()).expect("metric"),
             );
         }
         table.push_row(vec![

@@ -41,16 +41,18 @@ fn main() {
     let link = Link::new_ms(25.0, 250_000.0); // 25 ms one way, 250 KB/s
 
     // Device ≈ Raspberry-Pi class; the two cloud profiles.
-    let profiles = [
-        ("hyperscale", 1e12),
-        ("shared-edge-server", 4e9),
-    ];
+    let profiles = [("hyperscale", 1e12), ("shared-edge-server", 4e9)];
 
     let mut table = Table::new(
         "E9",
         "network bytes and completion time per strategy, fleet size and cloud profile",
         &[
-            "cloud", "strategy", "fleet", "total-KB", "makespan-ms", "cloud-busy-ms",
+            "cloud",
+            "strategy",
+            "fleet",
+            "total-KB",
+            "makespan-ms",
+            "cloud-busy-ms",
             "device-mJ",
         ],
     );
@@ -125,7 +127,13 @@ fn main() {
     let mut conn_table = Table::new(
         "E9-conn",
         "handshake cost per client mode on the prior-transfer round",
-        &["client-mode", "handshakes", "attempts", "total-KB", "makespan-ms"],
+        &[
+            "client-mode",
+            "handshakes",
+            "attempts",
+            "total-KB",
+            "makespan-ms",
+        ],
     );
     for (name, mode) in [
         ("fresh-per-request", ClientMode::FreshPerRequest),
@@ -179,7 +187,14 @@ fn main() {
     let mut fabric_table = Table::new(
         "E9-fabric",
         "legacy private pipes vs. one-big-switch fabric on the prior-transfer round",
-        &["model", "fleet", "total-KB", "makespan-ms", "dropped", "retx-KB"],
+        &[
+            "model",
+            "fleet",
+            "total-KB",
+            "makespan-ms",
+            "dropped",
+            "retx-KB",
+        ],
     );
     let strategy = Strategy::PriorTransfer {
         samples,
@@ -213,7 +228,12 @@ fn main() {
             }
             let report = scenario.run();
             fabric_table.push_row(vec![
-                if fabric { "one-big-switch" } else { "private-pipes" }.to_string(),
+                if fabric {
+                    "one-big-switch"
+                } else {
+                    "private-pipes"
+                }
+                .to_string(),
                 fleet.to_string(),
                 format!("{:.1}", report.total_bytes as f64 / 1024.0),
                 format!("{:.1}", report.makespan.as_secs_f64() * 1e3),

@@ -119,7 +119,11 @@ pub fn spawn_degraded_fleet(
                 InMemoryServer::with_state(Arc::clone(&sc.state)),
                 FaultInjector::new(seed.wrapping_mul(1_000) + dev as u64, degraded_faults(rate)),
             );
-            EdgeRuntime::new(connector, degraded_policy(), degraded_runtime_config(dev as u64))
+            EdgeRuntime::new(
+                connector,
+                degraded_policy(),
+                degraded_runtime_config(dev as u64),
+            )
         })
         .collect()
 }

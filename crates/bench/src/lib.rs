@@ -62,8 +62,7 @@ pub fn standard_cloud(
     alpha: f64,
     rng: &mut StdRng,
 ) -> CloudKnowledge {
-    CloudKnowledge::from_family(family, num_tasks, 400, alpha, rng)
-        .expect("cloud pipeline failed")
+    CloudKnowledge::from_family(family, num_tasks, 400, alpha, rng).expect("cloud pipeline failed")
 }
 
 /// The learner configuration the experiments sweep around.
@@ -251,9 +250,11 @@ impl Table {
             ),
             (
                 "rows",
-                JsonValue::array(self.rows.iter().map(|row| {
-                    JsonValue::array(row.iter().map(|c| JsonValue::from(c.as_str())))
-                })),
+                JsonValue::array(
+                    self.rows.iter().map(|row| {
+                        JsonValue::array(row.iter().map(|c| JsonValue::from(c.as_str())))
+                    }),
+                ),
             ),
         ])
         .pretty()

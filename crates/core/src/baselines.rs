@@ -148,9 +148,7 @@ mod tests {
     use dre_linalg::Matrix;
     use dre_prob::seeded_rng;
 
-    fn setup(
-        rng: &mut rand::rngs::StdRng,
-    ) -> (TaskFamily, MixturePrior) {
+    fn setup(rng: &mut rand::rngs::StdRng) -> (TaskFamily, MixturePrior) {
         let cfg = TaskFamilyConfig {
             dim: 3,
             num_clusters: 2,
@@ -176,8 +174,7 @@ mod tests {
         let train = task.generate(500, &mut rng);
         let test = task.generate(1000, &mut rng);
         let model = fit_local_erm(&train, 1e-3).unwrap();
-        let acc =
-            dre_models::metrics::accuracy(&model, test.features(), test.labels()).unwrap();
+        let acc = dre_models::metrics::accuracy(&model, test.features(), test.labels()).unwrap();
         assert!(acc > 0.85, "ample-data ERM accuracy {acc}");
     }
 
@@ -210,8 +207,8 @@ mod tests {
         let free = fit_map_only(&train, &prior, 0.0, 5).unwrap();
         let erm = fit_local_erm(&train, 0.0).unwrap();
         let risk = |m: &LinearModel| {
-            let obj = ErmObjective::new(train.features(), train.labels(), LogisticLoss, 0.0)
-                .unwrap();
+            let obj =
+                ErmObjective::new(train.features(), train.labels(), LogisticLoss, 0.0).unwrap();
             obj.empirical_risk(&m.to_packed())
         };
         assert!((risk(&free) - risk(&erm)).abs() < 0.02);
@@ -241,10 +238,7 @@ mod tests {
             // The selected component mean must be the task's own cluster
             // center.
             let packed = model.to_packed();
-            let own = dre_linalg::vector::dist2(
-                &packed,
-                &family.cluster_centers()[task.cluster()],
-            );
+            let own = dre_linalg::vector::dist2(&packed, &family.cluster_centers()[task.cluster()]);
             if own < 1e-9 {
                 correct += 1;
             }

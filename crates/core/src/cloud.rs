@@ -309,13 +309,9 @@ mod tests {
             thetas.push(vec![4.0 + j, -4.0, 0.5]);
             thetas.push(vec![-4.0, 4.0 + j, -0.5]);
         }
-        let cloud = CloudKnowledge::from_source_models(
-            thetas,
-            1.0,
-            PriorFitMethod::Variational,
-            &mut rng,
-        )
-        .unwrap();
+        let cloud =
+            CloudKnowledge::from_source_models(thetas, 1.0, PriorFitMethod::Variational, &mut rng)
+                .unwrap();
         assert_eq!(cloud.discovered_clusters(), 2);
     }
 
@@ -411,9 +407,11 @@ mod tests {
         let theta = train_source_model(&data).unwrap();
         let model = LinearModel::from_packed(&theta);
         let test = task.generate(1000, &mut rng);
-        let acc =
-            dre_models::metrics::accuracy(&model, test.features(), test.labels()).unwrap();
+        let acc = dre_models::metrics::accuracy(&model, test.features(), test.labels()).unwrap();
         let bayes = task.bayes_accuracy(2000, &mut rng);
-        assert!(acc > bayes - 0.05, "source model acc {acc} vs bayes {bayes}");
+        assert!(
+            acc > bayes - 0.05,
+            "source model acc {acc} vs bayes {bayes}"
+        );
     }
 }

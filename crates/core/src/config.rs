@@ -105,14 +105,50 @@ mod tests {
     fn each_field_is_checked() {
         let base = EdgeLearnerConfig::default();
         for (cfg, field) in [
-            (EdgeLearnerConfig { epsilon: -0.1, ..base }, "epsilon"),
-            (EdgeLearnerConfig { epsilon: f64::INFINITY, ..base }, "epsilon"),
+            (
+                EdgeLearnerConfig {
+                    epsilon: -0.1,
+                    ..base
+                },
+                "epsilon",
+            ),
+            (
+                EdgeLearnerConfig {
+                    epsilon: f64::INFINITY,
+                    ..base
+                },
+                "epsilon",
+            ),
             (EdgeLearnerConfig { kappa: 0.0, ..base }, "kappa"),
-            (EdgeLearnerConfig { kappa: f64::NAN, ..base }, "kappa"),
+            (
+                EdgeLearnerConfig {
+                    kappa: f64::NAN,
+                    ..base
+                },
+                "kappa",
+            ),
             (EdgeLearnerConfig { rho: -1.0, ..base }, "rho"),
-            (EdgeLearnerConfig { em_rounds: 0, ..base }, "em_rounds"),
-            (EdgeLearnerConfig { em_tol: -1.0, ..base }, "em_tol"),
-            (EdgeLearnerConfig { solver_iters: 0, ..base }, "solver_iters"),
+            (
+                EdgeLearnerConfig {
+                    em_rounds: 0,
+                    ..base
+                },
+                "em_rounds",
+            ),
+            (
+                EdgeLearnerConfig {
+                    em_tol: -1.0,
+                    ..base
+                },
+                "em_tol",
+            ),
+            (
+                EdgeLearnerConfig {
+                    solver_iters: 0,
+                    ..base
+                },
+                "solver_iters",
+            ),
         ] {
             match cfg.validate() {
                 Err(EdgeError::InvalidConfig { param, .. }) => assert_eq!(param, field),
@@ -120,8 +156,11 @@ mod tests {
             }
         }
         // Infinite κ is explicitly allowed (features-only ball).
-        assert!(EdgeLearnerConfig { kappa: f64::INFINITY, ..base }
-            .validate()
-            .is_ok());
+        assert!(EdgeLearnerConfig {
+            kappa: f64::INFINITY,
+            ..base
+        }
+        .validate()
+        .is_ok());
     }
 }

@@ -267,9 +267,7 @@ mod tests {
     use dre_linalg::Matrix;
     use dre_prob::seeded_rng;
 
-    fn family_and_prior(
-        rng: &mut rand::rngs::StdRng,
-    ) -> (TaskFamily, MixturePrior) {
+    fn family_and_prior(rng: &mut rand::rngs::StdRng) -> (TaskFamily, MixturePrior) {
         let cfg = TaskFamilyConfig {
             dim: 3,
             num_clusters: 2,
@@ -368,18 +366,14 @@ mod tests {
             let train = task.generate(10, &mut rng);
             let test = task.generate(800, &mut rng);
 
-            let learner =
-                EdgeLearner::new(EdgeLearnerConfig::default(), prior.clone()).unwrap();
+            let learner = EdgeLearner::new(EdgeLearnerConfig::default(), prior.clone()).unwrap();
             let fit = learner.fit(&train).unwrap();
             let dro_dp_acc =
-                dre_models::metrics::accuracy(&fit.model, test.features(), test.labels())
-                    .unwrap();
+                dre_models::metrics::accuracy(&fit.model, test.features(), test.labels()).unwrap();
 
-            let erm_model =
-                crate::baselines::fit_local_erm(&train, 1e-3).unwrap();
+            let erm_model = crate::baselines::fit_local_erm(&train, 1e-3).unwrap();
             let erm_acc =
-                dre_models::metrics::accuracy(&erm_model, test.features(), test.labels())
-                    .unwrap();
+                dre_models::metrics::accuracy(&erm_model, test.features(), test.labels()).unwrap();
             if dro_dp_acc >= erm_acc {
                 wins += 1;
             }

@@ -77,12 +77,8 @@ pub fn run_methods(
     for &method in methods {
         let model: LinearModel = match method {
             Method::LocalErm => baselines::fit_local_erm(train, 1e-3)?,
-            Method::DroOnly => {
-                baselines::fit_dro_only(train, config.epsilon, config.kappa)?
-            }
-            Method::MapOnly => {
-                baselines::fit_map_only(train, prior, config.rho, config.em_rounds)?
-            }
+            Method::DroOnly => baselines::fit_dro_only(train, config.epsilon, config.kappa)?,
+            Method::MapOnly => baselines::fit_map_only(train, prior, config.rho, config.em_rounds)?,
             Method::CloudOnly => baselines::cloud_only(train, prior)?,
             Method::DroDp => {
                 let learner = EdgeLearner::new(*config, prior.clone())?;
@@ -134,8 +130,7 @@ impl Aggregate {
         if self.accuracies.len() < 2 {
             return 0.0;
         }
-        (dre_linalg::vector::variance(&self.accuracies, 1) / self.accuracies.len() as f64)
-            .sqrt()
+        (dre_linalg::vector::variance(&self.accuracies, 1) / self.accuracies.len() as f64).sqrt()
     }
 
     /// Normal-approximation 95 % confidence interval `(lo, hi)` for the
@@ -188,9 +183,7 @@ mod tests {
     use dre_linalg::Matrix;
     use dre_prob::seeded_rng;
 
-    fn setup(
-        rng: &mut rand::rngs::StdRng,
-    ) -> (TaskFamily, MixturePrior) {
+    fn setup(rng: &mut rand::rngs::StdRng) -> (TaskFamily, MixturePrior) {
         let cfg = TaskFamilyConfig {
             dim: 3,
             num_clusters: 2,
@@ -227,16 +220,14 @@ mod tests {
             em_rounds: 5,
             ..EdgeLearnerConfig::default()
         };
-        let results =
-            run_methods(&Method::ALL, &train, &test, &prior, &cfg, Some(&task)).unwrap();
+        let results = run_methods(&Method::ALL, &train, &test, &prior, &cfg, Some(&task)).unwrap();
         assert_eq!(results.len(), 6);
         for r in &results {
             assert!((0.0..=1.0).contains(&r.accuracy), "{r:?}");
             assert!(r.log_loss >= 0.0);
         }
         // Without ground truth the oracle row is skipped.
-        let no_oracle =
-            run_methods(&Method::ALL, &train, &test, &prior, &cfg, None).unwrap();
+        let no_oracle = run_methods(&Method::ALL, &train, &test, &prior, &cfg, None).unwrap();
         assert_eq!(no_oracle.len(), 5);
     }
 

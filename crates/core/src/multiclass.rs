@@ -159,11 +159,7 @@ impl MulticlassEdgeLearner {
     ///
     /// Returns [`EdgeError::InvalidConfig`] for invalid configuration or
     /// `num_classes < 2`.
-    pub fn new(
-        config: EdgeLearnerConfig,
-        prior: MixturePrior,
-        num_classes: usize,
-    ) -> Result<Self> {
+    pub fn new(config: EdgeLearnerConfig, prior: MixturePrior, num_classes: usize) -> Result<Self> {
         config.validate()?;
         if num_classes < 2 {
             return Err(EdgeError::InvalidConfig {
@@ -268,8 +264,7 @@ impl MulticlassEdgeLearner {
     ///
     /// Propagates dataset validation failures.
     pub fn exact_objective(&self, xs: &[Vec<f64>], ys: &[usize], packed: &[f64]) -> Result<f64> {
-        let robust =
-            RobustSoftmaxObjective::new(xs, ys, self.num_classes, self.config.epsilon)?;
+        let robust = RobustSoftmaxObjective::new(xs, ys, self.num_classes, self.config.epsilon)?;
         let n = ys.len() as f64;
         Ok(robust.value(packed) - self.config.rho / n * self.prior.log_pdf(packed))
     }
@@ -349,7 +344,10 @@ pub fn kmeans_prior<R: Rng + ?Sized>(
         };
         centers.push(source_models[pick].clone());
         for (i, x) in source_models.iter().enumerate() {
-            d2[i] = d2[i].min(dre_linalg::vector::dist2_sq(x, centers.last().expect("pushed")));
+            d2[i] = d2[i].min(dre_linalg::vector::dist2_sq(
+                x,
+                centers.last().expect("pushed"),
+            ));
         }
     }
 
@@ -404,11 +402,7 @@ pub fn kmeans_prior<R: Rng + ?Sized>(
             continue;
         }
         let (mean, var) = moments(&members, d, min_var);
-        components.push((
-            members.len() as f64,
-            mean,
-            Matrix::from_diag(&var),
-        ));
+        components.push((members.len() as f64, mean, Matrix::from_diag(&var)));
     }
     MixturePrior::new(components).map_err(EdgeError::from)
 }
@@ -462,7 +456,9 @@ mod tests {
         assert!(dre_linalg::vector::max_abs_diff(&num, &obj.gradient(&packed)) < 1e-5);
         // With a surrogate attached.
         let prior = pooled_prior(&[packed.clone(), vec![0.1; packed.len()]], 0.5).unwrap();
-        let surrogate = prior.em_surrogate(&prior.responsibilities(&packed)).unwrap();
+        let surrogate = prior
+            .em_surrogate(&prior.responsibilities(&packed))
+            .unwrap();
         let with = RobustSoftmaxObjective::new(&xs, &ys, 3, 0.2)
             .unwrap()
             .with_surrogate(&surrogate, 0.7);
@@ -536,10 +532,10 @@ mod tests {
     #[test]
     fn learner_validation() {
         let prior = pooled_prior(&[vec![0.0; 9]], 1.0).unwrap();
-        assert!(MulticlassEdgeLearner::new(EdgeLearnerConfig::default(), prior.clone(), 1)
-            .is_err());
-        let learner =
-            MulticlassEdgeLearner::new(EdgeLearnerConfig::default(), prior, 3).unwrap();
+        assert!(
+            MulticlassEdgeLearner::new(EdgeLearnerConfig::default(), prior.clone(), 1).is_err()
+        );
+        let learner = MulticlassEdgeLearner::new(EdgeLearnerConfig::default(), prior, 3).unwrap();
         // 3 classes × (d=3 + 1) = 12 ≠ 9 → dimension error.
         let xs = vec![vec![0.0; 3]; 6];
         let ys = vec![0, 1, 2, 0, 1, 2];

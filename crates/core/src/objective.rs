@@ -95,11 +95,20 @@ mod tests {
     use dre_robust::WassersteinBall;
 
     fn setup() -> (Vec<Vec<f64>>, Vec<f64>, MixturePrior) {
-        let xs = vec![vec![1.0, 0.5], vec![-0.8, 0.2], vec![0.3, -1.0], vec![-0.2, 0.9]];
+        let xs = vec![
+            vec![1.0, 0.5],
+            vec![-0.8, 0.2],
+            vec![0.3, -1.0],
+            vec![-0.2, 0.9],
+        ];
         let ys = vec![1.0, -1.0, 1.0, -1.0];
         let prior = MixturePrior::new(vec![
             (0.6, vec![1.0, 0.0, 0.0], Matrix::identity(3)),
-            (0.4, vec![-1.0, 1.0, 0.5], Matrix::from_diag(&[0.5, 2.0, 1.0])),
+            (
+                0.4,
+                vec![-1.0, 1.0, 0.5],
+                Matrix::from_diag(&[0.5, 2.0, 1.0]),
+            ),
         ])
         .unwrap();
         (xs, ys, prior)
@@ -111,7 +120,9 @@ mod tests {
         let ball = WassersteinBall::new(0.15, 1.0).unwrap();
         let dual = WassersteinDualObjective::new(&xs, &ys, LogisticLoss, ball).unwrap();
         let anchor = [0.2, -0.1, 0.05];
-        let surrogate = prior.em_surrogate(&prior.responsibilities(&anchor)).unwrap();
+        let surrogate = prior
+            .em_surrogate(&prior.responsibilities(&anchor))
+            .unwrap();
         let obj = DroDpObjective::new(&dual, &surrogate, 0.5);
         assert_eq!(obj.dim(), 4);
 
@@ -177,8 +188,7 @@ mod tests {
     #[should_panic(expected = "surrogate must cover")]
     fn rejects_mismatched_surrogate() {
         let (xs, ys, _) = setup();
-        let wrong_prior =
-            MixturePrior::single(vec![0.0; 5], Matrix::identity(5)).unwrap();
+        let wrong_prior = MixturePrior::single(vec![0.0; 5], Matrix::identity(5)).unwrap();
         let ball = WassersteinBall::new(0.1, 1.0).unwrap();
         let dual = WassersteinDualObjective::new(&xs, &ys, LogisticLoss, ball).unwrap();
         let surrogate = wrong_prior

@@ -92,7 +92,11 @@ impl Dataset {
     ///
     /// Returns [`DataError::InvalidParameter`] unless `0 < train_frac < 1`,
     /// or [`DataError::InvalidDataset`] when fewer than 2 samples exist.
-    pub fn split<R: Rng + ?Sized>(&self, train_frac: f64, rng: &mut R) -> Result<(Dataset, Dataset)> {
+    pub fn split<R: Rng + ?Sized>(
+        &self,
+        train_frac: f64,
+        rng: &mut R,
+    ) -> Result<(Dataset, Dataset)> {
         if !(train_frac > 0.0 && train_frac < 1.0) {
             return Err(DataError::InvalidParameter {
                 param: "train_frac",
@@ -156,7 +160,12 @@ mod tests {
 
     fn toy() -> Dataset {
         Dataset::new(
-            vec![vec![1.0, 0.0], vec![2.0, 1.0], vec![-1.0, 2.0], vec![-2.0, -1.0]],
+            vec![
+                vec![1.0, 0.0],
+                vec![2.0, 1.0],
+                vec![-1.0, 2.0],
+                vec![-2.0, -1.0],
+            ],
             vec![1.0, 1.0, -1.0, -1.0],
         )
         .unwrap()

@@ -257,15 +257,13 @@ mod tests {
         // A ridge-ERM fit separates the noisy classes well.
         use dre_models::{ErmObjective, LinearModel, LogisticLoss};
         use dre_optim::{Lbfgs, StopCriteria};
-        let obj =
-            ErmObjective::new(data.features(), data.labels(), LogisticLoss, 1e-2).unwrap();
+        let obj = ErmObjective::new(data.features(), data.labels(), LogisticLoss, 1e-2).unwrap();
         let r = Lbfgs::new(StopCriteria::with_max_iters(200))
             .minimize(&obj, &vec![0.0; DIM + 1])
             .unwrap();
         let model = LinearModel::from_packed(&r.x);
         let test = binary_task(3, 8, 100, 0.2, &mut rng).unwrap();
-        let acc =
-            dre_models::metrics::accuracy(&model, test.features(), test.labels()).unwrap();
+        let acc = dre_models::metrics::accuracy(&model, test.features(), test.labels()).unwrap();
         assert!(acc > 0.9, "digits 3-vs-8 accuracy {acc}");
     }
 

@@ -37,9 +37,12 @@ mod tests {
 
     #[test]
     fn displays() {
-        assert!(DataError::InvalidParameter { param: "dim", value: 0.0 }
-            .to_string()
-            .contains("dim"));
+        assert!(DataError::InvalidParameter {
+            param: "dim",
+            value: 0.0
+        }
+        .to_string()
+        .contains("dim"));
         assert!(DataError::InvalidDataset { reason: "empty" }
             .to_string()
             .contains("empty"));

@@ -74,8 +74,18 @@ impl TaskFamily {
             });
         }
         for (name, v, lo, hi) in [
-            ("cluster_separation", config.cluster_separation, 0.0, f64::INFINITY),
-            ("within_cluster_std", config.within_cluster_std, 0.0, f64::INFINITY),
+            (
+                "cluster_separation",
+                config.cluster_separation,
+                0.0,
+                f64::INFINITY,
+            ),
+            (
+                "within_cluster_std",
+                config.within_cluster_std,
+                0.0,
+                f64::INFINITY,
+            ),
             ("label_noise", config.label_noise, 0.0, 0.5),
             ("steepness", config.steepness, 0.0, f64::INFINITY),
         ] {
@@ -98,8 +108,8 @@ impl TaskFamily {
                 dre_linalg::vector::scaled(&raw, config.cluster_separation / norm)
             })
             .collect();
-        let cluster_weights = Categorical::new(&vec![1.0; config.num_clusters])
-            .expect("uniform weights are valid");
+        let cluster_weights =
+            Categorical::new(&vec![1.0; config.num_clusters]).expect("uniform weights are valid");
         Ok(TaskFamily {
             config: config.clone(),
             cluster_weights,
@@ -215,7 +225,12 @@ impl TrueTask {
     /// Panics when `n == 0` (a dataset cannot be empty).
     pub fn generate<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> Dataset {
         assert!(n > 0, "cannot generate an empty dataset");
-        self.generate_with_inputs(n, rng, &Matrix::identity(self.dim()), &vec![0.0; self.dim()])
+        self.generate_with_inputs(
+            n,
+            rng,
+            &Matrix::identity(self.dim()),
+            &vec![0.0; self.dim()],
+        )
     }
 
     /// Generates `n` samples with a custom input distribution
@@ -242,7 +257,11 @@ impl TrueTask {
         for _ in 0..n {
             let x = input.sample(rng);
             let p = sigmoid(self.steepness * model.decision(&x));
-            let mut y = if rng.gen_range(0.0..1.0) < p { 1.0 } else { -1.0 };
+            let mut y = if rng.gen_range(0.0..1.0) < p {
+                1.0
+            } else {
+                -1.0
+            };
             if rng.gen_range(0.0..1.0) < self.label_noise {
                 y = -y;
             }
@@ -285,12 +304,30 @@ mod tests {
     fn config_validation() {
         let mut rng = seeded_rng(0);
         for bad in [
-            TaskFamilyConfig { dim: 0, ..Default::default() },
-            TaskFamilyConfig { num_clusters: 0, ..Default::default() },
-            TaskFamilyConfig { label_noise: 0.6, ..Default::default() },
-            TaskFamilyConfig { label_noise: -0.1, ..Default::default() },
-            TaskFamilyConfig { within_cluster_std: -1.0, ..Default::default() },
-            TaskFamilyConfig { steepness: f64::NAN, ..Default::default() },
+            TaskFamilyConfig {
+                dim: 0,
+                ..Default::default()
+            },
+            TaskFamilyConfig {
+                num_clusters: 0,
+                ..Default::default()
+            },
+            TaskFamilyConfig {
+                label_noise: 0.6,
+                ..Default::default()
+            },
+            TaskFamilyConfig {
+                label_noise: -0.1,
+                ..Default::default()
+            },
+            TaskFamilyConfig {
+                within_cluster_std: -1.0,
+                ..Default::default()
+            },
+            TaskFamilyConfig {
+                steepness: f64::NAN,
+                ..Default::default()
+            },
         ] {
             assert!(TaskFamily::generate(&bad, &mut rng).is_err(), "{bad:?}");
         }
@@ -373,12 +410,7 @@ mod tests {
         let fam = TaskFamily::generate(&TaskFamilyConfig::default(), &mut rng).unwrap();
         let task = fam.sample_task(&mut rng);
         let shift = vec![3.0; task.dim()];
-        let data = task.generate_with_inputs(
-            2000,
-            &mut rng,
-            &Matrix::identity(task.dim()),
-            &shift,
-        );
+        let data = task.generate_with_inputs(2000, &mut rng, &Matrix::identity(task.dim()), &shift);
         let mut mean = vec![0.0; task.dim()];
         for x in data.features() {
             dre_linalg::vector::axpy(1.0 / 2000.0, x, &mut mean);
@@ -396,7 +428,10 @@ mod tests {
         for t in &tasks {
             seen[t.cluster()] = true;
         }
-        assert!(seen.iter().all(|&s| s), "60 draws should hit all 3 clusters");
+        assert!(
+            seen.iter().all(|&s| s),
+            "60 draws should hit all 3 clusters"
+        );
     }
 
     #[test]

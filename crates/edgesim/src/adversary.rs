@@ -158,8 +158,8 @@ mod tests {
         let data = seeded_train();
         let lambda = 1e-3;
         let honest = fit_local_erm(&data, lambda).unwrap().to_packed();
-        let shift = poisoned_report(AdversaryKind::FeatureShift { budget: 2.0 }, &data, lambda)
-            .unwrap();
+        let shift =
+            poisoned_report(AdversaryKind::FeatureShift { budget: 2.0 }, &data, lambda).unwrap();
         let boost = poisoned_report(
             AdversaryKind::ColludingBoost {
                 budget: 2.0,

@@ -222,7 +222,11 @@ impl EventQueue {
             "EventQueue: event scheduled at {t} µs, before the last popped time {} µs",
             self.last
         );
-        let node = Node { time, event, next: NIL };
+        let node = Node {
+            time,
+            event,
+            next: NIL,
+        };
         let id = if self.free != NIL {
             let id = self.free;
             self.free = self.nodes[id as usize].next;
@@ -230,7 +234,10 @@ impl EventQueue {
             id
         } else {
             let id = self.nodes.len();
-            assert!(id < NIL as usize, "EventQueue holds at most 2^32 - 1 events");
+            assert!(
+                id < NIL as usize,
+                "EventQueue holds at most 2^32 - 1 events"
+            );
             self.nodes.push(node);
             id as u32
         };
@@ -349,7 +356,11 @@ mod tests {
 
     impl ReferenceQueue {
         fn schedule(&mut self, time: SimTime, event: Event) {
-            self.heap.push(Entry { time, seq: self.seq, event });
+            self.heap.push(Entry {
+                time,
+                seq: self.seq,
+                event,
+            });
             self.seq += 1;
         }
 
@@ -372,7 +383,9 @@ mod tests {
         q.schedule(at(30), Event::DeviceComputeDone { device: 3 });
         q.schedule(at(10), Event::DeviceComputeDone { device: 1 });
         q.schedule(at(20), Event::DeviceComputeDone { device: 2 });
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|(t, _)| t.as_micros()).collect();
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop())
+            .map(|(t, _)| t.as_micros())
+            .collect();
         assert_eq!(order, vec![10, 20, 30]);
         assert!(q.is_empty());
     }

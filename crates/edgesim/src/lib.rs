@@ -50,9 +50,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod adversary;
 mod event;
 mod network;
-mod adversary;
 mod scenario;
 mod switch;
 mod time;
@@ -63,9 +63,8 @@ pub use event::{Event, EventQueue, MessageKind};
 pub use network::Link;
 pub use scenario::{
     model_bytes, model_report_bytes, prior_transfer_bytes, raw_data_bytes, refresh_round_bytes,
-    shard_map_bytes,
-    ClientMode, ComputeModel, DeviceReport, DeviceSpec, EnergyModel, RetryModel, Scenario,
-    SimReport, Strategy, TraceEvent, TraceKind, CLOUD_DEVICE, REQUEST_BYTES,
+    shard_map_bytes, ClientMode, ComputeModel, DeviceReport, DeviceSpec, EnergyModel, RetryModel,
+    Scenario, SimReport, Strategy, TraceEvent, TraceKind, CLOUD_DEVICE, REQUEST_BYTES,
 };
 pub use time::{SimDuration, SimTime};
 pub use topology::{LossModel, SwitchConfig, Topology, ACK_BYTES};

@@ -58,8 +58,7 @@ impl Link {
 
     /// Time for a `bytes`-byte payload to fully arrive at the other end.
     pub fn transfer_time(&self, bytes: u64) -> SimDuration {
-        self.latency
-            + SimDuration::from_secs_f64(bytes as f64 / self.bandwidth_bytes_per_sec)
+        self.latency + SimDuration::from_secs_f64(bytes as f64 / self.bandwidth_bytes_per_sec)
     }
 }
 

@@ -43,8 +43,17 @@ impl ComputeModel {
         coeff * samples as f64 * dim as f64 * iterations.max(1) as f64
     }
 
-    fn train_time(&self, coeff: f64, flops_per_sec: f64, samples: usize, dim: usize, iterations: usize) -> SimDuration {
-        SimDuration::from_secs_f64(self.train_flops(coeff, samples, dim, iterations) / flops_per_sec)
+    fn train_time(
+        &self,
+        coeff: f64,
+        flops_per_sec: f64,
+        samples: usize,
+        dim: usize,
+        iterations: usize,
+    ) -> SimDuration {
+        SimDuration::from_secs_f64(
+            self.train_flops(coeff, samples, dim, iterations) / flops_per_sec,
+        )
     }
 }
 
@@ -602,9 +611,11 @@ impl<'a> Engine<'a> {
                 Event::PortDeparture { port } => self.on_port_departure(port, now),
                 Event::PortArrive { port, frame } => self.enqueue_port(port, frame, now),
                 Event::Deliver { frame } => self.on_deliver(frame, now),
-                Event::RetxTimer { transfer, gen, epoch } => {
-                    self.on_retx_timer(transfer, gen, epoch, now)
-                }
+                Event::RetxTimer {
+                    transfer,
+                    gen,
+                    epoch,
+                } => self.on_retx_timer(transfer, gen, epoch, now),
                 Event::TransferStart { transfer, gen } => {
                     self.on_transfer_start(transfer, gen, now)
                 }
@@ -748,7 +759,14 @@ impl<'a> Engine<'a> {
         };
         let bytes = model_bytes(dim);
         if self.topo.is_some() {
-            self.start_message(device, self.n, device, MessageKind::ModelPayload, bytes, now);
+            self.start_message(
+                device,
+                self.n,
+                device,
+                MessageKind::ModelPayload,
+                bytes,
+                now,
+            );
         } else {
             self.queue.schedule(
                 now + spec.link.transfer_time(bytes),
@@ -767,7 +785,10 @@ impl<'a> Engine<'a> {
         if self.devs[i].fetch != FetchState::Waiting(attempt) {
             return;
         }
-        let retry = self.sc.retry.expect("RetryTimer scheduled without a RetryModel");
+        let retry = self
+            .sc
+            .retry
+            .expect("RetryTimer scheduled without a RetryModel");
         if attempt < retry.max_attempts.max(1) {
             self.devs[i].fetch = FetchState::Waiting(attempt + 1);
             self.send_prior_request(device, attempt + 1, now);
@@ -797,7 +818,8 @@ impl<'a> Engine<'a> {
                     .sc
                     .compute
                     .train_flops(self.sc.compute.erm_cost, samples, dim, iterations);
-            self.queue.schedule(now + t, Event::DeviceComputeDone { device });
+            self.queue
+                .schedule(now + t, Event::DeviceComputeDone { device });
         }
     }
 
@@ -837,7 +859,8 @@ impl<'a> Engine<'a> {
                 dim,
                 iterations * em_rounds.max(1),
             );
-        self.queue.schedule(now + t, Event::DeviceComputeDone { device });
+        self.queue
+            .schedule(now + t, Event::DeviceComputeDone { device });
     }
 
     /// FIFO single-server cloud training for a raw-data upload (identical
@@ -1056,7 +1079,8 @@ impl<'a> Engine<'a> {
             retx_rounds: 0,
             delivered: false,
         });
-        self.queue.schedule(at, Event::TransferStart { transfer: id, gen });
+        self.queue
+            .schedule(at, Event::TransferStart { transfer: id, gen });
     }
 
     fn on_transfer_start(&mut self, id: u32, gen: u32, now: SimTime) {
@@ -1084,8 +1108,14 @@ impl<'a> Engine<'a> {
             t.timer_armed = true;
             t.epoch = t.epoch.wrapping_add(1);
             let (gen, epoch) = (t.gen, t.epoch);
-            self.queue
-                .schedule(now + rto, Event::RetxTimer { transfer: id, gen, epoch });
+            self.queue.schedule(
+                now + rto,
+                Event::RetxTimer {
+                    transfer: id,
+                    gen,
+                    epoch,
+                },
+            );
         }
     }
 
@@ -1297,7 +1327,14 @@ impl<'a> Engine<'a> {
                     self.sc.devices[t.device as usize].strategy,
                     MessageKind::PriorPayload,
                 );
-                self.start_message(t.device, self.n, t.device, MessageKind::PriorPayload, bytes, now);
+                self.start_message(
+                    t.device,
+                    self.n,
+                    t.device,
+                    MessageKind::PriorPayload,
+                    bytes,
+                    now,
+                );
             }
             MessageKind::RawData => self.cloud_train(t.device, now),
             MessageKind::ModelReport => {
@@ -1335,9 +1372,10 @@ impl<'a> Engine<'a> {
             Event::RetxTimer { transfer, .. } => {
                 (TraceKind::RetxTimer, self.transfers.get(transfer).device)
             }
-            Event::TransferStart { transfer, .. } => {
-                (TraceKind::TransferStart, self.transfers.get(transfer).device)
-            }
+            Event::TransferStart { transfer, .. } => (
+                TraceKind::TransferStart,
+                self.transfers.get(transfer).device,
+            ),
         };
         TraceEvent {
             time_us: now.as_micros(),

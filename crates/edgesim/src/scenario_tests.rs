@@ -57,7 +57,10 @@ fn prior_transfer_moves_far_fewer_bytes_than_raw_upload() {
     let dim = 16;
     let mk = |strategy| {
         let mut sc = Scenario::new(ComputeModel::default());
-        sc.add_device(DeviceSpec { link: link(), strategy });
+        sc.add_device(DeviceSpec {
+            link: link(),
+            strategy,
+        });
         sc.run()
     };
     let cloud = mk(Strategy::CloudRoundTrip {
@@ -170,7 +173,10 @@ fn energy_accounting_follows_the_strategy() {
     };
     let mk = |strategy| {
         let mut sc = Scenario::new(ComputeModel::default()).with_energy(energy);
-        sc.add_device(DeviceSpec { link: link(), strategy });
+        sc.add_device(DeviceSpec {
+            link: link(),
+            strategy,
+        });
         sc.run().devices[0]
     };
     // Edge-only: all compute, no radio.
@@ -273,7 +279,7 @@ fn refresh_round_bytes_sums_the_real_closed_loop_frames() {
         params: vec![0.0; dim + 1],
     })
     .len()
-    + encode(&Message::ReportAck { accepted: true }).len();
+        + encode(&Message::ReportAck { accepted: true }).len();
     let per_device = (fetch + report) as u64;
 
     for devices in [1usize, 5, 25] {
@@ -291,8 +297,8 @@ fn random_scenarios_satisfy_aggregate_invariants() {
     use proptest::prelude::{prop_assert, prop_assert_eq};
     use proptest::strategy::Strategy as _;
     let mut runner = proptest::test_runner::TestRunner::deterministic();
-    let strategy_gen = (0u8..3, 10usize..500, 1usize..32, 1usize..200, 1usize..12)
-        .prop_map(|(kind, samples, dim, iterations, prior_components)| match kind {
+    let strategy_gen = (0u8..3, 10usize..500, 1usize..32, 1usize..200, 1usize..12).prop_map(
+        |(kind, samples, dim, iterations, prior_components)| match kind {
             0 => Strategy::EdgeOnly {
                 samples,
                 dim,
@@ -310,11 +316,9 @@ fn random_scenarios_satisfy_aggregate_invariants() {
                 em_rounds: 1 + iterations % 10,
                 prior_components,
             },
-        });
-    let fleet_gen = proptest::collection::vec(
-        (strategy_gen, 0.1..100.0f64, 1e3..1e7f64),
-        1..12,
+        },
     );
+    let fleet_gen = proptest::collection::vec((strategy_gen, 0.1..100.0f64, 1e3..1e7f64), 1..12);
     runner
         .run(&fleet_gen, |fleet| {
             let mut sc = Scenario::new(ComputeModel::default());
@@ -326,12 +330,7 @@ fn random_scenarios_satisfy_aggregate_invariants() {
             }
             let report = sc.run();
             // Makespan is the latest completion.
-            let max_completion = report
-                .devices
-                .iter()
-                .map(|d| d.completion)
-                .max()
-                .unwrap();
+            let max_completion = report.devices.iter().map(|d| d.completion).max().unwrap();
             prop_assert_eq!(report.makespan, max_completion);
             // Bytes are additive and strategy-consistent.
             let sum: u64 = report
@@ -413,7 +412,10 @@ fn reports_tag_every_strategy_with_its_degradation_rung() {
             iterations: 50,
         },
     });
-    sc.add_device(DeviceSpec { link: link(), strategy: prior_strategy() });
+    sc.add_device(DeviceSpec {
+        link: link(),
+        strategy: prior_strategy(),
+    });
     let r = sc.run();
     assert_eq!(r.devices[0].mode, FitMode::LocalOnly);
     assert_eq!(r.devices[0].attempts, 0);
@@ -436,7 +438,10 @@ fn outage_is_ridden_out_by_deterministic_retries() {
             max_attempts: 4,
         })
         .with_outage(SimDuration::ZERO, SimDuration::from_millis_f64(100.0));
-    sc.add_device(DeviceSpec { link: link(), strategy: prior_strategy() });
+    sc.add_device(DeviceSpec {
+        link: link(),
+        strategy: prior_strategy(),
+    });
     let r = sc.run();
     let d = &r.devices[0];
     assert_eq!(d.mode, FitMode::FreshPrior, "the fetch must recover");
@@ -456,7 +461,10 @@ fn exhausted_retry_budget_falls_back_to_local_erm() {
             max_attempts: 2,
         })
         .with_outage(SimDuration::ZERO, SimDuration::from_secs_f64(10.0));
-    sc.add_device(DeviceSpec { link: link(), strategy: prior_strategy() });
+    sc.add_device(DeviceSpec {
+        link: link(),
+        strategy: prior_strategy(),
+    });
     let r = sc.run();
     let d = &r.devices[0];
     assert_eq!(d.mode, FitMode::LocalOnly);
@@ -485,7 +493,10 @@ fn legacy_runs_model_no_connection_costs() {
     // Without a client mode the connection model is off: no
     // handshakes, no report leg — the pre-connection-model numbers.
     let mut sc = Scenario::new(ComputeModel::default());
-    sc.add_device(DeviceSpec { link: link(), strategy: prior_strategy() });
+    sc.add_device(DeviceSpec {
+        link: link(),
+        strategy: prior_strategy(),
+    });
     let r = sc.run();
     assert_eq!(r.devices[0].handshakes, 0);
     assert_eq!(r.model_reports, 0);
@@ -499,7 +510,10 @@ fn fresh_per_request_pays_a_handshake_per_message() {
         if let Some(mode) = mode {
             sc = sc.with_client_mode(mode);
         }
-        sc.add_device(DeviceSpec { link: link(), strategy: prior_strategy() });
+        sc.add_device(DeviceSpec {
+            link: link(),
+            strategy: prior_strategy(),
+        });
         sc.run()
     };
     let legacy = run(None);
@@ -537,9 +551,16 @@ fn keep_alive_amortizes_the_handshake_across_the_round() {
             })
             .with_outage(SimDuration::ZERO, SimDuration::from_millis_f64(100.0))
             .with_client_mode(mode);
-        sc.add_device(DeviceSpec { link: link(), strategy: prior_strategy() });
+        sc.add_device(DeviceSpec {
+            link: link(),
+            strategy: prior_strategy(),
+        });
         let r = sc.run();
-        assert_eq!(sc.run(), r, "connection-model runs must replay bit-identically");
+        assert_eq!(
+            sc.run(),
+            r,
+            "connection-model runs must replay bit-identically"
+        );
         r
     };
     let fresh = run(ClientMode::FreshPerRequest);
@@ -556,9 +577,9 @@ fn keep_alive_amortizes_the_handshake_across_the_round() {
     }
     assert_eq!(fresh.devices[0].handshakes, 4); // 3 attempts + report
     assert_eq!(keep.devices[0].handshakes, 1); // amortized
-    // Only the winning attempt's handshake is on the critical path,
-    // and keep-alive has already paid it: exactly one round trip
-    // (2 × 20 ms) separates the two modes.
+                                               // Only the winning attempt's handshake is on the critical path,
+                                               // and keep-alive has already paid it: exactly one round trip
+                                               // (2 × 20 ms) separates the two modes.
     assert_eq!(
         fresh.devices[0].completion.as_micros(),
         keep.devices[0].completion.as_micros() + 2 * 20_000
@@ -594,7 +615,10 @@ fn cloud_round_trip_pays_one_handshake_in_either_mode() {
 fn outage_without_a_retry_model_is_rejected() {
     let mut sc = Scenario::new(ComputeModel::default())
         .with_outage(SimDuration::ZERO, SimDuration::from_millis_f64(50.0));
-    sc.add_device(DeviceSpec { link: link(), strategy: prior_strategy() });
+    sc.add_device(DeviceSpec {
+        link: link(),
+        strategy: prior_strategy(),
+    });
     sc.run();
 }
 
@@ -648,7 +672,11 @@ fn legacy_reports_are_bit_for_bit_stable() {
         assert_eq!(d.bytes_sent, sent);
         assert_eq!(d.bytes_received, recv);
         assert_eq!(d.completion.as_micros(), done_us);
-        assert_eq!(d.compute_joules.to_bits(), cj_bits, "compute_joules changed");
+        assert_eq!(
+            d.compute_joules.to_bits(),
+            cj_bits,
+            "compute_joules changed"
+        );
         assert_eq!(d.radio_joules.to_bits(), rj_bits, "radio_joules changed");
         assert_eq!(d.mode, mode);
         assert_eq!(d.attempts, attempts);
@@ -661,7 +689,11 @@ fn legacy_reports_are_bit_for_bit_stable() {
         sc.add_device(DeviceSpec {
             link: Link::new_ms(5.0 + i as f64, 5e5),
             strategy: if i % 2 == 0 {
-                Strategy::CloudRoundTrip { samples: 300 + i, dim: 8, iterations: 80 }
+                Strategy::CloudRoundTrip {
+                    samples: 300 + i,
+                    dim: 8,
+                    iterations: 80,
+                }
             } else {
                 Strategy::PriorTransfer {
                     samples: 100,
@@ -680,13 +712,83 @@ fn legacy_reports_are_bit_for_bit_stable() {
     assert_eq!((r.dropped_requests, r.model_reports), (0, 0));
     assert_eq!((r.messages_dropped, r.bytes_retransmitted), (0, 0));
     let fp = FitMode::FreshPrior;
-    check(&r.devices[0], 21_600, 72, 53_383, 0x0, 0x3fa6312f4cf4a558, fp, 1, 0);
-    check(&r.devices[1], 18, 903, 90_642, 0x3f492a737110e454, 0x3f5e2de8709741d0, fp, 1, 0);
-    check(&r.devices[2], 21_744, 72, 57_671, 0x0, 0x3fa656eefa1e3eaf, fp, 1, 0);
-    check(&r.devices[3], 18, 903, 94_642, 0x3f492a737110e454, 0x3f5e2de8709741d0, fp, 1, 0);
-    check(&r.devices[4], 21_888, 72, 61_959, 0x0, 0x3fa67caea747d805, fp, 1, 0);
-    check(&r.devices[5], 18, 903, 98_642, 0x3f492a737110e454, 0x3f5e2de8709741d0, fp, 1, 0);
-    check(&r.devices[6], 22_032, 72, 66_248, 0x0, 0x3fa6a26e5471715c, fp, 1, 0);
+    check(
+        &r.devices[0],
+        21_600,
+        72,
+        53_383,
+        0x0,
+        0x3fa6312f4cf4a558,
+        fp,
+        1,
+        0,
+    );
+    check(
+        &r.devices[1],
+        18,
+        903,
+        90_642,
+        0x3f492a737110e454,
+        0x3f5e2de8709741d0,
+        fp,
+        1,
+        0,
+    );
+    check(
+        &r.devices[2],
+        21_744,
+        72,
+        57_671,
+        0x0,
+        0x3fa656eefa1e3eaf,
+        fp,
+        1,
+        0,
+    );
+    check(
+        &r.devices[3],
+        18,
+        903,
+        94_642,
+        0x3f492a737110e454,
+        0x3f5e2de8709741d0,
+        fp,
+        1,
+        0,
+    );
+    check(
+        &r.devices[4],
+        21_888,
+        72,
+        61_959,
+        0x0,
+        0x3fa67caea747d805,
+        fp,
+        1,
+        0,
+    );
+    check(
+        &r.devices[5],
+        18,
+        903,
+        98_642,
+        0x3f492a737110e454,
+        0x3f5e2de8709741d0,
+        fp,
+        1,
+        0,
+    );
+    check(
+        &r.devices[6],
+        22_032,
+        72,
+        66_248,
+        0x0,
+        0x3fa6a26e5471715c,
+        fp,
+        1,
+        0,
+    );
 
     // Outage + retries under a keep-alive client.
     let mut sc = Scenario::new(ComputeModel::default())
@@ -696,13 +798,26 @@ fn legacy_reports_are_bit_for_bit_stable() {
         })
         .with_outage(SimDuration::ZERO, SimDuration::from_millis_f64(100.0))
         .with_client_mode(ClientMode::KeepAlive);
-    sc.add_device(DeviceSpec { link: link(), strategy: prior_strategy() });
+    sc.add_device(DeviceSpec {
+        link: link(),
+        strategy: prior_strategy(),
+    });
     let r = sc.run();
     assert_eq!(r.total_bytes, 1_067);
     assert_eq!(r.makespan.as_micros(), 226_921);
     assert_eq!(r.cloud_busy.as_micros(), 0);
     assert_eq!((r.dropped_requests, r.model_reports), (2, 1));
-    check(&r.devices[0], 164, 903, 226_921, 0x3f4f75104d551d69, 0x3f617b5286b59147, fp, 3, 1);
+    check(
+        &r.devices[0],
+        164,
+        903,
+        226_921,
+        0x3f4f75104d551d69,
+        0x3f617b5286b59147,
+        fp,
+        3,
+        1,
+    );
 
     // Cloud FIFO queueing under fresh-per-request connections.
     let mut sc = Scenario::new(ComputeModel {
@@ -713,7 +828,11 @@ fn legacy_reports_are_bit_for_bit_stable() {
     for i in 0..3 {
         sc.add_device(DeviceSpec {
             link: Link::new_ms(10.0 + i as f64, 1e6),
-            strategy: Strategy::CloudRoundTrip { samples: 500, dim: 10, iterations: 100 },
+            strategy: Strategy::CloudRoundTrip {
+                samples: 500,
+                dim: 10,
+                iterations: 100,
+            },
         });
     }
     let r = sc.run();
@@ -721,9 +840,39 @@ fn legacy_reports_are_bit_for_bit_stable() {
     assert_eq!(r.makespan.as_micros(), 386_088);
     assert_eq!(r.cloud_busy.as_micros(), 300_000);
     assert_eq!((r.dropped_requests, r.model_reports), (0, 0));
-    check(&r.devices[0], 44_000, 88, 184_088, 0x0, 0x3fb692b3cc4ac6cd, fp, 1, 1);
-    check(&r.devices[1], 44_000, 88, 285_088, 0x0, 0x3fb692b3cc4ac6cd, fp, 1, 1);
-    check(&r.devices[2], 44_000, 88, 386_088, 0x0, 0x3fb692b3cc4ac6cd, fp, 1, 1);
+    check(
+        &r.devices[0],
+        44_000,
+        88,
+        184_088,
+        0x0,
+        0x3fb692b3cc4ac6cd,
+        fp,
+        1,
+        1,
+    );
+    check(
+        &r.devices[1],
+        44_000,
+        88,
+        285_088,
+        0x0,
+        0x3fb692b3cc4ac6cd,
+        fp,
+        1,
+        1,
+    );
+    check(
+        &r.devices[2],
+        44_000,
+        88,
+        386_088,
+        0x0,
+        0x3fb692b3cc4ac6cd,
+        fp,
+        1,
+        1,
+    );
 }
 
 /// The legacy pipeline's event trace, pinned event by event: request
@@ -731,18 +880,31 @@ fn legacy_reports_are_bit_for_bit_stable() {
 #[test]
 fn pinned_legacy_event_trace() {
     let mut sc = Scenario::new(ComputeModel::default());
-    sc.add_device(DeviceSpec { link: link(), strategy: prior_strategy() });
+    sc.add_device(DeviceSpec {
+        link: link(),
+        strategy: prior_strategy(),
+    });
     let (report, trace) = sc.run_traced();
     let expect = [
         // Request: 20 ms propagation + 18 B at 1 MB/s = 18 µs.
-        (20_018, TraceKind::ArriveAtCloud(MessageKind::PriorRequest), 0),
+        (
+            20_018,
+            TraceKind::ArriveAtCloud(MessageKind::PriorRequest),
+            0,
+        ),
         // Payload: + 20 ms + 903 B at 1 MB/s = 903 µs.
-        (40_921, TraceKind::ArriveAtDevice(MessageKind::PriorPayload), 0),
+        (
+            40_921,
+            TraceKind::ArriveAtDevice(MessageKind::PriorPayload),
+            0,
+        ),
         // EM: 60·100·8·(50·4) = 9.6e6 FLOPs at 1e8 FLOP/s = 96 ms.
         (136_921, TraceKind::DeviceComputeDone, 0),
     ];
-    let got: Vec<(u64, TraceKind, u32)> =
-        trace.iter().map(|e| (e.time_us, e.kind, e.device)).collect();
+    let got: Vec<(u64, TraceKind, u32)> = trace
+        .iter()
+        .map(|e| (e.time_us, e.kind, e.device))
+        .collect();
     assert_eq!(got, expect);
     assert_eq!(report.events_executed, trace.len() as u64);
     // The traced run's report is the untraced run's report.
@@ -759,7 +921,10 @@ fn small_cloud_topology() -> Topology {
 #[test]
 fn topology_prior_transfer_accounts_transport_frames() {
     let mut sc = Scenario::new(ComputeModel::default()).with_topology(small_cloud_topology());
-    sc.add_device(DeviceSpec { link: link(), strategy: prior_strategy() });
+    sc.add_device(DeviceSpec {
+        link: link(),
+        strategy: prior_strategy(),
+    });
     let r = sc.run();
     let d = &r.devices[0];
     // Out: the 18 B request plus the 14 B ack of the 903 B payload.
@@ -781,39 +946,44 @@ fn topology_prior_transfer_accounts_transport_frames() {
 #[test]
 fn pinned_topology_event_trace() {
     let mut sc = Scenario::new(ComputeModel::default()).with_topology(small_cloud_topology());
-    sc.add_device(DeviceSpec { link: link(), strategy: prior_strategy() });
+    sc.add_device(DeviceSpec {
+        link: link(),
+        strategy: prior_strategy(),
+    });
     let (report, trace) = sc.run_traced();
     use TraceKind::*;
     let expect: Vec<(u64, TraceKind, u32)> = vec![
         // Request (18 B, 1 segment) from device 0 to the cloud.
         (0, TransferStart, 0),
-        (18, PortDeparture, 0),          // device uplink: 18 B at 1 MB/s
-        (20_018, PortArrive, CLOUD_DEVICE), // + 20 ms to the cloud egress
+        (18, PortDeparture, 0),                // device uplink: 18 B at 1 MB/s
+        (20_018, PortArrive, CLOUD_DEVICE),    // + 20 ms to the cloud egress
         (20_019, PortDeparture, CLOUD_DEVICE), // 18 B at 100 MB/s (ceil 1 µs)
-        (21_019, Deliver, 0),            // + 1 ms cloud-link propagation
+        (21_019, Deliver, 0),                  // + 1 ms cloud-link propagation
         // The cloud acks the request and starts the 903 B payload.
         (21_019, TransferStart, 0),
         (21_020, PortDeparture, CLOUD_DEVICE), // ack: 14 B at 100 MB/s
         (21_030, PortDeparture, CLOUD_DEVICE), // payload: 903 B at 100 MB/s (ceil 10 µs)
-        (22_020, PortArrive, 0),         // ack reaches device egress
-        (22_030, PortArrive, 0),         // payload queues behind the ack
-        (22_034, PortDeparture, 0),      // ack: 14 B at 1 MB/s
-        (22_937, PortDeparture, 0),      // payload: 903 µs after the ack clears
-        (42_034, Deliver, 0),            // ack: + 20 ms (request fully acked)
-        (42_937, Deliver, 0),            // payload: + 20 ms
+        (22_020, PortArrive, 0),               // ack reaches device egress
+        (22_030, PortArrive, 0),               // payload queues behind the ack
+        (22_034, PortDeparture, 0),            // ack: 14 B at 1 MB/s
+        (22_937, PortDeparture, 0),            // payload: 903 µs after the ack clears
+        (42_034, Deliver, 0),                  // ack: + 20 ms (request fully acked)
+        (42_937, Deliver, 0),                  // payload: + 20 ms
         // The device acks the payload and starts its EM fit.
-        (42_951, PortDeparture, 0),      // payload-ack: 14 B at 1 MB/s
+        (42_951, PortDeparture, 0), // payload-ack: 14 B at 1 MB/s
         (62_951, PortArrive, CLOUD_DEVICE),
         (62_952, PortDeparture, CLOUD_DEVICE),
-        (63_952, Deliver, 0),            // cloud sees the final ack
+        (63_952, Deliver, 0), // cloud sees the final ack
         // EM: 96 ms after the payload delivery at 42.937 ms.
         (138_937, DeviceComputeDone, 0),
         // Both retransmit timers fire stale (transfers long completed).
         (200_000, RetxTimer, 0),
         (221_019, RetxTimer, 0),
     ];
-    let got: Vec<(u64, TraceKind, u32)> =
-        trace.iter().map(|e| (e.time_us, e.kind, e.device)).collect();
+    let got: Vec<(u64, TraceKind, u32)> = trace
+        .iter()
+        .map(|e| (e.time_us, e.kind, e.device))
+        .collect();
     assert_eq!(got, expect);
     assert_eq!(report.events_executed, trace.len() as u64);
     assert_eq!(report.devices[0].completion.as_micros(), 138_937);
@@ -825,17 +995,26 @@ fn pinned_topology_event_trace() {
 fn lossy_link_costs_retransmitted_bytes() {
     let topo = small_cloud_topology().with_device_loss(LossModel::EveryKth { k: 2 });
     let mut sc = Scenario::new(ComputeModel::default()).with_topology(topo);
-    sc.add_device(DeviceSpec { link: link(), strategy: prior_strategy() });
+    sc.add_device(DeviceSpec {
+        link: link(),
+        strategy: prior_strategy(),
+    });
     let r = sc.run();
     let d = &r.devices[0];
-    assert_eq!(d.mode, FitMode::FreshPrior, "transport must recover from loss");
+    assert_eq!(
+        d.mode,
+        FitMode::FreshPrior,
+        "transport must recover from loss"
+    );
     assert!(r.messages_dropped > 0, "the loss model must actually drop");
     assert!(r.bytes_retransmitted > 0, "drops must cost retransmissions");
     // Loss only ever delays completion relative to the lossless run.
     let lossless = {
-        let mut sc = Scenario::new(ComputeModel::default())
-            .with_topology(small_cloud_topology());
-        sc.add_device(DeviceSpec { link: link(), strategy: prior_strategy() });
+        let mut sc = Scenario::new(ComputeModel::default()).with_topology(small_cloud_topology());
+        sc.add_device(DeviceSpec {
+            link: link(),
+            strategy: prior_strategy(),
+        });
         sc.run()
     };
     assert!(d.completion > lossless.devices[0].completion);
@@ -858,7 +1037,10 @@ fn tiny_queue_capacity_drops_and_recovers() {
         });
     }
     let r = sc.run();
-    assert!(r.messages_dropped > 0, "incast into a 1-frame queue must drop");
+    assert!(
+        r.messages_dropped > 0,
+        "incast into a 1-frame queue must drop"
+    );
     for d in &r.devices {
         assert_eq!(d.mode, FitMode::FreshPrior);
         assert!(d.completion > SimTime::ZERO, "every device must recover");
@@ -876,8 +1058,14 @@ fn topology_runs_are_bit_identical() {
                 queue_capacity: 4,
                 ..SwitchConfig::default()
             })
-            .with_device_loss(LossModel::Bernoulli { loss: 0.05, seed: 7 })
-            .with_cloud_loss(LossModel::Bernoulli { loss: 0.01, seed: 11 });
+            .with_device_loss(LossModel::Bernoulli {
+                loss: 0.05,
+                seed: 7,
+            })
+            .with_cloud_loss(LossModel::Bernoulli {
+                loss: 0.01,
+                seed: 11,
+            });
         let mut sc = Scenario::new(ComputeModel::default())
             .with_topology(topo)
             .with_retry(RetryModel::default())
@@ -901,8 +1089,14 @@ fn topology_runs_are_bit_identical() {
             queue_capacity: 4,
             ..SwitchConfig::default()
         })
-        .with_device_loss(LossModel::Bernoulli { loss: 0.05, seed: 8 })
-        .with_cloud_loss(LossModel::Bernoulli { loss: 0.01, seed: 11 });
+        .with_device_loss(LossModel::Bernoulli {
+            loss: 0.05,
+            seed: 8,
+        })
+        .with_cloud_loss(LossModel::Bernoulli {
+            loss: 0.01,
+            seed: 11,
+        });
     let mut other = Scenario::new(ComputeModel::default())
         .with_topology(topo)
         .with_retry(RetryModel::default())
@@ -928,7 +1122,10 @@ fn outage_rides_out_retries_in_topology_mode() {
             max_attempts: 4,
         })
         .with_outage(SimDuration::ZERO, SimDuration::from_millis_f64(100.0));
-    sc.add_device(DeviceSpec { link: link(), strategy: prior_strategy() });
+    sc.add_device(DeviceSpec {
+        link: link(),
+        strategy: prior_strategy(),
+    });
     let r = sc.run();
     let d = &r.devices[0];
     assert_eq!(d.mode, FitMode::FreshPrior, "the fetch must recover");
@@ -940,7 +1137,10 @@ fn outage_rides_out_retries_in_topology_mode() {
 #[test]
 fn legacy_mode_reports_zero_topology_counters() {
     let mut sc = Scenario::new(ComputeModel::default());
-    sc.add_device(DeviceSpec { link: link(), strategy: prior_strategy() });
+    sc.add_device(DeviceSpec {
+        link: link(),
+        strategy: prior_strategy(),
+    });
     let r = sc.run();
     assert!(r.events_executed > 0);
     assert_eq!(r.messages_dropped, 0);
@@ -956,7 +1156,10 @@ fn invalid_topology_is_rejected_at_run() {
         ..SwitchConfig::default()
     });
     let mut sc = Scenario::new(ComputeModel::default()).with_topology(topo);
-    sc.add_device(DeviceSpec { link: link(), strategy: prior_strategy() });
+    sc.add_device(DeviceSpec {
+        link: link(),
+        strategy: prior_strategy(),
+    });
     sc.run();
 }
 
@@ -1083,8 +1286,14 @@ fn whole_run_golden_lossy_fabric_fleet() {
             max_retx: 3,
             ..SwitchConfig::default()
         })
-        .with_device_loss(LossModel::Bernoulli { loss: 0.05, seed: 3 })
-        .with_cloud_loss(LossModel::Bernoulli { loss: 0.01, seed: 5 });
+        .with_device_loss(LossModel::Bernoulli {
+            loss: 0.05,
+            seed: 3,
+        })
+        .with_cloud_loss(LossModel::Bernoulli {
+            loss: 0.01,
+            seed: 5,
+        });
     let mut sc = Scenario::new(ComputeModel::default())
         .with_topology(topo)
         .with_retry(RetryModel {
@@ -1095,7 +1304,11 @@ fn whole_run_golden_lossy_fabric_fleet() {
         sc.add_device(DeviceSpec {
             link: Link::new_ms(2.0 + (i % 17) as f64, 1e6 * (1 + i % 5) as f64),
             strategy: if i % 5 == 0 {
-                Strategy::CloudRoundTrip { samples: 40 + (i % 7) as usize, dim: 8, iterations: 50 }
+                Strategy::CloudRoundTrip {
+                    samples: 40 + (i % 7) as usize,
+                    dim: 8,
+                    iterations: 50,
+                }
             } else {
                 Strategy::PriorTransfer {
                     samples: 100,
@@ -1113,8 +1326,14 @@ fn whole_run_golden_lossy_fabric_fleet() {
         r.devices.iter().any(|d| d.completion == SimTime::ZERO),
         "an aborted transfer must leave some upload device incomplete"
     );
-    assert!(r.devices.iter().any(|d| d.mode == FitMode::LocalOnly && d.attempts == 2));
-    assert_eq!(digest, 0x6d35_2888_15db_ec0a, "lossy fabric fleet digest moved");
+    assert!(r
+        .devices
+        .iter()
+        .any(|d| d.mode == FitMode::LocalOnly && d.attempts == 2));
+    assert_eq!(
+        digest, 0x6d35_2888_15db_ec0a,
+        "lossy fabric fleet digest moved"
+    );
 }
 
 /// A legacy fleet of 1.5k devices riding out a 150 ms cloud outage on
@@ -1131,13 +1350,20 @@ fn whole_run_golden_legacy_retry_outage_fleet() {
         timeout: SimDuration::from_millis_f64(40.0),
         max_attempts: 3,
     })
-    .with_outage(SimDuration::from_millis_f64(10.0), SimDuration::from_millis_f64(160.0))
+    .with_outage(
+        SimDuration::from_millis_f64(10.0),
+        SimDuration::from_millis_f64(160.0),
+    )
     .with_client_mode(ClientMode::KeepAlive);
     for i in 0..1_500u32 {
         sc.add_device(DeviceSpec {
             link: Link::new_ms(1.0 + (i % 40) as f64, 5e5 * (1 + i % 3) as f64),
             strategy: if i % 4 == 0 {
-                Strategy::CloudRoundTrip { samples: 200, dim: 8, iterations: 40 }
+                Strategy::CloudRoundTrip {
+                    samples: 200,
+                    dim: 8,
+                    iterations: 40,
+                }
             } else {
                 prior_strategy()
             },
@@ -1145,9 +1371,18 @@ fn whole_run_golden_legacy_retry_outage_fleet() {
     }
     let (r, digest) = golden_digest(&sc);
     assert!(r.dropped_requests > 0);
-    assert!(r.devices.iter().any(|d| d.mode == FitMode::FreshPrior && d.attempts > 1));
-    assert!(r.devices.iter().any(|d| d.mode == FitMode::LocalOnly && d.attempts == 3));
-    assert_eq!(digest, 0x7c9c_6674_b51d_4551, "legacy retry/outage fleet digest moved");
+    assert!(r
+        .devices
+        .iter()
+        .any(|d| d.mode == FitMode::FreshPrior && d.attempts > 1));
+    assert!(r
+        .devices
+        .iter()
+        .any(|d| d.mode == FitMode::LocalOnly && d.attempts == 3));
+    assert_eq!(
+        digest, 0x7c9c_6674_b51d_4551,
+        "legacy retry/outage fleet digest moved"
+    );
 }
 
 /// All three strategies in one legacy fleet of 900 devices on fresh
@@ -1166,8 +1401,16 @@ fn whole_run_golden_mixed_strategy_fleet() {
         sc.add_device(DeviceSpec {
             link: Link::new_ms(3.0 + (i % 13) as f64, 2e5 * (1 + i % 4) as f64),
             strategy: match i % 3 {
-                0 => Strategy::EdgeOnly { samples, dim: 8, iterations: 50 },
-                1 => Strategy::CloudRoundTrip { samples, dim: 8, iterations: 50 },
+                0 => Strategy::EdgeOnly {
+                    samples,
+                    dim: 8,
+                    iterations: 50,
+                },
+                1 => Strategy::CloudRoundTrip {
+                    samples,
+                    dim: 8,
+                    iterations: 50,
+                },
                 _ => Strategy::PriorTransfer {
                     samples,
                     dim: 8,
@@ -1181,5 +1424,8 @@ fn whole_run_golden_mixed_strategy_fleet() {
     let (r, digest) = golden_digest(&sc);
     assert!(r.cloud_busy > SimDuration::ZERO);
     assert!(r.model_reports > 0);
-    assert_eq!(digest, 0x036a_903d_54fb_8c4b, "mixed strategy fleet digest moved");
+    assert_eq!(
+        digest, 0x036a_903d_54fb_8c4b,
+        "mixed strategy fleet digest moved"
+    );
 }

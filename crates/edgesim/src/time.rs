@@ -155,7 +155,10 @@ mod tests {
 
     #[test]
     fn display_formats() {
-        assert_eq!(format!("{}", SimTime::ZERO + SimDuration::from_micros(1500)), "1.500ms");
+        assert_eq!(
+            format!("{}", SimTime::ZERO + SimDuration::from_micros(1500)),
+            "1.500ms"
+        );
         assert_eq!(format!("{}", SimDuration::from_micros(250)), "0.250ms");
     }
 

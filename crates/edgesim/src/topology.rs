@@ -69,10 +69,16 @@ impl Default for SwitchConfig {
 
 impl SwitchConfig {
     pub(crate) fn validate(&self) {
-        assert!(self.queue_capacity >= 1, "switch queue_capacity must be >= 1");
+        assert!(
+            self.queue_capacity >= 1,
+            "switch queue_capacity must be >= 1"
+        );
         assert!(self.mtu >= 1, "switch mtu must be >= 1 byte");
         assert!(self.window >= 1, "go-back-N window must be >= 1");
-        assert!(self.rto > SimDuration::ZERO, "retransmission timeout must be positive");
+        assert!(
+            self.rto > SimDuration::ZERO,
+            "retransmission timeout must be positive"
+        );
         assert!(self.max_retx >= 1, "max_retx must be >= 1");
     }
 }
@@ -212,14 +218,23 @@ mod tests {
 
     #[test]
     fn bernoulli_is_deterministic_and_roughly_calibrated() {
-        let m = LossModel::Bernoulli { loss: 0.2, seed: 42 };
+        let m = LossModel::Bernoulli {
+            loss: 0.2,
+            seed: 42,
+        };
         let a: Vec<bool> = (0..10_000).map(|i| m.drops(3, i)).collect();
         let b: Vec<bool> = (0..10_000).map(|i| m.drops(3, i)).collect();
         assert_eq!(a, b, "same (seed, port, crossing) must decide identically");
         let rate = a.iter().filter(|&&d| d).count() as f64 / a.len() as f64;
-        assert!((rate - 0.2).abs() < 0.02, "empirical rate {rate} far from 0.2");
+        assert!(
+            (rate - 0.2).abs() < 0.02,
+            "empirical rate {rate} far from 0.2"
+        );
         // Different seeds and ports give different schedules.
-        let other = LossModel::Bernoulli { loss: 0.2, seed: 43 };
+        let other = LossModel::Bernoulli {
+            loss: 0.2,
+            seed: 43,
+        };
         assert!((0..10_000).any(|i| other.drops(3, i) != m.drops(3, i)));
         assert!((0..10_000).any(|i| m.drops(4, i) != m.drops(3, i)));
     }
@@ -254,7 +269,10 @@ mod tests {
                 ..SwitchConfig::default()
             })
             .with_device_loss(LossModel::EveryKth { k: 50 })
-            .with_cloud_loss(LossModel::Bernoulli { loss: 0.01, seed: 1 });
+            .with_cloud_loss(LossModel::Bernoulli {
+                loss: 0.01,
+                seed: 1,
+            });
         assert_eq!(t.switch.queue_capacity, 64);
         t.validate();
     }

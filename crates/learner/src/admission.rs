@@ -525,7 +525,11 @@ mod tests {
             let mut outcomes = Vec::new();
             for i in 0..200u64 {
                 let dev = i % 7;
-                let score = if dev == 3 { -400.0 } else { -2.0 - (i as f64) * 0.001 };
+                let score = if dev == 3 {
+                    -400.0
+                } else {
+                    -2.0 - (i as f64) * 0.001
+                };
                 outcomes.push(adm.admit(0, dev, Some(score)));
             }
             (outcomes, adm.gated_total(), adm.quarantine_events())

@@ -116,10 +116,7 @@ mod tests {
             }
         }
         for (m, e) in mean.iter().zip(&expected) {
-            assert!(
-                (m - e).abs() < 0.05,
-                "chain mean {m} vs conjugate mean {e}"
-            );
+            assert!((m - e).abs() < 0.05, "chain mean {m} vs conjugate mean {e}");
         }
     }
 

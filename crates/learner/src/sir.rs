@@ -142,9 +142,8 @@ struct Particle {
 /// SplitMix64-style finalizer mixing `(seed, tag, index)` into one stream
 /// seed, so sibling particles and resample generations never share streams.
 pub(crate) fn mix_seed(seed: u64, tag: u64, index: u64) -> u64 {
-    let mut z = seed
-        ^ tag.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ index.wrapping_mul(0xD1B5_4A32_D192_ED03);
+    let mut z =
+        seed ^ tag.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ index.wrapping_mul(0xD1B5_4A32_D192_ED03);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
@@ -616,21 +615,16 @@ impl SirDpFilter {
                     let post = c.posterior()?;
                     let sigma = expected_covariance(&post)?;
                     // Prior over the mean: N(μ₀, Σ̂/κ₀).
-                    let prior = MvNormal::new(
-                        base.mu0().to_vec(),
-                        &sigma.scaled(1.0 / base.kappa0()),
-                    )?;
+                    let prior =
+                        MvNormal::new(base.mu0().to_vec(), &sigma.scaled(1.0 / base.kappa0()))?;
                     let lik_chol = prior.cov_cholesky();
                     let xbar = c.stats().mean();
                     let n_k = c.len() as f64;
                     // −½·n·(μ−x̄)ᵀΣ̂⁻¹(μ−x̄), reusing the scaled factor:
                     // (Σ̂/κ₀)⁻¹ = κ₀·Σ̂⁻¹, so rescale the Mahalanobis form.
                     let log_lik = |mu: &[f64]| {
-                        let diff: Vec<f64> =
-                            mu.iter().zip(&xbar).map(|(m, x)| m - x).collect();
-                        let maha = lik_chol
-                            .mahalanobis_sq(&diff)
-                            .expect("dimension invariant");
+                        let diff: Vec<f64> = mu.iter().zip(&xbar).map(|(m, x)| m - x).collect();
+                        let maha = lik_chol.mahalanobis_sq(&diff).expect("dimension invariant");
                         -0.5 * n_k * maha / base.kappa0()
                     };
                     let mut mu = xbar.clone();
@@ -708,8 +702,7 @@ mod tests {
     use proptest::prelude::*;
 
     fn unit_base(d: usize) -> NormalInverseWishart {
-        NormalInverseWishart::new(vec![0.0; d], 0.05, Matrix::identity(d), d as f64 + 2.0)
-            .unwrap()
+        NormalInverseWishart::new(vec![0.0; d], 0.05, Matrix::identity(d), d as f64 + 2.0).unwrap()
     }
 
     fn two_cluster_reports(per: usize, seed: u64) -> Vec<Vec<f64>> {
@@ -1017,7 +1010,10 @@ mod tests {
                 f.push(&x).unwrap();
             }
             let draws = f.map_mean_draws().to_vec();
-            (dro_edge::transfer::serialize_prior(&f.to_mixture_prior().unwrap()), draws)
+            (
+                dro_edge::transfer::serialize_prior(&f.to_mixture_prior().unwrap()),
+                draws,
+            )
         };
         assert_eq!(go(), dre_parallel::with_serial(go));
     }
@@ -1108,6 +1104,9 @@ mod tests {
         let mut f = SirDpFilter::new(unit_base(2), SirConfig::default()).unwrap();
         assert!(f.push(&[1.0]).is_err(), "dimension mismatch");
         assert!(f.push(&[f64::NAN, 0.0]).is_err(), "non-finite report");
-        assert!(f.to_mixture_prior().is_err(), "empty filter cannot collapse");
+        assert!(
+            f.to_mixture_prior().is_err(),
+            "empty filter cannot collapse"
+        );
     }
 }

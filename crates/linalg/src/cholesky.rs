@@ -52,10 +52,7 @@ impl Cholesky {
     /// Same as [`Cholesky::new`], with [`LinalgError::NotPositiveDefinite`]
     /// only after the jitter budget is exhausted.
     pub fn new_with_jitter(a: &Matrix, max_jitter: f64) -> Result<Self> {
-        let scale = a
-            .diag()
-            .iter()
-            .fold(1.0f64, |m, v| m.max(v.abs()));
+        let scale = a.diag().iter().fold(1.0f64, |m, v| m.max(v.abs()));
         let mut jitter = 1e-12 * scale;
         match Self::factor(a, 0.0) {
             Ok(c) => return Ok(c),
@@ -228,7 +225,9 @@ impl Cholesky {
     /// Reconstructs `A = L Lᵀ` (mainly for testing/diagnostics).
     pub fn reconstruct(&self) -> Matrix {
         // L·Lᵀ always conformable.
-        self.l.matmul(&self.l.transpose()).expect("dimension invariant")
+        self.l
+            .matmul(&self.l.transpose())
+            .expect("dimension invariant")
     }
 
     /// Factor of the scaled matrix `c·A`, i.e. `√c·L`, without touching `A`.
@@ -242,7 +241,9 @@ impl Cholesky {
     /// Returns [`LinalgError::NonFinite`] unless `c > 0` and finite.
     pub fn scaled(&self, c: f64) -> Result<Self> {
         if !(c > 0.0 && c.is_finite()) {
-            return Err(LinalgError::NonFinite { op: "cholesky scale" });
+            return Err(LinalgError::NonFinite {
+                op: "cholesky scale",
+            });
         }
         let s = c.sqrt();
         let mut l = self.l.clone();
@@ -331,7 +332,9 @@ impl Cholesky {
             });
         }
         if !v.iter().all(|x| x.is_finite()) {
-            return Err(LinalgError::NonFinite { op: "rank1_downdate" });
+            return Err(LinalgError::NonFinite {
+                op: "rank1_downdate",
+            });
         }
         // Work on a copy so a mid-pass failure leaves `self` intact.
         let mut l = self.l.clone();
@@ -363,12 +366,7 @@ mod tests {
     use proptest::prelude::*;
 
     fn spd3() -> Matrix {
-        Matrix::from_rows(&[
-            &[4.0, 2.0, 0.6],
-            &[2.0, 5.0, 1.0],
-            &[0.6, 1.0, 3.0],
-        ])
-        .unwrap()
+        Matrix::from_rows(&[&[4.0, 2.0, 0.6], &[2.0, 5.0, 1.0], &[0.6, 1.0, 3.0]]).unwrap()
     }
 
     #[test]
@@ -505,7 +503,11 @@ mod tests {
         let direct = a.add(&Matrix::outer(&v, &v)).unwrap();
         let expect = Cholesky::new(&direct).unwrap();
         assert!(
-            ch.factor_l().sub(expect.factor_l()).unwrap().frobenius_norm() < 1e-10
+            ch.factor_l()
+                .sub(expect.factor_l())
+                .unwrap()
+                .frobenius_norm()
+                < 1e-10
         );
         assert!(ch.rank1_update(&[1.0]).is_err());
         assert!(ch.rank1_update(&[f64::NAN, 0.0, 0.0]).is_err());
@@ -520,7 +522,11 @@ mod tests {
         ch.rank1_downdate(&v).unwrap();
         let expect = Cholesky::new(&a).unwrap();
         assert!(
-            ch.factor_l().sub(expect.factor_l()).unwrap().frobenius_norm() < 1e-9
+            ch.factor_l()
+                .sub(expect.factor_l())
+                .unwrap()
+                .frobenius_norm()
+                < 1e-9
         );
         assert!(ch.rank1_downdate(&[1.0]).is_err());
         assert!(ch.rank1_downdate(&[f64::INFINITY, 0.0, 0.0]).is_err());

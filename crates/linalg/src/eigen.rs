@@ -112,8 +112,7 @@ impl SymEigen {
         }
 
         // Extract and sort ascending.
-        let mut pairs: Vec<(f64, Vec<f64>)> =
-            (0..n).map(|i| (m[(i, i)], v.col(i))).collect();
+        let mut pairs: Vec<(f64, Vec<f64>)> = (0..n).map(|i| (m[(i, i)], v.col(i))).collect();
         pairs.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite eigenvalues"));
         let values: Vec<f64> = pairs.iter().map(|p| p.0).collect();
         let mut vectors = Matrix::zeros(n, n);
@@ -198,12 +197,8 @@ mod tests {
 
     #[test]
     fn eigenvectors_satisfy_definition() {
-        let a = Matrix::from_rows(&[
-            &[4.0, 1.0, 0.2],
-            &[1.0, 3.0, -0.5],
-            &[0.2, -0.5, 2.0],
-        ])
-        .unwrap();
+        let a =
+            Matrix::from_rows(&[&[4.0, 1.0, 0.2], &[1.0, 3.0, -0.5], &[0.2, -0.5, 2.0]]).unwrap();
         let e = SymEigen::new(&a).unwrap();
         for k in 0..3 {
             let v = e.eigenvectors().col(k);

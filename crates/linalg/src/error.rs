@@ -63,7 +63,10 @@ impl fmt::Display for LinalgError {
                 "matrix is not positive definite (pivot {pivot} = {value:.3e})"
             ),
             LinalgError::Singular { pivot } => {
-                write!(f, "matrix is singular to working precision at pivot {pivot}")
+                write!(
+                    f,
+                    "matrix is singular to working precision at pivot {pivot}"
+                )
             }
             LinalgError::NonFinite { op } => {
                 write!(f, "non-finite value encountered in {op}")
@@ -93,7 +96,10 @@ mod tests {
         assert!(msg.contains("2x3"));
         assert!(msg.contains("4x5"));
 
-        let e = LinalgError::NotPositiveDefinite { pivot: 3, value: -1.0 };
+        let e = LinalgError::NotPositiveDefinite {
+            pivot: 3,
+            value: -1.0,
+        };
         assert!(e.to_string().contains("positive definite"));
     }
 

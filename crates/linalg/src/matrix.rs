@@ -199,7 +199,9 @@ impl Matrix {
 
     /// Copies the main diagonal into a vector.
     pub fn diag(&self) -> Vec<f64> {
-        (0..self.rows.min(self.cols)).map(|i| self[(i, i)]).collect()
+        (0..self.rows.min(self.cols))
+            .map(|i| self[(i, i)])
+            .collect()
     }
 
     /// Sum of diagonal entries.
@@ -530,7 +532,10 @@ impl Index<(usize, usize)> for Matrix {
 
     #[inline]
     fn index(&self, (r, c): (usize, usize)) -> &f64 {
-        assert!(r < self.rows && c < self.cols, "index ({r},{c}) out of bounds");
+        assert!(
+            r < self.rows && c < self.cols,
+            "index ({r},{c}) out of bounds"
+        );
         &self.data[r * self.cols + c]
     }
 }
@@ -538,7 +543,10 @@ impl Index<(usize, usize)> for Matrix {
 impl IndexMut<(usize, usize)> for Matrix {
     #[inline]
     fn index_mut(&mut self, (r, c): (usize, usize)) -> &mut f64 {
-        assert!(r < self.rows && c < self.cols, "index ({r},{c}) out of bounds");
+        assert!(
+            r < self.rows && c < self.cols,
+            "index ({r},{c}) out of bounds"
+        );
         &mut self.data[r * self.cols + c]
     }
 }

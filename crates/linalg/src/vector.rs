@@ -194,9 +194,7 @@ pub fn all_finite(x: &[f64]) -> bool {
 /// Panics if `x.len() != y.len()`.
 pub fn max_abs_diff(x: &[f64], y: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len(), "max_abs_diff: length mismatch");
-    x.iter()
-        .zip(y)
-        .fold(0.0, |m, (a, b)| m.max((a - b).abs()))
+    x.iter().zip(y).fold(0.0, |m, (a, b)| m.max((a - b).abs()))
 }
 
 #[cfg(test)]

@@ -82,10 +82,7 @@ impl<'a, L: MarginLoss> ErmObjective<'a, L> {
         self.xs
             .iter()
             .zip(self.ys)
-            .map(|(x, &y)| {
-                self.loss
-                    .value(y * (dre_linalg::vector::dot(w, x) + b))
-            })
+            .map(|(x, &y)| self.loss.value(y * (dre_linalg::vector::dot(w, x) + b)))
             .sum::<f64>()
             / n
     }
@@ -103,8 +100,7 @@ impl<L: MarginLoss> Objective for ErmObjective<'_, L> {
 
     fn value(&self, packed: &[f64]) -> f64 {
         let (w, _) = split(packed);
-        self.empirical_risk(packed)
-            + 0.5 * self.lambda * dre_linalg::vector::dot(w, w)
+        self.empirical_risk(packed) + 0.5 * self.lambda * dre_linalg::vector::dot(w, w)
     }
 
     fn gradient(&self, packed: &[f64]) -> Vec<f64> {

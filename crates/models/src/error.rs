@@ -46,7 +46,9 @@ mod tests {
         assert!(ModelError::InvalidDataset { reason: "empty" }
             .to_string()
             .contains("empty"));
-        assert!(ModelError::InvalidLabel { label: 2.0 }.to_string().contains('2'));
+        assert!(ModelError::InvalidLabel { label: 2.0 }
+            .to_string()
+            .contains('2'));
         assert!(ModelError::InvalidParameter {
             param: "lambda",
             value: -1.0

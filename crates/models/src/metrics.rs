@@ -223,7 +223,15 @@ mod tests {
         let xs = vec![vec![1.0], vec![-1.0], vec![1.0], vec![-1.0]];
         let ys = vec![1.0, 1.0, -1.0, -1.0];
         let cm = confusion_matrix(&m, &xs, &ys).unwrap();
-        assert_eq!(cm, ConfusionMatrix { tp: 1, tn: 1, fp: 1, fn_: 1 });
+        assert_eq!(
+            cm,
+            ConfusionMatrix {
+                tp: 1,
+                tn: 1,
+                fp: 1,
+                fn_: 1
+            }
+        );
         assert_eq!(cm.precision(), 0.5);
         assert_eq!(cm.recall(), 0.5);
         assert_eq!(cm.f1(), 0.5);
@@ -236,7 +244,12 @@ mod tests {
         assert_eq!(empty.precision(), 1.0);
         assert_eq!(empty.recall(), 1.0);
         assert_eq!(empty.balanced_accuracy(), 1.0);
-        let no_pr = ConfusionMatrix { tp: 0, tn: 1, fp: 0, fn_: 1 };
+        let no_pr = ConfusionMatrix {
+            tp: 0,
+            tn: 1,
+            fp: 0,
+            fn_: 1,
+        };
         assert_eq!(no_pr.f1(), 0.0);
     }
 

@@ -271,7 +271,9 @@ mod tests {
     fn gradient_matches_finite_differences() {
         let (xs, ys) = three_class_data();
         let obj = SoftmaxObjective::new(&xs, &ys, 3, 0.2).unwrap();
-        let packed: Vec<f64> = (0..obj.dim()).map(|i| (i as f64 * 0.713).sin() * 0.4).collect();
+        let packed: Vec<f64> = (0..obj.dim())
+            .map(|i| (i as f64 * 0.713).sin() * 0.4)
+            .collect();
         let num = numerical_gradient(&obj, &packed, 1e-6);
         assert!(dre_linalg::vector::max_abs_diff(&num, &obj.gradient(&packed)) < 1e-6);
     }

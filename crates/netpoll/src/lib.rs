@@ -302,9 +302,7 @@ mod tests {
     fn waker_makes_descriptor_readable_and_drain_clears_it() {
         let waker = Waker::new().unwrap();
         let handle = waker.handle().unwrap();
-        std::thread::spawn(move || handle.wake())
-            .join()
-            .unwrap();
+        std::thread::spawn(move || handle.wake()).join().unwrap();
         let mut fds = [PollFd::new(waker.raw_fd(), true, false)];
         let n = poll(&mut fds, Some(Duration::from_secs(2))).unwrap();
         assert!(n >= 1);

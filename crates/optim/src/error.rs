@@ -34,7 +34,10 @@ impl fmt::Display for OptimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             OptimError::DimensionMismatch { expected, got } => {
-                write!(f, "dimension mismatch: objective has {expected}, start has {got}")
+                write!(
+                    f,
+                    "dimension mismatch: objective has {expected}, start has {got}"
+                )
             }
             OptimError::NonFiniteObjective { iteration } => {
                 write!(f, "non-finite objective value at iteration {iteration}")
@@ -57,17 +60,23 @@ mod tests {
 
     #[test]
     fn displays_are_informative() {
-        assert!(OptimError::DimensionMismatch { expected: 2, got: 3 }
-            .to_string()
-            .contains("2"));
+        assert!(OptimError::DimensionMismatch {
+            expected: 2,
+            got: 3
+        }
+        .to_string()
+        .contains("2"));
         assert!(OptimError::NonFiniteObjective { iteration: 7 }
             .to_string()
             .contains("7"));
         assert!(OptimError::LineSearchFailed { iteration: 3 }
             .to_string()
             .contains("line search"));
-        assert!(OptimError::InvalidParameter { param: "lr", value: -1.0 }
-            .to_string()
-            .contains("lr"));
+        assert!(OptimError::InvalidParameter {
+            param: "lr",
+            value: -1.0
+        }
+        .to_string()
+        .contains("lr"));
     }
 }

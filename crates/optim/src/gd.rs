@@ -109,7 +109,10 @@ mod tests {
             .unwrap();
         assert!(r.converged);
         // Solve A x = b directly for the truth.
-        let truth = dre_linalg::Cholesky::new(q.a()).unwrap().solve(q.b()).unwrap();
+        let truth = dre_linalg::Cholesky::new(q.a())
+            .unwrap()
+            .solve(q.b())
+            .unwrap();
         assert!(dre_linalg::vector::max_abs_diff(&r.x, &truth) < 1e-5);
         assert!(r.is_monotone(1e-12), "plain GD must be monotone");
         assert!(r.grad_norm <= 1e-4);
@@ -133,7 +136,10 @@ mod tests {
     #[test]
     fn zero_gradient_start_converges_immediately() {
         let q = quadratic();
-        let truth = dre_linalg::Cholesky::new(q.a()).unwrap().solve(q.b()).unwrap();
+        let truth = dre_linalg::Cholesky::new(q.a())
+            .unwrap()
+            .solve(q.b())
+            .unwrap();
         let r = GradientDescent::new(StopCriteria::default())
             .minimize(&q, &truth)
             .unwrap();

@@ -144,8 +144,8 @@ impl Lbfgs {
             }
             // Initial Hessian scaling γ = sᵀy / yᵀy from the newest pair.
             if let Some((s, y, _)) = pairs.back() {
-                let gamma = dre_linalg::vector::dot(s, y)
-                    / dre_linalg::vector::dot(y, y).max(1e-300);
+                let gamma =
+                    dre_linalg::vector::dot(s, y) / dre_linalg::vector::dot(y, y).max(1e-300);
                 dre_linalg::vector::scale(&mut q, gamma.max(1e-12));
             }
             for ((s, y, rho), &a) in pairs.iter().zip(alphas.iter().rev()) {
@@ -247,13 +247,15 @@ mod tests {
 
     #[test]
     fn solves_quadratic_exactly() {
-        let a = Matrix::from_rows(&[&[5.0, 1.0, 0.0], &[1.0, 4.0, 0.5], &[0.0, 0.5, 3.0]])
-            .unwrap();
+        let a = Matrix::from_rows(&[&[5.0, 1.0, 0.0], &[1.0, 4.0, 0.5], &[0.0, 0.5, 3.0]]).unwrap();
         let q = QuadraticObjective::new(a, vec![1.0, -2.0, 0.5], 2.0);
         let r = Lbfgs::new(StopCriteria::default())
             .minimize(&q, &[10.0, 10.0, 10.0])
             .unwrap();
-        let truth = dre_linalg::Cholesky::new(q.a()).unwrap().solve(q.b()).unwrap();
+        let truth = dre_linalg::Cholesky::new(q.a())
+            .unwrap()
+            .solve(q.b())
+            .unwrap();
         assert!(r.converged);
         assert!(dre_linalg::vector::max_abs_diff(&r.x, &truth) < 1e-6);
     }
@@ -348,8 +350,7 @@ mod tests {
             .run(
                 &(2usize..5, proptest::collection::vec(-3.0..3.0f64, 30)),
                 |(n, seed)| {
-                    let data: Vec<f64> =
-                        seed.iter().cycle().take(n * n).cloned().collect();
+                    let data: Vec<f64> = seed.iter().cycle().take(n * n).cloned().collect();
                     let b = Matrix::from_vec(n, n, data).unwrap();
                     let mut a = b.matmul(&b.transpose()).unwrap();
                     // Keep the condition number moderate so plain GD's
@@ -367,8 +368,7 @@ mod tests {
                     let gd = crate::GradientDescent::new(stop)
                         .minimize(&q, &start)
                         .unwrap();
-                    let truth =
-                        dre_linalg::Cholesky::new(&a).unwrap().solve(&rhs).unwrap();
+                    let truth = dre_linalg::Cholesky::new(&a).unwrap().solve(&rhs).unwrap();
                     prop_assert!(dre_linalg::vector::max_abs_diff(&lb.x, &truth) < 1e-5);
                     // GD can stall in x near machine-precision plateaus of
                     // f; agreement is asserted on objective values, which
@@ -450,8 +450,7 @@ mod tests {
             r.iterations
         );
 
-        let a = Matrix::from_rows(&[&[5.0, 1.0, 0.0], &[1.0, 4.0, 0.5], &[0.0, 0.5, 3.0]])
-            .unwrap();
+        let a = Matrix::from_rows(&[&[5.0, 1.0, 0.0], &[1.0, 4.0, 0.5], &[0.0, 0.5, 3.0]]).unwrap();
         let quadratic = Counting::new(QuadraticObjective::new(a, vec![1.0, -2.0, 0.5], 2.0));
         Lbfgs::new(StopCriteria::default())
             .minimize(&quadratic, &[10.0, 10.0, 10.0])
@@ -476,8 +475,7 @@ mod tests {
 
     #[test]
     fn quadratic_report_is_bit_identical_to_the_golden() {
-        let a = Matrix::from_rows(&[&[5.0, 1.0, 0.0], &[1.0, 4.0, 0.5], &[0.0, 0.5, 3.0]])
-            .unwrap();
+        let a = Matrix::from_rows(&[&[5.0, 1.0, 0.0], &[1.0, 4.0, 0.5], &[0.0, 0.5, 3.0]]).unwrap();
         let q = QuadraticObjective::new(a, vec![1.0, -2.0, 0.5], 2.0);
         let r = Lbfgs::new(StopCriteria::default())
             .minimize(&q, &[10.0, 10.0, 10.0])
@@ -502,8 +500,7 @@ mod tests {
 
     #[test]
     fn warm_start_from_an_empty_history_is_bit_identical_to_the_goldens() {
-        let a = Matrix::from_rows(&[&[5.0, 1.0, 0.0], &[1.0, 4.0, 0.5], &[0.0, 0.5, 3.0]])
-            .unwrap();
+        let a = Matrix::from_rows(&[&[5.0, 1.0, 0.0], &[1.0, 4.0, 0.5], &[0.0, 0.5, 3.0]]).unwrap();
         let q = QuadraticObjective::new(a, vec![1.0, -2.0, 0.5], 2.0);
         let mut history = LbfgsHistory::default();
         let r = Lbfgs::new(StopCriteria::default())
@@ -558,11 +555,16 @@ mod tests {
         let solver = Lbfgs::new(StopCriteria::default());
         let mut history = LbfgsHistory::default();
         let q2 = QuadraticObjective::new(Matrix::from_diag(&[1.0, 2.0]), vec![1.0, 1.0], 0.0);
-        solver.minimize_warm(&q2, &[3.0, 3.0], &mut history).unwrap();
+        solver
+            .minimize_warm(&q2, &[3.0, 3.0], &mut history)
+            .unwrap();
         let q3 = QuadraticObjective::new(Matrix::identity(3), vec![1.0; 3], 0.0);
         assert!(matches!(
             solver.minimize_warm(&q3, &[0.0; 3], &mut history),
-            Err(OptimError::DimensionMismatch { expected: 3, got: 2 })
+            Err(OptimError::DimensionMismatch {
+                expected: 3,
+                got: 2
+            })
         ));
     }
 
@@ -573,11 +575,7 @@ mod tests {
     }
 
     const QUADRATIC_GOLDEN: Golden = (
-        &[
-            0x3FD4A9E6BEC6C36A,
-            0xBFE3A8C0D9F71373,
-            0x3FD138403D8132F0,
-        ],
+        &[0x3FD4A9E6BEC6C36A, 0xBFE3A8C0D9F71373, 0x3FD138403D8132F0],
         0x3FF282DEB5619417,
         0x3E60B9BD51800000,
         &[
@@ -596,10 +594,7 @@ mod tests {
     );
 
     const ROSENBROCK_GOLDEN: Golden = (
-        &[
-            0x3FF00000000179EB,
-            0x3FF000000002EE5A,
-        ],
+        &[0x3FF00000000179EB, 0x3FF000000002EE5A],
         0x3B81CD2E9FC80000,
         0x3DE70B2C000194D0,
         &[
@@ -654,7 +649,10 @@ mod tests {
             .minimize(&q, &[5.0, -5.0])
             .unwrap();
         assert!(r.converged);
-        let truth = dre_linalg::Cholesky::new(q.a()).unwrap().solve(q.b()).unwrap();
+        let truth = dre_linalg::Cholesky::new(q.a())
+            .unwrap()
+            .solve(q.b())
+            .unwrap();
         assert!(dre_linalg::vector::max_abs_diff(&r.x, &truth) < 1e-5);
     }
 }

@@ -292,7 +292,9 @@ mod tests {
     use crate::FnObjective;
 
     fn parabola() -> FnObjective<impl Fn(&[f64]) -> (f64, Vec<f64>)> {
-        FnObjective::new(1, |x: &[f64]| ((x[0] - 2.0).powi(2), vec![2.0 * (x[0] - 2.0)]))
+        FnObjective::new(1, |x: &[f64]| {
+            ((x[0] - 2.0).powi(2), vec![2.0 * (x[0] - 2.0)])
+        })
     }
 
     #[test]

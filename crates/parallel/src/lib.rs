@@ -144,8 +144,7 @@ where
 {
     let mut slots: Vec<Option<A>> = (0..num_chunks).map(|_| None).collect();
     // Round-robin the chunk slots into one disjoint bucket per worker.
-    let mut buckets: Vec<Vec<(usize, &mut Option<A>)>> =
-        (0..workers).map(|_| Vec::new()).collect();
+    let mut buckets: Vec<Vec<(usize, &mut Option<A>)>> = (0..workers).map(|_| Vec::new()).collect();
     for (c, slot) in slots.iter_mut().enumerate() {
         buckets[c % workers].push((c, slot));
     }
@@ -431,7 +430,8 @@ mod tests {
     fn sum_is_bit_identical_serial_vs_parallel() {
         let _mode = mode_lock();
         // Terms of wildly different magnitudes make association visible.
-        let f = |i: usize| (1.0f64 / (1 + i) as f64) * if i.is_multiple_of(2) { 1e10 } else { 1e-10 };
+        let f =
+            |i: usize| (1.0f64 / (1 + i) as f64) * if i.is_multiple_of(2) { 1e10 } else { 1e-10 };
         let par = par_sum_indexed(100_000, f);
         let ser = with_serial(|| par_sum_indexed(100_000, f));
         assert_eq!(par.to_bits(), ser.to_bits());
@@ -447,18 +447,14 @@ mod tests {
             }
         });
         assert_eq!(r.unwrap_err(), 777);
-        let ok: std::result::Result<Vec<usize>, usize> =
-            par_try_map_indexed_min(500, 1, Ok);
+        let ok: std::result::Result<Vec<usize>, usize> = par_try_map_indexed_min(500, 1, Ok);
         assert_eq!(ok.unwrap().len(), 500);
     }
 
     #[test]
     fn fold_chunks_has_fixed_boundaries() {
         let parts = par_fold_chunks(REDUCE_CHUNK * 3 + 5, || 0usize, |a, _| a + 1);
-        assert_eq!(
-            parts,
-            vec![REDUCE_CHUNK, REDUCE_CHUNK, REDUCE_CHUNK, 5]
-        );
+        assert_eq!(parts, vec![REDUCE_CHUNK, REDUCE_CHUNK, REDUCE_CHUNK, 5]);
     }
 
     #[test]

@@ -145,10 +145,7 @@ impl MvNormal {
     /// Draws one sample `μ + L·z` with `z` standard normal.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<f64> {
         let z: Vec<f64> = (0..self.dim()).map(|_| standard_normal(rng)).collect();
-        let mut x = self
-            .chol
-            .factor_matvec(&z)
-            .expect("dimension invariant");
+        let mut x = self.chol.factor_matvec(&z).expect("dimension invariant");
         for (xi, mi) in x.iter_mut().zip(&self.mean) {
             *xi += mi;
         }

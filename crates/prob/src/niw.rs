@@ -62,7 +62,11 @@ impl NiwSufficientStats {
     ///
     /// Panics when `x.len() != self.dim()`.
     pub fn insert(&mut self, x: &[f64]) {
-        assert_eq!(x.len(), self.sum.len(), "sufficient stats dimension mismatch");
+        assert_eq!(
+            x.len(),
+            self.sum.len(),
+            "sufficient stats dimension mismatch"
+        );
         self.n += 1;
         for (s, &v) in self.sum.iter_mut().zip(x) {
             *s += v;
@@ -80,7 +84,11 @@ impl NiwSufficientStats {
     ///
     /// Panics when `x.len() != self.dim()` or when the statistics are empty.
     pub fn remove(&mut self, x: &[f64]) {
-        assert_eq!(x.len(), self.sum.len(), "sufficient stats dimension mismatch");
+        assert_eq!(
+            x.len(),
+            self.sum.len(),
+            "sufficient stats dimension mismatch"
+        );
         assert!(self.n > 0, "cannot remove from empty sufficient stats");
         self.n -= 1;
         for (s, &v) in self.sum.iter_mut().zip(x) {
@@ -321,9 +329,7 @@ impl NormalInverseWishart {
                 value: dof,
             });
         }
-        let scale = self
-            .psi0
-            .scaled((self.kappa0 + 1.0) / (self.kappa0 * dof));
+        let scale = self.psi0.scaled((self.kappa0 + 1.0) / (self.kappa0 * dof));
         MvStudentT::new(dof, self.mu0.clone(), &scale)
     }
 
@@ -342,12 +348,13 @@ impl NormalInverseWishart {
         let post = self.posterior(stats)?;
         let ld0 = Cholesky::new_with_jitter(&self.psi0, 1e-9)?.log_det();
         let ldn = Cholesky::new_with_jitter(&post.psi0, 1e-9)?.log_det();
-        Ok(-0.5 * n * d * LN_PI
-            + ln_mv_gamma(self.dim(), 0.5 * post.nu0)
-            - ln_mv_gamma(self.dim(), 0.5 * self.nu0)
-            + 0.5 * self.nu0 * ld0
-            - 0.5 * post.nu0 * ldn
-            + 0.5 * d * (self.kappa0.ln() - post.kappa0.ln()))
+        Ok(
+            -0.5 * n * d * LN_PI + ln_mv_gamma(self.dim(), 0.5 * post.nu0)
+                - ln_mv_gamma(self.dim(), 0.5 * self.nu0)
+                + 0.5 * self.nu0 * ld0
+                - 0.5 * post.nu0 * ldn
+                + 0.5 * d * (self.kappa0.ln() - post.kappa0.ln()),
+        )
     }
 }
 
@@ -378,7 +385,12 @@ mod tests {
 
     #[test]
     fn scatter_matches_direct_computation() {
-        let pts = vec![vec![1.0, 0.0], vec![-1.0, 0.0], vec![0.0, 2.0], vec![0.0, -2.0]];
+        let pts = vec![
+            vec![1.0, 0.0],
+            vec![-1.0, 0.0],
+            vec![0.0, 2.0],
+            vec![0.0, -2.0],
+        ];
         let s = stats_from(&pts);
         let sc = s.scatter();
         // Mean is 0; scatter = Σ x xᵀ = diag(2, 8).

@@ -229,7 +229,11 @@ impl NiwPosteriorCache {
         let kappa = self.kappa();
         let coef = kappa / (kappa + 1.0);
         let s = coef.sqrt();
-        let w: Vec<f64> = x.iter().zip(&self.mu).map(|(xi, mi)| s * (xi - mi)).collect();
+        let w: Vec<f64> = x
+            .iter()
+            .zip(&self.mu)
+            .map(|(xi, mi)| s * (xi - mi))
+            .collect();
         if !dre_linalg::vector::all_finite(&w) {
             return Err(LinalgError::NonFinite { op: "rank1_update" }.into());
         }
@@ -276,7 +280,11 @@ impl NiwPosteriorCache {
         let kappa_m = self.kappa();
         let coef = kappa_m / (kappa_m + 1.0);
         let s = coef.sqrt();
-        let w: Vec<f64> = x.iter().zip(&self.mu).map(|(xi, mi)| s * (xi - mi)).collect();
+        let w: Vec<f64> = x
+            .iter()
+            .zip(&self.mu)
+            .map(|(xi, mi)| s * (xi - mi))
+            .collect();
         let fell_back = match self.chol.rank1_downdate(&w) {
             Ok(()) => false,
             Err(LinalgError::NotPositiveDefinite { .. }) => {
@@ -301,8 +309,7 @@ impl NiwPosteriorCache {
             return 0.0;
         }
         let d = self.dim() as f64;
-        -0.5 * n * d * LN_PI
-            + ln_mv_gamma(self.dim(), 0.5 * self.nu())
+        -0.5 * n * d * LN_PI + ln_mv_gamma(self.dim(), 0.5 * self.nu())
             - ln_mv_gamma(self.dim(), 0.5 * self.prior.nu0())
             + 0.5 * self.prior.nu0() * self.prior_log_det
             - 0.5 * self.nu() * self.chol.log_det()
@@ -335,7 +342,11 @@ impl NiwPosteriorCache {
     /// sufficient statistics, with a scale-relative jitter budget.
     fn refactorize(&mut self) -> Result<()> {
         let post = self.prior.posterior(&self.stats)?;
-        let scale = post.psi0().diag().iter().fold(1.0f64, |m, v| m.max(v.abs()));
+        let scale = post
+            .psi0()
+            .diag()
+            .iter()
+            .fold(1.0f64, |m, v| m.max(v.abs()));
         self.chol = Cholesky::new_with_jitter(post.psi0(), FALLBACK_JITTER_REL * scale)?;
         self.mu = post.mu0().to_vec();
         self.rebuild_predictive()
@@ -403,7 +414,9 @@ mod tests {
             .zip(post.mu0())
             .map(|(a, b)| (a - b).abs())
             .fold(0.0f64, f64::max);
-        let direct_ld = Cholesky::new_with_jitter(post.psi0(), 1e-9).unwrap().log_det();
+        let direct_ld = Cholesky::new_with_jitter(post.psi0(), 1e-9)
+            .unwrap()
+            .log_det();
         dev = dev.max((cache.psi_log_det() - direct_ld).abs());
         dev = dev.max((pred.scale_log_det() - cache.predictive().scale_log_det()).abs());
         for q in queries {
@@ -462,8 +475,7 @@ mod tests {
         let pts: Vec<Vec<f64>> = (0..12)
             .map(|_| (0..3).map(|_| rng.gen_range(-2.0..2.0)).collect())
             .collect();
-        let stats =
-            NiwSufficientStats::from_points(3, pts.iter().map(|p| p.as_slice()));
+        let stats = NiwSufficientStats::from_points(3, pts.iter().map(|p| p.as_slice()));
         let direct = NiwPosteriorCache::with_stats(&prior, &stats).unwrap();
         let mut incr = NiwPosteriorCache::new(&prior).unwrap();
         for p in &pts {
@@ -488,13 +500,9 @@ mod tests {
         // fallback rebuilds from exact sufficient statistics, so the empty
         // posterior is recovered *exactly*), and the fallback must fire for
         // at least one of them.
-        let prior = NormalInverseWishart::new(
-            vec![0.0, 0.0],
-            1.0,
-            Matrix::identity(2).scaled(1e-10),
-            5.0,
-        )
-        .unwrap();
+        let prior =
+            NormalInverseWishart::new(vec![0.0, 0.0], 1.0, Matrix::identity(2).scaled(1e-10), 5.0)
+                .unwrap();
         let empty = NiwSufficientStats::new(2);
         let mut fallbacks = 0;
         for i in 0..12 {

@@ -173,9 +173,7 @@ impl Distribution for Gamma {
                 continue;
             }
             let u: f64 = rng.gen_range(0.0..1.0);
-            if u < 1.0 - 0.0331 * x.powi(4)
-                || u.ln() < 0.5 * x * x + d * (1.0 - v + v.ln())
-            {
+            if u < 1.0 - 0.0331 * x.powi(4) || u.ln() < 0.5 * x * x + d * (1.0 - v + v.ln()) {
                 return d * v / self.rate;
             }
         }
@@ -476,13 +474,15 @@ impl CategoricalScratch {
         }
         *self.cdf.last_mut().expect("nonempty") = 1.0;
         let u: f64 = rng.gen_range(0.0..1.0);
-        Ok(match self
-            .cdf
-            .binary_search_by(|c| c.partial_cmp(&u).expect("finite cdf"))
-        {
-            Ok(i) => (i + 1).min(self.cdf.len() - 1),
-            Err(i) => i,
-        })
+        Ok(
+            match self
+                .cdf
+                .binary_search_by(|c| c.partial_cmp(&u).expect("finite cdf"))
+            {
+                Ok(i) => (i + 1).min(self.cdf.len() - 1),
+                Err(i) => i,
+            },
+        )
     }
 }
 
@@ -721,7 +721,9 @@ mod tests {
                 assert_eq!(a, b, "weights {logw:?}");
             }
         }
-        assert!(scratch.sample_from_log_weights(&[], &mut seeded_rng(1)).is_err());
+        assert!(scratch
+            .sample_from_log_weights(&[], &mut seeded_rng(1))
+            .is_err());
         assert!(scratch
             .sample_from_log_weights(&[f64::NAN, 0.0], &mut seeded_rng(1))
             .is_err());
@@ -787,7 +789,10 @@ mod tests {
                 crate::special::reg_lower_gamma(shape, rate * x.max(0.0))
             });
             // 1% critical value for n = 5000 is ≈ 1.63/√n ≈ 0.023.
-            assert!(d < 0.023, "KS statistic {d} too large for Γ({shape},{rate})");
+            assert!(
+                d < 0.023,
+                "KS statistic {d} too large for Γ({shape},{rate})"
+            );
         }
     }
 
@@ -797,7 +802,10 @@ mod tests {
         let n = Normal::new(-1.0, 2.5).unwrap();
         let mut xs = n.sample_n(&mut rng, 5000);
         let d = ks_statistic(&mut xs, |x| n.cdf(x));
-        assert!(d < 0.023, "KS statistic {d} too large for the normal sampler");
+        assert!(
+            d < 0.023,
+            "KS statistic {d} too large for the normal sampler"
+        );
     }
 
     proptest! {

@@ -64,9 +64,12 @@ mod tests {
 
     #[test]
     fn displays_and_chaining() {
-        assert!(RobustError::InvalidParameter { param: "radius", value: -1.0 }
-            .to_string()
-            .contains("radius"));
+        assert!(RobustError::InvalidParameter {
+            param: "radius",
+            value: -1.0
+        }
+        .to_string()
+        .contains("radius"));
         assert!(RobustError::LossNotLipschitz { loss: "squared" }
             .to_string()
             .contains("squared"));

@@ -195,9 +195,8 @@ impl<'a, L: MarginLoss> WassersteinDualObjective<'a, L> {
 
     fn gamma(&self, w: &[f64], s: f64) -> f64 {
         let l = self.loss.margin_lipschitz();
-        let norm = (dre_linalg::vector::dot(w, w)
-            + self.smoothing.delta * self.smoothing.delta)
-            .sqrt();
+        let norm =
+            (dre_linalg::vector::dot(w, w) + self.smoothing.delta * self.smoothing.delta).sqrt();
         l * norm + softplus(s)
     }
 
@@ -291,9 +290,8 @@ impl<L: MarginLoss> Objective for WassersteinDualObjective<'_, L> {
         let tau = self.smoothing.tau;
         let l = self.loss.margin_lipschitz();
 
-        let norm = (dre_linalg::vector::dot(w, w)
-            + self.smoothing.delta * self.smoothing.delta)
-            .sqrt();
+        let norm =
+            (dre_linalg::vector::dot(w, w) + self.smoothing.delta * self.smoothing.delta).sqrt();
         let gamma = l * norm + softplus(s);
         let gamma_kappa = gamma * kappa;
 
@@ -824,10 +822,7 @@ mod tests {
                     tau: 0.05,
                     delta: 1e-6,
                 });
-            for packed in [
-                vec![0.3, -0.5, 0.1, 0.2],
-                vec![1.0, 1.0, -0.5, -1.0],
-            ] {
+            for packed in [vec![0.3, -0.5, 0.1, 0.2], vec![1.0, 1.0, -0.5, -1.0]] {
                 let num = numerical_gradient(&obj, &packed, 1e-6);
                 let ana = obj.gradient(&packed);
                 assert!(
@@ -890,11 +885,21 @@ mod tests {
         // Minimize the smoothed dual, then compare with the exact risk of
         // the resulting model: they must agree to within the smoothing gap.
         let start = obj.initial_point(&LinearModel::zeros(2));
-        let r = Lbfgs::new(StopCriteria::default()).minimize(&obj, &start).unwrap();
+        let r = Lbfgs::new(StopCriteria::default())
+            .minimize(&obj, &start)
+            .unwrap();
         let (model, gamma) = obj.unpack(&r.x);
         let exact = obj.exact_robust_risk(&model);
-        assert!(r.value >= exact - 1e-9, "smoothed {r} must be ≥ exact {exact}", r = r.value);
-        assert!(r.value - exact < 0.01, "gap too large: {} vs {exact}", r.value);
+        assert!(
+            r.value >= exact - 1e-9,
+            "smoothed {r} must be ≥ exact {exact}",
+            r = r.value
+        );
+        assert!(
+            r.value - exact < 0.01,
+            "gap too large: {} vs {exact}",
+            r.value
+        );
         // Dual feasibility by construction.
         assert!(gamma >= model.weight_norm() - 1e-12);
     }

@@ -43,7 +43,11 @@ pub fn feature_shift_attack(
     // no intermediate copy of the original row.
     Ok(dre_parallel::par_map_indexed(xs.len(), |i| {
         let scale = -ys[i] * budget;
-        xs[i].iter().zip(&dir).map(|(xi, di)| xi + scale * di).collect()
+        xs[i]
+            .iter()
+            .zip(&dir)
+            .map(|(xi, di)| xi + scale * di)
+            .collect()
     }))
 }
 
@@ -67,9 +71,11 @@ pub fn adversarial_accuracy(
     let attacked = feature_shift_attack(model, xs, ys, budget)?;
     // An exact integer count commutes, so the parallel tally is independent
     // of chunking; the division happens once at the end.
-    let correct: usize = dre_parallel::par_fold_chunks(attacked.len(), || 0usize, |acc, i| {
-        acc + usize::from(model.predict(&attacked[i]) == ys[i])
-    })
+    let correct: usize = dre_parallel::par_fold_chunks(
+        attacked.len(),
+        || 0usize,
+        |acc, i| acc + usize::from(model.predict(&attacked[i]) == ys[i]),
+    )
     .into_iter()
     .sum();
     Ok(correct as f64 / xs.len() as f64)
@@ -127,7 +133,12 @@ mod tests {
 
     fn setup() -> (LinearModel, Vec<Vec<f64>>, Vec<f64>) {
         let model = LinearModel::new(vec![2.0, 0.0], 0.0);
-        let xs = vec![vec![1.0, 0.0], vec![0.3, 1.0], vec![-1.0, 0.5], vec![-0.4, -1.0]];
+        let xs = vec![
+            vec![1.0, 0.0],
+            vec![0.3, 1.0],
+            vec![-1.0, 0.5],
+            vec![-0.4, -1.0],
+        ];
         let ys = vec![1.0, 1.0, -1.0, -1.0];
         (model, xs, ys)
     }

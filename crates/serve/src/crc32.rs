@@ -27,7 +27,11 @@ const fn build_tables() -> [[u32; 256]; 8] {
         let mut crc = i as u32;
         let mut bit = 0;
         while bit < 8 {
-            crc = if crc & 1 != 0 { (crc >> 1) ^ POLY } else { crc >> 1 };
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ POLY
+            } else {
+                crc >> 1
+            };
             bit += 1;
         }
         tables[0][i] = crc;
@@ -138,11 +142,7 @@ mod tests {
             for flip in 1..=255u8 {
                 let mut corrupted = base.clone();
                 corrupted[i] ^= flip;
-                assert_ne!(
-                    crc32(&corrupted),
-                    reference,
-                    "byte {i} xor {flip} collided"
-                );
+                assert_ne!(crc32(&corrupted), reference, "byte {i} xor {flip} collided");
             }
         }
     }

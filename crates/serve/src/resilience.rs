@@ -313,9 +313,10 @@ mod tests {
             .filter(|t| t.to == BreakerState::Open)
             .count();
         assert!(reopens >= 2, "probes must keep re-opening on failure");
-        assert!(transitions
-            .iter()
-            .all(|t| t.to != BreakerState::Closed), "link never healed");
+        assert!(
+            transitions.iter().all(|t| t.to != BreakerState::Closed),
+            "link never healed"
+        );
     }
 
     #[test]

@@ -279,12 +279,9 @@ mod tests {
 
     fn registered_state() -> Arc<ServerState> {
         let state = Arc::new(ServerState::new());
-        let prior = dre_bayes::MixturePrior::new(vec![(
-            1.0,
-            vec![0.5, -0.5, 0.0],
-            Matrix::identity(3),
-        )])
-        .unwrap();
+        let prior =
+            dre_bayes::MixturePrior::new(vec![(1.0, vec![0.5, -0.5, 0.0], Matrix::identity(3))])
+                .unwrap();
         state.register_prior(TASK, &prior);
         state
     }

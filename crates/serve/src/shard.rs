@@ -62,9 +62,7 @@ pub fn default_shards() -> usize {
 /// every participant computing identical placements from the same
 /// `(key, seed)`.
 pub fn stable_shard_hash(key: u64, seed: u64) -> u64 {
-    let mut z = key
-        .wrapping_add(seed)
-        .wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = key.wrapping_add(seed).wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
@@ -216,7 +214,9 @@ impl ShardMap {
     /// Effective replication factor: the configured factor clamped to the
     /// member count (and at least 1).
     pub fn replication(&self) -> usize {
-        (self.wire.replication as usize).max(1).min(self.len().max(1))
+        (self.wire.replication as usize)
+            .max(1)
+            .min(self.len().max(1))
     }
 
     /// The task's owner shard indices, primary first.
@@ -871,7 +871,12 @@ mod tests {
         for task in [1u64, 2] {
             for &owner in &plane.shard_map().owners(task) {
                 assert!(
-                    plane.handle(owner).unwrap().state().prior_entry(task).is_some(),
+                    plane
+                        .handle(owner)
+                        .unwrap()
+                        .state()
+                        .prior_entry(task)
+                        .is_some(),
                     "task {task} missing on owner {owner} after rebalance"
                 );
             }

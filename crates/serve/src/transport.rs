@@ -89,10 +89,12 @@ impl TcpTransport {
         read: Option<Duration>,
         write: Option<Duration>,
     ) -> Result<Self> {
-        stream.set_read_timeout(read).map_err(|source| ServeError::Io {
-            op: "set_read_timeout",
-            source,
-        })?;
+        stream
+            .set_read_timeout(read)
+            .map_err(|source| ServeError::Io {
+                op: "set_read_timeout",
+                source,
+            })?;
         stream
             .set_write_timeout(write)
             .map_err(|source| ServeError::Io {
@@ -105,10 +107,12 @@ impl TcpTransport {
 
 impl Transport for TcpTransport {
     fn send(&mut self, bytes: &[u8]) -> Result<()> {
-        self.stream.write_all(bytes).map_err(|source| ServeError::Io {
-            op: "write",
-            source,
-        })
+        self.stream
+            .write_all(bytes)
+            .map_err(|source| ServeError::Io {
+                op: "write",
+                source,
+            })
     }
 
     fn recv_exact(&mut self, buf: &mut [u8]) -> Result<()> {
@@ -164,9 +168,7 @@ pub fn read_step(stream: &mut TcpStream, buf: &mut [u8]) -> Result<IoStep> {
         match stream.read(buf) {
             Ok(0) => return Ok(IoStep::Eof),
             Ok(n) => return Ok(IoStep::Progress(n)),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                return Ok(IoStep::WouldBlock)
-            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(IoStep::WouldBlock),
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(source) => return Err(ServeError::Io { op: "read", source }),
         }
@@ -189,11 +191,14 @@ pub fn write_step(stream: &mut TcpStream, buf: &[u8]) -> Result<IoStep> {
                 })
             }
             Ok(n) => return Ok(IoStep::Progress(n)),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                return Ok(IoStep::WouldBlock)
-            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(IoStep::WouldBlock),
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(source) => return Err(ServeError::Io { op: "write", source }),
+            Err(source) => {
+                return Err(ServeError::Io {
+                    op: "write",
+                    source,
+                })
+            }
         }
     }
 }
@@ -256,12 +261,13 @@ impl Connector for TcpConnector {
     type Transport = TcpTransport;
 
     fn connect(&mut self) -> Result<TcpTransport> {
-        let stream = TcpStream::connect_timeout(&self.addr, self.connect_timeout).map_err(
-            |source| ServeError::Io {
-                op: "connect",
-                source,
-            },
-        )?;
+        let stream =
+            TcpStream::connect_timeout(&self.addr, self.connect_timeout).map_err(|source| {
+                ServeError::Io {
+                    op: "connect",
+                    source,
+                }
+            })?;
         // Request/response over a persistent stream is the worst case for
         // Nagle + delayed-ACK: the next small request frame would sit
         // queued behind the unacked previous response. Best-effort — a
@@ -376,7 +382,11 @@ impl FaultInjector {
     /// Applies the fault schedule to one exchange: the request bytes go in,
     /// the (possibly mangled) response bytes come out — or `Err` when the
     /// connection was dropped.
-    fn exchange(&mut self, request: &[u8], respond: impl FnOnce(&[u8]) -> Vec<u8>) -> Result<Vec<u8>> {
+    fn exchange(
+        &mut self,
+        request: &[u8],
+        respond: impl FnOnce(&[u8]) -> Vec<u8>,
+    ) -> Result<Vec<u8>> {
         if self.step < self.config.partition_until {
             // Hard drop, before any RNG roll: the fault schedule after the
             // partition heals is identical to a run that never had one.
@@ -581,8 +591,7 @@ mod tests {
             ..FaultConfig::default()
         };
         let run = || {
-            let mut conn =
-                FaultyConnector::new(Echo, FaultInjector::new(99, config.clone()));
+            let mut conn = FaultyConnector::new(Echo, FaultInjector::new(99, config.clone()));
             let mut outcomes = Vec::new();
             for i in 0..50 {
                 let mut t = conn.connect().unwrap();

@@ -52,9 +52,11 @@ fn every_single_byte_corruption_is_caught() {
                     prop_assert_eq!(decoded.num_components(), k);
                     prop_assert_eq!(decoded.dim(), d);
                 }
-                other => return Err(proptest::test_runner::TestCaseError::fail(format!(
-                    "clean frame failed to decode: {other:?}"
-                ))),
+                other => {
+                    return Err(proptest::test_runner::TestCaseError::fail(format!(
+                        "clean frame failed to decode: {other:?}"
+                    )))
+                }
             }
 
             // Corrupting any single byte (by a case-chosen XOR pattern)
@@ -120,7 +122,12 @@ fn control_plane_kinds_round_trip_and_reject_every_single_byte_corruption() {
     for msg in &messages {
         let framed = frame::encode(msg);
         match (msg, frame::decode(&framed).expect("clean frame decodes")) {
-            (Message::Busy { retry_after_ms }, Message::Busy { retry_after_ms: back }) => {
+            (
+                Message::Busy { retry_after_ms },
+                Message::Busy {
+                    retry_after_ms: back,
+                },
+            ) => {
                 assert_eq!(*retry_after_ms, back)
             }
             (Message::Health, Message::Health) => {}
@@ -299,9 +306,9 @@ fn report_plane_kinds_reject_every_single_byte_corruption() {
                         "ack byte {pos} xor {flip:#04x} slipped through as {}",
                         m.kind_name()
                     ),
-                    Err(other) => panic!(
-                        "ack byte {pos} xor {flip:#04x}: unexpected error class {other}"
-                    ),
+                    Err(other) => {
+                        panic!("ack byte {pos} xor {flip:#04x}: unexpected error class {other}")
+                    }
                 }
             }
         }

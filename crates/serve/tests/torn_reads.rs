@@ -49,11 +49,8 @@ fn concurrent_reregistration_never_tears_a_frame() {
 
     // Every payload any reader may legally observe, keyed back to its
     // generation.
-    let legal: Arc<HashMap<Vec<u8>, u64>> = Arc::new(
-        (1..=GENERATIONS)
-            .map(|g| (payload_for(g), g))
-            .collect(),
-    );
+    let legal: Arc<HashMap<Vec<u8>, u64>> =
+        Arc::new((1..=GENERATIONS).map(|g| (payload_for(g), g)).collect());
 
     let done = Arc::new(AtomicBool::new(false));
     // Readers that have completed a fetch; the writer waits for all of
@@ -66,9 +63,8 @@ fn concurrent_reregistration_never_tears_a_frame() {
             let done = Arc::clone(&done);
             let started = Arc::clone(&started);
             std::thread::spawn(move || {
-                let mut client =
-                    PriorClient::new(TcpConnector::new(addr), RetryPolicy::default())
-                        .keep_alive(true);
+                let mut client = PriorClient::new(TcpConnector::new(addr), RetryPolicy::default())
+                    .keep_alive(true);
                 let mut buf = Vec::new();
                 let mut last_generation = 0u64;
                 let mut observed = 0u64;

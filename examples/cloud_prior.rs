@@ -33,8 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("collapsed Gibbs", PriorFitMethod::CollapsedGibbs),
         ("variational EM", PriorFitMethod::Variational),
     ] {
-        let cloud =
-            CloudKnowledge::from_source_models(thetas.clone(), 1.0, method, &mut rng)?;
+        let cloud = CloudKnowledge::from_source_models(thetas.clone(), 1.0, method, &mut rng)?;
         println!(
             "{name:>16}: {} clusters discovered, prior has {} components, {} bytes",
             cloud.discovered_clusters(),
@@ -42,7 +41,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             cloud.transfer_size_bytes(),
         );
         for (k, comp) in cloud.prior().components().iter().enumerate() {
-            let head: Vec<String> = comp.mean().iter().take(3).map(|v| format!("{v:+.2}")).collect();
+            let head: Vec<String> = comp
+                .mean()
+                .iter()
+                .take(3)
+                .map(|v| format!("{v:+.2}"))
+                .collect();
             println!(
                 "        component {k}: weight {:.3}, mean ≈ [{} …]",
                 comp.weight(),

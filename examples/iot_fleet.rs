@@ -33,8 +33,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let test = task.generate(500, &mut rng);
         let erm = baselines::fit_local_erm(&train, 1e-3)?;
         acc_edge += metrics::accuracy(&erm, test.features(), test.labels())?;
-        let fit = EdgeLearner::new(EdgeLearnerConfig::default(), cloud.prior().clone())?
-            .fit(&train)?;
+        let fit =
+            EdgeLearner::new(EdgeLearnerConfig::default(), cloud.prior().clone())?.fit(&train)?;
         acc_prior += metrics::accuracy(&fit.model, test.features(), test.labels())?;
     }
     acc_edge /= fleet as f64;
@@ -123,7 +123,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:<22} {:>8} {:>10} {:>10} {:>14}",
         "retry budget", "mode", "attempts", "dropped", "makespan (ms)"
     );
-    for (name, max_attempts) in [("4 attempts (rides it)", 4u32), ("2 attempts (gives up)", 2)] {
+    for (name, max_attempts) in [
+        ("4 attempts (rides it)", 4u32),
+        ("2 attempts (gives up)", 2),
+    ] {
         let report = outage(max_attempts);
         let d = &report.devices[0]; // homogeneous fleet: all devices agree
         println!(

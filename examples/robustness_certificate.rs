@@ -34,8 +34,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for radius in [0.0, 0.1, 0.25, 0.5, 1.0] {
         let ball = WassersteinBall::features_only(radius)?;
         let cert_erm = certify(&erm, train.features(), train.labels(), LogisticLoss, ball)?;
-        let cert_dro =
-            certify(&dro_dp, train.features(), train.labels(), LogisticLoss, ball)?;
+        let cert_dro = certify(
+            &dro_dp,
+            train.features(),
+            train.labels(),
+            LogisticLoss,
+            ball,
+        )?;
         let adv_erm = adversarial_accuracy(&erm, eval.features(), eval.labels(), radius)?;
         let adv_dro = adversarial_accuracy(&dro_dp, eval.features(), eval.labels(), radius)?;
         println!(

@@ -28,12 +28,12 @@
 use std::time::Duration;
 
 use dre_data::{TaskFamily, TaskFamilyConfig};
+use dre_learner::{CloudLearner, LearnerConfig, SirConfig};
 use dre_prob::seeded_rng;
 use dre_serve::{
     frame, BreakerConfig, BreakerState, EdgeRuntime, EdgeRuntimeConfig, RetryPolicy, ServeConfig,
     ShardConnector, ShardPlaneConfig, ShardedPriorPlane,
 };
-use dre_learner::{CloudLearner, LearnerConfig, SirConfig};
 use dro_edge::{CloudKnowledge, EdgeLearnerConfig};
 
 const TASK_ID: u64 = 1;

@@ -148,8 +148,7 @@ fn run_fleet(sc: &Scenario, faults: &FaultConfig, seed: u64, rounds: usize) -> F
         for (dev, rt) in fleet.iter_mut().enumerate() {
             let data = &sc.devices[dev];
             let fit = rt.fit_step(&data.train).expect("fit never hard-fails");
-            acc += metrics::accuracy(&fit.model, data.test.features(), data.test.labels())
-                .unwrap();
+            acc += metrics::accuracy(&fit.model, data.test.features(), data.test.labels()).unwrap();
             final_models[dev] = fit.model.to_packed();
             rt.connector().advance_step();
         }
@@ -164,7 +163,10 @@ fn run_fleet(sc: &Scenario, faults: &FaultConfig, seed: u64, rounds: usize) -> F
             .iter()
             .map(|rt| rt.client().metrics().deterministic_counters().to_vec())
             .collect(),
-        fault_counts: fleet.iter().map(|rt| rt.connector().fault_counts()).collect(),
+        fault_counts: fleet
+            .iter()
+            .map(|rt| rt.connector().fault_counts())
+            .collect(),
         round_accuracy,
     }
 }
@@ -173,7 +175,11 @@ fn run_fleet(sc: &Scenario, faults: &FaultConfig, seed: u64, rounds: usize) -> F
 /// `fleet_size` devices — the floor the degradation ladder must never sink
 /// below.
 fn local_only_floor(sc: &Scenario, fleet_size: usize) -> f64 {
-    sc.devices[..fleet_size].iter().map(|d| d.floor_acc).sum::<f64>() / fleet_size as f64
+    sc.devices[..fleet_size]
+        .iter()
+        .map(|d| d.floor_acc)
+        .sum::<f64>()
+        / fleet_size as f64
 }
 
 #[test]
@@ -266,8 +272,7 @@ fn partition_then_heal_recloses_breakers_and_recovers_accuracy_bitwise() {
         for (dev, rt) in fleet.iter_mut().enumerate() {
             let data = &sc.devices[dev];
             let fit = rt.fit_step(&data.train).unwrap();
-            acc += metrics::accuracy(&fit.model, data.test.features(), data.test.labels())
-                .unwrap();
+            acc += metrics::accuracy(&fit.model, data.test.features(), data.test.labels()).unwrap();
             models.push(fit.model.to_packed());
             rt.connector().advance_step();
         }
@@ -295,8 +300,14 @@ fn partition_then_heal_recloses_breakers_and_recovers_accuracy_bitwise() {
         );
         assert_eq!(trace.last(), Some(&FitMode::FreshPrior), "device {dev}");
         // The breaker tripped during the partition and re-closed after it.
-        assert!(rt.breaker().opens() >= 1, "device {dev} breaker never opened");
-        assert!(rt.breaker().closes() >= 1, "device {dev} breaker never re-closed");
+        assert!(
+            rt.breaker().opens() >= 1,
+            "device {dev} breaker never opened"
+        );
+        assert!(
+            rt.breaker().closes() >= 1,
+            "device {dev} breaker never re-closed"
+        );
         assert_eq!(rt.breaker().state(), BreakerState::Closed, "device {dev}");
     }
 
@@ -306,7 +317,10 @@ fn partition_then_heal_recloses_breakers_and_recovers_accuracy_bitwise() {
     for (round, (acc, _)) in per_round.iter().enumerate() {
         assert!(*acc >= floor - 1e-12, "round {round} below the floor");
     }
-    assert_eq!(per_round[7].1, per_round[1].1, "healed fits must be bit-identical");
+    assert_eq!(
+        per_round[7].1, per_round[1].1,
+        "healed fits must be bit-identical"
+    );
     assert_eq!(per_round[7].0, per_round[1].0);
 }
 
@@ -394,8 +408,7 @@ fn sharded_fleet_survives_shard_kill_and_rebalance_bit_identically() {
         plane.restart_shard(owners[0]).unwrap(); // heal: replay owned priors
         accs.push(round(&mut fleet));
 
-        let traces: Vec<Vec<FitMode>> =
-            fleet.iter().map(|rt| rt.mode_trace().to_vec()).collect();
+        let traces: Vec<Vec<FitMode>> = fleet.iter().map(|rt| rt.mode_trace().to_vec()).collect();
         let counters: Vec<Vec<u64>> = fleet
             .iter()
             .map(|rt| rt.client().metrics().deterministic_counters().to_vec())
@@ -427,11 +440,17 @@ fn sharded_fleet_survives_shard_kill_and_rebalance_bit_identically() {
         );
     }
     for (r, acc) in accs.iter().enumerate() {
-        assert_eq!(*acc, accs[0], "round {r} accuracy drifted across resharding");
+        assert_eq!(
+            *acc, accs[0],
+            "round {r} accuracy drifted across resharding"
+        );
     }
     // The adverse paths actually ran: the dead primary cost retries and
     // replica failovers.
-    assert!(retries >= 1, "killing the primary must cost at least one retry");
+    assert!(
+        retries >= 1,
+        "killing the primary must cost at least one retry"
+    );
     assert!(failovers >= 1, "replica failover was never exercised");
 }
 
@@ -446,7 +465,9 @@ fn server_crash_and_restart_mid_fleet_recovers_over_tcp() {
     };
     let mut server = PriorServer::bind("127.0.0.1:0", serve_config.clone()).unwrap();
     let addr = server.addr();
-    server.state().register_payload(TASK_ID, sc.prior_payload.clone());
+    server
+        .state()
+        .register_payload(TASK_ID, sc.prior_payload.clone());
 
     let policy = RetryPolicy {
         max_attempts: 2,
@@ -464,8 +485,7 @@ fn server_crash_and_restart_mid_fleet_recovers_over_tcp() {
         for (dev, rt) in fleet.iter_mut().enumerate() {
             let data = &sc.devices[dev];
             let fit = rt.fit_step(&data.train).unwrap();
-            acc += metrics::accuracy(&fit.model, data.test.features(), data.test.labels())
-                .unwrap();
+            acc += metrics::accuracy(&fit.model, data.test.features(), data.test.labels()).unwrap();
             modes.push(fit.mode);
         }
         (acc / 2.0, modes)
@@ -516,7 +536,10 @@ fn server_crash_and_restart_mid_fleet_recovers_over_tcp() {
         }
     }
     assert!(recovered, "fleet never returned to fresh-prior fits");
-    assert_eq!(healed_acc, healthy_acc, "healed accuracy must match pre-crash");
+    assert_eq!(
+        healed_acc, healthy_acc,
+        "healed accuracy must match pre-crash"
+    );
     for rt in &fleet {
         assert_eq!(rt.breaker().state(), BreakerState::Closed);
         assert!(rt.breaker().opens() >= 1 && rt.breaker().closes() >= 1);

@@ -155,10 +155,10 @@ fn poisoned_fleet_is_gated_with_admission_on_and_degrades_with_it_off() {
                 // shows. The honest pool eventually outgrows the fixed-rate
                 // cohort, so the damage is front-loaded — which is exactly
                 // what the mean-accuracy gap measures.
-                let clean_mean = clean.round_accuracy.iter().sum::<f64>()
-                    / clean.round_accuracy.len() as f64;
-                let off_mean = off.round_accuracy.iter().sum::<f64>()
-                    / off.round_accuracy.len() as f64;
+                let clean_mean =
+                    clean.round_accuracy.iter().sum::<f64>() / clean.round_accuracy.len() as f64;
+                let off_mean =
+                    off.round_accuracy.iter().sum::<f64>() / off.round_accuracy.len() as f64;
                 assert!(
                     off_mean < clean_mean - NOISE_BAND,
                     "seed {scenario_seed}: the unguarded poisoned fleet \
@@ -266,7 +266,10 @@ fn closed_loop_is_bit_identical_across_reruns_at_fixed_seeds() {
         let sc = loop_scenario(scenario_seed);
         let a = clean_loop(&sc, 42, true);
         let b = clean_loop(&sc, 42, true);
-        assert_eq!(a, b, "seed {scenario_seed}: closed loop is not deterministic");
+        assert_eq!(
+            a, b,
+            "seed {scenario_seed}: closed loop is not deterministic"
+        );
         assert!(!a.final_payload.is_empty());
         // A different learner seed explores different particle streams but
         // the published prior still reflects the same reports — only the
@@ -315,8 +318,7 @@ fn sharded_plane_refresh_fans_out_byte_identically() {
             let data = &sc.evals[dev];
             let fit = rt.fit_step(&data.train).unwrap();
             assert_eq!(fit.mode, FitMode::FreshPrior, "eval {dev} degraded");
-            acc += metrics::accuracy(&fit.model, data.test.features(), data.test.labels())
-                .unwrap();
+            acc += metrics::accuracy(&fit.model, data.test.features(), data.test.labels()).unwrap();
         }
         accs.push(acc / EVALS as f64);
 

@@ -62,8 +62,7 @@ fn certificate_also_covers_mean_shift_from_the_data_layer() {
     let mut delta = vec![0.0; data.dim()];
     delta[0] = eps;
     let shifted = shift::mean_shift(&data, &delta).unwrap();
-    let erm = ErmObjective::new(shifted.features(), shifted.labels(), LogisticLoss, 0.0)
-        .unwrap();
+    let erm = ErmObjective::new(shifted.features(), shifted.labels(), LogisticLoss, 0.0).unwrap();
     let risk = erm.empirical_risk(&model.to_packed());
     assert!(risk <= cert.worst_case_bound + 1e-9);
 }

@@ -199,7 +199,10 @@ fn serialized_prior_roundtrips_through_the_wire_format() {
         .unwrap()
         .fit(&train)
         .unwrap();
-    let b = EdgeLearner::new(config, restored).unwrap().fit(&train).unwrap();
+    let b = EdgeLearner::new(config, restored)
+        .unwrap()
+        .fit(&train)
+        .unwrap();
     // The wire format stores the covariance, not its Cholesky factor, so
     // re-factorization perturbs the prior at the 1e-16 level; the fits must
     // agree to optimizer precision, not bit-for-bit.

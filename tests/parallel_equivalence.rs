@@ -112,7 +112,11 @@ fn gibbs_fit_matches_serial_exactly() {
     // the trajectories — not just the summaries — must agree exactly.
     assert_eq!(par.assignments, ser.assignments);
     assert_eq!(par.cluster_trace, ser.cluster_trace);
-    assert_bits_eq(&par.log_joint_trace, &ser.log_joint_trace, "gibbs log joint");
+    assert_bits_eq(
+        &par.log_joint_trace,
+        &ser.log_joint_trace,
+        "gibbs log joint",
+    );
     assert_bits_eq(&par.alpha_trace, &ser.alpha_trace, "gibbs alpha trace");
 }
 
@@ -146,14 +150,24 @@ fn gibbs_cached_matches_exact_recompute_trace() {
 
     let rc = cached.fit(&data, &mut seeded_rng(8)).unwrap();
     let re = exact.fit(&data, &mut seeded_rng(8)).unwrap();
-    let rc_serial =
-        dre_parallel::with_serial(|| cached.fit(&data, &mut seeded_rng(8)).unwrap());
+    let rc_serial = dre_parallel::with_serial(|| cached.fit(&data, &mut seeded_rng(8)).unwrap());
 
-    assert_eq!(rc.assignments, re.assignments, "cached vs exact assignments");
-    assert_eq!(rc.cluster_trace, re.cluster_trace, "cached vs exact clusters");
+    assert_eq!(
+        rc.assignments, re.assignments,
+        "cached vs exact assignments"
+    );
+    assert_eq!(
+        rc.cluster_trace, re.cluster_trace,
+        "cached vs exact clusters"
+    );
     assert_bits_eq(&rc.alpha_trace, &re.alpha_trace, "cached vs exact alpha");
     assert_eq!(rc.log_joint_trace.len(), re.log_joint_trace.len());
-    for (i, (a, b)) in rc.log_joint_trace.iter().zip(&re.log_joint_trace).enumerate() {
+    for (i, (a, b)) in rc
+        .log_joint_trace
+        .iter()
+        .zip(&re.log_joint_trace)
+        .enumerate()
+    {
         assert!(
             (a - b).abs() < 1e-6,
             "log joint entry {i} diverged: cached {a} vs exact {b}"
@@ -162,7 +176,11 @@ fn gibbs_cached_matches_exact_recompute_trace() {
 
     // The cached path itself is serial/parallel bit-identical.
     assert_eq!(rc.assignments, rc_serial.assignments);
-    assert_bits_eq(&rc.log_joint_trace, &rc_serial.log_joint_trace, "cached serial");
+    assert_bits_eq(
+        &rc.log_joint_trace,
+        &rc_serial.log_joint_trace,
+        "cached serial",
+    );
 
     // And the cache actually did its job.
     assert!(
@@ -214,7 +232,10 @@ fn dual_objective_matches_serial_bitwise() {
     let (pv, pg) = obj.value_and_gradient(&packed);
     let pr = obj.exact_robust_risk(&model);
     let ((sv, sg), sr) = dre_parallel::with_serial(|| {
-        (obj.value_and_gradient(&packed), obj.exact_robust_risk(&model))
+        (
+            obj.value_and_gradient(&packed),
+            obj.exact_robust_risk(&model),
+        )
     });
     assert_eq!(pv.to_bits(), sv.to_bits(), "dual value");
     assert_eq!(pr.to_bits(), sr.to_bits(), "exact robust risk");

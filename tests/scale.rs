@@ -69,7 +69,10 @@ fn fleet(n: usize) -> Scenario {
 
 fn assert_clean_completion(n: usize, r: &dre_edgesim::SimReport) {
     assert_eq!(r.devices.len(), n);
-    assert_eq!(r.messages_dropped, 0, "the queue is sized to absorb the incast");
+    assert_eq!(
+        r.messages_dropped, 0,
+        "the queue is sized to absorb the incast"
+    );
     assert_eq!(r.bytes_retransmitted, 0, "nothing may time out");
     assert!(r.devices.iter().all(|d| d.completion.as_micros() > 0));
     // Every device runs the full request → ack → payload → ack → EM

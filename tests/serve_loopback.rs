@@ -47,8 +47,7 @@ fn loopback_fleet_fetches_priors_and_fits_concurrently() {
         .map(|i| {
             let family = family.clone();
             std::thread::spawn(move || {
-                let mut client =
-                    PriorClient::new(TcpConnector::new(addr), RetryPolicy::default());
+                let mut client = PriorClient::new(TcpConnector::new(addr), RetryPolicy::default());
                 client.ping().expect("server must answer pings");
 
                 // Fetch the prior over real TCP and check it survived.
@@ -102,7 +101,10 @@ fn loopback_fleet_fetches_priors_and_fits_concurrently() {
     let reports = server.take_reports();
     assert_eq!(reports.len(), CLIENTS);
     assert!(reports.iter().all(|r| r.task_id == TASK_ID));
-    assert!(server.take_reports().is_empty(), "the drain must empty the inbox");
+    assert!(
+        server.take_reports().is_empty(),
+        "the drain must empty the inbox"
+    );
 
     // The measured prior frame is exactly what the simulator charges: the
     // prior lives over packed parameters (feature dim 4 + bias = 5).
@@ -131,9 +133,8 @@ fn keepalive_fleet_reuses_one_connection_per_device_and_hits_the_frame_cache() {
     let handles: Vec<_> = (0..CLIENTS)
         .map(|i| {
             std::thread::spawn(move || {
-                let mut client =
-                    PriorClient::new(TcpConnector::new(addr), RetryPolicy::default())
-                        .keep_alive(true);
+                let mut client = PriorClient::new(TcpConnector::new(addr), RetryPolicy::default())
+                    .keep_alive(true);
                 client.ping().expect("server must answer pings");
                 let fetched = client.fetch_prior(TASK_ID).expect("prior fetch");
                 client
@@ -240,7 +241,10 @@ fn keepalive_stream_survives_server_kill_and_restart_via_retry() {
     let before = client.metrics();
     assert_eq!(client.fetch_prior_payload(TASK_ID).unwrap(), payload);
     let after = client.metrics();
-    assert!(after.retries > before.retries, "reconnect must cost a retry");
+    assert!(
+        after.retries > before.retries,
+        "reconnect must cost a retry"
+    );
     assert_eq!(
         after.connections,
         before.connections + 1,
@@ -431,11 +435,8 @@ fn report_flood_beyond_the_inbox_cap_sheds_with_exact_accounting() {
         ..ServeConfig::default()
     };
     let mut server = PriorServer::bind("127.0.0.1:0", config).unwrap();
-    let mut client = PriorClient::new(
-        TcpConnector::new(server.addr()),
-        RetryPolicy::no_retries(),
-    )
-    .keep_alive(true);
+    let mut client = PriorClient::new(TcpConnector::new(server.addr()), RetryPolicy::no_retries())
+        .keep_alive(true);
 
     for i in 0..FLOOD {
         let accepted = client
@@ -467,10 +468,7 @@ fn report_flood_beyond_the_inbox_cap_sheds_with_exact_accounting() {
 #[test]
 fn loopback_server_answers_protocol_errors_without_dying() {
     let mut server = PriorServer::bind("127.0.0.1:0", ServeConfig::default()).unwrap();
-    let mut client = PriorClient::new(
-        TcpConnector::new(server.addr()),
-        RetryPolicy::no_retries(),
-    );
+    let mut client = PriorClient::new(TcpConnector::new(server.addr()), RetryPolicy::no_retries());
     // Unknown task → typed remote error, fatal (no retries consumed).
     let err = client.fetch_prior(77).unwrap_err();
     assert!(matches!(
@@ -527,9 +525,12 @@ fn two_workers_multiplex_a_thousand_keepalive_connections() {
                 .unwrap();
         }
         for t in &mut streams {
-            let (reply, _) =
-                frame::read_frame(&mut *t, dre_serve::DEFAULT_MAX_FRAME_LEN).unwrap();
-            assert_eq!(frame::encode(&reply), expected, "reply must match a fresh encode");
+            let (reply, _) = frame::read_frame(&mut *t, dre_serve::DEFAULT_MAX_FRAME_LEN).unwrap();
+            assert_eq!(
+                frame::encode(&reply),
+                expected,
+                "reply must match a fresh encode"
+            );
             match reply {
                 frame::Message::PriorResponse { payload: p } => {
                     assert_eq!(p.len(), 96);
@@ -742,7 +743,10 @@ fn misrouted_request_is_a_retryable_redirect_and_recovers_in_one_retry() {
         .filter_map(|i| plane.shard_metrics(i))
         .map(|m| m.misroutes)
         .sum();
-    assert_eq!(client.fetch_prior_payload(task).unwrap(), vec![task as u8; 4]);
+    assert_eq!(
+        client.fetch_prior_payload(task).unwrap(),
+        vec![task as u8; 4]
+    );
     // Exact accounting: one redirect served, one map refresh, one retry,
     // zero replica failovers, and the fetch still succeeded cleanly.
     let m = client.metrics();
@@ -757,10 +761,17 @@ fn misrouted_request_is_a_retryable_redirect_and_recovers_in_one_retry() {
         .map(|m| m.misroutes)
         .sum();
     assert_eq!(misroutes_after, misroutes_before + 1);
-    assert_eq!(stale.epoch(), plane.epoch(), "the refresh adopted the new map");
+    assert_eq!(
+        stale.epoch(),
+        plane.epoch(),
+        "the refresh adopted the new map"
+    );
 
     // The stream re-routed: follow-up fetches are direct, no new retries.
-    assert_eq!(client.fetch_prior_payload(task).unwrap(), vec![task as u8; 4]);
+    assert_eq!(
+        client.fetch_prior_payload(task).unwrap(),
+        vec![task as u8; 4]
+    );
     assert_eq!(client.metrics().retries, 1);
 
     plane.shutdown();
@@ -835,7 +846,10 @@ fn default_sized_plane_is_hit_clean_at_any_membership() {
             vec![task as u8 ^ 0x5A; 24]
         );
         let m = client.metrics();
-        assert_eq!(m.retries, 0, "task {task} needed a retry on a healthy plane");
+        assert_eq!(
+            m.retries, 0,
+            "task {task} needed a retry on a healthy plane"
+        );
         assert_eq!(m.errors, 0);
     }
     let routing = directory.metrics().snapshot();
@@ -854,10 +868,7 @@ fn default_sized_plane_is_hit_clean_at_any_membership() {
 #[test]
 fn unsharded_server_rejects_shard_map_requests_as_unexpected() {
     let mut server = PriorServer::bind("127.0.0.1:0", ServeConfig::default()).unwrap();
-    let mut client = PriorClient::new(
-        TcpConnector::new(server.addr()),
-        RetryPolicy::no_retries(),
-    );
+    let mut client = PriorClient::new(TcpConnector::new(server.addr()), RetryPolicy::no_retries());
     let err = client.fetch_shard_map().unwrap_err();
     assert!(
         matches!(

@@ -100,7 +100,10 @@ fn fleet_scaling_shapes_match_the_paper_motivation() {
     let prior_40 = makespan(prior_strategy, 40);
 
     // Cloud round trips queue; prior transfers do not.
-    assert!(cloud_40 > cloud_1 * 2.0, "cloud should queue: {cloud_1} → {cloud_40}");
+    assert!(
+        cloud_40 > cloud_1 * 2.0,
+        "cloud should queue: {cloud_1} → {cloud_40}"
+    );
     assert!(
         (prior_40 - prior_1).abs() < 1e-9,
         "prior transfer should scale flat: {prior_1} → {prior_40}"
@@ -227,7 +230,10 @@ fn keep_alive_client_mode_amortizes_handshakes_at_real_frame_sizes() {
         // Handshakes cost time, never bytes: both modes ship exactly
         // three real request frames and one real report frame.
         assert_eq!(d.bytes_sent, 3 * REQUEST_BYTES + model_report_bytes(dim));
-        assert_eq!(d.bytes_received, prior_transfer_bytes(prior_components, dim));
+        assert_eq!(
+            d.bytes_received,
+            prior_transfer_bytes(prior_components, dim)
+        );
     }
     assert_eq!(fresh.devices[0].handshakes, 4);
     assert_eq!(keep.devices[0].handshakes, 1);
@@ -307,6 +313,9 @@ fn topology_transport_carries_the_real_prior_across_the_switch() {
         mk(Some(t)).run()
     };
     let a = lossy();
-    assert!(a.bytes_retransmitted > 0, "10% loss must cost retransmissions");
+    assert!(
+        a.bytes_retransmitted > 0,
+        "10% loss must cost retransmissions"
+    );
     assert_eq!(a, lossy());
 }
