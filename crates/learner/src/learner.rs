@@ -10,7 +10,7 @@
 //!                                       ▼
 //!                              to_mixture_prior()
 //!                                       │
-//!  edges ◀──PriorResponse── PriorSink::publish (ServerState / ServerHandle /
+//!  edges ◀──PriorResponse── PriorSink::publish (ServerState /
 //!                                               ShardedPriorPlane fan-out)
 //! ```
 //!
@@ -25,34 +25,25 @@
 //! seeded — the same report sequence always publishes bit-identical priors.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 use dre_bayes::MixturePrior;
 use dre_prob::NormalInverseWishart;
 use dre_serve::shard::ShardedPriorPlane;
-use dre_serve::{ReportedModel, ServerHandle, ServerState};
+use dre_serve::{ReportedModel, ServerState};
 
 use crate::admission::{AdmissionConfig, AdmissionOutcome, AdmissionState};
 use crate::sir::{SirConfig, SirDpFilter};
-use crate::{LearnerError, Result};
+use crate::Result;
 
-/// Where refreshed priors go. Implemented for a raw [`ServerState`], a
-/// [`ServerHandle`], and a [`ShardedPriorPlane`] (replica fan-out).
+/// Where refreshed priors go. Implemented for a shared [`ServerState`]
+/// and a [`ShardedPriorPlane`] (replica fan-out).
 pub trait PriorSink {
     /// Registers (or replaces) the prior served for `task_id`.
     fn publish(&mut self, task_id: u64, prior: &MixturePrior);
 }
 
 impl PriorSink for Arc<ServerState> {
-    fn publish(&mut self, task_id: u64, prior: &MixturePrior) {
-        self.register_prior(task_id, prior);
-    }
-}
-
-impl PriorSink for ServerHandle {
     fn publish(&mut self, task_id: u64, prior: &MixturePrior) {
         self.register_prior(task_id, prior);
     }
@@ -389,22 +380,6 @@ impl CloudLearner {
         Ok(refreshed)
     }
 
-    /// One synchronous tick against a single server: drain its inbox, fold,
-    /// publish refreshed priors back to the same server.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CloudLearner::absorb`].
-    pub fn step_server(&mut self, server: &ServerHandle) -> Result<LearnerTick> {
-        let reports = server.take_reports();
-        let mut sink = Arc::clone(server.state());
-        let tick = self.absorb(reports, &mut sink)?;
-        server
-            .state()
-            .note_admission_outcomes(tick.gated as u64, tick.quarantined as u64);
-        Ok(tick)
-    }
-
     /// One synchronous tick against a sharded plane: drain every live
     /// shard's inbox (shard order, arrival order within a shard), fold, and
     /// publish refreshed priors through the plane so they fan out to all
@@ -431,73 +406,6 @@ impl CloudLearner {
             }
         }
         Ok(tick)
-    }
-}
-
-/// Background refresh loop: polls a server state on an interval and runs
-/// the learner against it until [`LearnerDaemon::stop`].
-#[derive(Debug)]
-pub struct LearnerDaemon {
-    shutdown: Arc<AtomicBool>,
-    join: Option<JoinHandle<CloudLearner>>,
-}
-
-impl LearnerDaemon {
-    /// Spawns the loop. Each wakeup drains `state`'s inbox and publishes
-    /// refreshed priors back to the same state; a final drain runs at
-    /// shutdown so no accepted report is dropped.
-    pub fn spawn(
-        state: Arc<ServerState>,
-        config: LearnerConfig,
-        poll_interval: Duration,
-    ) -> LearnerDaemon {
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let stop = Arc::clone(&shutdown);
-        let join = std::thread::spawn(move || {
-            let mut learner = CloudLearner::new(config);
-            let mut sink = Arc::clone(&state);
-            while !stop.load(Ordering::Acquire) {
-                let reports = state.take_reports();
-                // A failed pass (a degenerate base fit) must not kill the
-                // loop (the filters for other tasks keep serving), hence
-                // the if-let.
-                if let Ok(tick) = learner.absorb(reports, &mut sink) {
-                    state.note_admission_outcomes(tick.gated as u64, tick.quarantined as u64);
-                }
-                std::thread::park_timeout(poll_interval);
-            }
-            let reports = state.take_reports();
-            let _ = learner.absorb(reports, &mut sink);
-            let _ = learner.force_refresh(&mut sink);
-            learner
-        });
-        LearnerDaemon {
-            shutdown,
-            join: Some(join),
-        }
-    }
-
-    /// Signals shutdown and returns the final learner for inspection.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LearnerError::DaemonPanicked`] when the loop thread
-    /// panicked.
-    pub fn stop(mut self) -> Result<CloudLearner> {
-        self.shutdown.store(true, Ordering::Release);
-        let join = self.join.take().expect("stop runs once");
-        join.thread().unpark();
-        join.join().map_err(|_| LearnerError::DaemonPanicked)
-    }
-}
-
-impl Drop for LearnerDaemon {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Release);
-        if let Some(join) = self.join.take() {
-            join.thread().unpark();
-            let _ = join.join();
-        }
     }
 }
 
@@ -633,33 +541,6 @@ mod tests {
     }
 
     #[test]
-    fn daemon_drains_and_publishes_then_returns_the_learner() {
-        let state = Arc::new(ServerState::new());
-        for r in clustered_reports(4, 12, 21) {
-            // Feed the inbox through the protocol handler, like the wire does.
-            let ack = state.respond(&dre_serve::Message::ModelReport {
-                task_id: r.task_id,
-                device_id: r.device_id,
-                seq: r.seq,
-                params: r.params,
-            });
-            assert_eq!(ack, dre_serve::Message::ReportAck { accepted: true });
-        }
-        let daemon = LearnerDaemon::spawn(
-            Arc::clone(&state),
-            LearnerConfig {
-                refresh_interval: 4,
-                ..LearnerConfig::default()
-            },
-            Duration::from_millis(1),
-        );
-        let learner = daemon.stop().unwrap();
-        assert_eq!(learner.filter_observations(4), 12);
-        assert!(state.prior_entry(4).is_some(), "daemon published a prior");
-        assert_eq!(state.report_backlog(), 0, "inbox fully drained");
-    }
-
-    #[test]
     fn admission_gates_a_colluding_cohort_and_reports_counts() {
         use crate::admission::{AdmissionConfig, ReputationState};
 
@@ -696,8 +577,8 @@ mod tests {
             ReputationState::Quarantined
         );
 
-        // Counter folding: the same numbers reach the server metrics via
-        // the handle-free path used by the daemon.
+        // Counter folding: the same numbers reach the server metrics the
+        // way the harness drain loops fold them.
         state.note_admission_outcomes(tick.gated as u64, tick.quarantined as u64);
         let m = state.metrics();
         assert_eq!(m.reports_gated, 12);

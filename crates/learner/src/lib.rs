@@ -31,8 +31,6 @@
 //!   ([`admission_from_env`]); an admitted report's `push` reuses the
 //!   score's per-particle rows and marginals, so an admitted report is
 //!   scored once.
-//! * [`LearnerDaemon`] — an optional background thread running the same
-//!   loop on a poll interval.
 //!
 //! Everything is deterministic by construction: particle-local seeded RNG
 //! streams make the per-report particle loop embarrassingly parallel *and*
@@ -53,7 +51,7 @@ pub use admission::{
     ReputationState,
 };
 pub use elliptical::elliptical_slice_step;
-pub use learner::{CloudLearner, LearnerConfig, LearnerDaemon, LearnerTick, PriorSink};
+pub use learner::{CloudLearner, LearnerConfig, LearnerTick, PriorSink};
 pub use sir::{SirConfig, SirDpFilter};
 
 /// Errors from the streaming learner.
@@ -69,8 +67,6 @@ pub enum LearnerError {
         /// What was wrong.
         reason: &'static str,
     },
-    /// The background refresh loop panicked.
-    DaemonPanicked,
     /// A probabilistic kernel failed (factorization, sampling, densities).
     Prob(dre_prob::ProbError),
     /// Mixture-prior assembly failed.
@@ -86,7 +82,6 @@ impl std::fmt::Display for LearnerError {
             LearnerError::InvalidReport { reason } => {
                 write!(f, "invalid model report: {reason}")
             }
-            LearnerError::DaemonPanicked => write!(f, "learner daemon panicked"),
             LearnerError::Prob(e) => write!(f, "probability kernel failed: {e}"),
             LearnerError::Bayes(e) => write!(f, "mixture assembly failed: {e}"),
         }
