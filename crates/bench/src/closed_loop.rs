@@ -233,8 +233,8 @@ pub struct LoopOutcome {
     pub gated: usize,
     /// Devices the reputation ledger quarantined in total.
     pub quarantined: usize,
-    /// The server's deterministic counters at the end of the run.
-    pub counters: Vec<u64>,
+    /// The server's deterministic counters by name at the end of the run.
+    pub counters: Vec<(&'static str, u64)>,
 }
 
 /// Runs the closed loop over real loopback TCP (see the module docs for
@@ -353,7 +353,7 @@ pub fn run(sc: &Scenario, cohort: &Cohort) -> LoopOutcome {
             (m.connections, m.reused_connections)
         })
         .collect();
-    out.counters = state.metrics().deterministic_counters().to_vec();
+    out.counters = state.metrics().deterministic_counters();
     server.shutdown();
     out
 }

@@ -58,94 +58,144 @@ impl Default for LatencyHistogram {
     }
 }
 
-/// Shared transfer counters; the server keeps one per process, the client
-/// one per [`crate::client::PriorClient`].
-#[derive(Debug, Default)]
-pub struct ServeMetrics {
+/// Whether a counter is reproducible from the scenario's seed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CounterKind {
+    /// Equal across two runs of the same seeded scenario; part of
+    /// [`MetricsSnapshot::deterministic_counters`].
+    Deterministic,
+    /// Depends on how the kernel slices bytes across readiness windows,
+    /// which no seed controls; reported, never compared.
+    Timing,
+}
+
+/// Declares every counter once — doc lines, then `name: kind` — and
+/// generates from that list the atomics in [`ServeMetrics`], the plain
+/// fields in [`MetricsSnapshot`], [`ServeMetrics::snapshot`], [`COUNTERS`]
+/// and [`MetricsSnapshot::values`]. Fields keep the table's order.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $name:ident: $kind:ident,)*) => {
+        /// Shared transfer counters; the server keeps one per process, the
+        /// client one per [`crate::client::PriorClient`].
+        #[derive(Debug, Default)]
+        pub struct ServeMetrics {
+            $($(#[$doc])* pub $name: AtomicU64,)*
+            /// Per-exchange latency distribution.
+            pub latency: LatencyHistogram,
+        }
+
+        /// Plain-data copy of [`ServeMetrics`], comparable and printable.
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub struct MetricsSnapshot {
+            $($(#[$doc])* pub $name: u64,)*
+            /// Log2-spaced latency bucket counts.
+            pub latency_buckets: [u64; LATENCY_BUCKETS],
+        }
+
+        /// Every counter's name and kind, in declaration order.
+        pub const COUNTERS: &[(&str, CounterKind)] =
+            &[$((stringify!($name), CounterKind::$kind),)*];
+
+        impl ServeMetrics {
+            /// A point-in-time copy of every counter.
+            pub fn snapshot(&self) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $($name: self.$name.load(Ordering::Relaxed),)*
+                    latency_buckets: self.latency.snapshot(),
+                }
+            }
+        }
+
+        impl MetricsSnapshot {
+            /// Every counter's value, in [`COUNTERS`] order.
+            pub fn values(&self) -> [u64; COUNTERS.len()] {
+                [$(self.$name,)*]
+            }
+        }
+    };
+}
+
+counters! {
     /// Requests handled (server) or issued (client).
-    pub requests: AtomicU64,
+    requests: Deterministic,
     /// Exchanges that completed with a well-formed, checksum-clean reply.
-    pub responses_ok: AtomicU64,
+    responses_ok: Deterministic,
     /// Exchanges that ended in an error (after retries, on the client).
-    pub errors: AtomicU64,
+    errors: Deterministic,
     /// Extra attempts beyond the first (client only).
-    pub retries: AtomicU64,
+    retries: Deterministic,
     /// Frames rejected by the CRC check.
-    pub checksum_failures: AtomicU64,
+    checksum_failures: Deterministic,
     /// Payload + framing bytes received.
-    pub bytes_in: AtomicU64,
+    bytes_in: Deterministic,
     /// Payload + framing bytes sent.
-    pub bytes_out: AtomicU64,
+    bytes_out: Deterministic,
     /// Connections accepted (server) or opened (client).
-    pub connections: AtomicU64,
+    connections: Deterministic,
     /// `Busy` replies sent (server) or received across attempts (client).
-    pub busy: AtomicU64,
+    busy: Deterministic,
     /// Connections shed before reaching a worker because the accept queue
     /// was full (server only).
-    pub shed_connections: AtomicU64,
+    shed_connections: Deterministic,
     /// Worker panics caught and recovered from (server only).
-    pub worker_panics: AtomicU64,
+    worker_panics: Deterministic,
     /// Poisoned locks recovered by inheriting the last good value (server
     /// only).
-    pub lock_recoveries: AtomicU64,
+    lock_recoveries: Deterministic,
     /// `PriorRequest`s answered straight from the pre-encoded frame cache
     /// — no payload clone, no re-encode, no CRC recompute (server only).
-    pub prior_cache_hits: AtomicU64,
+    prior_cache_hits: Deterministic,
     /// Prior frames encoded into the cache at registration time (server
     /// only) — each registry update pays the encode exactly once.
-    pub prior_cache_builds: AtomicU64,
+    prior_cache_builds: Deterministic,
     /// Requests sent over an already-open keep-alive stream instead of a
     /// fresh connection (client only).
-    pub reused_connections: AtomicU64,
+    reused_connections: Deterministic,
     /// Registry snapshots built and published by the write path (server
     /// only): one per `register_prior`/`register_payload`. The lock-free
     /// read path never bumps this — readers adopt published snapshots by
     /// generation check alone.
-    pub snapshot_publishes: AtomicU64,
+    snapshot_publishes: Deterministic,
     /// Nonblocking reads that found the socket empty (server only). A
     /// readiness-polled worker drains each socket greedily until the OS
-    /// says `WouldBlock`; this counts those boundary probes. Timing-
-    /// dependent, so excluded from `deterministic_counters`.
-    pub wouldblock_reads: AtomicU64,
+    /// says `WouldBlock`; this counts those boundary probes.
+    wouldblock_reads: Timing,
     /// Socket flushes that coalesced two or more pipelined replies into a
-    /// single `write` (server only). Timing-dependent (depends on how many
-    /// requests arrived in one readiness window), so excluded from
-    /// `deterministic_counters`.
-    pub batched_writes: AtomicU64,
+    /// single `write` (server only); how many requests arrive in one
+    /// readiness window decides it.
+    batched_writes: Timing,
     /// Fetches re-routed from a dead or misrouting shard to the next
     /// replica in ring order (routing client only).
-    pub shard_failovers: AtomicU64,
+    shard_failovers: Deterministic,
     /// Shard-map fetches performed — one at routing-client construction
     /// plus one per epoch change it observes (routing client only).
-    pub map_refreshes: AtomicU64,
+    map_refreshes: Deterministic,
     /// Replica registrations fanned out by `register_prior` beyond the
     /// primary — R−1 per registered task (plane only).
-    pub replica_fanouts: AtomicU64,
+    replica_fanouts: Deterministic,
     /// `PriorRequest`s for a task id this shard does not own, answered
     /// with a retryable `Misrouted` redirect (server only).
-    pub misroutes: AtomicU64,
+    misroutes: Deterministic,
     /// Model reports dropped because the report inbox was at its
     /// configured cap ([`crate::server::ServeConfig::report_inbox_cap`]) —
     /// a report flood degrades into counted shedding instead of unbounded
     /// memory growth (server only). Per-device rate-cap drops land here
     /// too: both are capacity drops taken before the inbox.
-    pub reports_shed: AtomicU64,
+    reports_shed: Deterministic,
     /// Model reports dropped because their sequence number was at or
     /// below the device's last accepted one — a replayed or duplicated
     /// frame (server only).
-    pub reports_replayed: AtomicU64,
+    reports_replayed: Deterministic,
     /// Reports gated by the learner's predictive admission check — scored
     /// against the SIR filter's collapsed predictive marginal and found
     /// too surprising to enter the filter (folded in by the learner).
-    pub reports_gated: AtomicU64,
+    reports_gated: Deterministic,
     /// Devices moved into the quarantined reputation state by the
     /// learner's admission ledger (folded in by the learner).
-    pub devices_quarantined: AtomicU64,
+    devices_quarantined: Deterministic,
     /// `ReportAck { accepted: false }` replies observed (client only):
     /// the server dropped this device's report before the inbox.
-    pub reports_rejected: AtomicU64,
-    /// Per-exchange latency distribution.
-    pub latency: LatencyHistogram,
+    reports_rejected: Deterministic,
 }
 
 impl ServeMetrics {
@@ -153,101 +203,6 @@ impl ServeMetrics {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// A point-in-time copy of every counter.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            requests: self.requests.load(Ordering::Relaxed),
-            responses_ok: self.responses_ok.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            checksum_failures: self.checksum_failures.load(Ordering::Relaxed),
-            bytes_in: self.bytes_in.load(Ordering::Relaxed),
-            bytes_out: self.bytes_out.load(Ordering::Relaxed),
-            connections: self.connections.load(Ordering::Relaxed),
-            busy: self.busy.load(Ordering::Relaxed),
-            shed_connections: self.shed_connections.load(Ordering::Relaxed),
-            worker_panics: self.worker_panics.load(Ordering::Relaxed),
-            lock_recoveries: self.lock_recoveries.load(Ordering::Relaxed),
-            prior_cache_hits: self.prior_cache_hits.load(Ordering::Relaxed),
-            prior_cache_builds: self.prior_cache_builds.load(Ordering::Relaxed),
-            reused_connections: self.reused_connections.load(Ordering::Relaxed),
-            snapshot_publishes: self.snapshot_publishes.load(Ordering::Relaxed),
-            wouldblock_reads: self.wouldblock_reads.load(Ordering::Relaxed),
-            batched_writes: self.batched_writes.load(Ordering::Relaxed),
-            shard_failovers: self.shard_failovers.load(Ordering::Relaxed),
-            map_refreshes: self.map_refreshes.load(Ordering::Relaxed),
-            replica_fanouts: self.replica_fanouts.load(Ordering::Relaxed),
-            misroutes: self.misroutes.load(Ordering::Relaxed),
-            reports_shed: self.reports_shed.load(Ordering::Relaxed),
-            reports_replayed: self.reports_replayed.load(Ordering::Relaxed),
-            reports_gated: self.reports_gated.load(Ordering::Relaxed),
-            devices_quarantined: self.devices_quarantined.load(Ordering::Relaxed),
-            reports_rejected: self.reports_rejected.load(Ordering::Relaxed),
-            latency_buckets: self.latency.snapshot(),
-        }
-    }
-}
-
-/// Plain-data copy of [`ServeMetrics`], comparable and printable.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MetricsSnapshot {
-    /// Requests handled or issued.
-    pub requests: u64,
-    /// Exchanges that completed cleanly.
-    pub responses_ok: u64,
-    /// Exchanges that ended in an error.
-    pub errors: u64,
-    /// Extra attempts beyond the first.
-    pub retries: u64,
-    /// Frames rejected by the CRC check.
-    pub checksum_failures: u64,
-    /// Bytes received.
-    pub bytes_in: u64,
-    /// Bytes sent.
-    pub bytes_out: u64,
-    /// Connections accepted or opened.
-    pub connections: u64,
-    /// `Busy` replies sent or received.
-    pub busy: u64,
-    /// Connections shed at the accept queue.
-    pub shed_connections: u64,
-    /// Worker panics caught and recovered from.
-    pub worker_panics: u64,
-    /// Poisoned locks recovered.
-    pub lock_recoveries: u64,
-    /// Prior requests served from the pre-encoded frame cache.
-    pub prior_cache_hits: u64,
-    /// Prior frames encoded into the cache at registration time.
-    pub prior_cache_builds: u64,
-    /// Requests sent over an already-open keep-alive stream.
-    pub reused_connections: u64,
-    /// Registry snapshots built and published by the write path.
-    pub snapshot_publishes: u64,
-    /// Nonblocking reads that found the socket empty.
-    pub wouldblock_reads: u64,
-    /// Flushes that coalesced ≥ 2 pipelined replies into one write.
-    pub batched_writes: u64,
-    /// Fetches re-routed to the next replica in ring order.
-    pub shard_failovers: u64,
-    /// Shard-map fetches performed.
-    pub map_refreshes: u64,
-    /// Replica registrations fanned out beyond the primary.
-    pub replica_fanouts: u64,
-    /// Misrouted prior requests answered with a retryable redirect.
-    pub misroutes: u64,
-    /// Model reports dropped at the report-inbox cap or a device rate cap.
-    pub reports_shed: u64,
-    /// Model reports dropped as replays/duplicates.
-    pub reports_replayed: u64,
-    /// Reports gated by the learner's predictive admission check.
-    pub reports_gated: u64,
-    /// Devices quarantined by the learner's reputation ledger.
-    pub devices_quarantined: u64,
-    /// Rejected report acks observed by the client.
-    pub reports_rejected: u64,
-    /// Log2-spaced latency bucket counts.
-    pub latency_buckets: [u64; LATENCY_BUCKETS],
 }
 
 impl MetricsSnapshot {
@@ -256,86 +211,24 @@ impl MetricsSnapshot {
         self.latency_buckets.iter().sum()
     }
 
-    /// The counter fields minus wall-clock-dependent ones — equal across
-    /// two runs of the same seeded scenario, unlike the latency histogram.
-    /// `wouldblock_reads` and `batched_writes` are deliberately absent:
-    /// both depend on how the kernel slices bytes across readiness
-    /// windows, which no seed controls.
-    pub fn deterministic_counters(&self) -> [u64; 25] {
-        [
-            self.requests,
-            self.responses_ok,
-            self.errors,
-            self.retries,
-            self.checksum_failures,
-            self.bytes_in,
-            self.bytes_out,
-            self.connections,
-            self.busy,
-            self.shed_connections,
-            self.worker_panics,
-            self.lock_recoveries,
-            self.prior_cache_hits,
-            self.prior_cache_builds,
-            self.reused_connections,
-            self.snapshot_publishes,
-            self.shard_failovers,
-            self.map_refreshes,
-            self.replica_fanouts,
-            self.misroutes,
-            self.reports_shed,
-            self.reports_replayed,
-            self.reports_gated,
-            self.devices_quarantined,
-            self.reports_rejected,
-        ]
+    /// The [`CounterKind::Deterministic`] counters by name, in
+    /// [`COUNTERS`] order — equal across two runs of the same seeded
+    /// scenario, unlike the timing counters and the latency histogram.
+    pub fn deterministic_counters(&self) -> Vec<(&'static str, u64)> {
+        COUNTERS
+            .iter()
+            .zip(self.values())
+            .filter(|((_, kind), _)| *kind == CounterKind::Deterministic)
+            .map(|(&(name, _), value)| (name, value))
+            .collect()
     }
 }
 
 impl fmt::Display for MetricsSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "requests={} ok={} errors={} retries={} checksum_failures={}",
-            self.requests, self.responses_ok, self.errors, self.retries, self.checksum_failures
-        )?;
-        writeln!(
-            f,
-            "bytes_in={} bytes_out={} connections={}",
-            self.bytes_in, self.bytes_out, self.connections
-        )?;
-        writeln!(
-            f,
-            "busy={} shed_connections={} worker_panics={} lock_recoveries={}",
-            self.busy, self.shed_connections, self.worker_panics, self.lock_recoveries
-        )?;
-        writeln!(
-            f,
-            "prior_cache_hits={} prior_cache_builds={} reused_connections={}",
-            self.prior_cache_hits, self.prior_cache_builds, self.reused_connections
-        )?;
-        writeln!(
-            f,
-            "snapshot_publishes={} wouldblock_reads={} batched_writes={}",
-            self.snapshot_publishes, self.wouldblock_reads, self.batched_writes
-        )?;
-        writeln!(
-            f,
-            "shard_failovers={} map_refreshes={} replica_fanouts={} misroutes={} reports_shed={}",
-            self.shard_failovers,
-            self.map_refreshes,
-            self.replica_fanouts,
-            self.misroutes,
-            self.reports_shed
-        )?;
-        writeln!(
-            f,
-            "reports_replayed={} reports_gated={} devices_quarantined={} reports_rejected={}",
-            self.reports_replayed,
-            self.reports_gated,
-            self.devices_quarantined,
-            self.reports_rejected
-        )?;
+        for (&(name, _), value) in COUNTERS.iter().zip(self.values()) {
+            writeln!(f, "{name}={value}")?;
+        }
         write!(f, "latency:")?;
         let mut any = false;
         for (i, &count) in self.latency_buckets.iter().enumerate() {
@@ -393,5 +286,40 @@ mod tests {
         let shown = s.to_string();
         assert!(shown.contains("requests=3"));
         assert!(shown.contains("[4µs,8µs)=2"));
+    }
+
+    #[test]
+    fn counter_table_drives_names_display_and_the_deterministic_set() {
+        let names: Vec<&str> = COUNTERS.iter().map(|&(name, _)| name).collect();
+        let mut unique = names.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), names.len(), "duplicate counter name");
+
+        let m = ServeMetrics::new();
+        m.requests.fetch_add(3, Ordering::Relaxed);
+        m.wouldblock_reads.fetch_add(5, Ordering::Relaxed);
+        let s = m.snapshot();
+        let shown = s.to_string();
+        for name in &names {
+            let label = format!("{name}=");
+            assert!(
+                shown.lines().any(|l| l.starts_with(&label)),
+                "{name} missing from Display"
+            );
+        }
+
+        let det = s.deterministic_counters();
+        let expected: Vec<&str> = COUNTERS
+            .iter()
+            .filter(|&&(_, kind)| kind == CounterKind::Deterministic)
+            .map(|&(name, _)| name)
+            .collect();
+        let det_names: Vec<&str> = det.iter().map(|&(name, _)| name).collect();
+        assert_eq!(det_names, expected);
+        assert!(det.contains(&("requests", 3)));
+        for timing in ["wouldblock_reads", "batched_writes"] {
+            assert!(!det_names.contains(&timing), "{timing} is a timing counter");
+        }
     }
 }

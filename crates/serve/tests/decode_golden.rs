@@ -213,7 +213,7 @@ fn decode_and_reply_digest_is_pinned() {
         h.bytes(&routed.respond_bytes(f));
     }
     for state in [&plain, &routed] {
-        for c in state.metrics().deterministic_counters() {
+        for (_, c) in state.metrics().deterministic_counters() {
             h.bytes(&c.to_le_bytes());
         }
         h.bytes(format!("{:?}", state.take_reports()).as_bytes());

@@ -95,7 +95,7 @@ struct FleetOutcome {
     /// Per-device runtime counters.
     counters: Vec<dre_serve::RuntimeCounters>,
     /// Per-device client-side deterministic transfer counters.
-    client_counters: Vec<Vec<u64>>,
+    client_counters: Vec<Vec<(&'static str, u64)>>,
     /// Per-device injected-fault counts.
     fault_counts: Vec<dre_serve::FaultCounts>,
     /// Mean held-out accuracy over devices, per round.
@@ -161,7 +161,7 @@ fn run_fleet(sc: &Scenario, faults: &FaultConfig, seed: u64, rounds: usize) -> F
         counters: fleet.iter().map(|rt| rt.counters()).collect(),
         client_counters: fleet
             .iter()
-            .map(|rt| rt.client().metrics().deterministic_counters().to_vec())
+            .map(|rt| rt.client().metrics().deterministic_counters())
             .collect(),
         fault_counts: fleet
             .iter()
@@ -409,9 +409,9 @@ fn sharded_fleet_survives_shard_kill_and_rebalance_bit_identically() {
         accs.push(round(&mut fleet));
 
         let traces: Vec<Vec<FitMode>> = fleet.iter().map(|rt| rt.mode_trace().to_vec()).collect();
-        let counters: Vec<Vec<u64>> = fleet
+        let counters: Vec<Vec<(&str, u64)>> = fleet
             .iter()
-            .map(|rt| rt.client().metrics().deterministic_counters().to_vec())
+            .map(|rt| rt.client().metrics().deterministic_counters())
             .collect();
         let retries: u64 = fleet.iter().map(|rt| rt.client().metrics().retries).sum();
         let routing = directory.metrics().snapshot();
