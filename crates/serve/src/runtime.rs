@@ -98,10 +98,6 @@ pub struct RuntimeCounters {
     pub short_circuits: u64,
     /// Best-effort model reports that failed.
     pub report_failures: u64,
-    /// Reports the server answered with a rejected ack (replay, rate cap,
-    /// or shed). Unlike `report_failures` this spends no breaker budget:
-    /// the link is healthy, the payload was just refused.
-    pub reports_rejected: u64,
 }
 
 /// A device's fetch→fit→report loop with circuit breaking, stale-prior
@@ -219,9 +215,9 @@ impl<C: Connector> EdgeRuntime<C> {
         if self.config.report_models && mode == FitMode::FreshPrior {
             match self.report(&model) {
                 Ok(true) => reported = true,
-                // A rejected ack is a healthy reply: no breaker penalty,
-                // just a counted refusal the device can observe.
-                Ok(false) => self.counters.reports_rejected += 1,
+                // A rejected ack is a healthy reply: no breaker penalty;
+                // the client's `reports_rejected` counter records it.
+                Ok(false) => {}
                 Err(_) => {
                     self.counters.report_failures += 1;
                     self.breaker.on_failure(step);
