@@ -122,24 +122,12 @@ pub struct ServeConfig {
     /// admission behaviour (`workers` being served + `queue_bound`
     /// waiting).
     pub max_connections: Option<usize>,
-    /// Global cap on requests being served at once; requests beyond it get
-    /// a `Busy` reply instead of a response.
-    pub max_in_flight: usize,
     /// Requests served on one connection before the server closes it — a
     /// fairness valve so a single chatty client cannot hold a worker
     /// forever (clients reconnect transparently on the next attempt).
     pub max_requests_per_conn: usize,
     /// Backoff hint carried inside `Busy` replies.
     pub busy_retry_after: Duration,
-    /// High-water mark for per-connection read/write buffers: after a
-    /// frame larger than this, the buffer shrinks back so one huge prior
-    /// frame doesn't pin peak memory for the life of a keep-alive
-    /// connection.
-    pub buffer_high_water: usize,
-    /// Poll-tick backstop: the longest a worker sleeps between deadline
-    /// sweeps when no socket turns ready. Wake-ups (new connections,
-    /// shutdown) interrupt it.
-    pub poll_interval: Duration,
     /// Cap on buffered model reports: once the inbox holds this many
     /// undrained [`ReportedModel`]s, further reports are acknowledged but
     /// dropped (counted in [`ServeMetrics::reports_shed`]) — a report
@@ -164,11 +152,8 @@ impl Default for ServeConfig {
             max_frame_len: DEFAULT_MAX_FRAME_LEN,
             queue_bound: 64,
             max_connections: None,
-            max_in_flight: 64,
             max_requests_per_conn: 1024,
             busy_retry_after: Duration::from_millis(25),
-            buffer_high_water: 64 << 10,
-            poll_interval: Duration::from_millis(10),
             report_inbox_cap: DEFAULT_REPORT_INBOX_CAP,
             report_device_cap: DEFAULT_REPORT_DEVICE_CAP,
         }
@@ -866,6 +851,20 @@ impl Responder for InMemoryServer {
 /// Initial per-connection buffer size; most control frames fit in one.
 const READ_CHUNK: usize = 4 << 10;
 
+/// High-water mark for per-connection read/write buffers: after a frame
+/// larger than this, the buffer shrinks back so one huge prior frame
+/// doesn't pin peak memory for the life of a keep-alive connection.
+const BUFFER_HIGH_WATER: usize = 64 << 10;
+
+/// Global cap on requests being served at once; requests beyond it get a
+/// `Busy` reply instead of a response.
+const MAX_IN_FLIGHT: usize = 64;
+
+/// Poll-tick backstop: the longest a worker sleeps between deadline sweeps
+/// when no socket turns ready. Wake-ups (new connections, shutdown)
+/// interrupt it.
+const POLL_INTERVAL: Duration = Duration::from_millis(10);
+
 /// Shrinks a grow-only buffer back to `high_water` once the bytes it still
 /// holds fit under it — the release valve that keeps one oversized frame
 /// from pinning peak memory for the life of a keep-alive connection. The
@@ -1005,7 +1004,7 @@ impl Conn {
             }
             let in_flight = state.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
             let _gauge = InFlight(&state.in_flight);
-            if in_flight as usize > config.max_in_flight.max(1) {
+            if in_flight as usize > MAX_IN_FLIGHT {
                 let reply = state.busy_bytes(total, config.busy_retry_after);
                 self.wbuf.extend_from_slice(&reply);
             } else {
@@ -1027,7 +1026,7 @@ impl Conn {
         if replies > 1 {
             state.metrics.batched_writes.fetch_add(1, Ordering::Relaxed);
         }
-        shrink_buffer(&mut self.rbuf, self.rlen, config.buffer_high_water);
+        shrink_buffer(&mut self.rbuf, self.rlen, BUFFER_HIGH_WATER);
 
         if saw_eof {
             if self.rlen > 0 && !self.close_after_flush {
@@ -1052,7 +1051,7 @@ impl Conn {
         if !self.wants_write() {
             self.wbuf.clear();
             self.wpos = 0;
-            shrink_buffer(&mut self.wbuf, 0, config.buffer_high_water);
+            shrink_buffer(&mut self.wbuf, 0, BUFFER_HIGH_WATER);
             if self.close_after_flush {
                 return false;
             }
@@ -1130,7 +1129,7 @@ fn run_worker(
         for c in &conns {
             pollfds.push(PollFd::new(c.fd, true, c.wants_write()));
         }
-        let ready = dre_netpoll::poll(&mut pollfds, Some(config.poll_interval)).unwrap_or(0);
+        let ready = dre_netpoll::poll(&mut pollfds, Some(POLL_INTERVAL)).unwrap_or(0);
         if shutdown.load(Ordering::SeqCst) {
             return;
         }
