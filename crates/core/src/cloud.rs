@@ -35,7 +35,6 @@ pub struct CloudKnowledge {
     prior: MixturePrior,
     discovered_clusters: usize,
     alpha: f64,
-    method: PriorFitMethod,
 }
 
 impl CloudKnowledge {
@@ -110,42 +109,7 @@ impl CloudKnowledge {
             prior,
             discovered_clusters: discovered,
             alpha,
-            method,
         })
-    }
-
-    /// Incorporates newly reported device models and refits the prior —
-    /// the cloud's lifelong-learning loop: as more devices come and go,
-    /// the transferred knowledge sharpens and new task clusters are
-    /// discovered without restarting from scratch.
-    ///
-    /// # Errors
-    ///
-    /// * [`EdgeError::InvalidData`] for an empty batch or a dimension
-    ///   mismatch with the existing history.
-    /// * Propagates prior-fitting failures (the previous state is left
-    ///   untouched on error).
-    pub fn incorporate_models<R: Rng + ?Sized>(
-        &mut self,
-        new_models: Vec<Vec<f64>>,
-        rng: &mut R,
-    ) -> Result<()> {
-        if new_models.is_empty() {
-            return Err(EdgeError::InvalidData {
-                reason: "incorporate needs at least one new model",
-            });
-        }
-        let p = self.source_models[0].len();
-        if new_models.iter().any(|m| m.len() != p) {
-            return Err(EdgeError::InvalidData {
-                reason: "new models must match the existing parameter dimension",
-            });
-        }
-        let mut all = self.source_models.clone();
-        all.extend(new_models);
-        let refitted = Self::from_source_models(all, self.alpha, self.method, rng)?;
-        *self = refitted;
-        Ok(())
     }
 
     /// Full pipeline from a task family: sample `num_tasks` historical
@@ -347,50 +311,6 @@ mod tests {
             assert!(best < 0.2, "no component aligned with {center:?} ({best})");
         }
         assert!(CloudKnowledge::from_family(&family, 0, 10, 1.0, &mut rng).is_err());
-    }
-
-    #[test]
-    fn incorporate_models_discovers_new_clusters() {
-        let mut rng = seeded_rng(7);
-        // Start with one tight cluster of source parameters.
-        let mut thetas = Vec::new();
-        for i in 0..12 {
-            let j = (i % 4) as f64 * 0.05;
-            thetas.push(vec![5.0 + j, -5.0, 0.0]);
-        }
-        let mut cloud = CloudKnowledge::from_source_models(
-            thetas,
-            1.0,
-            PriorFitMethod::CollapsedGibbs,
-            &mut rng,
-        )
-        .unwrap();
-        assert_eq!(cloud.discovered_clusters(), 1);
-
-        // A new population of devices reports a second cluster.
-        let new: Vec<Vec<f64>> = (0..12)
-            .map(|i| vec![-5.0, 5.0 + (i % 4) as f64 * 0.05, 1.0])
-            .collect();
-        cloud.incorporate_models(new, &mut rng).unwrap();
-        assert_eq!(cloud.discovered_clusters(), 2);
-        assert_eq!(cloud.source_models().len(), 24);
-        // The refit prior covers both populations.
-        for center in [[5.0, -5.0, 0.0], [-5.0, 5.0, 1.0]] {
-            let best = cloud
-                .prior()
-                .components()
-                .iter()
-                .map(|c| dre_linalg::vector::dist2(c.mean(), &center))
-                .fold(f64::INFINITY, f64::min);
-            assert!(best < 0.5, "no component near {center:?}");
-        }
-
-        // Validation: empty batch and dimension mismatch leave state intact.
-        assert!(cloud.incorporate_models(vec![], &mut rng).is_err());
-        assert!(cloud
-            .incorporate_models(vec![vec![1.0, 2.0]], &mut rng)
-            .is_err());
-        assert_eq!(cloud.source_models().len(), 24);
     }
 
     #[test]

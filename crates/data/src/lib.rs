@@ -12,8 +12,8 @@
 //!   modelling assumption: every device's true parameter `θ*` is drawn from
 //!   a mixture over latent task clusters, and its data follow a logistic
 //!   model at `θ*`;
-//! * [`shift`] — covariate mean-shift/scaling and label noise applied at
-//!   test time;
+//! * [`shift`] — covariate mean/directional shift and label noise applied
+//!   at test time;
 //! * [`digits`] — a deterministic 64-dimensional "synthetic digits"
 //!   workload for higher-dimensional runs.
 //!

@@ -49,27 +49,6 @@ pub fn directional_shift(data: &Dataset, direction: &[f64], magnitude: f64) -> R
     mean_shift(data, &delta)
 }
 
-/// Scales every feature by a constant (variance inflation/deflation).
-///
-/// # Errors
-///
-/// Returns [`DataError::InvalidParameter`] for a non-positive or non-finite
-/// scale.
-pub fn feature_scale(data: &Dataset, scale: f64) -> Result<Dataset> {
-    if !(scale > 0.0 && scale.is_finite()) {
-        return Err(DataError::InvalidParameter {
-            param: "scale",
-            value: scale,
-        });
-    }
-    let xs = data
-        .features()
-        .iter()
-        .map(|x| dre_linalg::vector::scaled(x, scale))
-        .collect();
-    Dataset::new(xs, data.labels().to_vec())
-}
-
 /// Flips each label independently with probability `p` (label noise).
 ///
 /// # Errors
@@ -88,36 +67,6 @@ pub fn label_flip_noise<R: Rng + ?Sized>(data: &Dataset, p: f64, rng: &mut R) ->
         .map(|&y| if rng.gen_range(0.0..1.0) < p { -y } else { y })
         .collect();
     Dataset::new(data.features().to_vec(), ys)
-}
-
-/// Adds isotropic Gaussian noise of the given standard deviation to every
-/// feature (sensor degradation).
-///
-/// # Errors
-///
-/// Returns [`DataError::InvalidParameter`] for a negative or non-finite
-/// standard deviation.
-pub fn feature_noise<R: Rng + ?Sized>(data: &Dataset, std: f64, rng: &mut R) -> Result<Dataset> {
-    if !(std >= 0.0 && std.is_finite()) {
-        return Err(DataError::InvalidParameter {
-            param: "std",
-            value: std,
-        });
-    }
-    use dre_prob::{Distribution, Normal};
-    let noise = Normal::new(0.0, std.max(1e-300)).expect("validated above");
-    let xs = data
-        .features()
-        .iter()
-        .map(|x| {
-            if std == 0.0 {
-                x.clone()
-            } else {
-                x.iter().map(|&v| v + noise.sample(rng)).collect()
-            }
-        })
-        .collect();
-    Dataset::new(xs, data.labels().to_vec())
 }
 
 #[cfg(test)]
@@ -156,15 +105,6 @@ mod tests {
     }
 
     #[test]
-    fn feature_scale_validation_and_effect() {
-        let d = toy();
-        let s = feature_scale(&d, 2.0).unwrap();
-        assert_eq!(s.features()[0], vec![2.0, 4.0]);
-        assert!(feature_scale(&d, 0.0).is_err());
-        assert!(feature_scale(&d, -1.0).is_err());
-    }
-
-    #[test]
     fn label_flip_noise_statistics() {
         let base = Dataset::new(vec![vec![0.0]; 10_000], vec![1.0; 10_000]).unwrap();
         let mut rng = seeded_rng(8);
@@ -177,17 +117,5 @@ mod tests {
         assert!(same.labels().iter().all(|&y| y == 1.0));
         let all = label_flip_noise(&base, 1.0, &mut rng).unwrap();
         assert!(all.labels().iter().all(|&y| y == -1.0));
-    }
-
-    #[test]
-    fn feature_noise_perturbs_without_touching_labels() {
-        let d = toy();
-        let mut rng = seeded_rng(9);
-        let n = feature_noise(&d, 0.5, &mut rng).unwrap();
-        assert_eq!(n.labels(), d.labels());
-        assert_ne!(n.features(), d.features());
-        let clean = feature_noise(&d, 0.0, &mut rng).unwrap();
-        assert_eq!(clean.features(), d.features());
-        assert!(feature_noise(&d, -1.0, &mut rng).is_err());
     }
 }

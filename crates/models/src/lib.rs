@@ -12,8 +12,7 @@
 //!   (implements [`dre_optim::Objective`]), the Local-ERM baseline's
 //!   training problem;
 //! * [`SoftmaxModel`] / [`SoftmaxObjective`] — the multiclass extension;
-//! * [`metrics`] — accuracy, log-loss, confusion counts, expected
-//!   calibration error.
+//! * [`metrics`] — accuracy and log-loss.
 //!
 //! Labels are `±1` for binary models and `0..k` for softmax.
 //!
