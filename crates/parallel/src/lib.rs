@@ -14,8 +14,8 @@
 //!    scheduled.
 //! 2. **Serial fallback.** With the default-on `parallel` cargo feature
 //!    disabled the crate contains no threading code at all; with it enabled,
-//!    `DRE_NUM_THREADS=1`/`RAYON_NUM_THREADS=1` or [`set_force_serial`]
-//!    select the same serial path at runtime.
+//!    `DRE_NUM_THREADS=1`/`RAYON_NUM_THREADS=1` or a [`with_serial`]
+//!    scope select the same serial path at runtime.
 //!
 //! Threads are `std::thread::scope` workers (the container environment
 //! bakes in no external crates, so this plays the role a `rayon` pool
@@ -79,18 +79,6 @@ pub fn effective_threads() -> usize {
     } else {
         max_threads()
     }
-}
-
-/// True when primitives may use more than one thread.
-pub fn parallel_enabled() -> bool {
-    effective_threads() > 1
-}
-
-/// Forces (or releases) the serial path at runtime. Because parallel and
-/// serial paths are bit-identical, flipping this concurrently with running
-/// work affects only performance. Prefer [`with_serial`] for scoped use.
-pub fn set_force_serial(on: bool) {
-    FORCE_SERIAL.store(on, Ordering::Relaxed);
 }
 
 /// Runs `f` with the serial path forced, restoring the previous mode after.
@@ -321,16 +309,6 @@ where
         out.extend(p?);
     }
     Ok(out)
-}
-
-/// [`par_try_map_indexed_min`] with the default spawn threshold.
-pub fn par_try_map_indexed<U, E, F>(n: usize, f: F) -> std::result::Result<Vec<U>, E>
-where
-    U: Send,
-    E: Send,
-    F: Fn(usize) -> std::result::Result<U, E> + Sync,
-{
-    par_try_map_indexed_min(n, DEFAULT_MIN_PAR, f)
 }
 
 /// Deterministic sum `Σ_{i<n} f(i)` with fixed-order chunked reduction.
