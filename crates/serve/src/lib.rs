@@ -30,8 +30,10 @@
 //!   including [`transport::FaultyTransport`], a deterministic test double
 //!   injecting drops, truncations, bit-flips, and delays from a seeded
 //!   RNG.
-//! * [`metrics`] — transfer metrics (requests, bytes, retries, checksum
-//!   failures, log-spaced latency histogram) kept on both ends.
+//! * [`metrics`] — transfer counters (requests, bytes, retries, checksum
+//!   failures, …), each declared once in one table as deterministic or
+//!   timing-dependent, and a log-spaced latency histogram; kept on both
+//!   ends.
 //! * [`resilience`] — a step-clocked, seeded-deterministic circuit breaker
 //!   and a TTL'd stale-prior cache.
 //! * [`runtime`] — [`runtime::EdgeRuntime`], the fault-tolerant
