@@ -11,10 +11,10 @@
 //! The hash was recorded on x86-64 Linux; a platform whose libm rounds
 //! `exp`/`ln` differently will differ.
 
+mod support;
+
 use dre_bayes::MixturePrior;
-use dre_learner::{AdmissionConfig, CloudLearner, LearnerConfig, PriorSink};
-use dre_prob::{seeded_rng, MvNormal};
-use dre_serve::ReportedModel;
+use dre_learner::PriorSink;
 
 /// FNV-1a over every published `(task_id, serialized prior)` in order.
 struct HashSink {
@@ -39,55 +39,15 @@ impl PriorSink for HashSink {
     }
 }
 
-/// 30 batches of 10 reports from two overlapping honest clusters at
-/// `(±1.2, 0)`. From batch 4 on, the last 3 reports of every batch come from
-/// colluding devices 100–102 near `(0, 9)`.
-fn stream() -> Vec<Vec<ReportedModel>> {
-    let mut rng = seeded_rng(77);
-    let a = MvNormal::isotropic(vec![1.2, 0.0], 0.4).unwrap();
-    let b = MvNormal::isotropic(vec![-1.2, 0.0], 0.4).unwrap();
-    let poison = MvNormal::isotropic(vec![0.0, 9.0], 0.01).unwrap();
-    let mut seq = 0;
-    (0..30)
-        .map(|batch| {
-            (0..10)
-                .map(|i| {
-                    seq += 1;
-                    let (device_id, params) = if batch < 4 || i < 7 {
-                        let src = if seq % 2 == 0 { &a } else { &b };
-                        (seq % 11, src.sample(&mut rng))
-                    } else {
-                        (100 + (i - 7) as u64, poison.sample(&mut rng))
-                    };
-                    ReportedModel {
-                        task_id: 5,
-                        device_id,
-                        seq,
-                        params,
-                    }
-                })
-                .collect()
-        })
-        .collect()
-}
-
 #[test]
 fn colluding_stream_publishes_the_golden_priors() {
-    let mut learner = CloudLearner::try_new(LearnerConfig {
-        refresh_interval: 6,
-        admission: Some(AdmissionConfig {
-            warmup: 8,
-            ..AdmissionConfig::default()
-        }),
-        ..LearnerConfig::default()
-    })
-    .unwrap();
+    let mut learner = support::learner();
     let mut sink = HashSink {
         hash: 0xCBF2_9CE4_8422_2325,
         publishes: 0,
     };
     let (mut absorbed, mut gated, mut quarantined) = (0, 0, 0);
-    for batch in stream() {
+    for batch in support::stream() {
         let tick = learner.absorb(batch, &mut sink).unwrap();
         absorbed += tick.absorbed;
         gated += tick.gated;
