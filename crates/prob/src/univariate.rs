@@ -415,9 +415,16 @@ impl Categorical {
 /// same arithmetic — same normalization order, same single `gen_range` call,
 /// same binary search — so the drawn index and the RNG stream are identical
 /// to the allocating path.
+///
+/// The scratch keeps the CDF of its last successful call, keyed by the
+/// **bits** of that call's log-weights. A call with a bit-identical row
+/// (sibling particles of a resampled ensemble score the same row) skips
+/// the softmax and draws from the kept CDF; since the CDF is a function of
+/// the row's bits alone, the draw is the same as from a fresh build.
 #[derive(Debug, Clone, Default)]
 pub struct CategoricalScratch {
-    w: Vec<f64>,
+    /// The log-weights `cdf` was built from; empty when no CDF is kept.
+    key: Vec<f64>,
     cdf: Vec<f64>,
 }
 
@@ -433,23 +440,51 @@ impl CategoricalScratch {
     ///
     /// # Errors
     ///
-    /// Same as [`Categorical::from_log_weights`] / [`Categorical::new`].
+    /// Same as [`Categorical::from_log_weights`] / [`Categorical::new`]. A
+    /// failed call keeps no CDF, so the next call builds its own.
     pub fn sample_from_log_weights<R: Rng + ?Sized>(
         &mut self,
         log_weights: &[f64],
         rng: &mut R,
     ) -> Result<usize> {
+        let same_row = !self.key.is_empty()
+            && self.key.len() == log_weights.len()
+            && self
+                .key
+                .iter()
+                .zip(log_weights)
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+        if !same_row {
+            self.key.clear();
+            self.build_cdf(log_weights)?;
+            self.key.extend_from_slice(log_weights);
+        }
+        let u: f64 = rng.gen_range(0.0..1.0);
+        Ok(
+            match self
+                .cdf
+                .binary_search_by(|c| c.partial_cmp(&u).expect("finite cdf"))
+            {
+                Ok(i) => (i + 1).min(self.cdf.len() - 1),
+                Err(i) => i,
+            },
+        )
+    }
+
+    /// Softmax of `log_weights`, then its running sum, into `cdf`: the
+    /// arithmetic of [`Categorical::from_log_weights`].
+    fn build_cdf(&mut self, log_weights: &[f64]) -> Result<()> {
         if log_weights.is_empty() {
             return Err(ProbError::InvalidDimension {
                 what: "categorical",
                 dim: 0,
             });
         }
-        self.w.clear();
-        self.w.extend_from_slice(log_weights);
-        dre_linalg::vector::softmax_in_place(&mut self.w);
+        self.cdf.clear();
+        self.cdf.extend_from_slice(log_weights);
+        dre_linalg::vector::softmax_in_place(&mut self.cdf);
         let mut total = 0.0;
-        for &w in &self.w {
+        for &w in &self.cdf {
             if !(w >= 0.0 && w.is_finite()) {
                 return Err(ProbError::InvalidParameter {
                     what: "categorical",
@@ -466,23 +501,13 @@ impl CategoricalScratch {
                 value: total,
             });
         }
-        self.cdf.clear();
         let mut acc = 0.0;
-        for &w in &self.w {
-            acc += w / total;
-            self.cdf.push(acc);
+        for c in &mut self.cdf {
+            acc += *c / total;
+            *c = acc;
         }
         *self.cdf.last_mut().expect("nonempty") = 1.0;
-        let u: f64 = rng.gen_range(0.0..1.0);
-        Ok(
-            match self
-                .cdf
-                .binary_search_by(|c| c.partial_cmp(&u).expect("finite cdf"))
-            {
-                Ok(i) => (i + 1).min(self.cdf.len() - 1),
-                Err(i) => i,
-            },
-        )
+        Ok(())
     }
 }
 
@@ -727,6 +752,45 @@ mod tests {
         assert!(scratch
             .sample_from_log_weights(&[f64::NAN, 0.0], &mut seeded_rng(1))
             .is_err());
+    }
+
+    #[test]
+    fn categorical_scratch_cdf_reuse_matches_a_fresh_scratch_per_call() {
+        let a = vec![-1.0, -2.0, 0.5];
+        let b = vec![3.0, -700.0, 2.9, 3.1];
+        let nan = vec![0.0, f64::NAN, -1.0];
+        let rows: Vec<&[f64]> = vec![
+            &a,
+            &a,
+            &a,
+            &b,
+            &a,
+            &b,
+            &b,
+            &nan,
+            &nan,
+            &a,
+            &[],
+            &a,
+            &[0.0, -1.0],
+            &[-0.0, -1.0],
+            &[0.0, -1.0],
+            &a[..2],
+            &a,
+        ];
+        let mut kept = CategoricalScratch::new();
+        let mut r1 = seeded_rng(71);
+        let mut r2 = seeded_rng(71);
+        for (i, row) in rows.iter().enumerate() {
+            let got = kept.sample_from_log_weights(row, &mut r1);
+            let want = CategoricalScratch::new().sample_from_log_weights(row, &mut r2);
+            assert_eq!(got.ok(), want.ok(), "row {i}: {row:?}");
+            assert_eq!(
+                rand::RngCore::next_u64(&mut r1.clone()),
+                rand::RngCore::next_u64(&mut r2.clone()),
+                "row {i}: RNG streams diverged"
+            );
+        }
     }
 
     #[test]
