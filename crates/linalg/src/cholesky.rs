@@ -240,20 +240,40 @@ impl Cholesky {
     ///
     /// Returns [`LinalgError::NonFinite`] unless `c > 0` and finite.
     pub fn scaled(&self, c: f64) -> Result<Self> {
+        let mut out = Cholesky {
+            l: Matrix::zeros(self.dim(), self.dim()),
+        };
+        self.scaled_into(c, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Cholesky::scaled`] written into `out`, reusing its storage when
+    /// the dimensions match: the allocation-free path for a cache that
+    /// rebuilds a scaled copy of its factor after every update. On error
+    /// `out` is unchanged.
+    ///
+    /// # Errors
+    ///
+    /// As [`Cholesky::scaled`].
+    pub fn scaled_into(&self, c: f64, out: &mut Cholesky) -> Result<()> {
         if !(c > 0.0 && c.is_finite()) {
             return Err(LinalgError::NonFinite {
                 op: "cholesky scale",
             });
         }
+        let n = self.dim();
+        if out.dim() != n {
+            out.l = Matrix::zeros(n, n);
+        }
+        // Both factors are lower-triangular, so the zero upper triangle
+        // needs no copy.
         let s = c.sqrt();
-        let mut l = self.l.clone();
-        let n = l.rows();
         for i in 0..n {
             for j in 0..=i {
-                l[(i, j)] *= s;
+                out.l[(i, j)] = self.l[(i, j)] * s;
             }
         }
-        Ok(Cholesky { l })
+        Ok(())
     }
 
     /// Rank-1 **update**: replaces the factor of `A` with the factor of
@@ -481,6 +501,16 @@ mod tests {
         assert!((sc.log_det() - (ch.log_det() + 3.0 * 2.5f64.ln())).abs() < 1e-12);
         assert!(ch.scaled(0.0).is_err());
         assert!(ch.scaled(f64::NAN).is_err());
+        // Into a factor holding other values, then into one of another
+        // dimension: the same entries as the allocating path.
+        let mut out = Cholesky::new(&a.scaled(7.0)).unwrap();
+        ch.scaled_into(2.5, &mut out).unwrap();
+        assert_eq!(out.factor_l(), sc.factor_l());
+        let mut out = Cholesky::new(&Matrix::identity(1)).unwrap();
+        ch.scaled_into(2.5, &mut out).unwrap();
+        assert_eq!(out.factor_l(), sc.factor_l());
+        assert!(ch.scaled_into(-1.0, &mut out).is_err());
+        assert_eq!(out.factor_l(), sc.factor_l());
     }
 
     #[test]

@@ -46,19 +46,7 @@ impl MvStudentT {
     ///   with `scale`.
     /// * [`ProbError::Linalg`] when `scale` cannot be Cholesky-factored.
     pub fn new(dof: f64, loc: Vec<f64>, scale: &Matrix) -> Result<Self> {
-        if !(dof > 0.0 && dof.is_finite()) {
-            return Err(ProbError::InvalidParameter {
-                what: "mv_student_t",
-                param: "dof",
-                value: dof,
-            });
-        }
-        if loc.is_empty() || loc.len() != scale.rows() {
-            return Err(ProbError::InvalidDimension {
-                what: "mv_student_t",
-                dim: loc.len(),
-            });
-        }
+        Self::check_parts(dof, loc.len(), scale.rows())?;
         let chol = Cholesky::new_with_jitter(scale, 1e-6)?;
         Self::from_factor(dof, loc, chol)
     }
@@ -77,6 +65,37 @@ impl MvStudentT {
     /// * [`ProbError::InvalidDimension`] when `loc` is empty or mismatched
     ///   with `chol`.
     pub fn from_factor(dof: f64, loc: Vec<f64>, chol: Cholesky) -> Result<Self> {
+        Self::check_parts(dof, loc.len(), chol.dim())?;
+        let log_norm = Self::log_norm(dof, loc.len(), &chol);
+        Ok(MvStudentT {
+            dof,
+            loc,
+            chol,
+            log_norm,
+        })
+    }
+
+    /// Rebuilds `self` as `from_factor(dof, loc.to_vec(), chol.scaled(c)?)`
+    /// would, bit for bit, writing into its own location and factor
+    /// instead of allocating new ones. On error `self` is unchanged.
+    pub(crate) fn assign_scaled_factor(
+        &mut self,
+        dof: f64,
+        loc: &[f64],
+        chol: &Cholesky,
+        c: f64,
+    ) -> Result<()> {
+        Self::check_parts(dof, loc.len(), chol.dim())?;
+        chol.scaled_into(c, &mut self.chol)?;
+        self.loc.clear();
+        self.loc.extend_from_slice(loc);
+        self.dof = dof;
+        self.log_norm = Self::log_norm(dof, loc.len(), &self.chol);
+        Ok(())
+    }
+
+    /// `dof > 0` and a nonempty location matching the scale's dimension.
+    fn check_parts(dof: f64, loc_dim: usize, scale_dim: usize) -> Result<()> {
         if !(dof > 0.0 && dof.is_finite()) {
             return Err(ProbError::InvalidParameter {
                 what: "mv_student_t",
@@ -84,23 +103,22 @@ impl MvStudentT {
                 value: dof,
             });
         }
-        if loc.is_empty() || loc.len() != chol.dim() {
+        if loc_dim == 0 || loc_dim != scale_dim {
             return Err(ProbError::InvalidDimension {
                 what: "mv_student_t",
-                dim: loc.len(),
+                dim: loc_dim,
             });
         }
-        let d = loc.len() as f64;
-        let log_norm = ln_gamma(0.5 * (dof + d))
+        Ok(())
+    }
+
+    /// `log Γ((ν+d)/2) − log Γ(ν/2) − (d/2)·log(νπ) − ½·log det Σ`.
+    fn log_norm(dof: f64, d: usize, chol: &Cholesky) -> f64 {
+        let d = d as f64;
+        ln_gamma(0.5 * (dof + d))
             - ln_gamma(0.5 * dof)
             - 0.5 * d * (dof.ln() + LN_PI)
-            - 0.5 * chol.log_det();
-        Ok(MvStudentT {
-            dof,
-            loc,
-            chol,
-            log_norm,
-        })
+            - 0.5 * chol.log_det()
     }
 
     /// Log-determinant of the scale matrix (from the cached factor).

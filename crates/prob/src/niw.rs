@@ -128,10 +128,16 @@ impl NiwSufficientStats {
 
     /// Sample mean `x̄` (the zero vector when empty).
     pub fn mean(&self) -> Vec<f64> {
-        if self.n == 0 {
-            return vec![0.0; self.sum.len()];
-        }
-        dre_linalg::vector::scaled(&self.sum, 1.0 / self.n as f64)
+        self.mean_iter().collect()
+    }
+
+    /// The entries of [`mean`](Self::mean), without allocating.
+    pub(crate) fn mean_iter(&self) -> impl Iterator<Item = f64> + '_ {
+        let n = self.n;
+        let inv = 1.0 / n as f64;
+        self.sum
+            .iter()
+            .map(move |v| if n == 0 { 0.0 } else { inv * v })
     }
 
     /// Centered scatter matrix `S = Σxxᵀ − n·x̄x̄ᵀ`, symmetrized.

@@ -42,6 +42,8 @@
 //! identical, which is why `dre-bayes` keeps an exact-recompute escape
 //! hatch.
 
+use std::sync::Arc;
+
 use dre_linalg::{Cholesky, LinalgError};
 
 use crate::special::{ln_mv_gamma, LN_PI};
@@ -79,7 +81,8 @@ const FALLBACK_JITTER_REL: f64 = 1e-6;
 #[derive(Debug, Clone)]
 pub struct NiwPosteriorCache {
     /// The base measure (needed to rebuild the posterior on fallback).
-    prior: NormalInverseWishart,
+    /// Immutable, so every clone of a cache shares it.
+    prior: Arc<NormalInverseWishart>,
     /// `log det Ψ₀`, a constant of the collapsed marginal likelihood.
     prior_log_det: f64,
     /// Running sufficient statistics of the absorbed observations; `κ`, `ν`
@@ -106,15 +109,10 @@ impl NiwPosteriorCache {
     pub fn new(prior: &NormalInverseWishart) -> Result<Self> {
         let chol = Cholesky::new_with_jitter(prior.psi0(), 1e-9)?;
         let prior_log_det = chol.log_det();
-        let pred = predictive_from_parts(
-            prior.dim(),
-            prior.nu0(),
-            prior.kappa0(),
-            prior.mu0().to_vec(),
-            &chol,
-        )?;
+        let (dof, c) = predictive_dof_and_scale(prior.dim(), prior.nu0(), prior.kappa0());
+        let pred = MvStudentT::from_factor(dof, prior.mu0().to_vec(), chol.scaled(c)?)?;
         Ok(NiwPosteriorCache {
-            prior: prior.clone(),
+            prior: Arc::new(prior.clone()),
             prior_log_det,
             stats: NiwSufficientStats::new(prior.dim()),
             mu: prior.mu0().to_vec(),
@@ -226,31 +224,43 @@ impl NiwPosteriorCache {
             }
             .into());
         }
-        let kappa = self.kappa();
-        let coef = kappa / (kappa + 1.0);
-        let s = coef.sqrt();
-        let w: Vec<f64> = x
+        let s = self.insert_scale();
+        if !x
             .iter()
             .zip(&self.mu)
-            .map(|(xi, mi)| s * (xi - mi))
-            .collect();
-        if !dre_linalg::vector::all_finite(&w) {
+            .all(|(xi, mi)| (s * (xi - mi)).is_finite())
+        {
             return Err(LinalgError::NonFinite { op: "rank1_update" }.into());
         }
-        Ok(StagedInsert { w })
+        Ok(StagedInsert { _checked: () })
+    }
+
+    /// `√(κₙ/(κₙ+1))`, the insert direction's scale: `Ψₙ₊₁ = Ψₙ + wwᵀ`
+    /// with `w = √(κₙ/(κₙ+1))·(x − μₙ)`.
+    fn insert_scale(&self) -> f64 {
+        let kappa = self.kappa();
+        (kappa / (kappa + 1.0)).sqrt()
     }
 
     /// Applies an insert staged by [`stage_insert`](Self::stage_insert) on
     /// this cache in its current state. Infallible: the rank-1 update of a
     /// finite direction always succeeds, and the predictive rebuild only
     /// depends on `κₙ`, `νₙ` and the dimension, all valid by construction.
+    /// Allocation-free: the direction is formed in the posterior mean's
+    /// buffer, which is recomputed from the statistics right after, and the
+    /// predictive is rebuilt in place.
     ///
     /// # Panics
     ///
     /// Panics when `x.len() != self.dim()`.
-    pub fn commit_insert(&mut self, x: &[f64], mut staged: StagedInsert) {
+    pub fn commit_insert(&mut self, x: &[f64], _staged: StagedInsert) {
+        assert_eq!(x.len(), self.dim(), "insert dimension mismatch");
+        let s = self.insert_scale();
+        for (m, xi) in self.mu.iter_mut().zip(x) {
+            *m = s * (xi - *m);
+        }
         self.chol
-            .rank1_update_in_place(&mut staged.w)
+            .rank1_update_in_place(&mut self.mu)
             .expect("staged direction is finite and of matching dimension");
         self.stats.insert(x);
         self.refresh_mean();
@@ -331,10 +341,11 @@ impl NiwPosteriorCache {
     /// Recomputes `μₙ = (κ₀μ₀ + Σx)/κₙ` from the statistics — exact, `O(d)`.
     fn refresh_mean(&mut self) {
         let kappa = self.kappa();
+        let kappa0 = self.prior.kappa0();
         let n = self.stats.len() as f64;
-        let xbar = self.stats.mean();
-        for ((m, m0), xb) in self.mu.iter_mut().zip(self.prior.mu0()).zip(&xbar) {
-            *m = (self.prior.kappa0() * m0 + n * xb) / kappa;
+        let xbar = self.stats.mean_iter();
+        for ((m, m0), xb) in self.mu.iter_mut().zip(self.prior.mu0()).zip(xbar) {
+            *m = (kappa0 * m0 + n * xb) / kappa;
         }
     }
 
@@ -352,38 +363,26 @@ impl NiwPosteriorCache {
         self.rebuild_predictive()
     }
 
-    /// Rebuilds the cached predictive from the current factor in `O(d²)`.
+    /// Rebuilds the cached predictive from the current factor in `O(d²)`,
+    /// in place.
     fn rebuild_predictive(&mut self) -> Result<()> {
-        self.pred = predictive_from_parts(
-            self.dim(),
-            self.nu(),
-            self.kappa(),
-            self.mu.clone(),
-            &self.chol,
-        )?;
-        Ok(())
+        let (dof, c) = predictive_dof_and_scale(self.dim(), self.nu(), self.kappa());
+        self.pred.assign_scaled_factor(dof, &self.mu, &self.chol, c)
     }
 }
 
-/// A checked rank-1 insert direction from [`NiwPosteriorCache::stage_insert`],
-/// valid for the cache state it was staged on.
+/// Proof from [`NiwPosteriorCache::stage_insert`] that an insert's rank-1
+/// direction is finite, valid for the cache state it was staged on.
 #[derive(Debug)]
 pub struct StagedInsert {
-    w: Vec<f64>,
+    _checked: (),
 }
 
-/// Predictive `t_{ν−d+1}(μ, Ψ (κ+1)/(κ(ν−d+1)))` from a prefactored `Ψ`.
-fn predictive_from_parts(
-    d: usize,
-    nu: f64,
-    kappa: f64,
-    mu: Vec<f64>,
-    chol: &Cholesky,
-) -> Result<MvStudentT> {
+/// The predictive `t_{ν−d+1}(μ, c·Ψ)` of a posterior with parameters
+/// `(μ, κ, Ψ, ν)` has `c = (κ+1)/(κ(ν−d+1))`; returns `(ν−d+1, c)`.
+fn predictive_dof_and_scale(d: usize, nu: f64, kappa: f64) -> (f64, f64) {
     let dof = nu - d as f64 + 1.0;
-    let c = (kappa + 1.0) / (kappa * dof);
-    let scale_chol = chol.scaled(c)?;
-    MvStudentT::from_factor(dof, mu, scale_chol)
+    (dof, (kappa + 1.0) / (kappa * dof))
 }
 
 #[cfg(test)]
