@@ -283,34 +283,6 @@ where
     unreachable!("effective_threads() is 1 without the `parallel` feature")
 }
 
-/// Fallible order-preserving indexed map. On failure, returns the error of
-/// the **lowest failing index** (scanning chunk results in order), so error
-/// selection is deterministic under any scheduling.
-pub fn par_try_map_indexed_min<U, E, F>(
-    n: usize,
-    min_par: usize,
-    f: F,
-) -> std::result::Result<Vec<U>, E>
-where
-    U: Send,
-    E: Send,
-    F: Fn(usize) -> std::result::Result<U, E> + Sync,
-{
-    let workers = effective_threads();
-    if workers <= 1 || n < min_par.max(2) {
-        return (0..n).map(f).collect();
-    }
-    let chunk = n.div_ceil(workers * 4).max(1);
-    let parts = run_chunked(n, chunk, |s, e| {
-        (s..e).map(&f).collect::<std::result::Result<Vec<U>, E>>()
-    });
-    let mut out = Vec::with_capacity(n);
-    for p in parts {
-        out.extend(p?);
-    }
-    Ok(out)
-}
-
 /// Deterministic sum `Σ_{i<n} f(i)` with fixed-order chunked reduction.
 ///
 /// Terms are folded serially within [`REDUCE_CHUNK`]-sized chunks and the
@@ -413,20 +385,6 @@ mod tests {
         let par = par_sum_indexed(100_000, f);
         let ser = with_serial(|| par_sum_indexed(100_000, f));
         assert_eq!(par.to_bits(), ser.to_bits());
-    }
-
-    #[test]
-    fn try_map_returns_lowest_index_error() {
-        let r: std::result::Result<Vec<usize>, usize> = par_try_map_indexed_min(10_000, 1, |i| {
-            if i == 777 || i == 9999 {
-                Err(i)
-            } else {
-                Ok(i)
-            }
-        });
-        assert_eq!(r.unwrap_err(), 777);
-        let ok: std::result::Result<Vec<usize>, usize> = par_try_map_indexed_min(500, 1, Ok);
-        assert_eq!(ok.unwrap().len(), 500);
     }
 
     #[test]
