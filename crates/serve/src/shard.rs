@@ -884,4 +884,91 @@ mod tests {
         let _ = added;
         plane.shutdown();
     }
+
+    fn plane(shards: usize) -> ShardedPriorPlane {
+        ShardedPriorPlane::bind(ShardPlaneConfig {
+            shards,
+            replication: 2,
+            serve: ServeConfig {
+                workers: 1,
+                ..ServeConfig::default()
+            },
+            ..ShardPlaneConfig::default()
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn removing_a_middle_shard_republishes_the_map_and_clients_follow_it() {
+        let mut plane = plane(3);
+        let tasks = 0..24u64;
+        for task in tasks.clone() {
+            plane.register_payload(task, vec![task as u8; 8]);
+        }
+        // A directory holding the map from before the removal.
+        let directory = plane.directory();
+        let removed = plane.addrs()[1];
+        let epoch = plane.epoch();
+
+        plane.remove_shard(1);
+        assert_eq!(plane.epoch(), epoch + 1);
+        assert_eq!(plane.live_count(), 2);
+        assert_eq!(plane.addrs().len(), 2);
+        assert!(!plane.addrs().contains(&removed));
+        // Every surviving member serves the new map, without the removed
+        // address.
+        for &addr in plane.addrs() {
+            let wire = PriorClient::new(TcpConnector::new(addr), RetryPolicy::no_retries())
+                .fetch_shard_map()
+                .unwrap();
+            assert_eq!(wire.epoch, epoch + 1);
+            assert_eq!(wire.shards, plane.addrs());
+        }
+
+        assert_eq!(directory.refresh().unwrap(), epoch + 1);
+        for task in tasks {
+            let mut client = directory.client_for(task, RetryPolicy::no_retries());
+            assert_eq!(
+                client.fetch_prior_payload(task).unwrap(),
+                vec![task as u8; 8],
+                "task {task} after the removal"
+            );
+        }
+        plane.shutdown();
+    }
+
+    #[test]
+    fn removing_the_last_shard_leaves_an_empty_map_until_a_shard_is_added() {
+        let mut plane = plane(1);
+        plane.register_payload(3, vec![3; 8]);
+        let directory = plane.directory();
+        let epoch = plane.epoch();
+
+        plane.remove_shard(0);
+        assert_eq!(plane.epoch(), epoch + 1);
+        assert_eq!(plane.live_count(), 0);
+        assert!(plane.shard_map().is_empty());
+        assert!(plane.shard_map().owners(3).is_empty());
+        // No member is left to answer: the directory keeps its map, and a
+        // routed fetch fails with an error instead of panicking.
+        assert!(directory.refresh().is_err());
+        assert_eq!(directory.epoch(), epoch);
+        assert!(directory
+            .client_for(3, RetryPolicy::no_retries())
+            .fetch_prior_payload(3)
+            .is_err());
+
+        // The recorded payloads survive: a new member serves them again.
+        let added = plane.add_shard().unwrap();
+        assert_eq!((added, plane.epoch()), (0, epoch + 2));
+        let fresh = plane.directory();
+        assert_eq!(
+            fresh
+                .client_for(3, RetryPolicy::no_retries())
+                .fetch_prior_payload(3)
+                .unwrap(),
+            vec![3; 8]
+        );
+        plane.shutdown();
+    }
 }
