@@ -15,8 +15,9 @@
 //! client sees every refreshed generation over a single keep-alive
 //! connection (`conns == 1` throughout).
 
-use dre_bench::closed_loop::{run, scenario, Cohort, ROUNDS};
+use dre_bench::closed_loop::{loopback_server, run, scenario, Cohort, ROUNDS};
 use dre_bench::{fmt_f, Table};
+use dre_serve::ServeConfig;
 
 const REPORTERS_PER_ROUND: usize = 5;
 const SCENARIO_SEED: u64 = 7_500;
@@ -31,8 +32,9 @@ fn main() {
         refresh,
         admission: None,
     };
-    let frozen_run = run(&sc, &cohort(false));
-    let refreshed_run = run(&sc, &cohort(true));
+    let workers = ServeConfig::default().workers;
+    let frozen_run = run(&mut loopback_server(workers), &sc, &cohort(false));
+    let refreshed_run = run(&mut loopback_server(workers), &sc, &cohort(true));
     for outcome in [&frozen_run, &refreshed_run] {
         for (dev, (connections, _)) in outcome.eval_connections.iter().enumerate() {
             assert_eq!(*connections, 1, "eval {dev} reconnected mid-loop");

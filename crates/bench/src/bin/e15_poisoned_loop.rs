@@ -17,9 +17,12 @@
 //! `cargo run -p dre-bench --release --bin e15_poisoned_loop`, mirrored at
 //! `results/e15.json`.
 
-use dre_bench::closed_loop::{loop_admission, run, scenario, Cohort, LoopOutcome, ROUNDS};
+use dre_bench::closed_loop::{
+    loop_admission, loopback_server, run, scenario, Cohort, LoopOutcome, ROUNDS,
+};
 use dre_bench::{fmt_f, Table};
 use dre_learner::AdmissionConfig;
+use dre_serve::ServeConfig;
 
 /// Total reports per round (honest + adversarial), fixed so the swept
 /// adversary counts {0, 1, 3, 5} land exactly on {0, 10, 30, 50}%.
@@ -52,7 +55,8 @@ fn main() {
 
     // Clean reference: all-honest loop, no gate. Its final accuracy (minus
     // the documented noise band) is the bar for the rounds-to-clean column.
-    let clean = run(&sc, &cohort(0, None));
+    let workers = ServeConfig::default().workers;
+    let clean = run(&mut loopback_server(workers), &sc, &cohort(0, None));
     let clean_final = *clean.round_accuracy.last().unwrap();
     let target = clean_final - NOISE_BAND;
 
@@ -82,7 +86,7 @@ fn main() {
                 // Reuse the reference run rather than replaying it.
                 &clean
             } else {
-                replayed = run(&sc, &cohort(adv, admission));
+                replayed = run(&mut loopback_server(workers), &sc, &cohort(adv, admission));
                 &replayed
             };
 

@@ -5,7 +5,9 @@
 //! E14 (clean vs frozen), E15 (colluding cohort, admission on/off) and the
 //! `closed_loop` integration suite all run [`run`] on a [`scenario`], so the
 //! experiment tables and the tests that pin them execute one round loop.
-//! The loop starts from an **uninformative** prior ([`broad_prior`]); each
+//! The serving side is a [`Plane`] argument: one [`PriorServer`] or a
+//! [`ShardedPriorPlane`] runs the same loop.
+//! The loop starts from an **uninformative** prior (`broad_prior`); each
 //! round the few-shot eval cohort fits and is measured against the current
 //! prior, then this round's honest reporters join, fit and report once, the
 //! adversary cohort (if any) reports its colluding poison, and the learner
@@ -19,13 +21,14 @@ use std::time::Duration;
 use dre_bayes::MixturePrior;
 use dre_data::{Dataset, TaskFamily, TaskFamilyConfig};
 use dre_edgesim::{poisoned_report, AdversaryKind};
-use dre_learner::{AdmissionConfig, CloudLearner, LearnerConfig, SirConfig};
+use dre_learner::{AdmissionConfig, CloudLearner, LearnerConfig, PriorSink, SirConfig};
 use dre_linalg::Matrix;
 use dre_models::metrics;
 use dre_prob::seeded_rng;
 use dre_serve::{
-    BreakerConfig, EdgeRuntime, EdgeRuntimeConfig, PriorClient, PriorServer, RetryPolicy,
-    ServeConfig, TcpConnector,
+    BreakerConfig, Connector, EdgeRuntime, EdgeRuntimeConfig, PriorClient, PriorServer,
+    ReportedModel, RetryPolicy, ServeConfig, ServerHandle, ShardConnector, ShardedPriorPlane,
+    TcpConnector,
 };
 use dro_edge::{CloudKnowledge, FitMode};
 
@@ -34,7 +37,7 @@ use crate::{covered_devices, fleet_learner_config, CoveredDevice, FLOOR_ERM_LAMB
 /// Task id the loop serves its prior under.
 pub const TASK_ID: u64 = 9;
 /// Few-shot eval devices measured every round.
-pub const EVALS: usize = 3;
+const EVALS: usize = 3;
 /// Rounds per loop.
 pub const ROUNDS: usize = 5;
 /// Worst-case transport budget each adversary applies to its own data.
@@ -65,7 +68,7 @@ pub fn family_config() -> TaskFamilyConfig {
 /// Loop device runtime: keep-alive fetches, a breaker that trips after two
 /// failures and cools down in one step, a 2-step stale-prior TTL. Eval
 /// devices run with `report_models: false`, reporters with `true`.
-pub fn runtime_config(report_models: bool, device_id: u64) -> EdgeRuntimeConfig {
+fn runtime_config(report_models: bool, device_id: u64) -> EdgeRuntimeConfig {
     EdgeRuntimeConfig {
         task_id: TASK_ID,
         device_id,
@@ -107,7 +110,7 @@ pub fn serve_config() -> ServeConfig {
 }
 
 /// Three attempts with millisecond backoff.
-pub fn fast_policy() -> RetryPolicy {
+fn fast_policy() -> RetryPolicy {
     RetryPolicy {
         max_attempts: 3,
         base_backoff: Duration::from_millis(1),
@@ -122,7 +125,7 @@ pub fn fast_policy() -> RetryPolicy {
 /// # Panics
 ///
 /// Never: the covariance is a scaled identity.
-pub fn broad_prior() -> MixturePrior {
+fn broad_prior() -> MixturePrior {
     let p = family_config().dim + 1;
     MixturePrior::single(vec![0.0; p], Matrix::identity(p).scaled(25.0))
         .expect("a scaled identity is a valid covariance")
@@ -136,7 +139,7 @@ pub fn broad_prior() -> MixturePrior {
 /// # Panics
 ///
 /// Panics if `admission` is invalid.
-pub fn loop_learner(seed: u64, admission: Option<AdmissionConfig>) -> CloudLearner {
+fn loop_learner(seed: u64, admission: Option<AdmissionConfig>) -> CloudLearner {
     CloudLearner::try_new(LearnerConfig {
         sir: SirConfig {
             seed,
@@ -223,7 +226,7 @@ pub struct LoopOutcome {
     pub final_models: Vec<Vec<f64>>,
     /// Final refreshed prior payload (empty when frozen).
     pub final_payload: Vec<u8>,
-    /// Server cache generation after each round.
+    /// The plane's cache generation after each round.
     pub generations: Vec<u64>,
     /// Per-eval-client `(connections, reused_connections)`.
     pub eval_connections: Vec<(u64, u64)>,
@@ -233,35 +236,152 @@ pub struct LoopOutcome {
     pub gated: usize,
     /// Devices the reputation ledger quarantined in total.
     pub quarantined: usize,
-    /// The server's deterministic counters by name at the end of the run.
+    /// The plane's deterministic counters by name at the end of the run.
     pub counters: Vec<(&'static str, u64)>,
 }
 
-/// Runs the closed loop over real loopback TCP (see the module docs for
-/// the round order).
+/// The serving side [`run`] drives: where devices dial, where the learner
+/// publishes ([`PriorSink`]) and drains reports, and what the loop reads
+/// back. Implemented for one running [`PriorServer`] (its [`ServerHandle`])
+/// and a [`ShardedPriorPlane`]; the caller binds the plane and shuts it
+/// down.
+pub trait Plane: PriorSink {
+    /// What a device dials.
+    type Connector: Connector;
+    /// A fresh connector routing `task_id`'s traffic.
+    fn connector(&self, task_id: u64) -> Self::Connector;
+    /// Drains every buffered report, in order.
+    fn take_reports(&self) -> Vec<ReportedModel>;
+    /// Folds the learner's admission outcomes into the plane's metrics.
+    fn note_admission_outcomes(&self, gated: u64, quarantined: u64);
+    /// The registry generation (summed over the live shards of a plane).
+    fn cache_generation(&self) -> u64;
+    /// The payload each replica serving `task_id` holds.
+    fn replica_payloads(&self, task_id: u64) -> Vec<Arc<Vec<u8>>>;
+    /// The deterministic counters by name (summed over a plane's shards
+    /// and its own routing metrics).
+    fn deterministic_counters(&self) -> Vec<(&'static str, u64)>;
+}
+
+impl Plane for ServerHandle {
+    type Connector = TcpConnector;
+
+    fn connector(&self, _task_id: u64) -> TcpConnector {
+        TcpConnector::new(self.addr())
+    }
+
+    fn take_reports(&self) -> Vec<ReportedModel> {
+        self.state().take_reports()
+    }
+
+    fn note_admission_outcomes(&self, gated: u64, quarantined: u64) {
+        self.state().note_admission_outcomes(gated, quarantined);
+    }
+
+    fn cache_generation(&self) -> u64 {
+        self.state().cache_generation()
+    }
+
+    fn replica_payloads(&self, task_id: u64) -> Vec<Arc<Vec<u8>>> {
+        self.state()
+            .prior_entry(task_id)
+            .map(|entry| entry.payload)
+            .into_iter()
+            .collect()
+    }
+
+    fn deterministic_counters(&self) -> Vec<(&'static str, u64)> {
+        self.metrics().deterministic_counters()
+    }
+}
+
+impl Plane for ShardedPriorPlane {
+    type Connector = ShardConnector;
+
+    fn connector(&self, task_id: u64) -> ShardConnector {
+        ShardConnector::new(self.directory(), task_id)
+    }
+
+    fn take_reports(&self) -> Vec<ReportedModel> {
+        ShardedPriorPlane::take_reports(self)
+    }
+
+    fn note_admission_outcomes(&self, gated: u64, quarantined: u64) {
+        ShardedPriorPlane::note_admission_outcomes(self, gated, quarantined);
+    }
+
+    fn cache_generation(&self) -> u64 {
+        live_shards(self)
+            .map(|shard| shard.state().cache_generation())
+            .sum()
+    }
+
+    fn replica_payloads(&self, task_id: u64) -> Vec<Arc<Vec<u8>>> {
+        self.shard_map()
+            .owners(task_id)
+            .into_iter()
+            .filter_map(|owner| self.handle(owner)?.state().prior_entry(task_id))
+            .map(|entry| entry.payload)
+            .collect()
+    }
+
+    fn deterministic_counters(&self) -> Vec<(&'static str, u64)> {
+        let mut total = self.metrics().deterministic_counters();
+        for shard in live_shards(self) {
+            let counters = shard.metrics().deterministic_counters();
+            for ((_, sum), (_, value)) in total.iter_mut().zip(counters) {
+                *sum += value;
+            }
+        }
+        total
+    }
+}
+
+/// The plane's live shards, in shard order.
+fn live_shards(plane: &ShardedPriorPlane) -> impl Iterator<Item = &ServerHandle> {
+    (0..plane.addrs().len()).filter_map(|i| plane.handle(i))
+}
+
+/// Binds a loopback [`PriorServer`] with [`serve_config`]'s timeouts and
+/// `workers` event-loop workers.
 ///
 /// # Panics
 ///
-/// Panics if the loopback plane fails, an eval or reporter fit degrades
-/// below a fresh prior, a reporter does not report, or the wire refuses a
-/// well-formed adversary frame.
-pub fn run(sc: &Scenario, cohort: &Cohort) -> LoopOutcome {
-    let mut server = PriorServer::bind("127.0.0.1:0", serve_config()).expect("bind loopback");
-    let addr = server.addr();
-    let state = Arc::clone(server.state());
-    state.register_prior(TASK_ID, &broad_prior());
+/// Panics if no loopback port can be bound.
+pub fn loopback_server(workers: usize) -> ServerHandle {
+    PriorServer::bind(
+        "127.0.0.1:0",
+        ServeConfig {
+            workers,
+            ..serve_config()
+        },
+    )
+    .expect("bind loopback")
+}
+
+/// Runs the closed loop over `plane` (see the module docs for the round
+/// order), starting by publishing `broad_prior` on it.
+///
+/// # Panics
+///
+/// Panics if a fetch or report fails, an eval or reporter fit degrades
+/// below a fresh prior, a reporter does not report, the wire refuses a
+/// well-formed adversary frame, or the replicas serving the task disagree
+/// after a refresh.
+pub fn run<P: Plane>(plane: &mut P, sc: &Scenario, cohort: &Cohort) -> LoopOutcome {
+    plane.publish(TASK_ID, &broad_prior());
 
     let mut eval_rts: Vec<_> = (0..sc.evals.len())
         .map(|dev| {
             EdgeRuntime::new(
-                TcpConnector::new(addr),
+                plane.connector(TASK_ID),
                 fast_policy(),
                 runtime_config(false, 10_000 + dev as u64),
             )
         })
         .collect();
     let mut adversaries: Vec<_> = (0..cohort.adversaries)
-        .map(|_| PriorClient::new(TcpConnector::new(addr), fast_policy()))
+        .map(|_| PriorClient::new(plane.connector(TASK_ID), fast_policy()))
         .collect();
     // True collusion: every adversary derives its poison from the same
     // fixed (honest-looking) dataset, so the cohort reports one identical
@@ -280,7 +400,6 @@ pub fn run(sc: &Scenario, cohort: &Cohort) -> LoopOutcome {
     .expect("poison fits");
 
     let mut learner = loop_learner(cohort.learner_seed, cohort.admission.clone());
-    let mut sink = Arc::clone(&state);
     let mut out = LoopOutcome {
         round_accuracy: Vec::with_capacity(ROUNDS),
         final_models: vec![Vec::new(); sc.evals.len()],
@@ -307,7 +426,7 @@ pub fn run(sc: &Scenario, cohort: &Cohort) -> LoopOutcome {
 
         for dev in round * cohort.honest..(round + 1) * cohort.honest {
             let mut rt = EdgeRuntime::new(
-                TcpConnector::new(addr),
+                plane.connector(TASK_ID),
                 fast_policy(),
                 runtime_config(true, dev as u64),
             );
@@ -326,26 +445,22 @@ pub fn run(sc: &Scenario, cohort: &Cohort) -> LoopOutcome {
         }
 
         if cohort.refresh {
-            let tick = learner
-                .absorb(state.take_reports(), &mut sink)
-                .expect("absorb");
-            state.note_admission_outcomes(tick.gated as u64, tick.quarantined as u64);
+            let tick = learner.absorb(plane.take_reports(), plane).expect("absorb");
+            plane.note_admission_outcomes(tick.gated as u64, tick.quarantined as u64);
             out.absorbed += tick.absorbed;
             out.gated += tick.gated;
             out.quarantined += tick.quarantined;
-            learner.force_refresh(&mut sink).expect("publish");
+            learner.force_refresh(plane).expect("publish");
+            let payloads = plane.replica_payloads(TASK_ID);
+            assert!(
+                payloads.windows(2).all(|w| w[0] == w[1]),
+                "round {round}: replicas diverged after a refresh"
+            );
+            out.final_payload = payloads.first().expect("published prior").as_ref().clone();
         }
-        out.generations.push(state.cache_generation());
+        out.generations.push(plane.cache_generation());
     }
 
-    if cohort.refresh {
-        out.final_payload = state
-            .prior_entry(TASK_ID)
-            .expect("published prior")
-            .payload
-            .as_ref()
-            .clone();
-    }
     out.eval_connections = eval_rts
         .iter()
         .map(|rt| {
@@ -353,7 +468,6 @@ pub fn run(sc: &Scenario, cohort: &Cohort) -> LoopOutcome {
             (m.connections, m.reused_connections)
         })
         .collect();
-    out.counters = state.metrics().deterministic_counters();
-    server.shutdown();
+    out.counters = plane.deterministic_counters();
     out
 }

@@ -31,11 +31,6 @@ pub enum FitMode {
 }
 
 impl FitMode {
-    /// True when the fit used *some* prior, fresh or stale.
-    pub fn used_prior(&self) -> bool {
-        !matches!(self, FitMode::LocalOnly)
-    }
-
     /// Rung index on the degradation ladder: 0 fresh, 1 stale, 2 local.
     /// Monotone in expected accuracy loss, which makes mode traces easy to
     /// aggregate.
@@ -76,15 +71,6 @@ pub struct ModeShares {
 }
 
 impl ModeShares {
-    /// Tallies a trace of fit modes.
-    pub fn from_trace(trace: &[FitMode]) -> Self {
-        let mut shares = ModeShares::default();
-        for mode in trace {
-            shares.push(*mode);
-        }
-        shares
-    }
-
     /// Adds one fit to the tally.
     pub fn push(&mut self, mode: FitMode) {
         match mode {
@@ -97,16 +83,6 @@ impl ModeShares {
     /// Total fits tallied.
     pub fn total(&self) -> u64 {
         self.fresh + self.stale + self.local
-    }
-
-    /// Fraction of fits that used a fresh prior (1.0 on a healthy link;
-    /// NaN-free: an empty tally reports 0).
-    pub fn fresh_fraction(&self) -> f64 {
-        if self.total() == 0 {
-            0.0
-        } else {
-            self.fresh as f64 / self.total() as f64
-        }
     }
 }
 
@@ -131,25 +107,23 @@ mod tests {
         assert_eq!(FitMode::FreshPrior.tag(), "fresh");
         assert_eq!(FitMode::StalePrior { age: 3 }.to_string(), "stale(3)");
         assert_eq!(FitMode::LocalOnly.tag(), "local");
-        assert!(FitMode::StalePrior { age: 2 }.used_prior());
-        assert!(!FitMode::LocalOnly.used_prior());
     }
 
     #[test]
     fn mode_shares_tally_traces() {
-        let trace = [
+        let mut shares = ModeShares::default();
+        for mode in [
             FitMode::FreshPrior,
             FitMode::FreshPrior,
             FitMode::StalePrior { age: 1 },
             FitMode::LocalOnly,
-        ];
-        let shares = ModeShares::from_trace(&trace);
+        ] {
+            shares.push(mode);
+        }
         assert_eq!(shares.fresh, 2);
         assert_eq!(shares.stale, 1);
         assert_eq!(shares.local, 1);
         assert_eq!(shares.total(), 4);
-        assert!((shares.fresh_fraction() - 0.5).abs() < 1e-12);
-        assert_eq!(ModeShares::default().fresh_fraction(), 0.0);
         assert_eq!(shares.to_string(), "fresh=2 stale=1 local=1");
     }
 }

@@ -17,11 +17,9 @@
 //!
 //! The Dirichlet-process machinery is dimension-agnostic, but collapsed
 //! Gibbs is `O(d³)` per move — prohibitive at `k·(d+1)` parameters for
-//! image-scale `d`. [`kmeans_prior`] therefore provides the scalable
-//! cloud-side summary: k-means++ clustering of source parameters with
-//! moment-matched diagonal covariances.
-
-use rand::Rng;
+//! image-scale `d`. [`pooled_prior`] therefore provides the scalable
+//! cloud-side summary: one moment-matched diagonal component over the
+//! source parameters.
 
 use dre_bayes::{MixturePrior, QuadraticSurrogate};
 use dre_linalg::Matrix;
@@ -293,120 +291,6 @@ pub fn pooled_prior(source_models: &[Vec<f64>], min_var: f64) -> Result<MixtureP
     MixturePrior::single(mean, Matrix::from_diag(&var)).map_err(EdgeError::from)
 }
 
-/// Builds a `k`-component diagonal-covariance prior by k-means++ clustering
-/// of the source parameters (Lloyd iterations to convergence), with
-/// weights proportional to cluster sizes.
-///
-/// # Errors
-///
-/// Returns [`EdgeError::InvalidData`] for empty input or `k == 0`.
-pub fn kmeans_prior<R: Rng + ?Sized>(
-    source_models: &[Vec<f64>],
-    k: usize,
-    min_var: f64,
-    rng: &mut R,
-) -> Result<MixturePrior> {
-    if source_models.is_empty() || k == 0 {
-        return Err(EdgeError::InvalidData {
-            reason: "kmeans prior needs data and k ≥ 1",
-        });
-    }
-    let d = source_models[0].len();
-    if source_models.iter().any(|m| m.len() != d) {
-        return Err(EdgeError::InvalidData {
-            reason: "source models must share a dimension",
-        });
-    }
-    let k = k.min(source_models.len());
-
-    // k-means++ seeding.
-    let mut centers: Vec<Vec<f64>> = Vec::with_capacity(k);
-    centers.push(source_models[rng.gen_range(0..source_models.len())].clone());
-    let mut d2: Vec<f64> = source_models
-        .iter()
-        .map(|x| dre_linalg::vector::dist2_sq(x, &centers[0]))
-        .collect();
-    while centers.len() < k {
-        let total: f64 = d2.iter().sum();
-        let pick = if total <= 0.0 {
-            rng.gen_range(0..source_models.len())
-        } else {
-            let mut u: f64 = rng.gen_range(0.0..total);
-            let mut idx = source_models.len() - 1;
-            for (i, &w) in d2.iter().enumerate() {
-                if u < w {
-                    idx = i;
-                    break;
-                }
-                u -= w;
-            }
-            idx
-        };
-        centers.push(source_models[pick].clone());
-        for (i, x) in source_models.iter().enumerate() {
-            d2[i] = d2[i].min(dre_linalg::vector::dist2_sq(
-                x,
-                centers.last().expect("pushed"),
-            ));
-        }
-    }
-
-    // Lloyd iterations.
-    let mut assign = vec![0usize; source_models.len()];
-    for _ in 0..100 {
-        let mut changed = false;
-        for (i, x) in source_models.iter().enumerate() {
-            let best = (0..centers.len())
-                .min_by(|&a, &b| {
-                    dre_linalg::vector::dist2_sq(x, &centers[a])
-                        .partial_cmp(&dre_linalg::vector::dist2_sq(x, &centers[b]))
-                        .expect("finite distances")
-                })
-                .expect("k ≥ 1");
-            if assign[i] != best {
-                assign[i] = best;
-                changed = true;
-            }
-        }
-        for (c, center) in centers.iter_mut().enumerate() {
-            let members: Vec<&Vec<f64>> = source_models
-                .iter()
-                .zip(&assign)
-                .filter(|(_, &a)| a == c)
-                .map(|(m, _)| m)
-                .collect();
-            if members.is_empty() {
-                continue;
-            }
-            let mut mean = vec![0.0; d];
-            for m in &members {
-                dre_linalg::vector::axpy(1.0 / members.len() as f64, m, &mut mean);
-            }
-            *center = mean;
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    // Moment-matched diagonal components (empty clusters dropped).
-    let mut components = Vec::new();
-    for c in 0..centers.len() {
-        let members: Vec<Vec<f64>> = source_models
-            .iter()
-            .zip(&assign)
-            .filter(|(_, &a)| a == c)
-            .map(|(m, _)| m.clone())
-            .collect();
-        if members.is_empty() {
-            continue;
-        }
-        let (mean, var) = moments(&members, d, min_var);
-        components.push((members.len() as f64, mean, Matrix::from_diag(&var)));
-    }
-    MixturePrior::new(components).map_err(EdgeError::from)
-}
-
 fn moments(models: &[Vec<f64>], d: usize, min_var: f64) -> (Vec<f64>, Vec<f64>) {
     let n = models.len() as f64;
     let mut mean = vec![0.0; d];
@@ -556,35 +440,5 @@ mod tests {
         assert!((cov[(1, 1)] - 0.1).abs() < 1e-12); // floored
         assert!(pooled_prior(&[], 0.1).is_err());
         assert!(pooled_prior(&[vec![1.0], vec![1.0, 2.0]], 0.1).is_err());
-    }
-
-    #[test]
-    fn kmeans_prior_recovers_parameter_clusters() {
-        let mut rng = seeded_rng(33);
-        let mut models = Vec::new();
-        for i in 0..12 {
-            let j = (i % 4) as f64 * 0.1;
-            models.push(vec![5.0 + j, 5.0]);
-            models.push(vec![-5.0, -5.0 + j]);
-        }
-        let prior = kmeans_prior(&models, 2, 0.05, &mut rng).unwrap();
-        assert_eq!(prior.num_components(), 2);
-        let mut found_pos = false;
-        let mut found_neg = false;
-        for c in prior.components() {
-            if c.mean()[0] > 3.0 {
-                found_pos = true;
-            }
-            if c.mean()[0] < -3.0 {
-                found_neg = true;
-            }
-            assert!((c.weight() - 0.5).abs() < 1e-12);
-        }
-        assert!(found_pos && found_neg);
-        // k capped by data size; invalid input rejected.
-        assert!(kmeans_prior(&models, 0, 0.1, &mut rng).is_err());
-        assert!(kmeans_prior::<rand::rngs::StdRng>(&[], 2, 0.1, &mut rng).is_err());
-        let one = kmeans_prior(&models[..1], 5, 0.1, &mut rng).unwrap();
-        assert_eq!(one.num_components(), 1);
     }
 }

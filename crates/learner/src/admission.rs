@@ -281,15 +281,6 @@ impl AdmissionState {
         self.ledger.get(&device_id)
     }
 
-    /// Devices currently quarantined, ascending.
-    pub fn quarantined_devices(&self) -> Vec<u64> {
-        self.ledger
-            .iter()
-            .filter(|(_, d)| d.state == ReputationState::Quarantined)
-            .map(|(&id, _)| id)
-            .collect()
-    }
-
     /// Current gate threshold for `task_id`: the configured quantile of the
     /// rolling admitted-score window minus the margin, or `None` while the
     /// window is still warming up.
@@ -395,23 +386,6 @@ impl AdmissionState {
     }
 }
 
-/// Reads the `DRE_ADMISSION` environment knob the robustness harnesses
-/// sweep: `off`/`0`/`false` disables admission, anything else (including
-/// unset) enables it with the default configuration.
-pub fn admission_from_env() -> Option<AdmissionConfig> {
-    match std::env::var("DRE_ADMISSION") {
-        Ok(v)
-            if {
-                let v = v.trim();
-                v.eq_ignore_ascii_case("off") || v == "0" || v.eq_ignore_ascii_case("false")
-            } =>
-        {
-            None
-        }
-        _ => Some(AdmissionConfig::default()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -485,8 +459,8 @@ mod tests {
             adm.reputation(dev).unwrap().state,
             ReputationState::Quarantined
         );
+        // The only quarantine event is this device's.
         assert_eq!(adm.quarantine_events(), 1);
-        assert_eq!(adm.quarantined_devices(), vec![dev]);
 
         // Quarantined reports are dropped; feed good scores until the
         // seeded probe schedule re-admits (2 consecutive probe passes).

@@ -30,20 +30,27 @@ use std::sync::Arc;
 use dre_bayes::MixturePrior;
 use dre_prob::NormalInverseWishart;
 use dre_serve::shard::ShardedPriorPlane;
-use dre_serve::{ReportedModel, ServerState};
+use dre_serve::{ReportedModel, ServerHandle, ServerState};
 
 use crate::admission::{AdmissionConfig, AdmissionOutcome, AdmissionState};
 use crate::sir::{SirConfig, SirDpFilter};
 use crate::Result;
 
-/// Where refreshed priors go. Implemented for a shared [`ServerState`]
-/// and a [`ShardedPriorPlane`] (replica fan-out).
+/// Where refreshed priors go. Implemented for a shared [`ServerState`],
+/// a running server's [`ServerHandle`] and a [`ShardedPriorPlane`]
+/// (replica fan-out).
 pub trait PriorSink {
     /// Registers (or replaces) the prior served for `task_id`.
     fn publish(&mut self, task_id: u64, prior: &MixturePrior);
 }
 
 impl PriorSink for Arc<ServerState> {
+    fn publish(&mut self, task_id: u64, prior: &MixturePrior) {
+        self.register_prior(task_id, prior);
+    }
+}
+
+impl PriorSink for ServerHandle {
     fn publish(&mut self, task_id: u64, prior: &MixturePrior) {
         self.register_prior(task_id, prior);
     }
@@ -71,8 +78,7 @@ pub struct LearnerConfig {
     pub min_reports_for_base: usize,
     /// Byzantine-robust report admission (predictive gating + reputation
     /// ledger). `None` absorbs every report unconditionally, exactly the
-    /// pre-admission behaviour; harnesses flip it with
-    /// [`admission_from_env`](crate::admission_from_env).
+    /// pre-admission behaviour.
     pub admission: Option<AdmissionConfig>,
 }
 
@@ -378,34 +384,6 @@ impl CloudLearner {
             }
         }
         Ok(refreshed)
-    }
-
-    /// One synchronous tick against a sharded plane: drain every live
-    /// shard's inbox (shard order, arrival order within a shard), fold, and
-    /// publish refreshed priors through the plane so they fan out to all
-    /// owner replicas.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CloudLearner::absorb`].
-    pub fn step_plane(&mut self, plane: &mut ShardedPriorPlane) -> Result<LearnerTick> {
-        let mut reports = Vec::new();
-        for i in 0..plane.addrs().len() {
-            if let Some(h) = plane.handle(i) {
-                reports.extend(h.take_reports());
-            }
-        }
-        let tick = self.absorb(reports, plane)?;
-        // Fold learner-side admission outcomes into the first live shard's
-        // metrics (once, not per shard — the counters are fleet totals).
-        for i in 0..plane.addrs().len() {
-            if let Some(h) = plane.handle(i) {
-                h.state()
-                    .note_admission_outcomes(tick.gated as u64, tick.quarantined as u64);
-                break;
-            }
-        }
-        Ok(tick)
     }
 }
 

@@ -27,8 +27,7 @@
 //!   gated against a rolling quantile of admitted scores, while a
 //!   per-device reputation ledger (trusted → suspect → quarantined, with
 //!   seeded probation re-probes) quarantines repeat offenders. Enabled by
-//!   [`LearnerConfig::admission`] or the `DRE_ADMISSION` env knob
-//!   ([`admission_from_env`]); an admitted report's `push` reuses the
+//!   [`LearnerConfig::admission`]; an admitted report's `push` reuses the
 //!   score's per-particle rows and marginals, so an admitted report is
 //!   scored once.
 //!
@@ -47,8 +46,7 @@ mod learner;
 mod sir;
 
 pub use admission::{
-    admission_from_env, AdmissionConfig, AdmissionOutcome, AdmissionState, DeviceReputation,
-    ReputationState,
+    AdmissionConfig, AdmissionOutcome, AdmissionState, DeviceReputation, ReputationState,
 };
 pub use elliptical::elliptical_slice_step;
 pub use learner::{CloudLearner, LearnerConfig, LearnerTick, PriorSink};

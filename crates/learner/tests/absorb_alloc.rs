@@ -87,8 +87,10 @@ impl PriorSink for CountSink {
 ///
 /// History: 70,335 when first pinned; 70,299 once the categorical scratch
 /// built its CDF in one exactly sized buffer; 52,478 once cluster copies
-/// shared the base measure and inserts committed in place.
-const ABSORB_ALLOCATIONS: u64 = 52_478;
+/// shared the base measure and inserts committed in place; 51,702 once a
+/// cluster cache held its posterior mean only as its predictive's location,
+/// so a cluster copy no longer allocates a second mean.
+const ABSORB_ALLOCATIONS: u64 = 51_702;
 
 /// `(allocator calls, publishes, absorbed, gated)` of one run from a fresh
 /// learner. The stream is built before counting starts.

@@ -137,18 +137,6 @@ impl SymEigen {
         &self.vectors
     }
 
-    /// Condition number `λ_max / λ_min` of a positive-definite matrix, or
-    /// `f64::INFINITY` when `λ_min ≤ 0`.
-    pub fn condition_number(&self) -> f64 {
-        let min = self.values.first().copied().unwrap_or(0.0);
-        let max = self.values.last().copied().unwrap_or(0.0);
-        if min <= 0.0 {
-            f64::INFINITY
-        } else {
-            max / min
-        }
-    }
-
     /// Reconstructs the nearest positive-semidefinite matrix (in Frobenius
     /// norm) by clamping eigenvalues below `floor` up to `floor`.
     ///
@@ -192,7 +180,6 @@ mod tests {
         let e = SymEigen::new(&a).unwrap();
         assert!((e.eigenvalues()[0] - 1.0).abs() < 1e-10);
         assert!((e.eigenvalues()[1] - 3.0).abs() < 1e-10);
-        assert!((e.condition_number() - 3.0).abs() < 1e-9);
     }
 
     #[test]
@@ -206,13 +193,6 @@ mod tests {
             let lv = crate::vector::scaled(&v, e.eigenvalues()[k]);
             assert!(crate::vector::max_abs_diff(&av, &lv) < 1e-9);
         }
-    }
-
-    #[test]
-    fn indefinite_condition_number_is_infinite() {
-        let a = Matrix::from_diag(&[-1.0, 2.0]);
-        let e = SymEigen::new(&a).unwrap();
-        assert!(e.condition_number().is_infinite());
     }
 
     #[test]

@@ -70,11 +70,6 @@ impl<'a, L: MarginLoss> ErmObjective<'a, L> {
         self.lambda
     }
 
-    /// Number of training points `n`.
-    pub fn num_samples(&self) -> usize {
-        self.xs.len()
-    }
-
     /// Unregularized empirical risk at the packed parameter.
     pub fn empirical_risk(&self, packed: &[f64]) -> f64 {
         let (w, b) = split(packed);
@@ -159,7 +154,6 @@ mod tests {
         assert!(ErmObjective::new(&ragged, &[1.0, -1.0], LogisticLoss, 0.1).is_err());
         let obj = ErmObjective::new(&xs, &ys, LogisticLoss, 0.1).unwrap();
         assert_eq!(obj.dim(), 3);
-        assert_eq!(obj.num_samples(), 4);
         assert_eq!(obj.lambda(), 0.1);
     }
 

@@ -75,23 +75,20 @@ impl MvStudentT {
         })
     }
 
-    /// Rebuilds `self` as `from_factor(dof, loc.to_vec(), chol.scaled(c)?)`
+    /// Rebuilds `self` as `from_factor(dof, self.loc, chol.scaled(c)?)`
     /// would, bit for bit, writing into its own location and factor
     /// instead of allocating new ones. On error `self` is unchanged.
-    pub(crate) fn assign_scaled_factor(
-        &mut self,
-        dof: f64,
-        loc: &[f64],
-        chol: &Cholesky,
-        c: f64,
-    ) -> Result<()> {
-        Self::check_parts(dof, loc.len(), chol.dim())?;
+    pub(crate) fn assign_scaled_factor(&mut self, dof: f64, chol: &Cholesky, c: f64) -> Result<()> {
+        Self::check_parts(dof, self.loc.len(), chol.dim())?;
         chol.scaled_into(c, &mut self.chol)?;
-        self.loc.clear();
-        self.loc.extend_from_slice(loc);
         self.dof = dof;
-        self.log_norm = Self::log_norm(dof, loc.len(), &self.chol);
+        self.log_norm = Self::log_norm(dof, self.loc.len(), &self.chol);
         Ok(())
+    }
+
+    /// The location, for an owner that keeps it up to date in place.
+    pub(crate) fn loc_mut(&mut self) -> &mut [f64] {
+        &mut self.loc
     }
 
     /// `dof > 0` and a nonempty location matching the scale's dimension.

@@ -88,11 +88,11 @@ pub struct NiwPosteriorCache {
     /// Running sufficient statistics of the absorbed observations; `κ`, `ν`
     /// and `μ` are derived from these exactly.
     stats: NiwSufficientStats,
-    /// Posterior mean `μₙ = (κ₀μ₀ + Σx)/κₙ`, refreshed after each mutation.
-    mu: Vec<f64>,
     /// Cached factor of `Ψₙ`, maintained by rank-1 update/downdate.
     chol: Cholesky,
     /// Cached posterior predictive, rebuilt in `O(d²)` after each mutation.
+    /// Its location is the posterior mean `μₙ = (κ₀μ₀ + Σx)/κₙ`, refreshed
+    /// in place after each mutation.
     pred: MvStudentT,
 }
 
@@ -115,7 +115,6 @@ impl NiwPosteriorCache {
             prior: Arc::new(prior.clone()),
             prior_log_det,
             stats: NiwSufficientStats::new(prior.dim()),
-            mu: prior.mu0().to_vec(),
             chol,
             pred,
         })
@@ -149,12 +148,12 @@ impl NiwPosteriorCache {
 
     /// Dimension `d`.
     pub fn dim(&self) -> usize {
-        self.mu.len()
+        self.pred.dim()
     }
 
     /// Posterior mean `μₙ`.
     pub fn mean(&self) -> &[f64] {
-        &self.mu
+        self.pred.loc()
     }
 
     /// Posterior mean-precision `κₙ = κ₀ + n`.
@@ -227,7 +226,7 @@ impl NiwPosteriorCache {
         let s = self.insert_scale();
         if !x
             .iter()
-            .zip(&self.mu)
+            .zip(self.mean())
             .all(|(xi, mi)| (s * (xi - mi)).is_finite())
         {
             return Err(LinalgError::NonFinite { op: "rank1_update" }.into());
@@ -247,8 +246,8 @@ impl NiwPosteriorCache {
     /// finite direction always succeeds, and the predictive rebuild only
     /// depends on `κₙ`, `νₙ` and the dimension, all valid by construction.
     /// Allocation-free: the direction is formed in the posterior mean's
-    /// buffer, which is recomputed from the statistics right after, and the
-    /// predictive is rebuilt in place.
+    /// buffer (the predictive's location), which is recomputed from the
+    /// statistics right after, and the predictive is rebuilt in place.
     ///
     /// # Panics
     ///
@@ -256,11 +255,12 @@ impl NiwPosteriorCache {
     pub fn commit_insert(&mut self, x: &[f64], _staged: StagedInsert) {
         assert_eq!(x.len(), self.dim(), "insert dimension mismatch");
         let s = self.insert_scale();
-        for (m, xi) in self.mu.iter_mut().zip(x) {
+        let direction = self.pred.loc_mut();
+        for (m, xi) in direction.iter_mut().zip(x) {
             *m = s * (xi - *m);
         }
         self.chol
-            .rank1_update_in_place(&mut self.mu)
+            .rank1_update_in_place(direction)
             .expect("staged direction is finite and of matching dimension");
         self.stats.insert(x);
         self.refresh_mean();
@@ -292,7 +292,7 @@ impl NiwPosteriorCache {
         let s = coef.sqrt();
         let w: Vec<f64> = x
             .iter()
-            .zip(&self.mu)
+            .zip(self.mean())
             .map(|(xi, mi)| s * (xi - mi))
             .collect();
         let fell_back = match self.chol.rank1_downdate(&w) {
@@ -344,7 +344,13 @@ impl NiwPosteriorCache {
         let kappa0 = self.prior.kappa0();
         let n = self.stats.len() as f64;
         let xbar = self.stats.mean_iter();
-        for ((m, m0), xb) in self.mu.iter_mut().zip(self.prior.mu0()).zip(xbar) {
+        for ((m, m0), xb) in self
+            .pred
+            .loc_mut()
+            .iter_mut()
+            .zip(self.prior.mu0())
+            .zip(xbar)
+        {
             *m = (kappa0 * m0 + n * xb) / kappa;
         }
     }
@@ -359,7 +365,7 @@ impl NiwPosteriorCache {
             .iter()
             .fold(1.0f64, |m, v| m.max(v.abs()));
         self.chol = Cholesky::new_with_jitter(post.psi0(), FALLBACK_JITTER_REL * scale)?;
-        self.mu = post.mu0().to_vec();
+        self.pred.loc_mut().copy_from_slice(post.mu0());
         self.rebuild_predictive()
     }
 
@@ -367,7 +373,7 @@ impl NiwPosteriorCache {
     /// in place.
     fn rebuild_predictive(&mut self) -> Result<()> {
         let (dof, c) = predictive_dof_and_scale(self.dim(), self.nu(), self.kappa());
-        self.pred.assign_scaled_factor(dof, &self.mu, &self.chol, c)
+        self.pred.assign_scaled_factor(dof, &self.chol, c)
     }
 }
 

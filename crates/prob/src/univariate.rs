@@ -383,11 +383,6 @@ impl Categorical {
         Self::new(&w)
     }
 
-    /// Number of categories.
-    pub fn num_categories(&self) -> usize {
-        self.probs.len()
-    }
-
     /// Probability vector (sums to 1).
     pub fn probs(&self) -> &[f64] {
         &self.probs
@@ -709,7 +704,7 @@ mod tests {
         assert!(Categorical::new(&[1.0, f64::NAN]).is_err());
 
         let c = Categorical::new(&[2.0, 6.0, 2.0]).unwrap();
-        assert_eq!(c.num_categories(), 3);
+        assert_eq!(c.probs().len(), 3);
         assert!((c.probs()[1] - 0.6).abs() < 1e-14);
         assert!((c.pdf(1.0) - 0.6).abs() < 1e-14);
         assert_eq!(c.log_pdf(3.0), f64::NEG_INFINITY);

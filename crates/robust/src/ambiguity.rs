@@ -57,11 +57,6 @@ impl WassersteinBall {
     pub fn label_cost(&self) -> f64 {
         self.label_cost
     }
-
-    /// True when label perturbations are disallowed (`κ = ∞`).
-    pub fn is_features_only(&self) -> bool {
-        self.label_cost.is_infinite()
-    }
 }
 
 #[cfg(test)]
@@ -78,9 +73,8 @@ mod tests {
         let b = WassersteinBall::new(0.5, 2.0).unwrap();
         assert_eq!(b.radius(), 0.5);
         assert_eq!(b.label_cost(), 2.0);
-        assert!(!b.is_features_only());
         let f = WassersteinBall::features_only(0.3).unwrap();
-        assert!(f.is_features_only());
+        assert!(f.label_cost().is_infinite());
         // Zero radius is a valid (degenerate) ball.
         assert!(WassersteinBall::new(0.0, 1.0).is_ok());
     }

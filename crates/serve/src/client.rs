@@ -14,6 +14,8 @@
 //! two clients built with the same seed sleep the same schedule, which
 //! keeps the fault-injection tests reproducible.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -122,11 +124,6 @@ impl<C: Connector> PriorClient<C> {
             self.stream = None;
         }
         self
-    }
-
-    /// Whether keep-alive mode is on.
-    pub fn is_keep_alive(&self) -> bool {
-        self.keep_alive
     }
 
     /// Whether a live keep-alive stream is currently held.
@@ -258,20 +255,9 @@ impl<C: Connector> PriorClient<C> {
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let started = Instant::now();
         let attempts = self.policy.max_attempts.max(1);
-        let mut last: Option<ServeError> = None;
-        for attempt in 1..=attempts {
-            if attempt > 1 {
-                self.metrics
-                    .retries
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let hint = last
-                    .as_ref()
-                    .and_then(ServeError::retry_after)
-                    .unwrap_or(Duration::ZERO)
-                    .min(self.policy.max_backoff);
-                std::thread::sleep(self.policy.backoff(attempt, &mut self.jitter).max(hint));
-            }
-            match self.attempt(request, prior_out.as_deref_mut()) {
+        let mut attempt = 1;
+        loop {
+            let e = match self.attempt(request, prior_out.as_deref_mut()) {
                 Ok(reply) => {
                     self.metrics
                         .responses_ok
@@ -279,36 +265,45 @@ impl<C: Connector> PriorClient<C> {
                     self.metrics.latency.record(started.elapsed());
                     return Ok(reply);
                 }
-                Err(e) => {
-                    if matches!(e, ServeError::ChecksumMismatch { .. }) {
-                        self.metrics
-                            .checksum_failures
-                            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    }
-                    if !e.is_retryable() {
-                        self.metrics
-                            .errors
-                            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        return Err(e);
-                    }
-                    // A misroute redirect arrived on an intact stream, but
-                    // retrying it against the same shard would redirect
-                    // forever — drop the stream so the connector re-routes.
-                    if matches!(e, ServeError::Misrouted { .. }) {
-                        self.stream = None;
-                    }
-                    self.connector.note_retryable_error(&e);
-                    last = Some(e);
-                }
+                Err(e) => e,
+            };
+            if matches!(e, ServeError::ChecksumMismatch { .. }) {
+                self.metrics
+                    .checksum_failures
+                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             }
+            if !e.is_retryable() {
+                self.metrics
+                    .errors
+                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                return Err(e);
+            }
+            // A misroute redirect arrived on an intact stream, but
+            // retrying it against the same shard would redirect forever —
+            // drop the stream so the connector re-routes.
+            if matches!(e, ServeError::Misrouted { .. }) {
+                self.stream = None;
+            }
+            self.connector.note_retryable_error(&e);
+            if attempt == attempts {
+                self.metrics
+                    .errors
+                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                return Err(ServeError::RetriesExhausted {
+                    attempts,
+                    last: Box::new(e),
+                });
+            }
+            attempt += 1;
+            self.metrics
+                .retries
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let hint = e
+                .retry_after()
+                .unwrap_or(Duration::ZERO)
+                .min(self.policy.max_backoff);
+            std::thread::sleep(self.policy.backoff(attempt, &mut self.jitter).max(hint));
         }
-        self.metrics
-            .errors
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        Err(ServeError::RetriesExhausted {
-            attempts,
-            last: Box::new(last.expect("at least one attempt ran")),
-        })
     }
 
     /// One attempt: one frame out, one frame in — over the held keep-alive
@@ -487,7 +482,6 @@ mod tests {
             RetryPolicy::default(),
         )
         .keep_alive(true);
-        assert!(client.is_keep_alive());
 
         let mut out = Vec::new();
         for _ in 0..5 {

@@ -85,8 +85,8 @@ pub use server::{
     MAX_ERROR_DETAIL_BYTES,
 };
 pub use shard::{
-    default_shards, stable_shard_hash, HashRing, ShardConnector, ShardDirectory, ShardMap,
-    ShardPlaneConfig, ShardedPriorPlane,
+    stable_shard_hash, HashRing, ShardConnector, ShardDirectory, ShardMap, ShardPlaneConfig,
+    ShardedPriorPlane,
 };
 pub use transport::{
     read_step, write_step, Connector, FaultConfig, FaultCounts, FaultInjector, FaultyConnector,

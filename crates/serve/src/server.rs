@@ -78,16 +78,6 @@ fn cap_error_detail(detail: String) -> String {
     capped
 }
 
-/// Default worker count: `DRE_SERVE_WORKERS` when set (the CI worker-count
-/// matrix uses this), otherwise 4.
-fn default_workers() -> usize {
-    std::env::var("DRE_SERVE_WORKERS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(4)
-}
-
 /// Default [`ServeConfig::report_inbox_cap`]: roomy enough that a learner
 /// polling at any sane cadence never sheds, small enough that an
 /// undrained inbox stays bounded (~64k reports).
@@ -146,7 +136,7 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            workers: default_workers(),
+            workers: 4,
             read_timeout: Some(Duration::from_secs(5)),
             write_timeout: Some(Duration::from_secs(5)),
             max_frame_len: DEFAULT_MAX_FRAME_LEN,

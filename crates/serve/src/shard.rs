@@ -27,6 +27,8 @@
 //! republishes the route to every shard, so keep-alive clients re-route
 //! on their next request instead of erroring.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::atomic::Ordering;
@@ -38,7 +40,7 @@ use dre_bayes::MixturePrior;
 use crate::client::{PriorClient, RetryPolicy};
 use crate::frame::ShardMapWire;
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
-use crate::server::{PriorServer, ServeConfig, ServerHandle};
+use crate::server::{PriorServer, ReportedModel, ServeConfig, ServerHandle};
 use crate::transport::{Connector, TcpConnector, TcpTransport};
 use crate::{Result, ServeError};
 
@@ -46,16 +48,6 @@ use crate::{Result, ServeError};
 /// that happens to equal a virtual-node key never lands exactly on its
 /// point by construction.
 const TASK_SALT: u64 = 0x7A5C_5A17_5EED_CAFE;
-
-/// Default shard count: `DRE_SERVE_SHARDS` when set (the CI shard-count
-/// matrix uses this), otherwise 4.
-pub fn default_shards() -> usize {
-    std::env::var("DRE_SERVE_SHARDS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(4)
-}
 
 /// A stable, seeded 64-bit mix (splitmix64 finalizer). Deterministic
 /// across processes and platforms — the whole routing plane hangs off
@@ -252,7 +244,7 @@ pub struct ShardPlaneConfig {
 impl Default for ShardPlaneConfig {
     fn default() -> Self {
         ShardPlaneConfig {
-            shards: default_shards(),
+            shards: 4,
             replication: 2,
             virtual_nodes: 64,
             seed: 0x5EED_0D1E_D1E7_ED00,
@@ -347,12 +339,33 @@ impl ShardedPriorPlane {
 
     /// Number of members currently alive.
     pub fn live_count(&self) -> usize {
-        self.handles.iter().filter(|h| h.is_some()).count()
+        self.live().count()
     }
 
     /// The handle of shard `index`, if it is alive.
     pub fn handle(&self, index: usize) -> Option<&ServerHandle> {
         self.handles.get(index).and_then(|h| h.as_ref())
+    }
+
+    /// Live members' handles, in shard order.
+    fn live(&self) -> impl Iterator<Item = &ServerHandle> {
+        self.handles.iter().flatten()
+    }
+
+    /// Drains every live shard's report inbox
+    /// ([`crate::ServerState::take_reports`]): shards in shard order,
+    /// arrival order within a shard.
+    pub fn take_reports(&self) -> Vec<ReportedModel> {
+        self.live().flat_map(ServerHandle::take_reports).collect()
+    }
+
+    /// Folds learner-side admission outcomes into the plane's metrics
+    /// ([`crate::ServerState::note_admission_outcomes`]). They are fleet
+    /// totals, so they count once, on the first live shard.
+    pub fn note_admission_outcomes(&self, gated: u64, quarantined: u64) {
+        if let Some(first) = self.live().next() {
+            first.state().note_admission_outcomes(gated, quarantined);
+        }
     }
 
     /// Plane-level routing metrics (replica fan-outs).
@@ -405,23 +418,18 @@ impl ShardedPriorPlane {
             return Ok(());
         }
         let addr = self.addrs[index].to_string();
-        let mut last = None;
-        let mut bound = None;
-        for _ in 0..100 {
+        let mut attempts_left = 100;
+        let handle = loop {
             match PriorServer::bind(&addr, self.config.serve.clone()) {
-                Ok(handle) => {
-                    bound = Some(handle);
-                    break;
-                }
+                Ok(handle) => break handle,
                 Err(e) => {
-                    last = Some(e);
+                    attempts_left -= 1;
+                    if attempts_left == 0 {
+                        return Err(e);
+                    }
                     std::thread::sleep(Duration::from_millis(20));
                 }
             }
-        }
-        let handle = match bound {
-            Some(h) => h,
-            None => return Err(last.expect("bind loop ran at least once")),
         };
         handle.state().install_shard_route(self.map.clone(), index);
         for (&task_id, payload) in &self.payloads {
@@ -969,6 +977,53 @@ mod tests {
                 .unwrap(),
             vec![3; 8]
         );
+        plane.shutdown();
+    }
+
+    #[test]
+    fn plane_drains_live_shards_in_order_and_counts_admission_once() {
+        let mut plane = ShardedPriorPlane::bind(ShardPlaneConfig {
+            shards: 2,
+            serve: ServeConfig {
+                workers: 1,
+                ..ServeConfig::default()
+            },
+            ..ShardPlaneConfig::default()
+        })
+        .unwrap();
+        let report = |plane: &ShardedPriorPlane, shard: usize, device_id: u64| {
+            let request = frame::encode(&Message::ModelReport {
+                task_id: 1,
+                device_id,
+                seq: 1,
+                params: vec![device_id as f64],
+            });
+            plane.handle(shard).unwrap().state().respond_bytes(&request);
+        };
+        let devices = |reports: Vec<ReportedModel>| -> Vec<u64> {
+            reports.iter().map(|r| r.device_id).collect()
+        };
+        let counted = |plane: &ShardedPriorPlane, shard: usize| {
+            let m = plane.shard_metrics(shard).unwrap();
+            (m.reports_gated, m.devices_quarantined)
+        };
+
+        // Shard 1 hears first, so shard order differs from arrival order.
+        report(&plane, 1, 10);
+        report(&plane, 0, 20);
+        report(&plane, 1, 11);
+        assert_eq!(devices(plane.take_reports()), [20, 10, 11]);
+        assert!(plane.take_reports().is_empty(), "the drain empties inboxes");
+        plane.note_admission_outcomes(3, 1);
+        assert_eq!(counted(&plane, 0), (3, 1));
+        assert_eq!(counted(&plane, 1), (0, 0));
+
+        // With shard 0 dead, shard 1 is the first live shard.
+        plane.kill_shard(0);
+        report(&plane, 1, 12);
+        assert_eq!(devices(plane.take_reports()), [12]);
+        plane.note_admission_outcomes(2, 0);
+        assert_eq!(counted(&plane, 1), (2, 0));
         plane.shutdown();
     }
 }

@@ -191,7 +191,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Close the loop: drain every live shard's inbox and, whenever a
         // task crosses the refresh interval, fan the refreshed prior out
         // to all owner replicas through the plane.
-        let tick = learner.step_plane(&mut plane)?;
+        let tick = learner.absorb(plane.take_reports(), &mut plane)?;
+        plane.note_admission_outcomes(tick.gated as u64, tick.quarantined as u64);
         if !tick.refreshed_tasks.is_empty() {
             refreshed_generations += tick.refreshed_tasks.len();
             println!(

@@ -355,13 +355,14 @@ fn sharded_fleet_survives_shard_kill_and_rebalance_bit_identically() {
     // stay FreshPrior at the healthy accuracy, and two runs of the whole
     // scenario at fixed seeds must agree bit-for-bit.
     let sc = scenario();
-    let run = || {
+    let run = |workers| {
         let mut plane = dre_serve::ShardedPriorPlane::bind(dre_serve::ShardPlaneConfig {
             shards: 3,
             replication: 2,
             serve: ServeConfig {
                 read_timeout: Some(Duration::from_secs(2)),
                 write_timeout: Some(Duration::from_secs(2)),
+                workers,
                 ..ServeConfig::default()
             },
             ..dre_serve::ShardPlaneConfig::default()
@@ -425,124 +426,132 @@ fn sharded_fleet_survives_shard_kill_and_rebalance_bit_identically() {
         )
     };
 
-    let a = run();
-    let b = run();
-    assert_eq!(a, b, "the resharding chaos scenario is not deterministic");
+    for workers in [1, 4] {
+        let a = run(workers);
+        let b = run(workers);
+        assert_eq!(a, b, "the resharding chaos scenario is not deterministic");
 
-    let (traces, accs, _counters, retries, (failovers, _refreshes)) = a;
-    // The ladder never degraded: failover and re-routing kept every fit
-    // fresh, at exactly the healthy accuracy.
-    for (dev, trace) in traces.iter().enumerate() {
-        assert_eq!(trace.len(), 5, "device {dev}");
+        let (traces, accs, _counters, retries, (failovers, _refreshes)) = a;
+        // The ladder never degraded: failover and re-routing kept every fit
+        // fresh, at exactly the healthy accuracy.
+        for (dev, trace) in traces.iter().enumerate() {
+            assert_eq!(trace.len(), 5, "device {dev}");
+            assert!(
+                trace.iter().all(|m| *m == FitMode::FreshPrior),
+                "device {dev} degraded through resharding: {trace:?}"
+            );
+        }
+        for (r, acc) in accs.iter().enumerate() {
+            assert_eq!(
+                *acc, accs[0],
+                "round {r} accuracy drifted across resharding"
+            );
+        }
+        // The adverse paths actually ran: the dead primary cost retries and
+        // replica failovers.
         assert!(
-            trace.iter().all(|m| *m == FitMode::FreshPrior),
-            "device {dev} degraded through resharding: {trace:?}"
+            retries >= 1,
+            "killing the primary must cost at least one retry"
         );
+        assert!(failovers >= 1, "replica failover was never exercised");
     }
-    for (r, acc) in accs.iter().enumerate() {
-        assert_eq!(
-            *acc, accs[0],
-            "round {r} accuracy drifted across resharding"
-        );
-    }
-    // The adverse paths actually ran: the dead primary cost retries and
-    // replica failovers.
-    assert!(
-        retries >= 1,
-        "killing the primary must cost at least one retry"
-    );
-    assert!(failovers >= 1, "replica failover was never exercised");
 }
 
 #[test]
 fn server_crash_and_restart_mid_fleet_recovers_over_tcp() {
     let sc = scenario();
     let floor = local_only_floor(&sc, 2);
-    let serve_config = ServeConfig {
-        read_timeout: Some(Duration::from_secs(2)),
-        write_timeout: Some(Duration::from_secs(2)),
-        ..ServeConfig::default()
-    };
-    let mut server = PriorServer::bind("127.0.0.1:0", serve_config.clone()).unwrap();
-    let addr = server.addr();
-    server
-        .state()
-        .register_payload(TASK_ID, sc.prior_payload.clone());
+    for workers in [1, 4] {
+        let serve_config = ServeConfig {
+            read_timeout: Some(Duration::from_secs(2)),
+            write_timeout: Some(Duration::from_secs(2)),
+            workers,
+            ..ServeConfig::default()
+        };
+        let mut server = PriorServer::bind("127.0.0.1:0", serve_config.clone()).unwrap();
+        let addr = server.addr();
+        server
+            .state()
+            .register_payload(TASK_ID, sc.prior_payload.clone());
 
-    let policy = RetryPolicy {
-        max_attempts: 2,
-        base_backoff: Duration::from_millis(1),
-        max_backoff: Duration::from_millis(4),
-        jitter_seed: 17,
-    };
-    let mut fleet: Vec<_> = (0..2)
-        .map(|dev| EdgeRuntime::new(TcpConnector::new(addr), policy.clone(), runtime_config(dev)))
-        .collect();
+        let policy = RetryPolicy {
+            max_attempts: 2,
+            base_backoff: Duration::from_millis(1),
+            max_backoff: Duration::from_millis(4),
+            jitter_seed: 17,
+        };
+        let mut fleet: Vec<_> = (0..2)
+            .map(|dev| {
+                EdgeRuntime::new(TcpConnector::new(addr), policy.clone(), runtime_config(dev))
+            })
+            .collect();
 
-    let round = |fleet: &mut Vec<EdgeRuntime<TcpConnector>>| -> (f64, Vec<FitMode>) {
-        let mut acc = 0.0;
-        let mut modes = Vec::new();
-        for (dev, rt) in fleet.iter_mut().enumerate() {
-            let data = &sc.devices[dev];
-            let fit = rt.fit_step(&data.train).unwrap();
-            acc += metrics::accuracy(&fit.model, data.test.features(), data.test.labels()).unwrap();
-            modes.push(fit.mode);
+        let round = |fleet: &mut Vec<EdgeRuntime<TcpConnector>>| -> (f64, Vec<FitMode>) {
+            let mut acc = 0.0;
+            let mut modes = Vec::new();
+            for (dev, rt) in fleet.iter_mut().enumerate() {
+                let data = &sc.devices[dev];
+                let fit = rt.fit_step(&data.train).unwrap();
+                acc += metrics::accuracy(&fit.model, data.test.features(), data.test.labels())
+                    .unwrap();
+                modes.push(fit.mode);
+            }
+            (acc / 2.0, modes)
+        };
+
+        // Two healthy rounds.
+        let (healthy_acc, modes) = round(&mut fleet);
+        assert!(modes.iter().all(|m| *m == FitMode::FreshPrior));
+        round(&mut fleet);
+
+        // Crash: the server goes away mid-fleet. Devices degrade but keep
+        // serving fits at or above the local-only floor.
+        server.shutdown();
+        drop(server);
+        for _ in 0..3 {
+            let (acc, modes) = round(&mut fleet);
+            assert!(modes.iter().all(|m| *m != FitMode::FreshPrior));
+            assert!(acc >= floor - 1e-12);
         }
-        (acc / 2.0, modes)
-    };
 
-    // Two healthy rounds.
-    let (healthy_acc, modes) = round(&mut fleet);
-    assert!(modes.iter().all(|m| *m == FitMode::FreshPrior));
-    round(&mut fleet);
+        // Restart on the same port (retry briefly in case the OS lags
+        // releasing the listener address).
+        let mut restarted = None;
+        for _ in 0..100 {
+            match PriorServer::bind(&addr.to_string(), serve_config.clone()) {
+                Ok(s) => {
+                    restarted = Some(s);
+                    break;
+                }
+                Err(_) => std::thread::sleep(Duration::from_millis(20)),
+            }
+        }
+        let mut restarted = restarted.expect("could not rebind the server port");
+        restarted
+            .state()
+            .register_payload(TASK_ID, sc.prior_payload.clone());
 
-    // Crash: the server goes away mid-fleet. Devices degrade but keep
-    // serving fits at or above the local-only floor.
-    server.shutdown();
-    drop(server);
-    for _ in 0..3 {
-        let (acc, modes) = round(&mut fleet);
-        assert!(modes.iter().all(|m| *m != FitMode::FreshPrior));
-        assert!(acc >= floor - 1e-12);
-    }
-
-    // Restart on the same port (retry briefly in case the OS lags
-    // releasing the listener address).
-    let mut restarted = None;
-    for _ in 0..100 {
-        match PriorServer::bind(&addr.to_string(), serve_config.clone()) {
-            Ok(s) => {
-                restarted = Some(s);
+        // The fleet recovers: breakers re-close, fresh fits return, and the
+        // healed accuracy is bit-identical to the healthy rounds.
+        let mut recovered = false;
+        let mut healed_acc = 0.0;
+        for _ in 0..4 {
+            let (acc, modes) = round(&mut fleet);
+            if modes.iter().all(|m| *m == FitMode::FreshPrior) {
+                recovered = true;
+                healed_acc = acc;
                 break;
             }
-            Err(_) => std::thread::sleep(Duration::from_millis(20)),
         }
-    }
-    let mut restarted = restarted.expect("could not rebind the server port");
-    restarted
-        .state()
-        .register_payload(TASK_ID, sc.prior_payload.clone());
-
-    // The fleet recovers: breakers re-close, fresh fits return, and the
-    // healed accuracy is bit-identical to the healthy rounds.
-    let mut recovered = false;
-    let mut healed_acc = 0.0;
-    for _ in 0..4 {
-        let (acc, modes) = round(&mut fleet);
-        if modes.iter().all(|m| *m == FitMode::FreshPrior) {
-            recovered = true;
-            healed_acc = acc;
-            break;
+        assert!(recovered, "fleet never returned to fresh-prior fits");
+        assert_eq!(
+            healed_acc, healthy_acc,
+            "healed accuracy must match pre-crash"
+        );
+        for rt in &fleet {
+            assert_eq!(rt.breaker().state(), BreakerState::Closed);
+            assert!(rt.breaker().opens() >= 1 && rt.breaker().closes() >= 1);
         }
+        restarted.shutdown();
     }
-    assert!(recovered, "fleet never returned to fresh-prior fits");
-    assert_eq!(
-        healed_acc, healthy_acc,
-        "healed accuracy must match pre-crash"
-    );
-    for rt in &fleet {
-        assert_eq!(rt.breaker().state(), BreakerState::Closed);
-        assert!(rt.breaker().opens() >= 1 && rt.breaker().closes() >= 1);
-    }
-    restarted.shutdown();
 }

@@ -21,20 +21,18 @@
 //! 3. **Determinism** — the whole closed loop is bit-identical across
 //!    reruns at two fixed seeds (round accuracies, final models, and the
 //!    final refreshed prior payload).
-//! 4. **Sharded fan-out** — driving the same loop through a
+//! 4. **Any plane** — the whole outcome is the same over a 1-worker and a
+//!    4-worker server, and driving the same loop through a
 //!    `ShardedPriorPlane` leaves every owner replica with byte-identical
-//!    refreshed payloads, and the fleet keeps improving.
-
-use std::sync::Arc;
+//!    refreshed payloads and reproduces the single server's accuracies,
+//!    models and prior bit for bit.
 
 use dre_bench::closed_loop::{
-    broad_prior, fast_policy, loop_admission, loop_learner, run, runtime_config, scenario,
-    serve_config, Cohort, LoopOutcome, Scenario, EVALS, ROUNDS, TASK_ID,
+    loop_admission, loopback_server, run, scenario, serve_config, Cohort, LoopOutcome, Plane,
+    Scenario, ROUNDS, TASK_ID,
 };
-use dre_learner::{admission_from_env, AdmissionConfig};
-use dre_models::metrics;
-use dre_serve::EdgeRuntime;
-use dro_edge::FitMode;
+use dre_learner::AdmissionConfig;
+use dre_serve::{ServeConfig, ShardPlaneConfig, ShardedPriorPlane};
 
 /// Reporters joining the fleet per round; each device reports its fitted
 /// model exactly once, so the learner sees a growing pool of distinct
@@ -55,17 +53,23 @@ fn loop_scenario(seed: u64) -> Scenario {
     scenario(seed, REPORTERS_PER_ROUND * ROUNDS)
 }
 
-/// The clean (or, with `refresh` off, frozen) loop.
+/// The clean (or, with `refresh` off, frozen) cohort.
+fn clean_cohort(learner_seed: u64, refresh: bool) -> Cohort {
+    Cohort {
+        honest: REPORTERS_PER_ROUND,
+        adversaries: 0,
+        learner_seed,
+        refresh,
+        admission: None,
+    }
+}
+
+/// The clean (or frozen) loop over a default-sized loopback server.
 fn clean_loop(sc: &Scenario, learner_seed: u64, refresh: bool) -> LoopOutcome {
     run(
+        &mut loopback_server(ServeConfig::default().workers),
         sc,
-        &Cohort {
-            honest: REPORTERS_PER_ROUND,
-            adversaries: 0,
-            learner_seed,
-            refresh,
-            admission: None,
-        },
+        &clean_cohort(learner_seed, refresh),
     )
 }
 
@@ -75,6 +79,7 @@ fn clean_loop(sc: &Scenario, learner_seed: u64, refresh: bool) -> LoopOutcome {
 /// worst-case models.
 fn poisoned_loop(sc: &Scenario, admission: Option<AdmissionConfig>) -> LoopOutcome {
     run(
+        &mut loopback_server(ServeConfig::default().workers),
         sc,
         &Cohort {
             honest: REPORTERS_PER_ROUND,
@@ -86,103 +91,97 @@ fn poisoned_loop(sc: &Scenario, admission: Option<AdmissionConfig>) -> LoopOutco
     )
 }
 
-/// The headline robustness claim, swept by CI under `DRE_ADMISSION ∈
-/// {on, off}`: with admission ON a 37.5% colluding feature-shift cohort is
-/// gated and eval accuracy stays within the documented noise band of the
-/// clean run; with admission OFF the same cohort measurably degrades the
-/// fleet. Both arms are bit-identical across reruns at two seeds.
+/// The headline robustness claim, both arms: with admission ON a 37.5%
+/// colluding feature-shift cohort is gated and eval accuracy stays within
+/// the documented noise band of the clean run; with admission OFF the same
+/// cohort measurably degrades the fleet. Both arms are bit-identical
+/// across reruns at two seeds.
 #[test]
 fn poisoned_fleet_is_gated_with_admission_on_and_degrades_with_it_off() {
-    let admission = admission_from_env().map(loop_admission);
     for scenario_seed in [7_500, 9_100] {
         let sc = loop_scenario(scenario_seed);
         let clean = clean_loop(&sc, 42, true);
 
-        match &admission {
-            Some(cfg) => {
-                let on = poisoned_loop(&sc, Some(cfg.clone()));
-                assert_eq!(
-                    on,
-                    poisoned_loop(&sc, Some(cfg.clone())),
-                    "seed {scenario_seed}: admission-on loop is not deterministic"
-                );
-                // Every adversarial report is refused; every honest report
-                // is absorbed — so the served priors, and hence the eval
-                // accuracies, match the clean loop round for round.
-                assert_eq!(
-                    on.absorbed,
-                    REPORTERS_PER_ROUND * ROUNDS,
-                    "honest reports must all be absorbed"
-                );
-                assert_eq!(
-                    on.gated,
-                    ADVERSARIES_PER_ROUND * ROUNDS,
-                    "every adversarial report must be refused"
-                );
-                assert_eq!(
-                    on.quarantined, ADVERSARIES_PER_ROUND,
-                    "each colluding device ends up quarantined"
-                );
-                for (r, (p, c)) in on
-                    .round_accuracy
-                    .iter()
-                    .zip(&clean.round_accuracy)
-                    .enumerate()
-                {
-                    assert!(
-                        (p - c).abs() <= NOISE_BAND,
-                        "round {r}: admission-on accuracy {p:.4} left the \
-                         clean noise band around {c:.4}"
-                    );
-                }
-            }
-            None => {
-                let off = poisoned_loop(&sc, None);
-                assert_eq!(
-                    off,
-                    poisoned_loop(&sc, None),
-                    "seed {scenario_seed}: admission-off loop is not deterministic"
-                );
-                assert_eq!(off.gated, 0);
-                assert_eq!(
-                    off.absorbed,
-                    (REPORTERS_PER_ROUND + ADVERSARIES_PER_ROUND) * ROUNDS,
-                    "without admission the poison reaches the filter"
-                );
-                // While the colluding cluster outnumbers the young honest
-                // pool it owns the heaviest-component start: some early
-                // round collapses far below anything the clean loop ever
-                // shows. The honest pool eventually outgrows the fixed-rate
-                // cohort, so the damage is front-loaded — which is exactly
-                // what the mean-accuracy gap measures.
-                let clean_mean =
-                    clean.round_accuracy.iter().sum::<f64>() / clean.round_accuracy.len() as f64;
-                let off_mean =
-                    off.round_accuracy.iter().sum::<f64>() / off.round_accuracy.len() as f64;
-                assert!(
-                    off_mean < clean_mean - NOISE_BAND,
-                    "seed {scenario_seed}: the unguarded poisoned fleet \
-                     (mean {off_mean:.4}) should measurably trail the clean \
-                     fleet (mean {clean_mean:.4})"
-                );
-                let clean_worst = clean
-                    .round_accuracy
-                    .iter()
-                    .cloned()
-                    .fold(f64::INFINITY, f64::min);
-                let off_worst = off
-                    .round_accuracy
-                    .iter()
-                    .cloned()
-                    .fold(f64::INFINITY, f64::min);
-                assert!(
-                    off_worst < clean_worst - 0.1,
-                    "seed {scenario_seed}: the capture round ({off_worst:.4}) \
-                     should collapse well below the clean loop's worst round \
-                     ({clean_worst:.4})"
-                );
-            }
+        let admission = Some(loop_admission(AdmissionConfig::default()));
+        let on = poisoned_loop(&sc, admission.clone());
+        assert_eq!(
+            on,
+            poisoned_loop(&sc, admission),
+            "seed {scenario_seed}: admission-on loop is not deterministic"
+        );
+        // Every adversarial report is refused; every honest report is
+        // absorbed — so the served priors, and hence the eval accuracies,
+        // match the clean loop round for round.
+        assert_eq!(
+            on.absorbed,
+            REPORTERS_PER_ROUND * ROUNDS,
+            "honest reports must all be absorbed"
+        );
+        assert_eq!(
+            on.gated,
+            ADVERSARIES_PER_ROUND * ROUNDS,
+            "every adversarial report must be refused"
+        );
+        assert_eq!(
+            on.quarantined, ADVERSARIES_PER_ROUND,
+            "each colluding device ends up quarantined"
+        );
+        for (r, (p, c)) in on
+            .round_accuracy
+            .iter()
+            .zip(&clean.round_accuracy)
+            .enumerate()
+        {
+            assert!(
+                (p - c).abs() <= NOISE_BAND,
+                "round {r}: admission-on accuracy {p:.4} left the \
+                 clean noise band around {c:.4}"
+            );
         }
+
+        let off = poisoned_loop(&sc, None);
+        assert_eq!(
+            off,
+            poisoned_loop(&sc, None),
+            "seed {scenario_seed}: admission-off loop is not deterministic"
+        );
+        assert_eq!(off.gated, 0);
+        assert_eq!(
+            off.absorbed,
+            (REPORTERS_PER_ROUND + ADVERSARIES_PER_ROUND) * ROUNDS,
+            "without admission the poison reaches the filter"
+        );
+        // While the colluding cluster outnumbers the young honest pool it
+        // owns the heaviest-component start: some early round collapses far
+        // below anything the clean loop ever shows. The honest pool
+        // eventually outgrows the fixed-rate cohort, so the damage is
+        // front-loaded — which is exactly what the mean-accuracy gap
+        // measures.
+        let clean_mean =
+            clean.round_accuracy.iter().sum::<f64>() / clean.round_accuracy.len() as f64;
+        let off_mean = off.round_accuracy.iter().sum::<f64>() / off.round_accuracy.len() as f64;
+        assert!(
+            off_mean < clean_mean - NOISE_BAND,
+            "seed {scenario_seed}: the unguarded poisoned fleet \
+             (mean {off_mean:.4}) should measurably trail the clean \
+             fleet (mean {clean_mean:.4})"
+        );
+        let clean_worst = clean
+            .round_accuracy
+            .iter()
+            .cloned()
+            .fold(f64::INFINITY, f64::min);
+        let off_worst = off
+            .round_accuracy
+            .iter()
+            .cloned()
+            .fold(f64::INFINITY, f64::min);
+        assert!(
+            off_worst < clean_worst - 0.1,
+            "seed {scenario_seed}: the capture round ({off_worst:.4}) \
+             should collapse well below the clean loop's worst round \
+             ({clean_worst:.4})"
+        );
     }
 }
 
@@ -279,90 +278,90 @@ fn closed_loop_is_bit_identical_across_reruns_at_fixed_seeds() {
     }
 }
 
+/// The 1-worker server is the degenerate scheduling case, where any
+/// multiplexing bug serializes into a visible hang; the default 4 workers
+/// hand connections across event loops. The whole outcome must not see
+/// the difference, so every assertion above holds at either count.
 #[test]
-fn sharded_plane_refresh_fans_out_byte_identically() {
-    use dre_serve::{ShardConnector, ShardPlaneConfig, ShardedPriorPlane};
+fn loop_outcome_is_the_same_at_one_and_four_workers() {
+    for scenario_seed in [7_500, 9_100] {
+        let sc = loop_scenario(scenario_seed);
+        for adversaries in [0, ADVERSARIES_PER_ROUND] {
+            for admission in [None, Some(loop_admission(AdmissionConfig::default()))] {
+                for refresh in [true, false] {
+                    let cohort = Cohort {
+                        adversaries,
+                        admission: admission.clone(),
+                        ..clean_cohort(42, refresh)
+                    };
+                    assert_eq!(
+                        run(&mut loopback_server(1), &sc, &cohort),
+                        run(&mut loopback_server(4), &sc, &cohort),
+                        "seed {scenario_seed}: {cohort:?}"
+                    );
+                }
+            }
+        }
+    }
+}
 
-    let sc = loop_scenario(7_500);
-    // CI sweeps DRE_SERVE_SHARDS ∈ {1, 4} × DRE_SERVE_WORKERS ∈ {1, 4};
-    // the replication-2 fan-out needs at least two shards to mean
-    // anything, so the plane honours the environment's size with a floor.
-    let shards = dre_serve::default_shards().max(2);
-    let mut plane = ShardedPriorPlane::bind(ShardPlaneConfig {
+/// A loopback plane of `shards` shards with two replicas per task.
+fn sharded_plane(shards: usize) -> ShardedPriorPlane {
+    ShardedPriorPlane::bind(ShardPlaneConfig {
         shards,
         replication: 2,
         serve: serve_config(),
         ..ShardPlaneConfig::default()
     })
-    .unwrap();
-    plane.register_prior(TASK_ID, &broad_prior());
+    .unwrap()
+}
+
+#[test]
+fn sharded_plane_refresh_fans_out_byte_identically() {
+    let sc = loop_scenario(7_500);
+    let mut plane = sharded_plane(4);
     let owners = plane.shard_map().owners(TASK_ID);
     assert_eq!(owners.len(), 2, "replication 2 should give two owners");
-    let directory = plane.directory();
-
-    let mut eval_rts: Vec<_> = (0..EVALS)
-        .map(|dev| {
-            EdgeRuntime::new(
-                ShardConnector::new(Arc::clone(&directory), TASK_ID),
-                fast_policy(),
-                runtime_config(false, 10_000 + dev as u64),
-            )
-        })
-        .collect();
-
-    let mut learner = loop_learner(42, None);
-    let mut accs = Vec::with_capacity(ROUNDS);
-    for round in 0..ROUNDS {
-        let mut acc = 0.0;
-        for (dev, rt) in eval_rts.iter_mut().enumerate() {
-            let data = &sc.evals[dev];
-            let fit = rt.fit_step(&data.train).unwrap();
-            assert_eq!(fit.mode, FitMode::FreshPrior, "eval {dev} degraded");
-            acc += metrics::accuracy(&fit.model, data.test.features(), data.test.labels()).unwrap();
-        }
-        accs.push(acc / EVALS as f64);
-
-        for dev in round * REPORTERS_PER_ROUND..(round + 1) * REPORTERS_PER_ROUND {
-            let mut rt = EdgeRuntime::new(
-                ShardConnector::new(Arc::clone(&directory), TASK_ID),
-                fast_policy(),
-                runtime_config(true, dev as u64),
-            );
-            let fit = rt.fit_step(&sc.reporters[dev]).unwrap();
-            assert_eq!(fit.mode, FitMode::FreshPrior, "reporter {dev} degraded");
-        }
-        learner.step_plane(&mut plane).unwrap();
-        learner.force_refresh(&mut plane).unwrap();
-
-        // Every owner replica serves the refreshed payload byte-identically.
-        let payloads: Vec<Vec<u8>> = owners
-            .iter()
-            .map(|&o| {
-                plane
-                    .handle(o)
-                    .unwrap()
-                    .state()
-                    .prior_entry(TASK_ID)
-                    .unwrap()
-                    .payload
-                    .as_ref()
-                    .clone()
-            })
-            .collect();
-        assert_eq!(
-            payloads[0], payloads[1],
-            "owner replicas diverged after a refresh"
-        );
-    }
+    // `run` checks after every refresh that every owner replica serves the
+    // refreshed payload byte-identically.
+    let out = run(&mut plane, &sc, &clean_cohort(42, true));
+    assert_eq!(plane.replica_payloads(TASK_ID).len(), owners.len());
 
     // The refreshed replicas actually fanned out (metric, not inference).
     assert!(plane.metrics().replica_fanouts >= ROUNDS as u64);
     // Same learning signal as the single-server loop.
-    let first = accs[0];
-    let last = *accs.last().unwrap();
+    let accs = &out.round_accuracy;
+    let (first, last) = (accs[0], accs[ROUNDS - 1]);
     assert!(
         last > first + 0.01,
         "sharded closed loop never learned: {accs:?}"
     );
     plane.shutdown();
+}
+
+#[test]
+fn sharded_plane_loop_matches_the_single_server() {
+    for scenario_seed in [7_500, 9_100] {
+        let sc = loop_scenario(scenario_seed);
+        let cohort = clean_cohort(42, true);
+        let single = clean_loop(&sc, 42, true);
+        for shards in [2, 4] {
+            let sharded = run(&mut sharded_plane(shards), &sc, &cohort);
+            assert_eq!(
+                (
+                    &sharded.round_accuracy,
+                    &sharded.final_models,
+                    &sharded.final_payload,
+                    sharded.absorbed
+                ),
+                (
+                    &single.round_accuracy,
+                    &single.final_models,
+                    &single.final_payload,
+                    single.absorbed
+                ),
+                "seed {scenario_seed}, {shards} shards"
+            );
+        }
+    }
 }
