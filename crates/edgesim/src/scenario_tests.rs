@@ -1171,10 +1171,14 @@ fn invalid_topology_is_rejected_at_run() {
 // the binary-heap event queue it replaced, so they pin the schedule the
 // executor had then: a queue
 // change that reorders a single pair of events, even two with the same
-// timestamp, changes a digest. The three fleets cover what the
+// timestamp, changes a digest. The first three fleets cover what the
 // single-device pinned traces cannot: drops, backoff and aborts under
 // fabric contention; application retries across an outage; and all three
-// strategies sharing a FIFO-queued cloud.
+// strategies sharing a FIFO-queued cloud. The fourth, the fabric under a
+// client mode, was pinned on the executor that still wrote its
+// application layer once per delivery mode, before the two were merged:
+// it pins handshakes ahead of fabric transfers and `ModelReport` legs
+// across the switch.
 
 /// FNV-1a over little-endian `u64` words: a stable, dependency-free
 /// digest.
@@ -1427,5 +1431,96 @@ fn whole_run_golden_mixed_strategy_fleet() {
     assert_eq!(
         digest, 0x036a_903d_54fb_8c4b,
         "mixed strategy fleet digest moved"
+    );
+}
+
+/// 600 devices of all three strategies behind a lossy fabric with 6-frame
+/// port queues, doubling 300 ms application deadlines across an 80 ms
+/// outage, under a client mode: handshakes delay every cloud-bound
+/// transfer's window opening, and each prior-transfer device that lands
+/// its prior sends a `ModelReport` across the switch. One digest per
+/// [`ClientMode`].
+#[test]
+fn whole_run_golden_fabric_client_mode_fleet() {
+    let mk = |mode: ClientMode| {
+        let topo = Topology::one_big_switch(Link::new_ms(1.0, 5e6))
+            .with_switch(SwitchConfig {
+                queue_capacity: 6,
+                rto: SimDuration::from_millis_f64(150.0),
+                rto_backoff: true,
+                max_retx: 4,
+                ..SwitchConfig::default()
+            })
+            .with_device_loss(LossModel::Bernoulli {
+                loss: 0.04,
+                seed: 21,
+            })
+            .with_cloud_loss(LossModel::Bernoulli {
+                loss: 0.02,
+                seed: 23,
+            });
+        let mut sc = Scenario::new(ComputeModel {
+            cloud_flops: 5e9,
+            ..ComputeModel::default()
+        })
+        .with_topology(topo)
+        .with_retry(RetryModel {
+            timeout: SimDuration::from_millis_f64(300.0),
+            max_attempts: 3,
+        })
+        .with_outage(
+            SimDuration::from_millis_f64(5.0),
+            SimDuration::from_millis_f64(85.0),
+        )
+        .with_client_mode(mode);
+        for i in 0..600u32 {
+            let samples = 60 + (i % 9) as usize * 10;
+            sc.add_device(DeviceSpec {
+                link: Link::new_ms(1.0 + (i % 23) as f64, 4e5 * (1 + i % 4) as f64),
+                strategy: match i % 3 {
+                    0 => Strategy::EdgeOnly {
+                        samples,
+                        dim: 8,
+                        iterations: 50,
+                    },
+                    1 => Strategy::CloudRoundTrip {
+                        samples,
+                        dim: 8,
+                        iterations: 40,
+                    },
+                    _ => Strategy::PriorTransfer {
+                        samples,
+                        dim: 8,
+                        iterations: 50,
+                        em_rounds: 3,
+                        prior_components: 1 + (i % 4) as usize,
+                    },
+                },
+            });
+        }
+        sc
+    };
+    let mut digests = Vec::new();
+    for mode in [ClientMode::FreshPerRequest, ClientMode::KeepAlive] {
+        let (r, digest) = golden_digest(&mk(mode));
+        assert!(r.dropped_requests > 0, "{mode:?}: the outage must drop");
+        assert!(
+            r.messages_dropped > 0 && r.bytes_retransmitted > 0,
+            "{mode:?}: the fabric must drop and retransmit"
+        );
+        assert!(r.model_reports > 0, "{mode:?}: reports must cross");
+        assert!(r.cloud_busy > SimDuration::ZERO);
+        let most = r.devices.iter().map(|d| d.handshakes).max().unwrap();
+        assert_eq!(
+            most > 1,
+            mode == ClientMode::FreshPerRequest,
+            "{mode:?}: only fresh connections pay a handshake per message"
+        );
+        digests.push(digest);
+    }
+    assert_eq!(
+        digests,
+        [0x64d8_746e_ecbd_0e60, 0xb008_6f32_8280_0469],
+        "fabric client-mode fleet digests moved"
     );
 }
