@@ -10,21 +10,18 @@ use crate::SimTime;
 /// transfer ids — so the executor's hot loop pushes 16-byte payloads
 /// through the queue with no boxing and no per-event allocation.
 ///
-/// The first five variants are the direct-delivery (no-topology) model;
-/// the rest exist only when a [`crate::Topology`] is configured.
+/// `Arrive` is the direct-delivery transport's one event; the compute and
+/// retry events belong to the application layer, which both delivery
+/// modes share; the rest exist only when a [`crate::Topology`] is
+/// configured.
 #[non_exhaustive]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Event {
-    /// A message finishes arriving at the cloud (direct-delivery mode).
-    ArriveAtCloud {
-        /// Originating device index.
-        device: u32,
-        /// What the message asks for.
-        kind: MessageKind,
-    },
-    /// A message finishes arriving at a device (direct-delivery mode).
-    ArriveAtDevice {
-        /// Destination device index.
+    /// A whole message finishes arriving at its destination
+    /// (direct-delivery mode). The destination follows from `kind`: the
+    /// cloud for cloud-bound kinds, the device otherwise.
+    Arrive {
+        /// The device sending or receiving the message.
         device: u32,
         /// What the message carries.
         kind: MessageKind,
@@ -105,6 +102,17 @@ pub enum MessageKind {
     /// `dre-serve` `ModelReport` telemetry leg; only modeled when a
     /// [`crate::ClientMode`] is configured).
     ModelReport,
+}
+
+impl MessageKind {
+    /// Whether a device sends this kind to the cloud (rather than the
+    /// cloud to a device).
+    pub(crate) fn is_cloud_bound(self) -> bool {
+        matches!(
+            self,
+            MessageKind::PriorRequest | MessageKind::RawData | MessageKind::ModelReport
+        )
+    }
 }
 
 /// The pending-event set: pops the earliest event, FIFO among equal
@@ -194,14 +202,6 @@ impl EventQueue {
             last: 0,
             len: 0,
         }
-    }
-
-    /// Reserves room for at least `additional` more pending events.
-    pub fn reserve(&mut self, additional: usize) {
-        // Free nodes are reused before the slab grows, so the slab must
-        // hold `len + additional` nodes in all.
-        let needed = (self.len + additional).saturating_sub(self.nodes.len());
-        self.nodes.reserve(needed);
     }
 
     /// Number of pending events the queue can hold without reallocating.
@@ -412,7 +412,7 @@ mod tests {
         q.schedule(at(1), Event::CloudComputeDone { device: 0 });
         q.schedule(
             at(2),
-            Event::ArriveAtCloud {
+            Event::Arrive {
                 device: 0,
                 kind: MessageKind::PriorRequest,
             },
@@ -423,7 +423,7 @@ mod tests {
     }
 
     #[test]
-    fn with_capacity_presizes_and_reserve_grows() {
+    fn with_capacity_presizes() {
         let mut q = EventQueue::with_capacity(1024);
         assert!(q.capacity() >= 1024);
         let cap_before = q.capacity();
@@ -432,8 +432,6 @@ mod tests {
         }
         // A pre-sized queue absorbs its declared capacity without growing.
         assert_eq!(q.capacity(), cap_before);
-        q.reserve(4096);
-        assert!(q.capacity() >= q.len() + 4096);
     }
 
     #[test]

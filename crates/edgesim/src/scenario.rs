@@ -602,10 +602,9 @@ impl<'a> Engine<'a> {
             }
             match event {
                 Event::DeviceComputeDone { device } => self.on_device_compute_done(device, now),
-                Event::ArriveAtCloud { device, kind } => self.on_arrive_at_cloud(device, kind, now),
-                Event::CloudComputeDone { device } => self.on_cloud_compute_done(device, now),
-                Event::ArriveAtDevice { device, kind } => {
-                    self.on_arrive_at_device(device, kind, now)
+                Event::Arrive { device, kind } => self.on_arrive(device, kind, now),
+                Event::CloudComputeDone { device } => {
+                    self.reply(device, MessageKind::ModelPayload, now)
                 }
                 Event::RetryTimer { device, attempt } => self.on_retry_timer(device, attempt, now),
                 Event::PortDeparture { port } => self.on_port_departure(port, now),
@@ -649,58 +648,21 @@ impl<'a> Engine<'a> {
     /// Kicks off every device at `t = 0`, in device order.
     fn kickoff(&mut self) {
         for i in 0..self.sc.devices.len() {
-            let spec = self.sc.devices[i];
             let d = i as u32;
-            match spec.strategy {
+            match self.sc.devices[i].strategy {
                 Strategy::EdgeOnly {
                     samples,
                     dim,
                     iterations,
                 } => {
-                    let t = self.sc.compute.train_time(
-                        self.sc.compute.erm_cost,
-                        self.sc.compute.device_flops,
-                        samples,
-                        dim,
-                        iterations,
-                    );
-                    self.devs[i].report.compute_joules += self.sc.energy.joules_per_flop
-                        * self.sc.compute.train_flops(
-                            self.sc.compute.erm_cost,
-                            samples,
-                            dim,
-                            iterations,
-                        );
-                    self.queue
-                        .schedule(SimTime::ZERO + t, Event::DeviceComputeDone { device: d });
+                    let erm = self.sc.compute.erm_cost;
+                    self.start_device_compute(d, erm, samples, dim, iterations, SimTime::ZERO);
                 }
                 Strategy::CloudRoundTrip { samples, dim, .. } => {
-                    let bytes = raw_data_bytes(samples, dim);
                     self.devs[i].report.mode = FitMode::FreshPrior;
                     self.devs[i].report.attempts = 1;
-                    if self.topo.is_some() {
-                        let handshake = self.connect(d);
-                        self.start_message(
-                            d,
-                            d,
-                            self.n,
-                            MessageKind::RawData,
-                            bytes,
-                            SimTime::ZERO + handshake,
-                        );
-                    } else {
-                        self.devs[i].report.bytes_sent += bytes;
-                        self.devs[i].report.radio_joules +=
-                            self.sc.energy.joules_per_byte * bytes as f64;
-                        let handshake = self.connect(d);
-                        self.queue.schedule(
-                            SimTime::ZERO + handshake + spec.link.transfer_time(bytes),
-                            Event::ArriveAtCloud {
-                                device: d,
-                                kind: MessageKind::RawData,
-                            },
-                        );
-                    }
+                    let bytes = raw_data_bytes(samples, dim);
+                    self.send(d, MessageKind::RawData, bytes, SimTime::ZERO);
                 }
                 Strategy::PriorTransfer { .. } => {
                     self.devs[i].report.mode = FitMode::FreshPrior;
@@ -711,7 +673,30 @@ impl<'a> Engine<'a> {
         }
     }
 
-    // ----- shared handlers (legacy and topology modes) -----
+    // ----- application layer (one copy for both delivery modes) -----
+
+    /// A whole message reaches its destination's application layer: the
+    /// one place each [`MessageKind`]'s effect lives. Both transports call
+    /// it once per message, after their own receive accounting.
+    fn deliver(&mut self, device: u32, kind: MessageKind, now: SimTime) {
+        match kind {
+            MessageKind::PriorRequest => {
+                // The outage window drops arriving requests silently; the
+                // device's retry deadline is the only recovery path.
+                if self.outage_drops(now) {
+                    return;
+                }
+                // The prior is precomputed: reply at once.
+                self.reply(device, MessageKind::PriorPayload, now);
+            }
+            MessageKind::RawData => self.cloud_train(device, now),
+            // Telemetry sink: the cloud absorbs the report (no response
+            // leg), so it only counts.
+            MessageKind::ModelReport => self.model_reports += 1,
+            MessageKind::PriorPayload => self.fit_with_prior(device, now),
+            MessageKind::ModelPayload => self.devs[device as usize].report.completion = now,
+        }
+    }
 
     fn on_device_compute_done(&mut self, device: u32, now: SimTime) {
         let i = device as usize;
@@ -724,57 +709,13 @@ impl<'a> Engine<'a> {
         // budget against an unreachable cloud and do not report.
         if self.sc.client.is_some() && self.devs[i].report.mode == FitMode::FreshPrior {
             if let Strategy::PriorTransfer { dim, .. } = self.sc.devices[i].strategy {
-                let bytes = model_report_bytes(dim);
-                if self.topo.is_some() {
-                    let handshake = self.connect(device);
-                    self.start_message(
-                        device,
-                        device,
-                        self.n,
-                        MessageKind::ModelReport,
-                        bytes,
-                        now + handshake,
-                    );
-                } else {
-                    self.devs[i].report.bytes_sent += bytes;
-                    self.devs[i].report.radio_joules +=
-                        self.sc.energy.joules_per_byte * bytes as f64;
-                    let handshake = self.connect(device);
-                    self.queue.schedule(
-                        now + handshake + self.sc.devices[i].link.transfer_time(bytes),
-                        Event::ArriveAtCloud {
-                            device,
-                            kind: MessageKind::ModelReport,
-                        },
-                    );
-                }
-            }
-        }
-    }
-
-    fn on_cloud_compute_done(&mut self, device: u32, now: SimTime) {
-        let spec = self.sc.devices[device as usize];
-        let Strategy::CloudRoundTrip { dim, .. } = spec.strategy else {
-            unreachable!("cloud compute for non-cloud strategy");
-        };
-        let bytes = model_bytes(dim);
-        if self.topo.is_some() {
-            self.start_message(
-                device,
-                self.n,
-                device,
-                MessageKind::ModelPayload,
-                bytes,
-                now,
-            );
-        } else {
-            self.queue.schedule(
-                now + spec.link.transfer_time(bytes),
-                Event::ArriveAtDevice {
+                self.send(
                     device,
-                    kind: MessageKind::ModelPayload,
-                },
-            );
+                    MessageKind::ModelReport,
+                    model_report_bytes(dim),
+                    now,
+                );
+            }
         }
     }
 
@@ -806,25 +747,12 @@ impl<'a> Engine<'a> {
             else {
                 unreachable!("retry timer for non-prior strategy");
             };
-            let t = self.sc.compute.train_time(
-                self.sc.compute.erm_cost,
-                self.sc.compute.device_flops,
-                samples,
-                dim,
-                iterations,
-            );
-            self.devs[i].report.compute_joules += self.sc.energy.joules_per_flop
-                * self
-                    .sc
-                    .compute
-                    .train_flops(self.sc.compute.erm_cost, samples, dim, iterations);
-            self.queue
-                .schedule(now + t, Event::DeviceComputeDone { device });
+            let erm = self.sc.compute.erm_cost;
+            self.start_device_compute(device, erm, samples, dim, iterations, now);
         }
     }
 
-    /// Starts the device-side EM fit after a prior payload lands
-    /// (identical in both modes).
+    /// Starts the device-side EM fit after a prior payload lands.
     fn fit_with_prior(&mut self, device: u32, now: SimTime) {
         let i = device as usize;
         if self.devs[i].fetch == FetchState::Resolved {
@@ -845,26 +773,31 @@ impl<'a> Engine<'a> {
         else {
             unreachable!("prior payload for non-prior strategy");
         };
-        let t = self.sc.compute.train_time(
-            self.sc.compute.em_cost,
-            self.sc.compute.device_flops,
-            samples,
-            dim,
-            iterations * em_rounds.max(1),
-        );
-        self.devs[i].report.compute_joules += self.sc.energy.joules_per_flop
-            * self.sc.compute.train_flops(
-                self.sc.compute.em_cost,
-                samples,
-                dim,
-                iterations * em_rounds.max(1),
-            );
+        let em = self.sc.compute.em_cost;
+        self.start_device_compute(device, em, samples, dim, iterations * em_rounds.max(1), now);
+    }
+
+    /// Starts a device-side training job at `now` — `coeff`-cost training
+    /// over `samples × dim` for `iterations` — charging its compute energy
+    /// up front and scheduling its completion.
+    fn start_device_compute(
+        &mut self,
+        device: u32,
+        coeff: f64,
+        samples: usize,
+        dim: usize,
+        iterations: usize,
+        now: SimTime,
+    ) {
+        let c = self.sc.compute;
+        let t = c.train_time(coeff, c.device_flops, samples, dim, iterations);
+        self.devs[device as usize].report.compute_joules +=
+            self.sc.energy.joules_per_flop * c.train_flops(coeff, samples, dim, iterations);
         self.queue
             .schedule(now + t, Event::DeviceComputeDone { device });
     }
 
-    /// FIFO single-server cloud training for a raw-data upload (identical
-    /// in both modes).
+    /// FIFO single-server cloud training for a raw-data upload.
     fn cloud_train(&mut self, device: u32, now: SimTime) {
         let Strategy::CloudRoundTrip {
             samples,
@@ -919,91 +852,60 @@ impl<'a> Engine<'a> {
         SimDuration::from_micros(2 * latency.as_micros())
     }
 
-    /// Sends (or resends) one prior request for `device`, charging radio
-    /// bytes and energy — plus the connection handshake when the client
-    /// mode requires a fresh stream — and, when a [`RetryModel`] is
-    /// configured, arming the attempt's response deadline.
+    /// Sends (or resends) one prior request for `device` and, when a
+    /// [`RetryModel`] is configured, arms the attempt's response deadline.
     fn send_prior_request(&mut self, device: u32, attempt: u32, now: SimTime) {
-        let i = device as usize;
-        self.devs[i].report.attempts = attempt;
-        if self.topo.is_some() {
-            let handshake = self.connect(device);
-            self.start_message(
-                device,
-                device,
-                self.n,
-                MessageKind::PriorRequest,
-                REQUEST_BYTES,
-                now + handshake,
-            );
-        } else {
-            self.devs[i].report.bytes_sent += REQUEST_BYTES;
-            self.devs[i].report.radio_joules +=
-                self.sc.energy.joules_per_byte * REQUEST_BYTES as f64;
-            let handshake = self.connect(device);
-            self.queue.schedule(
-                now + handshake + self.sc.devices[i].link.transfer_time(REQUEST_BYTES),
-                Event::ArriveAtCloud {
-                    device,
-                    kind: MessageKind::PriorRequest,
-                },
-            );
-        }
+        self.devs[device as usize].report.attempts = attempt;
+        self.send(device, MessageKind::PriorRequest, REQUEST_BYTES, now);
         if let Some(retry) = self.sc.retry {
-            queue_retry(&mut self.queue, now, retry, device, attempt);
+            self.queue.schedule(
+                now + retry.deadline(attempt),
+                Event::RetryTimer { device, attempt },
+            );
         }
     }
 
-    // ----- legacy (direct-delivery) handlers -----
+    /// Sends the cloud's `kind` payload for `device` at `now`, sized by
+    /// the device's strategy.
+    fn reply(&mut self, device: u32, kind: MessageKind, now: SimTime) {
+        let bytes = payload_bytes(self.sc.devices[device as usize].strategy, kind);
+        self.send(device, kind, bytes, now);
+    }
 
-    fn on_arrive_at_cloud(&mut self, device: u32, kind: MessageKind, now: SimTime) {
-        let spec = self.sc.devices[device as usize];
-        match kind {
-            MessageKind::PriorRequest => {
-                // The outage window drops arriving requests silently; the
-                // device's retry deadline is the only recovery path.
-                if self.outage_drops(now) {
-                    return;
-                }
-                // Prior is precomputed; respond immediately.
-                let Strategy::PriorTransfer { .. } = spec.strategy else {
-                    unreachable!("prior request from non-prior strategy");
-                };
-                let prior_bytes = legacy_payload_bytes(spec.strategy, MessageKind::PriorPayload);
-                self.queue.schedule(
-                    now + spec.link.transfer_time(prior_bytes),
-                    Event::ArriveAtDevice {
-                        device,
-                        kind: MessageKind::PriorPayload,
-                    },
-                );
-            }
-            MessageKind::RawData => self.cloud_train(device, now),
-            MessageKind::ModelReport => {
-                // Telemetry sink: the cloud absorbs the report (no
-                // response leg), so it only counts.
-                self.model_reports += 1;
-            }
-            MessageKind::PriorPayload | MessageKind::ModelPayload => {
-                unreachable!("cloud cannot receive its own payload kinds")
-            }
+    // ----- transports -----
+
+    /// Sends one `bytes`-byte message of `kind` between `device` and the
+    /// cloud, its first byte ready at `at`; the direction follows from
+    /// `kind`. Cloud-bound messages first pay the connection model's
+    /// handshake. The fabric carries the message as a reliable transfer;
+    /// direct delivery charges the sender's radio now and lands the whole
+    /// message one link transfer time later.
+    fn send(&mut self, device: u32, kind: MessageKind, bytes: u64, at: SimTime) {
+        let (src, dst, at) = if kind.is_cloud_bound() {
+            (device, self.n, at + self.connect(device))
+        } else {
+            (self.n, device, at)
+        };
+        if self.topo.is_some() {
+            self.start_message(device, src, dst, kind, bytes, at);
+        } else {
+            self.charge_tx(src, bytes);
+            let link = self.sc.devices[device as usize].link;
+            self.queue.schedule(
+                at + link.transfer_time(bytes),
+                Event::Arrive { device, kind },
+            );
         }
     }
 
-    fn on_arrive_at_device(&mut self, device: u32, kind: MessageKind, now: SimTime) {
-        let i = device as usize;
-        let bytes = legacy_payload_bytes(self.sc.devices[i].strategy, kind);
-        self.devs[i].report.bytes_received += bytes;
-        self.devs[i].report.radio_joules += self.sc.energy.joules_per_byte * bytes as f64;
-        match kind {
-            MessageKind::ModelPayload => {
-                self.devs[i].report.completion = now;
-            }
-            MessageKind::PriorPayload => self.fit_with_prior(device, now),
-            MessageKind::PriorRequest | MessageKind::RawData | MessageKind::ModelReport => {
-                unreachable!("devices cannot receive cloud-bound kinds")
-            }
+    /// A direct-delivery message lands: a receiving device pays its radio
+    /// cost for the payload, then the application layer acts.
+    fn on_arrive(&mut self, device: u32, kind: MessageKind, now: SimTime) {
+        if !kind.is_cloud_bound() {
+            let bytes = payload_bytes(self.sc.devices[device as usize].strategy, kind);
+            self.charge_rx(device, bytes);
         }
+        self.deliver(device, kind, now);
     }
 
     // ----- topology-mode: switch fabric -----
@@ -1029,7 +931,7 @@ impl<'a> Engine<'a> {
     }
 
     /// Accrues transmitted bytes/energy to a device (the cloud's radio is
-    /// not metered, matching the legacy accounting).
+    /// not metered, in either delivery mode).
     fn charge_tx(&mut self, host: u32, bytes: u64) {
         if host < self.n {
             let r = &mut self.devs[host as usize].report;
@@ -1265,7 +1167,7 @@ impl<'a> Engine<'a> {
             let t = *self.transfers.get(id);
             if t.recv_next >= t.segments && !t.delivered {
                 self.transfers.get_mut(id).delivered = true;
-                self.app_deliver(id, now);
+                self.deliver(t.device, t.kind, now);
             }
         }
     }
@@ -1314,39 +1216,6 @@ impl<'a> Engine<'a> {
         self.pump(id, now);
     }
 
-    /// A fully reassembled message reaches its destination's application
-    /// layer — the topology-mode twin of the legacy arrival handlers.
-    fn app_deliver(&mut self, id: u32, now: SimTime) {
-        let t = *self.transfers.get(id);
-        match t.kind {
-            MessageKind::PriorRequest => {
-                if self.outage_drops(now) {
-                    return;
-                }
-                let bytes = legacy_payload_bytes(
-                    self.sc.devices[t.device as usize].strategy,
-                    MessageKind::PriorPayload,
-                );
-                self.start_message(
-                    t.device,
-                    self.n,
-                    t.device,
-                    MessageKind::PriorPayload,
-                    bytes,
-                    now,
-                );
-            }
-            MessageKind::RawData => self.cloud_train(t.device, now),
-            MessageKind::ModelReport => {
-                self.model_reports += 1;
-            }
-            MessageKind::PriorPayload => self.fit_with_prior(t.device, now),
-            MessageKind::ModelPayload => {
-                self.devs[t.device as usize].report.completion = now;
-            }
-        }
-    }
-
     /// Reduces an executed event to its trace record.
     fn trace_of(&self, now: SimTime, event: Event) -> TraceEvent {
         let owner_of_port = |port: u32| {
@@ -1358,8 +1227,10 @@ impl<'a> Engine<'a> {
             }
         };
         let (kind, device) = match event {
-            Event::ArriveAtCloud { device, kind } => (TraceKind::ArriveAtCloud(kind), device),
-            Event::ArriveAtDevice { device, kind } => (TraceKind::ArriveAtDevice(kind), device),
+            Event::Arrive { device, kind } if kind.is_cloud_bound() => {
+                (TraceKind::ArriveAtCloud(kind), device)
+            }
+            Event::Arrive { device, kind } => (TraceKind::ArriveAtDevice(kind), device),
             Event::DeviceComputeDone { device } => (TraceKind::DeviceComputeDone, device),
             Event::CloudComputeDone { device } => (TraceKind::CloudComputeDone, device),
             Event::RetryTimer { device, .. } => (TraceKind::RetryTimer, device),
@@ -1385,10 +1256,10 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// The wire size of a cloud-to-device payload in the legacy model, where
-/// delivery events carry no byte counts — the size is a pure function of
-/// the device's strategy and the message kind.
-fn legacy_payload_bytes(strategy: Strategy, kind: MessageKind) -> u64 {
+/// The wire size of a cloud-to-device payload: a pure function of the
+/// device's strategy and the message kind, so direct-delivery arrival
+/// events need carry no byte counts.
+fn payload_bytes(strategy: Strategy, kind: MessageKind) -> u64 {
     match (kind, strategy) {
         (MessageKind::ModelPayload, Strategy::CloudRoundTrip { dim, .. }) => model_bytes(dim),
         (
@@ -1401,14 +1272,6 @@ fn legacy_payload_bytes(strategy: Strategy, kind: MessageKind) -> u64 {
         ) => prior_transfer_bytes(prior_components, dim),
         _ => unreachable!("no payload size for {kind:?} under {strategy:?}"),
     }
-}
-
-/// Arms the application-level response deadline for a prior request.
-fn queue_retry(queue: &mut EventQueue, now: SimTime, retry: RetryModel, device: u32, attempt: u32) {
-    queue.schedule(
-        now + retry.deadline(attempt),
-        Event::RetryTimer { device, attempt },
-    );
 }
 
 #[cfg(test)]
