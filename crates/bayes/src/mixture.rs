@@ -287,25 +287,6 @@ impl MixturePrior {
         dre_linalg::vector::log_sum_exp(&terms)
     }
 
-    /// Peak-normalized log-density
-    /// `log Σ_k w_k exp(−½ (θ−μ_k)ᵀ Σ_k⁻¹ (θ−μ_k))` — the mixture with
-    /// every component's kernel height set to 1.
-    ///
-    /// Unlike [`MixturePrior::log_pdf`], this drops the per-component
-    /// normalization constants (`±O(d)` nats of log-determinants), so
-    /// comparisons across well-separated components reflect *distance to
-    /// the component*, not its tightness. The edge learner ranks multistart
-    /// basins with this quantity; the optimization itself still uses the
-    /// true density.
-    pub fn log_kernel(&self, theta: &[f64]) -> f64 {
-        let terms = dre_parallel::par_map_indexed_min(
-            self.components.len(),
-            MIXTURE_MIN_PAR_COMPONENTS,
-            |k| self.log_weights[k] - 0.5 * self.components[k].density.mahalanobis_sq(theta),
-        );
-        dre_linalg::vector::log_sum_exp(&terms)
-    }
-
     /// E-step responsibilities `r_k ∝ w_k N(θ; μ_k, Σ_k)` (normalized).
     pub fn responsibilities(&self, theta: &[f64]) -> Vec<f64> {
         let mut r = dre_parallel::par_map_indexed_min(
@@ -524,33 +505,6 @@ mod tests {
         assert!(p.em_surrogate(&[1.0]).is_err());
         assert!(p.em_surrogate(&[0.9, 0.3]).is_err());
         assert!(p.em_surrogate(&[-0.1, 1.1]).is_err());
-    }
-
-    #[test]
-    fn log_kernel_drops_normalization_but_keeps_distance() {
-        let p = two_mode_prior();
-        // At a component mean the kernel is exactly ln w_k (Mahalanobis 0
-        // to that component dominates the log-sum-exp for well-separated
-        // modes).
-        assert!((p.log_kernel(&[0.0, 0.0]) - 0.3f64.ln()).abs() < 1e-6);
-        assert!((p.log_kernel(&[4.0, -4.0]) - 0.7f64.ln()).abs() < 1e-6);
-        // Monotone in distance from the active mode.
-        assert!(p.log_kernel(&[0.5, 0.0]) < p.log_kernel(&[0.0, 0.0]));
-        // Unlike log_pdf, equal-weight components of different tightness
-        // score identically at their own means.
-        let uneven = MixturePrior::new(vec![
-            (0.5, vec![0.0], Matrix::from_diag(&[1e-4])),
-            (0.5, vec![1000.0], Matrix::from_diag(&[1e4])),
-        ])
-        .unwrap();
-        assert!(
-            (uneven.log_kernel(&[0.0]) - uneven.log_kernel(&[1000.0])).abs() < 1e-9,
-            "kernel must not favor the tight component"
-        );
-        assert!(
-            uneven.log_pdf(&[0.0]) > uneven.log_pdf(&[1000.0]) + 5.0,
-            "the true density does favor the tight component"
-        );
     }
 
     #[test]

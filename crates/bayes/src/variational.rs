@@ -91,8 +91,7 @@ impl VariationalResult {
                     let Ok(chol) = dre_linalg::Cholesky::new_with_jitter(&avg_cov, 1e-6) else {
                         continue;
                     };
-                    let diff = dre_linalg::vector::sub(&means[i], &means[j]);
-                    let d2 = chol.mahalanobis_sq(&diff).expect("dims");
+                    let d2 = chol.mahalanobis_sq(&means[i], &means[j]).expect("dims");
                     if d2 < t2 {
                         let (wi, wj) = (weights[i], weights[j]);
                         let w = (wi + wj).max(1e-300);

@@ -92,9 +92,8 @@ mod tests {
         let prior = MvNormal::new(mu0.to_vec(), &sigma.scaled(1.0 / kappa0)).unwrap();
         let chol = prior.cov_cholesky();
         let log_lik = |f: &[f64]| {
-            let diff: Vec<f64> = f.iter().zip(&xbar).map(|(a, b)| a - b).collect();
             // (Σ/κ₀)⁻¹ = κ₀·Σ⁻¹ ⇒ rescale the factored Mahalanobis form.
-            -0.5 * n * chol.mahalanobis_sq(&diff).unwrap() / kappa0
+            -0.5 * n * chol.mahalanobis_sq(f, &xbar).unwrap() / kappa0
         };
         let expected: Vec<f64> = mu0
             .iter()

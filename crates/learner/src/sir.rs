@@ -650,8 +650,9 @@ impl SirDpFilter {
                     // −½·n·(μ−x̄)ᵀΣ̂⁻¹(μ−x̄), reusing the scaled factor:
                     // (Σ̂/κ₀)⁻¹ = κ₀·Σ̂⁻¹, so rescale the Mahalanobis form.
                     let log_lik = |mu: &[f64]| {
-                        let diff: Vec<f64> = mu.iter().zip(&t.xbar).map(|(m, x)| m - x).collect();
-                        let maha = lik_chol.mahalanobis_sq(&diff).expect("dimension invariant");
+                        let maha = lik_chol
+                            .mahalanobis_sq(mu, &t.xbar)
+                            .expect("dimension invariant");
                         -0.5 * t.n_k * maha / kappa0
                     };
                     let mut mu = t.xbar.clone();
@@ -879,8 +880,7 @@ mod tests {
                     let xbar = c.stats().mean();
                     let n_k = c.len() as f64;
                     let log_lik = |mu: &[f64]| {
-                        let diff: Vec<f64> = mu.iter().zip(&xbar).map(|(m, x)| m - x).collect();
-                        let maha = prior.cov_cholesky().mahalanobis_sq(&diff).unwrap();
+                        let maha = prior.cov_cholesky().mahalanobis_sq(mu, &xbar).unwrap();
                         -0.5 * n_k * maha / base.kappa0()
                     };
                     let mut mu = xbar.clone();

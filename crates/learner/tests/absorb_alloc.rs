@@ -89,8 +89,11 @@ impl PriorSink for CountSink {
 /// built its CDF in one exactly sized buffer; 52,478 once cluster copies
 /// shared the base measure and inserts committed in place; 51,702 once a
 /// cluster cache held its posterior mean only as its predictive's location,
-/// so a cluster copy no longer allocates a second mean.
-const ABSORB_ALLOCATIONS: u64 = 51_702;
+/// so a cluster copy no longer allocates a second mean; 31,863 once
+/// `Cholesky::mahalanobis_sq` took the centre and formed `x − μ` in its
+/// forward-substitution buffer, so a predictive density evaluation no
+/// longer allocates the difference twice.
+const ABSORB_ALLOCATIONS: u64 = 31_863;
 
 /// `(allocator calls, publishes, absorbed, gated)` of one run from a fresh
 /// learner. The stream is built before counting starts.

@@ -149,13 +149,17 @@ impl Cholesky {
             });
         }
         let mut y = b.to_vec();
-        for i in 0..n {
+        self.solve_l_in_place(&mut y);
+        Ok(y)
+    }
+
+    fn solve_l_in_place(&self, y: &mut [f64]) {
+        for i in 0..y.len() {
             for k in 0..i {
                 y[i] -= self.l[(i, k)] * y[k];
             }
             y[i] /= self.l[(i, i)];
         }
-        Ok(y)
     }
 
     fn solve_lt_in_place(&self, y: &mut [f64]) {
@@ -194,13 +198,27 @@ impl Cholesky {
         Ok(out)
     }
 
-    /// Mahalanobis quadratic form `xᵀ A⁻¹ x = ‖L⁻¹x‖²`.
+    /// Mahalanobis quadratic form about a centre,
+    /// `(x−μ)ᵀ A⁻¹ (x−μ) = ‖L⁻¹(x−μ)‖²`. The difference is formed in the
+    /// one buffer the forward substitution runs in.
     ///
     /// # Errors
     ///
-    /// Returns [`LinalgError::ShapeMismatch`] when `x.len() != self.dim()`.
-    pub fn mahalanobis_sq(&self, x: &[f64]) -> Result<f64> {
-        let y = self.solve_l(x)?;
+    /// Returns [`LinalgError::ShapeMismatch`] when `x` or `mean` is not
+    /// `self.dim()` long.
+    pub fn mahalanobis_sq(&self, x: &[f64], mean: &[f64]) -> Result<f64> {
+        let n = self.dim();
+        for v in [x, mean] {
+            if v.len() != n {
+                return Err(LinalgError::ShapeMismatch {
+                    op: "cholesky mahalanobis",
+                    lhs: (n, n),
+                    rhs: (v.len(), 1),
+                });
+            }
+        }
+        let mut y: Vec<f64> = x.iter().zip(mean).map(|(a, m)| a - m).collect();
+        self.solve_l_in_place(&mut y);
         Ok(crate::vector::dot(&y, &y))
     }
 
@@ -468,8 +486,13 @@ mod tests {
         let a = spd3();
         let ch = Cholesky::new(&a).unwrap();
         let x = vec![0.3, -1.0, 2.0];
-        let direct = crate::vector::dot(&x, &ch.solve(&x).unwrap());
-        assert!((ch.mahalanobis_sq(&x).unwrap() - direct).abs() < 1e-10);
+        let mean = vec![1.0, 0.5, -0.25];
+        let diff = crate::vector::sub(&x, &mean);
+        let direct = crate::vector::dot(&diff, &ch.solve(&diff).unwrap());
+        assert!((ch.mahalanobis_sq(&x, &mean).unwrap() - direct).abs() < 1e-10);
+        assert_eq!(ch.mahalanobis_sq(&mean, &mean).unwrap(), 0.0);
+        assert!(ch.mahalanobis_sq(&x, &mean[..2]).is_err());
+        assert!(ch.mahalanobis_sq(&x[..2], &mean).is_err());
     }
 
     #[test]

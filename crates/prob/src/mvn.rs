@@ -121,25 +121,11 @@ impl MvNormal {
         if x.len() != self.mean.len() {
             return f64::NEG_INFINITY;
         }
-        let diff = dre_linalg::vector::sub(x, &self.mean);
         let maha = self
             .chol
-            .mahalanobis_sq(&diff)
+            .mahalanobis_sq(x, &self.mean)
             .expect("dimension checked above");
         self.log_norm - 0.5 * maha
-    }
-
-    /// Squared Mahalanobis distance `(x−μ)ᵀ Σ⁻¹ (x−μ)`.
-    ///
-    /// Returns `+inf` when `x` has the wrong dimension.
-    pub fn mahalanobis_sq(&self, x: &[f64]) -> f64 {
-        if x.len() != self.mean.len() {
-            return f64::INFINITY;
-        }
-        let diff = dre_linalg::vector::sub(x, &self.mean);
-        self.chol
-            .mahalanobis_sq(&diff)
-            .expect("dimension checked above")
     }
 
     /// Draws one sample `μ + L·z` with `z` standard normal.
@@ -195,8 +181,6 @@ mod tests {
         assert!(at_mean > mvn.log_pdf(&[2.0, 0.0]));
         assert!(at_mean > mvn.log_pdf(&[0.0, -2.0]));
         assert_eq!(mvn.log_pdf(&[0.0]), f64::NEG_INFINITY);
-        assert_eq!(mvn.mahalanobis_sq(&[0.0]), f64::INFINITY);
-        assert_eq!(mvn.mahalanobis_sq(&[1.0, -1.0]), 0.0);
     }
 
     #[test]

@@ -145,10 +145,9 @@ impl MvStudentT {
         if x.len() != self.loc.len() {
             return f64::NEG_INFINITY;
         }
-        let diff = dre_linalg::vector::sub(x, &self.loc);
         let maha = self
             .chol
-            .mahalanobis_sq(&diff)
+            .mahalanobis_sq(x, &self.loc)
             .expect("dimension checked above");
         let d = self.loc.len() as f64;
         self.log_norm - 0.5 * (self.dof + d) * (1.0 + maha / self.dof).ln()
