@@ -1,6 +1,7 @@
 //! Gradient descent with Armijo backtracking.
 
 use crate::line_search::backtracking;
+use crate::objective::Counted;
 use crate::{Objective, OptimError, OptimReport, Result, StopCriteria};
 
 /// First-order descent solver.
@@ -47,6 +48,7 @@ impl GradientDescent {
                 got: x0.len(),
             });
         }
+        let obj = &Counted::new(obj);
         let mut x = x0.to_vec();
         let (mut fx, mut g) = obj.value_and_gradient(&x);
         if !fx.is_finite() || !dre_linalg::vector::all_finite(&g) {
@@ -84,6 +86,7 @@ impl GradientDescent {
             value: fx,
             x,
             iterations,
+            evaluations: obj.evaluations(),
             converged,
             trace,
         })

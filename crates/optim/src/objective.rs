@@ -145,6 +145,60 @@ impl Objective for QuadraticObjective {
     }
 }
 
+/// An objective that counts its evaluations, through whichever entry
+/// point a solver uses; the count is what [`OptimReport::evaluations`]
+/// reports.
+///
+/// [`OptimReport::evaluations`]: crate::OptimReport::evaluations
+pub(crate) struct Counted<'a, O: ?Sized> {
+    inner: &'a O,
+    evaluations: std::cell::Cell<usize>,
+}
+
+impl<'a, O: Objective + ?Sized> Counted<'a, O> {
+    pub(crate) fn new(inner: &'a O) -> Self {
+        Counted {
+            inner,
+            evaluations: std::cell::Cell::new(0),
+        }
+    }
+
+    /// Evaluations so far.
+    pub(crate) fn evaluations(&self) -> usize {
+        self.evaluations.get()
+    }
+
+    fn count(&self) {
+        self.evaluations.set(self.evaluations.get() + 1);
+    }
+}
+
+impl<O: Objective + ?Sized> Objective for Counted<'_, O> {
+    fn dim(&self) -> usize {
+        self.inner.dim()
+    }
+
+    fn value(&self, x: &[f64]) -> f64 {
+        self.count();
+        self.inner.value(x)
+    }
+
+    fn gradient(&self, x: &[f64]) -> Vec<f64> {
+        self.count();
+        self.inner.gradient(x)
+    }
+
+    fn value_and_gradient(&self, x: &[f64]) -> (f64, Vec<f64>) {
+        self.count();
+        self.inner.value_and_gradient(x)
+    }
+
+    fn value_and_gradient_into(&self, x: &[f64], grad: &mut [f64]) -> f64 {
+        self.count();
+        self.inner.value_and_gradient_into(x, grad)
+    }
+}
+
 /// Central-difference numerical gradient, for verifying analytic gradients
 /// in tests: `∂f/∂xᵢ ≈ (f(x + h·eᵢ) − f(x − h·eᵢ)) / 2h`.
 pub fn numerical_gradient<O: Objective + ?Sized>(obj: &O, x: &[f64], h: f64) -> Vec<f64> {

@@ -43,6 +43,9 @@ pub struct OptimReport {
     pub grad_norm: f64,
     /// Number of iterations performed.
     pub iterations: usize,
+    /// Objective evaluations the run made: the start, every line-search
+    /// trial, and any re-evaluation of an accepted point.
+    pub evaluations: usize,
     /// Whether a stopping tolerance (rather than the iteration budget) was
     /// hit.
     pub converged: bool,
@@ -80,6 +83,7 @@ mod tests {
             value: 0.0,
             grad_norm: 0.0,
             iterations: 3,
+            evaluations: 4,
             converged: true,
             trace: vec![3.0, 2.0, 2.0, 1.0],
         };
