@@ -15,62 +15,12 @@
 
 mod support;
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
+use dre_alloc_count::{allocations, CountingAlloc};
 use dre_bayes::MixturePrior;
 use dre_learner::PriorSink;
 
-/// System allocator wrapper that counts this thread's allocation calls.
-struct CountingAlloc;
-
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count() {
-    ALLOCATIONS.with(|c| c.set(c.get() + 1));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, so
-// each upholds the `GlobalAlloc` contract exactly as `System` does; the
-// count only touches a thread-local `Cell` and never allocates.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: the caller's guarantees for `layout` pass straight on.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: as `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from this allocator, that is from `System`,
-        // with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        // SAFETY: as `dealloc` for `ptr` and `layout`; the caller's
-        // guarantees for `new_size` pass straight on.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
-
-/// Allocator calls this thread makes while running `f`.
-fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCATIONS.with(Cell::get);
-    let out = f();
-    (ALLOCATIONS.with(Cell::get) - before, out)
-}
 
 /// A sink that only counts publishes, so every counted call is the
 /// learner's own.

@@ -16,37 +16,6 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     x.iter().zip(y).map(|(a, b)| a * b).sum()
 }
 
-/// Dot product with a fixed four-accumulator unrolling.
-///
-/// Same value class as [`dot`] but associates differently: terms are folded
-/// into four stride-4 accumulators combined as `(a₀+a₁)+(a₂+a₃)` plus a
-/// serial tail. The order depends only on the slice length, so results are
-/// reproducible — and the independent accumulators let the CPU overlap the
-/// multiply-adds in long reductions where [`dot`]'s single serial chain
-/// stalls on add latency.
-///
-/// # Panics
-///
-/// Panics if `x.len() != y.len()`.
-#[inline]
-pub fn dot_unrolled(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "dot_unrolled: length mismatch");
-    let mut acc = [0.0f64; 4];
-    let chunks = x.len() / 4;
-    for c in 0..chunks {
-        let i = 4 * c;
-        acc[0] += x[i] * y[i];
-        acc[1] += x[i + 1] * y[i + 1];
-        acc[2] += x[i + 2] * y[i + 2];
-        acc[3] += x[i + 3] * y[i + 3];
-    }
-    let mut tail = 0.0;
-    for i in 4 * chunks..x.len() {
-        tail += x[i] * y[i];
-    }
-    (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
-}
-
 /// Euclidean (ℓ2) norm `‖x‖₂`.
 #[inline]
 pub fn norm2(x: &[f64]) -> f64 {

@@ -6,36 +6,15 @@
 //! executor is an order of magnitude slower); CI runs them in release
 //! via `cargo test --release -p dre-integration --test scale -- --ignored`.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+use dre_alloc_count::{allocations, CountingAlloc};
 use dre_edgesim::{
     ComputeModel, DeviceSpec, Link, Scenario, SimDuration, Strategy, SwitchConfig, Topology,
 };
 
-/// System allocator wrapper that counts allocation calls, so the tests can
-/// assert the executor's steady state is allocation-free.
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
+/// Counts allocator calls, so the tests can assert the executor's steady
+/// state is allocation-free.
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
@@ -113,11 +92,9 @@ fn hundred_thousand_devices_complete_cleanly() {
 fn million_devices_run_in_seconds_without_steady_state_allocation() {
     let n = 1_000_000;
     let sc = fleet(n);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
     let start = Instant::now();
-    let r = sc.run();
+    let (allocs, r) = allocations(|| sc.run());
     let elapsed = start.elapsed();
-    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
     assert_clean_completion(n, &r);
     assert!(
         elapsed.as_secs() < 60,
