@@ -31,7 +31,7 @@
 //! * the nonconvex `−log π(θ)` is handled by the paper's **EM-inspired
 //!   convex relaxation**: an E-step computes component responsibilities, a
 //!   convex quadratic majorizer replaces the mixture term, and the M-step
-//!   solves `dual + quadratic` with L-BFGS ([`EdgeLearner`]).
+//!   solves `dual + quadratic` with BFGS ([`EdgeLearner`]).
 //!
 //! The majorize–minimize structure makes the *exact* objective monotonically
 //! non-increasing across EM rounds — an invariant the test-suite checks.

@@ -16,7 +16,14 @@
 //! round count, and a final exact objective no worse than the previous one
 //! by more than 1e-12 relative. The `*_PREV` patterns come from the
 //! per-sample dual kernel, the golden-section certificate and cold-started
-//! M-steps.
+//! L-BFGS M-steps.
+//!
+//! History of the current pins: L-BFGS with curvature pairs kept across EM
+//! rounds, then full-matrix BFGS with its inverse-Hessian estimate kept
+//! across EM rounds. The BFGS re-pin kept the cold-step `*_PREV` patterns:
+//! against the warm L-BFGS pins it replaced, its broad-prior final
+//! objective is 5e-12 relative higher (inside the trace tolerance, outside
+//! the final-objective one) and its three-component one is lower.
 //!
 //! The patterns were recorded on x86-64 Linux; a platform whose libm rounds
 //! `exp`/`ln_1p` differently will differ in the last bits.
@@ -138,30 +145,30 @@ fn fits_stay_within_the_repin_tolerance_of_the_previous_pins() {
 type Pins = (&'static [u64], &'static [u64], usize);
 
 const BROAD_MODEL: &[u64] = &[
-    0xBFE90596691BD6AD,
-    0x3FBB95951D35B308,
-    0xBFCE61AC2DC256E0,
-    0xBFEA2F3FBAFC610D,
-    0x3FFAC054F2FDFE15,
+    0xBFE9059669A3D4FE,
+    0x3FBB95951D92C46B,
+    0xBFCE61AC2E68498C,
+    0xBFEA2F3FBBA8B1E8,
+    0x3FFAC054F19F5659,
 ];
 const BROAD_TRACE: &[u64] = &[
     0x3FFBF23A05DFBF88,
-    0x3FF7F6B0465075B8,
-    0x3FF7F6B045D7F1F6,
-    0x3FF7F6B045DD3AB8,
-    0x3FF7F6B045DD3AB8,
-    0x3FF7F6B045DD3AB8,
-    0x3FF7F6B045DD3AB8,
+    0x3FF7F6B045EF8F54,
+    0x3FF7F6B045E36AA7,
+    0x3FF7F6B045DE07AF,
+    0x3FF7F6B045DDBE45,
+    0x3FF7F6B045DDBE45,
+    0x3FF7F6B045DDBE45,
 ];
 const BROAD_ROUNDS: usize = 6;
 const MIX3_MODEL: &[u64] = &[
-    0x400CB78D5FC1ED03,
-    0x3FB9329F01027D9C,
-    0xBFEB5FB1C3A23269,
-    0x3FF1965A608C305E,
-    0x3FC696D63726CACB,
+    0x400CB78D8E7AD280,
+    0x3FB9329986134CC9,
+    0xBFEB5FB267D6306C,
+    0x3FF1965A244FA0D5,
+    0x3FC696D941E1D7D1,
 ];
-const MIX3_TRACE: &[u64] = &[0x3FE961347999C929, 0x3FE89BE11984E2D4, 0x3FE89BE11984E078];
+const MIX3_TRACE: &[u64] = &[0x3FE961347999C929, 0x3FE89BE11984DA61, 0x3FE89BE11984D9F7];
 const MIX3_ROUNDS: usize = 2;
 
 const BROAD_MODEL_PREV: &[u64] = &[

@@ -3,15 +3,21 @@
 //! Rust has no mature convex-optimization stack, so the solver the paper's
 //! M-step (and every baseline) needs is implemented here:
 //!
-//! * [`Lbfgs`] — limited-memory BFGS with a strong-Wolfe line search, the
-//!   workhorse for the smooth convex M-step;
+//! * [`Bfgs`] — BFGS with a dense inverse-Hessian estimate, for small
+//!   problems such as the edge M-step (`d + 2` variables), with
+//!   [`InverseHessian`] to carry the estimate between related solves;
+//! * [`Lbfgs`] — limited-memory BFGS, for large problems such as softmax
+//!   training and the source models;
 //! * [`GradientDescent`] — steepest descent with Armijo backtracking, the
 //!   monotone reference the L-BFGS tests compare against;
 //! * the [`Objective`] trait and a [`numerical_gradient`] helper for
 //!   verifying analytic gradients in tests.
 //!
-//! Both solvers return an [`OptimReport`] recording the final iterate, the
-//! trajectory of objective values and the convergence status.
+//! The two quasi-Newton solvers share one loop: the strong-Wolfe line
+//! search with a backtracking fallback, the stopping rules and the report;
+//! only their inverse-Hessian models differ. Every solver returns an
+//! [`OptimReport`] recording the final iterate, the trajectory of
+//! objective values, the evaluation count and the convergence status.
 //!
 //! # Example
 //!
@@ -32,16 +38,21 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod bfgs;
 mod error;
 mod gd;
 mod lbfgs;
 mod line_search;
 mod objective;
+mod quasi_newton;
 mod report;
+#[cfg(test)]
+mod test_support;
 
+pub use bfgs::{Bfgs, InverseHessian};
 pub use error::OptimError;
 pub use gd::GradientDescent;
-pub use lbfgs::{Lbfgs, LbfgsHistory};
+pub use lbfgs::Lbfgs;
 pub use line_search::{backtracking, strong_wolfe, LineSearchResult, WolfeStep};
 pub use objective::{numerical_gradient, FnObjective, Objective, QuadraticObjective};
 pub use report::{OptimReport, StopCriteria};
