@@ -20,26 +20,12 @@ const GIBBS_MIN_PAR_CLUSTERS_CACHED: usize = 64;
 /// Configuration of a collapsed Gibbs run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GibbsConfig {
-    /// Dirichlet-process concentration `α > 0` (the initial value when
-    /// [`GibbsConfig::alpha_prior`] is set).
+    /// Dirichlet-process concentration `α > 0`.
     pub alpha: f64,
     /// Number of full sweeps discarded as burn-in.
     pub burn_in: usize,
     /// Number of full sweeps after burn-in (the final state is reported).
     pub sweeps: usize,
-    /// When set, `α` is resampled after every sweep from its conditional
-    /// posterior under this hyperprior (Escobar–West), so the concentration
-    /// adapts to the data instead of being hand-tuned.
-    pub alpha_prior: Option<crate::ConcentrationPrior>,
-    /// Escape hatch: force the seed's exact-recompute scoring path, which
-    /// refactorizes every cluster posterior from its sufficient statistics
-    /// at every evaluation (`O(d³)` each) instead of using the incremental
-    /// [`NiwPosteriorCache`]. The cached path agrees with the exact one to
-    /// within the cache's documented tolerance (`~1e-8` on log-densities)
-    /// and both consume the identical RNG stream; set this when diagnosing
-    /// a suspected drift or when bit-exact log-joint traces against a
-    /// pre-cache build are required.
-    pub exact_recompute: bool,
 }
 
 impl Default for GibbsConfig {
@@ -48,8 +34,6 @@ impl Default for GibbsConfig {
             alpha: 1.0,
             burn_in: 50,
             sweeps: 100,
-            alpha_prior: None,
-            exact_recompute: false,
         }
     }
 }
@@ -95,9 +79,6 @@ pub struct GibbsResult {
     /// Joint log-probability `log p(X, z)` at initialization and after each
     /// sweep.
     pub log_joint_trace: Vec<f64>,
-    /// The concentration value used during each sweep (constant unless
-    /// [`GibbsConfig::alpha_prior`] is set). Aligned with `cluster_trace`.
-    pub alpha_trace: Vec<f64>,
     /// Factorization-work counters for the run (see [`GibbsCacheStats`]).
     pub cache_stats: GibbsCacheStats,
 }
@@ -128,9 +109,9 @@ impl GibbsResult {
 /// (Neal 2000, Algorithm 3). Scoring uses one [`NiwPosteriorCache`] per
 /// cluster: a point move only touches its source and destination clusters
 /// (one rank-1 downdate and one rank-1 update, `O(d²)` each), while the
-/// other `K − 1` clusters' cached predictives are reused verbatim. The
-/// [`GibbsConfig::exact_recompute`] escape hatch restores the seed's
-/// refactorize-everything scoring.
+/// other `K − 1` clusters' cached predictives are reused verbatim.
+/// [`DpNiwGibbs::fit_exact`] is the refactorize-everything reference the
+/// cached path is tested against.
 #[derive(Debug, Clone)]
 pub struct DpNiwGibbs {
     base: NormalInverseWishart,
@@ -164,36 +145,33 @@ impl DpNiwGibbs {
         &self.config
     }
 
-    /// Runs the sampler on `data` (one row per point).
+    /// Checks that `data` is non-empty and matches the base dimension.
+    fn validate(&self, data: &[Vec<f64>]) -> Result<()> {
+        if data.is_empty() {
+            return Err(BayesError::InvalidData {
+                reason: "gibbs requires at least one data point",
+            });
+        }
+        if data.iter().any(|x| x.len() != self.base.dim()) {
+            return Err(BayesError::InvalidData {
+                reason: "data dimension differs from base measure",
+            });
+        }
+        Ok(())
+    }
+
+    /// Runs the sampler on `data` (one row per point). Scoring uses one
+    /// [`NiwPosteriorCache`] per cluster: rank-1 moves, `O(d²)` predictive
+    /// evaluations.
     ///
     /// # Errors
     ///
     /// Returns [`BayesError::InvalidData`] for empty or dimensionally
     /// inconsistent data, and propagates numerical failures.
     pub fn fit<R: Rng + ?Sized>(&self, data: &[Vec<f64>], rng: &mut R) -> Result<GibbsResult> {
-        let d = self.base.dim();
-        if data.is_empty() {
-            return Err(BayesError::InvalidData {
-                reason: "gibbs requires at least one data point",
-            });
-        }
-        if data.iter().any(|x| x.len() != d) {
-            return Err(BayesError::InvalidData {
-                reason: "data dimension differs from base measure",
-            });
-        }
-        if self.config.exact_recompute {
-            self.fit_exact(data, rng)
-        } else {
-            self.fit_cached(data, rng)
-        }
-    }
-
-    /// Cached scoring path: one [`NiwPosteriorCache`] per cluster, rank-1
-    /// moves, `O(d²)` predictive evaluations.
-    fn fit_cached<R: Rng + ?Sized>(&self, data: &[Vec<f64>], rng: &mut R) -> Result<GibbsResult> {
+        self.validate(data)?;
         let n = data.len();
-        let mut alpha = self.config.alpha;
+        let alpha = self.config.alpha;
         let mut stats = GibbsCacheStats::default();
 
         // The only unavoidable factorization: the prior template, cloned
@@ -224,10 +202,8 @@ impl DpNiwGibbs {
         // Trace entry 0 is the initial state, then one entry per sweep.
         let mut cluster_trace = Vec::with_capacity(total_sweeps + 1);
         let mut log_joint_trace = Vec::with_capacity(total_sweeps + 1);
-        let mut alpha_trace = Vec::with_capacity(total_sweeps + 1);
         cluster_trace.push(clusters.len());
         log_joint_trace.push(log_joint_cached(&assignments, &clusters, alpha)?);
-        alpha_trace.push(alpha);
 
         // Reusable per-point buffers, hoisted out of the sweep loop.
         let mut logw: Vec<f64> = Vec::with_capacity(n + 1);
@@ -273,31 +249,40 @@ impl DpNiwGibbs {
                 }
                 assignments[i] = choice;
             }
-            // Optional Escobar–West concentration update.
-            if let Some(prior) = self.config.alpha_prior {
-                alpha = prior.resample(alpha, clusters.len(), n, rng)?;
-            }
             cluster_trace.push(clusters.len());
             log_joint_trace.push(log_joint_cached(&assignments, &clusters, alpha)?);
-            alpha_trace.push(alpha);
         }
 
         Ok(GibbsResult {
             assignments,
             cluster_trace,
             log_joint_trace,
-            alpha_trace,
             cache_stats: stats,
         })
     }
 
-    /// The seed's exact-recompute scoring path (the
-    /// [`GibbsConfig::exact_recompute`] escape hatch): every evaluation
-    /// refactorizes the cluster posterior from its sufficient statistics.
-    fn fit_exact<R: Rng + ?Sized>(&self, data: &[Vec<f64>], rng: &mut R) -> Result<GibbsResult> {
+    /// The exact-recompute reference for [`fit`](Self::fit): every
+    /// evaluation refactorizes the cluster posterior from its sufficient
+    /// statistics (`O(d³)` each) instead of using the incremental
+    /// [`NiwPosteriorCache`]. Both paths consume the identical RNG stream
+    /// and their scores agree far below the categorical decision
+    /// resolution (the cache's tolerance is `~1e-8` on log-densities), so
+    /// the same seed gives the same assignments and cluster trace, and a
+    /// log-joint trace equal to within that tolerance. Use it to diagnose a
+    /// suspected drift of the cached path.
+    ///
+    /// # Errors
+    ///
+    /// As [`fit`](Self::fit).
+    pub fn fit_exact<R: Rng + ?Sized>(
+        &self,
+        data: &[Vec<f64>],
+        rng: &mut R,
+    ) -> Result<GibbsResult> {
+        self.validate(data)?;
         let d = self.base.dim();
         let n = data.len();
-        let mut alpha = self.config.alpha;
+        let alpha = self.config.alpha;
         let mut stats = GibbsCacheStats::default();
 
         let mut assignments: Vec<usize> = (0..n).collect();
@@ -315,10 +300,8 @@ impl DpNiwGibbs {
         let total_sweeps = self.config.burn_in + self.config.sweeps.max(1);
         let mut cluster_trace = Vec::with_capacity(total_sweeps + 1);
         let mut log_joint_trace = Vec::with_capacity(total_sweeps + 1);
-        let mut alpha_trace = Vec::with_capacity(total_sweeps + 1);
         cluster_trace.push(clusters.len());
         log_joint_trace.push(self.log_joint_at(&assignments, &clusters, alpha)?);
-        alpha_trace.push(alpha);
 
         // Reusable per-point buffers, hoisted out of the sweep loop.
         let mut score_buf: Vec<Result<f64>> = Vec::with_capacity(n);
@@ -370,19 +353,14 @@ impl DpNiwGibbs {
                 }
                 assignments[i] = choice;
             }
-            if let Some(prior) = self.config.alpha_prior {
-                alpha = prior.resample(alpha, clusters.len(), n, rng)?;
-            }
             cluster_trace.push(clusters.len());
             log_joint_trace.push(self.log_joint_at(&assignments, &clusters, alpha)?);
-            alpha_trace.push(alpha);
         }
 
         Ok(GibbsResult {
             assignments,
             cluster_trace,
             log_joint_trace,
-            alpha_trace,
             cache_stats: stats,
         })
     }
@@ -531,8 +509,6 @@ mod tests {
                 alpha,
                 burn_in: 20,
                 sweeps: 20,
-                alpha_prior: None,
-                exact_recompute: false,
             },
         )
         .unwrap()
@@ -555,7 +531,8 @@ mod tests {
         assert!(g.fit(&[vec![1.0]], &mut rng).is_err());
         assert_eq!(g.config().alpha, 1.0);
         assert_eq!(g.base().dim(), 2);
-        assert!(!g.config().exact_recompute);
+        assert!(g.fit_exact(&[], &mut rng).is_err());
+        assert!(g.fit_exact(&[vec![1.0]], &mut rng).is_err());
     }
 
     #[test]
@@ -618,29 +595,18 @@ mod tests {
             alpha: 1.0,
             burn_in: 10,
             sweeps: 10,
-            alpha_prior: Some(crate::ConcentrationPrior::vague()),
-            exact_recompute: false,
         };
-        let cached = DpNiwGibbs::new(base.clone(), cfg).unwrap();
-        let exact = DpNiwGibbs::new(
-            base,
-            GibbsConfig {
-                exact_recompute: true,
-                ..cfg
-            },
-        )
-        .unwrap();
+        let g = DpNiwGibbs::new(base, cfg).unwrap();
 
         let mut rng_c = seeded_rng(42);
         let mut rng_e = seeded_rng(42);
-        let rc = cached.fit(&data, &mut rng_c).unwrap();
-        let re = exact.fit(&data, &mut rng_e).unwrap();
+        let rc = g.fit(&data, &mut rng_c).unwrap();
+        let re = g.fit_exact(&data, &mut rng_e).unwrap();
 
         // Identical RNG stream and score agreement far below the categorical
         // decision resolution ⇒ identical trajectories.
         assert_eq!(rc.assignments, re.assignments);
         assert_eq!(rc.cluster_trace, re.cluster_trace);
-        assert_eq!(rc.alpha_trace, re.alpha_trace);
         for (a, b) in rc.log_joint_trace.iter().zip(&re.log_joint_trace) {
             assert!((a - b).abs() < 1e-6, "log joint diverged: {a} vs {b}");
         }
@@ -693,46 +659,6 @@ mod tests {
         assert!(g.to_mixture_prior(&[vec![0.0, 0.0]], &[0, 1]).is_err());
         // Non-contiguous labels (empty cluster 0 referenced as max 1).
         assert!(g.to_mixture_prior(&[vec![0.0, 0.0]], &[1]).is_err());
-    }
-
-    #[test]
-    fn adaptive_alpha_still_recovers_clusters_and_traces_alpha() {
-        let data = well_separated_data(25);
-        let base =
-            NormalInverseWishart::new(vec![0.0, 0.0], 0.05, Matrix::identity(2), 5.0).unwrap();
-        let g = DpNiwGibbs::new(
-            base,
-            GibbsConfig {
-                alpha: 5.0, // deliberately wrong initial concentration
-                burn_in: 25,
-                sweeps: 25,
-                alpha_prior: Some(crate::ConcentrationPrior::vague()),
-                exact_recompute: false,
-            },
-        )
-        .unwrap();
-        let mut rng = seeded_rng(18);
-        let result = g.fit(&data, &mut rng).unwrap();
-        assert_eq!(result.num_clusters(), 3);
-        assert_eq!(result.alpha_trace.len(), result.cluster_trace.len());
-        // α starts at 5 and must adapt (the 3-cluster posterior supports a
-        // much smaller concentration for n = 75).
-        assert_eq!(result.alpha_trace[0], 5.0);
-        let tail_mean: f64 = result.alpha_trace[26..].iter().sum::<f64>() / 25.0;
-        assert!(
-            tail_mean < 3.0,
-            "posterior α should fall below the bad init: tail mean {tail_mean}"
-        );
-        assert!(result.alpha_trace.iter().all(|&a| a > 0.0 && a.is_finite()));
-    }
-
-    #[test]
-    fn fixed_alpha_trace_is_constant() {
-        let data = well_separated_data(10);
-        let g = sampler(1.0);
-        let mut rng = seeded_rng(19);
-        let result = g.fit(&data, &mut rng).unwrap();
-        assert!(result.alpha_trace.iter().all(|&a| a == 1.0));
     }
 
     #[test]

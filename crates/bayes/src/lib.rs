@@ -10,8 +10,8 @@
 //!   DP mixture with a [Normal-Inverse-Wishart](dre_prob::NormalInverseWishart)
 //!   base measure — the cloud-side fitting procedure. Scoring runs on
 //!   per-cluster incremental predictive caches
-//!   ([`NiwPosteriorCache`](dre_prob::NiwPosteriorCache)), with a
-//!   [`GibbsConfig::exact_recompute`] escape hatch;
+//!   ([`NiwPosteriorCache`](dre_prob::NiwPosteriorCache)), checked against
+//!   the exact-recompute reference [`DpNiwGibbs::fit_exact`];
 //! * [`VariationalDpGmm`] — a truncated stick-breaking variational-EM
 //!   alternative with deterministic updates;
 //! * [`MixturePrior`] — the finite summary `(w_k, μ_k, Σ_k)` shipped to the
@@ -32,14 +32,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod concentration;
 mod crp;
 mod error;
 mod gibbs;
 mod mixture;
 mod variational;
 
-pub use concentration::ConcentrationPrior;
 pub use crp::Crp;
 pub use error::BayesError;
 pub use gibbs::{expected_covariance, DpNiwGibbs, GibbsCacheStats, GibbsConfig, GibbsResult};

@@ -457,8 +457,6 @@ fn gibbs_problem(size: Size) -> (Vec<Vec<f64>>, GibbsConfig) {
         alpha: 1.0,
         burn_in: 0,
         sweeps: size.pick(2, 5),
-        alpha_prior: None,
-        exact_recompute: false,
     };
     (params, config)
 }
@@ -487,32 +485,26 @@ fn gibbs_sweep_scoring(size: Size) -> Row {
     Row::serial_vs_parallel(name, ser_ms, par_ms, diff)
 }
 
-/// Gibbs sweep, cached vs exact recompute (both forced serial).
+/// Gibbs sweep, cached [`DpNiwGibbs::fit`] vs the exact-recompute
+/// reference [`DpNiwGibbs::fit_exact`] (both forced serial).
 ///
 /// Identical sampler, identical seed, scoring served from per-cluster
 /// predictive caches vs refactorized from scratch at every evaluation.
-/// Same RNG stream, so assignments and the cluster and alpha traces must
-/// match exactly; the log-joint trace agrees to the cache's documented
+/// Same RNG stream, so assignments and the cluster trace must match
+/// exactly; the log-joint trace agrees to the cache's documented
 /// tolerance.
 fn gibbs_sweep_cached(size: Size) -> Row {
     let (params, config) = gibbs_problem(size);
-    let cached = gibbs_sampler(config);
-    let exact = gibbs_sampler(GibbsConfig {
-        exact_recompute: true,
-        ..config
+    let gibbs = gibbs_sampler(config);
+    let rng = || seeded_rng(9);
+    let (cached_ms, cached_fit) = time_trials(TRIALS, || {
+        dre_parallel::with_serial(|| gibbs.fit(&params, &mut rng()).expect("fit succeeds"))
     });
-    let fit_serial = |gibbs: &DpNiwGibbs| {
-        dre_parallel::with_serial(|| {
-            gibbs
-                .fit(&params, &mut seeded_rng(9))
-                .expect("fit succeeds")
-        })
-    };
-    let (cached_ms, cached_fit) = time_trials(TRIALS, || fit_serial(&cached));
-    let (exact_ms, exact_fit) = time_trials(TRIALS, || fit_serial(&exact));
+    let (exact_ms, exact_fit) = time_trials(TRIALS, || {
+        dre_parallel::with_serial(|| gibbs.fit_exact(&params, &mut rng()).expect("fit succeeds"))
+    });
     let structural = mismatches(&cached_fit.assignments, &exact_fit.assignments)
-        + mismatches(&cached_fit.cluster_trace, &exact_fit.cluster_trace)
-        + mismatches(&cached_fit.alpha_trace, &exact_fit.alpha_trace);
+        + mismatches(&cached_fit.cluster_trace, &exact_fit.cluster_trace);
     let diff = (structural as f64).max(max_abs_diff(
         &cached_fit.log_joint_trace,
         &exact_fit.log_joint_trace,
@@ -954,7 +946,6 @@ impl SirProblem {
             alpha: 1.0,
             ess_fraction: 0.5,
             seed: 17,
-            ..SirConfig::default()
         };
         SirProblem {
             reports,
@@ -978,24 +969,21 @@ impl SirProblem {
 }
 
 /// Streaming learner refresh: reports/sec through the SIR particle filter,
-/// collapsed into a refreshed DP prior. 32 particles sit below the
-/// filter's parallel threshold, so the particle loop is serial in every
-/// mode; the threaded path is pinned bitwise by the `sir` module's tests.
+/// collapsed into a refreshed DP prior. The filter runs on the calling
+/// thread in every mode.
 /// The streamed collapse must agree with an exact collapsed-Gibbs refit on
 /// the same pooled reports — both paths share the collapse rule, so a
 /// matched partition leaves only fp noise under the 1e-6 gate, and a
 /// partition mismatch counts whole units.
 fn learner_refresh_reports_per_sec(size: Size) -> Row {
     let problem = SirProblem::new(size);
-    let (ms, prior) = time_trials(TRIALS, || dre_parallel::with_serial(|| problem.refresh()));
+    let (ms, prior) = time_trials(TRIALS, || problem.refresh());
     let gibbs = DpNiwGibbs::new(
         problem.base.clone(),
         GibbsConfig {
             alpha: 1.0,
             burn_in: 30,
             sweeps: 30,
-            alpha_prior: None,
-            exact_recompute: false,
         },
     )
     .expect("valid config");

@@ -80,8 +80,6 @@ impl CloudKnowledge {
                         alpha,
                         burn_in: 40,
                         sweeps: 40,
-                        alpha_prior: None,
-                        exact_recompute: false,
                     },
                 )?;
                 let result = gibbs.fit(&source_models, rng)?;

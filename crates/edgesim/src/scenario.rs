@@ -1022,15 +1022,11 @@ impl<'a> Engine<'a> {
     }
 
     /// The transfer's current timeout: the base RTO, doubled per
-    /// consecutive expiry when backoff is on.
+    /// consecutive expiry.
     fn current_rto(&self, id: u32) -> SimDuration {
-        let sw = self.topo.as_ref().unwrap().switch;
-        if sw.rto_backoff {
-            let shift = self.transfers.get(id).retx_rounds.min(16);
-            SimDuration::from_micros(sw.rto.as_micros().saturating_mul(1u64 << shift))
-        } else {
-            sw.rto
-        }
+        let rto = self.topo.as_ref().unwrap().switch.rto;
+        let shift = self.transfers.get(id).retx_rounds.min(16);
+        SimDuration::from_micros(rto.as_micros().saturating_mul(1u64 << shift))
     }
 
     fn send_segment(&mut self, id: u32, seq: u32, now: SimTime) {

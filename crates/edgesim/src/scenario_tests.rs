@@ -1286,7 +1286,6 @@ fn whole_run_golden_lossy_fabric_fleet() {
         .with_switch(SwitchConfig {
             queue_capacity: 8,
             rto: SimDuration::from_millis_f64(500.0),
-            rto_backoff: true,
             max_retx: 3,
             ..SwitchConfig::default()
         })
@@ -1447,7 +1446,6 @@ fn whole_run_golden_fabric_client_mode_fleet() {
             .with_switch(SwitchConfig {
                 queue_capacity: 6,
                 rto: SimDuration::from_millis_f64(150.0),
-                rto_backoff: true,
                 max_retx: 4,
                 ..SwitchConfig::default()
             })

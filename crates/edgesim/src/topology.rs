@@ -40,12 +40,11 @@ pub struct SwitchConfig {
     /// Go-back-N window: frames a sender may have un-acked in flight.
     pub window: u32,
     /// Base retransmission timeout. A transfer that hears no new ack for
-    /// this long goes back to its lowest un-acked frame and resends.
-    pub rto: SimDuration,
-    /// Double the timeout on every consecutive expiry (binary exponential
+    /// this long goes back to its lowest un-acked frame and resends. The
+    /// timeout doubles on every consecutive expiry (binary exponential
     /// backoff, capped at 2^16), so loss storms pace themselves out
     /// instead of synchronizing.
-    pub rto_backoff: bool,
+    pub rto: SimDuration,
     /// Consecutive timeouts without forward progress before a transfer is
     /// aborted. Aborted prior requests/payloads recover through the
     /// application-level [`RetryModel`](crate::RetryModel); other aborted
@@ -61,7 +60,6 @@ impl Default for SwitchConfig {
             mtu: 1500,
             window: 8,
             rto: SimDuration::from_millis_f64(200.0),
-            rto_backoff: true,
             max_retx: 32,
         }
     }

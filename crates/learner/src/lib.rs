@@ -10,9 +10,8 @@
 //!   particle filter over collapsed DP mixture posteriors. Each particle
 //!   carries per-cluster Normal-Inverse-Wishart sufficient statistics
 //!   behind rank-1-updated predictive caches, so one report costs `O(K·d²)`
-//!   per particle. CRP-optimal proposals, ESS-triggered seeded systematic
-//!   resampling, and an optional elliptical-slice rejuvenation move
-//!   ([`elliptical_slice_step`]).
+//!   per particle. CRP-optimal proposals and ESS-triggered seeded
+//!   systematic resampling.
 //! * [`CloudLearner`] — the refresh loop: drain a server's report inbox
 //!   (`take_reports`), fold into per-task filters, and every
 //!   `refresh_interval` reports collapse the maximum-weight particle back
@@ -32,23 +31,21 @@
 //!   scored once.
 //!
 //! Everything is deterministic by construction: particle-local seeded RNG
-//! streams make the per-report particle loop embarrassingly parallel *and*
-//! bit-identical under any thread count, and the ensemble→prior collapse
-//! uses exactly the batch Gibbs collapse rule — the same report stream
-//! always publishes byte-identical prior frames.
+//! streams make the per-report particle loop bit-identical under any
+//! thread count, and the ensemble→prior collapse uses exactly the batch
+//! Gibbs collapse rule — the same report stream always publishes
+//! byte-identical prior frames.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod admission;
-mod elliptical;
 mod learner;
 mod sir;
 
 pub use admission::{
     AdmissionConfig, AdmissionOutcome, AdmissionState, DeviceReputation, ReputationState,
 };
-pub use elliptical::elliptical_slice_step;
 pub use learner::{CloudLearner, LearnerConfig, LearnerTick, PriorSink};
 pub use sir::{SirConfig, SirDpFilter};
 

@@ -16,20 +16,20 @@
 //! assignment, which is what makes the filter Rao-Blackwellized.
 //!
 //! Degeneracy is handled by seeded **systematic resampling** when the
-//! effective sample size falls below a configured fraction of the ensemble,
-//! optionally followed by an elliptical-slice rejuvenation move on each
-//! cluster's mean (a diagnostic draw — the collapse to a [`MixturePrior`]
-//! always uses the exact conjugate posterior, so determinism and the
-//! agreement-with-Gibbs property hold on both paths).
+//! effective sample size falls below a configured fraction of the ensemble.
+//! The collapse to a [`MixturePrior`] uses the exact conjugate posterior of
+//! each cluster, the same rule as the batch Gibbs fit.
 //!
-//! # Determinism and parallelism
+//! # Determinism
 //!
 //! Every particle carries its **own** RNG, seeded by mixing
 //! `(seed, birth-tag, particle index)`; resampling deterministically reseeds
 //! the offspring. Each particle's CRP draw is taken on its own stream in
-//! particle order, and the rejuvenation loop runs through the
-//! order-preserving [`dre_parallel`] maps, so ensembles are bit-identical
-//! serial vs. parallel and under any thread count.
+//! particle order, and the filter runs on the calling thread, so the same
+//! seed and report order give a bit-identical ensemble in every build and
+//! under any thread count. A push scores, stages and commits only the
+//! handful of distinct clusters in the ensemble, far too little work to pay
+//! for a thread spawn.
 //!
 //! # Shared clusters
 //!
@@ -43,8 +43,7 @@
 //! ([`NiwPosteriorCache::stage_insert`]) per distinct pick, and commits
 //! each staged insert into one new cluster that every particle which
 //! picked it shares. A cluster held by one particle only is committed in
-//! place. Rejuvenation likewise builds each distinct cluster's move target
-//! once. Every shared value is the same deterministic function of the same
+//! place. Every shared value is the same deterministic function of the same
 //! cluster state and report, so the ensemble is bit-identical to one where
 //! each particle updates its own deep copy.
 //!
@@ -55,26 +54,13 @@
 use std::sync::Arc;
 
 use dre_bayes::{expected_covariance, MixturePrior};
-use dre_parallel::par_map_slice_min;
 use dre_prob::{
-    seeded_rng, CategoricalScratch, MvNormal, NiwPosteriorCache, NormalInverseWishart, StagedInsert,
+    seeded_rng, CategoricalScratch, NiwPosteriorCache, NormalInverseWishart, StagedInsert,
 };
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::elliptical::elliptical_slice_step;
 use crate::{LearnerError, Result};
-
-/// Particle count below which [`SirDpFilter::rejuvenate`]'s per-particle
-/// loop stays serial. It is the only particle loop that can run on threads:
-/// every particle draws on its own RNG stream, so its move cannot be shared
-/// with its siblings. A push scores, stages and commits only the handful of
-/// distinct clusters in the ensemble, far too little work to pay for a
-/// thread spawn, so it always runs serially. 2048 was the break-even of
-/// per-particle push loops on a 2-vCPU x86-64 host; rejuvenation costs more
-/// per particle, and its own break-even has not been measured. Results are
-/// bit-identical either way.
-const SIR_MIN_PAR_PARTICLES: usize = 2048;
 
 /// Configuration for [`SirDpFilter`].
 #[derive(Debug, Clone)]
@@ -87,12 +73,6 @@ pub struct SirConfig {
     pub ess_fraction: f64,
     /// Root seed; every particle RNG is derived from it deterministically.
     pub seed: u64,
-    /// Run elliptical-slice rejuvenation moves on cluster means after each
-    /// resample. Draws are stored as diagnostics ([`SirDpFilter::map_mean_draws`]);
-    /// the prior collapse always uses the exact conjugate posterior.
-    pub rejuvenate: bool,
-    /// Slice steps per cluster per rejuvenation pass.
-    pub rejuvenation_steps: usize,
 }
 
 impl Default for SirConfig {
@@ -102,8 +82,6 @@ impl Default for SirConfig {
             alpha: 1.0,
             ess_fraction: 0.5,
             seed: 0,
-            rejuvenate: false,
-            rejuvenation_steps: 3,
         }
     }
 }
@@ -137,9 +115,6 @@ struct Particle {
     clusters: Vec<Arc<NiwPosteriorCache>>,
     log_weight: f64,
     rng: StdRng,
-    /// Rejuvenated mean draws, parallel to `clusters` as of the last
-    /// resample-move pass (diagnostics only; may lag cluster births).
-    mean_draws: Vec<Vec<f64>>,
 }
 
 /// SplitMix64-style finalizer mixing `(seed, tag, index)` into one stream
@@ -202,26 +177,6 @@ struct Target {
     committed: Option<Arc<NiwPosteriorCache>>,
 }
 
-/// One cluster's rejuvenation target, shared by every particle holding the
-/// cluster: the prior over its mean `N(μ₀, Σ̂/κ₀)`, with `Σ̂` the posterior
-/// expected covariance, and its sample mean and size.
-struct MeanTarget {
-    prior: MvNormal,
-    xbar: Vec<f64>,
-    n_k: f64,
-}
-
-impl MeanTarget {
-    fn new(base: &NormalInverseWishart, c: &NiwPosteriorCache) -> Result<Self> {
-        let sigma = expected_covariance(&c.posterior()?)?;
-        Ok(MeanTarget {
-            prior: MvNormal::new(base.mu0().to_vec(), &sigma.scaled(1.0 / base.kappa0()))?,
-            xbar: c.stats().mean(),
-            n_k: c.len() as f64,
-        })
-    }
-}
-
 /// One report scored against the ensemble: every particle's CRP score row,
 /// concatenated in particle order (split them with
 /// [`SirDpFilter::score_rows`]), and every particle's Rao-Blackwellized
@@ -277,7 +232,6 @@ impl SirDpFilter {
                 clusters: Vec::new(),
                 log_weight: 0.0,
                 rng: seeded_rng(mix_seed(config.seed, 0, i as u64)),
-                mean_draws: Vec::new(),
             })
             .collect();
         let mut filter = SirDpFilter {
@@ -612,63 +566,6 @@ impl SirDpFilter {
         }
         self.particles = next;
         self.weight_total = self.weight_sums().0;
-        if self.config.rejuvenate {
-            self.rejuvenate();
-        }
-    }
-
-    /// Resample-move pass: per cluster, run elliptical-slice steps targeting
-    /// the conjugate mean posterior `p(μ | X_k)` with the covariance fixed
-    /// at its posterior expectation. The draws are stored as diagnostics;
-    /// cluster statistics (and hence the collapsed prior) are untouched.
-    ///
-    /// Each distinct shared cluster's target is built once, serially; each
-    /// particle then moves every cluster it holds on its own RNG, against
-    /// the unchanged ensemble, and the moves are committed. A particle
-    /// holding a cluster that cannot be materialized (e.g. overflowed
-    /// statistics) keeps its previous draws and RNG: the draws are
-    /// diagnostics, so a failed move must not fail the report that
-    /// triggered the resample.
-    fn rejuvenate(&mut self) {
-        let mut targets: Vec<(usize, Option<MeanTarget>)> = Vec::new();
-        for c in self.particles.iter().flat_map(|p| &p.clusters) {
-            let key = cluster_key(c);
-            if !targets.iter().any(|&(k, _)| k == key) {
-                targets.push((key, MeanTarget::new(&self.base, c).ok()));
-            }
-        }
-        let kappa0 = self.base.kappa0();
-        let steps = self.config.rejuvenation_steps;
-        let moved: Vec<Option<(Vec<Vec<f64>>, StdRng)>> =
-            par_map_slice_min(&self.particles, SIR_MIN_PAR_PARTICLES, |p| {
-                let mut rng = p.rng.clone();
-                let mut draws = Vec::with_capacity(p.clusters.len());
-                for c in &p.clusters {
-                    let key = cluster_key(c);
-                    let t = targets.iter().find(|&&(k, _)| k == key)?.1.as_ref()?;
-                    let lik_chol = t.prior.cov_cholesky();
-                    // −½·n·(μ−x̄)ᵀΣ̂⁻¹(μ−x̄), reusing the scaled factor:
-                    // (Σ̂/κ₀)⁻¹ = κ₀·Σ̂⁻¹, so rescale the Mahalanobis form.
-                    let log_lik = |mu: &[f64]| {
-                        let maha = lik_chol
-                            .mahalanobis_sq(mu, &t.xbar)
-                            .expect("dimension invariant");
-                        -0.5 * t.n_k * maha / kappa0
-                    };
-                    let mut mu = t.xbar.clone();
-                    for _ in 0..steps {
-                        mu = elliptical_slice_step(&t.prior, log_lik, &mu, &mut rng);
-                    }
-                    draws.push(mu);
-                }
-                Some((draws, rng))
-            });
-        for (p, m) in self.particles.iter_mut().zip(moved) {
-            if let Some((draws, rng)) = m {
-                p.mean_draws = draws;
-                p.rng = rng;
-            }
-        }
     }
 
     /// Index of the maximum-weight particle (lowest index wins ties).
@@ -685,12 +582,6 @@ impl SirDpFilter {
     /// Cluster count of the maximum-weight particle.
     pub fn map_num_clusters(&self) -> usize {
         self.particles[self.map_index()].clusters.len()
-    }
-
-    /// Rejuvenated mean draws of the maximum-weight particle as of the last
-    /// resample-move pass (empty unless [`SirConfig::rejuvenate`] fired).
-    pub fn map_mean_draws(&self) -> &[Vec<f64>] {
-        &self.particles[self.map_index()].mean_draws
     }
 
     /// Collapses the maximum-weight particle into the finite
@@ -727,6 +618,7 @@ impl SirDpFilter {
 mod tests {
     use super::*;
     use dre_linalg::Matrix;
+    use dre_prob::MvNormal;
     use proptest::prelude::*;
 
     fn unit_base(d: usize) -> NormalInverseWishart {
@@ -844,9 +736,6 @@ mod tests {
             f.num_observations() as u64,
             f.map_num_clusters() as u64,
         ];
-        for d in f.map_mean_draws() {
-            out.extend(d.iter().map(|v| v.to_bits()));
-        }
         if let Ok(prior) = f.to_mixture_prior() {
             let bytes = dro_edge::transfer::serialize_prior(&prior);
             out.extend(bytes.iter().map(|&b| u64::from(b)));
@@ -858,54 +747,6 @@ mod tests {
                 out.push(c.len() as u64);
                 out.extend(c.mean().iter().map(|v| v.to_bits()));
                 out.push(c.psi_log_det().to_bits());
-            }
-        }
-        out
-    }
-
-    /// Reference rejuvenation, the differential oracle for
-    /// [`SirDpFilter::rejuvenate`]: every particle builds the move target
-    /// of every cluster it holds itself, as if no cluster were shared.
-    fn rejuvenate_per_particle(f: &mut SirDpFilter) {
-        let base = f.base.clone();
-        let steps = f.config.rejuvenation_steps;
-        for p in &mut f.particles {
-            let moved = (|| -> Result<(Vec<Vec<f64>>, StdRng)> {
-                let mut rng = p.rng.clone();
-                let mut draws = Vec::new();
-                for c in &p.clusters {
-                    let sigma = expected_covariance(&c.posterior()?)?;
-                    let prior =
-                        MvNormal::new(base.mu0().to_vec(), &sigma.scaled(1.0 / base.kappa0()))?;
-                    let xbar = c.stats().mean();
-                    let n_k = c.len() as f64;
-                    let log_lik = |mu: &[f64]| {
-                        let maha = prior.cov_cholesky().mahalanobis_sq(mu, &xbar).unwrap();
-                        -0.5 * n_k * maha / base.kappa0()
-                    };
-                    let mut mu = xbar.clone();
-                    for _ in 0..steps {
-                        mu = elliptical_slice_step(&prior, log_lik, &mu, &mut rng);
-                    }
-                    draws.push(mu);
-                }
-                Ok((draws, rng))
-            })();
-            if let Ok((draws, rng)) = moved {
-                p.mean_draws = draws;
-                p.rng = rng;
-            }
-        }
-    }
-
-    /// Every particle's rejuvenated mean draws and next RNG output, as bits.
-    fn rejuvenation_state(f: &SirDpFilter) -> Vec<u64> {
-        let mut out = Vec::new();
-        for p in &f.particles {
-            out.push(rand::RngCore::next_u64(&mut p.rng.clone()));
-            for d in &p.mean_draws {
-                out.push(d.len() as u64);
-                out.extend(d.iter().map(|v| v.to_bits()));
             }
         }
         out
@@ -933,12 +774,10 @@ mod tests {
             // Three clusters plus points halfway between two of them, where
             // sibling particles split their picks.
             let centers = [[4.0, 4.0], [-4.0, -4.0], [4.0, -4.0], [0.0, 0.0]];
-            for (ess_fraction, rejuvenate) in [(0.5, false), (0.5, true), (1.0, false), (1.0, true)] {
+            for ess_fraction in [0.5, 1.0] {
                 let config = SirConfig {
                     num_particles: 16,
                     ess_fraction,
-                    rejuvenate,
-                    rejuvenation_steps: 1,
                     seed,
                     ..SirConfig::default()
                 };
@@ -960,34 +799,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn distinct_cluster_rejuvenation_matches_the_per_particle_reference() {
-        let config = SirConfig {
-            num_particles: 16,
-            ess_fraction: 1.0,
-            rejuvenation_steps: 2,
-            ..SirConfig::default()
-        };
-        let mut f = SirDpFilter::new(unit_base(2), config).unwrap();
-        let mut shared = 0;
-        for x in two_cluster_reports(10, 29) {
-            f.push(&x).unwrap();
-            // Resampling every report leaves siblings sharing clusters.
-            let keys = cluster_keys(&f);
-            let slots: usize = keys.iter().map(Vec::len).sum();
-            let mut distinct: Vec<usize> = keys.into_iter().flatten().collect();
-            distinct.sort_unstable();
-            distinct.dedup();
-            shared += slots - distinct.len();
-            let mut reference = f.clone();
-            f.rejuvenate();
-            rejuvenate_per_particle(&mut reference);
-            assert_eq!(rejuvenation_state(&f), rejuvenation_state(&reference));
-            assert_eq!(fingerprint(&f), fingerprint(&reference));
-        }
-        assert!(shared > 0, "no particles shared a cluster");
     }
 
     #[test]
@@ -1095,34 +906,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_particle_loops_at_the_threshold_match_serial_bitwise() {
-        // Only ensembles of at least SIR_MIN_PAR_PARTICLES take the
-        // threaded rejuvenation path; run one (with forced resampling, so
-        // rejuvenation runs after every report) and compare with the serial
-        // path.
-        let config = SirConfig {
-            num_particles: SIR_MIN_PAR_PARTICLES,
-            ess_fraction: 1.0,
-            rejuvenate: true,
-            rejuvenation_steps: 1,
-            ..SirConfig::default()
-        };
-        let go = || {
-            let mut f = SirDpFilter::new(unit_base(2), config.clone()).unwrap();
-            for x in two_cluster_reports(3, 5) {
-                f.score_report(&x).unwrap();
-                f.push(&x).unwrap();
-            }
-            let draws = f.map_mean_draws().to_vec();
-            (
-                dro_edge::transfer::serialize_prior(&f.to_mixture_prior().unwrap()),
-                draws,
-            )
-        };
-        assert_eq!(go(), dre_parallel::with_serial(go));
-    }
-
-    #[test]
     fn ess_trigger_fires_and_resampling_keeps_the_posterior_sane() {
         let config = SirConfig {
             ess_fraction: 1.0, // resample after every report
@@ -1137,34 +920,6 @@ mod tests {
         let ess = f.ess();
         let n = f.num_particles() as f64;
         assert!((1.0..=n).contains(&ess), "ESS {ess} out of range");
-    }
-
-    #[test]
-    fn rejuvenation_draws_track_the_conjugate_posterior_mean() {
-        let config = SirConfig {
-            ess_fraction: 1.0,
-            rejuvenate: true,
-            rejuvenation_steps: 30,
-            num_particles: 48,
-            ..SirConfig::default()
-        };
-        let mut f = SirDpFilter::new(unit_base(2), config).unwrap();
-        for x in two_cluster_reports(20, 19) {
-            f.push(&x).unwrap();
-        }
-        assert!(f.resamples() > 0);
-        let draws = f.map_mean_draws();
-        assert!(!draws.is_empty(), "rejuvenation must record draws");
-        // Every draw targets p(μ | X_k) whose exact mean is
-        // (κ₀μ₀ + n·x̄)/(κ₀ + n); with n = 20 and κ₀ = 0.05 that is within
-        // ~0.01 of the cluster sample mean near ±4 — slice noise is larger,
-        // so just require each draw to land in the right mode.
-        for d in draws {
-            assert!(
-                (d[0].abs() - 4.0).abs() < 1.0,
-                "draw {d:?} far from either mode"
-            );
-        }
     }
 
     #[test]

@@ -9,9 +9,8 @@
 //! change that raises it says why in both places.
 //!
 //! Allocator calls are counted per thread, so tests running concurrently
-//! in this binary do not see each other's allocations. The ensemble here
-//! is far below the particle count at which rejuvenation runs on threads,
-//! so the learner's work stays on the calling thread.
+//! in this binary do not see each other's allocations. The learner does
+//! all its work on the calling thread.
 
 mod support;
 

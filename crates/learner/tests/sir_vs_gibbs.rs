@@ -65,7 +65,6 @@ proptest! {
                 alpha: 1.0,
                 ess_fraction: if force_resample { 1.0 } else { 0.5 },
                 seed,
-                ..SirConfig::default()
             },
         )
         .unwrap();
@@ -83,8 +82,6 @@ proptest! {
                 alpha: 1.0,
                 burn_in: 30,
                 sweeps: 30,
-                alpha_prior: None,
-                exact_recompute: false,
             },
         )
         .unwrap();

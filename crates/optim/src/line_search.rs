@@ -26,14 +26,15 @@ pub fn backtracking<O: Objective + ?Sized>(
     t0: f64,
     c1: f64,
 ) -> Option<LineSearchResult> {
-    backtracking_in(obj, x, p, fx, grad_dot_p, t0, c1, &mut vec![0.0; x.len()])
+    let mut trial = vec![0.0; x.len()];
+    backtracking_in(x, p, fx, grad_dot_p, t0, c1, &mut trial, |x| obj.value(x))
 }
 
 /// [`backtracking`] with its trial points formed in the caller's `trial`
-/// buffer (of `x`'s length).
+/// buffer (of `x`'s length) and valued by `value`, so a solver can evaluate
+/// them through a buffer it already owns.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn backtracking_in<O: Objective + ?Sized>(
-    obj: &O,
+pub(crate) fn backtracking_in(
     x: &[f64],
     p: &[f64],
     fx: f64,
@@ -41,6 +42,7 @@ pub(crate) fn backtracking_in<O: Objective + ?Sized>(
     t0: f64,
     c1: f64,
     trial: &mut [f64],
+    mut value: impl FnMut(&[f64]) -> f64,
 ) -> Option<LineSearchResult> {
     debug_assert!(c1 > 0.0 && c1 < 1.0);
     if grad_dot_p >= 0.0 {
@@ -51,7 +53,7 @@ pub(crate) fn backtracking_in<O: Objective + ?Sized>(
         for ((ti, &xi), &pi) in trial.iter_mut().zip(x.iter()).zip(p) {
             *ti = xi + t * pi;
         }
-        obj.value(trial)
+        value(trial)
     };
     for _ in 0..60 {
         let f_trial = eval(t);

@@ -17,7 +17,10 @@ pub trait Objective {
     /// Gradient at `x` (a subgradient at non-smooth points).
     fn gradient(&self, x: &[f64]) -> Vec<f64>;
 
-    /// Value and gradient together; override when the two share work.
+    /// Value and gradient together; override when the two share work. An
+    /// override must return exactly the bits of [`value`](Self::value) and
+    /// [`gradient`](Self::gradient): a solver may value a point through
+    /// either entry point.
     fn value_and_gradient(&self, x: &[f64]) -> (f64, Vec<f64>) {
         (self.value(x), self.gradient(x))
     }

@@ -83,14 +83,19 @@ pub(crate) fn minimize<O: Objective + ?Sized, C: Curvature>(
         }
 
         // The Wolfe search leaves the accepted point, value and gradient in
-        // one of its slots; only the value-only backtracking fallback needs
-        // a fresh evaluation.
+        // one of its slots. The backtracking fallback needs only values, but
+        // evaluates through the in-place entry point too, into a slot's
+        // gradient buffer, so it allocates nothing (an objective's
+        // `value_and_gradient_into` returns the bits of its value); only its
+        // accepted point needs a fresh evaluation for the gradient.
         let accepted = match strong_wolfe_in(obj, &x, &p, fx, gdp, 1e-4, 0.9, &mut slots) {
             Some(k) => &mut slots.0[k],
             None => {
                 let [trial, point] = &mut slots.0;
-                let ls = backtracking_in(obj, &x, &p, fx, gdp, 1.0, 1e-4, &mut trial.x)
-                    .ok_or(OptimError::LineSearchFailed { iteration: iter })?;
+                let ls = backtracking_in(&x, &p, fx, gdp, 1.0, 1e-4, &mut trial.x, |t| {
+                    obj.value_and_gradient_into(t, &mut trial.gradient)
+                })
+                .ok_or(OptimError::LineSearchFailed { iteration: iter })?;
                 point.x.copy_from_slice(&x);
                 dre_linalg::vector::axpy(ls.step, &p, &mut point.x);
                 point.value = obj.value_and_gradient_into(&point.x, &mut point.gradient);

@@ -4,10 +4,10 @@
 //! The Rust ecosystem lacks a stable, complete probabilistic stack, so the
 //! pieces the paper's algorithm needs are implemented here from scratch:
 //!
-//! * [`special`] — log-gamma, digamma, regularized incomplete gamma/beta,
+//! * [`special`] — log-gamma, digamma, regularized incomplete gamma,
 //!   `erf`, multivariate log-gamma;
-//! * univariate distributions — [`Normal`], [`Gamma`], [`Beta`],
-//!   [`StudentT`], [`Categorical`], [`Bernoulli`];
+//! * univariate distributions — [`Normal`], [`Gamma`], [`StudentT`],
+//!   [`Categorical`], [`Bernoulli`];
 //! * multivariate distributions — [`MvNormal`], [`MvStudentT`];
 //! * the [`NormalInverseWishart`] conjugate prior with closed-form posterior
 //!   updates, posterior-predictive densities and marginal likelihoods — the
@@ -49,7 +49,7 @@ pub use mvn::MvNormal;
 pub use mvt::MvStudentT;
 pub use niw::{NiwSufficientStats, NormalInverseWishart};
 pub use niw_cache::{NiwPosteriorCache, StagedInsert};
-pub use univariate::{Bernoulli, Beta, Categorical, CategoricalScratch, Gamma, Normal, StudentT};
+pub use univariate::{Bernoulli, Categorical, CategoricalScratch, Gamma, Normal, StudentT};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

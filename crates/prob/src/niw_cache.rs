@@ -326,18 +326,6 @@ impl NiwPosteriorCache {
             + 0.5 * d * (self.prior.kappa0().ln() - self.kappa().ln())
     }
 
-    /// Materializes the current posterior as a [`NormalInverseWishart`]
-    /// (recomputed from the exact sufficient statistics, so this costs an
-    /// `O(d³)` validation factorization — use the cached accessors on hot
-    /// paths).
-    ///
-    /// # Errors
-    ///
-    /// Propagates parameter validation failures.
-    pub fn posterior(&self) -> Result<NormalInverseWishart> {
-        self.prior.posterior(&self.stats)
-    }
-
     /// Recomputes `μₙ = (κ₀μ₀ + Σx)/κₙ` from the statistics — exact, `O(d)`.
     fn refresh_mean(&mut self) {
         let kappa = self.kappa();
@@ -490,9 +478,6 @@ mod tests {
         let q = vec![0.1, -0.4, 0.9];
         assert!((direct.predictive_log_pdf(&q) - incr.predictive_log_pdf(&q)).abs() < 1e-8);
         assert!((direct.psi_log_det() - incr.psi_log_det()).abs() < 1e-8);
-        // Materialized posterior agrees with the from-scratch one.
-        let post = direct.posterior().unwrap();
-        assert!((post.kappa0() - prior.kappa0() - 12.0).abs() < 1e-12);
         assert_eq!(direct.stats().len(), 12);
     }
 

@@ -1,8 +1,8 @@
 //! Special functions used by the distribution implementations.
 //!
 //! Implementations follow the classical series/continued-fraction forms
-//! (Lanczos for `ln_gamma`, Numerical-Recipes-style incomplete gamma and
-//! beta), accurate to ≈1e-12 over the ranges the workspace exercises.
+//! (Lanczos for `ln_gamma`, Numerical-Recipes-style incomplete gamma),
+//! accurate to ≈1e-12 over the ranges the workspace exercises.
 
 /// `ln √(2π)`.
 pub const LN_SQRT_2PI: f64 = 0.918_938_533_204_672_7;
@@ -65,15 +65,6 @@ pub fn digamma(x: f64) -> f64 {
     result + x.ln()
         - 0.5 * inv
         - inv2 * (1.0 / 12.0 - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 * (1.0 / 240.0))))
-}
-
-/// Log of the beta function `ln B(a, b)`.
-///
-/// # Panics
-///
-/// Panics if `a <= 0` or `b <= 0`.
-pub fn ln_beta(a: f64, b: f64) -> f64 {
-    ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b)
 }
 
 /// Multivariate log-gamma `ln Γ_d(a)` for dimension `d ≥ 1`.
@@ -184,80 +175,6 @@ pub fn std_normal_cdf(x: f64) -> f64 {
     0.5 * erfc(-x / std::f64::consts::SQRT_2)
 }
 
-/// Regularized incomplete beta `I_x(a, b)` for `a, b > 0`, `x ∈ [0, 1]`.
-///
-/// # Panics
-///
-/// Panics if parameters are out of domain.
-pub fn reg_inc_beta(a: f64, b: f64, x: f64) -> f64 {
-    assert!(a > 0.0 && b > 0.0, "reg_inc_beta requires a, b > 0");
-    assert!(
-        (0.0..=1.0).contains(&x),
-        "reg_inc_beta requires x in [0, 1]"
-    );
-    if x == 0.0 {
-        return 0.0;
-    }
-    if x == 1.0 {
-        return 1.0;
-    }
-    let front = (x.ln() * a + (1.0 - x).ln() * b - ln_beta(a, b)).exp();
-    // Symmetry transformation for better continued-fraction convergence.
-    // The branch must be non-strict on the direct side, or x exactly at the
-    // cutoff would recurse forever.
-    if x <= (a + 1.0) / (a + b + 2.0) {
-        front * beta_cf(a, b, x) / a
-    } else {
-        1.0 - reg_inc_beta(b, a, 1.0 - x)
-    }
-}
-
-/// Continued fraction for the incomplete beta (Lentz).
-fn beta_cf(a: f64, b: f64, x: f64) -> f64 {
-    const TINY: f64 = 1e-300;
-    let qab = a + b;
-    let qap = a + 1.0;
-    let qam = a - 1.0;
-    let mut c = 1.0;
-    let mut d = 1.0 - qab * x / qap;
-    if d.abs() < TINY {
-        d = TINY;
-    }
-    d = 1.0 / d;
-    let mut h = d;
-    for m in 1..300 {
-        let m = m as f64;
-        let m2 = 2.0 * m;
-        let aa = m * (b - m) * x / ((qam + m2) * (a + m2));
-        d = 1.0 + aa * d;
-        if d.abs() < TINY {
-            d = TINY;
-        }
-        c = 1.0 + aa / c;
-        if c.abs() < TINY {
-            c = TINY;
-        }
-        d = 1.0 / d;
-        h *= d * c;
-        let aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2));
-        d = 1.0 + aa * d;
-        if d.abs() < TINY {
-            d = TINY;
-        }
-        c = 1.0 + aa / c;
-        if c.abs() < TINY {
-            c = TINY;
-        }
-        d = 1.0 / d;
-        let del = d * c;
-        h *= del;
-        if (del - 1.0).abs() < 1e-15 {
-            break;
-        }
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,12 +219,6 @@ mod tests {
     }
 
     #[test]
-    fn ln_beta_symmetry_and_value() {
-        assert!(close(ln_beta(2.0, 3.0), (1.0f64 / 12.0).ln(), 1e-12));
-        assert!(close(ln_beta(1.5, 2.5), ln_beta(2.5, 1.5), 1e-14));
-    }
-
-    #[test]
     fn ln_mv_gamma_reduces_to_ln_gamma() {
         assert!(close(ln_mv_gamma(1, 3.2), ln_gamma(3.2), 1e-13));
         // Γ_2(a) = π^{1/2} Γ(a) Γ(a − 1/2).
@@ -343,18 +254,6 @@ mod tests {
         assert!(close(std_normal_cdf(-1.96), 0.024_997_895_148_219_6, 1e-9));
     }
 
-    #[test]
-    fn inc_beta_known_values() {
-        assert_eq!(reg_inc_beta(2.0, 2.0, 0.0), 0.0);
-        assert_eq!(reg_inc_beta(2.0, 2.0, 1.0), 1.0);
-        // I_x(1, 1) = x (uniform CDF).
-        assert!(close(reg_inc_beta(1.0, 1.0, 0.37), 0.37, 1e-12));
-        // I_{1/2}(a, a) = 1/2 by symmetry.
-        assert!(close(reg_inc_beta(3.5, 3.5, 0.5), 0.5, 1e-12));
-        // I_x(2, 1) = x².
-        assert!(close(reg_inc_beta(2.0, 1.0, 0.6), 0.36, 1e-12));
-    }
-
     proptest! {
         #[test]
         fn prop_ln_gamma_recurrence(x in 0.1..30.0f64) {
@@ -374,13 +273,6 @@ mod tests {
         fn prop_erf_is_odd_and_bounded(x in -5.0..5.0f64) {
             prop_assert!((erf(x) + erf(-x)).abs() < 1e-12);
             prop_assert!(erf(x).abs() <= 1.0);
-        }
-
-        #[test]
-        fn prop_inc_beta_complement(a in 0.3..8.0f64, b in 0.3..8.0f64, x in 0.001..0.999f64) {
-            let lhs = reg_inc_beta(a, b, x);
-            let rhs = 1.0 - reg_inc_beta(b, a, 1.0 - x);
-            prop_assert!((lhs - rhs).abs() < 1e-10);
         }
     }
 }

@@ -2,7 +2,7 @@
 
 use rand::Rng;
 
-use crate::special::{ln_beta, ln_gamma, LN_SQRT_2PI};
+use crate::special::{ln_gamma, LN_SQRT_2PI};
 use crate::{Distribution, ProbError, Result};
 
 /// Draws one standard-normal variate via the Marsaglia polar method.
@@ -177,84 +177,6 @@ impl Distribution for Gamma {
                 return d * v / self.rate;
             }
         }
-    }
-}
-
-/// Beta distribution on `(0, 1)` with shape parameters `α, β`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Beta {
-    alpha: f64,
-    beta: f64,
-}
-
-impl Beta {
-    /// Creates a beta distribution.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProbError::InvalidParameter`] unless both shapes are
-    /// positive and finite.
-    pub fn new(alpha: f64, beta: f64) -> Result<Self> {
-        if !(alpha > 0.0 && alpha.is_finite()) {
-            return Err(ProbError::InvalidParameter {
-                what: "beta",
-                param: "alpha",
-                value: alpha,
-            });
-        }
-        if !(beta > 0.0 && beta.is_finite()) {
-            return Err(ProbError::InvalidParameter {
-                what: "beta",
-                param: "beta",
-                value: beta,
-            });
-        }
-        Ok(Beta { alpha, beta })
-    }
-
-    /// First shape `α`.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
-    /// Second shape `β`.
-    pub fn beta(&self) -> f64 {
-        self.beta
-    }
-
-    /// Mean `α / (α + β)`.
-    pub fn mean(&self) -> f64 {
-        self.alpha / (self.alpha + self.beta)
-    }
-
-    /// Cumulative distribution function `I_x(α, β)`.
-    pub fn cdf(&self, x: f64) -> f64 {
-        crate::special::reg_inc_beta(self.alpha, self.beta, x.clamp(0.0, 1.0))
-    }
-}
-
-impl Distribution for Beta {
-    fn log_pdf(&self, x: f64) -> f64 {
-        if !(0.0..=1.0).contains(&x) {
-            return f64::NEG_INFINITY;
-        }
-        // Boundary x=0 or 1 with shape > 1 gives −inf via ln(0); correct.
-        (self.alpha - 1.0) * x.ln() + (self.beta - 1.0) * (1.0 - x).ln()
-            - ln_beta(self.alpha, self.beta)
-    }
-
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let ga = Gamma {
-            shape: self.alpha,
-            rate: 1.0,
-        }
-        .sample(rng);
-        let gb = Gamma {
-            shape: self.beta,
-            rate: 1.0,
-        }
-        .sample(rng);
-        ga / (ga + gb)
     }
 }
 
@@ -662,24 +584,6 @@ mod tests {
         assert!((vector::mean(&xs) - 0.3).abs() < 0.03);
         assert!(Gamma::new(0.0, 1.0).is_err());
         assert!(Gamma::new(1.0, 0.0).is_err());
-    }
-
-    #[test]
-    fn beta_moments_and_cdf() {
-        let b = Beta::new(2.0, 5.0).unwrap();
-        assert!((b.mean() - 2.0 / 7.0).abs() < 1e-14);
-        assert_eq!(b.alpha(), 2.0);
-        assert_eq!(b.beta(), 5.0);
-        assert_eq!(b.log_pdf(-0.1), f64::NEG_INFINITY);
-        assert_eq!(b.log_pdf(1.1), f64::NEG_INFINITY);
-        assert!((Beta::new(1.0, 1.0).unwrap().cdf(0.4) - 0.4).abs() < 1e-12);
-
-        let mut rng = seeded_rng(19);
-        let xs = b.sample_n(&mut rng, N);
-        assert!(xs.iter().all(|&x| (0.0..=1.0).contains(&x)));
-        assert!((vector::mean(&xs) - 2.0 / 7.0).abs() < 0.01);
-        assert!(Beta::new(-1.0, 1.0).is_err());
-        assert!(Beta::new(1.0, f64::INFINITY).is_err());
     }
 
     #[test]

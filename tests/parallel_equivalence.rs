@@ -101,8 +101,6 @@ fn gibbs_fit_matches_serial_exactly() {
             alpha: 1.0,
             burn_in: 1,
             sweeps: 4,
-            alpha_prior: None,
-            exact_recompute: false,
         },
     )
     .unwrap();
@@ -117,14 +115,14 @@ fn gibbs_fit_matches_serial_exactly() {
         &ser.log_joint_trace,
         "gibbs log joint",
     );
-    assert_bits_eq(&par.alpha_trace, &ser.alpha_trace, "gibbs alpha trace");
 }
 
 /// The predictive-cached scoring path must reproduce the exact-recompute
-/// escape hatch: both consume the identical RNG stream and their scores
-/// agree far below the categorical decision resolution, so the sampled
-/// trajectory — assignments, cluster trace, alpha trace — is identical,
-/// and the log-joint trace agrees to the cache's documented tolerance.
+/// reference `DpNiwGibbs::fit_exact`: both consume the identical RNG
+/// stream and their scores agree far below the categorical decision
+/// resolution, so the sampled trajectory — assignments and cluster trace —
+/// is identical, and the log-joint trace agrees to the cache's documented
+/// tolerance.
 /// Runs under both the `parallel` and `--no-default-features` builds, and
 /// additionally under `with_serial`, covering the thread-count axis.
 #[test]
@@ -134,23 +132,12 @@ fn gibbs_cached_matches_exact_recompute_trace() {
         alpha: 1.2,
         burn_in: 2,
         sweeps: 4,
-        alpha_prior: Some(dre_bayes::ConcentrationPrior::vague()),
-        exact_recompute: false,
     };
-    let base = NormalInverseWishart::vague(4).unwrap();
-    let cached = DpNiwGibbs::new(base.clone(), cfg).unwrap();
-    let exact = DpNiwGibbs::new(
-        base,
-        GibbsConfig {
-            exact_recompute: true,
-            ..cfg
-        },
-    )
-    .unwrap();
+    let gibbs = DpNiwGibbs::new(NormalInverseWishart::vague(4).unwrap(), cfg).unwrap();
 
-    let rc = cached.fit(&data, &mut seeded_rng(8)).unwrap();
-    let re = exact.fit(&data, &mut seeded_rng(8)).unwrap();
-    let rc_serial = dre_parallel::with_serial(|| cached.fit(&data, &mut seeded_rng(8)).unwrap());
+    let rc = gibbs.fit(&data, &mut seeded_rng(8)).unwrap();
+    let re = gibbs.fit_exact(&data, &mut seeded_rng(8)).unwrap();
+    let rc_serial = dre_parallel::with_serial(|| gibbs.fit(&data, &mut seeded_rng(8)).unwrap());
 
     assert_eq!(
         rc.assignments, re.assignments,
@@ -160,7 +147,6 @@ fn gibbs_cached_matches_exact_recompute_trace() {
         rc.cluster_trace, re.cluster_trace,
         "cached vs exact clusters"
     );
-    assert_bits_eq(&rc.alpha_trace, &re.alpha_trace, "cached vs exact alpha");
     assert_eq!(rc.log_joint_trace.len(), re.log_joint_trace.len());
     for (i, (a, b)) in rc
         .log_joint_trace
