@@ -42,7 +42,10 @@ pub use crp::Crp;
 pub use error::BayesError;
 pub use gibbs::{expected_covariance, DpNiwGibbs, GibbsCacheStats, GibbsConfig, GibbsResult};
 pub use mixture::{MixtureComponent, MixturePrior, QuadraticSurrogate};
-pub use variational::{VariationalConfig, VariationalDpGmm, VariationalResult};
+pub use variational::{
+    VariationalConfig, VariationalDpGmm, VariationalResult, VB_COV_PRIOR_STRENGTH, VB_COV_REG,
+    VB_TOL,
+};
 
 /// Convenience result alias for fallible Bayesian operations.
 pub type Result<T> = std::result::Result<T, BayesError>;

@@ -8,6 +8,18 @@ use dre_prob::MvNormal;
 
 use crate::{BayesError, MixturePrior, Result};
 
+/// Convergence tolerance on the objective change per point.
+pub const VB_TOL: f64 = 1e-7;
+/// Ridge added to every component covariance for numerical stability.
+pub const VB_COV_REG: f64 = 1e-6;
+/// Pseudo-count strength `s₀` of the inverse-Wishart-style MAP shrinkage of
+/// each component covariance toward the global data covariance:
+/// `Σ_k = (N_k Σ̂_k + s₀ Σ_global) / (N_k + s₀)`.
+///
+/// Prevents the covariance-collapse degeneracy where a component locks
+/// onto a single point with a vanishing covariance.
+pub const VB_COV_PRIOR_STRENGTH: f64 = 1.0;
+
 /// Configuration of a truncated variational run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VariationalConfig {
@@ -17,17 +29,6 @@ pub struct VariationalConfig {
     pub truncation: usize,
     /// Maximum number of coordinate-ascent iterations.
     pub max_iters: usize,
-    /// Convergence tolerance on the objective change per point.
-    pub tol: f64,
-    /// Ridge added to every component covariance for numerical stability.
-    pub cov_reg: f64,
-    /// Pseudo-count strength of the inverse-Wishart-style MAP shrinkage of
-    /// each component covariance toward the global data covariance:
-    /// `Σ_k = (N_k Σ̂_k + s₀ Σ_global) / (N_k + s₀)`.
-    ///
-    /// Prevents the covariance-collapse degeneracy where a component locks
-    /// onto a single point with a vanishing covariance.
-    pub cov_prior_strength: f64,
 }
 
 impl Default for VariationalConfig {
@@ -36,9 +37,6 @@ impl Default for VariationalConfig {
             alpha: 1.0,
             truncation: 20,
             max_iters: 200,
-            tol: 1e-7,
-            cov_reg: 1e-6,
-            cov_prior_strength: 1.0,
         }
     }
 }
@@ -175,8 +173,8 @@ impl VariationalDpGmm {
     ///
     /// # Errors
     ///
-    /// Returns [`BayesError::InvalidParameter`] for `alpha ≤ 0`,
-    /// `truncation < 1`, or non-positive `cov_reg`.
+    /// Returns [`BayesError::InvalidParameter`] for `alpha ≤ 0` or
+    /// `truncation < 1`.
     pub fn new(config: VariationalConfig) -> Result<Self> {
         if !(config.alpha > 0.0 && config.alpha.is_finite()) {
             return Err(BayesError::InvalidParameter {
@@ -190,13 +188,6 @@ impl VariationalDpGmm {
                 what: "variational_dp_gmm",
                 param: "truncation",
                 value: 0.0,
-            });
-        }
-        if config.cov_reg.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-            return Err(BayesError::InvalidParameter {
-                what: "variational_dp_gmm",
-                param: "cov_reg",
-                value: config.cov_reg,
             });
         }
         Ok(VariationalDpGmm { config })
@@ -236,7 +227,7 @@ impl VariationalDpGmm {
 
         // --- Initialization: k-means++-style seeding. ---
         let mut means = kmeanspp_centers(data, k, rng);
-        let global_cov = global_covariance(data, self.config.cov_reg);
+        let global_cov = global_covariance(data, VB_COV_REG);
         let mut covs: Vec<Matrix> = vec![global_cov.clone(); k];
         let mut gamma1 = vec![1.0; k];
         let mut gamma2 = vec![alpha; k];
@@ -293,7 +284,6 @@ impl VariationalDpGmm {
             // Gaussian parameters, with MAP shrinkage of the covariance
             // toward the global covariance (pseudo-count s₀) to rule out the
             // covariance-collapse degeneracy on starved components.
-            let s0 = self.config.cov_prior_strength.max(0.0);
             // Components are independent given the responsibilities, and
             // each accumulates over the data in its original order — so the
             // per-component sums match the serial path exactly.
@@ -314,10 +304,10 @@ impl VariationalDpGmm {
                         .expect("dimension invariant");
                 }
                 cov = cov
-                    .add(&global_cov.scaled(s0))
+                    .add(&global_cov.scaled(VB_COV_PRIOR_STRENGTH))
                     .expect("dimension invariant")
-                    .scaled(1.0 / (occupancy[j] + s0));
-                cov.add_diag(self.config.cov_reg);
+                    .scaled(1.0 / (occupancy[j] + VB_COV_PRIOR_STRENGTH));
+                cov.add_diag(VB_COV_REG);
                 cov.symmetrize();
                 Some((mu, cov))
             });
@@ -332,7 +322,7 @@ impl VariationalDpGmm {
             let weights = expected_stick_weights(&gamma1, &gamma2);
             let obj = mixture_log_likelihood(data, &weights, &means, &covs)? / n as f64;
             objective_trace.push(obj);
-            if (obj - prev_obj).abs() < self.config.tol {
+            if (obj - prev_obj).abs() < VB_TOL {
                 break;
             }
             prev_obj = obj;
@@ -486,11 +476,6 @@ mod tests {
             ..Default::default()
         })
         .is_err());
-        assert!(VariationalDpGmm::new(VariationalConfig {
-            cov_reg: 0.0,
-            ..Default::default()
-        })
-        .is_err());
         let v = VariationalDpGmm::new(VariationalConfig::default()).unwrap();
         assert_eq!(v.config().truncation, 20);
     }
@@ -558,7 +543,6 @@ mod tests {
             alpha: 1.0,
             truncation: 8,
             max_iters: 60,
-            ..Default::default()
         })
         .unwrap();
         let mut rng = seeded_rng(4);

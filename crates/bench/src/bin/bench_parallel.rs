@@ -576,7 +576,6 @@ fn em_estep_variational(size: Size) -> Row {
         alpha: 1.0,
         truncation: 15,
         max_iters: size.pick(5, 30),
-        ..VariationalConfig::default()
     })
     .expect("valid config");
     let ((par_ms, par_vb), (ser_ms, ser_vb)) = time_both_modes(TRIALS, || {

@@ -90,7 +90,6 @@ fn main() {
                 let mut scenario = Scenario::new(ComputeModel {
                     device_flops: 2e9,
                     cloud_flops,
-                    ..ComputeModel::default()
                 });
                 for _ in 0..fleet {
                     scenario.add_device(DeviceSpec { link, strategy });

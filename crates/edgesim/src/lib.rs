@@ -64,10 +64,11 @@ pub use network::Link;
 pub use scenario::{
     model_bytes, model_report_bytes, prior_transfer_bytes, raw_data_bytes, refresh_round_bytes,
     shard_map_bytes, ClientMode, ComputeModel, DeviceReport, DeviceSpec, EnergyModel, RetryModel,
-    Scenario, SimReport, Strategy, TraceEvent, TraceKind, CLOUD_DEVICE, REQUEST_BYTES,
+    Scenario, SimReport, Strategy, TraceEvent, TraceKind, CLOUD_DEVICE, EM_COST, ERM_COST,
+    REQUEST_BYTES,
 };
 pub use time::{SimDuration, SimTime};
-pub use topology::{LossModel, SwitchConfig, Topology, ACK_BYTES};
+pub use topology::{LossModel, SwitchConfig, Topology, ACK_BYTES, GBN_WINDOW};
 
 // Simulated outage outcomes carry the same degradation tags as real fleet
 // runs (`dre-serve`'s `EdgeRuntime`).

@@ -993,7 +993,7 @@ fn pinned_topology_event_trace() {
 /// go-back-N transport still lands the payload.
 #[test]
 fn lossy_link_costs_retransmitted_bytes() {
-    let topo = small_cloud_topology().with_device_loss(LossModel::EveryKth { k: 2 });
+    let topo = small_cloud_topology().with_device_loss(LossModel::Bernoulli { loss: 0.5, seed: 2 });
     let mut sc = Scenario::new(ComputeModel::default()).with_topology(topo);
     sc.add_device(DeviceSpec {
         link: link(),

@@ -28,6 +28,9 @@ use crate::{Link, SimDuration};
 /// measured codec length.
 pub const ACK_BYTES: u64 = 14;
 
+/// Go-back-N window: frames a sender may have un-acked in flight.
+pub const GBN_WINDOW: u32 = 8;
+
 /// Configuration of the one-big-switch fabric and its go-back-N transport.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwitchConfig {
@@ -37,8 +40,6 @@ pub struct SwitchConfig {
     /// Maximum frame payload in bytes; messages larger than this are
     /// segmented into `ceil(bytes / mtu)` frames.
     pub mtu: u32,
-    /// Go-back-N window: frames a sender may have un-acked in flight.
-    pub window: u32,
     /// Base retransmission timeout. A transfer that hears no new ack for
     /// this long goes back to its lowest un-acked frame and resends. The
     /// timeout doubles on every consecutive expiry (binary exponential
@@ -58,7 +59,6 @@ impl Default for SwitchConfig {
         SwitchConfig {
             queue_capacity: 256,
             mtu: 1500,
-            window: 8,
             rto: SimDuration::from_millis_f64(200.0),
             max_retx: 32,
         }
@@ -72,7 +72,6 @@ impl SwitchConfig {
             "switch queue_capacity must be >= 1"
         );
         assert!(self.mtu >= 1, "switch mtu must be >= 1 byte");
-        assert!(self.window >= 1, "go-back-N window must be >= 1");
         assert!(
             self.rto > SimDuration::ZERO,
             "retransmission timeout must be positive"
@@ -90,12 +89,6 @@ impl SwitchConfig {
 pub enum LossModel {
     /// Lossless.
     None,
-    /// Drops every `k`-th frame crossing the link (the `k`-th, `2k`-th, …).
-    /// `k = 0` never drops.
-    EveryKth {
-        /// Drop period in frames.
-        k: u64,
-    },
     /// Drops each crossing independently with probability `loss`, decided
     /// by hashing `(seed, port, crossing index)` — deterministic, but
     /// statistically Bernoulli.
@@ -122,7 +115,6 @@ impl LossModel {
     pub(crate) fn drops(&self, port: u32, crossing: u64) -> bool {
         match *self {
             LossModel::None => false,
-            LossModel::EveryKth { k } => k != 0 && (crossing + 1).is_multiple_of(k),
             LossModel::Bernoulli { loss, seed } => {
                 let h = splitmix64(seed ^ splitmix64((port as u64) << 32 ^ crossing));
                 // Compare in the integer domain: `loss` maps to a fixed
@@ -203,18 +195,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn every_kth_drops_exactly_on_period() {
-        let m = LossModel::EveryKth { k: 3 };
-        let drops: Vec<bool> = (0..9).map(|i| m.drops(0, i)).collect();
-        assert_eq!(
-            drops,
-            vec![false, false, true, false, false, true, false, false, true]
-        );
-        assert!((0..100).all(|i| !LossModel::EveryKth { k: 0 }.drops(0, i)));
-        assert!((0..100).all(|i| !LossModel::None.drops(7, i)));
-    }
-
-    #[test]
     fn bernoulli_is_deterministic_and_roughly_calibrated() {
         let m = LossModel::Bernoulli {
             loss: 0.2,
@@ -241,6 +221,7 @@ mod tests {
     fn zero_loss_bernoulli_never_drops() {
         let m = LossModel::Bernoulli { loss: 0.0, seed: 9 };
         assert!((0..1000).all(|i| !m.drops(0, i)));
+        assert!((0..1000).all(|i| !LossModel::None.drops(7, i)));
     }
 
     #[test]
@@ -250,23 +231,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "window")]
-    fn zero_window_is_rejected() {
-        SwitchConfig {
-            window: 0,
-            ..SwitchConfig::default()
-        }
-        .validate();
-    }
-
-    #[test]
     fn builder_composes() {
         let t = Topology::one_big_switch(Link::new_ms(5.0, 1e9))
             .with_switch(SwitchConfig {
                 queue_capacity: 64,
                 ..SwitchConfig::default()
             })
-            .with_device_loss(LossModel::EveryKth { k: 50 })
+            .with_device_loss(LossModel::Bernoulli {
+                loss: 0.02,
+                seed: 0,
+            })
             .with_cloud_loss(LossModel::Bernoulli {
                 loss: 0.01,
                 seed: 1,

@@ -13,23 +13,25 @@
 //!   admit(x)  ⇔  score(x) ≥ Q_q(recent admitted scores) − margin
 //! ```
 //!
-//! where `Q_q` is the `q`-quantile of a rolling window of **admitted**
-//! scores (per task). Seeding the baseline only with admitted scores keeps
-//! an adversarial flood from dragging its own threshold down. Until the
-//! window holds `warmup` scores the gate admits everything — the baseline
-//! has to be seeded by someone, and a cold filter scores everyone poorly.
+//! where `Q_q` is the [`GATE_QUANTILE`]-quantile of a rolling window of
+//! the last [`SCORE_WINDOW`] **admitted** scores (per task). Seeding the
+//! baseline only with admitted scores keeps an adversarial flood from
+//! dragging its own threshold down. Until the window holds `warmup` scores
+//! the gate admits everything — the baseline has to be seeded by someone,
+//! and a cold filter scores everyone poorly.
 //!
 //! Per-device outcomes feed a reputation ledger:
 //!
 //! ```text
-//!            EWMA < suspect_threshold            consecutive gated ≥ N
+//!            EWMA < SUSPECT_THRESHOLD            consecutive gated ≥ N
 //!  Trusted ───────────────────────────▶ Suspect ─────────────────────▶ Quarantined
 //!     ▲                                    │  ▲                            │
-//!     └──── EWMA ≥ trusted_threshold ──────┘  └── probation passes ≥ M ────┘
+//!     └──── EWMA ≥ TRUSTED_THRESHOLD ──────┘  └── probation passes ≥ M ────┘
 //! ```
 //!
-//! A quarantined device's reports are **counted but never touch the
-//! filter**. Every `probation_interval` steps (offset by a seeded,
+//! with `N` = [`QUARANTINE_AFTER_GATED`] and `M` = [`PROBATION_PASSES`]. A
+//! quarantined device's reports are **counted but never touch the
+//! filter**. Every [`PROBATION_INTERVAL`] steps (offset by a seeded,
 //! device-specific phase so cohorts do not probe in lockstep) one report is
 //! *probed* — scored against the gate without being absorbed — and `M`
 //! consecutive probe passes re-admit the device as Suspect. Everything runs
@@ -42,32 +44,33 @@ use std::collections::{BTreeMap, VecDeque};
 use crate::sir::mix_seed;
 use crate::{LearnerError, Result};
 
+/// Rolling window length of admitted scores per task.
+pub const SCORE_WINDOW: usize = 64;
+/// Baseline quantile of the score window (lower-index order statistic).
+pub const GATE_QUANTILE: f64 = 0.1;
+/// EWMA step for the per-device reputation score.
+pub const EWMA_ALPHA: f64 = 0.2;
+/// A trusted device whose EWMA falls below this becomes suspect.
+pub const SUSPECT_THRESHOLD: f64 = 0.35;
+/// A suspect device whose EWMA recovers past this becomes trusted.
+pub const TRUSTED_THRESHOLD: f64 = 0.7;
+/// A suspect device is quarantined after this many *consecutive* gated
+/// reports (never sooner, regardless of EWMA).
+pub const QUARANTINE_AFTER_GATED: u32 = 3;
+/// A quarantined device is probed once every this many admission steps
+/// (phase-offset per device by [`AdmissionConfig::seed`]).
+pub const PROBATION_INTERVAL: u64 = 8;
+/// Consecutive probe passes required to re-admit as suspect.
+pub const PROBATION_PASSES: u32 = 2;
+
 /// Configuration for [`AdmissionState`].
 #[derive(Debug, Clone)]
 pub struct AdmissionConfig {
     /// Admit everything (per task) until the rolling window holds this many
     /// admitted scores — the baseline seeding phase.
     pub warmup: usize,
-    /// Rolling window length of admitted scores per task.
-    pub window: usize,
-    /// Baseline quantile in `[0, 1]` (lower-index order statistic).
-    pub quantile: f64,
     /// Slack in nats below the quantile before the gate trips.
     pub margin: f64,
-    /// EWMA step for the per-device reputation score.
-    pub ewma_alpha: f64,
-    /// A trusted device whose EWMA falls below this becomes suspect.
-    pub suspect_threshold: f64,
-    /// A suspect device whose EWMA recovers past this becomes trusted.
-    pub trusted_threshold: f64,
-    /// A suspect device is quarantined after this many *consecutive* gated
-    /// reports (never sooner, regardless of EWMA).
-    pub quarantine_after_gated: u32,
-    /// A quarantined device is probed once every this many admission steps
-    /// (phase-offset per device by the seed).
-    pub probation_interval: u64,
-    /// Consecutive probe passes required to re-admit as suspect.
-    pub probation_passes: u32,
     /// Seed for the per-device probation phase offsets.
     pub seed: u64,
 }
@@ -78,15 +81,7 @@ impl Default for AdmissionConfig {
             // Matches the learner's default `min_reports_for_base`: the
             // base cohort's seeded marginals arm the gate at filter birth.
             warmup: 4,
-            window: 64,
-            quantile: 0.1,
             margin: 6.0,
-            ewma_alpha: 0.2,
-            suspect_threshold: 0.35,
-            trusted_threshold: 0.7,
-            quarantine_after_gated: 3,
-            probation_interval: 8,
-            probation_passes: 2,
             seed: 0,
         }
     }
@@ -94,29 +89,14 @@ impl Default for AdmissionConfig {
 
 impl AdmissionConfig {
     fn validate(&self) -> Result<()> {
-        if self.window == 0 || self.warmup == 0 {
+        if self.warmup == 0 {
             return Err(LearnerError::InvalidConfig {
-                reason: "admission window and warmup must be positive",
-            });
-        }
-        if !(0.0..=1.0).contains(&self.quantile) {
-            return Err(LearnerError::InvalidConfig {
-                reason: "admission quantile must lie in [0, 1]",
+                reason: "admission warmup must be positive",
             });
         }
         if !(self.margin.is_finite() && self.margin >= 0.0) {
             return Err(LearnerError::InvalidConfig {
                 reason: "admission margin must be finite and non-negative",
-            });
-        }
-        if !(0.0..=1.0).contains(&self.ewma_alpha) {
-            return Err(LearnerError::InvalidConfig {
-                reason: "reputation EWMA step must lie in [0, 1]",
-            });
-        }
-        if self.quarantine_after_gated == 0 || self.probation_interval == 0 {
-            return Err(LearnerError::InvalidConfig {
-                reason: "quarantine count and probation interval must be positive",
             });
         }
         Ok(())
@@ -155,7 +135,7 @@ pub struct DeviceReputation {
 }
 
 impl DeviceReputation {
-    fn new(seed: u64, device_id: u64, interval: u64) -> DeviceReputation {
+    fn new(seed: u64, device_id: u64) -> DeviceReputation {
         DeviceReputation {
             state: ReputationState::Trusted,
             score: 0.5,
@@ -163,7 +143,7 @@ impl DeviceReputation {
             gated: 0,
             consecutive_gated: 0,
             probation_passes: 0,
-            probation_phase: mix_seed(seed, 0x5EED, device_id) % interval,
+            probation_phase: mix_seed(seed, 0x5EED, device_id) % PROBATION_INTERVAL,
         }
     }
 }
@@ -281,7 +261,7 @@ impl AdmissionState {
         self.ledger.get(&device_id)
     }
 
-    /// Current gate threshold for `task_id`: the configured quantile of the
+    /// Current gate threshold for `task_id`: the [`GATE_QUANTILE`] of the
     /// rolling admitted-score window minus the margin, or `None` while the
     /// window is still warming up.
     pub fn gate_threshold(&self, task_id: u64) -> Option<f64> {
@@ -289,7 +269,7 @@ impl AdmissionState {
         if sorted.len() < self.config.warmup {
             return None;
         }
-        let idx = (self.config.quantile * (sorted.len() - 1) as f64).floor() as usize;
+        let idx = (GATE_QUANTILE * (sorted.len() - 1) as f64).floor() as usize;
         Some(sorted[idx] - self.config.margin)
     }
 
@@ -300,7 +280,7 @@ impl AdmissionState {
         self.windows
             .entry(task_id)
             .or_default()
-            .push(score, self.config.window);
+            .push(score, SCORE_WINDOW);
     }
 
     /// Decides one report. `score` is the filter's collapsed predictive
@@ -316,18 +296,18 @@ impl AdmissionState {
             (Some(s), Some(t)) => s >= t,
             _ => true,
         };
-        let cfg = self.config.clone();
+        let seed = self.config.seed;
         let dev = self
             .ledger
             .entry(device_id)
-            .or_insert_with(|| DeviceReputation::new(cfg.seed, device_id, cfg.probation_interval));
+            .or_insert_with(|| DeviceReputation::new(seed, device_id));
 
         if dev.state == ReputationState::Quarantined {
             self.gated_total += 1;
             let probe = self
                 .step
                 .wrapping_add(dev.probation_phase)
-                .is_multiple_of(cfg.probation_interval);
+                .is_multiple_of(PROBATION_INTERVAL);
             if !probe {
                 return AdmissionOutcome::Quarantined {
                     probed: false,
@@ -336,9 +316,9 @@ impl AdmissionState {
             }
             if passes {
                 dev.probation_passes += 1;
-                if dev.probation_passes >= cfg.probation_passes {
+                if dev.probation_passes >= PROBATION_PASSES {
                     dev.state = ReputationState::Suspect;
-                    dev.score = cfg.suspect_threshold;
+                    dev.score = SUSPECT_THRESHOLD;
                     dev.consecutive_gated = 0;
                     dev.probation_passes = 0;
                     return AdmissionOutcome::Quarantined {
@@ -358,24 +338,27 @@ impl AdmissionState {
         if passes {
             dev.admitted += 1;
             dev.consecutive_gated = 0;
-            dev.score += cfg.ewma_alpha * (1.0 - dev.score);
-            if dev.state == ReputationState::Suspect && dev.score >= cfg.trusted_threshold {
+            dev.score += EWMA_ALPHA * (1.0 - dev.score);
+            if dev.state == ReputationState::Suspect && dev.score >= TRUSTED_THRESHOLD {
                 dev.state = ReputationState::Trusted;
             }
             if let Some(s) = score {
-                self.windows.entry(task_id).or_default().push(s, cfg.window);
+                self.windows
+                    .entry(task_id)
+                    .or_default()
+                    .push(s, SCORE_WINDOW);
             }
             AdmissionOutcome::Admitted
         } else {
             dev.gated += 1;
             dev.consecutive_gated += 1;
             self.gated_total += 1;
-            dev.score *= 1.0 - cfg.ewma_alpha;
-            if dev.state == ReputationState::Trusted && dev.score < cfg.suspect_threshold {
+            dev.score *= 1.0 - EWMA_ALPHA;
+            if dev.state == ReputationState::Trusted && dev.score < SUSPECT_THRESHOLD {
                 dev.state = ReputationState::Suspect;
             }
             let quarantined_device = dev.state == ReputationState::Suspect
-                && dev.consecutive_gated >= cfg.quarantine_after_gated;
+                && dev.consecutive_gated >= QUARANTINE_AFTER_GATED;
             if quarantined_device {
                 dev.state = ReputationState::Quarantined;
                 dev.probation_passes = 0;
@@ -515,11 +498,7 @@ mod tests {
     fn rejects_bad_configs() {
         for bad in [
             AdmissionConfig {
-                window: 0,
-                ..AdmissionConfig::default()
-            },
-            AdmissionConfig {
-                quantile: 1.5,
+                warmup: 0,
                 ..AdmissionConfig::default()
             },
             AdmissionConfig {
@@ -527,11 +506,7 @@ mod tests {
                 ..AdmissionConfig::default()
             },
             AdmissionConfig {
-                ewma_alpha: 2.0,
-                ..AdmissionConfig::default()
-            },
-            AdmissionConfig {
-                probation_interval: 0,
+                margin: f64::NAN,
                 ..AdmissionConfig::default()
             },
         ] {

@@ -45,6 +45,8 @@ mod sir;
 
 pub use admission::{
     AdmissionConfig, AdmissionOutcome, AdmissionState, DeviceReputation, ReputationState,
+    EWMA_ALPHA, GATE_QUANTILE, PROBATION_INTERVAL, PROBATION_PASSES, QUARANTINE_AFTER_GATED,
+    SCORE_WINDOW, SUSPECT_THRESHOLD, TRUSTED_THRESHOLD,
 };
 pub use learner::{CloudLearner, LearnerConfig, LearnerTick, PriorSink};
 pub use sir::{SirConfig, SirDpFilter};

@@ -4,15 +4,19 @@
 //! drive an armed [`AdmissionState`], checking the ledger's contract:
 //!
 //! 1. **Quarantine requires evidence** — a device is only ever tipped into
-//!    quarantine after at least `quarantine_after_gated` gated reports, the
-//!    last `quarantine_after_gated` of which were *consecutive* failures.
+//!    quarantine after at least [`QUARANTINE_AFTER_GATED`] gated reports,
+//!    the last [`QUARANTINE_AFTER_GATED`] of which were *consecutive*
+//!    failures.
 //! 2. **Determinism** — the same stream against the same seeded config
 //!    replays to identical outcomes and an identical ledger, including
 //!    probation probes and re-admissions.
 //! 3. **Clean devices only rise** — a device whose reports always pass the
 //!    gate has a monotone non-decreasing score and never leaves `Trusted`.
 
-use dre_learner::{AdmissionConfig, AdmissionOutcome, AdmissionState, ReputationState};
+use dre_learner::{
+    AdmissionConfig, AdmissionOutcome, AdmissionState, ReputationState, QUARANTINE_AFTER_GATED,
+    SUSPECT_THRESHOLD,
+};
 use proptest::prelude::*;
 
 const TASK: u64 = 1;
@@ -31,15 +35,11 @@ fn armed_state(cfg: &AdmissionConfig) -> AdmissionState {
     state
 }
 
-fn config(seed: u64, quarantine_after: u32, interval: u64, passes: u32) -> AdmissionConfig {
+fn config(seed: u64) -> AdmissionConfig {
     AdmissionConfig {
         warmup: 4,
         margin: 6.0,
-        quarantine_after_gated: quarantine_after,
-        probation_interval: interval,
-        probation_passes: passes,
         seed,
-        ..AdmissionConfig::default()
     }
 }
 
@@ -73,10 +73,10 @@ proptest! {
     #[test]
     fn quarantine_needs_the_configured_consecutive_gated_run(
         stream in proptest::collection::vec((0u64..4, 0u8..2), 1..200),
-        quarantine_after in 1u32..5,
         seed in 0u64..1_000,
     ) {
-        let mut state = armed_state(&config(seed, quarantine_after, 7, 2));
+        let quarantine_after = QUARANTINE_AFTER_GATED;
+        let mut state = armed_state(&config(seed));
         // Per-device history of gate outcomes (true = gated) while free.
         let mut gated_runs = std::collections::BTreeMap::<u64, u32>::new();
         let mut gated_totals = std::collections::BTreeMap::<u64, u64>::new();
@@ -98,7 +98,7 @@ proptest! {
                         prop_assert!(
                             *run >= quarantine_after && *total >= u64::from(quarantine_after),
                             "device {dev} quarantined after a run of {run} \
-                             (total {total}) < configured {quarantine_after}"
+                             (total {total}) < {quarantine_after}"
                         );
                         prop_assert_eq!(
                             state.reputation(dev).unwrap().state,
@@ -112,7 +112,7 @@ proptest! {
                     if readmitted {
                         let rep = state.reputation(dev).unwrap();
                         prop_assert_eq!(rep.state, ReputationState::Suspect);
-                        prop_assert_eq!(rep.score, state.config().suspect_threshold);
+                        prop_assert_eq!(rep.score, SUSPECT_THRESHOLD);
                         gated_runs.insert(dev, 0);
                     }
                 }
@@ -124,10 +124,8 @@ proptest! {
     fn same_seed_replays_probation_and_outcomes_bitwise(
         stream in proptest::collection::vec((0u64..3, 0u8..2), 1..200),
         seed in 0u64..1_000,
-        interval in 2u64..10,
-        passes in 1u32..3,
     ) {
-        let cfg = config(seed, 2, interval, passes);
+        let cfg = config(seed);
         let (out_a, ledger_a) = run_stream(&mut armed_state(&cfg), &stream);
         let (out_b, ledger_b) = run_stream(&mut armed_state(&cfg), &stream);
         prop_assert_eq!(out_a, out_b);
@@ -143,7 +141,7 @@ proptest! {
         // Device 0 only ever sends passing scores, interleaved with
         // arbitrary traffic from other devices (which may get themselves
         // gated and quarantined around it).
-        let mut state = armed_state(&config(seed, 2, 5, 2));
+        let mut state = armed_state(&config(seed));
         let mut last_score = None::<f64>;
         for (i, &(dev, bad)) in noise.iter().enumerate() {
             state.admit(TASK, dev, Some(if bad == 1 { BAD } else { GOOD }));

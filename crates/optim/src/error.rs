@@ -21,13 +21,6 @@ pub enum OptimError {
         /// Iteration at which the failure occurred.
         iteration: usize,
     },
-    /// A solver parameter was out of its valid domain.
-    InvalidParameter {
-        /// Parameter name.
-        param: &'static str,
-        /// Offending value.
-        value: f64,
-    },
 }
 
 impl fmt::Display for OptimError {
@@ -44,9 +37,6 @@ impl fmt::Display for OptimError {
             }
             OptimError::LineSearchFailed { iteration } => {
                 write!(f, "line search failed at iteration {iteration}")
-            }
-            OptimError::InvalidParameter { param, value } => {
-                write!(f, "invalid solver parameter {param}={value}")
             }
         }
     }
@@ -72,11 +62,5 @@ mod tests {
         assert!(OptimError::LineSearchFailed { iteration: 3 }
             .to_string()
             .contains("line search"));
-        assert!(OptimError::InvalidParameter {
-            param: "lr",
-            value: -1.0
-        }
-        .to_string()
-        .contains("lr"));
     }
 }

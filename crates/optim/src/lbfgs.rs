@@ -3,7 +3,10 @@
 use std::collections::VecDeque;
 
 use crate::quasi_newton::{self, Curvature};
-use crate::{Objective, OptimError, OptimReport, Result, StopCriteria};
+use crate::{Objective, OptimReport, Result, StopCriteria};
+
+/// Curvature pairs an [`Lbfgs`] run keeps: the newest 10.
+pub const LBFGS_MEMORY: usize = 10;
 
 /// L-BFGS (Nocedal & Wright, Algorithm 7.4/7.5) with the two-loop recursion
 /// and a strong-Wolfe line search.
@@ -30,54 +33,40 @@ use crate::{Objective, OptimError, OptimReport, Result, StopCriteria};
 #[derive(Debug, Clone)]
 pub struct Lbfgs {
     stop: StopCriteria,
-    memory: usize,
 }
 
 impl Lbfgs {
-    /// Creates an L-BFGS solver with a history of 10 curvature pairs.
+    /// Creates an L-BFGS solver with a history of [`LBFGS_MEMORY`]
+    /// curvature pairs.
     pub fn new(stop: StopCriteria) -> Self {
-        Lbfgs { stop, memory: 10 }
-    }
-
-    /// Overrides the number of stored curvature pairs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OptimError::InvalidParameter`] when `memory == 0`.
-    pub fn with_memory(mut self, memory: usize) -> Result<Self> {
-        if memory == 0 {
-            return Err(OptimError::InvalidParameter {
-                param: "memory",
-                value: 0.0,
-            });
-        }
-        self.memory = memory;
-        Ok(self)
+        Lbfgs { stop }
     }
 
     /// Minimizes `obj` from `x0`.
     ///
     /// # Errors
     ///
-    /// * [`OptimError::DimensionMismatch`] when `x0.len() != obj.dim()`.
-    /// * [`OptimError::NonFiniteObjective`] when the objective degenerates.
-    /// * [`OptimError::LineSearchFailed`] when neither the Wolfe search nor
-    ///   a backtracking fallback finds a descent step.
+    /// * [`OptimError::DimensionMismatch`](crate::OptimError::DimensionMismatch)
+    ///   when `x0.len() != obj.dim()`.
+    /// * [`OptimError::NonFiniteObjective`](crate::OptimError::NonFiniteObjective)
+    ///   when the objective degenerates.
+    /// * [`OptimError::LineSearchFailed`](crate::OptimError::LineSearchFailed)
+    ///   when neither the Wolfe search nor a backtracking fallback finds a
+    ///   descent step.
     pub fn minimize<O: Objective + ?Sized>(&self, obj: &O, x0: &[f64]) -> Result<OptimReport> {
         let mut pairs = Pairs {
-            memory: self.memory,
-            pairs: VecDeque::with_capacity(self.memory),
+            pairs: VecDeque::with_capacity(LBFGS_MEMORY),
             spare: Vec::new(),
-            alphas: Vec::with_capacity(self.memory),
+            alphas: Vec::with_capacity(LBFGS_MEMORY),
         };
         quasi_newton::minimize(&self.stop, obj, x0, &mut pairs)
     }
 }
 
-/// The newest `memory` curvature pairs `(s, y, 1/sᵀy)` of an L-BFGS run,
-/// oldest at the front, with the buffers of dropped pairs kept for reuse.
+/// The newest [`LBFGS_MEMORY`] curvature pairs `(s, y, 1/sᵀy)` of an
+/// L-BFGS run, oldest at the front, with the buffers of dropped pairs kept
+/// for reuse.
 struct Pairs {
-    memory: usize,
     pairs: VecDeque<(Vec<f64>, Vec<f64>, f64)>,
     spare: Vec<(Vec<f64>, Vec<f64>)>,
     /// The two-loop recursion's `α`s.
@@ -111,7 +100,7 @@ impl Curvature for Pairs {
     /// Stores the pair in the buffers of the pair it evicts, of a dropped
     /// pair, or — while the history fills — in new ones.
     fn update(&mut self, s: &[f64], y: &[f64], sy: f64) {
-        let (mut ps, mut py) = if self.pairs.len() == self.memory {
+        let (mut ps, mut py) = if self.pairs.len() == LBFGS_MEMORY {
             let (ps, py, _) = self.pairs.pop_front().expect("memory ≥ 1");
             (ps, py)
         } else {
@@ -134,7 +123,7 @@ impl Curvature for Pairs {
 mod tests {
     use super::*;
     use crate::test_support::{owned, quadratic3, report_bits, rosenbrock, Counting, Golden};
-    use crate::{numerical_gradient, FnObjective, QuadraticObjective};
+    use crate::{numerical_gradient, FnObjective, OptimError, QuadraticObjective};
     use dre_linalg::Matrix;
 
     #[test]
@@ -196,7 +185,6 @@ mod tests {
 
     #[test]
     fn validates_inputs() {
-        assert!(Lbfgs::new(StopCriteria::default()).with_memory(0).is_err());
         let q = QuadraticObjective::new(Matrix::identity(2), vec![0.0, 0.0], 0.0);
         assert!(matches!(
             Lbfgs::new(StopCriteria::default()).minimize(&q, &[0.0]),
@@ -374,21 +362,4 @@ mod tests {
         35,
         true,
     );
-
-    #[test]
-    fn memory_one_still_converges() {
-        let a = Matrix::from_diag(&[2.0, 7.0]);
-        let q = QuadraticObjective::new(a, vec![1.0, 1.0], 0.0);
-        let r = Lbfgs::new(StopCriteria::default())
-            .with_memory(1)
-            .unwrap()
-            .minimize(&q, &[5.0, -5.0])
-            .unwrap();
-        assert!(r.converged);
-        let truth = dre_linalg::Cholesky::new(q.a())
-            .unwrap()
-            .solve(q.b())
-            .unwrap();
-        assert!(dre_linalg::vector::max_abs_diff(&r.x, &truth) < 1e-5);
-    }
 }

@@ -52,7 +52,7 @@ mod test_support;
 pub use bfgs::{Bfgs, InverseHessian};
 pub use error::OptimError;
 pub use gd::GradientDescent;
-pub use lbfgs::Lbfgs;
+pub use lbfgs::{Lbfgs, LBFGS_MEMORY};
 pub use line_search::{backtracking, strong_wolfe, LineSearchResult, WolfeStep};
 pub use objective::{numerical_gradient, FnObjective, Objective, QuadraticObjective};
 pub use report::{OptimReport, StopCriteria};

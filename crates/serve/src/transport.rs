@@ -295,12 +295,6 @@ pub struct FaultConfig {
     pub delay_prob: f64,
     /// The injected delay duration.
     pub delay: Duration,
-    /// Hard network partition: every exchange before logical step
-    /// `partition_until` is dropped unconditionally (no RNG consumed), so
-    /// chaos tests express partition-then-heal without wall-clock sleeps.
-    /// The step counter advances only via
-    /// [`FaultyConnector::advance_step`]; 0 disables the partition.
-    pub partition_until: u64,
 }
 
 impl Default for FaultConfig {
@@ -311,7 +305,6 @@ impl Default for FaultConfig {
             corrupt_prob: 0.0,
             delay_prob: 0.0,
             delay: Duration::from_millis(1),
-            partition_until: 0,
         }
     }
 }
@@ -341,6 +334,11 @@ pub struct FaultInjector {
     config: FaultConfig,
     counts: FaultCounts,
     step: u64,
+    /// Hard network partition: every exchange before this logical step is
+    /// dropped unconditionally (no RNG consumed), so chaos tests express
+    /// partition-then-heal without wall-clock sleeps. 0 (the start)
+    /// disables it.
+    partition_until: u64,
 }
 
 impl FaultInjector {
@@ -351,6 +349,7 @@ impl FaultInjector {
             config,
             counts: FaultCounts::default(),
             step: 0,
+            partition_until: 0,
         }
     }
 
@@ -359,7 +358,7 @@ impl FaultInjector {
         self.counts
     }
 
-    /// The current logical step (see [`FaultConfig::partition_until`]).
+    /// The current logical step (see [`FaultInjector::partition_until`]).
     pub fn step(&self) -> u64 {
         self.step
     }
@@ -370,9 +369,11 @@ impl FaultInjector {
     }
 
     /// Installs (or clears, with 0) a hard partition lasting until the
-    /// step clock reaches `until`.
+    /// step clock reaches `until`: every exchange before then is dropped
+    /// without consuming the fault RNG. The clock advances only via
+    /// [`FaultInjector::advance_step`].
     pub fn partition_until(&mut self, until: u64) {
-        self.config.partition_until = until;
+        self.partition_until = until;
     }
 
     fn roll(&mut self, p: f64) -> bool {
@@ -387,7 +388,7 @@ impl FaultInjector {
         request: &[u8],
         respond: impl FnOnce(&[u8]) -> Vec<u8>,
     ) -> Result<Vec<u8>> {
-        if self.step < self.config.partition_until {
+        if self.step < self.partition_until {
             // Hard drop, before any RNG roll: the fault schedule after the
             // partition heals is identical to a run that never had one.
             self.counts.partition_drops += 1;
@@ -623,11 +624,8 @@ mod tests {
 
     #[test]
     fn partition_until_hard_drops_every_frame_then_heals() {
-        let config = FaultConfig {
-            partition_until: 3,
-            ..FaultConfig::default()
-        };
-        let mut conn = FaultyConnector::new(Echo, FaultInjector::new(5, config));
+        let mut conn = FaultyConnector::new(Echo, FaultInjector::new(5, FaultConfig::default()));
+        conn.partition_until(3);
         for step in 0..6u64 {
             assert_eq!(conn.step(), step);
             let mut t = conn.connect().unwrap();

@@ -184,7 +184,6 @@ fn variational_fit_matches_serial_exactly() {
         alpha: 1.0,
         truncation: 10,
         max_iters: 25,
-        ..VariationalConfig::default()
     })
     .unwrap();
     let par = vb.fit(&data, &mut seeded_rng(4)).unwrap();

@@ -305,7 +305,6 @@ fn faulty_transport_recovers_within_the_retry_budget() {
         corrupt_prob: 0.2,
         delay_prob: 0.1,
         delay: Duration::from_micros(200),
-        ..FaultConfig::default()
     };
     let policy = RetryPolicy {
         max_attempts: 10,
