@@ -14,8 +14,6 @@
 //! two clients built with the same seed sleep the same schedule, which
 //! keeps the fault-injection tests reproducible.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;

@@ -52,6 +52,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Serving code answers the network: no `unwrap` or `expect` outside tests.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod client;
 pub mod crc32;

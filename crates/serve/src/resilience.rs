@@ -199,21 +199,12 @@ impl CircuitBreaker {
 pub struct StalePriorCache {
     ttl: u64,
     entry: Option<(u64, MixturePrior)>,
-    hits: u64,
-    misses: u64,
-    expiries: u64,
 }
 
 impl StalePriorCache {
     /// An empty cache whose entries expire `ttl` steps after their fetch.
     pub fn new(ttl: u64) -> Self {
-        StalePriorCache {
-            ttl,
-            entry: None,
-            hits: 0,
-            misses: 0,
-            expiries: 0,
-        }
+        StalePriorCache { ttl, entry: None }
     }
 
     /// Stores the prior fetched at `step`, replacing any older entry.
@@ -222,39 +213,16 @@ impl StalePriorCache {
     }
 
     /// The cached prior and its age in steps, if present and within TTL.
-    /// An over-TTL entry is evicted (counted as an expiry), not served.
+    /// An over-TTL entry is evicted, not served.
     pub fn get(&mut self, step: u64) -> Option<(MixturePrior, u64)> {
-        match &self.entry {
-            Some((fetched_at, prior)) => {
-                let age = step.saturating_sub(*fetched_at);
-                if age > self.ttl {
-                    self.entry = None;
-                    self.expiries += 1;
-                    self.misses += 1;
-                    None
-                } else {
-                    self.hits += 1;
-                    Some((prior.clone(), age))
-                }
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
+        let (fetched_at, prior) = self.entry.as_ref()?;
+        let age = step.saturating_sub(*fetched_at);
+        if age > self.ttl {
+            self.entry = None;
+            None
+        } else {
+            Some((prior.clone(), age))
         }
-    }
-
-    /// Age of the cached entry at `step` without touching hit/miss
-    /// accounting; `None` when empty.
-    pub fn age(&self, step: u64) -> Option<u64> {
-        self.entry
-            .as_ref()
-            .map(|(fetched_at, _)| step.saturating_sub(*fetched_at))
-    }
-
-    /// (hits, misses, expiries) counters.
-    pub fn stats(&self) -> (u64, u64, u64) {
-        (self.hits, self.misses, self.expiries)
     }
 }
 
@@ -352,10 +320,8 @@ mod tests {
         assert_eq!(age, 1);
         let (_, age) = cache.get(8).expect("at TTL boundary");
         assert_eq!(age, 3);
-        assert_eq!(cache.age(8), Some(3));
         assert!(cache.get(9).is_none(), "over TTL must expire");
-        assert!(cache.get(9).is_none(), "expired entry is evicted");
-        assert_eq!(cache.stats(), (2, 3, 1));
+        assert!(cache.get(8).is_none(), "expired entry is evicted");
         // A fresh put revives the cache.
         cache.put(10, tiny_prior());
         assert!(cache.get(10).is_some());

@@ -147,11 +147,6 @@ impl<C: Connector> EdgeRuntime<C> {
         &self.breaker
     }
 
-    /// The stale-prior cache (age, stats).
-    pub fn cache(&self) -> &StalePriorCache {
-        &self.cache
-    }
-
     /// Every fit's mode tag, in step order.
     pub fn mode_trace(&self) -> &[FitMode] {
         &self.mode_trace
