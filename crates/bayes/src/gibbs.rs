@@ -7,16 +7,6 @@ use dre_prob::{CategoricalScratch, NiwPosteriorCache, NiwSufficientStats, Normal
 
 use crate::{BayesError, MixturePrior, Result};
 
-/// Cluster count below which **exact-recompute** predictive scoring stays
-/// serial: each item is an `O(d³)` factorization, so a handful of clusters
-/// already amortizes a thread spawn.
-const GIBBS_MIN_PAR_CLUSTERS: usize = 8;
-
-/// Cluster count below which **cached** predictive scoring stays serial.
-/// A cached evaluation is only an `O(d²)` triangular solve, so the spawn
-/// threshold is much higher than on the exact path.
-const GIBBS_MIN_PAR_CLUSTERS_CACHED: usize = 64;
-
 /// Configuration of a collapsed Gibbs run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GibbsConfig {
@@ -226,18 +216,15 @@ impl DpNiwGibbs {
                 // Candidate log-weights: existing clusters then a new one.
                 // Every cached evaluation is an O(d²) triangular solve; the
                 // K − 1 untouched clusters reuse their predictives as-is.
-                // Sampling itself stays strictly sequential below — the
-                // seeded RNG stream is untouched.
                 let k = clusters.len();
-                logw.resize(k + 1, 0.0);
-                dre_parallel::par_fill_slice_min(
-                    &mut logw[..k],
-                    &clusters,
-                    GIBBS_MIN_PAR_CLUSTERS_CACHED,
-                    |c| (c.len() as f64).ln() + c.predictive_log_pdf(x),
+                logw.clear();
+                logw.extend(
+                    clusters
+                        .iter()
+                        .map(|c| (c.len() as f64).ln() + c.predictive_log_pdf(x)),
                 );
                 stats.predictive_evals += k as u64;
-                logw[k] = alpha.ln() + prior_pred.log_pdf(x);
+                logw.push(alpha.ln() + prior_pred.log_pdf(x));
 
                 let choice = scratch.sample_from_log_weights(&logw, rng)?;
                 if choice == k {
@@ -304,7 +291,6 @@ impl DpNiwGibbs {
         log_joint_trace.push(self.log_joint_at(&assignments, &clusters, alpha)?);
 
         // Reusable per-point buffers, hoisted out of the sweep loop.
-        let mut score_buf: Vec<Result<f64>> = Vec::with_capacity(n);
         let mut logw: Vec<f64> = Vec::with_capacity(n + 1);
         let mut scratch = CategoricalScratch::new();
 
@@ -318,28 +304,14 @@ impl DpNiwGibbs {
                 }
 
                 // Candidate log-weights: existing clusters then a new one.
-                // Scoring a cluster costs an O(d³) posterior factorization
-                // and the clusters are independent, so this is the sweep's
-                // parallel hot path. Sampling itself stays strictly
-                // sequential below — the seeded RNG stream is untouched.
+                // Scoring a cluster costs an O(d³) posterior factorization.
                 let k = clusters.len();
-                score_buf.clear();
-                score_buf.extend((0..k).map(|_| Ok(0.0)));
-                dre_parallel::par_fill_slice_min(
-                    &mut score_buf,
-                    &clusters,
-                    GIBBS_MIN_PAR_CLUSTERS,
-                    |cluster| -> Result<f64> {
-                        let post = self.base.posterior(cluster)?;
-                        let pred = post.posterior_predictive()?;
-                        Ok((cluster.len() as f64).ln() + pred.log_pdf(x))
-                    },
-                );
                 stats.predictive_evals += k as u64;
                 stats.factorizations += k as u64;
                 logw.clear();
-                for r in score_buf.drain(..) {
-                    logw.push(r?);
+                for cluster in &clusters {
+                    let pred = self.base.posterior(cluster)?.posterior_predictive()?;
+                    logw.push((cluster.len() as f64).ln() + pred.log_pdf(x));
                 }
                 logw.push(alpha.ln() + prior_pred.log_pdf(x));
 
@@ -624,6 +596,55 @@ mod tests {
             re.cache_stats.factorizations,
             re.cache_stats.predictive_evals
         );
+    }
+
+    /// The same cached ≡ exact agreement on a 4-dimensional, 3-cluster
+    /// cloud under a vague base measure.
+    #[test]
+    fn gibbs_cached_matches_exact_recompute_trace() {
+        let mut rng = seeded_rng(21);
+        let centers = [
+            MvNormal::isotropic(vec![3.0; 4], 0.05).unwrap(),
+            MvNormal::isotropic(vec![-3.0; 4], 0.05).unwrap(),
+            MvNormal::isotropic(vec![0.0; 4], 0.05).unwrap(),
+        ];
+        let data: Vec<Vec<f64>> = (0..60).map(|i| centers[i % 3].sample(&mut rng)).collect();
+        let cfg = GibbsConfig {
+            alpha: 1.2,
+            burn_in: 2,
+            sweeps: 4,
+        };
+        let gibbs = DpNiwGibbs::new(NormalInverseWishart::vague(4).unwrap(), cfg).unwrap();
+
+        let rc = gibbs.fit(&data, &mut seeded_rng(8)).unwrap();
+        let re = gibbs.fit_exact(&data, &mut seeded_rng(8)).unwrap();
+
+        assert_eq!(
+            rc.assignments, re.assignments,
+            "cached vs exact assignments"
+        );
+        assert_eq!(
+            rc.cluster_trace, re.cluster_trace,
+            "cached vs exact clusters"
+        );
+        assert_eq!(rc.log_joint_trace.len(), re.log_joint_trace.len());
+        for (i, (a, b)) in rc
+            .log_joint_trace
+            .iter()
+            .zip(&re.log_joint_trace)
+            .enumerate()
+        {
+            assert!(
+                (a - b).abs() < 1e-6,
+                "log joint entry {i} diverged: cached {a} vs exact {b}"
+            );
+        }
+        assert!(
+            rc.cache_stats.hit_rate() > 0.99,
+            "cache hit rate too low: {:?}",
+            rc.cache_stats
+        );
+        assert_eq!(re.cache_stats.hit_rate(), 0.0);
     }
 
     #[test]

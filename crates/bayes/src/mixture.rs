@@ -7,11 +7,6 @@ use rand::Rng;
 
 use crate::{BayesError, Result};
 
-/// Component count below which per-component density terms stay serial —
-/// the transferred priors usually have a handful of components, where a
-/// thread spawn costs more than the `O(d²)` solves it distributes.
-const MIXTURE_MIN_PAR_COMPONENTS: usize = 8;
-
 /// One Gaussian component `(w, μ, Σ)` of a [`MixturePrior`].
 #[derive(Debug, Clone)]
 pub struct MixtureComponent {
@@ -273,29 +268,24 @@ impl MixturePrior {
     }
 
     /// Log-density `log π(θ) = log Σ_k w_k N(θ; μ_k, Σ_k)`.
-    ///
-    /// Per-component terms are independent (and each is an `O(d²)`
-    /// triangular solve), so mixtures with many components evaluate them in
-    /// parallel; the combining `log_sum_exp` is unchanged, making the value
-    /// identical to the serial path.
     pub fn log_pdf(&self, theta: &[f64]) -> f64 {
-        let terms = dre_parallel::par_map_indexed_min(
-            self.components.len(),
-            MIXTURE_MIN_PAR_COMPONENTS,
-            |k| self.log_weights[k] + self.components[k].density.log_pdf(theta),
-        );
-        dre_linalg::vector::log_sum_exp(&terms)
+        dre_linalg::vector::log_sum_exp(&self.weighted_log_densities(theta))
     }
 
     /// E-step responsibilities `r_k ∝ w_k N(θ; μ_k, Σ_k)` (normalized).
     pub fn responsibilities(&self, theta: &[f64]) -> Vec<f64> {
-        let mut r = dre_parallel::par_map_indexed_min(
-            self.components.len(),
-            MIXTURE_MIN_PAR_COMPONENTS,
-            |k| self.log_weights[k] + self.components[k].density.log_pdf(theta),
-        );
+        let mut r = self.weighted_log_densities(theta);
         dre_linalg::vector::softmax_in_place(&mut r);
         r
+    }
+
+    /// The per-component terms `log w_k + log N(θ; μ_k, Σ_k)`.
+    fn weighted_log_densities(&self, theta: &[f64]) -> Vec<f64> {
+        self.log_weights
+            .iter()
+            .zip(&self.components)
+            .map(|(lw, c)| lw + c.density.log_pdf(theta))
+            .collect()
     }
 
     /// Builds the convex quadratic majorizer of `−log π(θ)` that is tight at

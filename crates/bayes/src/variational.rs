@@ -256,16 +256,16 @@ impl VariationalDpGmm {
                 .collect::<std::result::Result<_, _>>()?;
 
             // --- E-step: responsibilities. ---
-            // Points are independent given the current parameters; each
-            // point's row has exactly one writer, so the parallel result is
-            // bit-identical to the serial one.
-            responsibilities = dre_parallel::par_map_slice(data, |x| {
-                let mut logr: Vec<f64> = (0..k)
-                    .map(|j| e_log_w[j] + densities[j].log_pdf(x))
-                    .collect();
-                dre_linalg::vector::softmax_in_place(&mut logr);
-                logr
-            });
+            responsibilities = data
+                .iter()
+                .map(|x| {
+                    let mut logr: Vec<f64> = (0..k)
+                        .map(|j| e_log_w[j] + densities[j].log_pdf(x))
+                        .collect();
+                    dre_linalg::vector::softmax_in_place(&mut logr);
+                    logr
+                })
+                .collect();
 
             // --- M-step. ---
             let mut occupancy = vec![0.0; k];
@@ -284,12 +284,9 @@ impl VariationalDpGmm {
             // Gaussian parameters, with MAP shrinkage of the covariance
             // toward the global covariance (pseudo-count s₀) to rule out the
             // covariance-collapse degeneracy on starved components.
-            // Components are independent given the responsibilities, and
-            // each accumulates over the data in its original order — so the
-            // per-component sums match the serial path exactly.
-            let updates = dre_parallel::par_map_indexed_min(k, 2, |j| {
+            for j in 0..k {
                 if occupancy[j] < 1e-8 {
-                    return None; // starved component: keep previous parameters
+                    continue; // starved component: keep previous parameters
                 }
                 let mut mu = vec![0.0; d];
                 for (x, r) in data.iter().zip(&responsibilities) {
@@ -309,13 +306,8 @@ impl VariationalDpGmm {
                     .scaled(1.0 / (occupancy[j] + VB_COV_PRIOR_STRENGTH));
                 cov.add_diag(VB_COV_REG);
                 cov.symmetrize();
-                Some((mu, cov))
-            });
-            for (j, up) in updates.into_iter().enumerate() {
-                if let Some((mu, cov)) = up {
-                    means[j] = mu;
-                    covs[j] = cov;
-                }
+                means[j] = mu;
+                covs[j] = cov;
             }
 
             // --- Objective: expected-weight mixture log-likelihood. ---
@@ -367,8 +359,7 @@ fn mixture_log_likelihood(
         .zip(covs)
         .map(|(m, c)| MvNormal::new(m.clone(), c))
         .collect::<std::result::Result<_, _>>()?;
-    // Fixed-order chunked reduction: deterministic and identical serial or
-    // parallel.
+    // Fixed chunked summation tree, shared with the other sample sums.
     Ok(dre_parallel::par_sum_indexed(data.len(), |i| {
         let x = &data[i];
         let terms: Vec<f64> = densities

@@ -1,13 +1,15 @@
-//! Serial-vs-parallel and cached-vs-recompute wall-time comparison for the
-//! workspace's hot kernels.
+//! Before/after wall-time comparisons for the workspace's hot kernels: the
+//! cached against the exact-recompute Gibbs sweep, rank-1 Cholesky updates
+//! against refactorization, and the serving plane, edge runtime, learner
+//! and event executor at their measured rates.
 //!
 //! Writes `BENCH_parallel.json` at the repository root: per kernel the two
 //! wall times (each the median and p10/p90 of [`TRIALS`] runs), the speedup
 //! of the medians, and an output diff checked against a per-kernel
-//! tolerance (0 for the execution-layer kernels, which are bit-identical by
-//! construction; the documented cache tolerance for the incremental-Gibbs
-//! kernel). The process exits nonzero when any kernel exceeds its
-//! tolerance, so CI can run it as a correctness smoke test.
+//! tolerance (0 for the serving and executor kernels, which must not
+//! corrupt a byte or move an event; the documented cache tolerance for the
+//! incremental-Gibbs kernel). The process exits nonzero when any kernel
+//! exceeds its tolerance, so CI can run it as a correctness smoke test.
 //!
 //! Every kernel is one row of [`KERNELS`]: a function that runs it at a
 //! [`Size`] and returns its measured fields, plus its tolerance and perf
@@ -19,16 +21,14 @@
 //! * `--smoke` — shrink every problem size so the run completes in seconds
 //!   and skip rewriting `BENCH_parallel.json`; used by CI.
 //!
-//! On single-core machines the thread speedups hover around 1× (a warning
-//! is printed), so the report also times the seed's row-at-a-time matmul
-//! against the current row-blocked kernel and the exact-recompute Gibbs
-//! against the predictive-cached one — both wins are algorithmic and
-//! visible without threads.
+//! On single-core machines the serving plane's scaling rows hover around
+//! 1× (a warning is printed); the other rows measure algorithmic wins that
+//! are visible without threads.
 
 use std::net::SocketAddr;
 use std::time::Instant;
 
-use dre_bayes::{DpNiwGibbs, GibbsConfig, MixturePrior, VariationalConfig, VariationalDpGmm};
+use dre_bayes::{DpNiwGibbs, GibbsConfig, MixturePrior};
 use dre_bench::degraded::{
     degraded_scenario, readings_below_floor, run_degraded_rounds, spawn_degraded_fleet,
 };
@@ -38,10 +38,7 @@ use dre_edgesim::{
 };
 use dre_learner::{AdmissionConfig, AdmissionState, SirConfig, SirDpFilter};
 use dre_linalg::{Cholesky, Matrix};
-use dre_models::{LinearModel, LogisticLoss};
-use dre_optim::Objective as _;
 use dre_prob::{seeded_rng, MvNormal, NormalInverseWishart};
-use dre_robust::{WassersteinBall, WassersteinDualObjective};
 use dre_serve::{
     PriorClient, PriorServer, RetryPolicy, ServeConfig, ServerHandle, ShardPlaneConfig,
     ShardedPriorPlane, TcpConnector,
@@ -85,9 +82,9 @@ struct Kernel {
     /// Largest acceptable `max_abs_diff` (NaN always fails).
     tolerance: f64,
     /// Whether this kernel's headline number is a thread-scaling claim.
-    /// Outside `--smoke`, running any such kernel with a single worker
-    /// thread fails the run: a `"threads": 1` report would record
-    /// meaningless ~1× speedups as if they were measurements.
+    /// Outside `--smoke`, running any such kernel on a single-thread host
+    /// fails the run: its report would record meaningless ~1× speedups as
+    /// if they were measurements.
     expects_parallelism: bool,
     gate: Gate,
 }
@@ -111,12 +108,8 @@ const fn kernel(run: fn(Size) -> Row, tolerance: f64, threads: bool, gate: Gate)
 /// thread-scaling claims, `ALGO` the single-threaded comparisons.
 #[rustfmt::skip]
 const KERNELS: &[Kernel] = &[
-    kernel(matmul,                           0.0,  THREADS, Gate::None),
-    kernel(gibbs_sweep_scoring,              0.0,  THREADS, Gate::None),
     kernel(gibbs_sweep_cached,               1e-6, ALGO,    Gate::None),
     kernel(chol_rank1_update,                1e-8, ALGO,    Gate::None),
-    kernel(em_estep_variational,             0.0,  THREADS, Gate::None),
-    kernel(dual_evaluation,                  0.0,  THREADS, Gate::None),
     kernel(serve_loopback_rps,               0.0,  THREADS, Gate::None),
     kernel(serve_loopback_rps_keepalive,     0.0,  ALGO,    Gate::None),
     kernel(serve_loopback_rps_multicore,     0.0,  THREADS, Gate::AtLeast("speedup", 3.0)),
@@ -131,35 +124,19 @@ type Fields = Vec<(&'static str, JsonValue)>;
 
 /// What one kernel run hands back to the table loop.
 struct Row {
-    /// The JSON row name; it carries the problem size (`matmul_768x768`).
+    /// The JSON row name; it carries the problem size
+    /// (`chol_rank1_update_d64`).
     name: String,
     /// Output disagreement checked against the kernel's tolerance.
     diff: f64,
     /// Timing and provenance fields, in JSON order after `name`; the loop
     /// appends `max_abs_diff` and `tolerance`.
     fields: Fields,
-    /// An algorithmic before/after row for `serial_baselines`.
-    baseline: Option<(String, Fields)>,
 }
 
 impl Row {
     fn new(name: String, diff: f64, fields: Fields) -> Row {
-        Row {
-            name,
-            diff,
-            fields,
-            baseline: None,
-        }
-    }
-
-    /// The standard serial-vs-parallel row.
-    fn serial_vs_parallel(name: String, serial_ms: Timing, parallel_ms: Timing, diff: f64) -> Row {
-        let fields = vec![
-            ("serial_ms", serial_ms.into()),
-            ("parallel_ms", parallel_ms.into()),
-            ("speedup", (serial_ms.median / parallel_ms.median).into()),
-        ];
-        Row::new(name, diff, fields)
+        Row { name, diff, fields }
     }
 
     /// The numeric field `key`, or NaN.
@@ -206,17 +183,16 @@ fn main() {
     } else {
         Size::Full
     };
-    let threads = dre_parallel::max_threads();
+    let threads = hw_threads();
     if threads <= 1 {
         eprintln!(
-            "warning: only 1 worker thread available; serial-vs-parallel speedups \
-             will hover around 1x on this host (the seed-vs-tuned and \
-             recompute-vs-cached rows measure algorithmic wins and remain valid)"
+            "warning: only 1 hardware thread available; the serving plane's scaling \
+             speedups will hover around 1x on this host (the other rows measure \
+             algorithmic wins and remain valid)"
         );
     }
     let gated = size == Size::Full && !degraded_host();
     let mut rows = Vec::new();
-    let mut baselines = Vec::new();
     let mut violations = 0usize;
     let mut one_thread_offenders = Vec::new();
     for kernel in KERNELS {
@@ -235,9 +211,9 @@ fn main() {
             _ => None,
         };
         if let Some((key, side, bound)) = miss {
-            let (value, hw) = (row.number(key), hw_threads());
+            let value = row.number(key);
             eprintln!(
-                "FAIL {name}: {key} {value:.3} is {side} the {bound} gate on a {hw}-core host"
+                "FAIL {name}: {key} {value:.3} is {side} the {bound} gate on a {threads}-core host"
             );
             violations += 1;
         }
@@ -250,9 +226,6 @@ fn main() {
             ("tolerance", tolerance.into()),
         ]);
         rows.push(report_line(&name, fields));
-        if let Some((name, fields)) = row.baseline {
-            baselines.push(report_line(&name, fields));
-        }
     }
 
     if size == Size::Smoke {
@@ -265,30 +238,24 @@ fn main() {
                 "generated_by",
                 JsonValue::from("cargo run --release -p dre-bench --bin bench_parallel"),
             ),
-            ("threads", JsonValue::from(threads)),
-            ("hw_threads", JsonValue::from(hw_threads())),
-            (
-                "parallel_feature",
-                JsonValue::from(cfg!(feature = "parallel")),
-            ),
+            ("hw_threads", JsonValue::from(threads)),
             ("kernels", JsonValue::array(rows)),
-            ("serial_baselines", JsonValue::array(baselines)),
         ]);
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_parallel.json");
         std::fs::write(path, report.pretty()).expect("write BENCH_parallel.json");
         println!("wrote {path}");
 
         // Provenance gate: a full run that timed thread-scaling kernels on
-        // one worker thread must not pass quietly — its recorded speedups
+        // a single-thread host must not pass quietly — its recorded speedups
         // would be ~1x noise dressed up as measurements.
         if !one_thread_offenders.is_empty() {
             eprintln!(
-                "FAIL: parallelism-expecting kernel(s) ran with a single worker thread: {}",
+                "FAIL: parallelism-expecting kernel(s) ran on a single-thread host: {}",
                 one_thread_offenders.join(", ")
             );
             eprintln!(
-                "  re-run on a multi-core host (or set DRE_NUM_THREADS > 1) so the \
-                 recorded speedups and the \"threads\" provenance mean something"
+                "  re-run on a multi-core host so the recorded speedups and the \
+                 \"hw_threads\" provenance mean something"
             );
             violations += 1;
         }
@@ -340,13 +307,6 @@ fn time_trials<R>(trials: usize, mut f: impl FnMut() -> R) -> (Timing, R) {
         p90: rank(0.9),
     };
     (timing, out.expect("trials >= 1"))
-}
-
-/// [`time_trials`] in the default (parallel) mode, then forced serial.
-fn time_both_modes<R>(trials: usize, f: impl Fn() -> R) -> ((Timing, R), (Timing, R)) {
-    let parallel = time_trials(trials, &f);
-    let serial = time_trials(trials, || dre_parallel::with_serial(&f));
-    (parallel, serial)
 }
 
 fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
@@ -406,49 +366,6 @@ fn clustered_params(m: usize, d: usize, seed: u64) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// The seed's streaming-axpy matmul (zero-skip, no tiling, no transpose) —
-/// kept here as the timing baseline for the tiled kernel.
-fn seed_matmul(a: &Matrix, b: &Matrix) -> Matrix {
-    let mut out = vec![0.0; a.rows() * b.cols()];
-    for i in 0..a.rows() {
-        let orow = &mut out[i * b.cols()..(i + 1) * b.cols()];
-        for (k, &aik) in a.row(i).iter().enumerate() {
-            if aik == 0.0 {
-                continue;
-            }
-            for (o, &bkj) in orow.iter_mut().zip(b.row(k)) {
-                *o += aik * bkj;
-            }
-        }
-    }
-    Matrix::from_vec(a.rows(), b.cols(), out).expect("shape matches data")
-}
-
-/// Tiled matmul, row-parallel vs serial, plus the seed kernel as the
-/// single-threaded algorithmic baseline.
-fn matmul(size: Size) -> Row {
-    let n = size.pick(96, 768);
-    let mut rng = seeded_rng(11);
-    let a = random_matrix(&mut rng, n, n);
-    let b = random_matrix(&mut rng, n, n);
-    let ((par_ms, par_out), (ser_ms, ser_out)) =
-        time_both_modes(TRIALS, || a.matmul(&b).expect("dims agree"));
-    let diff = max_abs_diff(par_out.as_slice(), ser_out.as_slice());
-    let (seed_ms, seed_out) = time_trials(TRIALS, || seed_matmul(&a, &b));
-    let seed_diff = max_abs_diff(seed_out.as_slice(), ser_out.as_slice());
-    let mut row = Row::serial_vs_parallel(format!("matmul_{n}x{n}"), ser_ms, par_ms, diff);
-    row.baseline = Some((
-        format!("matmul_{n}x{n}_seed_kernel_vs_blocked"),
-        vec![
-            ("baseline_ms", seed_ms.into()),
-            ("tuned_ms", ser_ms.into()),
-            ("speedup", (seed_ms.median / ser_ms.median).into()),
-            ("max_abs_diff", seed_diff.into()),
-        ],
-    ));
-    row
-}
-
 /// The Gibbs kernels' input: clustered 6-D parameters and the cached
 /// sampler's configuration.
 fn gibbs_problem(size: Size) -> (Vec<Vec<f64>>, GibbsConfig) {
@@ -466,27 +383,8 @@ fn gibbs_sampler(config: GibbsConfig) -> DpNiwGibbs {
     DpNiwGibbs::new(base, config).expect("valid config")
 }
 
-/// Gibbs sweep scoring on the cached path, serial vs parallel.
-fn gibbs_sweep_scoring(size: Size) -> Row {
-    let (params, config) = gibbs_problem(size);
-    let gibbs = gibbs_sampler(config);
-    let ((par_ms, par_fit), (ser_ms, ser_fit)) = time_both_modes(TRIALS, || {
-        gibbs
-            .fit(&params, &mut seeded_rng(9))
-            .expect("fit succeeds")
-    });
-    // The sampler consumes the identical RNG stream either way, so the
-    // assignments must agree exactly; the joint trace doubles as an fp check.
-    let diff = (mismatches(&par_fit.assignments, &ser_fit.assignments) as f64).max(max_abs_diff(
-        &par_fit.log_joint_trace,
-        &ser_fit.log_joint_trace,
-    ));
-    let name = format!("gibbs_sweep_scoring_m{}", params.len());
-    Row::serial_vs_parallel(name, ser_ms, par_ms, diff)
-}
-
 /// Gibbs sweep, cached [`DpNiwGibbs::fit`] vs the exact-recompute
-/// reference [`DpNiwGibbs::fit_exact`] (both forced serial).
+/// reference [`DpNiwGibbs::fit_exact`].
 ///
 /// Identical sampler, identical seed, scoring served from per-cluster
 /// predictive caches vs refactorized from scratch at every evaluation.
@@ -498,10 +396,10 @@ fn gibbs_sweep_cached(size: Size) -> Row {
     let gibbs = gibbs_sampler(config);
     let rng = || seeded_rng(9);
     let (cached_ms, cached_fit) = time_trials(TRIALS, || {
-        dre_parallel::with_serial(|| gibbs.fit(&params, &mut rng()).expect("fit succeeds"))
+        gibbs.fit(&params, &mut rng()).expect("fit succeeds")
     });
     let (exact_ms, exact_fit) = time_trials(TRIALS, || {
-        dre_parallel::with_serial(|| gibbs.fit_exact(&params, &mut rng()).expect("fit succeeds"))
+        gibbs.fit_exact(&params, &mut rng()).expect("fit succeeds")
     });
     let structural = mismatches(&cached_fit.assignments, &exact_fit.assignments)
         + mismatches(&cached_fit.cluster_trace, &exact_fit.cluster_trace);
@@ -566,50 +464,6 @@ fn chol_rank1_update(size: Size) -> Row {
         ("speedup", (refac_ms.median / rank1_ms.median).into()),
     ];
     Row::new(format!("chol_rank1_update_d{d}"), diff, fields)
-}
-
-/// Variational EM fit (E-step bound), serial vs parallel.
-fn em_estep_variational(size: Size) -> Row {
-    let n = size.pick(80, 400);
-    let data = clustered_params(n, 6, 5);
-    let vb = VariationalDpGmm::new(VariationalConfig {
-        alpha: 1.0,
-        truncation: 15,
-        max_iters: size.pick(5, 30),
-    })
-    .expect("valid config");
-    let ((par_ms, par_vb), (ser_ms, ser_vb)) = time_both_modes(TRIALS, || {
-        vb.fit(&data, &mut seeded_rng(9)).expect("fit succeeds")
-    });
-    let diff = max_abs_diff(&par_vb.objective_trace, &ser_vb.objective_trace)
-        .max(max_abs_diff(&par_vb.weights, &ser_vb.weights));
-    Row::serial_vs_parallel(format!("em_estep_variational_n{n}"), ser_ms, par_ms, diff)
-}
-
-/// Wasserstein dual value, gradient and exact robust risk, serial vs
-/// parallel.
-fn dual_evaluation(size: Size) -> Row {
-    let (n, d) = (size.pick(500, 10_000), 20);
-    let mut rng = seeded_rng(7);
-    let gen = MvNormal::isotropic(vec![0.0; d], 1.0).expect("valid");
-    let xs = gen.sample_n(&mut rng, n);
-    let ys: Vec<f64> = xs
-        .iter()
-        .map(|x| if x[0] >= 0.0 { 1.0 } else { -1.0 })
-        .collect();
-    let ball = WassersteinBall::new(0.1, 1.0).expect("valid");
-    let obj = WassersteinDualObjective::new(&xs, &ys, LogisticLoss, ball).expect("valid dataset");
-    let packed: Vec<f64> = (0..d + 2).map(|i| 0.1 * i as f64).collect();
-    let model = LinearModel::from_packed(&packed[..d + 1]);
-    let ((par_ms, (pv, pg, pr)), (ser_ms, (sv, sg, sr))) = time_both_modes(TRIALS, || {
-        let (v, g) = obj.value_and_gradient(&packed);
-        (v, g, obj.exact_robust_risk(&model))
-    });
-    let diff = (pv - sv)
-        .abs()
-        .max(max_abs_diff(&pg, &sg))
-        .max((pr - sr).abs());
-    Row::serial_vs_parallel(format!("dual_evaluation_n{n}_d20"), ser_ms, par_ms, diff)
 }
 
 /// The fitted prior every serving kernel registers as task 1, and its
@@ -700,7 +554,7 @@ fn cache_faults(server: &ServerHandle, expected: &[u8]) -> usize {
 /// is zero.
 fn serve_loopback_rps(size: Size) -> Row {
     let (prior, expected) = serve_prior();
-    let clients = dre_parallel::max_threads().clamp(2, 8);
+    let clients = hw_threads().clamp(2, 8);
     let server = serve(clients, &prior);
     let requests = size.pick(64, 512);
     let fleet = |clients| fetch_fleet(server.addr(), clients, requests, false, &expected);
@@ -728,7 +582,7 @@ fn serve_loopback_rps(size: Size) -> Row {
 /// so the tolerance is zero.
 fn serve_loopback_rps_keepalive(size: Size) -> Row {
     let (prior, expected) = serve_prior();
-    let clients = dre_parallel::max_threads().clamp(2, 8);
+    let clients = hw_threads().clamp(2, 8);
     let server = serve(clients, &prior);
     let requests = size.pick(64, 512);
     let fleet = |keep_alive| fetch_fleet(server.addr(), clients, requests, keep_alive, &expected);
@@ -742,7 +596,7 @@ fn serve_loopback_rps_keepalive(size: Size) -> Row {
         ("clients", clients.into()),
         // Single-core numbers are self-describing: this is the host's
         // thread count, not the fleet size.
-        ("threads", dre_parallel::max_threads().into()),
+        ("threads", hw_threads().into()),
         ("rps_fresh", per_sec(requests, fresh_ms.median)),
         ("rps_keepalive", per_sec(requests, keepalive_ms.median)),
     ];
@@ -761,7 +615,7 @@ fn serve_loopback_rps_keepalive(size: Size) -> Row {
 /// corrupted or uncached byte.
 fn serve_loopback_rps_multicore(size: Size) -> Row {
     let (prior, expected) = serve_prior();
-    let workers = dre_parallel::max_threads().clamp(4, 8);
+    let workers = hw_threads().clamp(4, 8);
     let clients = workers * 2;
     let requests = size.pick(128, 4096);
     let fleet = |server: &ServerHandle, keep_alive| {
@@ -875,7 +729,7 @@ fn serve_sharded_rps(size: Size) -> Row {
         ("workers_per_shard", 1usize.into()),
         // Provenance: aggregate scaling needs the shards to truly run in
         // parallel, so record what the host could actually do.
-        ("threads", dre_parallel::max_threads().into()),
+        ("threads", hw_threads().into()),
     ];
     fields.extend(host_fields());
     fields.extend([

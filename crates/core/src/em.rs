@@ -180,17 +180,16 @@ impl EdgeLearner {
                 LogisticLoss.value(model.margin(&data.features()[i], data.labels()[i]))
             }) / data.len() as f64
         };
-        // Score every candidate start concurrently (each score is itself a
-        // chunked deterministic sum); ties keep the first index, matching
-        // the sequential min_by scan. A single start needs no scores.
+        // Ties keep the first index (min_by's scan order). A single start
+        // needs no scores.
         let best = if starts.len() == 1 {
             0
         } else {
-            let scores = dre_parallel::par_map_slice_min(&starts, 2, |theta| empirical_risk(theta));
-            scores
+            starts
                 .iter()
+                .map(|theta| empirical_risk(theta))
                 .enumerate()
-                .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite scores"))
+                .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite scores"))
                 .expect("at least one start")
                 .0
         };
@@ -289,6 +288,68 @@ mod tests {
             .collect();
         let prior = MixturePrior::new(comps).unwrap();
         (family, prior)
+    }
+
+    /// The Wasserstein-DRO collapse of logistic regression. With label
+    /// cost `κ`, `max(ℓ(m), ℓ(−m) − γκ) ≥ (ℓ(m) + ℓ(−m) − γκ)/2 ≥ log 2 − γκ/2`,
+    /// so every model's robust risk is at least `log 2 + (ε − κ/2)·‖w‖`,
+    /// which the zero model attains. At `ε = 1 > κ/2` the zero model is the
+    /// strict minimizer and the kink at `w = 0` outweighs the prior's pull,
+    /// so a standard-family fit returns `w ≈ 0`: every point gets one label
+    /// (E2's chance-level row).
+    #[test]
+    fn radius_above_half_the_label_cost_collapses_the_fit_to_zero() {
+        let mut rng = seeded_rng(202);
+        let cfg = TaskFamilyConfig {
+            dim: 5,
+            num_clusters: 3,
+            cluster_separation: 4.0,
+            within_cluster_std: 0.25,
+            label_noise: 0.02,
+            steepness: 3.0,
+        };
+        let family = TaskFamily::generate(&cfg, &mut rng).unwrap();
+        let cloud = crate::CloudKnowledge::from_family(&family, 40, 400, 1.0, &mut rng).unwrap();
+        let data = family.sample_task(&mut rng).generate(20, &mut rng);
+        let fit_at = |epsilon| {
+            let config = EdgeLearnerConfig {
+                epsilon,
+                kappa: 1.0,
+                rho: 1.0,
+                em_rounds: 15,
+                em_tol: 1e-7,
+                solver_iters: 200,
+                multi_start: true,
+            };
+            EdgeLearner::new(config, cloud.prior().clone())
+                .unwrap()
+                .fit(&data)
+                .unwrap()
+        };
+        let collapsed = fit_at(1.0);
+        assert!(
+            collapsed.model.weight_norm() < 1e-6,
+            "‖w‖ = {:e}",
+            collapsed.model.weight_norm()
+        );
+
+        // The bound, checked along the ε = 0 fit's direction: no scaling
+        // of it beats the zero model's log 2 at this radius.
+        let ball = WassersteinBall::new(1.0, 1.0).unwrap();
+        let dual =
+            WassersteinDualObjective::new(data.features(), data.labels(), LogisticLoss, ball)
+                .unwrap();
+        let zero = LinearModel::from_packed(&[0.0; 6]);
+        let ln2 = std::f64::consts::LN_2;
+        assert!((dual.exact_robust_risk(&zero) - ln2).abs() < 1e-12);
+        assert!(dual.exact_robust_risk(&collapsed.model) - ln2 < 1e-4);
+        let informative = fit_at(0.0).model.to_packed();
+        for t in [1e-3, 1e-2, 0.1, 1.0] {
+            let scaled: Vec<f64> = informative.iter().map(|v| v * t).collect();
+            let model = LinearModel::from_packed(&scaled);
+            let risk = dual.exact_robust_risk(&model);
+            assert!(risk >= ln2 + 0.5 * model.weight_norm(), "t = {t}: {risk}");
+        }
     }
 
     #[test]

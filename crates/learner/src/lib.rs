@@ -31,8 +31,8 @@
 //!   scored once.
 //!
 //! Everything is deterministic by construction: particle-local seeded RNG
-//! streams make the per-report particle loop bit-identical under any
-//! thread count, and the ensemble→prior collapse uses exactly the batch
+//! streams make the per-report particle loop bit-identical on every rerun,
+//! and the ensemble→prior collapse uses exactly the batch
 //! Gibbs collapse rule — the same report stream always publishes
 //! byte-identical prior frames.
 

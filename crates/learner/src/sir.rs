@@ -26,10 +26,7 @@
 //! `(seed, birth-tag, particle index)`; resampling deterministically reseeds
 //! the offspring. Each particle's CRP draw is taken on its own stream in
 //! particle order, and the filter runs on the calling thread, so the same
-//! seed and report order give a bit-identical ensemble in every build and
-//! under any thread count. A push scores, stages and commits only the
-//! handful of distinct clusters in the ensemble, far too little work to pay
-//! for a thread spawn.
+//! seed and report order give a bit-identical ensemble in every build.
 //!
 //! # Shared clusters
 //!

@@ -5,27 +5,6 @@ use std::ops::{Index, IndexMut};
 
 use crate::{LinalgError, Result};
 
-/// Products needing at most this many multiply-adds take the unblocked
-/// legacy loop directly: below it the chunking bookkeeping costs more than
-/// row-blocking saves.
-const MATMUL_BLOCKED_MIN_FLOPS: usize = 8192;
-
-/// Output rows sharing one streaming pass over the RHS in the blocked
-/// matmul kernel: each RHS row is loaded once per block of 8 output rows
-/// (8× less RHS memory traffic than the row-at-a-time legacy loop) while
-/// the 8 accumulating output rows stay resident in L1.
-const MATMUL_I_BLOCK: usize = 8;
-
-/// Row count below which `matvec` is not worth a thread spawn.
-const MATVEC_MIN_PAR_ROWS: usize = 256;
-
-/// Fixed reduction chunk (in rows) for `matvec_t`; independent of thread
-/// count so the summation tree is schedule-invariant.
-pub const MATVEC_T_CHUNK: usize = 128;
-
-/// Minimum output elements per transpose task.
-const TRANSPOSE_MIN_ROWS_PER_TASK: usize = 4096;
-
 /// A dense, row-major `f64` matrix.
 ///
 /// Sized at construction; element access is bounds-checked through
@@ -210,30 +189,13 @@ impl Matrix {
     }
 
     /// Returns the transpose as a new matrix.
-    ///
-    /// Output rows (input columns) are gathered independently and, for
-    /// large matrices, in parallel — each output element has exactly one
-    /// writer, so the result never depends on scheduling.
     pub fn transpose(&self) -> Matrix {
         let (rows, cols) = (self.rows, self.cols);
-        if rows == 0 || cols == 0 {
-            return Matrix::zeros(cols, rows);
-        }
-        // One chunk of output rows per task; gathering a strided column is
-        // memory-bound, so only split when there is real work.
-        let chunk = cols
-            .div_ceil(dre_parallel::effective_threads() * 4)
-            .max(TRANSPOSE_MIN_ROWS_PER_TASK / rows.max(1) + 1);
-        let parts = dre_parallel::run_chunked(cols, chunk, |c0, c1| {
-            let mut block: Vec<f64> = Vec::with_capacity((c1 - c0) * rows);
-            for c in c0..c1 {
-                block.extend(self.data[c..].iter().step_by(cols).take(rows).copied());
-            }
-            block
-        });
         let mut data = Vec::with_capacity(rows * cols);
-        for p in parts {
-            data.extend(p);
+        if rows > 0 {
+            for c in 0..cols {
+                data.extend(self.data[c..].iter().step_by(cols).take(rows).copied());
+            }
         }
         Matrix {
             rows: cols,
@@ -244,16 +206,9 @@ impl Matrix {
 
     /// Matrix–matrix product `self * other`.
     ///
-    /// Large products run a row-blocked streaming-axpy kernel over
-    /// contiguous row chunks in parallel: within each chunk, blocks of
-    /// `MATMUL_I_BLOCK` output rows share one streaming pass over the RHS,
-    /// so each RHS row is loaded from memory once per block instead of once
-    /// per output row. Every output row still accumulates in ascending-`k`
-    /// order with the same zero-skip as the historical kernel, so the result
-    /// is bit-identical to the legacy serial product and independent of the
-    /// thread count (each row has exactly one writer). Small products take
-    /// the unblocked legacy loop directly; the kernel choice depends only on
-    /// the shapes.
+    /// A streaming-axpy loop: each output row accumulates `a_ik · other[k]`
+    /// in ascending-`k` order, skipping zero entries of `self`, with no
+    /// transpose allocation.
     ///
     /// # Errors
     ///
@@ -266,52 +221,6 @@ impl Matrix {
                 rhs: other.shape(),
             });
         }
-        let flops = self.rows * self.cols * other.cols;
-        if flops <= MATMUL_BLOCKED_MIN_FLOPS {
-            return Ok(self.matmul_small(other));
-        }
-        let n = other.cols;
-        let chunk = self
-            .rows
-            .div_ceil(dre_parallel::effective_threads() * 4)
-            .max(1);
-        let parts = dre_parallel::run_chunked(self.rows, chunk, |r0, r1| {
-            let mut block = vec![0.0; (r1 - r0) * n];
-            let mut i0 = r0;
-            while i0 < r1 {
-                let i1 = (i0 + MATMUL_I_BLOCK).min(r1);
-                for k in 0..self.cols {
-                    let brow = &other.data[k * n..(k + 1) * n];
-                    for i in i0..i1 {
-                        let aik = self[(i, k)];
-                        if aik == 0.0 {
-                            continue;
-                        }
-                        let orow = &mut block[(i - r0) * n..(i - r0 + 1) * n];
-                        for (o, &bv) in orow.iter_mut().zip(brow) {
-                            *o += aik * bv;
-                        }
-                    }
-                }
-                i0 = i1;
-            }
-            block
-        });
-        let mut data = Vec::with_capacity(self.rows * n);
-        for p in parts {
-            data.extend(p);
-        }
-        Ok(Matrix {
-            rows: self.rows,
-            cols: n,
-            data,
-        })
-    }
-
-    /// The historical streaming-axpy product, kept for small shapes: no
-    /// transpose allocation, zero-entries skipped, exact legacy summation
-    /// order.
-    fn matmul_small(&self, other: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(self.rows, other.cols);
         for i in 0..self.rows {
             for k in 0..self.cols {
@@ -326,14 +235,10 @@ impl Matrix {
                 }
             }
         }
-        out
+        Ok(out)
     }
 
     /// Matrix–vector product `self * x`.
-    ///
-    /// Rows are independent dot products (one writer per output element),
-    /// evaluated in parallel for tall matrices; values match the serial
-    /// path bit-for-bit.
     ///
     /// # Errors
     ///
@@ -346,47 +251,9 @@ impl Matrix {
                 rhs: (x.len(), 1),
             });
         }
-        Ok(dre_parallel::par_map_indexed_min(
-            self.rows,
-            MATVEC_MIN_PAR_ROWS,
-            |r| crate::vector::dot(self.row(r), x),
-        ))
-    }
-
-    /// Transposed matrix–vector product `selfᵀ * x`.
-    ///
-    /// Rows are folded into per-chunk axpy partials (`MATVEC_T_CHUNK`
-    /// rows each) combined in chunk order. The chunk size is independent of
-    /// the thread count, so the summation tree — and therefore the result —
-    /// is identical serial or parallel; matrices of at most
-    /// `MATVEC_T_CHUNK` rows reduce in a single chunk, reproducing the
-    /// historical serial result exactly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] when `x.len() != self.rows()`.
-    pub fn matvec_t(&self, x: &[f64]) -> Result<Vec<f64>> {
-        if x.len() != self.rows {
-            return Err(LinalgError::ShapeMismatch {
-                op: "matvec_t",
-                lhs: self.shape(),
-                rhs: (x.len(), 1),
-            });
-        }
-        let parts = dre_parallel::run_chunked(self.rows, MATVEC_T_CHUNK, |r0, r1| {
-            let mut partial = vec![0.0; self.cols];
-            for r in r0..r1 {
-                crate::vector::axpy(x[r], self.row(r), &mut partial);
-            }
-            partial
-        });
-        let mut out = vec![0.0; self.cols];
-        for p in parts {
-            for (o, v) in out.iter_mut().zip(&p) {
-                *o += v;
-            }
-        }
-        Ok(out)
+        Ok((0..self.rows)
+            .map(|r| crate::vector::dot(self.row(r), x))
+            .collect())
     }
 
     /// Element-wise sum `self + other`.
@@ -630,13 +497,13 @@ mod tests {
     fn matvec_and_transpose_product() {
         let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]).unwrap();
         assert_eq!(a.matvec(&[1.0, 0.0, -1.0]).unwrap(), vec![-2.0, -2.0]);
-        assert_eq!(a.matvec_t(&[1.0, 1.0]).unwrap(), vec![5.0, 7.0, 9.0]);
         assert!(a.matvec(&[1.0]).is_err());
-        assert!(a.matvec_t(&[1.0]).is_err());
 
         let t = a.transpose();
         assert_eq!(t.shape(), (3, 2));
         assert_eq!(t[(2, 1)], 6.0);
+        assert_eq!(t.matvec(&[1.0, 1.0]).unwrap(), vec![5.0, 7.0, 9.0]);
+        assert_eq!(Matrix::zeros(0, 3).transpose().shape(), (3, 0));
     }
 
     #[test]

@@ -217,14 +217,17 @@ impl<'a, L: MarginLoss> WassersteinDualObjective<'a, L> {
     pub fn exact_robust_risk(&self, model: &LinearModel) -> f64 {
         let n = self.xs.len();
         // Per-sample losses at the margin and at its label flip, from the
-        // fused loss kernel; the sum below uses the fixed-order chunked
-        // reduction, so the certificate is the same on any thread count.
-        let mut losses: Vec<(f64, f64)> = dre_parallel::par_map_indexed(n, |i| {
-            let (own, flipped, _, _) = self
-                .loss
-                .eval_both_signs(model.margin(&self.xs[i], self.ys[i]));
-            (own, flipped)
-        });
+        // fused loss kernel; the sums below use the fixed chunked summation
+        // tree of the dual kernel.
+        let mut losses: Vec<(f64, f64)> = self
+            .xs
+            .iter()
+            .zip(self.ys)
+            .map(|(x, &y)| {
+                let (own, flipped, _, _) = self.loss.eval_both_signs(model.margin(x, y));
+                (own, flipped)
+            })
+            .collect();
         let gamma_lo = self.loss.margin_lipschitz() * model.weight_norm();
         let eps = self.ball.radius();
         let kappa = self.ball.label_cost();
@@ -317,9 +320,9 @@ impl<L: MarginLoss> Objective for WassersteinDualObjective<'_, L> {
             gtail[0] += y * coeff;
         };
 
-        // Fixed-size chunks merged in chunk order, so the summation tree is
-        // identical whether the chunks run serially or across threads. One
-        // chunk accumulates straight into `grad`, with no allocation.
+        // Rows fold into `REDUCE_CHUNK`-sized partials merged in chunk
+        // order, the summation tree every sample sum here shares. One chunk
+        // accumulates straight into `grad`, with no allocation.
         grad.fill(0.0);
         let (mut total, mut flip_mass) = (0.0f64, 0.0f64);
         if n_rows <= dre_parallel::REDUCE_CHUNK {

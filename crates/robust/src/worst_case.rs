@@ -41,14 +41,14 @@ pub fn feature_shift_attack(
     let dir: Vec<f64> = model.weights().iter().map(|w| w / norm).collect();
     // Write each shifted row directly instead of clone-then-axpy: one pass,
     // no intermediate copy of the original row.
-    Ok(dre_parallel::par_map_indexed(xs.len(), |i| {
-        let scale = -ys[i] * budget;
-        xs[i]
-            .iter()
-            .zip(&dir)
-            .map(|(xi, di)| xi + scale * di)
-            .collect()
-    }))
+    Ok(xs
+        .iter()
+        .zip(ys)
+        .map(|(x, y)| {
+            let scale = -y * budget;
+            x.iter().zip(&dir).map(|(xi, di)| xi + scale * di).collect()
+        })
+        .collect())
 }
 
 /// Accuracy of the model after the optimal per-sample ℓ2 feature attack of
@@ -69,15 +69,11 @@ pub fn adversarial_accuracy(
         });
     }
     let attacked = feature_shift_attack(model, xs, ys, budget)?;
-    // An exact integer count commutes, so the parallel tally is independent
-    // of chunking; the division happens once at the end.
-    let correct: usize = dre_parallel::par_fold_chunks(
-        attacked.len(),
-        || 0usize,
-        |acc, i| acc + usize::from(model.predict(&attacked[i]) == ys[i]),
-    )
-    .into_iter()
-    .sum();
+    let correct = attacked
+        .iter()
+        .zip(ys)
+        .filter(|(x, &y)| model.predict(x) == y)
+        .count();
     Ok(correct as f64 / xs.len() as f64)
 }
 

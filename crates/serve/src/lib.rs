@@ -17,9 +17,10 @@
 //!   with an atomic generation: a prior hit is one atomic load, a lookup
 //!   in the worker's own [`server::PriorView`], and one write of the
 //!   generation-stamped pre-encoded frame — zero locks, no payload
-//!   clone, no CRC recompute. Admission shedding, per-connection
-//!   deadlines, panic containment, and graceful shutdown carry over from
-//!   the threaded runtime unchanged.
+//!   clone, no CRC recompute. Connections past the admission cap are
+//!   shed with `Busy`, every connection has read and write deadlines, a
+//!   panicking handler closes only its own connection, and shutdown is
+//!   graceful.
 //! * [`client`] — an edge client with bounded retries, deterministic
 //!   exponential backoff with seeded jitter, typed errors that
 //!   distinguish retryable transport trouble from fatal protocol

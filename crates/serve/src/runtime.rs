@@ -84,14 +84,10 @@ pub struct RuntimeFit {
 }
 
 /// Deterministic counters the runtime keeps alongside the client metrics.
+/// Fits per rung are not counted here: tally [`EdgeRuntime::mode_trace`]
+/// with [`dro_edge::ModeShares`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RuntimeCounters {
-    /// Fits that ran on a freshly fetched prior.
-    pub fresh_fits: u64,
-    /// Fits that ran on a cached (stale) prior.
-    pub stale_fits: u64,
-    /// Fits that fell back to local-only ERM.
-    pub local_only_fits: u64,
     /// Fetch operations that failed after the client's retry budget.
     pub fetch_failures: u64,
     /// Fetches skipped because the breaker was open.
@@ -189,18 +185,15 @@ impl<C: Connector> EdgeRuntime<C> {
         let (model, mode) = match fetched {
             Some(prior) => {
                 let fit = EdgeLearner::new(self.config.learner, prior)?.fit(data)?;
-                self.counters.fresh_fits += 1;
                 (fit.model, FitMode::FreshPrior)
             }
             None => match self.cache.get(step) {
                 Some((prior, age)) => {
                     let fit = EdgeLearner::new(self.config.learner, prior)?.fit(data)?;
-                    self.counters.stale_fits += 1;
                     (fit.model, FitMode::StalePrior { age })
                 }
                 None => {
                     let model = baselines::fit_local_erm(data, self.config.erm_lambda)?;
-                    self.counters.local_only_fits += 1;
                     (model, FitMode::LocalOnly)
                 }
             },
@@ -250,6 +243,7 @@ mod tests {
     use crate::server::{InMemoryServer, ServerState};
     use crate::transport::{FaultConfig, FaultInjector, FaultyConnector};
     use dre_linalg::Matrix;
+    use dro_edge::ModeShares;
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -329,7 +323,7 @@ mod tests {
             assert_eq!(fit.breaker, BreakerState::Closed);
             assert!(fit.reported);
         }
-        assert_eq!(rt.counters().fresh_fits, 3);
+        assert_eq!(rt.mode_trace(), &[FitMode::FreshPrior; 3]);
         assert_eq!(state.take_reports().len(), 3);
     }
 
@@ -361,10 +355,12 @@ mod tests {
         let baseline = baselines::fit_local_erm(&data, rt.config.erm_lambda).unwrap();
         assert_eq!(fit.model.to_packed(), baseline.to_packed());
 
+        let mut shares = ModeShares::default();
+        for &mode in rt.mode_trace() {
+            shares.push(mode);
+        }
+        assert_eq!((shares.fresh, shares.stale, shares.local), (1, 2, 1));
         let counters = rt.counters();
-        assert_eq!(counters.fresh_fits, 1);
-        assert_eq!(counters.stale_fits, 2);
-        assert_eq!(counters.local_only_fits, 1);
         // Step 2 fails outright; step 3 is short-circuited by the open
         // breaker; step 4's half-open probe fails again.
         assert_eq!(counters.fetch_failures, 2);

@@ -95,8 +95,7 @@ pub struct ServeConfig {
     /// multiplexes them with readiness polling.
     pub workers: usize,
     /// Per-connection read deadline: a connection that sends nothing for
-    /// this long is closed (same semantics the threaded runtime enforced
-    /// through socket timeouts).
+    /// this long is closed.
     pub read_timeout: Option<Duration>,
     /// Per-connection write deadline: a connection whose peer accepts no
     /// reply bytes for this long is closed.
@@ -108,9 +107,7 @@ pub struct ServeConfig {
     /// `workers + queue_bound` unless `max_connections` overrides it.
     pub queue_bound: usize,
     /// Explicit cap on concurrently admitted connections. `None` derives
-    /// `workers + queue_bound`, which reproduces the threaded runtime's
-    /// admission behaviour (`workers` being served + `queue_bound`
-    /// waiting).
+    /// `workers + queue_bound`.
     pub max_connections: Option<usize>,
     /// Requests served on one connection before the server closes it — a
     /// fairness valve so a single chatty client cannot hold a worker
@@ -962,8 +959,8 @@ impl Conn {
             let len = u32::from_le_bytes([self.rbuf[0], self.rbuf[1], self.rbuf[2], self.rbuf[3]])
                 as usize;
             if len > config.max_frame_len {
-                // Same contract as the threaded runtime: answer the
-                // oversized frame with a protocol error, then hang up.
+                // Answer the oversized frame with a protocol error, then
+                // hang up.
                 let reply = frame::encode(&Message::Error {
                     code: ErrorCode::Malformed,
                     detail: format!(
@@ -1007,9 +1004,8 @@ impl Conn {
             self.rlen -= total;
             self.served += 1;
             if self.served >= config.max_requests_per_conn.max(1) {
-                // Fairness valve: flush what was answered, then hang up
-                // (any still-buffered pipelined requests are dropped, as
-                // the threaded runtime dropped them).
+                // Fairness valve: flush what was answered, then hang up;
+                // any still-buffered pipelined requests are dropped.
                 self.close_after_flush = true;
             }
         }
@@ -1051,8 +1047,7 @@ impl Conn {
 
     /// Deadline sweep: drop connections whose peer neither sent a byte
     /// within the read deadline nor accepted reply bytes within the write
-    /// deadline — the polled equivalent of the socket timeouts the
-    /// threaded runtime installed per connection.
+    /// deadline.
     fn past_deadline(&self, config: &ServeConfig, now: Instant) -> bool {
         if let Some(read) = config.read_timeout {
             if !self.wants_write() && now.duration_since(self.last_read) > read {

@@ -34,7 +34,7 @@ use dre_serve::{
     frame, BreakerConfig, BreakerState, EdgeRuntime, EdgeRuntimeConfig, RetryPolicy, ServeConfig,
     ShardConnector, ShardPlaneConfig, ShardedPriorPlane,
 };
-use dro_edge::{CloudKnowledge, EdgeLearnerConfig};
+use dro_edge::{CloudKnowledge, EdgeLearnerConfig, ModeShares};
 
 const TASK_ID: u64 = 1;
 const SHARDS: usize = 3;
@@ -209,13 +209,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "device", "fresh", "stale", "local", "opens", "conns", "reused", "bytes-in", "bytes-out"
     );
     for (dev, (_, rt)) in fleet.iter().enumerate() {
-        let c = rt.counters();
+        let mut shares = ModeShares::default();
+        for &mode in rt.mode_trace() {
+            shares.push(mode);
+        }
         let m = rt.client().metrics();
         println!(
             "{dev:<8} {:>6} {:>6} {:>6} {:>7} {:>6} {:>7} {:>9} {:>9}",
-            c.fresh_fits,
-            c.stale_fits,
-            c.local_only_fits,
+            shares.fresh,
+            shares.stale,
+            shares.local,
             rt.breaker().opens(),
             m.connections,
             m.reused_connections,
@@ -224,8 +227,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         // The replica absorbed the outage: no stale fits, no local
         // fallbacks, no breaker trips — every round was fresh DRO.
-        assert_eq!(c.fresh_fits, rounds as u64);
-        assert_eq!(c.stale_fits + c.local_only_fits, 0);
+        assert_eq!(shares.fresh, rounds as u64);
+        assert_eq!(shares.stale + shares.local, 0);
         assert_eq!(rt.breaker().opens(), 0);
         assert_eq!(rt.breaker().state(), BreakerState::Closed);
         assert!(
