@@ -17,7 +17,7 @@ use dre_data::TaskFamily;
 use dre_models::metrics;
 use dre_serve::{
     BreakerConfig, EdgeRuntime, EdgeRuntimeConfig, FaultConfig, FaultInjector, FaultyConnector,
-    InMemoryServer, RetryPolicy, ServerState,
+    RetryPolicy, ServerState,
 };
 use dro_edge::{CloudKnowledge, FitMode};
 
@@ -112,11 +112,11 @@ pub fn spawn_degraded_fleet(
     sc: &DegradedScenario,
     rate: f64,
     seed: u64,
-) -> Vec<EdgeRuntime<FaultyConnector<InMemoryServer>>> {
+) -> Vec<EdgeRuntime<FaultyConnector<Arc<ServerState>>>> {
     (0..sc.devices.len())
         .map(|dev| {
             let connector = FaultyConnector::new(
-                InMemoryServer::with_state(Arc::clone(&sc.state)),
+                Arc::clone(&sc.state),
                 FaultInjector::new(seed.wrapping_mul(1_000) + dev as u64, degraded_faults(rate)),
             );
             EdgeRuntime::new(
@@ -145,7 +145,7 @@ pub struct DegradedReading {
 /// once per round, and returns every per-device per-round reading.
 pub fn run_degraded_rounds(
     sc: &DegradedScenario,
-    fleet: &mut [EdgeRuntime<FaultyConnector<InMemoryServer>>],
+    fleet: &mut [EdgeRuntime<FaultyConnector<Arc<ServerState>>>],
     rounds: usize,
 ) -> Vec<DegradedReading> {
     let mut readings = Vec::with_capacity(rounds * fleet.len());

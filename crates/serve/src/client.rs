@@ -21,9 +21,7 @@ use rand::{Rng, SeedableRng};
 
 use dre_bayes::MixturePrior;
 
-use crate::frame::{
-    self, ErrorCode, HealthStatus, Message, MessageRef, ShardMapWire, DEFAULT_MAX_FRAME_LEN,
-};
+use crate::frame::{self, ErrorCode, HealthStatus, Message, MessageRef, ShardMapWire};
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
 use crate::transport::{Connector, Transport};
 use crate::{Result, ServeError};
@@ -81,7 +79,6 @@ pub struct PriorClient<C: Connector> {
     connector: C,
     policy: RetryPolicy,
     jitter: StdRng,
-    max_frame_len: usize,
     metrics: ServeMetrics,
     keep_alive: bool,
     /// The live stream in keep-alive mode; `None` after any failure, so
@@ -102,7 +99,6 @@ impl<C: Connector> PriorClient<C> {
             connector,
             policy,
             jitter,
-            max_frame_len: DEFAULT_MAX_FRAME_LEN,
             metrics: ServeMetrics::new(),
             keep_alive: false,
             stream: None,
@@ -332,8 +328,7 @@ impl<C: Connector> PriorClient<C> {
             self.write_buf.len() as u64,
             std::sync::atomic::Ordering::Relaxed,
         );
-        let received =
-            frame::read_frame_into(&mut transport, self.max_frame_len, &mut self.read_buf)?;
+        let received = frame::read_frame_into(&mut transport, &mut self.read_buf)?;
         self.metrics
             .bytes_in
             .fetch_add(received as u64, std::sync::atomic::Ordering::Relaxed);
@@ -389,7 +384,7 @@ impl<C: Connector> PriorClient<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{InMemoryServer, ServerState};
+    use crate::server::ServerState;
     use crate::transport::{FaultConfig, FaultInjector, FaultyConnector};
     use std::sync::Arc;
 
@@ -398,10 +393,9 @@ mod tests {
         config: FaultConfig,
         seed: u64,
         policy: RetryPolicy,
-    ) -> PriorClient<FaultyConnector<InMemoryServer>> {
-        let responder = InMemoryServer::with_state(state);
+    ) -> PriorClient<FaultyConnector<Arc<ServerState>>> {
         let injector = FaultInjector::new(seed, config);
-        PriorClient::new(FaultyConnector::new(responder, injector), policy)
+        PriorClient::new(FaultyConnector::new(state, injector), policy)
     }
 
     #[test]

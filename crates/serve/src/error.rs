@@ -56,12 +56,13 @@ pub enum ServeError {
         /// What was wrong.
         reason: &'static str,
     },
-    /// A frame declared a length above the configured cap — either a
-    /// protocol bug or a hostile peer. Fatal.
+    /// A frame declared a length above the protocol cap
+    /// ([`crate::frame::MAX_FRAME_LEN`]) — either a protocol bug or a
+    /// hostile peer. Fatal.
     FrameTooLarge {
         /// Declared frame body length.
         len: usize,
-        /// Configured maximum.
+        /// The protocol cap.
         max: usize,
     },
     /// The server answered with a protocol-level `Error` message. Fatal at

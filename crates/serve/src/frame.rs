@@ -50,9 +50,12 @@
 //! little-endian cursor the prior decoder reads with too. A read past the
 //! end fails with the message kind's own `MalformedFrame` reason, and so
 //! does a payload with bytes left over, so the grammar needs no separate
-//! length checks. No byte sequence can make a decode panic: the cursor,
-//! [`decode_ref`], [`decode_body_ref`], [`ParamsRef`] and the shard-address
-//! reader deny `unwrap`, `expect` and slice indexing at the lint level.
+//! length checks. A byte-stream reader turns a length prefix into a frame
+//! length only through [`frame_len`], which enforces the one protocol cap
+//! ([`MAX_FRAME_LEN`]). No byte sequence can make a decode or a read
+//! panic: the cursor, [`frame_len`], [`read_frame_into`], [`decode_ref`],
+//! [`decode_body_ref`], [`ParamsRef`] and the shard-address reader deny
+//! `unwrap`, `expect` and slice indexing at the lint level.
 
 use crate::crc32::Crc32;
 use crate::transport::Transport;
@@ -71,9 +74,10 @@ pub const BODY_HEADER: usize = 6;
 /// Total framing overhead added around a payload.
 pub const FRAME_OVERHEAD: usize = LEN_PREFIX + BODY_HEADER;
 
-/// Default cap on a frame's declared body length (16 MiB) — far above any
-/// realistic prior, low enough to bound a hostile peer's allocation.
-pub const DEFAULT_MAX_FRAME_LEN: usize = 16 << 20;
+/// Cap on a frame's declared body length (16 MiB) — far above any
+/// realistic prior, low enough to bound a hostile peer's allocation. A
+/// protocol constant: both ends of a connection enforce the same cap.
+pub const MAX_FRAME_LEN: usize = 16 << 20;
 
 /// Exact wire size of a `PriorRequest` frame.
 pub const fn prior_request_frame_len() -> usize {
@@ -588,7 +592,9 @@ impl MessageRef<'_> {
 
 /// Decodes one complete frame from a buffer, requiring exact consumption:
 /// a length prefix that disagrees with the buffer size is an error, so a
-/// corrupted length byte can never be silently accepted.
+/// corrupted length byte can never be silently accepted. The prefix is
+/// read through [`frame_len`], so a frame past [`MAX_FRAME_LEN`], which no
+/// reader accepts off the wire, is refused here the same way.
 pub fn decode(bytes: &[u8]) -> Result<Message> {
     decode_ref(bytes).map(MessageRef::to_owned)
 }
@@ -598,20 +604,41 @@ pub fn decode(bytes: &[u8]) -> Result<Message> {
 /// is the request-parsing path the server hot loop runs.
 #[deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 pub fn decode_ref(bytes: &[u8]) -> Result<MessageRef<'_>> {
-    let Some((prefix, body)) = bytes
-        .split_first_chunk::<LEN_PREFIX>()
-        .filter(|(_, body)| body.len() >= BODY_HEADER)
+    let Some(body) = bytes
+        .get(LEN_PREFIX..)
+        .filter(|body| body.len() >= BODY_HEADER)
     else {
         return Err(ServeError::MalformedFrame {
             reason: "buffer shorter than the fixed frame overhead",
         });
     };
-    if u32::from_le_bytes(*prefix) as usize != body.len() {
+    if !matches!(frame_len(bytes), Ok(Some(total)) if total == bytes.len()) {
         return Err(ServeError::MalformedFrame {
             reason: "length prefix disagrees with the frame size",
         });
     }
     decode_body_ref(body)
+}
+
+/// The total wire length of the frame at the front of `buf`, read from
+/// its length prefix: `None` until all [`LEN_PREFIX`] prefix bytes are
+/// buffered, then `LEN_PREFIX` plus the declared body length, or
+/// [`ServeError::FrameTooLarge`] for a body past [`MAX_FRAME_LEN`]. The
+/// one place a length prefix becomes a length; each byte-stream reader
+/// reacts to a declared body shorter than [`BODY_HEADER`] in its own way.
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+pub fn frame_len(buf: &[u8]) -> Result<Option<usize>> {
+    let Some((prefix, _)) = buf.split_first_chunk::<LEN_PREFIX>() else {
+        return Ok(None);
+    };
+    let len = u32::from_le_bytes(*prefix) as usize;
+    if len > MAX_FRAME_LEN {
+        return Err(ServeError::FrameTooLarge {
+            len,
+            max: MAX_FRAME_LEN,
+        });
+    }
+    Ok(Some(LEN_PREFIX + len))
 }
 
 /// Parses a frame body (everything after the length prefix): CRC first,
@@ -774,9 +801,9 @@ pub fn write_frame<T: Transport + ?Sized>(t: &mut T, msg: &Message) -> Result<us
 /// mid-frame. The owned convenience over [`read_frame_into`]: a fresh
 /// buffer makes its first read at most one minimal frame long, so it never
 /// reads past the frame even when the peer has pipelined more.
-pub fn read_frame<T: Transport + ?Sized>(t: &mut T, max_len: usize) -> Result<(Message, usize)> {
+pub fn read_frame<T: Transport + ?Sized>(t: &mut T) -> Result<(Message, usize)> {
     let mut buf = Vec::new();
-    let wire = read_frame_into(t, max_len, &mut buf)?;
+    let wire = read_frame_into(t, &mut buf)?;
     Ok((decode(&buf)?, wire))
 }
 
@@ -790,46 +817,39 @@ pub fn read_frame<T: Transport + ?Sized>(t: &mut T, max_len: usize) -> Result<(M
 /// flight behind the one being read (extra bytes are rejected as
 /// malformed). Callers parse with [`decode_body_ref`] on
 /// `buf[LEN_PREFIX..]`.
-pub fn read_frame_into<T: Transport + ?Sized>(
-    t: &mut T,
-    max_len: usize,
-    buf: &mut Vec<u8>,
-) -> Result<usize> {
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+pub fn read_frame_into<T: Transport + ?Sized>(t: &mut T, buf: &mut Vec<u8>) -> Result<usize> {
     let guess = buf
         .capacity()
-        .clamp(LEN_PREFIX + BODY_HEADER, LEN_PREFIX + max_len);
+        .clamp(FRAME_OVERHEAD, LEN_PREFIX + MAX_FRAME_LEN);
     // Grow-only: every byte up to `total` is overwritten by the reads
-    // below and the buffer is truncated to `total` before returning, so
+    // below and the buffer is cut to `total` before the body is read, so
     // re-zeroing retained capacity would only add a memset per request.
     if buf.len() < guess {
         buf.resize(guess, 0);
     }
     let mut got = 0;
-    while got < LEN_PREFIX {
-        got += t.recv_some(&mut buf[got..])?;
-    }
-    let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-    if len < BODY_HEADER {
+    let total = loop {
+        let (filled, free) = buf.split_at_mut(got);
+        if let Some(total) = frame_len(filled)? {
+            break total;
+        }
+        got += t.recv_some(free)?;
+    };
+    if total < FRAME_OVERHEAD {
         return Err(ServeError::MalformedFrame {
             reason: "declared frame body shorter than its fixed header",
         });
     }
-    if len > max_len {
-        return Err(ServeError::FrameTooLarge { len, max: max_len });
-    }
-    let total = LEN_PREFIX + len;
     if got > total {
         return Err(ServeError::MalformedFrame {
             reason: "peer sent bytes past the end of the frame",
         });
     }
-    if buf.len() < total {
-        buf.resize(total, 0);
-    }
+    buf.resize(total, 0);
     while got < total {
-        got += t.recv_some(&mut buf[got..total])?;
+        got += t.recv_some(buf.split_at_mut(got).1)?;
     }
-    buf.truncate(total);
     Ok(total)
 }
 
@@ -944,6 +964,40 @@ mod tests {
                 encode(&Message::ShardMapResponse { map }).len(),
                 shard_map_response_frame_len(n),
                 "shard map frame length for {n} shard(s)"
+            );
+        }
+    }
+
+    #[test]
+    fn frame_len_reads_the_prefix_and_enforces_the_cap() {
+        let prefixed = |body: u32| body.to_le_bytes();
+        // Nothing to say until all four prefix bytes are buffered.
+        let full = prefixed(6);
+        for n in 0..LEN_PREFIX {
+            assert!(matches!(frame_len(&full[..n]), Ok(None)), "{n} bytes");
+        }
+        // Bytes behind the prefix do not change the answer.
+        assert!(matches!(frame_len(&[6, 0, 0, 0, 0xAA]), Ok(Some(10))));
+        // Short declared bodies are lengths like any other: each reader
+        // rejects them in its own way.
+        for body in [0u32, 5, 6] {
+            assert!(
+                matches!(frame_len(&prefixed(body)), Ok(Some(t)) if t == LEN_PREFIX + body as usize),
+                "body {body}"
+            );
+        }
+        let cap = MAX_FRAME_LEN as u32;
+        assert!(matches!(
+            frame_len(&prefixed(cap)),
+            Ok(Some(t)) if t == LEN_PREFIX + MAX_FRAME_LEN
+        ));
+        for body in [cap + 1, u32::MAX] {
+            assert!(
+                matches!(
+                    frame_len(&prefixed(body)),
+                    Err(ServeError::FrameTooLarge { len, max: MAX_FRAME_LEN }) if len == body as usize
+                ),
+                "body {body}"
             );
         }
     }

@@ -74,7 +74,7 @@ pub use frame::{
     busy_frame_len, health_frame_len, health_report_frame_len, model_report_frame_len,
     ping_frame_len, prior_request_frame_len, prior_response_frame_len, report_ack_frame_len,
     shard_map_request_frame_len, shard_map_response_frame_len, ErrorCode, HealthStatus, Message,
-    MessageRef, ParamsRef, ShardMapWire, DEFAULT_MAX_FRAME_LEN, FRAME_OVERHEAD, FRAME_VERSION,
+    MessageRef, ParamsRef, ShardMapWire, FRAME_OVERHEAD, FRAME_VERSION, MAX_FRAME_LEN,
     SHARD_ADDR_WIRE_LEN,
 };
 pub use metrics::{LatencyHistogram, MetricsSnapshot, ServeMetrics, LATENCY_BUCKETS};
@@ -83,9 +83,9 @@ pub use resilience::{
 };
 pub use runtime::{EdgeRuntime, EdgeRuntimeConfig, RuntimeCounters, RuntimeFit};
 pub use server::{
-    InMemoryServer, PriorEntry, PriorServer, PriorView, ReportedModel, ResponseBytes, ServeConfig,
-    ServerHandle, ServerState, ShardRoute, DEFAULT_REPORT_DEVICE_CAP, DEFAULT_REPORT_INBOX_CAP,
-    MAX_ERROR_DETAIL_BYTES,
+    PriorEntry, PriorServer, PriorView, ReportedModel, ResponseBytes, ServeConfig, ServerHandle,
+    ServerState, ShardRoute, BUSY_RETRY_AFTER, DEFAULT_REPORT_INBOX_CAP, MAX_ERROR_DETAIL_BYTES,
+    REPORT_DEVICE_CAP,
 };
 pub use shard::{
     stable_shard_hash, HashRing, ShardConnector, ShardDirectory, ShardMap, ShardPlaneConfig,

@@ -230,6 +230,7 @@ impl StalePriorCache {
 mod tests {
     use super::*;
     use dre_linalg::Matrix;
+    use proptest::prelude::*;
 
     fn tiny_prior() -> MixturePrior {
         MixturePrior::new(vec![(1.0, vec![0.0, 0.0], Matrix::identity(2))]).unwrap()
@@ -309,6 +310,152 @@ mod tests {
         assert!(b.allow(3));
         b.on_success(3);
         assert_eq!(b.transitions().len(), 3); // Open, HalfOpen, Closed
+    }
+
+    /// The breaker's documented rules as a reference model: closed until
+    /// `threshold` failures since the last success, open for `cooldown`
+    /// steps from the failure that opened it, then one half-open probe
+    /// whose outcome closes or re-opens it.
+    struct Model {
+        threshold: u32,
+        cooldown: u64,
+        state: BreakerState,
+        failures_since_success: u32,
+        opened_at: u64,
+        transitions: Vec<BreakerTransition>,
+    }
+
+    impl Model {
+        fn new(config: &BreakerConfig) -> Self {
+            Model {
+                threshold: config.failure_threshold.max(1),
+                cooldown: config.cooldown_steps.max(1),
+                state: BreakerState::Closed,
+                failures_since_success: 0,
+                opened_at: 0,
+                transitions: Vec::new(),
+            }
+        }
+
+        fn go(&mut self, step: u64, to: BreakerState) {
+            let from = self.state;
+            self.transitions.push(BreakerTransition { step, from, to });
+            self.state = to;
+        }
+
+        fn allow(&mut self, step: u64) -> bool {
+            if self.state == BreakerState::Open {
+                if step < self.opened_at + self.cooldown {
+                    return false;
+                }
+                self.go(step, BreakerState::HalfOpen);
+            }
+            true
+        }
+
+        fn on_success(&mut self, step: u64) {
+            self.failures_since_success = 0;
+            if self.state != BreakerState::Closed {
+                self.go(step, BreakerState::Closed);
+            }
+        }
+
+        fn on_failure(&mut self, step: u64) {
+            self.failures_since_success += 1;
+            let opens = match self.state {
+                BreakerState::HalfOpen => true,
+                BreakerState::Closed => self.failures_since_success >= self.threshold,
+                BreakerState::Open => false,
+            };
+            if opens {
+                self.opened_at = step;
+                self.go(step, BreakerState::Open);
+            }
+        }
+    }
+
+    /// A drive of the breaker: `(call, steps advanced before it)`, where
+    /// call 0 is `allow`, 1 `on_success` and 2 `on_failure`.
+    fn calls() -> impl Strategy<Value = Vec<(u8, u64)>> {
+        proptest::collection::vec((0u8..3, 0u64..4), 1..160)
+    }
+
+    proptest! {
+        #[test]
+        fn breaker_matches_its_reference_model_without_jitter(
+            drive in calls(),
+            threshold in 0u32..5,
+            cooldown in 0u64..7,
+        ) {
+            let config = BreakerConfig {
+                failure_threshold: threshold,
+                cooldown_steps: cooldown,
+                cooldown_jitter: 0,
+                seed: 0,
+            };
+            let mut breaker = CircuitBreaker::new(config.clone());
+            let mut model = Model::new(&config);
+            let mut step = 0;
+            for (call, advance) in drive {
+                step += advance;
+                match call {
+                    0 => prop_assert_eq!(breaker.allow(step), model.allow(step)),
+                    1 => {
+                        breaker.on_success(step);
+                        model.on_success(step);
+                    }
+                    _ => {
+                        breaker.on_failure(step);
+                        model.on_failure(step);
+                    }
+                }
+                prop_assert_eq!(breaker.state(), model.state);
+            }
+            prop_assert_eq!(breaker.transitions(), &model.transitions[..]);
+        }
+
+        #[test]
+        fn breaker_probes_inside_the_jitter_window(
+            drive in calls(),
+            threshold in 1u32..5,
+            cooldown in 1u64..7,
+            jitter in 1u64..5,
+            seed in 0u64..1_000,
+        ) {
+            let mut breaker = CircuitBreaker::new(BreakerConfig {
+                failure_threshold: threshold,
+                cooldown_steps: cooldown,
+                cooldown_jitter: jitter,
+                seed,
+            });
+            let mut opened_at = 0;
+            let mut step = 0;
+            for (call, advance) in drive {
+                step += advance;
+                match call {
+                    0 => {
+                        let was_open = breaker.state() == BreakerState::Open;
+                        let allowed = breaker.allow(step);
+                        // The probe is admitted no earlier than `cooldown`
+                        // and no later than `cooldown + jitter` steps after
+                        // the opening.
+                        if was_open && allowed {
+                            prop_assert!(step >= opened_at + cooldown, "early probe at {step}");
+                        }
+                        if was_open && !allowed {
+                            prop_assert!(step < opened_at + cooldown + jitter, "late probe at {step}");
+                        }
+                    }
+                    1 => breaker.on_success(step),
+                    _ => breaker.on_failure(step),
+                }
+                if let Some(last) = breaker.transitions().last() {
+                    if last.to == BreakerState::Open {
+                        opened_at = last.step;
+                    }
+                }
+            }
+        }
     }
 
     #[test]

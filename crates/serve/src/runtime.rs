@@ -240,7 +240,7 @@ impl<C: Connector> EdgeRuntime<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{InMemoryServer, ServerState};
+    use crate::server::ServerState;
     use crate::transport::{FaultConfig, FaultInjector, FaultyConnector};
     use dre_linalg::Matrix;
     use dro_edge::ModeShares;
@@ -304,11 +304,8 @@ mod tests {
         state: Arc<ServerState>,
         faults: FaultConfig,
         seed: u64,
-    ) -> EdgeRuntime<FaultyConnector<InMemoryServer>> {
-        let connector = FaultyConnector::new(
-            InMemoryServer::with_state(state),
-            FaultInjector::new(seed, faults),
-        );
+    ) -> EdgeRuntime<FaultyConnector<Arc<ServerState>>> {
+        let connector = FaultyConnector::new(state, FaultInjector::new(seed, faults));
         EdgeRuntime::new(connector, fast_policy(), runtime_config())
     }
 

@@ -24,18 +24,19 @@
 //! check runs on every request.
 //!
 //! Admission control and resilience keep their PR 3–4 semantics: the
-//! accept thread sheds connections beyond `workers + queue_bound` (or the
-//! explicit `max_connections`) with a [`Message::Busy`] reply, a global
-//! in-flight cap sheds individual requests the same way, per-connection
-//! read/write deadlines still bound a stalled peer, handler panics are
+//! accept thread sheds connections beyond `workers + queue_bound` with a
+//! [`Message::Busy`] reply, a global in-flight cap sheds individual
+//! requests the same way, per-connection read/write deadlines still bound
+//! a stalled peer, handler panics are
 //! caught per connection (the event loop and its other connections
 //! survive; counted in [`ServeMetrics::worker_panics`]), and poisoned
 //! slow-path locks are healed by inheriting the last good value (counted
 //! in [`ServeMetrics::lock_recoveries`]). One handler,
 //! [`ServerState::respond_bytes_view`], answers every request kind from the
-//! borrowed decode ([`MessageRef`]): the workers, [`ServerState::respond_bytes`]
-//! and [`InMemoryServer`] all call it, so the fault-injection tests exercise
-//! byte-for-byte the same responder as the real sockets, and the chaos hook
+//! borrowed decode ([`MessageRef`]): the workers and
+//! [`ServerState::respond_bytes`] (the in-memory [`Responder`]) both call
+//! it, so the fault-injection tests exercise byte-for-byte the same
+//! responder as the real sockets, and the chaos hook
 //! ([`ServerState::chaos_panic_on_task`]) sits in that one place. Shutdown
 //! is cooperative: a shared `AtomicBool`, a wake to every worker, and a
 //! self-connection to unblock `accept()`.
@@ -50,9 +51,7 @@ use std::time::{Duration, Instant};
 use dre_bayes::MixturePrior;
 use dre_netpoll::{PollFd, RawFd, WakeHandle, Waker};
 
-use crate::frame::{
-    self, ErrorCode, HealthStatus, Message, MessageRef, ParamsRef, DEFAULT_MAX_FRAME_LEN,
-};
+use crate::frame::{self, ErrorCode, HealthStatus, Message, MessageRef, ParamsRef};
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
 use crate::transport::{read_step, write_step, IoStep, Responder, TcpTransport, Transport};
 use crate::{Result, ServeError};
@@ -83,10 +82,15 @@ fn cap_error_detail(detail: String) -> String {
 /// undrained inbox stays bounded (~64k reports).
 pub const DEFAULT_REPORT_INBOX_CAP: usize = 64 << 10;
 
-/// Default [`ServeConfig::report_device_cap`]: far above any honest
-/// device's report cadence between learner drains, low enough that one
-/// looping device cannot fill the shared inbox by itself.
-pub const DEFAULT_REPORT_DEVICE_CAP: usize = 1 << 10;
+/// Per-device rate cap: reports a single device id may land in the inbox
+/// between learner drains. Reports beyond it are rejected and counted in
+/// [`ServeMetrics::reports_shed`]. Far above any honest device's report
+/// cadence between drains, low enough that one looping or flooding device
+/// cannot fill the shared inbox by itself.
+pub const REPORT_DEVICE_CAP: usize = 1 << 10;
+
+/// Backoff hint carried inside `Busy` replies.
+pub const BUSY_RETRY_AFTER: Duration = Duration::from_millis(25);
 
 /// Tuning knobs for [`PriorServer::bind`].
 #[derive(Debug, Clone)]
@@ -100,21 +104,14 @@ pub struct ServeConfig {
     /// Per-connection write deadline: a connection whose peer accepts no
     /// reply bytes for this long is closed.
     pub write_timeout: Option<Duration>,
-    /// Cap on a frame's declared body length.
-    pub max_frame_len: usize,
     /// Connection slots beyond the worker count before the accept loop
-    /// starts shedding with `Busy` replies; the total admission cap is
-    /// `workers + queue_bound` unless `max_connections` overrides it.
-    pub queue_bound: usize,
-    /// Explicit cap on concurrently admitted connections. `None` derives
+    /// starts shedding with `Busy` replies; the admission cap is
     /// `workers + queue_bound`.
-    pub max_connections: Option<usize>,
+    pub queue_bound: usize,
     /// Requests served on one connection before the server closes it — a
     /// fairness valve so a single chatty client cannot hold a worker
     /// forever (clients reconnect transparently on the next attempt).
     pub max_requests_per_conn: usize,
-    /// Backoff hint carried inside `Busy` replies.
-    pub busy_retry_after: Duration,
     /// Cap on buffered model reports: once the inbox holds this many
     /// undrained [`ReportedModel`]s, further reports are acknowledged but
     /// dropped (counted in [`ServeMetrics::reports_shed`]) — a report
@@ -122,12 +119,6 @@ pub struct ServeConfig {
     /// growth. A learner draining via [`ServerState::take_reports`] keeps
     /// the inbox far below the cap in normal operation.
     pub report_inbox_cap: usize,
-    /// Per-device rate cap: reports a single device id may land in the
-    /// inbox between learner drains. Reports beyond it are rejected and
-    /// counted in [`ServeMetrics::reports_shed`] — one looping or
-    /// flooding device degrades into counted shedding without crowding
-    /// out the rest of the fleet.
-    pub report_device_cap: usize,
 }
 
 impl Default for ServeConfig {
@@ -136,23 +127,17 @@ impl Default for ServeConfig {
             workers: 4,
             read_timeout: Some(Duration::from_secs(5)),
             write_timeout: Some(Duration::from_secs(5)),
-            max_frame_len: DEFAULT_MAX_FRAME_LEN,
             queue_bound: 64,
-            max_connections: None,
             max_requests_per_conn: 1024,
-            busy_retry_after: Duration::from_millis(25),
             report_inbox_cap: DEFAULT_REPORT_INBOX_CAP,
-            report_device_cap: DEFAULT_REPORT_DEVICE_CAP,
         }
     }
 }
 
 impl ServeConfig {
-    /// The admission cap actually enforced: `max_connections`, or
-    /// `workers + queue_bound` when unset.
-    pub fn admission_cap(&self) -> usize {
-        self.max_connections
-            .unwrap_or_else(|| self.workers.max(1) + self.queue_bound.max(1))
+    /// The admission cap the accept loop enforces: `workers + queue_bound`.
+    fn admission_cap(&self) -> usize {
+        self.workers.max(1) + self.queue_bound.max(1)
     }
 }
 
@@ -329,9 +314,6 @@ pub struct ServerState {
     /// Inbox cap enforced on `ModelReport` arrivals; reports beyond it
     /// are rejected and shed ([`ServeMetrics::reports_shed`]).
     report_inbox_cap: AtomicU64,
-    /// Per-device rate cap enforced on `ModelReport` arrivals between
-    /// drains ([`ServeConfig::report_device_cap`]).
-    report_device_cap: AtomicU64,
     /// Server-side transfer metrics.
     metrics: ServeMetrics,
     /// Connections handed to a worker but not yet adopted by its loop.
@@ -339,7 +321,7 @@ pub struct ServerState {
     /// Requests currently inside the responder across all workers.
     in_flight: AtomicU64,
     /// Connections currently admitted (owned by workers or in handoff);
-    /// the accept loop sheds beyond [`ServeConfig::admission_cap`].
+    /// the accept loop sheds beyond `workers + queue_bound`.
     admitted: AtomicU64,
     /// Every slow-path mutex acquisition (publication slot or reports
     /// inbox). The lock-freeness tests snapshot this around a burst of
@@ -361,7 +343,6 @@ impl Default for ServerState {
             generation: AtomicU64::new(0),
             reports: Mutex::new(ReportInbox::default()),
             report_inbox_cap: AtomicU64::new(DEFAULT_REPORT_INBOX_CAP as u64),
-            report_device_cap: AtomicU64::new(DEFAULT_REPORT_DEVICE_CAP as u64),
             metrics: ServeMetrics::new(),
             pending: AtomicU64::new(0),
             in_flight: AtomicU64::new(0),
@@ -525,10 +506,10 @@ impl ServerState {
     /// Drains the report inbox: returns every buffered report, in arrival
     /// order, leaving the inbox empty — no clone, and the freed capacity
     /// re-opens both the [`ServeConfig::report_inbox_cap`] admission
-    /// window and every device's [`ServeConfig::report_device_cap`]
-    /// window. Replay protection survives the drain: each device's
-    /// last-accepted sequence number is kept, so a replayed frame is
-    /// still dropped after the learner has consumed the original.
+    /// window and every device's [`REPORT_DEVICE_CAP`] window. Replay
+    /// protection survives the drain: each device's last-accepted sequence
+    /// number is kept, so a replayed frame is still dropped after the
+    /// learner has consumed the original.
     pub fn take_reports(&self) -> Vec<ReportedModel> {
         let mut inbox = self.reports_lock();
         for window in inbox.devices.values_mut() {
@@ -546,12 +527,6 @@ impl ServerState {
     /// [`ServeConfig::report_inbox_cap`] at bind time).
     pub fn set_report_inbox_cap(&self, cap: usize) {
         self.report_inbox_cap.store(cap as u64, Ordering::Relaxed);
-    }
-
-    /// Overrides the per-device rate cap (normally set from
-    /// [`ServeConfig::report_device_cap`] at bind time).
-    pub fn set_report_device_cap(&self, cap: usize) {
-        self.report_device_cap.store(cap as u64, Ordering::Relaxed);
     }
 
     /// Folds learner-side admission outcomes into this server's metrics:
@@ -603,9 +578,9 @@ impl ServerState {
     ///    ([`ServeMetrics::reports_replayed`]); the device's window does
     ///    not advance.
     /// 2. **Rate cap** — a device that already landed
-    ///    [`ServeConfig::report_device_cap`] reports since the last drain
-    ///    is shed ([`ServeMetrics::reports_shed`]); its sequence number
-    ///    still advances, so the dropped report cannot be replayed later.
+    ///    [`REPORT_DEVICE_CAP`] reports since the last drain is shed
+    ///    ([`ServeMetrics::reports_shed`]); its sequence number still
+    ///    advances, so the dropped report cannot be replayed later.
     /// 3. **Inbox cap** — overflow past
     ///    [`ServeConfig::report_inbox_cap`] is shed the same way.
     ///
@@ -613,7 +588,6 @@ impl ServerState {
     /// back in [`Message::ReportAck`].
     fn admit_report(&self, task_id: u64, device_id: u64, seq: u64, params: ParamsRef<'_>) -> bool {
         let inbox_cap = self.report_inbox_cap.load(Ordering::Relaxed) as usize;
-        let device_cap = self.report_device_cap.load(Ordering::Relaxed);
         let mut guard = self.reports_lock();
         let inbox = &mut *guard;
         let window = inbox.devices.entry(device_id).or_default();
@@ -624,7 +598,7 @@ impl ServerState {
             return false;
         }
         window.last_seq = seq;
-        if window.since_drain >= device_cap || inbox.entries.len() >= inbox_cap {
+        if window.since_drain >= REPORT_DEVICE_CAP as u64 || inbox.entries.len() >= inbox_cap {
             self.metrics.reports_shed.fetch_add(1, Ordering::Relaxed);
             return false;
         }
@@ -651,15 +625,14 @@ impl ServerState {
     /// Decodes one request frame, answers it, and encodes the reply —
     /// updating byte counters and the latency histogram. This is the
     /// server's only request handler: the polled workers call it with
-    /// their long-lived view, [`ServerState::respond_bytes`] and
-    /// [`InMemoryServer`] with a fresh one. Frame-level failures map onto
-    /// protocol `Error` replies so the client always gets an answer it can
-    /// classify. A `PriorRequest` hit is the zero-copy, zero-lock hot path:
-    /// a borrowing decode ([`frame::decode_ref`]), one atomic generation
-    /// check on `view`, a lookup in the view's worker-owned snapshot, and a
-    /// shared reference to the pre-encoded frame — no lock, no payload
-    /// clone, no re-encode, no CRC recompute (counted in
-    /// [`ServeMetrics::prior_cache_hits`]).
+    /// their long-lived view, [`ServerState::respond_bytes`] with a fresh
+    /// one. Frame-level failures map onto protocol `Error` replies so the
+    /// client always gets an answer it can classify. A `PriorRequest` hit
+    /// is the zero-copy, zero-lock hot path: a borrowing decode
+    /// ([`frame::decode_ref`]), one atomic generation check on `view`, a
+    /// lookup in the view's worker-owned snapshot, and a shared reference
+    /// to the pre-encoded frame — no lock, no payload clone, no re-encode,
+    /// no CRC recompute (counted in [`ServeMetrics::prior_cache_hits`]).
     pub fn respond_bytes_view(&self, view: &mut PriorView, request_frame: &[u8]) -> ResponseBytes {
         let started = Instant::now();
         self.metrics
@@ -783,7 +756,7 @@ impl ServerState {
     /// Encodes a `Busy` reply for a request that is being shed, updating
     /// the same counters `respond_bytes` would — including the latency
     /// histogram, so shed requests stay visible in the latency profile.
-    pub fn busy_bytes(&self, request_len: usize, retry_after: Duration) -> Vec<u8> {
+    pub fn busy_bytes(&self, request_len: usize) -> Vec<u8> {
         let started = Instant::now();
         self.metrics
             .bytes_in
@@ -791,7 +764,7 @@ impl ServerState {
         self.metrics.requests.fetch_add(1, Ordering::Relaxed);
         self.metrics.busy.fetch_add(1, Ordering::Relaxed);
         let bytes = frame::encode(&Message::Busy {
-            retry_after_ms: retry_after.as_millis().min(u32::MAX as u128) as u32,
+            retry_after_ms: BUSY_RETRY_AFTER.as_millis() as u32,
         });
         self.metrics
             .bytes_out
@@ -801,33 +774,11 @@ impl ServerState {
     }
 }
 
-/// [`Responder`] running [`ServerState`] entirely in memory — the server
-/// half of the fault-injection tests, with no sockets involved.
-#[derive(Debug, Default)]
-pub struct InMemoryServer {
-    state: Arc<ServerState>,
-}
-
-impl InMemoryServer {
-    /// An in-memory server over fresh state.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An in-memory server sharing existing state.
-    pub fn with_state(state: Arc<ServerState>) -> Self {
-        InMemoryServer { state }
-    }
-
-    /// The shared state (registry, reports, metrics).
-    pub fn state(&self) -> &Arc<ServerState> {
-        &self.state
-    }
-}
-
-impl Responder for InMemoryServer {
+/// Shared state answers in memory through [`ServerState::respond_bytes`] —
+/// the server half of the fault-injection tests, with no sockets involved.
+impl Responder for Arc<ServerState> {
     fn respond(&self, request_frame: &[u8]) -> Vec<u8> {
-        self.state.respond_bytes(request_frame).into_vec()
+        self.respond_bytes(request_frame).into_vec()
     }
 }
 
@@ -916,6 +867,7 @@ impl Conn {
     /// complete frame through the worker's [`PriorView`], coalesces the
     /// replies, and flushes. Returns `false` when the connection must be
     /// dropped.
+    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
     fn service(
         &mut self,
         readable: bool,
@@ -931,7 +883,7 @@ impl Conn {
                     let target = (self.rbuf.len() * 2).max(self.rlen + READ_CHUNK);
                     self.rbuf.resize(target, 0);
                 }
-                match read_step(&mut self.stream, &mut self.rbuf[self.rlen..]) {
+                match read_step(&mut self.stream, self.rbuf.split_at_mut(self.rlen).1) {
                     Ok(IoStep::Progress(n)) => {
                         self.rlen += n;
                         self.last_read = now;
@@ -955,25 +907,24 @@ impl Conn {
         // Answer every complete frame now buffered; replies coalesce into
         // one flush below.
         let mut replies = 0usize;
-        while !self.close_after_flush && self.rlen >= frame::LEN_PREFIX {
-            let len = u32::from_le_bytes([self.rbuf[0], self.rbuf[1], self.rbuf[2], self.rbuf[3]])
-                as usize;
-            if len > config.max_frame_len {
-                // Answer the oversized frame with a protocol error, then
-                // hang up.
-                let reply = frame::encode(&Message::Error {
-                    code: ErrorCode::Malformed,
-                    detail: format!(
-                        "frame of {len} bytes exceeds the {}-byte cap",
-                        config.max_frame_len
-                    ),
-                });
-                self.wbuf.extend_from_slice(&reply);
-                replies += 1;
-                self.close_after_flush = true;
-                break;
-            }
-            let total = frame::LEN_PREFIX + len;
+        while !self.close_after_flush {
+            let (buffered, _) = self.rbuf.split_at(self.rlen);
+            let total = match frame::frame_len(buffered) {
+                Ok(Some(total)) => total,
+                Ok(None) => break, // wait for the rest of the prefix
+                Err(oversized) => {
+                    // Answer the oversized frame with a protocol error,
+                    // then hang up.
+                    let reply = frame::encode(&Message::Error {
+                        code: ErrorCode::Malformed,
+                        detail: oversized.to_string(),
+                    });
+                    self.wbuf.extend_from_slice(&reply);
+                    replies += 1;
+                    self.close_after_flush = true;
+                    break;
+                }
+            };
             if self.rlen < total {
                 if self.rbuf.len() < total {
                     self.rbuf.resize(total, 0);
@@ -992,10 +943,11 @@ impl Conn {
             let in_flight = state.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
             let _gauge = InFlight(&state.in_flight);
             if in_flight as usize > MAX_IN_FLIGHT {
-                let reply = state.busy_bytes(total, config.busy_retry_after);
+                let reply = state.busy_bytes(total);
                 self.wbuf.extend_from_slice(&reply);
             } else {
-                let reply = state.respond_bytes_view(view, &self.rbuf[..total]);
+                let (request, _) = self.rbuf.split_at(total);
+                let reply = state.respond_bytes_view(view, request);
                 self.wbuf.extend_from_slice(&reply);
             }
             drop(_gauge);
@@ -1025,7 +977,7 @@ impl Conn {
         // Coalesced flush: every reply produced this tick goes out in as
         // few `write` calls as the socket accepts.
         while self.wants_write() {
-            match write_step(&mut self.stream, &self.wbuf[self.wpos..]) {
+            match write_step(&mut self.stream, self.wbuf.split_at(self.wpos).1) {
                 Ok(IoStep::Progress(n)) => {
                     self.wpos += n;
                     self.last_write = now;
@@ -1192,7 +1144,6 @@ impl PriorServer {
         })?;
         let state = Arc::new(ServerState::new());
         state.set_report_inbox_cap(config.report_inbox_cap);
-        state.set_report_device_cap(config.report_device_cap);
         let shutdown = Arc::new(AtomicBool::new(false));
 
         let workers = config.workers.max(1);
@@ -1281,18 +1232,8 @@ fn shed_connection(stream: TcpStream, state: &ServerState, config: &ServeConfig)
     // Read the pending request so closing the socket after the reply does
     // not reset it out from under the client; tolerate failures — the
     // `Busy` write below is best-effort either way.
-    let mut request_len = 0usize;
-    let mut lenb = [0u8; frame::LEN_PREFIX];
-    if matches!(transport.recv_exact_or_eof(&mut lenb), Ok(true)) {
-        let len = u32::from_le_bytes(lenb) as usize;
-        if len <= config.max_frame_len {
-            let mut body = vec![0u8; len];
-            if transport.recv_exact(&mut body).is_ok() {
-                request_len = frame::LEN_PREFIX + len;
-            }
-        }
-    }
-    let reply = state.busy_bytes(request_len, config.busy_retry_after);
+    let request_len = frame::read_frame_into(&mut transport, &mut Vec::new()).unwrap_or(0);
+    let reply = state.busy_bytes(request_len);
     let _ = transport.send(&reply);
 }
 
@@ -1312,7 +1253,7 @@ impl ServerHandle {
         self.addr
     }
 
-    /// The shared state — also usable as an [`InMemoryServer`] backing.
+    /// The shared state — also an in-memory [`Responder`].
     pub fn state(&self) -> &Arc<ServerState> {
         &self.state
     }
@@ -1463,7 +1404,7 @@ mod tests {
     #[test]
     fn replayed_and_rate_capped_reports_are_rejected_before_the_inbox() {
         let state = ServerState::new();
-        state.set_report_device_cap(2);
+        let cap = REPORT_DEVICE_CAP as u64;
 
         // Fresh sequence numbers are accepted up to the device cap.
         assert_eq!(
@@ -1476,20 +1417,22 @@ mod tests {
             Message::ReportAck { accepted: false }
         );
         assert_eq!(state.metrics().reports_replayed, 1);
-        // The next fresh number still gets in…
-        assert_eq!(
-            respond(&state, &report(1, 42, 2, vec![2.0])),
-            Message::ReportAck { accepted: true }
-        );
+        // The next fresh numbers still get in, up to the cap…
+        for seq in 2..=cap {
+            assert_eq!(
+                respond(&state, &report(1, 42, seq, vec![seq as f64])),
+                Message::ReportAck { accepted: true }
+            );
+        }
         // …but the device is now at its rate cap: shed, with the sequence
         // window still advancing so this frame cannot be replayed later.
         assert_eq!(
-            respond(&state, &report(1, 42, 3, vec![3.0])),
+            respond(&state, &report(1, 42, cap + 1, vec![3.0])),
             Message::ReportAck { accepted: false }
         );
         assert_eq!(state.metrics().reports_shed, 1);
         assert_eq!(
-            respond(&state, &report(1, 42, 3, vec![3.0])),
+            respond(&state, &report(1, 42, cap + 1, vec![3.0])),
             Message::ReportAck { accepted: false }
         );
         assert_eq!(state.metrics().reports_replayed, 2);
@@ -1502,11 +1445,11 @@ mod tests {
 
         // Draining resets the rate window but not replay protection.
         let kept = state.take_reports();
-        assert_eq!(kept.len(), 3);
+        assert_eq!(kept.len() as u64, cap + 1);
         assert_eq!(kept[0].seq, 1);
         assert_eq!(kept[1].seq, 2);
         assert_eq!(
-            respond(&state, &report(1, 42, 4, vec![4.0])),
+            respond(&state, &report(1, 42, cap + 2, vec![4.0])),
             Message::ReportAck { accepted: true }
         );
         assert_eq!(
@@ -1563,7 +1506,7 @@ mod tests {
         )
         .unwrap();
         frame::write_frame(&mut t, &Message::PriorRequest { task_id: 1 }).unwrap();
-        let (reply, _) = frame::read_frame(&mut t, DEFAULT_MAX_FRAME_LEN).unwrap();
+        let (reply, _) = frame::read_frame(&mut t).unwrap();
         assert_eq!(
             reply,
             Message::PriorResponse {
@@ -1573,7 +1516,7 @@ mod tests {
 
         // Two requests on one connection: the loop keeps serving.
         frame::write_frame(&mut t, &Message::Ping).unwrap();
-        let (reply, _) = frame::read_frame(&mut t, DEFAULT_MAX_FRAME_LEN).unwrap();
+        let (reply, _) = frame::read_frame(&mut t).unwrap();
         assert_eq!(reply, Message::Ping);
         drop(t);
 
@@ -1618,10 +1561,10 @@ mod tests {
     #[test]
     fn busy_bytes_counts_and_encodes_the_hint() {
         let state = ServerState::new();
-        let reply = state.busy_bytes(10, Duration::from_millis(40));
+        let reply = state.busy_bytes(10);
         assert_eq!(
             frame::decode(&reply).unwrap(),
-            Message::Busy { retry_after_ms: 40 }
+            Message::Busy { retry_after_ms: 25 }
         );
         let m = state.metrics();
         assert_eq!(m.busy, 1);
@@ -1823,12 +1766,12 @@ mod tests {
         .unwrap();
         for _ in 0..2 {
             frame::write_frame(&mut t, &Message::Ping).unwrap();
-            let (reply, _) = frame::read_frame(&mut t, DEFAULT_MAX_FRAME_LEN).unwrap();
+            let (reply, _) = frame::read_frame(&mut t).unwrap();
             assert_eq!(reply, Message::Ping);
         }
         // Third request on the same connection: the server has hung up.
         let _ = frame::write_frame(&mut t, &Message::Ping);
-        assert!(frame::read_frame(&mut t, DEFAULT_MAX_FRAME_LEN).is_err());
+        assert!(frame::read_frame(&mut t).is_err());
         // A fresh connection is served normally.
         let stream = TcpStream::connect(handle.addr()).unwrap();
         let mut t = TcpTransport::with_deadlines(
@@ -1838,7 +1781,7 @@ mod tests {
         )
         .unwrap();
         frame::write_frame(&mut t, &Message::Ping).unwrap();
-        assert!(frame::read_frame(&mut t, DEFAULT_MAX_FRAME_LEN).is_ok());
+        assert!(frame::read_frame(&mut t).is_ok());
         handle.shutdown();
     }
 
@@ -1877,10 +1820,5 @@ mod tests {
             ..ServeConfig::default()
         };
         assert_eq!(config.admission_cap(), 7);
-        let config = ServeConfig {
-            max_connections: Some(1000),
-            ..config
-        };
-        assert_eq!(config.admission_cap(), 1000);
     }
 }

@@ -423,8 +423,8 @@ impl FaultInjector {
 }
 
 /// Responds to a complete request frame with a complete response frame —
-/// the server side of an in-memory exchange (see
-/// [`crate::server::InMemoryServer`]).
+/// the server side of an in-memory exchange (an `Arc<ServerState>` is
+/// one).
 pub trait Responder {
     /// Produces the response frame for one request frame.
     fn respond(&self, request_frame: &[u8]) -> Vec<u8>;
@@ -577,7 +577,7 @@ mod tests {
         let mut t = conn.connect().unwrap();
         let msg = Message::PriorRequest { task_id: 5 };
         frame::write_frame(&mut t, &msg).unwrap();
-        let (back, n) = frame::read_frame(&mut t, frame::DEFAULT_MAX_FRAME_LEN).unwrap();
+        let (back, n) = frame::read_frame(&mut t).unwrap();
         assert_eq!(back, msg);
         assert_eq!(n, frame::prior_request_frame_len());
         assert_eq!(conn.fault_counts(), FaultCounts::default());
@@ -597,8 +597,7 @@ mod tests {
             for i in 0..50 {
                 let mut t = conn.connect().unwrap();
                 let msg = Message::PriorRequest { task_id: i };
-                let out = frame::write_frame(&mut t, &msg)
-                    .and_then(|_| frame::read_frame(&mut t, frame::DEFAULT_MAX_FRAME_LEN));
+                let out = frame::write_frame(&mut t, &msg).and_then(|_| frame::read_frame(&mut t));
                 outcomes.push(match out {
                     Ok((m, _)) => {
                         assert_eq!(m, msg, "delivered frames must be uncorrupted");
@@ -629,8 +628,8 @@ mod tests {
         for step in 0..6u64 {
             assert_eq!(conn.step(), step);
             let mut t = conn.connect().unwrap();
-            let out = frame::write_frame(&mut t, &Message::Ping)
-                .and_then(|_| frame::read_frame(&mut t, frame::DEFAULT_MAX_FRAME_LEN));
+            let out =
+                frame::write_frame(&mut t, &Message::Ping).and_then(|_| frame::read_frame(&mut t));
             if step < 3 {
                 assert!(
                     matches!(out, Err(ServeError::InjectedFault { what }) if what.contains("partition")),
@@ -651,6 +650,6 @@ mod tests {
         conn.partition_until(0);
         let mut t = conn.connect().unwrap();
         frame::write_frame(&mut t, &Message::Ping).unwrap();
-        frame::read_frame(&mut t, frame::DEFAULT_MAX_FRAME_LEN).unwrap();
+        frame::read_frame(&mut t).unwrap();
     }
 }

@@ -42,10 +42,9 @@ fn connect(server: &dre_serve::ServerHandle) -> TcpTransport {
 
 /// Reads one whole reply frame, raw.
 fn read_raw_frame(t: &mut TcpTransport) -> Vec<u8> {
-    let mut prefix = [0u8; frame::LEN_PREFIX];
-    t.recv_exact(&mut prefix).unwrap();
-    let mut out = prefix.to_vec();
-    out.resize(frame::LEN_PREFIX + u32::from_le_bytes(prefix) as usize, 0);
+    let mut out = vec![0u8; frame::LEN_PREFIX];
+    t.recv_exact(&mut out).unwrap();
+    out.resize(frame::frame_len(&out).unwrap().unwrap(), 0);
     t.recv_exact(&mut out[frame::LEN_PREFIX..]).unwrap();
     out
 }
@@ -107,7 +106,7 @@ fn split_and_coalesced_deliveries_get_byte_identical_replies() {
     let mut cursor = &reference[..];
     let mut replies = Vec::new();
     while !cursor.is_empty() {
-        let len = frame::LEN_PREFIX + u32::from_le_bytes(cursor[..4].try_into().unwrap()) as usize;
+        let len = frame::frame_len(cursor).unwrap().unwrap();
         replies.push(frame::decode(&cursor[..len]).unwrap());
         cursor = &cursor[len..];
     }
@@ -188,10 +187,8 @@ fn garbage_frame(rng: &mut u64, max_body: usize) -> Vec<u8> {
 
 #[test]
 fn garbage_streams_are_answered_without_a_panic_and_leave_the_cache_alone() {
-    const MAX_FRAME: usize = 4096;
     let config = ServeConfig {
         workers: 1,
-        max_frame_len: MAX_FRAME,
         ..ServeConfig::default()
     };
     let server = PriorServer::bind("127.0.0.1:0", config).unwrap();
@@ -213,7 +210,7 @@ fn garbage_streams_are_answered_without_a_panic_and_leave_the_cache_alone() {
         }
         // Every frame is answered with a decodable reply.
         for i in 0..frames.len() {
-            let (reply, _) = frame::read_frame(&mut t, frame::DEFAULT_MAX_FRAME_LEN)
+            let (reply, _) = frame::read_frame(&mut t)
                 .unwrap_or_else(|e| panic!("stream {stream}, frame {i}: {e}"));
             assert!(
                 !matches!(reply, Message::Busy { .. }),
@@ -221,10 +218,10 @@ fn garbage_streams_are_answered_without_a_panic_and_leave_the_cache_alone() {
             );
         }
         // An over-cap length prefix is refused and the connection closed.
-        let over =
-            MAX_FRAME as u32 + 1 + (splitmix(&mut rng) as u32) % (u32::MAX - MAX_FRAME as u32);
+        let cap = frame::MAX_FRAME_LEN as u32;
+        let over = cap + 1 + (splitmix(&mut rng) as u32) % (u32::MAX - cap);
         t.send(&over.to_le_bytes()).unwrap();
-        let (reply, _) = frame::read_frame(&mut t, frame::DEFAULT_MAX_FRAME_LEN).unwrap();
+        let (reply, _) = frame::read_frame(&mut t).unwrap();
         assert!(
             matches!(
                 reply,

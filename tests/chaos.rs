@@ -32,8 +32,7 @@ use dre_models::metrics;
 use dre_prob::seeded_rng;
 use dre_serve::{
     BreakerConfig, BreakerState, EdgeRuntime, EdgeRuntimeConfig, FaultConfig, FaultInjector,
-    FaultyConnector, InMemoryServer, PriorServer, RetryPolicy, ServeConfig, ServerState,
-    TcpConnector,
+    FaultyConnector, PriorServer, RetryPolicy, ServeConfig, ServerState, TcpConnector,
 };
 use dro_edge::{baselines, CloudKnowledge, FitMode, ModeShares};
 
@@ -130,7 +129,7 @@ fn run_fleet(sc: &Scenario, faults: &FaultConfig, seed: u64, rounds: usize) -> F
     let mut fleet: Vec<_> = (0..DEVICES)
         .map(|dev| {
             let connector = FaultyConnector::new(
-                InMemoryServer::with_state(Arc::clone(&sc.state)),
+                Arc::clone(&sc.state),
                 FaultInjector::new(seed.wrapping_mul(1_000) + dev as u64, faults.clone()),
             );
             EdgeRuntime::new(
@@ -253,7 +252,7 @@ fn partition_then_heal_recloses_breakers_and_recovers_accuracy_bitwise() {
     let mut fleet: Vec<_> = (0..DEVICES)
         .map(|dev| {
             let connector = FaultyConnector::new(
-                InMemoryServer::with_state(Arc::clone(&sc.state)),
+                Arc::clone(&sc.state),
                 FaultInjector::new(9_000 + dev as u64, FaultConfig::default()),
             );
             EdgeRuntime::new(connector, degraded_policy(), runtime_config(dev as u64))

@@ -9,8 +9,8 @@ use dre_bench::fleet_learner_config;
 use dre_data::{TaskFamily, TaskFamilyConfig};
 use dre_prob::seeded_rng;
 use dre_serve::{
-    frame, FaultConfig, FaultInjector, FaultyConnector, InMemoryServer, PriorClient, PriorServer,
-    RetryPolicy, ServeConfig, ServerState, TcpConnector, TcpTransport,
+    frame, FaultConfig, FaultInjector, FaultyConnector, PriorClient, PriorServer, RetryPolicy,
+    ServeConfig, ServerState, TcpConnector, TcpTransport, BUSY_RETRY_AFTER,
 };
 use dro_edge::{CloudKnowledge, EdgeLearner};
 
@@ -316,10 +316,8 @@ fn faulty_transport_recovers_within_the_retry_budget() {
     let run = || {
         let state = Arc::new(ServerState::new());
         state.register_payload(TASK_ID, expected_payload.clone());
-        let connector = FaultyConnector::new(
-            InMemoryServer::with_state(Arc::clone(&state)),
-            FaultInjector::new(2024, faults.clone()),
-        );
+        let connector =
+            FaultyConnector::new(Arc::clone(&state), FaultInjector::new(2024, faults.clone()));
         let mut client = PriorClient::new(connector, policy.clone());
         for _ in 0..20 {
             // Every fetch must succeed within the retry budget, and the
@@ -366,7 +364,6 @@ fn burst_beyond_queue_bound_is_shed_with_busy_and_no_worker_wedges() {
         queue_bound: 1,
         read_timeout: Some(Duration::from_secs(2)),
         write_timeout: Some(Duration::from_secs(2)),
-        busy_retry_after: Duration::from_millis(7),
         ..ServeConfig::default()
     };
     let mut server = PriorServer::bind("127.0.0.1:0", config).unwrap();
@@ -389,7 +386,7 @@ fn burst_beyond_queue_bound_is_shed_with_busy_and_no_worker_wedges() {
     std::thread::sleep(Duration::from_millis(50)); // accept loop queues it
 
     // The burst: every further connection gets an immediate `Busy` reply
-    // carrying the configured retry-after hint, then a hangup.
+    // carrying the `BUSY_RETRY_AFTER` hint, then a hangup.
     const BURST: usize = 3;
     for _ in 0..BURST {
         let mut t = TcpTransport::with_deadlines(
@@ -399,8 +396,8 @@ fn burst_beyond_queue_bound_is_shed_with_busy_and_no_worker_wedges() {
         )
         .unwrap();
         frame::write_frame(&mut t, &frame::Message::PriorRequest { task_id: TASK_ID }).unwrap();
-        let (reply, _) = frame::read_frame(&mut t, dre_serve::DEFAULT_MAX_FRAME_LEN).unwrap();
-        assert_eq!(reply, frame::Message::Busy { retry_after_ms: 7 });
+        let (reply, _) = frame::read_frame(&mut t).unwrap();
+        assert_eq!(reply, frame::Message::Busy { retry_after_ms: 25 });
     }
 
     // A retrying client sees the same shedding as a typed, retryable error
@@ -411,7 +408,7 @@ fn burst_beyond_queue_bound_is_shed_with_busy_and_no_worker_wedges() {
         dre_serve::ServeError::RetriesExhausted { last, .. } => {
             assert!(
                 matches!(*last, dre_serve::ServeError::Busy { retry_after }
-                    if retry_after == Duration::from_millis(7)),
+                    if retry_after == BUSY_RETRY_AFTER),
                 "overload must surface as Busy with the server's hint"
             );
         }
@@ -422,7 +419,7 @@ fn burst_beyond_queue_bound_is_shed_with_busy_and_no_worker_wedges() {
     // Release the worker: the queued connection drains and is answered —
     // the worker was waiting, not wedged.
     drop(squatter);
-    let (reply, _) = frame::read_frame(&mut queued, dre_serve::DEFAULT_MAX_FRAME_LEN).unwrap();
+    let (reply, _) = frame::read_frame(&mut queued).unwrap();
     assert_eq!(reply, frame::Message::Ping);
     drop(queued);
 
@@ -523,7 +520,7 @@ fn two_workers_multiplex_a_thousand_keepalive_connections() {
 
     let config = ServeConfig {
         workers: 2,
-        max_connections: Some(CONNS + 8),
+        queue_bound: CONNS + 8,
         read_timeout: Some(Duration::from_secs(60)),
         write_timeout: Some(Duration::from_secs(60)),
         ..ServeConfig::default()
@@ -551,7 +548,7 @@ fn two_workers_multiplex_a_thousand_keepalive_connections() {
                 .unwrap();
         }
         for t in &mut streams {
-            let (reply, _) = frame::read_frame(&mut *t, dre_serve::DEFAULT_MAX_FRAME_LEN).unwrap();
+            let (reply, _) = frame::read_frame(&mut *t).unwrap();
             assert_eq!(
                 frame::encode(&reply),
                 expected,
@@ -612,7 +609,7 @@ fn pipelined_burst_is_answered_in_order_with_coalesced_writes() {
     // …gets BURST in-order replies, every one byte-identical to a fresh
     // encode of the registered prior.
     for _ in 0..BURST {
-        let (reply, _) = frame::read_frame(&mut t, dre_serve::DEFAULT_MAX_FRAME_LEN).unwrap();
+        let (reply, _) = frame::read_frame(&mut t).unwrap();
         assert_eq!(frame::encode(&reply), expected);
     }
     drop(t);
